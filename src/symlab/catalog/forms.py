@@ -34,10 +34,6 @@ class FormIndexing:
     def subsets(self) -> list[tuple[int, ...]]:
         return list(itertools.combinations(range(self.n), self.ell))
 
-    def index_of(self, subset: Sequence[int]) -> int:
-        subs = self.subsets()
-        return subs.index(tuple(sorted(subset)))
-
 
 def wedge_insert_sign(i: int, subset: tuple[int, ...]) -> int:
     """Sign of e_i wedge e_subset; 0 when i already occurs."""

@@ -6,8 +6,16 @@ re-check of a report's certificates), catalog (list / emit built-ins) and
 experiment (blowup / inequality / necessity / duality; CSV + JSON manifest
 + a rendered figure next to the CSV).
 
-Exit codes: 0 all verdicts certified, 2 input/validation error, 3 at least
-one verdict or experiment row is undecided/sampled/unconverged.
+analyze and verify each walk one table of verdicts.  verify decodes every
+verdict of the report, checks that its "certified" flag matches its status
+and re-checks it with the decider's verifier.  A verifier that builds on
+another verdict (cancellation and partial cancellation on ellipticity,
+spanning on cancellation) sees that verdict only if it passed.
+
+Exit codes: 0 all verdicts certified (verify: all verdicts pass), 2
+input/validation error, including a malformed report given to verify, 3
+at least one verdict or experiment row is undecided/sampled/unconverged
+(verify: at least one verdict is rejected).
 
 Operators come from JSON files or from catalog URIs such as
 ``catalog:gradient?n=2``.  Reports are byte-reproducible for a fixed seed
@@ -183,42 +191,36 @@ def cmd_analyze(args) -> int:
     verdicts: dict[str, dict] = {}
     uncertified = []
 
-    def timed(name, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        timings[name] = time.perf_counter() - t0
-        return out
-
+    # (report key, check given the verdicts decided so far, encoder)
     if args.as_role == "constraint":
-        cc = timed("cocanceling", lambda: check_cocanceling(op))
-        verdicts["cocanceling"] = cocanceling_to_json(cc)
+        table = [("cocanceling", lambda done: check_cocanceling(op), cocanceling_to_json)]
     else:
-        ev = timed("ellipticity", lambda: check_ellipticity(op, max_depth=args.depth))
-        verdicts["ellipticity"] = ellipticity_to_json(ev)
-        if not ev.certified:
-            uncertified.append("ellipticity")
-        cv = timed(
-            "canceling", lambda: check_canceling(op, seed=args.seed, ellipticity=ev)
-        )
-        verdicts["canceling"] = canceling_to_json(cv)
-        if not cv.certified:
-            uncertified.append("canceling")
-        bb = timed("bb_spanning", lambda: check_bb_spanning(op, seed=args.seed))
-        verdicts["bb_spanning"] = spanning_to_json(bb)
-        if not bb.certified:
-            uncertified.append("bb_spanning")
-        cc = timed("cocanceling", lambda: check_cocanceling(op))
-        verdicts["cocanceling"] = cocanceling_to_json(cc)
+        table = [
+            ("ellipticity", lambda done: check_ellipticity(op, max_depth=args.depth),
+             ellipticity_to_json),
+            ("canceling",
+             lambda done: check_canceling(op, seed=args.seed, ellipticity=done["ellipticity"]),
+             canceling_to_json),
+            ("bb_spanning", lambda done: check_bb_spanning(done["canceling"]),
+             spanning_to_json),
+            ("cocanceling", lambda done: check_cocanceling(op), cocanceling_to_json),
+        ]
         if t is not None:
-            pv = timed(
-                "partial",
-                lambda: check_partial_canceling(op, t, seed=args.seed, ellipticity=ev),
-            )
-            verdicts["partial"] = partial_to_json(pv)
-            if not pv.certified:
-                uncertified.append("partial")
+            table.append(("partial", lambda done: check_partial_canceling(done["canceling"], t),
+                          partial_to_json))
+    done: dict = {}
+    for key, check, encode in table:
+        t0 = time.perf_counter()
+        done[key] = check(done)
+        timings[key] = time.perf_counter() - t0
+        verdicts[key] = encode(done[key])
+        if not done[key].certified:
+            uncertified.append(key)
+
+    if args.as_role != "constraint":
+        t0 = time.perf_counter()
         try:
-            ann = timed("annihilator", lambda: build_annihilator(op))
+            ann = build_annihilator(op)
             verdicts["annihilator"] = {
                 "degree": annihilator_degree(op),
                 "digest": operator_digest(ann.operator),
@@ -227,6 +229,7 @@ def cmd_analyze(args) -> int:
             }
         except AnnihilatorBudgetError as exc:
             verdicts["annihilator"] = {"skipped": str(exc)}
+        timings["annihilator"] = time.perf_counter() - t0
 
     report = {
         "schema_version": 1,
@@ -300,9 +303,9 @@ def cmd_verify(args) -> int:
         verify_canceling,
         verify_cocanceling,
         verify_ellipticity,
+        verify_partial_canceling,
         verify_spanning,
     )
-    from .exact.matrix import kernel_basis, subspace_intersection
     from .io import (
         canceling_from_json,
         cocanceling_from_json,
@@ -310,6 +313,7 @@ def cmd_verify(args) -> int:
         load_json,
         matrix_from_json,
         operator_from_json,
+        partial_from_json,
         spanning_from_json,
     )
 
@@ -317,48 +321,38 @@ def cmd_verify(args) -> int:
         report = load_json(args.report)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read report: {exc}")
-    if "operator" not in report or "verdicts" not in report:
+    if not isinstance(report, dict) or "operator" not in report or "verdicts" not in report:
         raise CliError("report lacks operator or verdicts")
-    op, _, _ = operator_from_json(report["operator"])
-    verdicts = report["verdicts"]
-    results = {}
-    ok_all = True
-    if "ellipticity" in verdicts:
-        v = ellipticity_from_json(verdicts["ellipticity"])
-        good = (not v.certified) or verify_ellipticity(op, v)
-        results["ellipticity"] = good
-        ok_all &= good
-    if "canceling" in verdicts:
-        v = canceling_from_json(verdicts["canceling"], op.dim_e)
-        good = verify_canceling(op, v)
-        results["canceling"] = good
-        ok_all &= good
-    if "bb_spanning" in verdicts:
-        v = spanning_from_json(verdicts["bb_spanning"])
-        good = verify_spanning(op, v)
-        results["bb_spanning"] = good
-        ok_all &= good
-    if "cocanceling" in verdicts:
-        v = cocanceling_from_json(verdicts["cocanceling"], op.dim_v)
-        good = verify_cocanceling(op, v)
-        results["cocanceling"] = good
-        ok_all &= good
-    if "partial" in verdicts and "T" in report:
-        t = matrix_from_json(report["T"], "T")
-        doc = verdicts["partial"]
-        from .io import rat_from_str
-
-        samples = [tuple(rat_from_str(x) for x in xi) for xi in doc["samples"]]
-        from .exact.matrix import column_space, full_space
-
-        w = full_space(op.dim_e)
-        for xi in samples:
-            w = subspace_intersection(w, column_space(op.evaluate(xi)))
-        constrained = subspace_intersection(w, kernel_basis(t))
-        stated = doc["status"]
-        good = (constrained.dim == 0) == (stated == "HOLDS")
-        results["partial"] = good
-        ok_all &= good
+    results: dict[str, bool] = {}
+    # Verdicts that passed, for the verifiers that build on another verdict.
+    passed: dict = {}
+    try:
+        op, _, _ = operator_from_json(report["operator"])
+        # (report key, decoder, verifier), in dependency order
+        table = (
+            ("ellipticity", lambda doc: ellipticity_from_json(doc, op.n),
+             lambda v: verify_ellipticity(op, v)),
+            ("canceling", lambda doc: canceling_from_json(doc, op.dim_e),
+             lambda v: verify_canceling(op, v, passed.get("ellipticity"))),
+            ("bb_spanning", spanning_from_json,
+             lambda v: verify_spanning(v, passed.get("canceling"))),
+            ("cocanceling", lambda doc: cocanceling_from_json(doc, op.dim_v),
+             lambda v: verify_cocanceling(op, v)),
+            ("partial", lambda doc: partial_from_json(doc, op.dim_e),
+             lambda v: verify_partial_canceling(
+                 op, matrix_from_json(report["T"], "T"), v, passed.get("ellipticity"))),
+        )
+        for key, decode, verify in table:
+            if key not in report["verdicts"]:
+                continue
+            doc = report["verdicts"][key]
+            v = decode(doc)
+            results[key] = doc["certified"] is v.certified and verify(v)
+            if results[key]:
+                passed[key] = v
+    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+        raise CliError(f"malformed report: {exc!r}")
+    ok_all = all(results.values())
     _write_json({"verified": results, "all_ok": ok_all}, args.json_out)
     return EXIT_OK if ok_all else EXIT_UNDECIDED
 

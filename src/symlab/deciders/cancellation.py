@@ -15,6 +15,14 @@ failing identity yields a rational direction where e leaves the image;
 adding it strictly shrinks the sampled intersection, so the loop
 terminates.  For non-injective symbols no identity is available and a
 nonzero intersection is reported as sampled (explicitly unsound).
+
+W is computed once; the other verdicts derive from it.  Bourgain-Brezis
+spanning holds iff W = {0}, and partial cancellation with respect to a
+map T holds iff W meets ker T only at 0.  The verifiers re-intersect the
+stored samples, and accept a certified nonzero vector of W (NOT_CANCELING,
+or a certified partial FAILS) only with the identity above and a verified
+ELLIPTIC verdict of the same report: without injectivity the identity
+holds for every vector of a square symbol.
 """
 
 from __future__ import annotations
@@ -31,10 +39,7 @@ from ..exact.matrix import (
     column_space,
     full_space,
     kernel_basis,
-    orthogonal_complement,
-    subspace_from_columns,
     subspace_intersection,
-    subspace_sum,
 )
 from ..exact.polymatrix import PolyMatrix
 from ..exact.symbol import SymbolOperator
@@ -98,7 +103,6 @@ class CancelingVerdict:
 @dataclass
 class SpanningVerdict:
     status: str
-    samples: list[tuple]
     span_dim: int
     certified: bool
 
@@ -109,6 +113,7 @@ class PartialCancelingVerdict:
     samples: list[tuple]
     image_intersection: Subspace
     constrained_intersection: Subspace
+    witness: Optional[tuple] = None
 
     @property
     def certified(self) -> bool:
@@ -228,83 +233,118 @@ def check_canceling(
     )
 
 
-def check_bb_spanning(a: SymbolOperator, seed: int = 0) -> SpanningVerdict:
-    """Grow the span of the orthogonal complements of sampled images.
+def check_bb_spanning(canceling: CancelingVerdict) -> SpanningVerdict:
+    """Bourgain-Brezis spanning, derived from the common image W.
 
-    Reaching the whole codomain certifies spanning.  Falling short is
-    certified only when a nonzero vector is proven to lie in every image
-    (it is then orthogonal to every complement)."""
-    rng = random.Random(seed)
-    initial = a.dim_e + 4
-    span = subspace_from_columns(a.dim_e, [])
-    samples: list[tuple] = []
-    budget = (1 + EXTRA_SAMPLE_ROUNDS) * initial
-    stale = 0
-    while len(samples) < budget:
-        for xi in sample_directions(a.n, 1, rng):
-            samples.append(xi)
-            comp = orthogonal_complement(column_space(a.evaluate(xi)))
-            new_span = subspace_sum(span, comp)
-            stale = stale + 1 if new_span.dim == span.dim else 0
-            span = new_span
-        if span.dim == a.dim_e:
-            return SpanningVerdict(SPANS, samples, span.dim, True)
-        if stale >= initial:
-            break
-    certified = check_canceling(a, seed).status == NOT_CANCELING
-    return SpanningVerdict(DOES_NOT_SPAN, samples, span.dim, certified)
+    The complements A(xi)[V]^perp span (intersection of A(xi)[V])^perp =
+    W^perp, so they span E exactly when W = {0}; the verdict is as certain
+    as the cancellation verdict it is derived from."""
+    w = canceling.intersection
+    status = SPANS if w.dim == 0 else DOES_NOT_SPAN
+    return SpanningVerdict(status, w.ambient - w.dim, canceling.certified)
 
 
 def check_partial_canceling(
-    a: SymbolOperator,
-    t: QMatrix,
-    seed: int = 0,
-    ellipticity: Optional[EllipticityVerdict] = None,
+    canceling: CancelingVerdict, t: QMatrix
 ) -> PartialCancelingVerdict:
-    """Decide whether the common image intersection meets ker(t) only at 0."""
-    if t.cols != a.dim_e:
+    """Decide whether the common image W meets ker(t) only at 0."""
+    w = canceling.intersection
+    if t.cols != w.ambient:
         raise ValueError("constraint map must accept codomain vectors")
-    res = image_intersection(a, seed, ellipticity)
-    ker_t = kernel_basis(t)
-    constrained = subspace_intersection(res.subspace, ker_t)
+    constrained = subspace_intersection(w, kernel_basis(t))
     if constrained.dim == 0:
         # Sound even for a merely sampled intersection: the true common
         # intersection is contained in the sampled one.
-        return PartialCancelingVerdict(HOLDS, res.samples, res.subspace, constrained)
-    status = FAILS if res.certified else FAILS_SAMPLED
-    return PartialCancelingVerdict(status, res.samples, res.subspace, constrained)
+        return PartialCancelingVerdict(HOLDS, canceling.samples, w, constrained)
+    if canceling.certified:
+        # Every vector of a certified nonzero W lies in every image.
+        return PartialCancelingVerdict(
+            FAILS, canceling.samples, w, constrained,
+            witness=constrained.columns()[0],
+        )
+    return PartialCancelingVerdict(FAILS_SAMPLED, canceling.samples, w, constrained)
 
 
-def verify_canceling(a: SymbolOperator, verdict: CancelingVerdict) -> bool:
-    """Re-check a cancellation verdict from its stored sample set and
-    witness, independently of the decision path."""
+def _sampled_intersection(
+    a: SymbolOperator, samples: Sequence[tuple]
+) -> Optional[Subspace]:
+    """Intersection of the images at the samples; None if a sample is not
+    a nonzero direction."""
     w = full_space(a.dim_e)
-    for xi in verdict.samples:
+    for xi in samples:
         if all(x == 0 for x in xi):
-            return False
+            return None
         w = subspace_intersection(w, column_space(a.evaluate(xi)))
+    return w
+
+
+def _verify_membership(
+    a: SymbolOperator,
+    e: Optional[tuple],
+    sampled: Subspace,
+    ellipticity: Optional[EllipticityVerdict],
+) -> bool:
+    """e is a nonzero vector in the image of A(xi) for every xi != 0.
+
+    The membership identity only shows e in the image where det(A^T A) is
+    nonzero; for a square symbol it holds for every e.  It proves
+    membership everywhere only together with a verified ELLIPTIC verdict.
+    """
+    if ellipticity is None or ellipticity.status != ELLIPTIC:
+        return False
+    if e is None or all(x == 0 for x in e) or not sampled.contains(e):
+        return False
+    return all(p.is_zero() for p in membership_residual(a, e))
+
+
+def verify_canceling(
+    a: SymbolOperator,
+    verdict: CancelingVerdict,
+    ellipticity: Optional[EllipticityVerdict],
+) -> bool:
+    """Re-check a cancellation verdict from its stored sample set and
+    witness, independently of the decision path.  ``ellipticity`` is the
+    same report's ellipticity verdict if ``verify_ellipticity`` accepted
+    it, else None."""
+    w = _sampled_intersection(a, verdict.samples)
+    if w is None or w != verdict.intersection:
+        return False
     if verdict.status == CANCELING:
         return w.dim == 0
     if verdict.status == NOT_CANCELING:
-        e = verdict.witness
-        if e is None or all(x == 0 for x in e):
-            return False
-        if not w.contains(e):
-            return False
-        return all(p.is_zero() for p in membership_residual(a, e))
+        return _verify_membership(a, verdict.witness, w, ellipticity)
     if verdict.status == NOT_CANCELING_SAMPLED:
-        return w == verdict.intersection and w.dim > 0
+        return w.dim > 0
     return False
 
 
-def verify_spanning(a: SymbolOperator, verdict: SpanningVerdict) -> bool:
-    span = subspace_from_columns(a.dim_e, [])
-    for xi in verdict.samples:
-        if all(x == 0 for x in xi):
-            return False
-        span = subspace_sum(
-            span, orthogonal_complement(column_space(a.evaluate(xi)))
-        )
-    if verdict.status == SPANS:
-        return span.dim == a.dim_e
-    return span.dim < a.dim_e
+def verify_spanning(
+    verdict: SpanningVerdict, canceling: Optional[CancelingVerdict]
+) -> bool:
+    """A spanning verdict holds iff it is the one derived from the same
+    report's cancellation verdict, passed only if ``verify_canceling``
+    accepted it."""
+    return canceling is not None and verdict == check_bb_spanning(canceling)
+
+
+def verify_partial_canceling(
+    a: SymbolOperator,
+    t: QMatrix,
+    verdict: PartialCancelingVerdict,
+    ellipticity: Optional[EllipticityVerdict],
+) -> bool:
+    """Re-check a partial cancellation verdict from its samples and
+    witness; ``ellipticity`` is as for ``verify_canceling``."""
+    w = _sampled_intersection(a, verdict.samples)
+    if w is None or w != verdict.image_intersection:
+        return False
+    constrained = subspace_intersection(w, kernel_basis(t))
+    if constrained != verdict.constrained_intersection:
+        return False
+    if verdict.status == HOLDS:
+        return constrained.dim == 0
+    if verdict.status == FAILS:
+        return _verify_membership(a, verdict.witness, constrained, ellipticity)
+    if verdict.status == FAILS_SAMPLED:
+        return constrained.dim > 0
+    return False

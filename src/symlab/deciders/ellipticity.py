@@ -263,8 +263,11 @@ def verify_ellipticity(a: SymbolOperator, verdict: EllipticityVerdict) -> bool:
     Uses only exact arithmetic and does not trust any stored bound: interval
     lower bounds are recomputed, the cover is checked to tile all 2n cube
     faces exactly (containment, pairwise disjoint interiors, total volume),
-    and kernel witnesses are re-multiplied.
+    and kernel witnesses are re-multiplied.  An UNDECIDED verdict claims
+    nothing and is accepted.
     """
+    if verdict.status == UNDECIDED:
+        return True
     if verdict.status == NOT_ELLIPTIC:
         xi, v = verdict.witness_xi, verdict.witness_v
         if xi is None or v is None:

@@ -206,6 +206,3 @@ class PolyMatrix:
                 rows.append([dict(p.terms).get(alpha, Fraction(0)) for p in r])
             out[alpha] = QMatrix.from_rows(rows)
         return out
-
-    def max_term_count(self) -> int:
-        return max((len(p.terms) for r in self.entries for p in r), default=0)

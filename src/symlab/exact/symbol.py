@@ -131,16 +131,6 @@ class SymbolOperator:
             allow_zero=True,
         )
 
-    def compose_right(self, m: QMatrix) -> "SymbolOperator":
-        """The symbol x -> A(x) @ m."""
-        if m.rows != self.dim_v:
-            raise ValueError("right factor shape mismatch")
-        return SymbolOperator.make(
-            self.n, m.cols, self.dim_e, self.order,
-            {alpha: mat @ m for alpha, mat in self.terms},
-            allow_zero=True,
-        )
-
     def scale(self, c) -> "SymbolOperator":
         c = Fraction(c)
         return SymbolOperator.make(

@@ -5,6 +5,13 @@ matrices as row-major nested arrays of those strings, multi-indices as
 integer arrays.  Serialization is deterministic: keys are emitted sorted
 and collections in graded-lex order, so reports reproduce byte-for-byte
 under a fixed seed once timing fields are stripped.
+
+Each verdict has one ``*_to_json`` / ``*_from_json`` pair.  Decoders read
+untrusted reports: a missing field, a wrong type or a bad shape (such as a
+cover box without n-1 bound pairs) raises KeyError, TypeError or
+ValueError, which ``symlab verify`` reports as malformed input.  A
+spanning verdict stores no samples of its own; it is re-derived from the
+cancellation verdict of the same report.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .deciders.cancellation import (
 )
 from .deciders.cocancellation import CocancelingVerdict
 from .deciders.ellipticity import CertifiedBox, EllipticityVerdict, FaceBox
-from .exact.matrix import QMatrix, Subspace
+from .exact.matrix import QMatrix, Subspace, subspace_from_columns
 from .exact.symbol import SymbolOperator
 
 SCHEMA_VERSION = 1
@@ -59,12 +66,22 @@ def vector_to_json(v: Sequence[Fraction]) -> list:
     return [rat_to_str(x) for x in v]
 
 
+def vector_from_json(data) -> tuple:
+    return tuple(rat_from_str(x) for x in data)
+
+
 def subspace_to_json(s: Subspace) -> dict:
     return {
         "ambient": s.ambient,
         "dim": s.dim,
         "basis_columns": [vector_to_json(c) for c in s.columns()],
     }
+
+
+def subspace_from_json(doc: dict, ambient: int) -> Subspace:
+    return subspace_from_columns(
+        ambient, [vector_from_json(c) for c in doc["basis_columns"]]
+    )
 
 
 def operator_to_json(a: SymbolOperator, metadata: Optional[dict] = None) -> dict:
@@ -158,11 +175,14 @@ def _facebox_to_json(b: FaceBox) -> dict:
     }
 
 
-def _facebox_from_json(d: dict) -> FaceBox:
+def _facebox_from_json(d: dict, n: int) -> FaceBox:
+    bounds = d["bounds"]
+    if len(bounds) != n - 1 or any(len(pair) != 2 for pair in bounds):
+        raise ValueError(f"a box on a face of the {n}-cube needs {n - 1} bound pairs")
     return FaceBox(
         int(d["axis"]),
         int(d["sign"]),
-        tuple((rat_from_str(lo), rat_from_str(hi)) for lo, hi in d["bounds"]),
+        tuple((rat_from_str(lo), rat_from_str(hi)) for lo, hi in bounds),
     )
 
 
@@ -184,33 +204,25 @@ def ellipticity_to_json(v: EllipticityVerdict) -> dict:
     return doc
 
 
-def ellipticity_from_json(doc: dict) -> EllipticityVerdict:
+def ellipticity_from_json(doc: dict, n: int) -> EllipticityVerdict:
     status = doc["status"]
     v = EllipticityVerdict(status)
     if status == "ELLIPTIC":
         v.cover = [
-            CertifiedBox(_facebox_from_json(cb["box"]), rat_from_str(cb["lower_bound"]))
-            for cb in doc.get("cover", [])
+            CertifiedBox(_facebox_from_json(cb["box"], n), rat_from_str(cb["lower_bound"]))
+            for cb in doc["cover"]
         ]
     if status == "NOT_ELLIPTIC":
-        v.witness_xi = tuple(rat_from_str(x) for x in doc["witness_xi"])
-        v.witness_v = tuple(rat_from_str(x) for x in doc["witness_v"])
+        v.witness_xi = vector_from_json(doc["witness_xi"])
+        v.witness_v = vector_from_json(doc["witness_v"])
     return v
-
-
-def _samples_to_json(samples) -> list:
-    return [vector_to_json(xi) for xi in samples]
-
-
-def _samples_from_json(data) -> list[tuple]:
-    return [tuple(rat_from_str(x) for x in xi) for xi in data]
 
 
 def canceling_to_json(v: CancelingVerdict) -> dict:
     doc = {
         "status": v.status,
         "certified": v.certified,
-        "samples": _samples_to_json(v.samples),
+        "samples": [vector_to_json(xi) for xi in v.samples],
         "intersection": subspace_to_json(v.intersection),
         "dim_trajectory": list(v.dim_trajectory),
     }
@@ -220,20 +232,11 @@ def canceling_to_json(v: CancelingVerdict) -> dict:
 
 
 def canceling_from_json(doc: dict, dim_e: int) -> CancelingVerdict:
-    from .exact.matrix import subspace_from_columns
-
-    basis = [
-        tuple(rat_from_str(x) for x in col)
-        for col in doc["intersection"]["basis_columns"]
-    ]
-    witness = (
-        tuple(rat_from_str(x) for x in doc["witness"]) if "witness" in doc else None
-    )
     return CancelingVerdict(
         doc["status"],
-        _samples_from_json(doc["samples"]),
-        subspace_from_columns(dim_e, basis),
-        witness=witness,
+        [vector_from_json(xi) for xi in doc["samples"]],
+        subspace_from_json(doc["intersection"], dim_e),
+        witness=vector_from_json(doc["witness"]) if "witness" in doc else None,
     )
 
 
@@ -251,13 +254,7 @@ def cocanceling_to_json(v: CocancelingVerdict) -> dict:
     return doc
 
 
-def cocanceling_from_json(doc: dict, dim_e: int) -> CocancelingVerdict:
-    from .exact.matrix import subspace_from_columns
-
-    basis = [
-        tuple(rat_from_str(x) for x in col)
-        for col in doc["joint_kernel"]["basis_columns"]
-    ]
+def cocanceling_from_json(doc: dict, dim_v: int) -> CocancelingVerdict:
     left = None
     if "left_inverses" in doc:
         left = {
@@ -265,40 +262,39 @@ def cocanceling_from_json(doc: dict, dim_e: int) -> CocancelingVerdict:
             for item in doc["left_inverses"]
         }
     return CocancelingVerdict(
-        doc["status"], subspace_from_columns(dim_e, basis), left
+        doc["status"], subspace_from_json(doc["joint_kernel"], dim_v), left
     )
 
 
 def spanning_to_json(v: SpanningVerdict) -> dict:
-    return {
-        "status": v.status,
-        "certified": v.certified,
-        "samples": _samples_to_json(v.samples),
-        "span_dim": v.span_dim,
-    }
+    return {"status": v.status, "certified": v.certified, "span_dim": v.span_dim}
 
 
 def spanning_from_json(doc: dict) -> SpanningVerdict:
-    return SpanningVerdict(
-        doc["status"], _samples_from_json(doc["samples"]), doc["span_dim"],
-        doc["certified"],
-    )
+    return SpanningVerdict(doc["status"], doc["span_dim"], doc["certified"])
 
 
 def partial_to_json(v: PartialCancelingVerdict) -> dict:
-    return {
+    doc = {
         "status": v.status,
         "certified": v.certified,
-        "samples": _samples_to_json(v.samples),
+        "samples": [vector_to_json(xi) for xi in v.samples],
         "image_intersection": subspace_to_json(v.image_intersection),
         "constrained_intersection": subspace_to_json(v.constrained_intersection),
     }
+    if v.witness is not None:
+        doc["witness"] = vector_to_json(v.witness)
+    return doc
 
 
-def dump_json(doc: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def partial_from_json(doc: dict, dim_e: int) -> PartialCancelingVerdict:
+    return PartialCancelingVerdict(
+        doc["status"],
+        [vector_from_json(xi) for xi in doc["samples"]],
+        subspace_from_json(doc["image_intersection"], dim_e),
+        subspace_from_json(doc["constrained_intersection"], dim_e),
+        witness=vector_from_json(doc["witness"]) if "witness" in doc else None,
+    )
 
 
 def load_json(path: str) -> dict:

@@ -34,10 +34,7 @@ from .grid import (
     symbol_multiplier,
 )
 from .norms import (
-    gagliardo_seminorm,
     l2_norm_spectral,
-    linf_norm,
-    lorentz_norm,
     lp_norm,
     pairing,
 )
@@ -68,10 +65,7 @@ __all__ = [
     "derivative_magnitude",
     "partial_derivative_multiplier",
     "symbol_multiplier",
-    "gagliardo_seminorm",
     "l2_norm_spectral",
-    "linf_norm",
-    "lorentz_norm",
     "lp_norm",
     "pairing",
 ]

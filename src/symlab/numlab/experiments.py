@@ -274,8 +274,8 @@ def _solonnikov_point(size: int, box: float = 8.0, sigma: float = 0.8) -> dict:
     g = gaussian_bump(spec, sigma=sigma)
     du_mag = derivative_magnitude(g, 1)
     lhs = float((spec.cell_volume * (du_mag**2).sum()) ** 0.5)
-    d11 = apply_symbol(_pure_second_derivative(2, 0), g)
-    d22 = apply_symbol(_pure_second_derivative(2, 1), g)
+    d11 = apply_symbol(_monomial_operator(2, (2, 0)), g)
+    d22 = apply_symbol(_monomial_operator(2, (0, 2)), g)
     rhs = lp_norm(d11, 1.0) + lp_norm(d22, 1.0)
     return {"size": size, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
             "tail": g.boundary_tail()}
@@ -284,8 +284,8 @@ def _solonnikov_point(size: int, box: float = 8.0, sigma: float = 0.8) -> dict:
 def _strange_point(size: int, box: float = 8.0, sigma: float = 0.9) -> dict:
     spec = GridSpec(4, size, box)
     g = gaussian_bump(spec, sigma=sigma)
-    d12 = apply_symbol(_mixed_second_derivative(4, 0, 1), g)
-    d34 = apply_symbol(_mixed_second_derivative(4, 2, 3), g)
+    d12 = apply_symbol(_monomial_operator(4, (1, 1, 0, 0)), g)
+    d34 = apply_symbol(_monomial_operator(4, (0, 0, 1, 1)), g)
     lhs = lp_norm(g, 2.0)
     rhs = lp_norm(d12, 1.0) + lp_norm(d34, 1.0)
     return {"size": size, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
@@ -306,18 +306,11 @@ def _newton_point(size: int, eps: float, box: float = 8.0) -> dict:
             "tail": u.boundary_tail()}
 
 
-def _pure_second_derivative(n: int, axis: int) -> SymbolOperator:
+def _monomial_operator(n: int, alpha: tuple) -> SymbolOperator:
+    """The scalar operator with the single monomial symbol xi^alpha."""
     from ..exact.matrix import QMatrix
 
-    alpha = tuple(2 if i == axis else 0 for i in range(n))
-    return SymbolOperator.make(n, 1, 1, 2, {alpha: QMatrix.from_rows([[1]])})
-
-
-def _mixed_second_derivative(n: int, ax1: int, ax2: int) -> SymbolOperator:
-    from ..exact.matrix import QMatrix
-
-    alpha = tuple(1 if i in (ax1, ax2) else 0 for i in range(n))
-    return SymbolOperator.make(n, 1, 1, 2, {alpha: QMatrix.from_rows([[1]])})
+    return SymbolOperator.make(n, 1, 1, sum(alpha), {alpha: QMatrix.from_rows([[1]])})
 
 
 INEQUALITY_FAMILIES = ("gns_disc", "korn", "solonnikov", "strange_r4", "newton_r3")

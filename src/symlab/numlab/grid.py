@@ -10,9 +10,8 @@ by T^n, so a derivative of order alpha is the multiplier (2 pi i xi)^alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import pi
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,15 +86,6 @@ class GridField:
     @property
     def components(self) -> int:
         return self.values.shape[0]
-
-    @staticmethod
-    def from_function(
-        spec: GridSpec, components: int, fn: Callable[..., np.ndarray]
-    ) -> "GridField":
-        """fn receives the coordinate grids and a component index."""
-        coords = spec.coordinate_grids()
-        vals = np.stack([np.asarray(fn(coords, c), dtype=float) for c in range(components)])
-        return GridField(spec, vals)
 
     @staticmethod
     def from_spectrum(spec: GridSpec, spectrum: np.ndarray) -> "GridField":
@@ -206,11 +196,3 @@ def derivative_magnitude(u: GridField, order: int) -> np.ndarray:
         d = np.fft.ifftn(u_hat * mult, axes=axes).real
         total += weight * (d**2).sum(axis=0)
     return np.sqrt(total)
-
-
-def rational_frequency(spec: GridSpec, mode: Sequence[int]) -> list[Fraction]:
-    """Exact frequency of an integer grid mode, for exact/numeric bridging.
-    Only valid when the box side is exactly representable; callers pass
-    integer or dyadic box sides."""
-    t = Fraction(spec.box).limit_denominator(1 << 30)
-    return [Fraction(int(m), 1) / t for m in mode]

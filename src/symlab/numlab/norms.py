@@ -1,12 +1,7 @@
 """Norms of sampled periodic fields.
 
-The Lebesgue norms are plain Riemann sums.  The Lorentz norm integrates
-the decreasing rearrangement exactly over the piecewise-constant layer
-structure of the sampled field, so the (p, p) case reproduces the
-Lebesgue norm to rounding.  The fractional double-sum seminorm is the
-textbook double Riemann sum minus the diagonal, with periodic distances;
-its cost is quadratic in the number of grid points, so it is guarded to
-small grids.
+The Lebesgue norms and the pairing are plain Riemann sums; the spectral L2
+norm is the Parseval counterpart of the L2 norm.
 """
 
 from __future__ import annotations
@@ -21,58 +16,6 @@ def lp_norm(u: GridField, p: float) -> float:
         raise ValueError("p must be at least 1")
     mag = u.magnitude()
     return float((u.spec.cell_volume * (mag**p).sum()) ** (1.0 / p))
-
-
-def linf_norm(u: GridField) -> float:
-    return float(u.magnitude().max())
-
-
-def lorentz_norm(u: GridField, p: float, q: float) -> float:
-    """Lorentz (p, q) norm from the decreasing rearrangement.
-
-    The rearrangement of a sampled field is a step function taking value
-    a_i on [(i-1) v, i v) with v the cell volume; the quasi-norm integral
-    (q/p) int t^(q/p - 1) f*(t)^q dt/q ... is evaluated in closed form on
-    each step."""
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be at least 1")
-    mag = np.sort(u.magnitude().ravel())[::-1]
-    mag = mag[mag > 0]
-    if mag.size == 0:
-        return 0.0
-    v = u.spec.cell_volume
-    i = np.arange(1, mag.size + 1, dtype=float)
-    steps = (i * v) ** (q / p) - ((i - 1) * v) ** (q / p)
-    total = (p / q) * float(((mag**q) * steps).sum())
-    return total ** (1.0 / q)
-
-
-def gagliardo_seminorm(u: GridField, s: float, p: float) -> float:
-    """Fractional (s, p) double-sum seminorm with periodic distance."""
-    if not 0 < s < 1:
-        raise ValueError("s must lie in (0, 1)")
-    if p < 1:
-        raise ValueError("p must be at least 1")
-    spec = u.spec
-    if spec.n > 2:
-        raise ValueError("double-sum seminorm restricted to n <= 2")
-    if spec.size > 64:
-        raise ValueError("double-sum seminorm restricted to N <= 64")
-    t = spec.box
-    coords = spec.coordinate_grids()
-    pts = np.stack([c.ravel() for c in coords], axis=1)        # (M, n)
-    vals = u.values.reshape(u.components, -1).T                 # (M, comps)
-    diff = pts[:, None, :] - pts[None, :, :]
-    diff = np.abs(diff)
-    diff = np.minimum(diff, t - diff)                           # periodic distance
-    dist2 = (diff**2).sum(axis=2)
-    np.fill_diagonal(dist2, 1.0)                                # excluded below
-    vdiff = vals[:, None, :] - vals[None, :, :]
-    num = (np.sqrt((vdiff**2).sum(axis=2))) ** p
-    np.fill_diagonal(num, 0.0)
-    kernel = dist2 ** (-(spec.n + s * p) / 2.0)
-    total = (num * kernel).sum() * spec.cell_volume**2
-    return float(total ** (1.0 / p))
 
 
 def pairing(f: GridField, g: GridField) -> float:

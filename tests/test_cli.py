@@ -1,0 +1,207 @@
+"""End-to-end runs of `symlab analyze` and `symlab verify`, forged and
+malformed reports, and a mutation test of every certificate kind."""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from symlab.catalog import regression_instances
+from symlab.cli import main
+from symlab.exact import full_space, kernel_basis, subspace_from_columns
+from symlab.io import matrix_from_json, subspace_from_json, subspace_to_json
+
+SEED = 1
+
+# verdict key -> (truth key, status meaning True, status meaning False)
+TRUTH_KEYS = {
+    "ellipticity": ("elliptic", "ELLIPTIC", "NOT_ELLIPTIC"),
+    "canceling": ("canceling", "CANCELING", "NOT_CANCELING"),
+    "bb_spanning": ("canceling", "SPANS", "DOES_NOT_SPAN"),
+    "cocanceling": ("cocanceling", "COCANCELING", "NOT_COCANCELING"),
+    "partial": ("partial_holds", "HOLDS", "FAILS"),
+}
+
+
+def uri_of(result) -> str:
+    query = "&".join(f"{k}={v}" for k, v in result.params.items())
+    return f"catalog:{result.name}" + (f"?{query}" if query else "")
+
+
+def analyze(tmp_path, uri, *extra):
+    path = tmp_path / "report.json"
+    code = main(["analyze", uri, "--seed", str(SEED), "--json", str(path), *extra])
+    return code, json.loads(path.read_text())
+
+
+def verify(tmp_path, report):
+    path, out = tmp_path / "forged.json", tmp_path / "verified.json"
+    path.write_text(json.dumps(report))
+    code = main(["verify", str(path), "--json", str(out)])
+    return code, (json.loads(out.read_text()) if code != 2 else None)
+
+
+def test_analyze_then_verify_matches_truth(tmp_path):
+    for result in regression_instances():
+        uri = uri_of(result)
+        extra = ("--as", "constraint") if result.role == "constraint" else ()
+        code, report = analyze(tmp_path, uri, *extra)
+        verdicts = report["verdicts"]
+        assert code == (3 if report["uncertified"] else 0), uri
+        vcode, checked = verify(tmp_path, report)
+        assert vcode == 0 and checked["all_ok"], (uri, checked)
+        for key, doc in verdicts.items():
+            if key not in TRUTH_KEYS or not doc["certified"]:
+                continue
+            truth_key, yes, no = TRUTH_KEYS[key]
+            if truth_key in result.truth:
+                expected = yes if result.truth[truth_key] else no
+                assert doc["status"] == expected, (uri, key)
+        if uri == "catalog:hyperbolic":
+            # Known gap: its images drop rank only on the diagonals, which
+            # random samples may miss; the verdict is then left sampled.
+            assert verdicts["canceling"]["status"] in ("CANCELING", "NOT_CANCELING_SAMPLED")
+        else:
+            assert report["uncertified"] == [], uri
+        basis = result.truth.get("joint_kernel_basis")
+        if basis is not None:
+            kernel = verdicts["cocanceling"]["joint_kernel"]
+            got = subspace_from_json(kernel, kernel["ambient"])
+            assert got == subspace_from_columns(kernel["ambient"], basis), uri
+
+
+# ---------------------------------------------------------------------------
+# Forged reports: each must be rejected with exit 3.
+
+
+def test_forged_not_canceling_on_non_elliptic_symbol(tmp_path):
+    # For a square symbol the membership identity holds for every vector,
+    # so the forgery passes every check but the missing ELLIPTIC verdict.
+    _code, report = analyze(tmp_path, "catalog:hyperbolic")
+    report["verdicts"]["canceling"] = {
+        "status": "NOT_CANCELING",
+        "certified": True,
+        "samples": [],
+        "intersection": {"ambient": 2, "dim": 2, "basis_columns": [["1", "0"], ["0", "1"]]},
+        "dim_trajectory": [],
+        "witness": ["1", "0"],
+    }
+    code, checked = verify(tmp_path, report)
+    assert code == 3 and checked["all_ok"] is False
+    assert checked["verified"]["canceling"] is False
+
+
+def test_forged_certified_does_not_span(tmp_path):
+    _code, report = analyze(tmp_path, "catalog:gradient?n=2")
+    # No samples: an empty set of complements spans nothing.
+    report["verdicts"]["bb_spanning"] = {
+        "status": "DOES_NOT_SPAN", "certified": True, "span_dim": 0, "samples": [],
+    }
+    code, checked = verify(tmp_path, report)
+    assert code == 3 and checked["all_ok"] is False
+    assert checked["verified"]["bb_spanning"] is False
+
+
+def test_forged_partial_fails_without_witness(tmp_path):
+    # Without samples the sampled intersection is all of E and meets ker T.
+    _code, report = analyze(tmp_path, "catalog:hodge_pair?n=3&ell=1")
+    ker_t = kernel_basis(matrix_from_json(report["T"]))
+    report["verdicts"]["partial"] = {
+        "status": "FAILS",
+        "certified": True,
+        "samples": [],
+        "image_intersection": subspace_to_json(full_space(ker_t.ambient)),
+        "constrained_intersection": subspace_to_json(ker_t),
+    }
+    code, checked = verify(tmp_path, report)
+    assert code == 3 and checked["all_ok"] is False
+    assert checked["verified"]["partial"] is False
+
+
+# ---------------------------------------------------------------------------
+# Malformed reports: exit 2, never a traceback.
+
+
+def test_cover_bound_with_three_entries(tmp_path, capsys):
+    _code, report = analyze(tmp_path, "catalog:gradient?n=2")
+    report["verdicts"]["ellipticity"]["cover"][0]["box"]["bounds"][0].append("0")
+    code, _ = verify(tmp_path, report)
+    assert code == 2
+    assert "malformed report" in capsys.readouterr().err
+
+
+def test_canceling_without_samples(tmp_path, capsys):
+    _code, report = analyze(tmp_path, "catalog:gradient?n=2")
+    del report["verdicts"]["canceling"]["samples"]
+    code, _ = verify(tmp_path, report)
+    assert code == 2
+    assert "malformed report" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Mutation test: change one field of a genuine report anywhere under its
+# verdicts; verify may accept, reject or call the input malformed, but it
+# must never raise.
+
+# One report per certificate kind: ELLIPTIC cover, CANCELING, SPANS and
+# COCANCELING left inverses; NOT_CANCELING witness; NOT_ELLIPTIC witness;
+# partial HOLDS; NOT_COCANCELING joint kernel.
+MUTATION_SOURCES = (
+    ("catalog:gradient?n=2",),
+    ("catalog:laplacian?n=2",),
+    ("catalog:hyperbolic",),
+    ("catalog:hodge_pair?n=3&ell=1",),
+    ("catalog:curl_div?n=2", "--as", "constraint"),
+)
+
+VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from(["0", "1", "-1", "1/2", "1/0", "x", "", "ELLIPTIC", "FAILS"]),
+    st.lists(st.sampled_from(["0", "1", "-1"]), max_size=4),
+    st.lists(st.lists(st.sampled_from(["0", "1"]), max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(["status", "bounds", "basis_columns"]),
+                    st.integers(0, 2), max_size=2),
+)
+
+
+def paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from paths(child, prefix + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from paths(child, prefix + (i,))
+
+
+@pytest.fixture(scope="module")
+def genuine_reports(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("reports")
+    out = []
+    for argv in MUTATION_SOURCES:
+        code, report = analyze(tmp, *argv)
+        assert verify(tmp, report)[0] == 0
+        out.append(report)
+    return out
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_certificates_never_crash_verify(genuine_reports, tmp_path, data):
+    report = json.loads(json.dumps(data.draw(st.sampled_from(genuine_reports))))
+    targets = [("T",)] if "T" in report else []
+    targets += [("verdicts",) + p for p in paths(report["verdicts"]) if p]
+    path = data.draw(st.sampled_from(targets))
+    parent = report
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(VALUES)
+    code, _ = verify(tmp_path, report)
+    assert code in (0, 2, 3)

@@ -38,9 +38,16 @@ from symlab.deciders import (
     verify_canceling,
     verify_cocanceling,
     verify_ellipticity,
+    verify_partial_canceling,
     verify_spanning,
 )
 from symlab.exact import QMatrix, SymbolOperator, subspace_from_columns
+
+
+def verified_ellipticity(op):
+    v = check_ellipticity(op)
+    assert verify_ellipticity(op, v)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -161,20 +168,23 @@ def test_left_inverses_iff_cocanceling():
 def test_gradient_r1_not_canceling_witness_one():
     v = check_canceling(gradient(1).operator, seed=5)
     assert v.status == NOT_CANCELING and v.witness == (F(1),)
-    assert verify_canceling(gradient(1).operator, v)
+    op = gradient(1).operator
+    assert verify_canceling(op, v, verified_ellipticity(op))
 
 
 def test_gradient_r2_canceling():
     v = check_canceling(gradient(2).operator, seed=5)
     assert v.status == CANCELING and v.intersection.dim == 0
-    assert verify_canceling(gradient(2).operator, v)
+    assert verify_canceling(gradient(2).operator, v, None)
 
 
 def test_laplacian_never_canceling():
     v = check_canceling(laplacian(3).operator, seed=1)
     assert v.status == NOT_CANCELING
     assert v.intersection.dim == 1
-    assert verify_canceling(laplacian(3).operator, v)
+    op = laplacian(3).operator
+    assert verify_canceling(op, v, verified_ellipticity(op))
+    assert not verify_canceling(op, v, None)
 
 
 def test_hodge_degree_one_intersection_is_zeroth_component():
@@ -209,7 +219,7 @@ def test_tampered_witness_rejected():
     op = laplacian(2).operator
     v = check_canceling(op, seed=1)
     v.witness = (F(0),)
-    assert not verify_canceling(op, v)
+    assert not verify_canceling(op, v, verified_ellipticity(op))
 
 
 # ---------------------------------------------------------------------------
@@ -219,36 +229,44 @@ def test_tampered_witness_rejected():
 def test_spanning_matches_cancellation():
     for inst in (gradient(2), gradient(1), laplacian(2), sym_gradient(2),
                   hodge_pair(3, 1), quaternion()):
-        bb = check_bb_spanning(inst.operator, seed=4)
         cv = check_canceling(inst.operator, seed=4)
-        if bb.certified and cv.certified:
-            assert (bb.status == "SPANS") == (cv.status == CANCELING)
-        assert verify_spanning(inst.operator, bb)
+        bb = check_bb_spanning(cv)
+        assert bb.certified == cv.certified
+        assert (bb.status == "SPANS") == (cv.status == CANCELING)
+        assert bb.span_dim == inst.operator.dim_e - cv.intersection.dim
+        assert verify_spanning(bb, cv)
+        assert not verify_spanning(bb, None)
 
 
 def test_partial_holds_for_hodge_degree_one():
     inst = hodge_pair(3, 1)
-    v = check_partial_canceling(inst.operator, inst.constraint_map, seed=2)
+    cv = check_canceling(inst.operator, seed=2)
+    v = check_partial_canceling(cv, inst.constraint_map)
     assert v.status == "HOLDS" and v.certified
     assert v.constrained_intersection.dim == 0
+    assert verify_partial_canceling(inst.operator, inst.constraint_map, v, None)
 
 
 def test_partial_reduces_to_cancellation_at_zero_map():
     inst = hodge_pair(3, 1)
-    z = QMatrix.zeros(1, inst.operator.dim_e)
-    v = check_partial_canceling(inst.operator, z, seed=2)
+    op = inst.operator
+    z = QMatrix.zeros(1, op.dim_e)
+    v = check_partial_canceling(check_canceling(op, seed=2), z)
     assert v.status == "FAILS"  # ker 0 = E and the intersection is a line
+    assert v.witness == (0, 0, 0, 1)
+    assert verify_partial_canceling(op, z, v, verified_ellipticity(op))
+    assert not verify_partial_canceling(op, z, v, None)
 
 
 def test_partial_always_holds_at_identity():
     inst = laplacian(2)
-    v = check_partial_canceling(inst.operator, QMatrix.identity(1), seed=2)
+    v = check_partial_canceling(check_canceling(inst.operator, seed=2), QMatrix.identity(1))
     assert v.status == "HOLDS"
 
 
 def test_partial_shape_mismatch():
     with pytest.raises(ValueError):
-        check_partial_canceling(gradient(2).operator, QMatrix.identity(3))
+        check_partial_canceling(check_canceling(gradient(2).operator), QMatrix.identity(3))
 
 
 def test_joint_kernel_of_nonzero_term_free_symbol():

@@ -14,9 +14,7 @@ from symlab.numlab import (
     apply_symbol,
     build_blowup_field,
     derivative_magnitude,
-    gagliardo_seminorm,
     l2_norm_spectral,
-    lorentz_norm,
     lp_norm,
     plateau_cutoff,
     smoothstep,
@@ -86,59 +84,6 @@ def test_compose_matches_direct_multiplier():
     direct = np.fft.ifft2(mult * np.fft.fft2(u.values[0])).real
     scale = np.abs(direct).max()
     assert np.abs(lap.values[0] - direct).max() <= 1e-9 * scale
-
-
-def test_lorentz_diagonal_matches_lp():
-    spec = GridSpec(2, 32, 4.0)
-    u = random_field(spec, 2, seed=1)
-    for p in (1.0, 1.5, 2.0, 3.0):
-        lp = lp_norm(u, p)
-        assert abs(lorentz_norm(u, p, p) - lp) <= 1e-12 * lp
-
-
-def test_lorentz_two_value_plateau_closed_form():
-    # A field taking value a on fraction s1 of the box and b < a on s2:
-    # the rearrangement integral has an elementary closed form.
-    spec = GridSpec(1, 64, 1.0)
-    vals = np.zeros((1, 64))
-    vals[0, :16] = 3.0
-    vals[0, 16:40] = 1.5
-    u = GridField(spec, vals)
-    p, q = 2.0, 1.0
-    t1, t2 = 16 / 64.0, 40 / 64.0
-    expected = (p / q) * (3.0**q * t1 ** (q / p)
-                          + 1.5**q * (t2 ** (q / p) - t1 ** (q / p)))
-    expected **= 1.0 / q
-    assert abs(lorentz_norm(u, p, q) - expected) <= 1e-12 * expected
-
-
-def test_gagliardo_constant_zero_and_guards():
-    spec = GridSpec(2, 16, 4.0)
-    c = GridField(spec, np.ones((1, 16, 16)))
-    assert gagliardo_seminorm(c, 0.5, 2.0) == 0.0
-    with pytest.raises(ValueError):
-        gagliardo_seminorm(c, 1.5, 2.0)
-    big = GridSpec(2, 128, 4.0)
-    with pytest.raises(ValueError):
-        gagliardo_seminorm(GridField(big, np.ones((1, 128, 128))), 0.5, 2.0)
-
-
-def test_gagliardo_matches_bruteforce():
-    spec = GridSpec(1, 8, 2.0)
-    rng = np.random.default_rng(5)
-    u = GridField(spec, rng.standard_normal((1, 8)))
-    s, p = 0.4, 2.0
-    # Independent O(N^2) loop oracle.
-    h = spec.spacing
-    total = 0.0
-    for i in range(8):
-        for j in range(8):
-            if i == j:
-                continue
-            d = abs(i - j) * h
-            d = min(d, spec.box - d)
-            total += abs(u.values[0, i] - u.values[0, j]) ** p / d ** (1 + s * p) * h * h
-    assert abs(gagliardo_seminorm(u, s, p) - total ** (1 / p)) < 1e-12
 
 
 def test_smoothstep_properties():
