@@ -91,15 +91,13 @@ def load_operator(source: str):
 def _parse_grid(text: Optional[str], n: int, default: tuple[int, float]):
     from .numlab import GridSpec
 
-    if not text:
-        return GridSpec(n, *default)
-    parts = text.split(",")
+    parts = text.split(",") if text else default
     if len(parts) != 2:
         raise CliError("--grid expects N,T")
     try:
         return GridSpec(n, int(parts[0]), float(parts[1]))
     except ValueError as exc:
-        raise CliError(f"bad --grid: {exc}")
+        raise CliError(f"bad --grid {parts[0]},{parts[1]} in dimension {n}: {exc}")
 
 
 def _write_json(doc: dict, path: Optional[str]) -> None:

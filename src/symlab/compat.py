@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .deciders.cancellation import sample_directions
+from .deciders.cancellation import probe_directions
 from .exact.matrix import QMatrix, column_space, kernel_basis
 from .exact.poly import monomial_count
 from .exact.polymatrix import PolyMatrix
@@ -66,26 +65,11 @@ def build_annihilator(
     operator = SymbolOperator.from_polymatrix(l_pm, degree, allow_zero=True)
 
     checks = []
-    for xi in _check_directions(a.n, kernel_samples, seed):
+    for xi in probe_directions(a.n, kernel_samples, random.Random(seed)):
         ker = kernel_basis(operator.evaluate(xi))
         image = column_space(a.evaluate(xi))
         checks.append((xi, ker == image))
     return AnnihilatorResult(operator, identity_ok, checks)
-
-
-def _check_directions(n: int, random_count: int, seed: int) -> list[tuple]:
-    """Low-height lattice directions (which hit degenerate loci such as
-    diagonals) followed by seeded random ones."""
-    import itertools
-
-    lattice = []
-    for combo in itertools.product((-1, 0, 1), repeat=n):
-        if any(c != 0 for c in combo):
-            lattice.append(tuple(Fraction(c) for c in combo))
-        if len(lattice) >= 2 * n + 8:
-            break
-    rng = random.Random(seed)
-    return lattice + sample_directions(n, random_count, rng)
 
 
 @dataclass
@@ -115,7 +99,7 @@ def verify_annihilator(
     identity_ok = (l.to_polymatrix() @ a.to_polymatrix()).is_zero()
     kernel_checks = []
     rank_checks = []
-    for xi in _check_directions(a.n, samples, seed):
+    for xi in probe_directions(a.n, samples, random.Random(seed)):
         image = column_space(a.evaluate(xi))
         ker = kernel_basis(l.evaluate(xi))
         kernel_checks.append((xi, ker == image))

@@ -74,6 +74,19 @@ def sample_directions(n: int, count: int, rng: random.Random) -> list[tuple]:
     return out
 
 
+def probe_directions(n: int, count: int, rng: random.Random) -> list[tuple]:
+    """The first 2n + 8 nonzero directions with coordinates in {-1, 0, 1},
+    which hit degenerate loci such as diagonals that random samples miss,
+    followed by ``count`` seeded random ones."""
+    lattice = []
+    for combo in itertools.product((-1, 0, 1), repeat=n):
+        if any(c != 0 for c in combo):
+            lattice.append(tuple(Fraction(c) for c in combo))
+        if len(lattice) >= 2 * n + 8:
+            break
+    return lattice + sample_directions(n, count, rng)
+
+
 @dataclass
 class IntersectionResult:
     """Sampled (and possibly certified) common image intersection."""
@@ -199,9 +212,10 @@ def image_intersection(
             w, samples, True, trajectory, iterations, certified_vectors
         )
 
-    # Not certifiably injective: spend extra random rounds, then report the
-    # sampled subspace without a certificate.
-    for xi in sample_directions(a.n, EXTRA_SAMPLE_ROUNDS * initial, rng):
+    # Not certifiably injective: images may drop rank only on a thin locus,
+    # so try the low-height lattice directions and extra random rounds, then
+    # report the sampled subspace without a certificate.
+    for xi in probe_directions(a.n, EXTRA_SAMPLE_ROUNDS * initial, rng):
         samples.append(xi)
         w = subspace_intersection(w, column_space(a.evaluate(xi)))
         trajectory.append(w.dim)

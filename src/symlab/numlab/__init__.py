@@ -1,4 +1,10 @@
-"""Floating-point spectral laboratory on periodic boxes."""
+"""Floating-point spectral laboratory on periodic boxes.
+
+Every spectral step evaluates the symbol on the grid through
+``grid.symbol_on_grid``: ``apply_symbol``, ``derivative_magnitude``, the
+blowup direction solve and the planar curl field of the duality
+experiment.
+"""
 
 from .blowup import (
     BlowupError,
@@ -30,8 +36,7 @@ from .grid import (
     GridSpec,
     apply_symbol,
     derivative_magnitude,
-    partial_derivative_multiplier,
-    symbol_multiplier,
+    symbol_on_grid,
 )
 from .norms import (
     l2_norm_spectral,
@@ -63,8 +68,7 @@ __all__ = [
     "GridSpec",
     "apply_symbol",
     "derivative_magnitude",
-    "partial_derivative_multiplier",
-    "symbol_multiplier",
+    "symbol_on_grid",
     "l2_norm_spectral",
     "lp_norm",
     "pairing",

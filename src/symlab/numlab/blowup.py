@@ -22,7 +22,7 @@ import numpy as np
 from ..deciders.cancellation import IntersectionResult, image_intersection
 from ..deciders.ellipticity import ELLIPTIC, EllipticityVerdict, check_ellipticity
 from ..exact.symbol import SymbolOperator
-from .grid import GridField, GridSpec
+from .grid import GridField, GridSpec, apply_symbol, symbol_on_grid
 from .norms import lp_norm
 
 
@@ -62,7 +62,6 @@ class BlowupProfile:
 
     spec: GridSpec
     cutoff_l1: float          # L1 norm of the cutoff's inverse transform
-    radial: object            # callable r -> profile values
 
     @staticmethod
     def build(spec: GridSpec) -> "BlowupProfile":
@@ -70,7 +69,7 @@ class BlowupProfile:
         r = np.sqrt(sum(x**2 for x in xi))
         hat = plateau_cutoff(r)[None, ...].astype(complex)
         psi = GridField.from_spectrum(spec, hat)
-        return BlowupProfile(spec, lp_norm(psi, 1.0), plateau_cutoff)
+        return BlowupProfile(spec, lp_norm(psi, 1.0))
 
 
 class BlowupError(ValueError):
@@ -82,16 +81,9 @@ def solve_symbol_directions(
 ) -> np.ndarray:
     """U(xi) with A(xi) U(xi) = e solved through the normal equations at
     every nonzero grid frequency; the zero frequency gets U = 0."""
-    xi = spec.frequency_grids()
     amat = np.zeros(spec.shape + (a.dim_e, a.dim_v))
-    for alpha, mat in a.terms:
-        mono = np.ones(spec.shape)
-        for i, deg in enumerate(alpha):
-            if deg:
-                mono = mono * xi[i] ** deg
-        amat += mono[..., None, None] * np.array(
-            [[float(mat[r, c]) for c in range(a.dim_v)] for r in range(a.dim_e)]
-        )
+    for r, c, values in symbol_on_grid(a, spec):
+        amat[..., r, c] = values
     gram = np.einsum("...ev,...ew->...vw", amat, amat)
     rhs = np.einsum("...ev,e->...v", amat, np.asarray(e, dtype=float))
     origin = tuple(0 for _ in range(spec.n))
@@ -151,9 +143,6 @@ def build_blowup_field(
     shift = np.exp(-2j * pi * (spec.box / 2.0) * sum(xi))
     u_hat = factor * (window * shift)[None, ...] * u_dirs
     u = GridField.from_spectrum(spec, u_hat)
-
-    from .grid import apply_symbol
-
     au = apply_symbol(a, u)
     e_norm = float(np.sqrt((e_float**2).sum()))
     flags = {

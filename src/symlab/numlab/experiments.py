@@ -89,7 +89,7 @@ def _blowup_point(
     # ratio against the full first derivative.
     ctrl_q = spec.n / (spec.n - 1.0)
     ctrl_num = lp_norm(u, ctrl_q)
-    dmag1 = derivative_magnitude(u, 1)
+    dmag1 = dmag if ell == 1 else derivative_magnitude(u, 1)
     ctrl_den = float(spec.cell_volume * dmag1.sum())
     return {
         "scale": scale,
@@ -170,7 +170,9 @@ def necessity_experiment(
     base_ln = None
     for lam in exponents:
         phi, _grad, grad_ln = radial_cutoff_test_function(spec, lam)
-        if base_ln is None or lam == 1.0:
+        if lam == 1.0:
+            base_ln = grad_ln
+        elif base_ln is None:
             # Reference for the scale check: measure the exponent-1 member once.
             _, _, base_ln = radial_cutoff_test_function(spec, 1.0)
         pair = pairing(f, phi)
@@ -215,24 +217,25 @@ def duality_experiment(
     else:
         raise ValueError(f"unknown duality field {field_kind!r}")
     div = divergence(spec.n).operator
-    div_f = apply_symbol(div, f)
+    residual = lp_norm(apply_symbol(div, f), 1.0)
     f_l1 = lp_norm(f, 1.0)
+    # Pair against the constant direction with the largest mean component.
+    means = f.values.reshape(f.components, -1).sum(axis=1)
+    direction = np.zeros(f.components)
+    direction[int(np.argmax(np.abs(means)))] = 1.0
     rows = []
     for lam in exponents:
         phi, _grad, grad_ln = radial_cutoff_test_function(spec, lam)
-        # Pair against the constant direction with the largest mean component.
-        means = f.values.reshape(f.components, -1).sum(axis=1)
-        direction = np.zeros(f.components)
-        direction[int(np.argmax(np.abs(means)))] = 1.0
         test = GridField(spec, direction[:, None, None] * phi.values[0][None, ...])
+        pair = pairing(f, test)
         rows.append(
             {
                 "exponent": lam,
-                "pairing": pairing(f, test),
+                "pairing": pair,
                 "f_l1": f_l1,
                 "grad_ln": grad_ln,
-                "ratio": pairing(f, test) / (f_l1 * grad_ln),
-                "constraint_residual_l1": lp_norm(div_f, 1.0),
+                "ratio": pair / (f_l1 * grad_ln),
+                "constraint_residual_l1": residual,
             }
         )
     manifest = _manifest(
@@ -300,9 +303,10 @@ def _newton_point(size: int, eps: float, box: float = 8.0) -> dict:
     div_u = apply_symbol(divergence(3).operator, u)
     curl_u = apply_symbol(exterior_d(3, 1).operator, u)
     lhs = lp_norm(u, 1.5)
-    rhs = lp_norm(div_u, 1.0) + lp_norm(curl_u, 1.0)
+    curl_l1 = lp_norm(curl_u, 1.0)
+    rhs = lp_norm(div_u, 1.0) + curl_l1
     return {"size": size, "eps": eps, "lhs": lhs, "rhs": rhs,
-            "ratio": lhs / rhs, "curl_l1": lp_norm(curl_u, 1.0),
+            "ratio": lhs / rhs, "curl_l1": curl_l1,
             "tail": u.boundary_tail()}
 
 
@@ -313,7 +317,17 @@ def _monomial_operator(n: int, alpha: tuple) -> SymbolOperator:
     return SymbolOperator.make(n, 1, 1, sum(alpha), {alpha: QMatrix.from_rows([[1]])})
 
 
-INEQUALITY_FAMILIES = ("gns_disc", "korn", "solonnikov", "strange_r4", "newton_r3")
+# family -> (point, default levels, dimension and box of the manifest grid,
+# smallest size that is re-measured at half resolution).  A level is a grid
+# size or a tuple whose first entry is the grid size.
+_INEQUALITIES = {
+    "gns_disc": (_gns_disc_point, [(128, 0.4), (256, 0.2), (512, 0.1)], 2, 4.0, 64),
+    "korn": (_korn_point, [64, 128, 256], 2, 8.0, 0),
+    "solonnikov": (_solonnikov_point, [64, 128, 256], 2, 8.0, 0),
+    "strange_r4": (_strange_point, [16, 32], 4, 8.0, 32),
+    "newton_r3": (_newton_point, [(128, 0.4), (128, 0.3), (128, 0.25)], 3, 8.0, 0),
+}
+INEQUALITY_FAMILIES = tuple(_INEQUALITIES)
 
 
 def inequality_experiment(
@@ -323,53 +337,17 @@ def inequality_experiment(
 ) -> tuple[list[dict], dict]:
     """Left/right ratio of one inequality family across a resolution or
     mollification schedule, with half-resolution convergence flags."""
-    rows: list[dict] = []
-    if family == "gns_disc":
-        levels = levels or [(128, 0.4), (256, 0.2), (512, 0.1)]
-        for size, width in levels:
-            row = _gns_disc_point(size, width)
-            ref = _gns_disc_point(size // 2, width)["ratio"] if size >= 64 else None
-            row["converged"] = _converged(row["ratio"], ref)
-            rows.append(row)
-        spec = GridSpec(2, levels[-1][0], 4.0)
-        params = {"levels": [list(l) for l in levels]}
-    elif family == "korn":
-        levels = levels or [64, 128, 256]
-        for size in levels:
-            row = _korn_point(size)
-            row["converged"] = _converged(row["ratio"], _korn_point(size // 2)["ratio"])
-            rows.append(row)
-        spec = GridSpec(2, levels[-1], 8.0)
-        params = {"levels": list(levels)}
-    elif family == "solonnikov":
-        levels = levels or [64, 128, 256]
-        for size in levels:
-            row = _solonnikov_point(size)
-            row["converged"] = _converged(
-                row["ratio"], _solonnikov_point(size // 2)["ratio"]
-            )
-            rows.append(row)
-        spec = GridSpec(2, levels[-1], 8.0)
-        params = {"levels": list(levels)}
-    elif family == "strange_r4":
-        levels = levels or [16, 32]
-        for size in levels:
-            row = _strange_point(size)
-            row["converged"] = _converged(
-                row["ratio"], _strange_point(size // 2)["ratio"] if size >= 32 else None
-            )
-            rows.append(row)
-        spec = GridSpec(4, levels[-1], 8.0)
-        params = {"levels": list(levels)}
-    elif family == "newton_r3":
-        levels = levels or [(128, 0.4), (128, 0.3), (128, 0.25)]
-        for size, eps in levels:
-            row = _newton_point(size, eps)
-            row["converged"] = _converged(row["ratio"], _newton_point(size // 2, eps)["ratio"])
-            rows.append(row)
-        spec = GridSpec(3, levels[-1][0], 8.0)
-        params = {"levels": [list(l) for l in levels]}
-    else:
+    if family not in _INEQUALITIES:
         raise ValueError(f"unknown inequality family {family!r}")
-    manifest = _manifest(f"inequality:{family}", spec, seed, params)
+    point, default, n, box, min_ref = _INEQUALITIES[family]
+    levels = [list(l) if isinstance(l, (tuple, list)) else l for l in levels or default]
+    rows: list[dict] = []
+    for level in levels:
+        size, *rest = level if isinstance(level, list) else [level]
+        row = point(size, *rest)
+        ref = point(size // 2, *rest)["ratio"] if size >= min_ref else None
+        row["converged"] = _converged(row["ratio"], ref)
+        rows.append(row)
+    spec = GridSpec(n, rows[-1]["size"], box)
+    manifest = _manifest(f"inequality:{family}", spec, seed, {"levels": levels})
     return rows, manifest

@@ -7,8 +7,16 @@ from typing import Optional
 
 import numpy as np
 
+from ..exact.matrix import QMatrix
+from ..exact.symbol import SymbolOperator
 from .blowup import smoothstep, smoothstep_deriv
-from .grid import GridField, GridSpec
+from .grid import GridField, GridSpec, apply_symbol
+
+# g -> (d2 g, -d1 g): the planar curl of a scalar potential.
+_PERP_GRADIENT = SymbolOperator.make(
+    2, 1, 2, 1,
+    {(1, 0): QMatrix.from_rows([[0], [-1]]), (0, 1): QMatrix.from_rows([[1], [0]])},
+)
 
 
 def _centered_radius(spec: GridSpec) -> np.ndarray:
@@ -66,11 +74,7 @@ def curl_potential_field(spec: GridSpec, sigma: float = 1.0) -> GridField:
     g = np.exp(
         -((x - cx) ** 2) / (2.0 * sigma**2) - ((y - cy) ** 2) / (0.8 * sigma**2)
     )
-    g_hat = np.fft.fft2(g)
-    xi = spec.frequency_grids()
-    d1 = np.fft.ifft2(2j * pi * xi[0] * g_hat).real
-    d2 = np.fft.ifft2(2j * pi * xi[1] * g_hat).real
-    return GridField(spec, np.stack([d2, -d1]))
+    return apply_symbol(_PERP_GRADIENT, GridField(spec, g[None, ...]))
 
 
 def newton_gradient_field(spec: GridSpec, eps: float) -> GridField:

@@ -5,17 +5,31 @@ of two), frequencies are m/T with integer m in fft order.  The spectral
 representation follows the continuum transform: analysis multiplies the
 FFT by h^n (a Riemann sum for the integral transform), synthesis divides
 by T^n, so a derivative of order alpha is the multiplier (2 pi i xi)^alpha.
+
+``symbol_on_grid`` is the one place that evaluates a symbol
+sum_alpha xi^alpha A_alpha at the grid frequencies.  ``apply_symbol``
+multiplies a spectrum by it one entry at a time, ``derivative_magnitude``
+applies the operator stacking all partial derivatives of one order, and
+the blowup direction solve reads its per-frequency matrices from it.
+Grids larger than ``MAX_GRID_POINTS`` are refused before anything is
+allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
-from typing import Sequence
+from math import factorial, pi, prod
+from typing import Iterator
 
 import numpy as np
 
+from ..exact.matrix import QMatrix
+from ..exact.poly import multi_indices
 from ..exact.symbol import SymbolOperator
+
+# 128^3 (the largest built-in grid) is 2^21 points; one complex component
+# of a 2^22-point grid takes 64 MiB.
+MAX_GRID_POINTS = 2**22
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -35,6 +49,10 @@ class GridSpec:
             raise ValueError("points per axis must be a power of two")
         if self.box <= 0:
             raise ValueError("box side must be positive")
+        if self.size**self.n > MAX_GRID_POINTS:
+            raise ValueError(
+                f"{self.size}^{self.n} grid points exceed the budget of {MAX_GRID_POINTS}"
+            )
 
     @property
     def spacing(self) -> float:
@@ -58,12 +76,11 @@ class GridSpec:
     def coordinate_grids(self) -> list[np.ndarray]:
         return list(np.meshgrid(*self.axes(), indexing="ij"))
 
-    def frequency_axes(self) -> list[np.ndarray]:
-        f = np.fft.fftfreq(self.size, d=self.spacing)
-        return [f.copy() for _ in range(self.n)]
-
     def frequency_grids(self) -> list[np.ndarray]:
-        return list(np.meshgrid(*self.frequency_axes(), indexing="ij"))
+        """Frequency coordinates per axis, shaped to broadcast against
+        spec.shape (length N along their own axis, 1 elsewhere)."""
+        f = np.fft.fftfreq(self.size, d=self.spacing)
+        return list(np.meshgrid(*[f] * self.n, indexing="ij", sparse=True))
 
     def halved(self) -> "GridSpec":
         if self.size < 4:
@@ -118,25 +135,6 @@ class GridField:
         return edge / peak
 
 
-def symbol_multiplier(a: SymbolOperator, spec: GridSpec) -> np.ndarray:
-    """Array of shape (dimE, dimV, *grid): (2 pi i)^k sum_alpha xi^alpha A_alpha."""
-    if a.n != spec.n:
-        raise ValueError("operator and grid dimensions differ")
-    xi = spec.frequency_grids()
-    mult = np.zeros((a.dim_e, a.dim_v) + spec.shape, dtype=complex)
-    for alpha, mat in a.terms:
-        mono = np.ones(spec.shape)
-        for i, e in enumerate(alpha):
-            if e:
-                mono = mono * xi[i] ** e
-        for r in range(a.dim_e):
-            for c in range(a.dim_v):
-                coeff = float(mat[r, c])
-                if coeff != 0.0:
-                    mult[r, c] += coeff * mono
-    return mult * (2j * pi) ** a.order
-
-
 def nyquist_mask(spec: GridSpec) -> np.ndarray:
     """Zero on the unpaired Nyquist hyperplanes, one elsewhere.
 
@@ -153,46 +151,65 @@ def nyquist_mask(spec: GridSpec) -> np.ndarray:
     return mask
 
 
+def symbol_on_grid(a: SymbolOperator, spec: GridSpec) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The symbol sum_alpha xi^alpha A_alpha at the grid frequencies, one
+    nonzero entry at a time: yields (row, column, values) with real values
+    that broadcast to spec.shape.  The (2 pi i)^k factor of the Fourier
+    multiplier is left to the caller."""
+    if a.n != spec.n:
+        raise ValueError("operator and grid dimensions differ")
+    xi = spec.frequency_grids()
+    monomials = []
+    for alpha, mat in a.terms:
+        mono = np.ones((1,) * spec.n)
+        for i, e in enumerate(alpha):
+            if e:
+                mono = mono * xi[i] ** e
+        monomials.append((mono, mat))
+    for r in range(a.dim_e):
+        for c in range(a.dim_v):
+            values = None
+            for mono, mat in monomials:
+                coeff = float(mat[r, c])
+                if coeff != 0.0:
+                    term = coeff * mono
+                    values = term if values is None else values + term
+            if values is not None:
+                yield r, c, values
+
+
 def apply_symbol(a: SymbolOperator, u: GridField) -> GridField:
-    """Apply the operator to a periodic field through its Fourier multiplier."""
+    """Apply the operator to a periodic field through its Fourier multiplier
+    (2 pi i)^k A(xi), one entry of the symbol at a time."""
     if u.components != a.dim_v:
         raise ValueError(f"field has {u.components} components, operator expects {a.dim_v}")
-    spec = u.spec
-    axes = tuple(range(u.spec.n))
-    u_hat = np.fft.fftn(u.values, axes=tuple(ax + 1 for ax in axes))
-    u_hat *= nyquist_mask(spec)[None, ...]
-    mult = symbol_multiplier(a, spec)
-    out_hat = np.einsum("ev...,v...->e...", mult, u_hat)
-    out = np.fft.ifftn(out_hat, axes=tuple(ax + 1 for ax in axes)).real
-    return GridField(spec, np.ascontiguousarray(out))
-
-
-def partial_derivative_multiplier(spec: GridSpec, alpha: Sequence[int]) -> np.ndarray:
-    xi = spec.frequency_grids()
-    mono = np.ones(spec.shape, dtype=complex)
-    for i, e in enumerate(alpha):
-        if e:
-            mono = mono * (2j * pi * xi[i]) ** e
-    return mono
-
-
-def derivative_magnitude(u: GridField, order: int) -> np.ndarray:
-    """Pointwise Frobenius magnitude of the order-th derivative tensor:
-    sqrt of sum over multi-indices (with multinomial weights) and components."""
-    from math import factorial
-
-    from ..exact.poly import multi_indices
-
     spec = u.spec
     axes = tuple(range(1, spec.n + 1))
     u_hat = np.fft.fftn(u.values, axes=axes)
     u_hat *= nyquist_mask(spec)[None, ...]
-    total = np.zeros(spec.shape)
-    for alpha in multi_indices(spec.n, order):
-        weight = factorial(order)
-        for e in alpha:
-            weight //= factorial(e)
-        mult = partial_derivative_multiplier(spec, alpha)
-        d = np.fft.ifftn(u_hat * mult, axes=axes).real
-        total += weight * (d**2).sum(axis=0)
+    out_hat = np.zeros((a.dim_e,) + spec.shape, dtype=complex)
+    for r, c, values in symbol_on_grid(a, spec):
+        out_hat[r] += values * u_hat[c]
+    del u_hat  # release the input spectrum before the inverse transform
+    out_hat *= (2j * pi) ** a.order
+    out = np.fft.ifftn(out_hat, axes=axes).real
+    return GridField(spec, np.ascontiguousarray(out))
+
+
+def derivative_magnitude(u: GridField, order: int) -> np.ndarray:
+    """Pointwise Frobenius magnitude of the order-th derivative tensor:
+    sqrt of sum over multi-indices (with multinomial weights) and components.
+    One operator stacks the derivatives: its row i * m + c is d^alpha_i u_c."""
+    n, m = u.spec.n, u.components
+    alphas = multi_indices(n, order)
+    rows = range(len(alphas) * m)
+    terms = {
+        alpha: QMatrix.from_rows([[int(r == i * m + c) for c in range(m)] for r in rows])
+        for i, alpha in enumerate(alphas)
+    }
+    d = apply_symbol(SymbolOperator.make(n, m, len(rows), order, terms), u).values
+    total = np.zeros(u.spec.shape)
+    for r in rows:
+        weight = factorial(order) // prod(factorial(e) for e in alphas[r // m])
+        total += weight * d[r] ** 2
     return np.sqrt(total)

@@ -58,12 +58,7 @@ def test_analyze_then_verify_matches_truth(tmp_path):
             if truth_key in result.truth:
                 expected = yes if result.truth[truth_key] else no
                 assert doc["status"] == expected, (uri, key)
-        if uri == "catalog:hyperbolic":
-            # Known gap: its images drop rank only on the diagonals, which
-            # random samples may miss; the verdict is then left sampled.
-            assert verdicts["canceling"]["status"] in ("CANCELING", "NOT_CANCELING_SAMPLED")
-        else:
-            assert report["uncertified"] == [], uri
+        assert report["uncertified"] == [], uri
         basis = result.truth.get("joint_kernel_basis")
         if basis is not None:
             kernel = verdicts["cocanceling"]["joint_kernel"]

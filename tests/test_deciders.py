@@ -194,6 +194,16 @@ def test_hodge_degree_one_intersection_is_zeroth_component():
     assert res.subspace == subspace_from_columns(4, [(0, 0, 0, 1)])
 
 
+def test_hyperbolic_canceling_certified_at_every_seed():
+    # Its images drop rank only on the diagonals, which the lattice
+    # directions sampled for non-elliptic symbols always include.
+    op = hyperbolic_example().operator
+    for seed in range(12):
+        v = check_canceling(op, seed=seed)
+        assert v.status == CANCELING and v.certified, seed
+        assert verify_canceling(op, v, None), seed
+
+
 def test_quaternion_canceling():
     assert check_canceling(quaternion().operator, seed=2).status == CANCELING
 

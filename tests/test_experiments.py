@@ -89,3 +89,14 @@ def test_gns_disc_small_levels():
     assert all(np.isfinite(r["ratio"]) for r in rows)
     a, b = rows[0]["ratio"], rows[1]["ratio"]
     assert abs(a - b) <= 0.1 * abs(b)
+
+
+def test_blowup_default_grid_over_budget_exits_2(tmp_path, capsys):
+    # The default 1024 points per axis in three dimensions would need 16 GiB
+    # per complex component; the grid is refused before any allocation.
+    from symlab.cli import main
+
+    code = main(["experiment", "blowup", "--op", "catalog:laplacian?n=3", "--e", "1",
+                 "--ell", "1", "--no-figure", "--csv", str(tmp_path / "b.csv")])
+    assert code == 2
+    assert "--grid" in capsys.readouterr().err

@@ -6,7 +6,15 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from symlab.catalog import divergence, gradient, hyperbolic_example, laplacian, quaternion
+from symlab.catalog import (
+    divergence,
+    gradient,
+    hodge_pair,
+    hyperbolic_example,
+    laplacian,
+    quaternion,
+    sym_gradient,
+)
 from symlab.numlab import (
     BlowupError,
     GridField,
@@ -21,7 +29,7 @@ from symlab.numlab import (
     smoothstep_deriv,
     solve_symbol_directions,
 )
-from symlab.numlab.grid import nyquist_mask, symbol_multiplier
+from symlab.numlab.grid import nyquist_mask
 
 
 def random_field(spec, components, seed=0):
@@ -40,7 +48,8 @@ def test_pure_mode_matches_exact_symbol():
     # The multiplier at one Fourier mode must agree with the exact symbol
     # value at that frequency to 1e-9 relative.
     spec = GridSpec(2, 64, 8.0)
-    for inst, mode, comp_in in ((gradient(2), (1, 0), 0), (laplacian(2), (3, 2), 0)):
+    cases = ((gradient(2), (1, 0), 0), (laplacian(2), (3, 2), 0), (sym_gradient(2), (1, 2), 1))
+    for inst, mode, comp_in in cases:
         op = inst.operator
         x = spec.coordinate_grids()
         phase = 2 * math.pi * (mode[0] * x[0] + mode[1] * x[1]) / spec.box
@@ -100,6 +109,23 @@ def test_smoothstep_properties():
     assert np.abs(dd - smoothstep_deriv(mid)).max() < 1e-5
 
 
+def test_direction_solver_solves_symbol_everywhere():
+    # A(xi) U(xi) = e at every nonzero frequency, with A(xi) evaluated exactly.
+    spec = GridSpec(3, 16, 16.0)
+    op = hodge_pair(3, 1).operator
+    e = np.array([0.0, 0.0, 0.0, 1.0])
+    u = solve_symbol_directions(op, spec, e)
+    worst = 0.0
+    for m in np.ndindex(*spec.shape):
+        if not any(m):
+            assert np.all(u[(slice(None),) + m] == 0.0)
+            continue
+        xi = [F(int(k) - spec.size * (k >= spec.size // 2), int(spec.box)) for k in m]
+        a = np.array([[float(x) for x in row] for row in op.evaluate(xi).entries])
+        worst = max(worst, np.abs(a @ u[(slice(None),) + m] - e).max())
+    assert worst <= 1e-12
+
+
 def test_direction_solver_homogeneity():
     spec = GridSpec(2, 128, 8.0)
     u = solve_symbol_directions(laplacian(2).operator, spec, [1.0])
@@ -151,3 +177,17 @@ def test_derivative_magnitude_of_mode():
     dm = derivative_magnitude(u, 1)
     expected = np.abs(k * np.cos(k * x[0]))
     assert np.abs(dm - expected).max() < 1e-9 * k
+    # Order 2 on a two-component oblique mode: the multinomial weights make
+    # the squared magnitude sum_ij (k_i k_j)^2 = |k|^4 per component.
+    kv = 2 * np.pi * np.array([3, 2]) / spec.box
+    phase = kv[0] * x[0] + kv[1] * x[1]
+    u = GridField(spec, np.stack([np.sin(phase), 2 * np.cos(phase)]))
+    dm = derivative_magnitude(u, 2)
+    expected = (kv @ kv) * np.sqrt(np.sin(phase) ** 2 + 4 * np.cos(phase) ** 2)
+    assert np.abs(dm - expected).max() < 1e-9 * (kv @ kv)
+
+
+def test_grid_point_budget():
+    assert GridSpec(3, 128, 8.0).shape == (128, 128, 128)
+    with pytest.raises(ValueError, match="budget"):
+        GridSpec(3, 1024, 4.0)
