@@ -19,7 +19,9 @@ at least one verdict or experiment row is undecided/sampled/unconverged
 
 Operators come from JSON files or from catalog URIs such as
 ``catalog:gradient?n=2``.  Reports are byte-reproducible for a fixed seed
-apart from the "timings" member.
+apart from the "timings" member.  Next to it, "stats" holds the deciders'
+counters: boxes examined, cover size, per-axis cover depth, size and degree
+of det(A^T A), cancellation iterations and samples.
 """
 
 from __future__ import annotations
@@ -215,6 +217,23 @@ def cmd_analyze(args) -> int:
         if not done[key].certified:
             uncertified.append(key)
 
+    # Counters of the deciders; verify ignores them.
+    stats: dict = {}
+    if "ellipticity" in done:
+        ell = done["ellipticity"]
+        stats["ellipticity"] = {
+            "boxes_examined": ell.boxes_examined,
+            "cover_boxes": len(ell.cover),
+            "axis_depths": list(ell.axis_depths),
+            "det_terms": ell.det_terms,
+            "det_degree": ell.det_degree,
+        }
+    if "canceling" in done:
+        stats["canceling"] = {
+            "iterations": done["canceling"].iterations,
+            "samples": len(done["canceling"].samples),
+        }
+
     if args.as_role != "constraint":
         t0 = time.perf_counter()
         try:
@@ -246,6 +265,7 @@ def cmd_analyze(args) -> int:
         "operator": operator_to_json(op),
         "verdicts": verdicts,
         "uncertified": uncertified,
+        "stats": stats,
         "timings": timings,
     }
     if t is not None:
@@ -492,7 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="classify an operator and emit a report")
     pa.add_argument("source", help="operator JSON path or catalog:<name>?<params>")
     pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--depth", type=int, default=24)
+    pa.add_argument("--depth", type=int, default=24,
+                    help="bisections per axis of a cube face in the ellipticity "
+                    "cover (default 24)")
     pa.add_argument("--as", dest="as_role", choices=("operator", "constraint"),
                     default="operator")
     pa.add_argument("--json", dest="json_out", default=None)

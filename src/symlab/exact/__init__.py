@@ -12,7 +12,7 @@ from .matrix import (
     subspace_intersection,
     subspace_sum,
 )
-from .poly import Polynomial, interval_mul, interval_pow, monomial_count, multi_indices
+from .poly import Polynomial, monomial_count, multi_indices
 from .polymatrix import PolyMatrix
 from .symbol import SymbolOperator
 
@@ -28,8 +28,6 @@ __all__ = [
     "subspace_intersection",
     "subspace_sum",
     "Polynomial",
-    "interval_mul",
-    "interval_pow",
     "monomial_count",
     "multi_indices",
     "PolyMatrix",

@@ -3,8 +3,7 @@
 A polynomial in n variables is a map from exponent tuples (one non-negative
 int per variable) to nonzero Fraction coefficients.  Terms iterate in
 graded lexicographic order, so serialization and equality behave
-deterministically.  Interval evaluation over rational boxes is exact and is
-the workhorse of the positivity certification.
+deterministically.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 MultiIndex = tuple[int, ...]
-Interval = tuple[Fraction, Fraction]
 
 
 def grlex_key(alpha: MultiIndex):
@@ -125,38 +123,6 @@ class Polynomial:
             total += v
         return total
 
-    def substitute(self, i: int, value) -> "Polynomial":
-        """Pin variable i to a rational value; the result keeps n variables
-        with exponent 0 in slot i."""
-        value = Fraction(value)
-        acc: dict[MultiIndex, Fraction] = {}
-        for a, c in self.terms:
-            e = a[i]
-            key = a[:i] + (0,) + a[i + 1 :]
-            acc[key] = acc.get(key, Fraction(0)) + c * value**e
-        return Polynomial.make(self.n, acc)
-
-    def interval_evaluate(self, box: Sequence[Interval]) -> Interval:
-        """Exact interval extension over a rational box (one interval per
-        variable).  The bound is the plain monomial-sum enclosure."""
-        if len(box) != self.n:
-            raise ValueError("box dimension mismatch")
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for a, c in self.terms:
-            tlo, thi = Fraction(1), Fraction(1)
-            for (xl, xh), e in zip(box, a):
-                if e:
-                    pl, ph = interval_pow((xl, xh), e)
-                    tlo, thi = interval_mul((tlo, thi), (pl, ph))
-            if c >= 0:
-                lo += c * tlo
-                hi += c * thi
-            else:
-                lo += c * thi
-                hi += c * tlo
-        return lo, hi
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -167,23 +133,6 @@ class Polynomial:
             )
             parts.append(f"{c}" if not mono else f"{c}*{mono}")
         return " + ".join(parts)
-
-
-def interval_mul(a: Interval, b: Interval) -> Interval:
-    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(products), max(products)
-
-
-def interval_pow(a: Interval, e: int) -> Interval:
-    lo, hi = a
-    if e == 0:
-        return Fraction(1), Fraction(1)
-    if e % 2 == 1:
-        return lo**e, hi**e
-    m = max(abs(lo), abs(hi)) ** e
-    if lo <= 0 <= hi:
-        return Fraction(0), m
-    return min(abs(lo), abs(hi)) ** e, m
 
 
 def multi_indices(n: int, degree: int) -> list[MultiIndex]:

@@ -87,19 +87,19 @@ def newton_gradient_field(spec: GridSpec, eps: float) -> GridField:
     xi = spec.frequency_grids()
     r2 = sum(x**2 for x in xi)
     origin = tuple(0 for _ in range(spec.n))
-    r2_safe = r2.copy()
-    r2_safe[origin] = 1.0
-    moll_hat = np.exp(-pi * eps**2 * r2)
-    comps = []
+    # The factor shared by the three components, -i moll_hat shift / (2 pi
+    # |xi|^2), with the constant mode removed.  The shift puts the singular
+    # core at the box center rather than the corner.
+    factor = np.exp(-2j * pi * (spec.box / 2.0) * sum(xi))
+    factor *= np.exp(-pi * eps**2 * r2)
+    r2[origin] = 1.0
+    factor /= r2
+    factor *= -1j / (2.0 * pi)
+    factor[origin] = 0.0
+    spectrum = np.empty((3,) + factor.shape, dtype=complex)
     for i in range(3):
-        hat = -1j * xi[i] / (2.0 * pi * r2_safe) * moll_hat
-        hat[origin] = 0.0
-        comps.append(hat)
-    spectrum = np.stack(comps)
-    # The synthesized field must be shifted so the singular core sits at the
-    # box center rather than the corner.
-    shift = np.exp(-2j * pi * (spec.box / 2.0) * sum(xi))
-    return GridField.from_spectrum(spec, spectrum * shift[None, ...])
+        np.multiply(factor, xi[i], out=spectrum[i])
+    return GridField.from_spectrum(spec, spectrum)
 
 
 def radial_cutoff_test_function(

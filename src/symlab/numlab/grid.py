@@ -110,8 +110,7 @@ class GridField:
         of shape (components, *grid)."""
         axes = tuple(range(1, spec.n + 1))
         scale = spec.size**spec.n / spec.box**spec.n
-        vals = np.fft.ifftn(spectrum, axes=axes) * scale
-        return GridField(spec, np.ascontiguousarray(vals.real))
+        return GridField(spec, np.fft.ifftn(spectrum, axes=axes).real * scale)
 
     def spectrum(self) -> np.ndarray:
         axes = tuple(range(1, self.spec.n + 1))

@@ -66,6 +66,23 @@ def test_analyze_then_verify_matches_truth(tmp_path):
             assert got == subspace_from_columns(kernel["ambient"], basis), uri
 
 
+def test_analyze_reports_stats(tmp_path):
+    _code, report = analyze(tmp_path, "catalog:defigueiredo?n=2&m=2")
+    stats = report["stats"]
+    ell = stats["ellipticity"]
+    assert ell["cover_boxes"] == len(report["verdicts"]["ellipticity"]["cover"])
+    assert ell["boxes_examined"] >= ell["cover_boxes"] > 4
+    assert len(ell["axis_depths"]) == 2 and max(ell["axis_depths"]) > 0
+    assert (ell["det_terms"], ell["det_degree"]) == (5, 4)
+    canceling = report["verdicts"]["canceling"]
+    assert stats["canceling"]["samples"] == len(canceling["samples"])
+    assert stats["canceling"]["iterations"] >= 0
+    # verify ignores the counters.
+    report["stats"] = {"ellipticity": {"boxes_examined": "x"}}
+    code, checked = verify(tmp_path, report)
+    assert code == 0 and checked["all_ok"]
+
+
 # ---------------------------------------------------------------------------
 # Forged reports: each must be rejected with exit 3.
 

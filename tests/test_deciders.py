@@ -6,6 +6,7 @@ import pytest
 
 from symlab.catalog import (
     curl_div,
+    defigueiredo,
     divergence,
     exterior_d,
     gradient,
@@ -41,6 +42,7 @@ from symlab.deciders import (
     verify_partial_canceling,
     verify_spanning,
 )
+from symlab.deciders.ellipticity import CertifiedBox, FaceBox
 from symlab.exact import QMatrix, SymbolOperator, subspace_from_columns
 
 
@@ -108,6 +110,136 @@ def test_tampered_cover_rejected():
     v = check_ellipticity(op)
     v.cover = v.cover[:-1]  # puncture the cover
     assert not verify_ellipticity(op, v)
+
+
+def subdivided_cover():
+    """defigueiredo(2, 2): two faces certify at the root, two are bisected."""
+    op = defigueiredo(2, 2).operator
+    v = check_ellipticity(op)
+    assert v.status == ELLIPTIC and verify_ellipticity(op, v)
+    assert len(v.cover) > 4
+    return op, v
+
+
+def with_box(cb, axis=None, sign=None, bounds=None, lower_bound=None):
+    box = cb.box
+    return CertifiedBox(
+        FaceBox(box.axis if axis is None else axis, box.sign if sign is None else sign,
+                box.bounds if bounds is None else tuple(bounds)),
+        cb.lower_bound if lower_bound is None else lower_bound,
+    )
+
+
+def sibling_pair(cover):
+    """Indices of two boxes that are the halves of one dyadic interval."""
+    for i, a in enumerate(cover):
+        for j, b in enumerate(cover):
+            (alo, ahi), = a.box.bounds
+            (blo, bhi), = b.box.bounds
+            if (a.box.axis, a.box.sign) == (b.box.axis, b.box.sign) and ahi == blo \
+                    and ahi - alo == bhi - blo and (alo + 1) / (2 * (bhi - alo)) % 1 == 0:
+                return i, j
+    raise AssertionError("no sibling boxes in the cover")
+
+
+def test_forged_cover_duplicate_box_rejected():
+    op, v = subdivided_cover()
+    v.cover = v.cover + [v.cover[-1]]
+    assert not verify_ellipticity(op, v)
+
+
+def test_forged_cover_gap_rejected():
+    op, v = subdivided_cover()
+    i, _ = sibling_pair(v.cover)
+    v.cover = v.cover[:i] + v.cover[i + 1:]
+    assert not verify_ellipticity(op, v)
+
+
+def test_forged_cover_non_dyadic_split_rejected():
+    # The two halves of a dyadic interval, re-cut at a third: still an exact
+    # tiling of the face, but no bisection tree has these leaves.
+    op, v = subdivided_cover()
+    i, j = sibling_pair(v.cover)
+    (lo, _), = v.cover[i].box.bounds
+    (_, hi), = v.cover[j].box.bounds
+    cut = lo + (hi - lo) / 3
+    v.cover[i] = with_box(v.cover[i], bounds=[(lo, cut)])
+    v.cover[j] = with_box(v.cover[j], bounds=[(cut, hi)])
+    assert not verify_ellipticity(op, v)
+
+
+def test_forged_cover_crossing_halves_rejected():
+    # On a square face: the two halves along x1 plus a lower half along x2.
+    # Every box is dyadic, but they overlap, and no split axis separates them.
+    op = gradient(3).operator
+    v = check_ellipticity(op)
+    one, half = (F(-1), F(1)), [(F(-1), F(0)), (F(0), F(1))]
+    v.cover[0:1] = [with_box(v.cover[0], bounds=[half[0], one]),
+                    with_box(v.cover[0], bounds=[half[1], one]),
+                    with_box(v.cover[0], bounds=[one, half[0]])]
+    assert not verify_ellipticity(op, v)
+
+
+def test_forged_cover_box_outside_cube_rejected():
+    op = gradient(2).operator
+    v = check_ellipticity(op)
+    assert v.cover[0].box.bounds == ((F(-1), F(1)),)
+    # [-1, 1] is cut into [-1, 0] plus [0, 2], which reaches past the face.
+    v.cover[0:1] = [with_box(v.cover[0], bounds=[(F(-1), F(0))]),
+                    with_box(v.cover[0], bounds=[(F(0), F(2))])]
+    assert not verify_ellipticity(op, v)
+    v = check_ellipticity(op)
+    v.cover.append(with_box(v.cover[0], bounds=[(F(1), F(3))]))
+    assert not verify_ellipticity(op, v)
+
+
+def test_forged_cover_box_on_wrong_face_rejected():
+    op, v = subdivided_cover()
+    cb = v.cover[-1]
+    moved = with_box(cb, sign=-cb.box.sign)
+    v.cover[-1] = moved
+    assert not verify_ellipticity(op, v)
+    for axis, sign in ((2, 1), (0, 0)):
+        v = check_ellipticity(op)
+        v.cover[-1] = with_box(v.cover[-1], axis=axis, sign=sign)
+        assert not verify_ellipticity(op, v)
+
+
+def test_forged_cover_lower_bound_rejected():
+    op, v = subdivided_cover()
+    v.cover[-1] = with_box(v.cover[-1], lower_bound=v.cover[-1].lower_bound * 2)
+    assert not verify_ellipticity(op, v)
+    v = check_ellipticity(op)
+    v.cover[0] = with_box(v.cover[0], lower_bound=F(0))
+    assert not verify_ellipticity(op, v)
+
+
+def test_hodge_pair_5_2_certified_at_root():
+    # det(A^T A) has 1,001 terms of degree 20; the monomial bound certifies
+    # every face with one box, so no Bernstein tensor is built.
+    op = hodge_pair(5, 2).operator
+    v = check_ellipticity(op)
+    assert v.status == ELLIPTIC
+    assert len(v.cover) == v.boxes_examined == 10
+    assert v.depth_reached == 0 and v.axis_depths == (0,) * 5
+    assert (v.det_terms, v.det_degree) == (1001, 20)
+    assert verify_ellipticity(op, v)
+
+
+def test_defigueiredo_3_3_elliptic_and_verified():
+    op = defigueiredo(3, 3).operator
+    v = check_ellipticity(op)
+    assert v.status == ELLIPTIC and verify_ellipticity(op, v)
+    assert v.depth_reached <= 24
+
+
+def test_defigueiredo_4_2_elliptic_at_default_depth():
+    # Was UNDECIDED when the depth budget counted bisections in total.
+    op = defigueiredo(4, 2).operator
+    v = check_ellipticity(op)
+    assert v.status == ELLIPTIC
+    assert max(v.axis_depths) <= 24
+    assert verify_ellipticity(op, v)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
-"""Sparse polynomials, interval enclosures, Bernstein bounds."""
+"""Sparse polynomials, integer monomial bounds, integer Bernstein tensors."""
 
 from fractions import Fraction as F
 
 import pytest
 
 from symlab.exact import Polynomial, monomial_count, multi_indices
-from symlab.exact.bernstein import bernstein_range
+from symlab.exact.bernstein import (
+    bernstein_tensor,
+    clear_denominators,
+    monomial_lower_bound,
+    pin_variable,
+    split,
+)
 
 
 def x(i, n=2):
@@ -33,12 +39,6 @@ def test_evaluate_exact():
     assert p.evaluate([F(2, 3), F(4)]) == 3 * F(4, 9) + F(2)
 
 
-def test_substitute_pins_variable():
-    p = x(0) * x(0) + x(0) * x(1) + Polynomial.constant(2, 1)
-    q = p.substitute(0, F(2))
-    assert q.as_dict() == {(0, 0): F(5), (0, 1): F(2)}
-
-
 def test_homogeneity_detection():
     assert (x(0) * x(1)).is_homogeneous(2)
     assert not (x(0) + Polynomial.constant(2, 1)).is_homogeneous()
@@ -51,25 +51,46 @@ def test_pow_matches_repeated_product():
     assert p.pow(0) == Polynomial.constant(2, 1)
 
 
+def on_box(p, path=()):
+    """(q, den, coeffs, shape, scale) for p on the dyadic box reached from
+    [-1, 1]^n by ``path``, a list of (axis, 0 = lower / 1 = upper half)."""
+    q, den = clear_denominators(p)
+    coeffs, shape, scale = bernstein_tensor(q, p.n)
+    for axis, half in path:
+        coeffs = split(coeffs, shape, axis)[half]
+        scale <<= shape[axis] - 1
+    return q, den, coeffs, shape, scale
+
+
 def test_interval_containment_on_samples():
-    p = (x(0) * x(0)).scale(2) - x(0) * x(1) + x(1)
-    box = [(F(-1), F(1)), (F(0), F(2))]
-    lo, hi = p.interval_evaluate(box)
+    # Monomial bound on the cube and Bernstein range on a sub-box both
+    # enclose the values at sample points.
+    p = (x(0) * x(0)).scale(2) - x(0) * x(1) + x(1).scale(F(1, 3))
+    q, den, coeffs, _, scale = on_box(p, [(1, 1)])  # x1 in [0, 1]
+    lo = F(monomial_lower_bound(q), den)
+    blo, bhi = F(min(coeffs), den * scale), F(max(coeffs), den * scale)
     for a in (F(-1), F(0), F(1, 2), F(1)):
-        for b in (F(0), F(1), F(3, 2), F(2)):
+        for b in (F(-1), F(0), F(1, 3), F(1)):
             v = p.evaluate([a, b])
-            assert lo <= v <= hi
+            assert lo <= v
+            if b >= 0:
+                assert blo <= v <= bhi
 
 
 def test_bernstein_tighter_than_interval():
-    # Dependency-heavy polynomial: (x0 + x1)^2 - 2 x0 x1 = x0^2 + x1^2.
+    # (1 + x0)(1 + x1) + 1 >= 1 on the square; the monomial bound sees
+    # 2 - 1 - 1 - 1 = -1, the Bernstein coefficients are its corner values.
+    p = (x(0) + x(1) + x(0) * x(1)) + Polynomial.constant(2, 2)
+    q, den, coeffs, _, scale = on_box(p)
+    ilo = F(monomial_lower_bound(q), den)
+    blo = F(min(coeffs), den * scale)
+    assert ilo == -1 and blo == 1
+    # x0^2 + x1^2 on [1/2, 1]^2: true minimum 1/2, certified positive.
     p = (x(0) + x(1)).pow(2) - (x(0) * x(1)).scale(2)
-    box = [(F(1, 2), F(1)), (F(1, 2), F(1))]
-    ilo, ihi = p.interval_evaluate(box)
-    blo, bhi = bernstein_range(p, box)
-    assert blo >= ilo and bhi <= ihi
-    # True minimum is 1/2; Bernstein certifies positivity on this box.
+    q, den, coeffs, _, scale = on_box(p, [(0, 1), (0, 1), (1, 1), (1, 1)])
+    blo, bhi = F(min(coeffs), den * scale), F(max(coeffs), den * scale)
     assert blo > 0
+    assert blo >= F(monomial_lower_bound(q), den)
     for a in (F(1, 2), F(3, 4), F(1)):
         for b in (F(1, 2), F(2, 3), F(1)):
             v = p.evaluate([a, b])
@@ -77,13 +98,25 @@ def test_bernstein_tighter_than_interval():
 
 
 def test_bernstein_exact_at_corners():
-    p = (x(0) * x(1)).scale(3) + x(0) - x(1)
-    box = [(F(-2), F(1)), (F(0), F(3))]
-    blo, bhi = bernstein_range(p, box)
-    corners = [
-        p.evaluate([a, b]) for a in (F(-2), F(1)) for b in (F(0), F(3))
-    ]
-    assert blo <= min(corners) and bhi >= max(corners)
+    p = (x(0) * x(1)).scale(3) + x(0) - x(1).scale(F(1, 2))
+    # Box [-1, 0] x [0, 1/2].
+    _, den, coeffs, shape, scale = on_box(p, [(0, 0), (1, 1), (1, 0)])
+    corners = {}
+    for i, a in ((0, F(-1)), (shape[0] - 1, F(0))):
+        for j, b in ((0, F(0)), (shape[1] - 1, F(1, 2))):
+            corners[a, b] = F(coeffs[i * shape[1] + j], den * scale)
+    for (a, b), value in corners.items():
+        assert value == p.evaluate([a, b])
+    assert F(min(coeffs), den * scale) <= min(corners.values())
+    assert F(max(coeffs), den * scale) >= max(corners.values())
+
+
+def test_pin_variable_drops_the_axis():
+    p = x(0, 3) * x(1, 3) * x(1, 3) - x(2, 3).pow(3) + Polynomial.constant(3, 5)
+    q, den = clear_denominators(p)
+    assert den == 1
+    assert pin_variable(q, 1, -1) == {(1, 0): 1, (0, 3): -1, (0, 0): 5}
+    assert pin_variable(q, 2, -1) == {(1, 2): 1, (0, 0): 6}
 
 
 def test_multi_indices_and_counts():
