@@ -1,10 +1,11 @@
 """Command line interface.
 
 Subcommands: analyze (classification report with certificates), compat
-(annihilator construction + verification transcript), verify (standalone
-re-check of a report's certificates), catalog (list / emit built-ins) and
-experiment (blowup / inequality / necessity / duality; CSV + JSON manifest
-+ a rendered figure next to the CSV).
+(annihilator construction + verification transcript; the only verb that
+builds an annihilator), verify (standalone re-check of a report's
+certificates), catalog (list / emit built-ins) and experiment (blowup /
+inequality / necessity / duality; CSV + JSON manifest + a rendered figure
+next to the CSV).
 
 analyze and verify each walk one table of verdicts.  verify decodes every
 verdict of the report, checks that its "certified" flag matches its status
@@ -167,7 +168,6 @@ def _render_figure(rows: list[dict], csv_path: str, kind: str) -> Optional[str]:
 
 def cmd_analyze(args) -> int:
     from . import __version__
-    from .compat import AnnihilatorBudgetError, annihilator_degree, build_annihilator
     from .deciders import (
         check_bb_spanning,
         check_canceling,
@@ -233,20 +233,6 @@ def cmd_analyze(args) -> int:
             "iterations": done["canceling"].iterations,
             "samples": len(done["canceling"].samples),
         }
-
-    if args.as_role != "constraint":
-        t0 = time.perf_counter()
-        try:
-            ann = build_annihilator(op)
-            verdicts["annihilator"] = {
-                "degree": annihilator_degree(op),
-                "digest": operator_digest(ann.operator),
-                "identity_checked": ann.identity_checked,
-                "kernel_checks_passed": ann.kernel_checks_passed,
-            }
-        except AnnihilatorBudgetError as exc:
-            verdicts["annihilator"] = {"skipped": str(exc)}
-        timings["annihilator"] = time.perf_counter() - t0
 
     report = {
         "schema_version": 1,

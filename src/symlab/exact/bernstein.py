@@ -1,21 +1,43 @@
-"""Integer polynomials on the cube [-1, 1]^m and their Bernstein tensors.
+"""Positivity of even polynomials on the boundary of the cube [-1, 1]^n.
 
-The positivity certifier of the ellipticity decider works on integer
-polynomials: clearing the denominators of a rational polynomial once
-multiplies it by a positive integer, which keeps its sign everywhere.  A
-polynomial is a dict from exponent tuples to nonzero Python ints.
+``certify_positive(p, max_depth, box_budget)`` decides whether a rational
+polynomial p with p(-x) = p(x) (every term of even degree) is positive on
+the boundary of the cube; ``verify_positive(p, cover)`` re-checks a cover it
+returned.  As p is even, the face x_i = -1 mirrors the face x_i = +1, so
+both work on the n faces x_i = +1 alone and refuse a polynomial with a term
+of odd degree.  The search:
 
-Two enclosures of its values on the cube are offered:
+1. Lattice pre-scan: p at every face point with coordinates in {-1, 0, 1}.
+   An exact zero ends the search.
+2. Per face, the monomial lower bound on the whole face.  It certifies most
+   faces with one box.
+3. Otherwise the face's Bernstein tensor is built once and the face is
+   bisected.  A box whose coefficients are all positive is certified, a zero
+   corner coefficient is an exact zero, and any other box is split at its
+   midpoint by exact integer de Casteljau along the axis where its
+   coefficients vary most.  ``max_depth`` bounds the bisections along each
+   axis.  When a budget runs out, low-height rational points of the last box
+   are tried as exact zeros before it is reported undecided.
 
-- ``monomial_lower_bound`` bounds every monomial separately on [-1, 1]^m
-  (odd powers range over [-1, 1], even ones over [0, 1]).  It costs one
-  pass over the terms and certifies most symbols on a whole face.
+Every box of a cover is a leaf of the bisection tree of its face (a product
+of dyadic intervals) and carries a positive exact lower bound of p on it.
+The verifier rebuilds that tree from the boxes, rejects gaps, overlaps and
+boxes that are not leaves, and replays the subdivision from the root tensor.
+
+Both clear the denominators of p once, which multiplies it by a positive
+integer and keeps its sign: an integer polynomial is a dict from exponent
+tuples to nonzero Python ints.  Its two enclosures on [-1, 1]^m:
+
+- ``monomial_lower_bound`` bounds every monomial separately (odd powers
+  range over [-1, 1], even ones over [0, 1]), in one pass over the terms.
 - ``bernstein_tensor`` rewrites the polynomial in the tensor Bernstein
   basis of [-1, 1]^m, with per-variable degrees (d_0, ..., d_{m-1}).  The
   values on the cube lie between the smallest and largest coefficient, the
   corner coefficients are the values at the corners, and ``split``
   (midpoint de Casteljau along one axis) yields the coefficients on the two
-  halves.  Under repeated bisection the enclosure converges to the range.
+  halves.  Under repeated bisection the enclosure converges to the range
+  (Garloff, *Convergent bounds for the range of multivariate polynomials*,
+  1986).
 
 Tensors are flat row-major tuples of ints with shape (d_0 + 1, ...,
 d_{m-1} + 1).  They hold the Bernstein coefficients times a positive
@@ -30,10 +52,12 @@ C-level passes over the tensor.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, islice, product, repeat
 from operator import add, itemgetter, lshift, mul, sub
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .poly import Polynomial
 
@@ -46,13 +70,13 @@ def clear_denominators(p: Polynomial) -> tuple[IntPoly, int]:
     return {a: int(c * den) for a, c in p.terms}, den
 
 
-def pin_variable(q: IntPoly, i: int, sign: int) -> IntPoly:
-    """The polynomial in the remaining variables after fixing x_i = sign
-    (+1 or -1); variable i is removed from every exponent tuple."""
+def pin_variable(q: IntPoly, i: int) -> IntPoly:
+    """The polynomial in the remaining variables on the face x_i = +1;
+    variable i is removed from every exponent tuple."""
     out: dict = {}
     for a, c in q.items():
         key = a[:i] + a[i + 1 :]
-        out[key] = out.get(key, 0) + (-c if sign < 0 and a[i] % 2 else c)
+        out[key] = out.get(key, 0) + c
     return {a: c for a, c in out.items() if c}
 
 
@@ -197,3 +221,267 @@ def variation(coeffs: Sequence[int], shape: tuple, axis: int) -> int:
         return 0
     _, _, lower, upper = _layout(shape, axis)
     return sum(map(abs, map(sub, upper(coeffs), lower(coeffs))))
+
+
+# ---------------------------------------------------------------------------
+# Positivity on the faces x_i = +1
+
+
+@dataclass(frozen=True)
+class FaceBox:
+    """Axis-aligned box on the face x_axis = +1 of the cube; ``bounds`` are
+    the intervals of the remaining n-1 coordinates in increasing coordinate
+    order."""
+
+    axis: int
+    bounds: tuple  # tuple of (Fraction, Fraction)
+
+    def embed(self, free_coords: Sequence[Fraction]) -> tuple:
+        pt = list(free_coords)
+        pt.insert(self.axis, Fraction(1))
+        return tuple(pt)
+
+
+@dataclass(frozen=True)
+class CertifiedBox:
+    box: FaceBox
+    lower_bound: Fraction
+
+
+@dataclass
+class Positivity:
+    """What ``certify_positive`` found.  With neither ``zero`` nor
+    ``undecided_box`` set, ``cover`` proves p > 0 on the n faces x_i = +1,
+    and by evenness on the whole boundary of the cube."""
+
+    cover: list = field(default_factory=list)  # of CertifiedBox
+    zero: Optional[tuple] = None  # an exact zero of p on a face x_i = +1
+    undecided_box: Optional[FaceBox] = None  # where a budget ran out
+    boxes_examined: int = 0
+    axis_depths: tuple = ()  # deepest bisection along each coordinate
+
+
+def _even_integer(p: Polynomial) -> Optional[tuple[IntPoly, int]]:
+    """``clear_denominators(p)``, or None if p has a term of odd degree."""
+    if any(sum(a) % 2 for a, _ in p.terms):
+        return None
+    return clear_denominators(p)
+
+
+# Dyadic boxes: along each free axis a (level, index) pair stands for the
+# interval [-1 + 2 index / 2^level, -1 + 2 (index + 1) / 2^level].
+
+
+def _face_box(axis: int, levels: Sequence[int], indices: Sequence[int]) -> FaceBox:
+    bounds = []
+    for level, index in zip(levels, indices):
+        lo = Fraction(2 * index, 1 << level) - 1
+        bounds.append((lo, lo + Fraction(2, 1 << level)))
+    return FaceBox(axis, tuple(bounds))
+
+
+def _dyadic_cell(lo: Fraction, hi: Fraction) -> Optional[tuple[int, int]]:
+    """(level, index) of the interval if it is a dyadic cell of [-1, 1]."""
+    dl, dh = lo.denominator, hi.denominator
+    if dl & (dl - 1) or dh & (dh - 1):
+        return None
+    den = max(dl, dh)
+    a, b = lo.numerator * (den // dl), hi.numerator * (den // dh)
+    width = b - a  # of the interval, in units of 1/den; 2 den of them in all
+    if width <= 0 or width & (width - 1) or 2 * den % width:
+        return None
+    cells = 2 * den // width
+    index, rest = divmod(a + den, width)
+    if rest or not 0 <= index < cells:
+        return None
+    return cells.bit_length() - 1, index
+
+
+def _lattice_zero(q: IntPoly, n: int) -> Optional[tuple]:
+    """The first point with coordinates in {-1, 0, 1} and one of them +1
+    where q vanishes."""
+    # Per term: variables present, variables with an odd exponent.
+    terms = [
+        (sum(1 << i for i, e in enumerate(alpha) if e),
+         sum(1 << i for i, e in enumerate(alpha) if e % 2), c)
+        for alpha, c in q.items()
+    ]
+    for pt in product((-1, 0, 1), repeat=n):
+        if 1 not in pt:
+            continue
+        zero = sum(1 << i for i, x in enumerate(pt) if x == 0)
+        neg = sum(1 << i for i, x in enumerate(pt) if x < 0)
+        value = sum(
+            -c if (odd & neg).bit_count() % 2 else c
+            for present, odd, c in terms
+            if not present & zero
+        )
+        if value == 0:
+            return tuple(Fraction(x) for x in pt)
+    return None
+
+
+def _simple_rationals_in(lo: Fraction, hi: Fraction, max_den: int = 64) -> list[Fraction]:
+    """A few low-height rationals inside [lo, hi], midpoint first."""
+    out = [(lo + hi) / 2, lo, hi]
+    den = 1
+    while den <= max_den:
+        start = math.ceil(lo * den)
+        stop = math.floor(hi * den)
+        for num in range(start, min(stop, start + 2) + 1):
+            r = Fraction(num, den)
+            if lo <= r <= hi and r not in out:
+                out.append(r)
+        den *= 2
+    return out
+
+
+def _zero_hunt(p: Polynomial, box: FaceBox) -> Optional[tuple]:
+    """An exact zero of p among low-height rational points of the box."""
+    candidate_axes = [_simple_rationals_in(lo, hi) for lo, hi in box.bounds]
+    # Cap the grid so hunting stays cheap.
+    for combo in islice(product(*candidate_axes), 256):
+        pt = box.embed(combo)
+        if p.evaluate(pt) == 0:
+            return pt
+    return None
+
+
+def certify_positive(p: Polynomial, max_depth: int, box_budget: int) -> Positivity:
+    """Certify p > 0 on the boundary of [-1, 1]^n, or find an exact zero of
+    p there, or report the box where ``max_depth`` (bisections per axis) or
+    ``box_budget`` (boxes examined) ran out.  Raises ValueError if p has a
+    term of odd degree."""
+    cleared = _even_integer(p)
+    if cleared is None:
+        raise ValueError("p has a term of odd degree: p(-x) = p(x) does not hold")
+    q, den = cleared
+    n, m = p.n, p.n - 1
+    cover: list[CertifiedBox] = []
+    depths = [0] * n
+    examined = 0
+
+    def record(axis: int, levels: Sequence[int]) -> None:
+        free = [i for i in range(n) if i != axis]
+        for i, level in zip(free, levels):
+            depths[i] = max(depths[i], level)
+
+    def stop(**found) -> Positivity:
+        return Positivity(boxes_examined=examined, axis_depths=tuple(depths), **found)
+
+    zero = _lattice_zero(q, n)
+    if zero is not None:
+        return stop(zero=zero)
+    root = (0,) * m
+    for axis in range(n):
+        face = pin_variable(q, axis)
+        low = monomial_lower_bound(face)
+        if low > 0:
+            examined += 1
+            cover.append(CertifiedBox(_face_box(axis, root, root), Fraction(low, den)))
+            continue
+        coeffs, shape, scale = bernstein_tensor(face, m)
+        degrees = [s - 1 for s in shape]
+        corner_entries = corners(shape)
+        stack = [(coeffs, root, root)]
+        while stack:
+            coeffs, levels, indices = stack.pop()
+            examined += 1
+            low = min(coeffs)
+            if low > 0:
+                shift = sum(d * l for d, l in zip(degrees, levels))
+                cover.append(CertifiedBox(_face_box(axis, levels, indices),
+                                          Fraction(low, (den * scale) << shift)))
+                record(axis, levels)
+                continue
+            for idx, bits in corner_entries:
+                if coeffs[idx] == 0:
+                    box = _face_box(axis, levels, indices)
+                    return stop(zero=box.embed(
+                        [hi if bit else lo for (lo, hi), bit in zip(box.bounds, bits)]))
+            open_axes = [i for i in range(m) if degrees[i] and levels[i] < max_depth]
+            if not open_axes or examined > box_budget:
+                box = _face_box(axis, levels, indices)
+                zero = _zero_hunt(p, box)
+                if zero is not None:
+                    return stop(zero=zero)
+                record(axis, levels)
+                return stop(undecided_box=box)
+            i = max(open_axes, key=lambda j: variation(coeffs, shape, j))
+            lower, upper = split(coeffs, shape, i)
+            child = levels[:i] + (levels[i] + 1,) + levels[i + 1:]
+            stack.append((upper, child, indices[:i] + (2 * indices[i] + 1,) + indices[i + 1:]))
+            stack.append((lower, child, indices[:i] + (2 * indices[i],) + indices[i + 1:]))
+    return stop(cover=cover)
+
+
+def _replay_face(q: IntPoly, m: int, den: int, boxes: list) -> bool:
+    """True iff ``boxes`` — (levels, indices, lower bound) triples — are the
+    leaves of a bisection tree of the face [-1, 1]^m and the Bernstein
+    coefficients of q on each leaf are positive and at least its bound."""
+    root = (0,) * m
+    if len(boxes) == 1 and boxes[0][0] == root:
+        low = monomial_lower_bound(q)
+        if low > 0:
+            return boxes[0][2] <= Fraction(low, den)
+    coeffs, shape, scale = bernstein_tensor(q, m)
+    degrees = [s - 1 for s in shape]
+    stack = [(coeffs, root, boxes)]
+    while stack:
+        coeffs, levels, inside = stack.pop()
+        if any(b[0] == levels for b in inside):
+            # A leaf: the one box of its region.
+            if len(inside) != 1:
+                return False
+            low = min(coeffs)
+            shift = sum(d * l for d, l in zip(degrees, levels))
+            if low <= 0 or inside[0][2] > Fraction(low, (den * scale) << shift):
+                return False
+            continue
+        # An inner node: split along an axis on which every box is finer.
+        axis = next((i for i in range(m) if all(b[0][i] > levels[i] for b in inside)), None)
+        if axis is None:
+            return False
+        halves: tuple[list, list] = ([], [])
+        for b in inside:
+            halves[(b[1][axis] >> (b[0][axis] - levels[axis] - 1)) & 1].append(b)
+        if not halves[0] or not halves[1]:
+            return False
+        child = levels[:axis] + (levels[axis] + 1,) + levels[axis + 1:]
+        lower, upper = split(coeffs, shape, axis)
+        stack.append((lower, child, halves[0]))
+        stack.append((upper, child, halves[1]))
+    return True
+
+
+def verify_positive(p: Polynomial, cover: Sequence[CertifiedBox]) -> bool:
+    """Re-check a cover of ``certify_positive`` from scratch: p must have
+    only terms of even degree, every box must be a dyadic box on one of the
+    n faces x_i = +1 with a positive lower bound, the boxes of each face
+    must be the leaves of one bisection tree of it (no gap, no overlap), and
+    replaying that subdivision of p must certify every leaf with at least
+    its stated lower bound."""
+    cleared = _even_integer(p)
+    if cleared is None:
+        return False
+    n = p.n
+    by_face: dict[int, list] = {}
+    for cb in cover:
+        box = cb.box
+        if box.axis not in range(n) or len(box.bounds) != n - 1:
+            return False
+        if not cb.lower_bound > 0:
+            return False
+        cells = [_dyadic_cell(lo, hi) for lo, hi in box.bounds]
+        if None in cells:
+            return False
+        levels = tuple(level for level, _ in cells)
+        indices = tuple(index for _, index in cells)
+        by_face.setdefault(box.axis, []).append((levels, indices, cb.lower_bound))
+    if len(by_face) != n:
+        return False
+    q, den = cleared
+    return all(
+        _replay_face(pin_variable(q, axis), n - 1, den, boxes)
+        for axis, boxes in sorted(by_face.items())
+    )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 MultiIndex = tuple[int, ...]
 
@@ -50,10 +50,6 @@ class Polynomial:
         e = [0] * n
         e[i] = 1
         return Polynomial.make(n, {tuple(e): Fraction(1)})
-
-    @staticmethod
-    def monomial(n: int, alpha: MultiIndex, c=1) -> "Polynomial":
-        return Polynomial.make(n, {tuple(alpha): Fraction(c)})
 
     def as_dict(self) -> dict:
         return dict(self.terms)

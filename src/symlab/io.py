@@ -6,12 +6,15 @@ integer arrays.  Serialization is deterministic: keys are emitted sorted
 and collections in graded-lex order, so reports reproduce byte-for-byte
 under a fixed seed once timing fields are stripped.
 
-Each verdict has one ``*_to_json`` / ``*_from_json`` pair.  Decoders read
-untrusted reports: a missing field, a wrong type or a bad shape (such as a
-cover box without n-1 bound pairs) raises KeyError, TypeError or
-ValueError, which ``symlab verify`` reports as malformed input.  A
-spanning verdict stores no samples of its own; it is re-derived from the
-cancellation verdict of the same report.
+Each verdict has one ``*_to_json`` / ``*_from_json`` pair.  A box of an
+ellipticity cover lies on a face x_axis = +1 of the cube and is stored as
+``{"axis": i, "bounds": [[lo, hi], ...]}`` with the n-1 intervals of the
+other coordinates; the faces x_i = -1 are their mirror images and are not
+stored.  Decoders read untrusted reports: a missing field, a wrong type or
+a bad shape (such as a cover box without n-1 bound pairs) raises KeyError,
+TypeError or ValueError, which ``symlab verify`` reports as malformed
+input.  A spanning verdict stores no samples of its own; it is re-derived
+from the cancellation verdict of the same report.
 """
 
 from __future__ import annotations
@@ -170,7 +173,6 @@ def operator_digest(a: SymbolOperator) -> str:
 def _facebox_to_json(b: FaceBox) -> dict:
     return {
         "axis": b.axis,
-        "sign": b.sign,
         "bounds": [[rat_to_str(lo), rat_to_str(hi)] for lo, hi in b.bounds],
     }
 
@@ -181,7 +183,6 @@ def _facebox_from_json(d: dict, n: int) -> FaceBox:
         raise ValueError(f"a box on a face of the {n}-cube needs {n - 1} bound pairs")
     return FaceBox(
         int(d["axis"]),
-        int(d["sign"]),
         tuple((rat_from_str(lo), rat_from_str(hi)) for lo, hi in bounds),
     )
 

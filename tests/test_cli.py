@@ -2,6 +2,10 @@
 malformed reports, and a mutation test of every certificate kind."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -81,6 +85,28 @@ def test_analyze_reports_stats(tmp_path):
     report["stats"] = {"ellipticity": {"boxes_examined": "x"}}
     code, checked = verify(tmp_path, report)
     assert code == 0 and checked["all_ok"]
+
+
+NO_NUMPY = """
+import sys
+from symlab.cli import main
+uri, report, checked, compat = sys.argv[1:]
+codes = [main(["analyze", uri, "--json", report]),
+         main(["verify", report, "--json", checked]),
+         main(["compat", uri, "--json", compat])]
+print(codes, "numpy" in sys.modules)
+"""
+
+
+def test_exact_verbs_do_not_import_numpy(tmp_path):
+    # pytest has numpy loaded already, so the verbs run in a fresh interpreter.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    files = [str(tmp_path / name) for name in ("report.json", "verified.json", "compat.json")]
+    run = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, "catalog:defigueiredo?n=2&m=2", *files],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert run.stdout.strip() == "[0, 0, 0] False"
 
 
 # ---------------------------------------------------------------------------

@@ -60,9 +60,8 @@ def test_gradient_elliptic_with_full_cover():
     v = check_ellipticity(gradient(2).operator)
     assert v.status == ELLIPTIC and v.certified
     assert verify_ellipticity(gradient(2).operator, v)
-    # 2n faces all covered.
-    faces = {(cb.box.axis, cb.box.sign) for cb in v.cover}
-    assert faces == {(a, s) for a in range(2) for s in (1, -1)}
+    # The n faces x_i = +1 all covered; the faces x_i = -1 are their mirrors.
+    assert {cb.box.axis for cb in v.cover} == {0, 1}
 
 
 def test_hyperbolic_witness():
@@ -113,7 +112,8 @@ def test_tampered_cover_rejected():
 
 
 def subdivided_cover():
-    """defigueiredo(2, 2): two faces certify at the root, two are bisected."""
+    """defigueiredo(2, 2): face x_1 = +1 certifies at the root, x_0 = +1 is
+    bisected."""
     op = defigueiredo(2, 2).operator
     v = check_ellipticity(op)
     assert v.status == ELLIPTIC and verify_ellipticity(op, v)
@@ -121,10 +121,10 @@ def subdivided_cover():
     return op, v
 
 
-def with_box(cb, axis=None, sign=None, bounds=None, lower_bound=None):
+def with_box(cb, axis=None, bounds=None, lower_bound=None):
     box = cb.box
     return CertifiedBox(
-        FaceBox(box.axis if axis is None else axis, box.sign if sign is None else sign,
+        FaceBox(box.axis if axis is None else axis,
                 box.bounds if bounds is None else tuple(bounds)),
         cb.lower_bound if lower_bound is None else lower_bound,
     )
@@ -136,7 +136,7 @@ def sibling_pair(cover):
         for j, b in enumerate(cover):
             (alo, ahi), = a.box.bounds
             (blo, bhi), = b.box.bounds
-            if (a.box.axis, a.box.sign) == (b.box.axis, b.box.sign) and ahi == blo \
+            if a.box.axis == b.box.axis and ahi == blo \
                     and ahi - alo == bhi - blo and (alo + 1) / (2 * (bhi - alo)) % 1 == 0:
                 return i, j
     raise AssertionError("no sibling boxes in the cover")
@@ -196,12 +196,11 @@ def test_forged_cover_box_outside_cube_rejected():
 def test_forged_cover_box_on_wrong_face_rejected():
     op, v = subdivided_cover()
     cb = v.cover[-1]
-    moved = with_box(cb, sign=-cb.box.sign)
-    v.cover[-1] = moved
+    v.cover[-1] = with_box(cb, axis=1 - cb.box.axis)  # onto the other face
     assert not verify_ellipticity(op, v)
-    for axis, sign in ((2, 1), (0, 0)):
+    for axis in (2, -1):  # faces that do not exist
         v = check_ellipticity(op)
-        v.cover[-1] = with_box(v.cover[-1], axis=axis, sign=sign)
+        v.cover[-1] = with_box(v.cover[-1], axis=axis)
         assert not verify_ellipticity(op, v)
 
 
@@ -216,11 +215,12 @@ def test_forged_cover_lower_bound_rejected():
 
 def test_hodge_pair_5_2_certified_at_root():
     # det(A^T A) has 1,001 terms of degree 20; the monomial bound certifies
-    # every face with one box, so no Bernstein tensor is built.
+    # each of the 5 faces x_i = +1 with one box, so no Bernstein tensor is
+    # built.
     op = hodge_pair(5, 2).operator
     v = check_ellipticity(op)
     assert v.status == ELLIPTIC
-    assert len(v.cover) == v.boxes_examined == 10
+    assert len(v.cover) == v.boxes_examined == 5
     assert v.depth_reached == 0 and v.axis_depths == (0,) * 5
     assert (v.det_terms, v.det_degree) == (1001, 20)
     assert verify_ellipticity(op, v)
