@@ -9,9 +9,10 @@ next to the CSV).
 
 analyze and verify each walk one table of verdicts.  verify decodes every
 verdict of the report, checks that its "certified" flag matches its status
-and re-checks it with the decider's verifier.  A verifier that builds on
-another verdict (cancellation and partial cancellation on ellipticity,
-spanning on cancellation) sees that verdict only if it passed.
+and re-checks it with the decider's verifier.  Each certificate stands on
+its own (cancellation and partial cancellation carry membership witnesses
+and need no ellipticity verdict), except spanning, which is derived from
+the cancellation verdict and sees it only if it passed.
 
 Exit codes: 0 all verdicts certified (verify: all verdicts pass), 2
 input/validation error, including a malformed report given to verify, 3
@@ -22,7 +23,9 @@ Operators come from JSON files or from catalog URIs such as
 ``catalog:gradient?n=2``.  Reports are byte-reproducible for a fixed seed
 apart from the "timings" member.  Next to it, "stats" holds the deciders'
 counters: boxes examined, cover size, per-axis cover depth, size and degree
-of det(A^T A), cancellation iterations and samples.
+of det(A^T A), cancellation iterations, samples and the degree s of each
+membership witness.  The compat transcript states the order and row count
+of the annihilator.
 """
 
 from __future__ import annotations
@@ -199,7 +202,7 @@ def cmd_analyze(args) -> int:
             ("ellipticity", lambda done: check_ellipticity(op, max_depth=args.depth),
              ellipticity_to_json),
             ("canceling",
-             lambda done: check_canceling(op, seed=args.seed, ellipticity=done["ellipticity"]),
+             lambda done: check_canceling(op, seed=args.seed),
              canceling_to_json),
             ("bb_spanning", lambda done: check_bb_spanning(done["canceling"]),
              spanning_to_json),
@@ -232,6 +235,7 @@ def cmd_analyze(args) -> int:
         stats["canceling"] = {
             "iterations": done["canceling"].iterations,
             "samples": len(done["canceling"].samples),
+            "witness_degrees": [m.degree for m in done["canceling"].memberships],
         }
 
     report = {
@@ -266,14 +270,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_compat(args) -> int:
     from . import __version__
-    from .compat import AnnihilatorBudgetError, build_annihilator, verify_annihilator
+    from .compat import build_annihilator, verify_annihilator
     from .io import operator_digest, operator_to_json, vector_to_json
 
     op, _t, metadata = load_operator(args.source)
-    try:
-        result = build_annihilator(op, seed=args.seed)
-    except AnnihilatorBudgetError as exc:
-        raise CliError(str(exc))
+    result = build_annihilator(op, seed=args.seed)
     report = verify_annihilator(op, result.operator, seed=args.seed)
     doc = {
         "schema_version": 1,
@@ -283,6 +284,8 @@ def cmd_compat(args) -> int:
             result.operator, metadata={"annihilates": operator_digest(op)}
         ),
         "transcript": {
+            "order": result.operator.order,
+            "rows": result.operator.dim_e,
             "identity_ok": report.identity_ok,
             "kernel_checks": [
                 {"xi": vector_to_json(xi), "ok": ok} for xi, ok in report.kernel_checks
@@ -336,15 +339,14 @@ def cmd_verify(args) -> int:
         table = (
             ("ellipticity", lambda doc: ellipticity_from_json(doc, op.n),
              lambda v: verify_ellipticity(op, v)),
-            ("canceling", lambda doc: canceling_from_json(doc, op.dim_e),
-             lambda v: verify_canceling(op, v, passed.get("ellipticity"))),
+            ("canceling", lambda doc: canceling_from_json(doc, op.dim_e, op.n),
+             lambda v: verify_canceling(op, v)),
             ("bb_spanning", spanning_from_json,
              lambda v: verify_spanning(v, passed.get("canceling"))),
             ("cocanceling", lambda doc: cocanceling_from_json(doc, op.dim_v),
              lambda v: verify_cocanceling(op, v)),
-            ("partial", lambda doc: partial_from_json(doc, op.dim_e),
-             lambda v: verify_partial_canceling(
-                 op, matrix_from_json(report["T"], "T"), v, passed.get("ellipticity"))),
+            ("partial", lambda doc: partial_from_json(doc, op.dim_e, op.n),
+             lambda v: verify_partial_canceling(op, matrix_from_json(report["T"], "T"), v)),
         )
         for key, decode, verify in table:
             if key not in report["verdicts"]:

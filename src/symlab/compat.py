@@ -1,75 +1,68 @@
-"""Annihilating symbols: companions L with L(x) @ A(x) == 0.
+"""Annihilating symbols: L with L(x) A(x) == 0, of least degree.
 
-The construction is L = det(G) Id - A adj(G) A^T with G = A^T A.  The
-composition with A vanishes identically for any symbol because
-adj(G) G = det(G) Id.  When A is injective away from the origin the
-kernel of L(xi) equals the image of A(xi) at every nonzero xi; without
-injectivity only the exact annihilation identity is guaranteed, so the
-result also carries per-sample kernel comparisons instead of a universal
-claim.
+The rows l of degree d with l(x) A(x) == 0 are the kernel of one rational
+matrix, because the coefficients of l(x) A(x) are linear in those of l
+(``SymbolOperator.multiplication_matrix`` of A^T).  ``build_annihilator``
+takes that whole kernel as the rows of L, for d = 0, 1, ..., and stops at
+the first d at which rank L(xi) = dim E - rank A(xi) at one seeded
+direction xi.  As A(xi)[V] lies in the kernel of L(xi) at every xi, this
+equality says that L(xi) cuts out exactly the image there.
+
+The search ends by d = k r, k the order of A and r its rank at xi: when r
+is the generic rank, the cofactor rows of the (r+1)-minors of A through one
+nonzero r-minor have degree k r, annihilate A and reach that rank.  A of
+rank dim E has the zero annihilator.
+
+L(x) A(x) == 0 holds by construction and ``verify_annihilator`` re-checks it
+exactly.  That the kernel of L(xi) equals the image of A(xi) is only
+compared at sampled directions, by ``verify_annihilator``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
-from .deciders.cancellation import probe_directions
+from .deciders.cancellation import probe_directions, sample_directions
 from .exact.matrix import QMatrix, column_space, kernel_basis
-from .exact.poly import monomial_count
-from .exact.polymatrix import PolyMatrix
+from .exact.poly import multi_indices
 from .exact.symbol import SymbolOperator
 
-DEFAULT_TERM_BUDGET = 2_000_000
-
-
-class AnnihilatorBudgetError(ValueError):
-    """Predicted construction size exceeds the configured budget."""
+RANK_SAMPLES = 3  # seeded directions; the one of largest rank A(xi) is used
 
 
 @dataclass
 class AnnihilatorResult:
-    operator: SymbolOperator          # square symbol on the codomain of A
-    identity_checked: bool            # L(x) @ A(x) expanded to zero exactly
-    sampled_kernel_checks: list = field(default_factory=list)  # (xi, bool)
-
-    @property
-    def kernel_checks_passed(self) -> bool:
-        return all(ok for _xi, ok in self.sampled_kernel_checks)
+    operator: SymbolOperator  # rows of L: the symbol E -> Q^rows
 
 
-def annihilator_degree(a: SymbolOperator) -> int:
-    return 2 * a.order * a.dim_v
+def _rows_of_degree(a: SymbolOperator, d: int) -> Optional[SymbolOperator]:
+    """Every row l of degree d with l A == 0, as one symbol, or None."""
+    rows = kernel_basis(a.transpose().multiplication_matrix(d)).columns()
+    if not rows:
+        return None
+    dim = a.dim_e  # row b * dim + i of a kernel vector: x^beta_b in slot i
+    terms = {
+        beta: QMatrix.from_rows([row[b * dim:(b + 1) * dim] for row in rows])
+        for b, beta in enumerate(multi_indices(a.n, d))
+    }
+    return SymbolOperator.make(a.n, dim, len(rows), d, terms)
 
 
-def build_annihilator(
-    a: SymbolOperator,
-    term_budget: int = DEFAULT_TERM_BUDGET,
-    kernel_samples: int = 6,
-    seed: int = 0,
-) -> AnnihilatorResult:
-    degree = annihilator_degree(a)
-    predicted = monomial_count(a.n, degree) * a.dim_e * a.dim_e
-    if predicted > term_budget:
-        raise AnnihilatorBudgetError(
-            f"predicted {predicted} monomial-matrix entries exceeds budget {term_budget}"
-        )
-    pm = a.to_polymatrix()
-    gram = a.gram()
-    det_g = gram.det()
-    adj_g = gram.adjugate()
-    l_pm = PolyMatrix.identity_times(a.n, a.dim_e, det_g) - (
-        pm @ adj_g @ pm.transpose()
-    )
-    identity_ok = (l_pm @ pm).is_zero()
-    operator = SymbolOperator.from_polymatrix(l_pm, degree, allow_zero=True)
-
-    checks = []
-    for xi in probe_directions(a.n, kernel_samples, random.Random(seed)):
-        ker = kernel_basis(operator.evaluate(xi))
-        image = column_space(a.evaluate(xi))
-        checks.append((xi, ker == image))
-    return AnnihilatorResult(operator, identity_ok, checks)
+def build_annihilator(a: SymbolOperator, seed: int = 0) -> AnnihilatorResult:
+    xi = max(sample_directions(a.n, RANK_SAMPLES, random.Random(seed)),
+             key=lambda x: a.evaluate(x).rank())
+    rank_a = a.evaluate(xi).rank()
+    l = None
+    if rank_a < a.dim_e:
+        for d in range(a.order * rank_a + 1):
+            l = _rows_of_degree(a, d)
+            if l is not None and l.evaluate(xi).rank() == a.dim_e - rank_a:
+                break
+    if l is None:
+        l = SymbolOperator.zero(a.n, a.dim_e, a.dim_e, 0)
+    return AnnihilatorResult(l)
 
 
 @dataclass

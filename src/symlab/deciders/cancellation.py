@@ -1,28 +1,29 @@
 """Common-image analysis of operator symbols.
 
-The common intersection W of the images A(xi)[V] over all nonzero xi is
-approximated from above by intersecting images at sampled rational
-directions.  A trivial sampled intersection certifies the trivial full
-intersection unconditionally.  A nonzero candidate e is certified to lie
-in every image through the exact polynomial identity
+The common intersection W of the images A(xi)[V] over all xi != 0 lies in
+the intersection of the images at sampled directions, so a trivial sampled
+intersection certifies W = {0}.  A vector e is certified to lie in W by a
+membership witness (u, p): u in V[x] homogeneous of degree s and p
+homogeneous of even degree s + k (k the order of A) with
 
-    A(x) @ adj(G(x)) @ A(x)^T @ e == det(G(x)) * e,      G = A^T A,
+    A(x) u(x) == p(x) e        exactly, as polynomials,
 
-valid for injective symbols, where both sides are polynomial vectors: the
-left side divided by det(G) is the orthogonal projection onto the image,
-so the identity holds everywhere iff e stays in the image everywhere.  A
-failing identity yields a rational direction where e leaves the image;
-adding it strictly shrinks the sampled intersection, so the loop
-terminates.  For non-injective symbols no identity is available and a
-nonzero intersection is reported as sampled (explicitly unsound).
+and a cover from ``exact.bernstein.certify_positive`` proving p > 0 on the
+cube boundary, hence at every x != 0.  Then e = A(xi) u(xi) / p(xi) at every
+xi != 0; no ellipticity is assumed.  For s = 0, 1, ... the pairs (u, p) are
+the kernel of one rational matrix: p = |x|^(s+k) is tried first by one
+exact solve, then the kernel's basis vectors, signed to be positive at
+(1, ..., 1).  If every basis vector of the sampled intersection has a
+witness, it is W itself (NOT_CANCELING).  Otherwise further seeded
+directions, the low-height lattice ones first, are intersected until it
+shrinks, and the witnesses are sought again; if it does not shrink, the
+verdict is NOT_CANCELING_SAMPLED, which claims nothing, with the reason.
 
-W is computed once; the other verdicts derive from it.  Bourgain-Brezis
-spanning holds iff W = {0}, and partial cancellation with respect to a
-map T holds iff W meets ker T only at 0.  The verifiers re-intersect the
-stored samples, and accept a certified nonzero vector of W (NOT_CANCELING,
-or a certified partial FAILS) only with the identity above and a verified
-ELLIPTIC verdict of the same report: without injectivity the identity
-holds for every vector of a square symbol.
+Bourgain-Brezis spanning holds iff W = {0}, and partial cancellation with
+respect to a map T holds iff W meets ker T only at 0; both derive from the
+one computation of W.  The verifiers re-intersect the stored samples,
+re-check every witness and require the witnessed vectors to span the stated
+intersection.
 """
 
 from __future__ import annotations
@@ -33,17 +34,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ..exact.bernstein import CertifiedBox, certify_positive, verify_positive
 from ..exact.matrix import (
     QMatrix,
     Subspace,
     column_space,
     full_space,
     kernel_basis,
+    solve_exact,
+    subspace_from_columns,
     subspace_intersection,
 )
-from ..exact.polymatrix import PolyMatrix
+from ..exact.poly import Polynomial, multi_indices
 from ..exact.symbol import SymbolOperator
-from .ellipticity import ELLIPTIC, EllipticityVerdict, check_ellipticity
+from .ellipticity import check_ellipticity  # noqa: F401  (wrapped by bench/spans.py)
 
 CANCELING = "CANCELING"
 NOT_CANCELING = "NOT_CANCELING"
@@ -58,6 +62,9 @@ FAILS_SAMPLED = "FAILS_SAMPLED"
 
 SAMPLE_COORD_RANGE = 10
 EXTRA_SAMPLE_ROUNDS = 2
+MAX_WITNESS_DEGREE = 3  # largest degree s of u in a membership witness
+WITNESS_MAX_DEPTH = 8  # bisections per axis when certifying p > 0
+WITNESS_BOX_BUDGET = 200
 
 
 def sample_directions(n: int, count: int, rng: random.Random) -> list[tuple]:
@@ -88,6 +95,21 @@ def probe_directions(n: int, count: int, rng: random.Random) -> list[tuple]:
 
 
 @dataclass
+class Membership:
+    """A(x) u(x) == p(x) e, with ``cover`` proving p > 0 away from 0."""
+
+    e: tuple
+    u: tuple  # of Polynomial, one per coordinate of V, homogeneous of degree s
+    p: Polynomial  # homogeneous of even degree s + k
+    cover: list[CertifiedBox]
+
+    @property
+    def degree(self) -> int:
+        """s, the degree of u."""
+        return max(q.degree() for q in self.u)
+
+
+@dataclass
 class IntersectionResult:
     """Sampled (and possibly certified) common image intersection."""
 
@@ -96,7 +118,8 @@ class IntersectionResult:
     certified: bool
     dim_trajectory: list[int] = field(default_factory=list)
     iterations: int = 0
-    certified_vectors: list[tuple] = field(default_factory=list)
+    memberships: list[Membership] = field(default_factory=list)
+    reason: Optional[str] = None  # why an uncertified subspace stayed
 
 
 @dataclass
@@ -107,6 +130,8 @@ class CancelingVerdict:
     witness: Optional[tuple] = None
     dim_trajectory: list[int] = field(default_factory=list)
     iterations: int = 0
+    memberships: list[Membership] = field(default_factory=list)
+    reason: Optional[str] = None
 
     @property
     def certified(self) -> bool:
@@ -127,123 +152,112 @@ class PartialCancelingVerdict:
     image_intersection: Subspace
     constrained_intersection: Subspace
     witness: Optional[tuple] = None
+    memberships: list[Membership] = field(default_factory=list)
 
     @property
     def certified(self) -> bool:
         return self.status in (HOLDS, FAILS)
 
 
-def membership_residual(a: SymbolOperator, e: Sequence[Fraction]) -> list:
-    """Polynomial vector A adj(G) A^T e - det(G) e; identically zero iff e
-    lies in the image of A(x) wherever det(G)(x) != 0."""
-    pm = a.to_polymatrix()
-    gram = a.gram()
-    det_g = gram.det()
-    adj_g = gram.adjugate()
-    projected = (pm @ adj_g @ pm.transpose()).mul_rational_vector(e)
-    return [
-        proj - det_g.scale(Fraction(c)) for proj, c in zip(projected, e)
-    ]
+def _norm_power(n: int, degree: int) -> Polynomial:
+    """|x|^degree for an even degree."""
+    square = Polynomial.make(
+        n, {tuple(2 * (i == j) for j in range(n)): Fraction(1) for i in range(n)})
+    return square.pow(degree // 2)
 
 
-def _nonzero_point_of(residual: list, n: int) -> tuple:
-    """A rational point where some residual entry is nonzero, found by
-    scanning integer grids of growing radius (a nonzero polynomial cannot
-    vanish on arbitrarily large grids)."""
-    radius = 3
-    while radius <= 3 ** 8:
-        for combo in itertools.product(range(-radius, radius + 1), repeat=n):
-            if all(c == 0 for c in combo):
+def find_membership(a: SymbolOperator, e: Sequence[Fraction]) -> Optional[Membership]:
+    """A witness (u, p) that e lies in every image A(xi)[V], xi != 0, with
+    u of degree at most MAX_WITNESS_DEGREE, or None."""
+    for s in range(a.order % 2, MAX_WITNESS_DEGREE + 1, 2):  # s + k even
+        targets = multi_indices(a.n, s + a.order)
+        m = a.multiplication_matrix(s)  # rows: x^gamma_g e_i at g * dim E + i
+        q = _norm_power(a.n, s + a.order).as_dict()
+        x = solve_exact(m, QMatrix.column([q.get(g, 0) * c for g in targets for c in e]))
+        if x is not None:
+            candidates = [x.col(0) + tuple(q.get(g, 0) for g in targets)]
+        else:
+            # Unknowns (u, p): column h of the p block stands for -x^gamma_h e.
+            p_block = QMatrix.from_rows([[-c * (g == h) for h in range(len(targets))]
+                                         for g in range(len(targets)) for c in e])
+            candidates = kernel_basis(m.hstack(p_block)).columns()
+        for v in candidates:
+            p = Polynomial.make(a.n, dict(zip(targets, v[m.cols:])))
+            sign = p.evaluate((1,) * a.n)
+            if sign == 0:
                 continue
-            pt = tuple(Fraction(c) for c in combo)
-            for p in residual:
-                if p.evaluate(pt) != 0:
-                    return pt
-        radius *= 2
-    raise RuntimeError("could not locate a nonzero value of a nonzero polynomial")
+            if sign < 0:
+                v, p = [-c for c in v], p.scale(-1)
+            found = certify_positive(p, WITNESS_MAX_DEPTH, WITNESS_BOX_BUDGET)
+            if found.zero is None and found.undecided_box is None:
+                sources = multi_indices(a.n, s)
+                u = tuple(Polynomial.make(a.n, dict(zip(sources, v[j:m.cols:a.dim_v])))
+                          for j in range(a.dim_v))
+                return Membership(tuple(e), u, p, found.cover)
+    return None
 
 
-def image_intersection(
-    a: SymbolOperator,
-    seed: int = 0,
-    ellipticity: Optional[EllipticityVerdict] = None,
-) -> IntersectionResult:
-    """Intersect images at sampled directions; certify exactness for
-    injective symbols by validating every surviving basis vector."""
+def _intersect(a: SymbolOperator, w: Subspace, xi: tuple) -> Subspace:
+    return subspace_intersection(w, column_space(a.evaluate(xi)))
+
+
+def image_intersection(a: SymbolOperator, seed: int = 0) -> IntersectionResult:
+    """Intersect images at sampled directions, then certify every basis
+    vector of the result with a membership witness or sample further."""
     rng = random.Random(seed)
     initial = a.dim_e + 4
     samples = sample_directions(a.n, initial, rng)
     w = full_space(a.dim_e)
     trajectory: list[int] = []
     for xi in samples:
-        w = subspace_intersection(w, column_space(a.evaluate(xi)))
+        w = _intersect(a, w, xi)
         trajectory.append(w.dim)
-    iterations = 0
-    max_iterations = a.dim_e + initial
     if w.dim == 0:
-        return IntersectionResult(w, samples, True, trajectory, iterations)
+        return IntersectionResult(w, samples, True, trajectory)
 
-    if ellipticity is None:
-        ellipticity = check_ellipticity(a)
-    if ellipticity.status == ELLIPTIC:
-        certified_vectors: list[tuple] = []
-        while True:
-            iterations += 1
-            if iterations > max_iterations:
-                raise RuntimeError("membership certification failed to terminate")
-            progress = False
-            certified_vectors = []
-            for e in w.columns():
-                residual = membership_residual(a, e)
-                if all(p.is_zero() for p in residual):
-                    certified_vectors.append(e)
-                    continue
-                xi = _nonzero_point_of(residual, a.n)
-                samples.append(xi)
-                w = subspace_intersection(w, column_space(a.evaluate(xi)))
-                trajectory.append(w.dim)
-                progress = True
+    probes = iter(probe_directions(a.n, EXTRA_SAMPLE_ROUNDS * initial, rng))
+    iterations = 0
+    while True:
+        iterations += 1
+        memberships = []
+        for e in w.columns():
+            found = find_membership(a, e)
+            if found is None:
                 break
-            if not progress:
+            memberships.append(found)
+        else:
+            return IntersectionResult(w, samples, True, trajectory, iterations, memberships)
+        # Images may drop rank only on a thin locus: sample until w shrinks.
+        dim = w.dim
+        for xi in probes:
+            samples.append(xi)
+            w = _intersect(a, w, xi)
+            trajectory.append(w.dim)
+            if w.dim < dim:
                 break
-            if w.dim == 0:
-                return IntersectionResult(w, samples, True, trajectory, iterations)
-        return IntersectionResult(
-            w, samples, True, trajectory, iterations, certified_vectors
-        )
-
-    # Not certifiably injective: images may drop rank only on a thin locus,
-    # so try the low-height lattice directions and extra random rounds, then
-    # report the sampled subspace without a certificate.
-    for xi in probe_directions(a.n, EXTRA_SAMPLE_ROUNDS * initial, rng):
-        samples.append(xi)
-        w = subspace_intersection(w, column_space(a.evaluate(xi)))
-        trajectory.append(w.dim)
         if w.dim == 0:
             return IntersectionResult(w, samples, True, trajectory, iterations)
-    return IntersectionResult(w, samples, False, trajectory, iterations)
+        if w.dim == dim:
+            reason = (
+                f"basis vector {[str(x) for x in e]} has no membership witness of degree "
+                f"s <= {MAX_WITNESS_DEGREE}, and the sampled intersection (dimension {dim}) "
+                f"did not shrink at {len(samples)} directions"
+            )
+            return IntersectionResult(w, samples, False, trajectory, iterations, reason=reason)
 
 
-def check_canceling(
-    a: SymbolOperator,
-    seed: int = 0,
-    ellipticity: Optional[EllipticityVerdict] = None,
-) -> CancelingVerdict:
-    res = image_intersection(a, seed, ellipticity)
+def check_canceling(a: SymbolOperator, seed: int = 0) -> CancelingVerdict:
+    res = image_intersection(a, seed)
+    common = dict(dim_trajectory=res.dim_trajectory, iterations=res.iterations)
     if res.subspace.dim == 0:
-        return CancelingVerdict(
-            CANCELING, res.samples, res.subspace,
-            dim_trajectory=res.dim_trajectory, iterations=res.iterations,
-        )
+        return CancelingVerdict(CANCELING, res.samples, res.subspace, **common)
     if res.certified:
         return CancelingVerdict(
-            NOT_CANCELING, res.samples, res.subspace,
-            witness=res.subspace.columns()[0],
-            dim_trajectory=res.dim_trajectory, iterations=res.iterations,
+            NOT_CANCELING, res.samples, res.subspace, witness=res.subspace.columns()[0],
+            memberships=res.memberships, **common,
         )
     return CancelingVerdict(
-        NOT_CANCELING_SAMPLED, res.samples, res.subspace,
-        dim_trajectory=res.dim_trajectory, iterations=res.iterations,
+        NOT_CANCELING_SAMPLED, res.samples, res.subspace, reason=res.reason, **common
     )
 
 
@@ -271,10 +285,10 @@ def check_partial_canceling(
         # intersection is contained in the sampled one.
         return PartialCancelingVerdict(HOLDS, canceling.samples, w, constrained)
     if canceling.certified:
-        # Every vector of a certified nonzero W lies in every image.
+        # The witnesses of W put every vector of W in every image.
         return PartialCancelingVerdict(
             FAILS, canceling.samples, w, constrained,
-            witness=constrained.columns()[0],
+            witness=constrained.columns()[0], memberships=canceling.memberships,
         )
     return PartialCancelingVerdict(FAILS_SAMPLED, canceling.samples, w, constrained)
 
@@ -288,45 +302,43 @@ def _sampled_intersection(
     for xi in samples:
         if all(x == 0 for x in xi):
             return None
-        w = subspace_intersection(w, column_space(a.evaluate(xi)))
+        w = _intersect(a, w, xi)
     return w
 
 
-def _verify_membership(
-    a: SymbolOperator,
-    e: Optional[tuple],
-    sampled: Subspace,
-    ellipticity: Optional[EllipticityVerdict],
-) -> bool:
-    """e is a nonzero vector in the image of A(xi) for every xi != 0.
-
-    The membership identity only shows e in the image where det(A^T A) is
-    nonzero; for a square symbol it holds for every e.  It proves
-    membership everywhere only together with a verified ELLIPTIC verdict.
-    """
-    if ellipticity is None or ellipticity.status != ELLIPTIC:
+def verify_membership(a: SymbolOperator, m: Membership) -> bool:
+    """A(x) u(x) == p(x) e exactly, with u homogeneous of degree s <=
+    MAX_WITNESS_DEGREE (which bounds the work), and ``verify_positive``
+    accepts the cover of p.  For e != 0 the identity makes p homogeneous of
+    degree s + k, and ``verify_positive`` requires that degree to be even."""
+    s = m.p.degree() - a.order
+    if not 0 <= s <= MAX_WITNESS_DEGREE or not all(q.is_homogeneous(s) for q in m.u):
         return False
-    if e is None or all(x == 0 for x in e) or not sampled.contains(e):
-        return False
-    return all(p.is_zero() for p in membership_residual(a, e))
+    return a.apply(m.u) == [m.p.scale(c) for c in m.e] and verify_positive(m.p, m.cover)
 
 
-def verify_canceling(
-    a: SymbolOperator,
-    verdict: CancelingVerdict,
-    ellipticity: Optional[EllipticityVerdict],
+def _witnessed(
+    a: SymbolOperator, v: Optional[tuple], memberships: Sequence[Membership],
+    w: Subspace, inside: Subspace,
 ) -> bool:
-    """Re-check a cancellation verdict from its stored sample set and
-    witness, independently of the decision path.  ``ellipticity`` is the
-    same report's ellipticity verdict if ``verify_ellipticity`` accepted
-    it, else None."""
+    """The memberships are valid and span w, and v is a nonzero vector of
+    ``inside`` (a subspace of w)."""
+    if v is None or all(x == 0 for x in v) or not inside.contains(v):
+        return False
+    spanned = subspace_from_columns(a.dim_e, [m.e for m in memberships])
+    return spanned == w and all(verify_membership(a, m) for m in memberships)
+
+
+def verify_canceling(a: SymbolOperator, verdict: CancelingVerdict) -> bool:
+    """Re-check a cancellation verdict from its stored samples and
+    membership witnesses, independently of the decision path."""
     w = _sampled_intersection(a, verdict.samples)
     if w is None or w != verdict.intersection:
         return False
     if verdict.status == CANCELING:
         return w.dim == 0
     if verdict.status == NOT_CANCELING:
-        return _verify_membership(a, verdict.witness, w, ellipticity)
+        return _witnessed(a, verdict.witness, verdict.memberships, w, w)
     if verdict.status == NOT_CANCELING_SAMPLED:
         return w.dim > 0
     return False
@@ -342,13 +354,10 @@ def verify_spanning(
 
 
 def verify_partial_canceling(
-    a: SymbolOperator,
-    t: QMatrix,
-    verdict: PartialCancelingVerdict,
-    ellipticity: Optional[EllipticityVerdict],
+    a: SymbolOperator, t: QMatrix, verdict: PartialCancelingVerdict
 ) -> bool:
-    """Re-check a partial cancellation verdict from its samples and
-    witness; ``ellipticity`` is as for ``verify_canceling``."""
+    """Re-check a partial cancellation verdict from its samples, witness
+    vector and membership witnesses."""
     w = _sampled_intersection(a, verdict.samples)
     if w is None or w != verdict.image_intersection:
         return False
@@ -358,7 +367,7 @@ def verify_partial_canceling(
     if verdict.status == HOLDS:
         return constrained.dim == 0
     if verdict.status == FAILS:
-        return _verify_membership(a, verdict.witness, constrained, ellipticity)
+        return _witnessed(a, verdict.witness, verdict.memberships, w, constrained)
     if verdict.status == FAILS_SAMPLED:
         return constrained.dim > 0
     return False

@@ -5,8 +5,10 @@ e (the monomials xi^alpha are linearly independent), so the common kernel
 over all directions is the exact kernel of the stacked coefficient
 matrices.  The constraint has trivial common kernel if and only if the
 stacked map is injective, which in turn happens exactly when a family of
-left inverses K_alpha with sum K_alpha L_alpha = Id exists; the solver
-returns the least-norm family from the normal equations.
+left inverses K_alpha with sum K_alpha L_alpha = Id exists.  The solver
+picks dim V linearly independent rows of the stacked matrix (the pivots of
+one row reduction of its transpose), inverts that square block and puts
+zeros in the columns of every other row.
 """
 
 from __future__ import annotations
@@ -54,17 +56,21 @@ def left_inverses(l: SymbolOperator) -> Optional[dict[MultiIndex, QMatrix]]:
     """Exact K_alpha with sum K_alpha @ L_alpha = Id, or None when the
     stacked coefficient map is not injective."""
     stacked = _stacked(l)
-    if stacked is None or kernel_basis(stacked).dim > 0:
+    if stacked is None:
         return None
-    st = stacked.transpose()
-    k_full = (st @ stacked).inverse() @ st  # least-norm left inverse
+    _red, rows = stacked.transpose().rref()
+    if len(rows) < l.dim_v:
+        return None
+    inverse = QMatrix.from_rows([stacked.row(r) for r in rows]).inverse()
+    column = {r: c for c, r in enumerate(rows)}  # stacked row -> column of inverse
     out: dict[MultiIndex, QMatrix] = {}
     offset = 0
     for alpha, mat in l.terms:
-        block = QMatrix.from_rows(
-            [[k_full[i, offset + j] for j in range(mat.rows)] for i in range(l.dim_v)]
-        )
-        out[alpha] = block
+        out[alpha] = QMatrix.from_rows([
+            [inverse[i, column[r]] if r in column else 0
+             for r in range(offset, offset + mat.rows)]
+            for i in range(l.dim_v)
+        ])
         offset += mat.rows
     return out
 

@@ -134,20 +134,23 @@ class QMatrix:
         for col in range(self.cols):
             if prow == self.rows:
                 break
-            sel = None
-            for i in range(prow, self.rows):
-                if m[i][col] != 0:
-                    sel = i
-                    break
+            sel = next((i for i in range(prow, self.rows) if m[i][col] != 0), None)
             if sel is None:
                 continue
             m[prow], m[sel] = m[sel], m[prow]
-            inv = Fraction(1) / m[prow][col]
-            m[prow] = [x * inv for x in m[prow]]
+            top = m[prow]
+            inv = Fraction(1) / top[col]
+            # Entries left of col are zero in the pivot row; only its
+            # nonzero entries change the other rows.
+            support = [j for j in range(col, self.cols) if top[j] != 0]
+            for j in support:
+                top[j] *= inv
             for i in range(self.rows):
-                if i != prow and m[i][col] != 0:
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[prow])]
+                row = m[i]
+                f = row[col]
+                if i != prow and f != 0:
+                    for j in support:
+                        row[j] -= f * top[j]
             pivots.append(col)
             prow += 1
         return QMatrix.from_rows(m), tuple(pivots)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .matrix import QMatrix
-from .poly import MultiIndex, Polynomial, grlex_key
+from .poly import MultiIndex, Polynomial, grlex_key, multi_indices
 from .polymatrix import PolyMatrix
 
 
@@ -68,15 +68,19 @@ class SymbolOperator:
         pt = [Fraction(x) for x in xi]
         if len(pt) != self.n:
             raise ValueError("frequency dimension mismatch")
-        acc = QMatrix.zeros(self.dim_e, self.dim_v)
+        acc = [[0] * self.dim_v for _ in range(self.dim_e)]
         for alpha, mat in self.terms:
             c = Fraction(1)
             for x, e in zip(pt, alpha):
                 if e:
                     c *= x**e
-            if c != 0:
-                acc = acc + mat.scale(c)
-        return acc
+            if c == 0:
+                continue
+            for acc_row, row in zip(acc, mat.entries):
+                for j, x in enumerate(row):
+                    if x:
+                        acc_row[j] += c * x
+        return QMatrix.from_rows(acc)
 
     def to_polymatrix(self) -> PolyMatrix:
         rows = []
@@ -88,38 +92,55 @@ class SymbolOperator:
             rows.append(row)
         return PolyMatrix.from_rows(self.n, rows)
 
-    @staticmethod
-    def from_polymatrix(
-        pm: PolyMatrix, order: int, allow_zero: bool = False
-    ) -> "SymbolOperator":
-        if not pm.is_homogeneous(order if not pm.is_zero() else None):
-            raise ValueError("polynomial matrix is not homogeneous of the stated order")
-        coeffs = pm.coefficient_matrices()
+    def gram(self) -> PolyMatrix:
+        """A(x)^T A(x) as an exact polynomial matrix (degree 2 * order): A^T
+        applied to each column of A, from the nonzero coefficients only."""
+        at = self.transpose()
+        columns = self.to_polymatrix().transpose().entries
+        return PolyMatrix.from_rows(self.n, [at.apply(col) for col in columns])
+
+    def transpose(self) -> "SymbolOperator":
+        """The symbol x -> A(x)^T."""
         return SymbolOperator.make(
-            pm.n, pm.cols, pm.rows, order, coeffs, allow_zero=allow_zero
+            self.n, self.dim_e, self.dim_v, self.order,
+            {alpha: mat.transpose() for alpha, mat in self.terms},
+            allow_zero=True,
         )
 
-    def gram(self) -> PolyMatrix:
-        """A(x)^T A(x) as an exact polynomial matrix (degree 2 * order)."""
-        acc: dict[MultiIndex, QMatrix] = {}
-        for a, ma in self.terms:
-            mat_a = ma.transpose()
-            for b, mb in self.terms:
-                key = tuple(x + y for x, y in zip(a, b))
-                prod = mat_a @ mb
-                acc[key] = acc[key] + prod if key in acc else prod
-        rows = []
-        for i in range(self.dim_v):
-            row = []
-            for j in range(self.dim_v):
-                row.append(
-                    Polynomial.make(
-                        self.n,
-                        {k: m[i, j] for k, m in acc.items() if m[i, j] != 0},
-                    )
-                )
-            rows.append(row)
-        return PolyMatrix.from_rows(self.n, rows)
+    def multiplication_matrix(self, d: int) -> QMatrix:
+        """The rational matrix of u -> A u from V[x]_d to E[x]_(d + order).
+
+        Column b * dim_v + j stands for x^beta e_j and row g * dim_e + i for
+        x^gamma e_i, with beta and gamma the b-th and g-th entries of
+        ``multi_indices(n, d)`` and ``multi_indices(n, d + order)``."""
+        sources = multi_indices(self.n, d)
+        targets = {gamma: g for g, gamma in enumerate(multi_indices(self.n, d + self.order))}
+        zero = Fraction(0)
+        out = [[zero] * (len(sources) * self.dim_v) for _ in range(len(targets) * self.dim_e)]
+        for b, beta in enumerate(sources):
+            for alpha, mat in self.terms:
+                g = targets[tuple(x + y for x, y in zip(alpha, beta))]
+                for i, row in enumerate(mat.entries):
+                    out_row = out[g * self.dim_e + i]
+                    for j, x in enumerate(row):
+                        if x:
+                            out_row[b * self.dim_v + j] = x
+        return QMatrix(len(out), len(sources) * self.dim_v, tuple(map(tuple, out)))
+
+    def apply(self, u: Sequence[Polynomial]) -> list[Polynomial]:
+        """The polynomial vector A(x) u(x), for one polynomial per
+        coordinate of V."""
+        if len(u) != self.dim_v:
+            raise ValueError("vector length mismatch")
+        acc: list[dict] = [{} for _ in range(self.dim_e)]
+        for alpha, mat in self.terms:
+            for out, row in zip(acc, mat.entries):
+                for x, q in zip(row, u):
+                    if x:
+                        for beta, c in q.terms:
+                            key = tuple(a + b for a, b in zip(alpha, beta))
+                            out[key] = out.get(key, 0) + x * c
+        return [Polynomial.make(self.n, terms) for terms in acc]
 
     def compose_left(self, m: QMatrix) -> "SymbolOperator":
         """The symbol x -> m @ A(x)."""

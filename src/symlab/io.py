@@ -6,15 +6,21 @@ integer arrays.  Serialization is deterministic: keys are emitted sorted
 and collections in graded-lex order, so reports reproduce byte-for-byte
 under a fixed seed once timing fields are stripped.
 
-Each verdict has one ``*_to_json`` / ``*_from_json`` pair.  A box of an
-ellipticity cover lies on a face x_axis = +1 of the cube and is stored as
+Each verdict has one ``*_to_json`` / ``*_from_json`` pair.  A positivity
+cover (of det(A^T A) in an ellipticity verdict, of p in a membership
+witness) is a list of ``{"box": ..., "lower_bound": "p/q"}``.  A box lies
+on a face x_axis = +1 of the cube and is stored as
 ``{"axis": i, "bounds": [[lo, hi], ...]}`` with the n-1 intervals of the
 other coordinates; the faces x_i = -1 are their mirror images and are not
-stored.  Decoders read untrusted reports: a missing field, a wrong type or
-a bad shape (such as a cover box without n-1 bound pairs) raises KeyError,
-TypeError or ValueError, which ``symlab verify`` reports as malformed
-input.  A spanning verdict stores no samples of its own; it is re-derived
-from the cancellation verdict of the same report.
+stored.  A polynomial is a list of ``[alpha, "c"]`` terms, and a membership
+witness (A(x) u(x) == p(x) e) is ``{"e": vector, "u": [polynomial, ...],
+"p": polynomial, "cover": cover}``; NOT_CANCELING and partial FAILS
+verdicts carry one per basis vector of the common image under
+``"memberships"``.  Decoders read untrusted reports: a missing field, a
+wrong type or a bad shape (such as a cover box without n-1 bound pairs)
+raises KeyError, TypeError or ValueError, which ``symlab verify`` reports as
+malformed input.  A spanning verdict stores no samples of its own; it is
+re-derived from the cancellation verdict of the same report.
 """
 
 from __future__ import annotations
@@ -26,12 +32,14 @@ from typing import Optional, Sequence
 
 from .deciders.cancellation import (
     CancelingVerdict,
+    Membership,
     PartialCancelingVerdict,
     SpanningVerdict,
 )
 from .deciders.cocancellation import CocancelingVerdict
 from .deciders.ellipticity import CertifiedBox, EllipticityVerdict, FaceBox
 from .exact.matrix import QMatrix, Subspace, subspace_from_columns
+from .exact.poly import Polynomial
 from .exact.symbol import SymbolOperator
 
 SCHEMA_VERSION = 1
@@ -187,13 +195,45 @@ def _facebox_from_json(d: dict, n: int) -> FaceBox:
     )
 
 
+def _cover_to_json(cover) -> list:
+    return [
+        {"box": _facebox_to_json(cb.box), "lower_bound": rat_to_str(cb.lower_bound)}
+        for cb in cover
+    ]
+
+
+def _cover_from_json(doc: list, n: int) -> list:
+    return [
+        CertifiedBox(_facebox_from_json(cb["box"], n), rat_from_str(cb["lower_bound"]))
+        for cb in doc
+    ]
+
+
+def polynomial_to_json(p: Polynomial) -> list:
+    return [[list(alpha), rat_to_str(c)] for alpha, c in p.terms]
+
+
+def polynomial_from_json(doc: list, n: int) -> Polynomial:
+    terms = {tuple(alpha): rat_from_str(c) for alpha, c in doc}
+    if not all(type(x) is int for alpha in terms for x in alpha):
+        raise ValueError("monomial exponents must be integers")
+    return Polynomial.make(n, terms)
+
+
+def _membership_to_json(m: Membership) -> dict:
+    return {"e": vector_to_json(m.e), "u": [polynomial_to_json(q) for q in m.u],
+            "p": polynomial_to_json(m.p), "cover": _cover_to_json(m.cover)}
+
+
+def _membership_from_json(d: dict, n: int) -> Membership:
+    return Membership(vector_from_json(d["e"]), tuple(polynomial_from_json(q, n) for q in d["u"]),
+                      polynomial_from_json(d["p"], n), _cover_from_json(d["cover"], n))
+
+
 def ellipticity_to_json(v: EllipticityVerdict) -> dict:
     doc: dict = {"status": v.status, "certified": v.certified}
     if v.status == "ELLIPTIC":
-        doc["cover"] = [
-            {"box": _facebox_to_json(cb.box), "lower_bound": rat_to_str(cb.lower_bound)}
-            for cb in v.cover
-        ]
+        doc["cover"] = _cover_to_json(v.cover)
     if v.status == "NOT_ELLIPTIC":
         doc["witness_xi"] = vector_to_json(v.witness_xi)
         doc["witness_v"] = vector_to_json(v.witness_v)
@@ -209,10 +249,7 @@ def ellipticity_from_json(doc: dict, n: int) -> EllipticityVerdict:
     status = doc["status"]
     v = EllipticityVerdict(status)
     if status == "ELLIPTIC":
-        v.cover = [
-            CertifiedBox(_facebox_from_json(cb["box"], n), rat_from_str(cb["lower_bound"]))
-            for cb in doc["cover"]
-        ]
+        v.cover = _cover_from_json(doc["cover"], n)
     if status == "NOT_ELLIPTIC":
         v.witness_xi = vector_from_json(doc["witness_xi"])
         v.witness_v = vector_from_json(doc["witness_v"])
@@ -229,15 +266,20 @@ def canceling_to_json(v: CancelingVerdict) -> dict:
     }
     if v.witness is not None:
         doc["witness"] = vector_to_json(v.witness)
+    if v.memberships:
+        doc["memberships"] = [_membership_to_json(m) for m in v.memberships]
+    if v.reason is not None:
+        doc["reason"] = v.reason
     return doc
 
 
-def canceling_from_json(doc: dict, dim_e: int) -> CancelingVerdict:
+def canceling_from_json(doc: dict, dim_e: int, n: int) -> CancelingVerdict:
     return CancelingVerdict(
         doc["status"],
         [vector_from_json(xi) for xi in doc["samples"]],
         subspace_from_json(doc["intersection"], dim_e),
         witness=vector_from_json(doc["witness"]) if "witness" in doc else None,
+        memberships=[_membership_from_json(m, n) for m in doc.get("memberships", [])],
     )
 
 
@@ -285,16 +327,19 @@ def partial_to_json(v: PartialCancelingVerdict) -> dict:
     }
     if v.witness is not None:
         doc["witness"] = vector_to_json(v.witness)
+    if v.memberships:
+        doc["memberships"] = [_membership_to_json(m) for m in v.memberships]
     return doc
 
 
-def partial_from_json(doc: dict, dim_e: int) -> PartialCancelingVerdict:
+def partial_from_json(doc: dict, dim_e: int, n: int) -> PartialCancelingVerdict:
     return PartialCancelingVerdict(
         doc["status"],
         [vector_from_json(xi) for xi in doc["samples"]],
         subspace_from_json(doc["image_intersection"], dim_e),
         subspace_from_json(doc["constrained_intersection"], dim_e),
         witness=vector_from_json(doc["witness"]) if "witness" in doc else None,
+        memberships=[_membership_from_json(m, n) for m in doc.get("memberships", [])],
     )
 
 

@@ -122,7 +122,7 @@ def build_blowup_field(
         raise BlowupError("symbol is not certified injective")
     e_exact = [Fraction(x) for x in e]
     if intersection is None:
-        intersection = image_intersection(a, seed, ellipticity)
+        intersection = image_intersection(a, seed)
     if not intersection.subspace.contains(e_exact):
         raise BlowupError(
             "direction does not lie in the certified common image intersection"

@@ -123,7 +123,7 @@ def blowup_experiment(
     if a.order - ell >= spec.n:
         raise ValueError("derivative gap k - ell must stay below the dimension")
     ellipticity = check_ellipticity(a)
-    intersection = image_intersection(a, seed, ellipticity)
+    intersection = image_intersection(a, seed)
     profile = BlowupProfile.build(spec)
     half = spec.halved() if check_convergence else None
     half_profile = BlowupProfile.build(half) if half is not None else None

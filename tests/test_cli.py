@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -81,6 +82,9 @@ def test_analyze_reports_stats(tmp_path):
     canceling = report["verdicts"]["canceling"]
     assert stats["canceling"]["samples"] == len(canceling["samples"])
     assert stats["canceling"]["iterations"] >= 0
+    assert stats["canceling"]["witness_degrees"] == []
+    _code, report = analyze(tmp_path, "catalog:hodge_pair?n=3&ell=1")
+    assert report["stats"]["canceling"]["witness_degrees"] == [1]
     # verify ignores the counters.
     report["stats"] = {"ellipticity": {"boxes_examined": "x"}}
     code, checked = verify(tmp_path, report)
@@ -114,8 +118,8 @@ def test_exact_verbs_do_not_import_numpy(tmp_path):
 
 
 def test_forged_not_canceling_on_non_elliptic_symbol(tmp_path):
-    # For a square symbol the membership identity holds for every vector,
-    # so the forgery passes every check but the missing ELLIPTIC verdict.
+    # The images of this square symbol meet only in 0; a NOT_CANCELING
+    # claim without membership witnesses must not pass.
     _code, report = analyze(tmp_path, "catalog:hyperbolic")
     report["verdicts"]["canceling"] = {
         "status": "NOT_CANCELING",
@@ -157,6 +161,34 @@ def test_forged_partial_fails_without_witness(tmp_path):
     assert checked["verified"]["partial"] is False
 
 
+def test_not_canceling_verifies_without_ellipticity_verdict(tmp_path):
+    for uri in ("catalog:hodge_pair?n=3&ell=1", "catalog:laplacian?n=2",
+                "catalog:saint_venant_k?n=2&k=3"):
+        _code, report = analyze(tmp_path, uri)
+        assert report["verdicts"]["canceling"]["status"] == "NOT_CANCELING"
+        del report["verdicts"]["ellipticity"]
+        code, checked = verify(tmp_path, report)
+        assert code == 0 and checked["all_ok"], uri
+
+
+def test_forged_negative_witness_rejected(tmp_path):
+    # u -> -u and p -> -p keep A u = p e, but -|x|^2 is not positive.
+    _code, report = analyze(tmp_path, "catalog:laplacian?n=2")
+    witness = report["verdicts"]["canceling"]["memberships"][0]
+    for poly in witness["u"] + [witness["p"]]:
+        for term in poly:
+            term[1] = str(-Fraction(term[1]))
+    code, checked = verify(tmp_path, report)
+    assert code == 3 and checked["verified"]["canceling"] is False
+
+
+def test_compat_transcript_states_order_and_rows(tmp_path):
+    out = tmp_path / "compat.json"
+    assert main(["compat", "catalog:gradient?n=3", "--json", str(out)]) == 0
+    transcript = json.loads(out.read_text())["transcript"]
+    assert (transcript["order"], transcript["rows"]) == (1, 3)
+
+
 # ---------------------------------------------------------------------------
 # Malformed reports: exit 2, never a traceback.
 
@@ -177,14 +209,27 @@ def test_canceling_without_samples(tmp_path, capsys):
     assert "malformed report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("p", "junk"), ("p", [[["x"], "1"]]), ("p", [[[0.5, 1.5], "1"]]),
+    ("p", [[[0, 2], "1/0"]]), ("u", None),
+    ("e", 7), ("cover", [{"box": {"axis": 0}}]),
+])
+def test_malformed_witness(tmp_path, capsys, field, value):
+    _code, report = analyze(tmp_path, "catalog:laplacian?n=2")
+    report["verdicts"]["canceling"]["memberships"][0][field] = value
+    code, _ = verify(tmp_path, report)
+    assert code == 2
+    assert "malformed report" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Mutation test: change one field of a genuine report anywhere under its
 # verdicts; verify may accept, reject or call the input malformed, but it
 # must never raise.
 
 # One report per certificate kind: ELLIPTIC cover, CANCELING, SPANS and
-# COCANCELING left inverses; NOT_CANCELING witness; NOT_ELLIPTIC witness;
-# partial HOLDS; NOT_COCANCELING joint kernel.
+# COCANCELING left inverses; NOT_CANCELING membership witnesses;
+# NOT_ELLIPTIC witness; partial HOLDS; NOT_COCANCELING joint kernel.
 MUTATION_SOURCES = (
     ("catalog:gradient?n=2",),
     ("catalog:laplacian?n=2",),
@@ -226,13 +271,7 @@ def genuine_reports(tmp_path_factory):
     return out
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_mutated_certificates_never_crash_verify(genuine_reports, tmp_path, data):
-    report = json.loads(json.dumps(data.draw(st.sampled_from(genuine_reports))))
-    targets = [("T",)] if "T" in report else []
-    targets += [("verdicts",) + p for p in paths(report["verdicts"]) if p]
+def mutate(report, targets, data) -> None:
     path = data.draw(st.sampled_from(targets))
     parent = report
     for key in path[:-1]:
@@ -241,5 +280,30 @@ def test_mutated_certificates_never_crash_verify(genuine_reports, tmp_path, data
         del parent[path[-1]]
     else:
         parent[path[-1]] = data.draw(VALUES)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_certificates_never_crash_verify(genuine_reports, tmp_path, data):
+    report = json.loads(json.dumps(data.draw(st.sampled_from(genuine_reports))))
+    targets = [("T",)] if "T" in report else []
+    targets += [("verdicts",) + p for p in paths(report["verdicts"]) if p]
+    mutate(report, targets, data)
+    code, _ = verify(tmp_path, report)
+    assert code in (0, 2, 3)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_witnesses_never_crash_verify(genuine_reports, tmp_path, data):
+    # Only the membership witnesses (e, u, p and the cover of p) change.
+    witnessed = [r for r in genuine_reports
+                 if "memberships" in r["verdicts"].get("canceling", {})]
+    report = json.loads(json.dumps(data.draw(st.sampled_from(witnessed))))
+    memberships = report["verdicts"]["canceling"]["memberships"]
+    targets = [("verdicts", "canceling", "memberships") + p for p in paths(memberships) if p]
+    mutate(report, targets, data)
     code, _ = verify(tmp_path, report)
     assert code in (0, 2, 3)

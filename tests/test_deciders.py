@@ -1,5 +1,6 @@
 """Classification deciders and their certificates."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -35,21 +36,16 @@ from symlab.deciders import (
     image_intersection,
     joint_kernel,
     left_inverses,
-    membership_residual,
     verify_canceling,
     verify_cocanceling,
     verify_ellipticity,
     verify_partial_canceling,
     verify_spanning,
 )
+from symlab.deciders.cancellation import Membership, find_membership, verify_membership
+from symlab.exact.bernstein import certify_positive
 from symlab.deciders.ellipticity import CertifiedBox, FaceBox
-from symlab.exact import QMatrix, SymbolOperator, subspace_from_columns
-
-
-def verified_ellipticity(op):
-    v = check_ellipticity(op)
-    assert verify_ellipticity(op, v)
-    return v
+from symlab.exact import Polynomial, QMatrix, SymbolOperator, subspace_from_columns
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +297,14 @@ def test_gradient_r1_not_canceling_witness_one():
     v = check_canceling(gradient(1).operator, seed=5)
     assert v.status == NOT_CANCELING and v.witness == (F(1),)
     op = gradient(1).operator
-    assert verify_canceling(op, v, verified_ellipticity(op))
+    assert verify_canceling(op, v)
+    assert [m.degree for m in v.memberships] == [1]
 
 
 def test_gradient_r2_canceling():
     v = check_canceling(gradient(2).operator, seed=5)
     assert v.status == CANCELING and v.intersection.dim == 0
-    assert verify_canceling(gradient(2).operator, v, None)
+    assert verify_canceling(gradient(2).operator, v)
 
 
 def test_laplacian_never_canceling():
@@ -315,8 +312,9 @@ def test_laplacian_never_canceling():
     assert v.status == NOT_CANCELING
     assert v.intersection.dim == 1
     op = laplacian(3).operator
-    assert verify_canceling(op, v, verified_ellipticity(op))
-    assert not verify_canceling(op, v, None)
+    assert verify_canceling(op, v)
+    v.memberships = []
+    assert not verify_canceling(op, v)
 
 
 def test_hodge_degree_one_intersection_is_zeroth_component():
@@ -333,20 +331,125 @@ def test_hyperbolic_canceling_certified_at_every_seed():
     for seed in range(12):
         v = check_canceling(op, seed=seed)
         assert v.status == CANCELING and v.certified, seed
-        assert verify_canceling(op, v, None), seed
+        assert verify_canceling(op, v), seed
 
 
 def test_quaternion_canceling():
     assert check_canceling(quaternion().operator, seed=2).status == CANCELING
 
 
-def test_membership_residual_detects_non_membership():
-    op = gradient(2).operator
-    residual = membership_residual(op, [F(1), F(0)])
-    assert not all(p.is_zero() for p in residual)
-    # The witness for the full space of a square invertible symbol is exact.
-    op1 = gradient(1).operator
-    assert all(p.is_zero() for p in membership_residual(op1, [F(1)]))
+def norm_squared(n):
+    return Polynomial.make(n, {tuple(2 * (i == j) for j in range(n)): F(1) for i in range(n)})
+
+
+def test_divergence_witness_is_norm_squared():
+    # At s = 1 the p-space of divergence(2) is 4-dimensional and has no
+    # positive basis vector, but it contains |x|^2.
+    m = find_membership(divergence(2).operator, (F(1),))
+    assert m is not None and m.p == norm_squared(2) and m.degree == 1
+    assert verify_membership(divergence(2).operator, m)
+
+
+def test_not_canceling_certified_without_ellipticity():
+    # A(x) = diag(|x|^2, x_0^2) is not elliptic (x_0 = 0 kills e_1), and its
+    # images meet in span(e_0).  Random samples see all of E; e_1 has no
+    # witness, the lattice direction (0, 1) shrinks the intersection, and e_0
+    # is then witnessed by u = (1, 0), p = |x|^2.
+    op = SymbolOperator.make(2, 2, 2, 2, {
+        (2, 0): QMatrix.from_rows([[1, 0], [0, 1]]),
+        (0, 2): QMatrix.from_rows([[1, 0], [0, 0]]),
+    })
+    assert check_ellipticity(op).status == NOT_ELLIPTIC
+    v = check_canceling(op, seed=0)
+    assert v.status == NOT_CANCELING and v.iterations == 2
+    assert v.intersection == subspace_from_columns(2, [(1, 0)])
+    assert [m.p for m in v.memberships] == [norm_squared(2)]
+    assert verify_canceling(op, v)
+
+
+def witnessed(op, seed=1):
+    v = check_canceling(op, seed=seed)
+    assert v.status == NOT_CANCELING and verify_canceling(op, v)
+    return v
+
+
+def test_forged_membership_identity_rejected():
+    op = laplacian(3).operator
+    v = witnessed(op)
+    m = v.memberships[0]
+    v.memberships = [replace(m, u=(m.u[0].scale(2),))]
+    assert not verify_canceling(op, v)
+
+
+def test_negative_p_rejected():
+    # A(-u) = (-|x|^2) e holds, but -|x|^2 is not positive.
+    op = laplacian(3).operator
+    v = witnessed(op)
+    m = v.memberships[0]
+    v.memberships = [replace(m, u=(m.u[0].scale(-1),), p=m.p.scale(-1))]
+    assert not verify_canceling(op, v)
+
+
+def test_odd_degree_p_rejected():
+    # A(x_0) = (|x|^2 x_0) e holds, but |x|^2 x_0 changes sign.
+    op = laplacian(3).operator
+    v = witnessed(op)
+    m = v.memberships[0]
+    x0 = Polynomial.variable(3, 0)
+    v.memberships = [replace(m, u=(x0,), p=m.p * x0)]
+    assert op.apply(v.memberships[0].u) == [v.memberships[0].p]
+    assert not verify_canceling(op, v)
+
+
+def test_witness_degree_rules():
+    # Both identities hold with p > 0, but u of degree 4 exceeds the cap and
+    # u = 1 + x_0^2 is not homogeneous (p = |x|^2 (1 + x_0^2) would then only
+    # be checked on the cube boundary).
+    op = laplacian(3).operator
+    v = witnessed(op)
+    m = v.memberships[0]
+    x0 = Polynomial.variable(3, 0)
+    for u in (m.p * m.p, m.u[0] + x0 * x0):
+        p = op.apply((u,))[0]
+        found = certify_positive(p, 8, 200)
+        assert found.cover and found.zero is None
+        forged = Membership(m.e, (u,), p, found.cover)
+        v.memberships = [forged]
+        assert not verify_membership(op, forged) and not verify_canceling(op, v)
+
+
+def test_forged_witness_cover_rejected():
+    op = laplacian(3).operator
+    v = witnessed(op)
+    m = v.memberships[0]
+    raised = CertifiedBox(m.cover[0].box, m.cover[0].lower_bound + 1)
+    v.memberships = [replace(m, cover=[raised] + m.cover[1:])]
+    assert not verify_canceling(op, v)
+    v.memberships = [replace(m, cover=m.cover[1:])]
+    assert not verify_canceling(op, v)
+
+
+def test_witness_outside_intersection_rejected():
+    op = hodge_pair(3, 1).operator
+    v = witnessed(op)
+    m = v.memberships[0]
+    v.memberships = [replace(m, e=(F(1), F(0), F(0), F(0)))]
+    assert not verify_canceling(op, v)
+
+
+def test_basis_vector_without_witness_rejected():
+    # diag(|x|^2, |x|^2): every vector of E lies in every image.
+    op = SymbolOperator.make(2, 2, 2, 2, {
+        (2, 0): QMatrix.identity(2), (0, 2): QMatrix.identity(2),
+    })
+    v = witnessed(op)
+    assert v.intersection.dim == 2 and len(v.memberships) == 2
+    first, second = v.memberships
+    for kept in ([first], [second], [first, first], []):
+        v.memberships = kept
+        assert not verify_canceling(op, v)
+    v.memberships = [second, first]
+    assert verify_canceling(op, v)
 
 
 def test_monotone_trajectory_and_iteration_bound():
@@ -361,7 +464,7 @@ def test_tampered_witness_rejected():
     op = laplacian(2).operator
     v = check_canceling(op, seed=1)
     v.witness = (F(0),)
-    assert not verify_canceling(op, v, verified_ellipticity(op))
+    assert not verify_canceling(op, v)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +489,7 @@ def test_partial_holds_for_hodge_degree_one():
     v = check_partial_canceling(cv, inst.constraint_map)
     assert v.status == "HOLDS" and v.certified
     assert v.constrained_intersection.dim == 0
-    assert verify_partial_canceling(inst.operator, inst.constraint_map, v, None)
+    assert verify_partial_canceling(inst.operator, inst.constraint_map, v)
 
 
 def test_partial_reduces_to_cancellation_at_zero_map():
@@ -396,8 +499,9 @@ def test_partial_reduces_to_cancellation_at_zero_map():
     v = check_partial_canceling(check_canceling(op, seed=2), z)
     assert v.status == "FAILS"  # ker 0 = E and the intersection is a line
     assert v.witness == (0, 0, 0, 1)
-    assert verify_partial_canceling(op, z, v, verified_ellipticity(op))
-    assert not verify_partial_canceling(op, z, v, None)
+    assert verify_partial_canceling(op, z, v)
+    v.memberships = []
+    assert not verify_partial_canceling(op, z, v)
 
 
 def test_partial_always_holds_at_identity():

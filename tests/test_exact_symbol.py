@@ -1,12 +1,19 @@
 """Symbol operators, gram matrices, polynomial-matrix determinants."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from symlab.catalog import divergence, gradient, hyperbolic_example, saint_venant
-from symlab.exact import Polynomial, PolyMatrix, QMatrix, SymbolOperator
+from symlab.catalog import (
+    divergence,
+    gradient,
+    hyperbolic_example,
+    regression_instances,
+    saint_venant,
+)
+from symlab.exact import Polynomial, PolyMatrix, QMatrix, SymbolOperator, multi_indices
 
 
 def test_gradient_evaluate():
@@ -71,7 +78,6 @@ def test_gram_gradient_and_hyperbolic_determinant():
     x1sq = Polynomial.make(2, {(2, 0): F(1), (0, 2): F(1)})
     assert gram.entries[0][0] == x1sq
     assert gram.det() == x1sq
-    assert gram.adjugate().entries[0][0] == Polynomial.constant(2, 1)
 
     h = hyperbolic_example().operator
     det = h.gram().det()
@@ -81,34 +87,62 @@ def test_gram_gradient_and_hyperbolic_determinant():
     assert det.evaluate([1, 1]) == 0 and det.evaluate([1, -1]) == 0
 
 
-def test_diag_polymatrix_det_adjugate():
+def test_diag_polymatrix_det():
     x0 = Polynomial.variable(2, 0)
     x1 = Polynomial.variable(2, 1)
     z = Polynomial.zero(2)
     m = PolyMatrix.from_rows(2, [[x0, z], [z, x1]])
     assert m.det() == x0 * x1
-    adj = m.adjugate()
-    assert adj.entries[0][0] == x1 and adj.entries[1][1] == x0
-    assert adj.entries[0][1].is_zero() and adj.entries[1][0].is_zero()
 
 
-def test_adjugate_identity_for_catalog_grams():
-    from symlab.catalog import quaternion, sym_gradient
+def test_gram_matches_product_at_sampled_points():
+    # G(xi) == A(xi)^T A(xi) for every regression instance.
+    rng = random.Random(7)
+    for inst in regression_instances():
+        op = inst.operator
+        gram = op.gram()
+        for _ in range(3):
+            xi = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(op.n)]
+            a = op.evaluate(xi)
+            assert gram.evaluate(xi) == a.transpose() @ a, inst.name
 
-    for inst in (gradient(3), sym_gradient(2), quaternion(), hyperbolic_example()):
-        gram = inst.operator.gram()
-        det = gram.det()
-        lhs = gram.adjugate() @ gram
-        rhs = PolyMatrix.identity_times(gram.n, gram.rows, det)
-        assert (lhs - rhs).is_zero()
+
+def test_multiplication_matrix_and_apply_agree_with_evaluation():
+    # Column b * dimV + j of the matrix is A(x) x^beta e_j in coordinates of
+    # E[x]_(d+k); apply(u) evaluates to A(xi) u(xi).
+    op = saint_venant(2).operator
+    d = 1
+    m = op.multiplication_matrix(d)
+    sources = multi_indices(2, d)
+    targets = multi_indices(2, d + op.order)
+    assert (m.rows, m.cols) == (len(targets) * op.dim_e, len(sources) * op.dim_v)
+    coeffs = [F(c % 5 - 2, 1 + c % 3) for c in range(m.cols)]
+    u = [Polynomial.make(2, {beta: coeffs[b * op.dim_v + j] for b, beta in enumerate(sources)})
+         for j in range(op.dim_v)]
+    image = m.mul_vector(coeffs)
+    au = op.apply(u)
+    for i in range(op.dim_e):
+        expect = Polynomial.make(2, {gamma: image[g * op.dim_e + i]
+                                     for g, gamma in enumerate(targets)})
+        assert au[i] == expect
+    xi = [F(3), F(-2, 5)]
+    assert op.evaluate(xi).mul_vector([q.evaluate(xi) for q in u]) == tuple(
+        q.evaluate(xi) for q in au)
 
 
 def test_coefficient_round_trip():
+    # The coefficients of each polynomial entry are the term matrices.
     for inst in (gradient(2), hyperbolic_example(), saint_venant(2)):
         op = inst.operator
         pm = op.to_polymatrix()
-        back = SymbolOperator.from_polymatrix(pm, op.order, allow_zero=True)
-        assert back == op
+        back = {
+            alpha: QMatrix.from_rows(
+                [[p.as_dict().get(alpha, 0) for p in row] for row in pm.entries])
+            for alpha, _ in op.terms
+        }
+        assert SymbolOperator.make(op.n, op.dim_v, op.dim_e, op.order, back) == op
+        assert sum(len(p.terms) for row in pm.entries for p in row) == sum(
+            x != 0 for _, mat in op.terms for row in mat.entries for x in row)
 
 
 def test_zero_operator_rules():
