@@ -9,10 +9,11 @@ next to the CSV).
 
 analyze and verify each walk one table of verdicts.  verify decodes every
 verdict of the report, checks that its "certified" flag matches its status
-and re-checks it with the decider's verifier.  Each certificate stands on
-its own (cancellation and partial cancellation carry membership witnesses
-and need no ellipticity verdict), except spanning, which is derived from
-the cancellation verdict and sees it only if it passed.
+and re-checks it with the decider's verifier.  Ellipticity, cancellation
+and cocancellation certificates stand on their own (cancellation carries
+membership witnesses and needs no ellipticity verdict).  Spanning and
+partial cancellation are derived from the cancellation verdict: verify
+derives them again from it, and sees it only if it passed.
 
 Exit codes: 0 all verdicts certified (verify: all verdicts pass), 2
 input/validation error, including a malformed report given to verify, 3
@@ -31,6 +32,7 @@ of the annihilator.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -345,8 +347,9 @@ def cmd_verify(args) -> int:
              lambda v: verify_spanning(v, passed.get("canceling"))),
             ("cocanceling", lambda doc: cocanceling_from_json(doc, op.dim_v),
              lambda v: verify_cocanceling(op, v)),
-            ("partial", lambda doc: partial_from_json(doc, op.dim_e, op.n),
-             lambda v: verify_partial_canceling(op, matrix_from_json(report["T"], "T"), v)),
+            ("partial", lambda doc: partial_from_json(doc, op.dim_e),
+             lambda v: verify_partial_canceling(v, passed.get("canceling"),
+                                                matrix_from_json(report["T"], "T"))),
         )
         for key, decode, verify in table:
             if key not in report["verdicts"]:
@@ -489,7 +492,10 @@ def _parse_rationals(text: Optional[str], expected: int):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call can share it."""
     parser = argparse.ArgumentParser(
         prog="symlab",
         description="Exact classification of differential operator symbols "

@@ -19,11 +19,13 @@ directions, the low-height lattice ones first, are intersected until it
 shrinks, and the witnesses are sought again; if it does not shrink, the
 verdict is NOT_CANCELING_SAMPLED, which claims nothing, with the reason.
 
-Bourgain-Brezis spanning holds iff W = {0}, and partial cancellation with
-respect to a map T holds iff W meets ker T only at 0; both derive from the
-one computation of W.  The verifiers re-intersect the stored samples,
-re-check every witness and require the witnessed vectors to span the stated
-intersection.
+The cancellation verdict is the only certificate of W.  Its verifier
+re-intersects the stored samples, re-checks every witness and requires the
+witnessed vectors to span the stated intersection.  Bourgain-Brezis
+spanning holds iff W = {0}, and partial cancellation with respect to a map
+T holds iff W meets ker T only at 0; both verdicts are derived from the
+cancellation verdict, and their verifiers derive them again from a
+cancellation verdict that passed instead of re-certifying W.
 """
 
 from __future__ import annotations
@@ -110,24 +112,10 @@ class Membership:
 
 
 @dataclass
-class IntersectionResult:
-    """Sampled (and possibly certified) common image intersection."""
-
-    subspace: Subspace
-    samples: list[tuple]
-    certified: bool
-    dim_trajectory: list[int] = field(default_factory=list)
-    iterations: int = 0
-    memberships: list[Membership] = field(default_factory=list)
-    reason: Optional[str] = None  # why an uncertified subspace stayed
-
-
-@dataclass
 class CancelingVerdict:
     status: str
     samples: list[tuple]
     intersection: Subspace
-    witness: Optional[tuple] = None
     dim_trajectory: list[int] = field(default_factory=list)
     iterations: int = 0
     memberships: list[Membership] = field(default_factory=list)
@@ -148,11 +136,7 @@ class SpanningVerdict:
 @dataclass
 class PartialCancelingVerdict:
     status: str
-    samples: list[tuple]
-    image_intersection: Subspace
     constrained_intersection: Subspace
-    witness: Optional[tuple] = None
-    memberships: list[Membership] = field(default_factory=list)
 
     @property
     def certified(self) -> bool:
@@ -201,9 +185,10 @@ def _intersect(a: SymbolOperator, w: Subspace, xi: tuple) -> Subspace:
     return subspace_intersection(w, column_space(a.evaluate(xi)))
 
 
-def image_intersection(a: SymbolOperator, seed: int = 0) -> IntersectionResult:
+def image_intersection(a: SymbolOperator, seed: int = 0) -> CancelingVerdict:
     """Intersect images at sampled directions, then certify every basis
-    vector of the result with a membership witness or sample further."""
+    vector of the result with a membership witness or sample further.
+    ``check_canceling`` is the same function."""
     rng = random.Random(seed)
     initial = a.dim_e + 4
     samples = sample_directions(a.n, initial, rng)
@@ -213,7 +198,7 @@ def image_intersection(a: SymbolOperator, seed: int = 0) -> IntersectionResult:
         w = _intersect(a, w, xi)
         trajectory.append(w.dim)
     if w.dim == 0:
-        return IntersectionResult(w, samples, True, trajectory)
+        return CancelingVerdict(CANCELING, samples, w, trajectory)
 
     probes = iter(probe_directions(a.n, EXTRA_SAMPLE_ROUNDS * initial, rng))
     iterations = 0
@@ -226,7 +211,8 @@ def image_intersection(a: SymbolOperator, seed: int = 0) -> IntersectionResult:
                 break
             memberships.append(found)
         else:
-            return IntersectionResult(w, samples, True, trajectory, iterations, memberships)
+            return CancelingVerdict(NOT_CANCELING, samples, w, trajectory, iterations,
+                                    memberships)
         # Images may drop rank only on a thin locus: sample until w shrinks.
         dim = w.dim
         for xi in probes:
@@ -236,29 +222,19 @@ def image_intersection(a: SymbolOperator, seed: int = 0) -> IntersectionResult:
             if w.dim < dim:
                 break
         if w.dim == 0:
-            return IntersectionResult(w, samples, True, trajectory, iterations)
+            return CancelingVerdict(CANCELING, samples, w, trajectory, iterations)
         if w.dim == dim:
             reason = (
                 f"basis vector {[str(x) for x in e]} has no membership witness of degree "
                 f"s <= {MAX_WITNESS_DEGREE}, and the sampled intersection (dimension {dim}) "
                 f"did not shrink at {len(samples)} directions"
             )
-            return IntersectionResult(w, samples, False, trajectory, iterations, reason=reason)
+            return CancelingVerdict(NOT_CANCELING_SAMPLED, samples, w, trajectory, iterations,
+                                    reason=reason)
 
 
-def check_canceling(a: SymbolOperator, seed: int = 0) -> CancelingVerdict:
-    res = image_intersection(a, seed)
-    common = dict(dim_trajectory=res.dim_trajectory, iterations=res.iterations)
-    if res.subspace.dim == 0:
-        return CancelingVerdict(CANCELING, res.samples, res.subspace, **common)
-    if res.certified:
-        return CancelingVerdict(
-            NOT_CANCELING, res.samples, res.subspace, witness=res.subspace.columns()[0],
-            memberships=res.memberships, **common,
-        )
-    return CancelingVerdict(
-        NOT_CANCELING_SAMPLED, res.samples, res.subspace, reason=res.reason, **common
-    )
+# The deciders' name for the same function; the benchmark trace wraps both.
+check_canceling = image_intersection
 
 
 def check_bb_spanning(canceling: CancelingVerdict) -> SpanningVerdict:
@@ -275,35 +251,18 @@ def check_bb_spanning(canceling: CancelingVerdict) -> SpanningVerdict:
 def check_partial_canceling(
     canceling: CancelingVerdict, t: QMatrix
 ) -> PartialCancelingVerdict:
-    """Decide whether the common image W meets ker(t) only at 0."""
+    """Decide whether the common image W meets ker(t) only at 0, derived
+    from the cancellation verdict.  HOLDS is certified even when W is only
+    sampled, since the true common image lies in the sampled one; FAILS is
+    as certain as the cancellation verdict, whose witnesses put every
+    vector of W in every image."""
     w = canceling.intersection
     if t.cols != w.ambient:
         raise ValueError("constraint map must accept codomain vectors")
     constrained = subspace_intersection(w, kernel_basis(t))
     if constrained.dim == 0:
-        # Sound even for a merely sampled intersection: the true common
-        # intersection is contained in the sampled one.
-        return PartialCancelingVerdict(HOLDS, canceling.samples, w, constrained)
-    if canceling.certified:
-        # The witnesses of W put every vector of W in every image.
-        return PartialCancelingVerdict(
-            FAILS, canceling.samples, w, constrained,
-            witness=constrained.columns()[0], memberships=canceling.memberships,
-        )
-    return PartialCancelingVerdict(FAILS_SAMPLED, canceling.samples, w, constrained)
-
-
-def _sampled_intersection(
-    a: SymbolOperator, samples: Sequence[tuple]
-) -> Optional[Subspace]:
-    """Intersection of the images at the samples; None if a sample is not
-    a nonzero direction."""
-    w = full_space(a.dim_e)
-    for xi in samples:
-        if all(x == 0 for x in xi):
-            return None
-        w = _intersect(a, w, xi)
-    return w
+        return PartialCancelingVerdict(HOLDS, constrained)
+    return PartialCancelingVerdict(FAILS if canceling.certified else FAILS_SAMPLED, constrained)
 
 
 def verify_membership(a: SymbolOperator, m: Membership) -> bool:
@@ -317,28 +276,24 @@ def verify_membership(a: SymbolOperator, m: Membership) -> bool:
     return a.apply(m.u) == [m.p.scale(c) for c in m.e] and verify_positive(m.p, m.cover)
 
 
-def _witnessed(
-    a: SymbolOperator, v: Optional[tuple], memberships: Sequence[Membership],
-    w: Subspace, inside: Subspace,
-) -> bool:
-    """The memberships are valid and span w, and v is a nonzero vector of
-    ``inside`` (a subspace of w)."""
-    if v is None or all(x == 0 for x in v) or not inside.contains(v):
-        return False
-    spanned = subspace_from_columns(a.dim_e, [m.e for m in memberships])
-    return spanned == w and all(verify_membership(a, m) for m in memberships)
-
-
 def verify_canceling(a: SymbolOperator, verdict: CancelingVerdict) -> bool:
-    """Re-check a cancellation verdict from its stored samples and
-    membership witnesses, independently of the decision path."""
-    w = _sampled_intersection(a, verdict.samples)
-    if w is None or w != verdict.intersection:
+    """Re-check a cancellation verdict independently of the decision path:
+    re-intersect the images at the stored samples, which must be nonzero
+    directions, and compare with the stated intersection W.  NOT_CANCELING
+    needs W != {0} and valid membership witnesses whose vectors span W."""
+    w = full_space(a.dim_e)
+    for xi in verdict.samples:
+        if all(x == 0 for x in xi):
+            return False
+        w = _intersect(a, w, xi)
+    if w != verdict.intersection:
         return False
     if verdict.status == CANCELING:
         return w.dim == 0
     if verdict.status == NOT_CANCELING:
-        return _witnessed(a, verdict.witness, verdict.memberships, w, w)
+        spanned = subspace_from_columns(a.dim_e, [m.e for m in verdict.memberships])
+        return (w.dim > 0 and spanned == w
+                and all(verify_membership(a, m) for m in verdict.memberships))
     if verdict.status == NOT_CANCELING_SAMPLED:
         return w.dim > 0
     return False
@@ -354,20 +309,9 @@ def verify_spanning(
 
 
 def verify_partial_canceling(
-    a: SymbolOperator, t: QMatrix, verdict: PartialCancelingVerdict
+    verdict: PartialCancelingVerdict, canceling: Optional[CancelingVerdict], t: QMatrix
 ) -> bool:
-    """Re-check a partial cancellation verdict from its samples, witness
-    vector and membership witnesses."""
-    w = _sampled_intersection(a, verdict.samples)
-    if w is None or w != verdict.image_intersection:
-        return False
-    constrained = subspace_intersection(w, kernel_basis(t))
-    if constrained != verdict.constrained_intersection:
-        return False
-    if verdict.status == HOLDS:
-        return constrained.dim == 0
-    if verdict.status == FAILS:
-        return _witnessed(a, verdict.witness, verdict.memberships, w, constrained)
-    if verdict.status == FAILS_SAMPLED:
-        return constrained.dim > 0
-    return False
+    """A partial cancellation verdict holds iff it is the one derived from
+    the same report's cancellation verdict, passed only if
+    ``verify_canceling`` accepted it."""
+    return canceling is not None and verdict == check_partial_canceling(canceling, t)

@@ -6,11 +6,9 @@ from .matrix import (
     column_space,
     full_space,
     kernel_basis,
-    orthogonal_complement,
     solve_exact,
     subspace_from_columns,
     subspace_intersection,
-    subspace_sum,
 )
 from .poly import Polynomial, monomial_count, multi_indices
 from .polymatrix import PolyMatrix
@@ -22,11 +20,9 @@ __all__ = [
     "column_space",
     "full_space",
     "kernel_basis",
-    "orthogonal_complement",
     "solve_exact",
     "subspace_from_columns",
     "subspace_intersection",
-    "subspace_sum",
     "Polynomial",
     "monomial_count",
     "multi_indices",

@@ -94,15 +94,18 @@ class QMatrix:
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        ot = other.transpose()
-        return QMatrix(
-            self.rows,
-            other.cols,
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in ot.entries)
-                for row in self.entries
-            ),
-        )
+        # Row i of the product adds a * (row k of other) for each nonzero
+        # a = self[i, k], skipping zero entries on both sides.
+        out = []
+        for row in self.entries:
+            acc = [Fraction(0)] * other.cols
+            for a, orow in zip(row, other.entries):
+                if a:
+                    for j, b in enumerate(orow):
+                        if b:
+                            acc[j] += a * b
+            out.append(tuple(acc))
+        return QMatrix(self.rows, other.cols, tuple(out))
 
     def mul_vector(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
@@ -270,21 +273,6 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
         coeffs = ker.basis.col(j)[: s1.dim]
         gens.append(s1.basis.mul_vector(coeffs))
     return subspace_from_columns(s1.ambient, gens)
-
-
-def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
-    if s1.ambient != s2.ambient:
-        raise ValueError("ambient dimension mismatch")
-    return subspace_from_columns(s1.ambient, s1.columns() + s2.columns())
-
-
-def orthogonal_complement(s: Subspace) -> Subspace:
-    """Vectors orthogonal to the subspace under the coordinate dot product."""
-    if s.is_trivial():
-        return subspace_from_columns(s.ambient, [tuple(
-            Fraction(1 if i == j else 0) for j in range(s.ambient)
-        ) for i in range(s.ambient)])
-    return kernel_basis(s.basis.transpose())
 
 
 def full_space(ambient: int) -> Subspace:

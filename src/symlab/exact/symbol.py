@@ -142,16 +142,6 @@ class SymbolOperator:
                             out[key] = out.get(key, 0) + x * c
         return [Polynomial.make(self.n, terms) for terms in acc]
 
-    def compose_left(self, m: QMatrix) -> "SymbolOperator":
-        """The symbol x -> m @ A(x)."""
-        if m.cols != self.dim_e:
-            raise ValueError("left factor shape mismatch")
-        return SymbolOperator.make(
-            self.n, self.dim_v, m.rows, self.order,
-            {alpha: m @ mat for alpha, mat in self.terms},
-            allow_zero=True,
-        )
-
     def scale(self, c) -> "SymbolOperator":
         c = Fraction(c)
         return SymbolOperator.make(

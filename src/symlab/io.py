@@ -14,13 +14,15 @@ on a face x_axis = +1 of the cube and is stored as
 other coordinates; the faces x_i = -1 are their mirror images and are not
 stored.  A polynomial is a list of ``[alpha, "c"]`` terms, and a membership
 witness (A(x) u(x) == p(x) e) is ``{"e": vector, "u": [polynomial, ...],
-"p": polynomial, "cover": cover}``; NOT_CANCELING and partial FAILS
-verdicts carry one per basis vector of the common image under
-``"memberships"``.  Decoders read untrusted reports: a missing field, a
-wrong type or a bad shape (such as a cover box without n-1 bound pairs)
-raises KeyError, TypeError or ValueError, which ``symlab verify`` reports as
-malformed input.  A spanning verdict stores no samples of its own; it is
-re-derived from the cancellation verdict of the same report.
+"p": polynomial, "cover": cover}``; only a NOT_CANCELING verdict carries
+them, one per basis vector of the common image, under ``"memberships"``.
+Decoders read untrusted reports: a missing field, a wrong type or a bad
+shape (such as a cover box without n-1 bound pairs) raises KeyError,
+TypeError or ValueError, which ``symlab verify`` reports as malformed input.
+Spanning and partial cancellation verdicts store no samples or witnesses of
+their own; they are re-derived from the cancellation verdict of the same
+report.  A partial verdict is ``{"status", "certified",
+"constrained_intersection"}``.
 """
 
 from __future__ import annotations
@@ -264,8 +266,6 @@ def canceling_to_json(v: CancelingVerdict) -> dict:
         "intersection": subspace_to_json(v.intersection),
         "dim_trajectory": list(v.dim_trajectory),
     }
-    if v.witness is not None:
-        doc["witness"] = vector_to_json(v.witness)
     if v.memberships:
         doc["memberships"] = [_membership_to_json(m) for m in v.memberships]
     if v.reason is not None:
@@ -278,7 +278,6 @@ def canceling_from_json(doc: dict, dim_e: int, n: int) -> CancelingVerdict:
         doc["status"],
         [vector_from_json(xi) for xi in doc["samples"]],
         subspace_from_json(doc["intersection"], dim_e),
-        witness=vector_from_json(doc["witness"]) if "witness" in doc else None,
         memberships=[_membership_from_json(m, n) for m in doc.get("memberships", [])],
     )
 
@@ -318,28 +317,16 @@ def spanning_from_json(doc: dict) -> SpanningVerdict:
 
 
 def partial_to_json(v: PartialCancelingVerdict) -> dict:
-    doc = {
+    return {
         "status": v.status,
         "certified": v.certified,
-        "samples": [vector_to_json(xi) for xi in v.samples],
-        "image_intersection": subspace_to_json(v.image_intersection),
         "constrained_intersection": subspace_to_json(v.constrained_intersection),
     }
-    if v.witness is not None:
-        doc["witness"] = vector_to_json(v.witness)
-    if v.memberships:
-        doc["memberships"] = [_membership_to_json(m) for m in v.memberships]
-    return doc
 
 
-def partial_from_json(doc: dict, dim_e: int, n: int) -> PartialCancelingVerdict:
+def partial_from_json(doc: dict, dim_e: int) -> PartialCancelingVerdict:
     return PartialCancelingVerdict(
-        doc["status"],
-        [vector_from_json(xi) for xi in doc["samples"]],
-        subspace_from_json(doc["image_intersection"], dim_e),
-        subspace_from_json(doc["constrained_intersection"], dim_e),
-        witness=vector_from_json(doc["witness"]) if "witness" in doc else None,
-        memberships=[_membership_from_json(m, n) for m in doc.get("memberships", [])],
+        doc["status"], subspace_from_json(doc["constrained_intersection"], dim_e)
     )
 
 

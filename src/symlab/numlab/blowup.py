@@ -1,7 +1,8 @@
 """Frequency-localized concentration families for injective symbols.
 
 For an injective symbol A and a codomain vector e lying in every image
-A(xi)[V], the field with spectrum (2 pi i)^(-k) (c(xi/s) - c(s xi)) U(xi),
+A(xi)[V], that is in the common image W of a certified cancellation
+verdict, the field with spectrum (2 pi i)^(-k) (c(xi/s) - c(s xi)) U(xi),
 where c is a radial plateau cutoff (1 inside radius 1/2, 0 outside radius
 2) and U(xi) solves A(xi) U(xi) = e through the normal equations, maps
 under A(D) exactly to the difference of two dilated copies of the cutoff's
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..deciders.cancellation import IntersectionResult, image_intersection
+from ..deciders.cancellation import CancelingVerdict, image_intersection
 from ..deciders.ellipticity import ELLIPTIC, EllipticityVerdict, check_ellipticity
 from ..exact.symbol import SymbolOperator
 from .grid import GridField, GridSpec, apply_symbol, symbol_on_grid
@@ -100,15 +101,16 @@ def build_blowup_field(
     spec: GridSpec,
     profile: Optional[BlowupProfile] = None,
     ellipticity: Optional[EllipticityVerdict] = None,
-    intersection: Optional[IntersectionResult] = None,
+    canceling: Optional[CancelingVerdict] = None,
     seed: int = 0,
 ) -> tuple[GridField, GridField, dict]:
     """Construct (u, A(D)u) for one scale; returns the fields and a flags
     dictionary (nyquist margin, truncation tail, cutoff mass bound).
 
     Requires a certified injective symbol and a direction e inside the
-    certified common image intersection: only then does A(D)u collapse to
-    the two-cutoff difference whose L1 norm the experiments rely on.
+    common image intersection of a certified cancellation verdict (computed
+    with ``seed`` when not given): only then does A(D)u collapse to the
+    two-cutoff difference whose L1 norm the experiments rely on.
     """
     if scale < 2:
         raise BlowupError("scale parameter must be at least 2")
@@ -121,9 +123,11 @@ def build_blowup_field(
     if ellipticity.status != ELLIPTIC:
         raise BlowupError("symbol is not certified injective")
     e_exact = [Fraction(x) for x in e]
-    if intersection is None:
-        intersection = image_intersection(a, seed)
-    if not intersection.subspace.contains(e_exact):
+    if canceling is None:
+        canceling = image_intersection(a, seed)
+    if not canceling.certified:
+        raise BlowupError("the common image intersection is not certified")
+    if not canceling.intersection.contains(e_exact):
         raise BlowupError(
             "direction does not lie in the certified common image intersection"
         )

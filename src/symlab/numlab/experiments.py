@@ -72,11 +72,11 @@ def _blowup_point(
     spec: GridSpec,
     profile: Optional[BlowupProfile],
     ellipticity,
-    intersection,
+    canceling,
 ) -> dict:
     u, au, flags = build_blowup_field(
         a, e, scale, spec, profile=profile,
-        ellipticity=ellipticity, intersection=intersection,
+        ellipticity=ellipticity, canceling=canceling,
     )
     q = sobolev_exponent(spec.n, a.order, ell)
     if ell == 0:
@@ -123,17 +123,17 @@ def blowup_experiment(
     if a.order - ell >= spec.n:
         raise ValueError("derivative gap k - ell must stay below the dimension")
     ellipticity = check_ellipticity(a)
-    intersection = image_intersection(a, seed)
+    canceling = image_intersection(a, seed)
     profile = BlowupProfile.build(spec)
     half = spec.halved() if check_convergence else None
     half_profile = BlowupProfile.build(half) if half is not None else None
     rows = []
     for scale in scales:
-        row = _blowup_point(a, e, ell, scale, spec, profile, ellipticity, intersection)
+        row = _blowup_point(a, e, ell, scale, spec, profile, ellipticity, canceling)
         ref = None
         if half is not None and half.nyquist >= scale:
             ref = _blowup_point(
-                a, e, ell, scale, half, half_profile, ellipticity, intersection
+                a, e, ell, scale, half, half_profile, ellipticity, canceling
             )["ratio"]
         row["converged"] = _converged(row["ratio"], ref)
         rows.append(row)
@@ -169,12 +169,12 @@ def necessity_experiment(
     rows = []
     base_ln = None
     for lam in exponents:
-        phi, _grad, grad_ln = radial_cutoff_test_function(spec, lam)
+        phi, grad_ln = radial_cutoff_test_function(spec, lam)
         if lam == 1.0:
             base_ln = grad_ln
         elif base_ln is None:
             # Reference for the scale check: measure the exponent-1 member once.
-            _, _, base_ln = radial_cutoff_test_function(spec, 1.0)
+            _, base_ln = radial_cutoff_test_function(spec, 1.0)
         pair = pairing(f, phi)
         expected = base_ln * lam ** (1.0 - 1.0 / spec.n)
         scale_err = abs(grad_ln - expected) / expected
@@ -225,7 +225,7 @@ def duality_experiment(
     direction[int(np.argmax(np.abs(means)))] = 1.0
     rows = []
     for lam in exponents:
-        phi, _grad, grad_ln = radial_cutoff_test_function(spec, lam)
+        phi, grad_ln = radial_cutoff_test_function(spec, lam)
         test = GridField(spec, direction[:, None, None] * phi.values[0][None, ...])
         pair = pairing(f, test)
         rows.append(

@@ -104,14 +104,14 @@ def newton_gradient_field(spec: GridSpec, eps: float) -> GridField:
 
 def radial_cutoff_test_function(
     spec: GridSpec, exponent: float
-) -> tuple[GridField, GridField, float]:
+) -> tuple[GridField, float]:
     """The slowly-opening radial plateau family: values ramp from 1 inside
     radius 1 down to 0 outside radius 2^(1/exponent) through a fixed smooth
     profile of r^exponent.
 
-    Returns the scalar field, its gradient field (one component per axis,
-    computed from the exact radial derivative), and the Riemann sum of
-    |gradient|^n, whose n-th root scales like exponent^(1 - 1/n).
+    Returns the scalar field and the n-th root of the Riemann sum of
+    |gradient|^n (the gradient taken from the exact radial derivative),
+    which scales like exponent^(1 - 1/n).
     """
     lam = float(exponent)
     if lam <= 0:
@@ -130,7 +130,6 @@ def radial_cutoff_test_function(
     dphi_dr = sp * lam * r_safe ** (lam - 1.0)
     dphi_dr = np.where(r == 0, 0.0, dphi_dr)
     grads = [dphi_dr * d / r_safe for d in diffs]
-    grad_field = GridField(spec, np.stack(grads))
     grad_mag = np.sqrt(sum(g**2 for g in grads))
     ln_riemann = float((grad_mag**spec.n).sum() * spec.cell_volume) ** (1.0 / spec.n)
-    return GridField(spec, phi[None, ...]), grad_field, ln_riemann
+    return GridField(spec, phi[None, ...]), ln_riemann

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from symlab.catalog import regression_instances
-from symlab.cli import main
+from symlab.cli import build_parser, main
 from symlab.exact import full_space, kernel_basis, subspace_from_columns
 from symlab.io import matrix_from_json, subspace_from_json, subspace_to_json
 
@@ -54,6 +54,12 @@ def test_analyze_then_verify_matches_truth(tmp_path):
         code, report = analyze(tmp_path, uri, *extra)
         verdicts = report["verdicts"]
         assert code == (3 if report["uncertified"] else 0), uri
+        # W has one certificate: the partial verdict is derived, and no
+        # witness vector repeats a basis column of W.
+        if "partial" in verdicts:
+            assert set(verdicts["partial"]) == {"status", "certified",
+                                                "constrained_intersection"}, uri
+        assert "witness" not in verdicts.get("canceling", {}), uri
         vcode, checked = verify(tmp_path, report)
         assert vcode == 0 and checked["all_ok"], (uri, checked)
         for key, doc in verdicts.items():
@@ -93,7 +99,7 @@ def test_analyze_reports_stats(tmp_path):
 
 NO_NUMPY = """
 import sys
-from symlab.cli import main
+from symlab.cli import build_parser, main
 uri, report, checked, compat = sys.argv[1:]
 codes = [main(["analyze", uri, "--json", report]),
          main(["verify", report, "--json", checked]),
@@ -127,7 +133,6 @@ def test_forged_not_canceling_on_non_elliptic_symbol(tmp_path):
         "samples": [],
         "intersection": {"ambient": 2, "dim": 2, "basis_columns": [["1", "0"], ["0", "1"]]},
         "dim_trajectory": [],
-        "witness": ["1", "0"],
     }
     code, checked = verify(tmp_path, report)
     assert code == 3 and checked["all_ok"] is False
@@ -161,6 +166,47 @@ def test_forged_partial_fails_without_witness(tmp_path):
     assert checked["verified"]["partial"] is False
 
 
+def test_derived_verdicts_need_a_passing_canceling_verdict(tmp_path):
+    _code, report = analyze(tmp_path, "catalog:hodge_pair?n=3&ell=1")
+    missing = json.loads(json.dumps(report))
+    del missing["verdicts"]["canceling"]
+    code, checked = verify(tmp_path, missing)
+    assert code == 3
+    assert checked["verified"]["bb_spanning"] is False
+    assert checked["verified"]["partial"] is False
+    # Without its memberships the NOT_CANCELING verdict fails, and so do the
+    # verdicts derived from it, although they are unchanged.
+    del report["verdicts"]["canceling"]["memberships"]
+    code, checked = verify(tmp_path, report)
+    assert code == 3
+    assert checked["verified"] == {"ellipticity": True, "canceling": False,
+                                   "bb_spanning": False, "cocanceling": True,
+                                   "partial": False}
+
+
+def test_forged_partial_differs_from_derivation(tmp_path):
+    _code, report = analyze(tmp_path, "catalog:hodge_pair?n=3&ell=1")
+    assert report["verdicts"]["partial"]["status"] == "HOLDS"
+    report["verdicts"]["partial"] = {
+        "status": "FAILS_SAMPLED", "certified": False,
+        "constrained_intersection": report["verdicts"]["canceling"]["intersection"],
+    }
+    code, checked = verify(tmp_path, report)
+    assert code == 3 and checked["verified"]["partial"] is False
+    assert checked["verified"]["canceling"] is True
+
+
+def test_canceling_relabelled_not_canceling(tmp_path):
+    # W = {0} with no memberships must not pass as NOT_CANCELING.
+    _code, report = analyze(tmp_path, "catalog:gradient?n=2")
+    canceling = report["verdicts"]["canceling"]
+    assert canceling["status"] == "CANCELING" and "memberships" not in canceling
+    canceling["status"] = "NOT_CANCELING"
+    code, checked = verify(tmp_path, report)
+    assert code == 3 and checked["verified"]["canceling"] is False
+    assert checked["verified"]["bb_spanning"] is False
+
+
 def test_not_canceling_verifies_without_ellipticity_verdict(tmp_path):
     for uri in ("catalog:hodge_pair?n=3&ell=1", "catalog:laplacian?n=2",
                 "catalog:saint_venant_k?n=2&k=3"):
@@ -180,6 +226,24 @@ def test_forged_negative_witness_rejected(tmp_path):
             term[1] = str(-Fraction(term[1]))
     code, checked = verify(tmp_path, report)
     assert code == 3 and checked["verified"]["canceling"] is False
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    # One parser serves every call of the process.
+    assert build_parser() is build_parser()
+    path = tmp_path / "report.json"
+    assert main(["analyze", "catalog:curl_div?n=2", "--as", "constraint",
+                 "--json", str(path)]) == 0
+    assert json.loads(path.read_text())["mode"] == "constraint"
+    assert main(["analyze", "catalog:gradient?n=2", "--json", str(path)]) == 0
+    assert json.loads(path.read_text())["mode"] == "operator"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "catalog:gradient?n=2", "--as", "nonsense"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["analyze", "catalog:gradient?n=2", "--seed", "3", "--json", str(path)]) == 0
+    report = json.loads(path.read_text())
+    assert (report["mode"], report["seed"], report["depth"]) == ("operator", 3, 24)
 
 
 def test_compat_transcript_states_order_and_rows(tmp_path):

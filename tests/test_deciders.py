@@ -295,7 +295,8 @@ def test_left_inverses_iff_cocanceling():
 
 def test_gradient_r1_not_canceling_witness_one():
     v = check_canceling(gradient(1).operator, seed=5)
-    assert v.status == NOT_CANCELING and v.witness == (F(1),)
+    assert v.status == NOT_CANCELING and v.intersection.columns() == [(F(1),)]
+    assert [m.e for m in v.memberships] == [(F(1),)]
     op = gradient(1).operator
     assert verify_canceling(op, v)
     assert [m.degree for m in v.memberships] == [1]
@@ -319,9 +320,9 @@ def test_laplacian_never_canceling():
 
 def test_hodge_degree_one_intersection_is_zeroth_component():
     inst = hodge_pair(3, 1)
-    res = image_intersection(inst.operator, seed=3)
-    assert res.certified
-    assert res.subspace == subspace_from_columns(4, [(0, 0, 0, 1)])
+    v = image_intersection(inst.operator, seed=3)
+    assert v.status == NOT_CANCELING and v.certified
+    assert v.intersection == subspace_from_columns(4, [(0, 0, 0, 1)])
 
 
 def test_hyperbolic_canceling_certified_at_every_seed():
@@ -461,10 +462,28 @@ def test_monotone_trajectory_and_iteration_bound():
 
 
 def test_tampered_witness_rejected():
+    # e = 0 with u = 0 is a valid membership, but its vector spans {0}, not W.
     op = laplacian(2).operator
     v = check_canceling(op, seed=1)
-    v.witness = (F(0),)
+    m = v.memberships[0]
+    zero = replace(m, e=(F(0),), u=(Polynomial.zero(2),))
+    assert verify_membership(op, zero)
+    v.memberships = [zero]
     assert not verify_canceling(op, v)
+
+
+def test_canceling_relabelled_not_canceling_rejected():
+    # W = {0} and no memberships: the witnessed vectors span W, but a
+    # NOT_CANCELING verdict needs W != {0}.
+    op = gradient(2).operator
+    v = check_canceling(op, seed=1)
+    assert v.status == CANCELING and verify_canceling(op, v)
+    v.status = NOT_CANCELING
+    assert v.memberships == [] and not verify_canceling(op, v)
+
+
+def test_check_canceling_is_image_intersection():
+    assert check_canceling is image_intersection
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +508,36 @@ def test_partial_holds_for_hodge_degree_one():
     v = check_partial_canceling(cv, inst.constraint_map)
     assert v.status == "HOLDS" and v.certified
     assert v.constrained_intersection.dim == 0
-    assert verify_partial_canceling(inst.operator, inst.constraint_map, v)
+    assert verify_partial_canceling(v, cv, inst.constraint_map)
 
 
 def test_partial_reduces_to_cancellation_at_zero_map():
     inst = hodge_pair(3, 1)
     op = inst.operator
     z = QMatrix.zeros(1, op.dim_e)
-    v = check_partial_canceling(check_canceling(op, seed=2), z)
+    cv = check_canceling(op, seed=2)
+    v = check_partial_canceling(cv, z)
     assert v.status == "FAILS"  # ker 0 = E and the intersection is a line
-    assert v.witness == (0, 0, 0, 1)
-    assert verify_partial_canceling(op, z, v)
-    v.memberships = []
-    assert not verify_partial_canceling(op, z, v)
+    assert v.constrained_intersection == cv.intersection
+    assert v.constrained_intersection.columns() == [(0, 0, 0, 1)]
+    assert verify_partial_canceling(v, cv, z)
+    assert not verify_partial_canceling(v, None, z)
+
+
+def test_partial_verdict_must_match_its_derivation():
+    inst = hodge_pair(3, 1)
+    t = inst.constraint_map
+    cv = check_canceling(inst.operator, seed=2)
+    v = check_partial_canceling(cv, t)
+    assert verify_partial_canceling(v, cv, t)
+    for forged in (replace(v, status="FAILS"),
+                   replace(v, constrained_intersection=cv.intersection)):
+        assert not verify_partial_canceling(forged, cv, t)
+    # Derived from a sampled W, FAILS is only FAILS_SAMPLED.
+    z = QMatrix.zeros(1, inst.operator.dim_e)
+    sampled = replace(cv, status="NOT_CANCELING_SAMPLED", memberships=[])
+    assert check_partial_canceling(sampled, z).status == "FAILS_SAMPLED"
+    assert not verify_partial_canceling(check_partial_canceling(cv, z), sampled, z)
 
 
 def test_partial_always_holds_at_identity():

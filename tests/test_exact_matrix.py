@@ -7,13 +7,10 @@ import pytest
 from symlab.exact import (
     QMatrix,
     column_space,
-    full_space,
     kernel_basis,
-    orthogonal_complement,
     solve_exact,
     subspace_from_columns,
     subspace_intersection,
-    subspace_sum,
 )
 
 
@@ -102,22 +99,35 @@ def test_rank_scale_invariance():
     assert m.rank() == m.scale(F(-7, 3)).rank() == 2
 
 
-def test_orthogonal_complement_dims():
-    s = subspace_from_columns(4, [(1, 0, 1, 0)])
-    c = orthogonal_complement(s)
-    assert c.dim == 3
-    for v in c.columns():
-        assert sum(a * b for a, b in zip(v, (1, 0, 1, 0))) == 0
-    assert orthogonal_complement(subspace_from_columns(2, [])) == full_space(2)
-
-
-def test_subspace_sum_and_contains():
-    s = subspace_sum(
-        subspace_from_columns(3, [(1, 0, 0)]), subspace_from_columns(3, [(1, 1, 0)])
-    )
+def test_subspace_contains():
+    s = subspace_from_columns(3, [(1, 0, 0), (1, 1, 0)])
     assert s.dim == 2
     assert s.contains((5, -3, 0))
     assert not s.contains((0, 0, 1))
+
+
+def test_product_matches_explicit_sum():
+    # Zero rows, zero columns, scattered zero entries and 0-column shapes.
+    a = QMatrix.from_rows([[0, 0, 0], [F(1, 2), 0, -3], [0, 0, 2], [4, 0, 0]])
+    b = QMatrix.from_rows([[1, 0, F(2, 3), 0], [5, 7, 0, 1], [0, 0, -1, 0]])
+    pairs = [
+        (a, b),
+        (b, a),
+        (a, QMatrix.zeros(3, 0)),
+        (QMatrix.zeros(2, 0), QMatrix.zeros(0, 3)),
+        (QMatrix.zeros(0, 3), b),
+        (QMatrix.zeros(2, 3), b),
+        (QMatrix.identity(3), b),
+    ]
+    for x, y in pairs:
+        expected = [[sum((x[i, k] * y[k, j] for k in range(x.cols)), F(0))
+                     for j in range(y.cols)] for i in range(x.rows)]
+        got = x @ y
+        assert (got.rows, got.cols) == (x.rows, y.cols)
+        assert [list(r) for r in got.entries] == expected
+        assert all(type(c) is F for r in got.entries for c in r)
+    with pytest.raises(ValueError):
+        a @ a
 
 
 def test_inverse_round_trip():

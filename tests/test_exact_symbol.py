@@ -162,10 +162,7 @@ def test_shape_validation():
         SymbolOperator.make(2, 1, 1, 2, {(1, 0): QMatrix.from_rows([[1]])})
 
 
-def test_compose_and_scale():
+def test_scale_commutes_with_evaluation():
     g = gradient(2).operator
-    m = QMatrix.from_rows([[2, 1], [1, 1]])
-    left = g.compose_left(m)
     xi = [F(3), F(5)]
-    assert left.evaluate(xi) == m @ g.evaluate(xi)
     assert g.scale(F(-2)).evaluate(xi) == g.evaluate(xi).scale(F(-2))

@@ -15,6 +15,13 @@ from symlab.catalog import (
     quaternion,
     sym_gradient,
 )
+from symlab.deciders import (
+    NOT_CANCELING,
+    NOT_CANCELING_SAMPLED,
+    CancelingVerdict,
+    check_canceling,
+)
+from symlab.exact import full_space
 from symlab.numlab import (
     BlowupError,
     GridField,
@@ -144,6 +151,19 @@ def test_blowup_requires_admissible_direction():
         build_blowup_field(hyperbolic_example().operator, [1, 0], 4.0, spec)
     with pytest.raises(BlowupError):
         build_blowup_field(laplacian(2).operator, [1], 512.0, spec)
+
+
+def test_blowup_refuses_uncertified_intersection():
+    # e = 1 lies in the stated intersection, but a sampled verdict certifies
+    # nothing about the common image.
+    spec = GridSpec(2, 64, 4.0)
+    op = laplacian(2).operator
+    sampled = CancelingVerdict(NOT_CANCELING_SAMPLED, [], full_space(1))
+    with pytest.raises(BlowupError, match="not certified"):
+        build_blowup_field(op, [1], 4.0, spec, canceling=sampled)
+    certified = check_canceling(op, seed=0)
+    assert certified.status == NOT_CANCELING
+    build_blowup_field(op, [1], 4.0, spec, canceling=certified)
 
 
 def test_blowup_image_identity_and_bound():
