@@ -11,12 +11,15 @@ analyze and verify each walk one table of verdicts.  verify decodes every
 verdict of the report, checks that its "certified" flag matches its status
 and re-checks it with the decider's verifier.  Ellipticity, cancellation
 and cocancellation certificates stand on their own (cancellation carries
-membership witnesses and needs no ellipticity verdict).  Spanning and
+membership witnesses and needs no ellipticity verdict; cocancellation of
+either status carries the joint kernel and an inverted block of the stacked
+coefficients whose size is their rank).  Spanning and
 partial cancellation are derived from the cancellation verdict: verify
 derives them again from it, and sees it only if it passed.
 
 Exit codes: 0 all verdicts certified (verify: all verdicts pass), 2
-input/validation error, including a malformed report given to verify, 3
+input/validation error, including a malformed report given to verify and
+a file that is not UTF-8 JSON or is nested too deeply, 3
 at least one verdict or experiment row is undecided/sampled/unconverged
 (verify: at least one verdict is rejected).
 
@@ -27,6 +30,10 @@ counters: boxes examined, cover size, per-axis cover depth, size and degree
 of det(A^T A), cancellation iterations, samples and the degree s of each
 membership witness.  The compat transcript states the order and row count
 of the annihilator.
+
+symlab sets no thread counts of its own: to bound the threads of the numeric
+libraries, set OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS in
+the environment.
 """
 
 from __future__ import annotations
@@ -43,13 +50,6 @@ from typing import Optional
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNDECIDED = 3
-
-
-def _setup_threads() -> None:
-    threads = os.environ.get("SYMLAB_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
 
 
 class CliError(Exception):
@@ -87,6 +87,8 @@ def load_operator(source: str):
         raise CliError(f"cannot read {source}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"{source}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except ValueError as exc:
+        raise CliError(f"cannot read {source}: {exc}")
     try:
         op, t, metadata = operator_from_json(doc)
     except OperatorFileError as exc:
@@ -328,7 +330,7 @@ def cmd_verify(args) -> int:
 
     try:
         report = load_json(args.report)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot read report: {exc}")
     if not isinstance(report, dict) or "operator" not in report or "verdicts" not in report:
         raise CliError("report lacks operator or verdicts")
@@ -374,8 +376,6 @@ def cmd_catalog(args) -> int:
     from .catalog import catalog_entry, catalog_names
 
     if args.action == "list":
-        from .catalog import regression_instances
-
         rows = []
         for name in catalog_names():
             entry = catalog_entry(name)
@@ -435,14 +435,13 @@ def cmd_experiment(args) -> int:
     elif kind == "duality":
         from .numlab import duality_experiment
 
+        if args.op:
+            raise CliError("duality takes no --op: it always pairs against divergence(2)")
         spec = _parse_grid(args.grid, 2, (512, 40.0))
         exps = _parse_floats(args.scales or "1,0.5,0.3333333333333333,0.25")
         rows, manifest = duality_experiment(
             args.field or "curl-potential", exps, spec, sigma=1.5, seed=seed
         )
-        if args.op:
-            op, _t, _m = load_operator(args.op)
-            manifest["operator_digest"] = operator_digest(op)
         flagged = False
     elif kind == "inequality":
         from .numlab import INEQUALITY_FAMILIES, inequality_experiment
@@ -552,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    _setup_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -2,109 +2,87 @@
 
 L(xi)[e] vanishes for every xi exactly when every coefficient matrix kills
 e (the monomials xi^alpha are linearly independent), so the common kernel
-over all directions is the exact kernel of the stacked coefficient
-matrices.  The constraint has trivial common kernel if and only if the
-stacked map is injective, which in turn happens exactly when a family of
-left inverses K_alpha with sum K_alpha L_alpha = Id exists.  The solver
-picks dim V linearly independent rows of the stacked matrix (the pivots of
-one row reduction of its transpose), inverts that square block and puts
-zeros in the columns of every other row.
+over all directions is the exact kernel of the matrix S that stacks the
+coefficient matrices.  The constraint is cocanceling exactly when that
+kernel is {0}.
+
+Both verdicts carry one certificate: the joint kernel K and an r x r block
+M of S (r rows, r columns) with a stated inverse N.  The verifier only
+multiplies: N M = I_r gives rank S >= r, S kills every basis vector of K,
+and r + dim K = dim V then forces K = ker S.  The status is COCANCELING
+exactly when dim K = 0.  The decider takes the pivot columns of rref(S),
+the pivot rows of rref of S[:, cols]^T and inverts that block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from ..exact.matrix import QMatrix, Subspace, full_space, kernel_basis
-from ..exact.poly import MultiIndex
+from ..exact.matrix import QMatrix, Subspace, kernel_basis
 from ..exact.symbol import SymbolOperator
 
 COCANCELING = "COCANCELING"
 NOT_COCANCELING = "NOT_COCANCELING"
 
 
+@dataclass(frozen=True)
+class RankBlock:
+    """Rows and columns of the stacked coefficients whose square block has
+    the given inverse; its size is the rank of the stack."""
+
+    rows: tuple[int, ...]
+    cols: tuple[int, ...]
+    inverse: QMatrix
+
+
 @dataclass
 class CocancelingVerdict:
     status: str
     joint_kernel: Subspace
-    left_inverses: Optional[dict[MultiIndex, QMatrix]] = None
+    block: RankBlock
 
     @property
     def certified(self) -> bool:
         return True
 
 
-def _stacked(l: SymbolOperator) -> Optional[QMatrix]:
-    mats = [mat for _alpha, mat in l.terms]
-    if not mats:
-        return None
-    stacked = mats[0]
-    for m in mats[1:]:
-        stacked = stacked.vstack(m)
-    return stacked
+def _stacked(l: SymbolOperator) -> QMatrix:
+    """S: the coefficient matrices stacked in term order (0 rows for the
+    zero symbol)."""
+    rows = tuple(row for _alpha, mat in l.terms for row in mat.entries)
+    return QMatrix(len(rows), l.dim_v, rows)
+
+
+def _block(s: QMatrix, rows, cols) -> QMatrix:
+    return QMatrix.from_rows([[s[i, j] for j in cols] for i in rows])
 
 
 def joint_kernel(l: SymbolOperator) -> Subspace:
-    stacked = _stacked(l)
-    if stacked is None:
-        return full_space(l.dim_v)
-    return kernel_basis(stacked)
-
-
-def left_inverses(l: SymbolOperator) -> Optional[dict[MultiIndex, QMatrix]]:
-    """Exact K_alpha with sum K_alpha @ L_alpha = Id, or None when the
-    stacked coefficient map is not injective."""
-    stacked = _stacked(l)
-    if stacked is None:
-        return None
-    _red, rows = stacked.transpose().rref()
-    if len(rows) < l.dim_v:
-        return None
-    inverse = QMatrix.from_rows([stacked.row(r) for r in rows]).inverse()
-    column = {r: c for c, r in enumerate(rows)}  # stacked row -> column of inverse
-    out: dict[MultiIndex, QMatrix] = {}
-    offset = 0
-    for alpha, mat in l.terms:
-        out[alpha] = QMatrix.from_rows([
-            [inverse[i, column[r]] if r in column else 0
-             for r in range(offset, offset + mat.rows)]
-            for i in range(l.dim_v)
-        ])
-        offset += mat.rows
-    return out
+    return kernel_basis(_stacked(l))
 
 
 def check_cocanceling(l: SymbolOperator) -> CocancelingVerdict:
-    ker = joint_kernel(l)
-    if ker.dim == 0:
-        return CocancelingVerdict(COCANCELING, ker, left_inverses(l))
-    return CocancelingVerdict(NOT_COCANCELING, ker)
+    s = _stacked(l)
+    _red, cols = s.rref()
+    _red, rows = QMatrix.from_rows([s.col(j) for j in cols]).rref()
+    block = RankBlock(rows, cols, _block(s, rows, cols).inverse())
+    ker = kernel_basis(s)
+    return CocancelingVerdict(COCANCELING if ker.dim == 0 else NOT_COCANCELING, ker, block)
 
 
 def verify_cocanceling(l: SymbolOperator, verdict: CocancelingVerdict) -> bool:
-    """Re-check a joint-kernel verdict with independent exact arithmetic."""
-    if verdict.status == COCANCELING:
-        if verdict.joint_kernel.dim != 0:
-            return False
-        ks = verdict.left_inverses
-        if ks is None:
-            return False
-        acc = QMatrix.zeros(l.dim_v, l.dim_v)
-        terms = l.terms_dict()
-        if set(ks) != set(terms):
-            return False
-        for alpha, k in ks.items():
-            acc = acc + (k @ terms[alpha])
-        return acc == QMatrix.identity(l.dim_v)
-    if verdict.status == NOT_COCANCELING:
-        if verdict.joint_kernel.dim == 0:
-            return False
-        for v in verdict.joint_kernel.columns():
-            if all(x == 0 for x in v):
-                return False
-            for _alpha, mat in l.terms:
-                if any(x != 0 for x in mat.mul_vector(v)):
-                    return False
-        return True
-    return False
+    """Re-check a joint-kernel verdict by exact multiplication only."""
+    s = _stacked(l)
+    b, ker = verdict.block, verdict.joint_kernel
+    r = len(b.rows)
+    if len(b.cols) != r or (b.inverse.rows, b.inverse.cols) != (r, r):
+        return False
+    if not all(0 <= i < s.rows for i in b.rows) or not all(0 <= j < s.cols for j in b.cols):
+        return False
+    if b.inverse @ _block(s, b.rows, b.cols) != QMatrix.identity(r):
+        return False
+    if r + ker.dim != l.dim_v:
+        return False
+    if any(x != 0 for v in ker.columns() for x in s.mul_vector(v)):
+        return False
+    return verdict.status == (COCANCELING if ker.dim == 0 else NOT_COCANCELING)

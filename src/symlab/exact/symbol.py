@@ -60,9 +60,6 @@ class SymbolOperator:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def terms_dict(self) -> dict[MultiIndex, QMatrix]:
-        return dict(self.terms)
-
     def evaluate(self, xi: Sequence) -> QMatrix:
         """Exact value of the symbol at a rational frequency vector."""
         pt = [Fraction(x) for x in xi]

@@ -22,7 +22,11 @@ TypeError or ValueError, which ``symlab verify`` reports as malformed input.
 Spanning and partial cancellation verdicts store no samples or witnesses of
 their own; they are re-derived from the cancellation verdict of the same
 report.  A partial verdict is ``{"status", "certified",
-"constrained_intersection"}``.
+"constrained_intersection"}``.  A cocancellation verdict of either status is
+``{"status", "certified", "joint_kernel", "block"}`` with ``"block":
+{"rows": [i, ...], "cols": [j, ...], "inverse": matrix}``: r row and r
+column indices of the stacked coefficient matrices and the inverse of the
+r x r block they select (``[]`` when r = 0).
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .deciders.cancellation import (
     PartialCancelingVerdict,
     SpanningVerdict,
 )
-from .deciders.cocancellation import CocancelingVerdict
+from .deciders.cocancellation import CocancelingVerdict, RankBlock
 from .deciders.ellipticity import CertifiedBox, EllipticityVerdict, FaceBox
 from .exact.matrix import QMatrix, Subspace, subspace_from_columns
 from .exact.poly import Polynomial
@@ -283,28 +287,26 @@ def canceling_from_json(doc: dict, dim_e: int, n: int) -> CancelingVerdict:
 
 
 def cocanceling_to_json(v: CocancelingVerdict) -> dict:
-    doc = {
+    return {
         "status": v.status,
         "certified": True,
         "joint_kernel": subspace_to_json(v.joint_kernel),
+        "block": {"rows": list(v.block.rows), "cols": list(v.block.cols),
+                  "inverse": matrix_to_json(v.block.inverse)},
     }
-    if v.left_inverses is not None:
-        doc["left_inverses"] = [
-            {"alpha": list(alpha), "matrix": matrix_to_json(mat)}
-            for alpha, mat in sorted(v.left_inverses.items())
-        ]
-    return doc
 
 
 def cocanceling_from_json(doc: dict, dim_v: int) -> CocancelingVerdict:
-    left = None
-    if "left_inverses" in doc:
-        left = {
-            tuple(item["alpha"]): matrix_from_json(item["matrix"])
-            for item in doc["left_inverses"]
-        }
+    block = doc["block"]
+    rows, cols = tuple(block["rows"]), tuple(block["cols"])
+    if not all(type(i) is int for i in rows + cols):
+        raise ValueError("block indices must be integers")
+    # The rank-0 block has an empty inverse, which matrix_from_json refuses.
+    inverse = (QMatrix.zeros(0, 0) if block["inverse"] == []
+               else matrix_from_json(block["inverse"], "block inverse"))
     return CocancelingVerdict(
-        doc["status"], subspace_from_json(doc["joint_kernel"], dim_v), left
+        doc["status"], subspace_from_json(doc["joint_kernel"], dim_v),
+        RankBlock(rows, cols, inverse),
     )
 
 
@@ -331,5 +333,10 @@ def partial_from_json(doc: dict, dim_e: int) -> PartialCancelingVerdict:
 
 
 def load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """Parse a UTF-8 JSON file.  Raises OSError when it cannot be read and
+    ValueError when it is not UTF-8, not JSON or nested too deeply."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None

@@ -60,6 +60,8 @@ def test_analyze_then_verify_matches_truth(tmp_path):
             assert set(verdicts["partial"]) == {"status", "certified",
                                                 "constrained_intersection"}, uri
         assert "witness" not in verdicts.get("canceling", {}), uri
+        assert set(verdicts["cocanceling"]) == {"status", "certified", "joint_kernel",
+                                                "block"}, uri
         vcode, checked = verify(tmp_path, report)
         assert vcode == 0 and checked["all_ok"], (uri, checked)
         for key, doc in verdicts.items():
@@ -228,6 +230,56 @@ def test_forged_negative_witness_rejected(tmp_path):
     assert code == 3 and checked["verified"]["canceling"] is False
 
 
+def test_forged_joint_kernel_strict_subspace(tmp_path):
+    # S = (1 0 0) kills span{e2, e3}; a report that claims only span{e2}
+    # must not pass.
+    source = tmp_path / "op.json"
+    source.write_text(json.dumps({
+        "schema_version": 1, "n": 2, "dimV": 3, "dimE": 1, "order": 1,
+        "terms": [{"alpha": [1, 0], "matrix": [["1", "0", "0"]]}],
+    }))
+    _code, report = analyze(tmp_path, str(source), "--as", "constraint")
+    assert verify(tmp_path, report)[0] == 0
+    report["verdicts"]["cocanceling"]["joint_kernel"] = subspace_to_json(
+        subspace_from_columns(3, [[0, 1, 0]]))
+    code, checked = verify(tmp_path, report)
+    assert code == 3 and checked["verified"]["cocanceling"] is False
+
+
+# The stacked coefficients of div in two variables are S = ((0 1), (1 0)),
+# and the genuine block is all of S with inverse S.
+SWAP = [["0", "1"], ["1", "0"]]
+IDENTITY = [["1", "0"], ["0", "1"]]
+
+
+@pytest.mark.parametrize("block", [
+    {"rows": [0, 0], "cols": [0, 1], "inverse": SWAP},       # singular block
+    {"rows": [0, 1], "cols": [0, 1], "inverse": IDENTITY},   # wrong inverse
+    {"rows": [-1, 0], "cols": [0, 1], "inverse": IDENTITY},  # row -1 would read row 1
+    {"rows": [0, 1], "cols": [0, -1], "inverse": SWAP},      # column -1 would read column 1
+    {"rows": [0, 2], "cols": [0, 1], "inverse": SWAP},       # row out of range
+    {"rows": [], "cols": [], "inverse": []},                 # r + dim K = 0 < dim V
+], ids=["singular", "wrong_inverse", "negative_row", "negative_col", "row_out_of_range",
+        "rank_too_small"])
+def test_forged_cocanceling_block(tmp_path, block):
+    _code, report = analyze(tmp_path, "catalog:divergence?n=2", "--as", "constraint")
+    assert report["verdicts"]["cocanceling"]["block"] == {
+        "rows": [0, 1], "cols": [0, 1], "inverse": SWAP}
+    report["verdicts"]["cocanceling"]["block"] = block
+    code, checked = verify(tmp_path, report)
+    assert code == 3 and checked["verified"]["cocanceling"] is False
+
+
+@pytest.mark.parametrize("verb", ["analyze", "verify"])
+@pytest.mark.parametrize("content", [b'{"n": "\xe9"}', b"[" * 100000],
+                         ids=["not_utf8", "nested"])
+def test_unreadable_input_exits_2(tmp_path, capsys, verb, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert main([verb, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read")
+
+
 def test_repeated_main_calls_share_no_state(tmp_path, capsys):
     # One parser serves every call of the process.
     assert build_parser() is build_parser()
@@ -292,8 +344,8 @@ def test_malformed_witness(tmp_path, capsys, field, value):
 # must never raise.
 
 # One report per certificate kind: ELLIPTIC cover, CANCELING, SPANS and
-# COCANCELING left inverses; NOT_CANCELING membership witnesses;
-# NOT_ELLIPTIC witness; partial HOLDS; NOT_COCANCELING joint kernel.
+# COCANCELING block; NOT_CANCELING membership witnesses; NOT_ELLIPTIC
+# witness; partial HOLDS; NOT_COCANCELING joint kernel and block.
 MUTATION_SOURCES = (
     ("catalog:gradient?n=2",),
     ("catalog:laplacian?n=2",),

@@ -31,7 +31,7 @@ def test_gradient_annihilator_matches_hand_expansion():
         (0, 1): QMatrix.from_rows([[1, 0]]),
         (1, 0): QMatrix.from_rows([[0, -1]]),
     }
-    assert res.operator.terms_dict() == expect
+    assert dict(res.operator.terms) == expect
     assert res.operator.order == 1
     report = verify_annihilator(gradient(2).operator, res.operator)
     assert report.identity_ok and report.kernels_match
@@ -53,7 +53,7 @@ def test_sym_gradient_annihilator_is_saint_venant():
 
     def flat(sym):
         """One coefficient vector per row, over every monomial of degree 2."""
-        terms = sym.terms_dict()
+        terms = dict(sym.terms)
         zero = QMatrix.zeros(sym.dim_e, sym.dim_v)
         return [
             [x for alpha in multi_indices(3, 2) for x in terms.get(alpha, zero).row(i)]

@@ -35,7 +35,6 @@ from symlab.deciders import (
     check_partial_canceling,
     image_intersection,
     joint_kernel,
-    left_inverses,
     verify_canceling,
     verify_cocanceling,
     verify_ellipticity,
@@ -242,22 +241,28 @@ def test_defigueiredo_4_2_elliptic_at_default_depth():
 # Cocancellation
 
 
-def test_divergence_cocanceling_with_left_inverses():
-    v = check_cocanceling(divergence(3).operator)
+def selected_block(op, block):
+    """The entries of the stacked coefficient matrices that a block selects."""
+    stacked = [row for _alpha, m in op.terms for row in m.entries]
+    return QMatrix.from_rows([[stacked[i][j] for j in block.cols] for i in block.rows])
+
+
+def test_divergence_cocanceling_with_full_block():
+    # The stacked coefficients of div permute the coordinates: every row and
+    # column is in the block.
+    op = divergence(3).operator
+    v = check_cocanceling(op)
     assert v.status == COCANCELING and v.joint_kernel.dim == 0
-    assert verify_cocanceling(divergence(3).operator, v)
-    ks = v.left_inverses
-    for i, (alpha, k) in enumerate(sorted(ks.items())):
-        assert k == QMatrix.from_rows([[1 if r == alpha.index(1) else 0] for r in range(3)])
+    assert verify_cocanceling(op, v)
+    assert sorted(v.block.rows) == sorted(v.block.cols) == [0, 1, 2]
+    assert v.block.inverse == selected_block(op, v.block).inverse()
 
 
-def test_higher_order_left_inverse_is_injection():
+def test_higher_order_block_has_full_rank():
     op = higher_order_div(2, 2).operator
-    ks = left_inverses(op)
-    acc = QMatrix.zeros(op.dim_v, op.dim_v)
-    for alpha, k in ks.items():
-        acc = acc + (k @ op.terms_dict()[alpha])
-    assert acc == QMatrix.identity(op.dim_v)
+    v = check_cocanceling(op)
+    assert len(v.block.rows) == op.dim_v
+    assert v.block.inverse @ selected_block(op, v.block) == QMatrix.identity(op.dim_v)
 
 
 def test_curl_div_joint_kernel_is_identity_line():
@@ -266,7 +271,7 @@ def test_curl_div_joint_kernel_is_identity_line():
     assert v.status == NOT_COCANCELING
     expected = subspace_from_columns(9, inst.truth["joint_kernel_basis"])
     assert v.joint_kernel == expected
-    assert left_inverses(inst.operator) is None
+    assert len(v.block.rows) == 8
     assert verify_cocanceling(inst.operator, v)
 
 
@@ -276,17 +281,22 @@ def test_saint_venant_r1_zero_operator_not_cocanceling():
     v = check_cocanceling(op)
     assert v.status == NOT_COCANCELING
     assert v.joint_kernel.dim == op.dim_v
+    assert v.block.rows == v.block.cols == () and v.block.inverse.rows == 0
+    assert verify_cocanceling(op, v)
 
 
 def test_exterior_d_cocanceling():
     assert check_cocanceling(exterior_d(4, 2).operator).status == COCANCELING
 
 
-def test_left_inverses_iff_cocanceling():
+def test_block_size_plus_kernel_is_dim_v():
+    # The block's size is rank S, so it is dim V exactly when cocanceling.
     for inst in (divergence(2), higher_order_div(3, 2), curl_div(2), saint_venant(2)):
-        v = check_cocanceling(inst.operator)
-        ks = left_inverses(inst.operator)
-        assert (ks is not None) == (v.status == COCANCELING)
+        op = inst.operator
+        v = check_cocanceling(op)
+        assert len(v.block.rows) + v.joint_kernel.dim == op.dim_v
+        assert (len(v.block.rows) == op.dim_v) == (v.status == COCANCELING)
+        assert verify_cocanceling(op, v)
 
 
 # ---------------------------------------------------------------------------

@@ -100,3 +100,14 @@ def test_blowup_default_grid_over_budget_exits_2(tmp_path, capsys):
                  "--ell", "1", "--no-figure", "--csv", str(tmp_path / "b.csv")])
     assert code == 2
     assert "--grid" in capsys.readouterr().err
+
+
+def test_duality_refuses_op(tmp_path, capsys):
+    # The duality experiment always pairs against divergence(2).
+    from symlab.cli import main
+
+    code = main(["experiment", "duality", "--op", "catalog:gradient?n=2", "--no-figure",
+                 "--csv", str(tmp_path / "d.csv")])
+    assert code == 2
+    assert "--op" in capsys.readouterr().err
+    assert not (tmp_path / "d.csv").exists()
