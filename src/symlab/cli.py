@@ -403,6 +403,11 @@ def cmd_experiment(args) -> int:
 
     kind = args.kind
     seed = args.seed
+    if kind != "blowup":
+        given = [flag for flag, value in (("--op", args.op), ("--e", args.direction),
+                                          ("--ell", args.ell)) if value is not None]
+        if given:
+            raise CliError(f"{kind} takes no {', '.join(given)}: only blowup reads them")
     rows: list[dict]
     if kind == "blowup":
         from .numlab import blowup_experiment
@@ -415,7 +420,7 @@ def cmd_experiment(args) -> int:
         e = _parse_rationals(args.direction, op.dim_e)
         try:
             rows, manifest = blowup_experiment(
-                op, e, args.ell, scales, spec, seed=seed,
+                op, e, args.ell or 0, scales, spec, seed=seed,
                 digest=operator_digest(op),
             )
         except ValueError as exc:
@@ -435,8 +440,6 @@ def cmd_experiment(args) -> int:
     elif kind == "duality":
         from .numlab import duality_experiment
 
-        if args.op:
-            raise CliError("duality takes no --op: it always pairs against divergence(2)")
         spec = _parse_grid(args.grid, 2, (512, 40.0))
         exps = _parse_floats(args.scales or "1,0.5,0.3333333333333333,0.25")
         rows, manifest = duality_experiment(
@@ -535,8 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--op", default=None)
     pe.add_argument("--e", dest="direction", default=None,
                     help="codomain direction (comma-separated rationals)")
-    pe.add_argument("--ell", type=int, default=0,
-                    help="derivative order measured in the blowup ratio")
+    pe.add_argument("--ell", type=int, default=None,
+                    help="derivative order measured in the blowup ratio (default 0)")
     pe.add_argument("--lambda", dest="scales", default=None,
                     help="schedule (comma-separated)")
     pe.add_argument("--family", default=None, help="inequality family")

@@ -59,11 +59,17 @@ def rat_to_str(x: Fraction) -> str:
     return str(x)
 
 
+# Characters of an offending literal an error message shows.
+SHOWN_LITERAL = 40
+
+
 def rat_from_str(s: str) -> Fraction:
+    text = str(s)
     try:
-        return Fraction(str(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise OperatorFileError(f"bad rational literal {s!r}: {exc}") from exc
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        shown = text if len(text) <= SHOWN_LITERAL else text[:SHOWN_LITERAL] + "..."
+        raise OperatorFileError(f"bad rational literal {shown!r}") from None
 
 
 def matrix_to_json(m: QMatrix) -> list:

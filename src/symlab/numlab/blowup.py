@@ -81,8 +81,9 @@ def solve_symbol_directions(
     a: SymbolOperator, spec: GridSpec, e: Sequence[float]
 ) -> np.ndarray:
     """U(xi) with A(xi) U(xi) = e solved through the normal equations at
-    every nonzero grid frequency; the zero frequency gets U = 0."""
-    amat = np.zeros(spec.shape + (a.dim_e, a.dim_v))
+    every nonzero frequency of the half spectrum; the zero frequency gets
+    U = 0."""
+    amat = np.zeros(spec.half_shape + (a.dim_e, a.dim_v))
     for r, c, values in symbol_on_grid(a, spec):
         amat[..., r, c] = values
     gram = np.einsum("...ev,...ew->...vw", amat, amat)
@@ -91,7 +92,7 @@ def solve_symbol_directions(
     gram[origin] = np.eye(a.dim_v)
     u = np.linalg.solve(gram, rhs[..., None])[..., 0]
     u[origin] = 0.0
-    return np.moveaxis(u, -1, 0)  # (dimV, *grid)
+    return np.moveaxis(u, -1, 0)  # (dimV, *half_shape)
 
 
 def build_blowup_field(

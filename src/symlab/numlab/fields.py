@@ -98,7 +98,11 @@ def newton_gradient_field(spec: GridSpec, eps: float) -> GridField:
     factor[origin] = 0.0
     spectrum = np.empty((3,) + factor.shape, dtype=complex)
     for i in range(3):
-        np.multiply(factor, xi[i], out=spectrum[i])
+        # xi_i is odd: on the unpaired Nyquist bin of axis i it has no real
+        # representation, so component i carries nothing there.
+        odd = xi[i].copy()
+        odd.flat[spec.size // 2] = 0.0
+        np.multiply(factor, odd, out=spectrum[i])
     return GridField.from_spectrum(spec, spectrum)
 
 

@@ -1,10 +1,17 @@
 """Periodic sampling grids and spectral application of symbols.
 
 Conventions: the box is [0, T)^n sampled at N points per axis (N a power
-of two), frequencies are m/T with integer m in fft order.  The spectral
-representation follows the continuum transform: analysis multiplies the
-FFT by h^n (a Riemann sum for the integral transform), synthesis divides
-by T^n, so a derivative of order alpha is the multiplier (2 pi i xi)^alpha.
+of two), frequencies are m/T with integer m.  Every field is real, so every
+spectrum is the real half spectrum of ``rfftn``: shape ``spec.half_shape``,
+frequencies in fft order on the first n - 1 axes and 0 .. N/2 on the last.
+The spectral representation follows the continuum transform: analysis
+multiplies the FFT by h^n (a Riemann sum for the integral transform),
+synthesis divides by T^n, so a derivative of order alpha is the multiplier
+(2 pi i xi)^alpha.
+
+A ``GridField`` keeps its Nyquist-masked half spectrum once it is known:
+a field synthesized from a spectrum never transforms forward, and a field
+read by several operators transforms forward once.
 
 ``symbol_on_grid`` is the one place that evaluates a symbol
 sum_alpha xi^alpha A_alpha at the grid frequencies.  ``apply_symbol``
@@ -17,9 +24,9 @@ allocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial, pi, prod
-from typing import Iterator
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -27,8 +34,8 @@ from ..exact.matrix import QMatrix
 from ..exact.poly import multi_indices
 from ..exact.symbol import SymbolOperator
 
-# 128^3 (the largest built-in grid) is 2^21 points; one complex component
-# of a 2^22-point grid takes 64 MiB.
+# 128^3 (the largest built-in grid) is 2^21 points; one half-spectrum
+# component of a 2^22-point grid takes about 32 MiB.
 MAX_GRID_POINTS = 2**22
 
 
@@ -67,6 +74,12 @@ class GridSpec:
         return (self.size,) * self.n
 
     @property
+    def half_shape(self) -> tuple[int, ...]:
+        """Shape of a real half spectrum: N on the first n - 1 axes, N/2 + 1
+        on the last."""
+        return (self.size,) * (self.n - 1) + (self.size // 2 + 1,)
+
+    @property
     def cell_volume(self) -> float:
         return self.spacing**self.n
 
@@ -77,10 +90,13 @@ class GridSpec:
         return list(np.meshgrid(*self.axes(), indexing="ij"))
 
     def frequency_grids(self) -> list[np.ndarray]:
-        """Frequency coordinates per axis, shaped to broadcast against
-        spec.shape (length N along their own axis, 1 elsewhere)."""
+        """Frequency coordinates of the half spectrum per axis, shaped to
+        broadcast against spec.half_shape: ``fftfreq`` on the first n - 1
+        axes, ``rfftfreq`` on the last (length N/2 + 1, ending at the
+        positive Nyquist frequency)."""
         f = np.fft.fftfreq(self.size, d=self.spacing)
-        return list(np.meshgrid(*[f] * self.n, indexing="ij", sparse=True))
+        last = np.fft.rfftfreq(self.size, d=self.spacing)
+        return list(np.meshgrid(*[f] * (self.n - 1), last, indexing="ij", sparse=True))
 
     def halved(self) -> "GridSpec":
         if self.size < 4:
@@ -92,6 +108,10 @@ class GridSpec:
 class GridField:
     spec: GridSpec
     values: np.ndarray  # shape (components, *spec.shape), float64
+    # The Nyquist-masked, continuum-normalized half spectrum of ``values``,
+    # read-only, once ``from_spectrum`` or ``spectrum`` has produced it; the
+    # values must not change after that.
+    _hat: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = (self.components,) + self.spec.shape
@@ -106,15 +126,28 @@ class GridField:
 
     @staticmethod
     def from_spectrum(spec: GridSpec, spectrum: np.ndarray) -> "GridField":
-        """Synthesize a real field from continuum-normalized spectral samples
-        of shape (components, *grid)."""
-        axes = tuple(range(1, spec.n + 1))
-        scale = spec.size**spec.n / spec.box**spec.n
-        return GridField(spec, np.fft.ifftn(spectrum, axes=axes).real * scale)
+        """Synthesize a real field from a continuum-normalized half spectrum
+        of shape (components, *spec.half_shape).
+
+        The values keep the Nyquist bins, read at -N/2 on the first n - 1
+        axes, so a factor odd in the frequency of such an axis belongs
+        zeroed on its Nyquist bin.  The cached spectrum is the input times
+        ``nyquist_mask``: the spectrum of the values when the input is the
+        half spectrum of a real field, that is when its zero plane of the
+        last axis is Hermitian off the Nyquist bins."""
+        return _synthesize(spec, spectrum, spectrum * nyquist_mask(spec))
 
     def spectrum(self) -> np.ndarray:
-        axes = tuple(range(1, self.spec.n + 1))
-        return np.fft.fftn(self.values, axes=axes) * self.spec.cell_volume
+        """The Nyquist-masked, continuum-normalized half spectrum, of shape
+        (components, *spec.half_shape): computed by one ``rfftn`` on first
+        use, then cached (read-only)."""
+        if self._hat is None:
+            axes = tuple(range(1, self.spec.n + 1))
+            hat = np.fft.rfftn(self.values, axes=axes)
+            hat *= self.spec.cell_volume * nyquist_mask(self.spec)
+            hat.flags.writeable = False
+            self._hat = hat
+        return self._hat
 
     def magnitude(self) -> np.ndarray:
         return np.sqrt((self.values**2).sum(axis=0))
@@ -135,13 +168,14 @@ class GridField:
 
 
 def nyquist_mask(spec: GridSpec) -> np.ndarray:
-    """Zero on the unpaired Nyquist hyperplanes, one elsewhere.
+    """Zero on the unpaired Nyquist hyperplanes of the half spectrum, one
+    elsewhere; shape spec.half_shape.
 
-    Real fields carry the -N/2 frequency without its positive partner, so
+    Real fields carry the N/2 frequency without its sign partner, so
     odd-order multipliers on that bin have no Hermitian representation;
     projecting the bin out makes multiplier application commute with
     composition exactly."""
-    mask = np.ones(spec.shape)
+    mask = np.ones(spec.half_shape)
     half = spec.size // 2
     for ax in range(spec.n):
         sl: list = [slice(None)] * spec.n
@@ -150,10 +184,22 @@ def nyquist_mask(spec: GridSpec) -> np.ndarray:
     return mask
 
 
+def _synthesize(spec: GridSpec, hat: np.ndarray, cache: np.ndarray) -> GridField:
+    """The real field whose continuum-normalized half spectrum is ``hat``,
+    holding ``cache`` (its Nyquist-masked spectrum) from now on."""
+    axes = tuple(range(1, spec.n + 1))
+    values = np.fft.irfftn(hat, s=spec.shape, axes=axes)
+    values *= spec.size**spec.n / spec.box**spec.n
+    out = GridField(spec, values)
+    cache.flags.writeable = False
+    out._hat = cache
+    return out
+
+
 def symbol_on_grid(a: SymbolOperator, spec: GridSpec) -> Iterator[tuple[int, int, np.ndarray]]:
     """The symbol sum_alpha xi^alpha A_alpha at the grid frequencies, one
     nonzero entry at a time: yields (row, column, values) with real values
-    that broadcast to spec.shape.  The (2 pi i)^k factor of the Fourier
+    that broadcast to spec.half_shape.  The (2 pi i)^k factor of the Fourier
     multiplier is left to the caller."""
     if a.n != spec.n:
         raise ValueError("operator and grid dimensions differ")
@@ -179,20 +225,18 @@ def symbol_on_grid(a: SymbolOperator, spec: GridSpec) -> Iterator[tuple[int, int
 
 def apply_symbol(a: SymbolOperator, u: GridField) -> GridField:
     """Apply the operator to a periodic field through its Fourier multiplier
-    (2 pi i)^k A(xi), one entry of the symbol at a time."""
+    (2 pi i)^k A(xi), one entry of the symbol at a time, on the half
+    spectrum of ``u`` (cached by ``u``).  The result holds its own spectrum,
+    so operators applied to it transform only backward."""
     if u.components != a.dim_v:
         raise ValueError(f"field has {u.components} components, operator expects {a.dim_v}")
     spec = u.spec
-    axes = tuple(range(1, spec.n + 1))
-    u_hat = np.fft.fftn(u.values, axes=axes)
-    u_hat *= nyquist_mask(spec)[None, ...]
-    out_hat = np.zeros((a.dim_e,) + spec.shape, dtype=complex)
+    u_hat = u.spectrum()
+    out_hat = np.zeros((a.dim_e,) + spec.half_shape, dtype=complex)
     for r, c, values in symbol_on_grid(a, spec):
         out_hat[r] += values * u_hat[c]
-    del u_hat  # release the input spectrum before the inverse transform
     out_hat *= (2j * pi) ** a.order
-    out = np.fft.ifftn(out_hat, axes=axes).real
-    return GridField(spec, np.ascontiguousarray(out))
+    return _synthesize(spec, out_hat, out_hat)
 
 
 def derivative_magnitude(u: GridField, order: int) -> np.ndarray:

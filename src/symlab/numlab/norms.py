@@ -26,7 +26,11 @@ def pairing(f: GridField, g: GridField) -> float:
 
 
 def l2_norm_spectral(u: GridField) -> float:
-    """L2 norm computed on the spectral side (for the Parseval check)."""
+    """L2 norm computed on the spectral side (for the Parseval check), from
+    the unmasked half spectrum: the interior bins of the last axis stand
+    for themselves and their conjugate partners, so they count twice."""
     spec = u.spec
-    hat = u.spectrum()
-    return float(np.sqrt((np.abs(hat) ** 2).sum() / spec.box**spec.n))
+    hat = np.fft.rfftn(u.values, axes=tuple(range(1, spec.n + 1))) * spec.cell_volume
+    weight = np.full(hat.shape[-1], 2.0)
+    weight[0] = weight[-1] = 1.0
+    return float(np.sqrt((np.abs(hat) ** 2 * weight).sum() / spec.box**spec.n))

@@ -338,6 +338,17 @@ def test_malformed_witness(tmp_path, capsys, field, value):
     assert "malformed report" in capsys.readouterr().err
 
 
+def test_deep_rational_error_is_short(tmp_path, capsys):
+    # A deeply nested value in place of a rational: exit 2 with a one-line
+    # message that shows only the start of the literal.
+    _code, report = analyze(tmp_path, "catalog:gradient?n=2")
+    report["verdicts"]["cocanceling"]["block"]["inverse"][0][0] = json.loads("[" * 900 + "]" * 900)
+    code, _ = verify(tmp_path, report)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "bad rational literal" in err and len(err) < 200
+
+
 # ---------------------------------------------------------------------------
 # Mutation test: change one field of a genuine report anywhere under its
 # verdicts; verify may accept, reject or call the input malformed, but it

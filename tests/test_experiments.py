@@ -5,6 +5,7 @@ import pytest
 
 from symlab.catalog import hodge_pair, laplacian
 from symlab.numlab import (
+    GridField,
     GridSpec,
     blowup_experiment,
     duality_experiment,
@@ -12,6 +13,9 @@ from symlab.numlab import (
     necessity_experiment,
     sobolev_exponent,
 )
+from symlab.numlab.experiments import mean_component
+from symlab.numlab.fields import curl_potential_field, gaussian_bump
+from symlab.numlab.norms import lp_norm
 
 
 def test_sobolev_exponent_values():
@@ -102,6 +106,24 @@ def test_blowup_default_grid_over_budget_exits_2(tmp_path, capsys):
     assert "--grid" in capsys.readouterr().err
 
 
+def test_duality_direction_ignores_round_off():
+    # The curl-potential field has round-off component means; perturbing it
+    # at that level must not move the pairing direction off component 0.
+    spec = GridSpec(2, 128, 40.0)
+    f = curl_potential_field(spec, sigma=1.5)
+    f_l1 = lp_norm(f, 1.0)
+    assert mean_component(f, f_l1) == 0
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        noise = 1e-14 * np.abs(f.values).max() * rng.standard_normal(f.values.shape)
+        noise[1] += 1e-14 * np.abs(f.values).max()  # a round-off mean on component 1
+        assert mean_component(GridField(spec, f.values + noise), f_l1) == 0
+    # A generic field pairs against the component that carries its mass.
+    for comps, k in (([1.0, 0.0], 0), ([0.0, 1.0], 1), ([0.1, -1.0], 1)):
+        g = gaussian_bump(spec, sigma=1.5, components=comps, normalize_l1=True)
+        assert mean_component(g, lp_norm(g, 1.0)) == k
+
+
 def test_duality_refuses_op(tmp_path, capsys):
     # The duality experiment always pairs against divergence(2).
     from symlab.cli import main
@@ -111,3 +133,23 @@ def test_duality_refuses_op(tmp_path, capsys):
     assert code == 2
     assert "--op" in capsys.readouterr().err
     assert not (tmp_path / "d.csv").exists()
+
+
+OPTIONS = {"op": ["--op", "catalog:gradient?n=2"], "e": ["--e", "1"], "ell": ["--ell", "0"]}
+
+
+@pytest.mark.parametrize("kind, option", [
+    (kind, option) for kind in ("necessity", "inequality", "duality") for option in OPTIONS
+    if (kind, option) != ("duality", "op")
+])
+def test_unread_options_refused(tmp_path, capsys, kind, option):
+    # Only blowup reads an operator, a direction and a derivative order.
+    from symlab.cli import main
+
+    option = OPTIONS[option]
+    extra = ["--family", "gns_disc"] if kind == "inequality" else []
+    code = main(["experiment", kind, *extra, *option, "--no-figure",
+                 "--csv", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert option[0] in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()

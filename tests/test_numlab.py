@@ -8,6 +8,7 @@ import pytest
 
 from symlab.catalog import (
     divergence,
+    exterior_d,
     gradient,
     hodge_pair,
     hyperbolic_example,
@@ -36,6 +37,8 @@ from symlab.numlab import (
     smoothstep_deriv,
     solve_symbol_directions,
 )
+from symlab.numlab.experiments import _newton_point
+from symlab.numlab.fields import newton_gradient_field
 from symlab.numlab.grid import nyquist_mask
 
 
@@ -97,7 +100,7 @@ def test_compose_matches_direct_multiplier():
     lap = apply_symbol(divergence(2).operator, apply_symbol(gradient(2).operator, u))
     xi = spec.frequency_grids()
     mult = -4 * np.pi**2 * (xi[0] ** 2 + xi[1] ** 2) * nyquist_mask(spec)
-    direct = np.fft.ifft2(mult * np.fft.fft2(u.values[0])).real
+    direct = np.fft.irfftn(mult * np.fft.rfftn(u.values[0]), s=spec.shape, axes=(0, 1))
     scale = np.abs(direct).max()
     assert np.abs(lap.values[0] - direct).max() <= 1e-9 * scale
 
@@ -122,12 +125,16 @@ def test_direction_solver_solves_symbol_everywhere():
     op = hodge_pair(3, 1).operator
     e = np.array([0.0, 0.0, 0.0, 1.0])
     u = solve_symbol_directions(op, spec, e)
+    assert u.shape == (op.dim_v,) + spec.half_shape
+    last = np.fft.rfftfreq(spec.size, d=1.0 / spec.size)  # integer modes 0 .. N/2
     worst = 0.0
-    for m in np.ndindex(*spec.shape):
+    for m in np.ndindex(*spec.half_shape):
         if not any(m):
             assert np.all(u[(slice(None),) + m] == 0.0)
             continue
-        xi = [F(int(k) - spec.size * (k >= spec.size // 2), int(spec.box)) for k in m]
+        modes = [int(k) - spec.size * (k >= spec.size // 2) for k in m[:-1]]
+        modes.append(int(last[m[-1]]))
+        xi = [F(k, int(spec.box)) for k in modes]
         a = np.array([[float(x) for x in row] for row in op.evaluate(xi).entries])
         worst = max(worst, np.abs(a @ u[(slice(None),) + m] - e).max())
     assert worst <= 1e-12
@@ -211,3 +218,60 @@ def test_grid_point_budget():
     assert GridSpec(3, 128, 8.0).shape == (128, 128, 128)
     with pytest.raises(ValueError, match="budget"):
         GridSpec(3, 1024, 4.0)
+
+
+def cache_error(u):
+    # Relative distance of the cached spectrum from rfftn(values) h^n mask.
+    spec = u.spec
+    fresh = np.fft.rfftn(u.values, axes=tuple(range(1, spec.n + 1)))
+    fresh *= spec.cell_volume * nyquist_mask(spec)
+    return np.abs(u.spectrum() - fresh).max() / np.abs(fresh).max()
+
+
+def test_cached_spectrum_is_the_spectrum_of_the_values():
+    # Synthesized fields and operator outputs hand their spectrum on
+    # instead of transforming forward; it must be the one rfftn would give.
+    newton = newton_gradient_field(GridSpec(3, 32, 8.0), 0.4)
+    u, au, _flags = build_blowup_field(laplacian(2).operator, [1], 4.0, GridSpec(2, 128, 4.0))
+    fields = [newton, u, au, apply_symbol(exterior_d(3, 1).operator, newton),
+              apply_symbol(gradient(2).operator, random_field(GridSpec(2, 32, 8.0), 1))]
+    for f in fields:
+        assert f.spectrum().shape == (f.components,) + f.spec.half_shape
+        assert cache_error(f) <= 1e-12
+    with pytest.raises(ValueError):
+        newton.spectrum()[0, 1, 1, 1] = 0.0
+
+
+def test_odd_order_matches_full_complex_transform():
+    # The first-order gradient on a random real field against the full
+    # complex multiplier, with the unpaired Nyquist bins projected out.
+    spec = GridSpec(3, 16, 8.0)
+    u = random_field(spec, 1, seed=5)
+    out = apply_symbol(gradient(3).operator, u)
+    f = np.fft.fftfreq(spec.size, d=spec.spacing)
+    xi = np.meshgrid(f, f, f, indexing="ij", sparse=True)
+    mask = np.ones(spec.shape)
+    half = spec.size // 2
+    mask[half, :, :] = mask[:, half, :] = mask[:, :, half] = 0.0
+    u_hat = np.fft.fftn(u.values[0]) * mask
+    for i in range(3):
+        direct = np.fft.ifftn(2j * np.pi * xi[i] * u_hat).real
+        scale = np.abs(direct).max()
+        assert np.abs(out.values[i] - direct).max() <= 1e-12 * scale
+
+
+def test_newton_point_transform_count(monkeypatch):
+    # One backward transform for the field, one for the divergence and one
+    # for the curl: no forward transform and no full complex one.
+    calls = {}
+    for name in ("fftn", "ifftn", "fft2", "ifft2", "rfftn", "irfftn", "rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    row = _newton_point(16, 0.4)
+    assert np.isfinite(row["ratio"])
+    assert calls == {"irfftn": 3}
