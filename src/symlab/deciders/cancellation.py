@@ -2,7 +2,10 @@
 
 The common intersection W of the images A(xi)[V] over all xi != 0 lies in
 the intersection of the images at sampled directions, so a trivial sampled
-intersection certifies W = {0}.  A vector e is certified to lie in W by a
+intersection certifies W = {0}.  The search starts from the image at the
+first sample and stops at the first sample where the intersection is {0}:
+the verdict stores only the samples up to that one, and its dimension
+trajectory ends with that 0.  A vector e is certified to lie in W by a
 membership witness (u, p): u in V[x] homogeneous of degree s and p
 homogeneous of even degree s + k (k the order of A) with
 
@@ -20,7 +23,8 @@ shrinks, and the witnesses are sought again; if it does not shrink, the
 verdict is NOT_CANCELING_SAMPLED, which claims nothing, with the reason.
 
 The cancellation verdict is the only certificate of W.  Its verifier
-re-intersects the stored samples, re-checks every witness and requires the
+re-intersects the stored samples (any after W = {0} are only checked to
+be nonzero), re-checks every witness and requires the
 witnessed vectors to span the stated intersection.  Bourgain-Brezis
 spanning holds iff W = {0}, and partial cancellation with respect to a map
 T holds iff W meets ker T only at 0; both verdicts are derived from the
@@ -182,7 +186,12 @@ def find_membership(a: SymbolOperator, e: Sequence[Fraction]) -> Optional[Member
 
 
 def _intersect(a: SymbolOperator, w: Subspace, xi: tuple) -> Subspace:
-    return subspace_intersection(w, column_space(a.evaluate(xi)))
+    """w ∩ A(xi)[V]; the image itself when w is the whole space, and w
+    itself when it is already {0}."""
+    if w.dim == 0:
+        return w
+    image = column_space(a.evaluate(xi))
+    return image if w.dim == w.ambient else subspace_intersection(w, image)
 
 
 def image_intersection(a: SymbolOperator, seed: int = 0) -> CancelingVerdict:
@@ -194,11 +203,11 @@ def image_intersection(a: SymbolOperator, seed: int = 0) -> CancelingVerdict:
     samples = sample_directions(a.n, initial, rng)
     w = full_space(a.dim_e)
     trajectory: list[int] = []
-    for xi in samples:
+    for count, xi in enumerate(samples, 1):
         w = _intersect(a, w, xi)
         trajectory.append(w.dim)
-    if w.dim == 0:
-        return CancelingVerdict(CANCELING, samples, w, trajectory)
+        if w.dim == 0:
+            return CancelingVerdict(CANCELING, samples[:count], w, trajectory)
 
     probes = iter(probe_directions(a.n, EXTRA_SAMPLE_ROUNDS * initial, rng))
     iterations = 0
@@ -279,11 +288,12 @@ def verify_membership(a: SymbolOperator, m: Membership) -> bool:
 def verify_canceling(a: SymbolOperator, verdict: CancelingVerdict) -> bool:
     """Re-check a cancellation verdict independently of the decision path:
     re-intersect the images at the stored samples, which must be nonzero
-    directions, and compare with the stated intersection W.  NOT_CANCELING
-    needs W != {0} and valid membership witnesses whose vectors span W."""
+    directions in R^n, and compare with the stated intersection W.  Samples
+    after W = {0} are checked but not evaluated.  NOT_CANCELING needs
+    W != {0} and valid membership witnesses whose vectors span W."""
     w = full_space(a.dim_e)
     for xi in verdict.samples:
-        if all(x == 0 for x in xi):
+        if len(xi) != a.n or all(x == 0 for x in xi):
             return False
         w = _intersect(a, w, xi)
     if w != verdict.intersection:

@@ -59,15 +59,7 @@ from itertools import chain, islice, product, repeat
 from operator import add, itemgetter, lshift, mul, sub
 from typing import Callable, Optional, Sequence
 
-from .poly import Polynomial
-
-IntPoly = dict  # exponent tuple -> nonzero int
-
-
-def clear_denominators(p: Polynomial) -> tuple[IntPoly, int]:
-    """(q, D) with D > 0 the least common denominator and q = D * p."""
-    den = math.lcm(*(c.denominator for _, c in p.terms)) if p.terms else 1
-    return {a: int(c * den) for a, c in p.terms}, den
+from .poly import IntPoly, Polynomial, clear_denominators
 
 
 def pin_variable(q: IntPoly, i: int) -> IntPoly:

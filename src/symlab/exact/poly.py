@@ -3,16 +3,21 @@
 A polynomial in n variables is a map from exponent tuples (one non-negative
 int per variable) to nonzero Fraction coefficients.  Terms iterate in
 graded lexicographic order, so serialization and equality behave
-deterministically.
+deterministically.  ``clear_denominators`` turns one into an integer
+polynomial (a dict from exponent tuples to nonzero ints) times a positive
+integer, for the integer arithmetic of ``PolyMatrix.det`` and
+``exact.bernstein``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 MultiIndex = tuple[int, ...]
+IntPoly = dict  # exponent tuple -> nonzero int
 
 
 def grlex_key(alpha: MultiIndex):
@@ -131,6 +136,12 @@ class Polynomial:
         return " + ".join(parts)
 
 
+def clear_denominators(p: Polynomial) -> tuple[IntPoly, int]:
+    """(q, D) with D > 0 the least common denominator and q = D * p."""
+    den = math.lcm(*(c.denominator for _, c in p.terms)) if p.terms else 1
+    return {a: c.numerator * (den // c.denominator) for a, c in p.terms}, den
+
+
 def multi_indices(n: int, degree: int) -> list[MultiIndex]:
     """All exponent tuples of the given total degree, graded-lex sorted."""
     out: list[MultiIndex] = []
@@ -151,6 +162,4 @@ def multi_indices(n: int, degree: int) -> list[MultiIndex]:
 
 def monomial_count(n: int, degree: int) -> int:
     """Number of monomials of total degree ``degree`` in ``n`` variables."""
-    from math import comb
-
-    return comb(degree + n - 1, n - 1)
+    return math.comb(degree + n - 1, n - 1)

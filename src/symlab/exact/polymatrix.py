@@ -1,17 +1,29 @@
 """Matrices with multivariate polynomial entries.
 
-Determinants use expansion by minors with memoization over column subsets.
-All matrices in this project are small (codomain dimensions stay in the
-tens), so clarity wins over asymptotics.
+The determinant is expanded by minors along the rows, memoized on the set
+of columns still unused, in integer arithmetic:
+
+- each row is multiplied by the least common denominator of its entries
+  (``clear_denominators``), which multiplies the determinant by that
+  positive integer;
+- each exponent tuple is packed into one int, its digits in a base larger
+  than the determinant's total degree, so the product of two monomials is
+  one integer addition and no digit carries;
+- the minors are dicts from packed monomials to ints;
+- at the end each monomial is unpacked once and every coefficient divided
+  by the product of the row denominators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .matrix import QMatrix
-from .poly import Polynomial
+from .poly import Polynomial, clear_denominators, grlex_key
 
 
 @dataclass(frozen=True)
@@ -79,27 +91,42 @@ class PolyMatrix:
     def det(self) -> Polynomial:
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        m = self.rows
-        if m == 0:
-            return Polynomial.constant(self.n, 1)
-        # Expansion along rows, memoized on the set of still-unused columns.
-        cache: dict[frozenset, Polynomial] = {}
+        m, n = self.rows, self.n
+        cleared = [[clear_denominators(p) for p in row] for row in self.entries]
+        if any(not any(q for q, _ in row) for row in cleared):
+            return Polynomial.zero(n)
+        base = 1 + sum(max(p.degree() for p in row) for row in self.entries)
+        weights = [base**i for i in range(n)]
+        dens = [math.lcm(*(d for _, d in row)) for row in cleared]
+        rows = [
+            [{sum(map(mul, a, weights)): c * (den // d) for a, c in q.items()} for q, d in row]
+            for row, den in zip(cleared, dens)
+        ]
+        cache: dict[int, dict[int, int]] = {0: {0: 1}}
 
-        def minor_det(cols: frozenset) -> Polynomial:
-            if cols in cache:
-                return cache[cols]
-            row = m - len(cols)
-            if not cols:
-                return Polynomial.constant(self.n, 1)
-            acc = Polynomial.zero(self.n)
-            for pos, j in enumerate(sorted(cols)):
-                entry = self.entries[row][j]
-                if entry.is_zero():
+        def minor_det(unused: int) -> dict[int, int]:
+            """Determinant of the last rows on the columns set in ``unused``."""
+            if unused in cache:
+                return cache[unused]
+            row = rows[m - unused.bit_count()]
+            acc: dict[int, int] = {}
+            sign = 1
+            for j in range(m):
+                if not unused >> j & 1:
                     continue
-                sub = minor_det(cols - {j})
-                term = entry * sub
-                acc = acc + (term if pos % 2 == 0 else term.scale(-1))
-            cache[cols] = acc
+                if row[j]:
+                    sub = minor_det(unused & ~(1 << j))
+                    for ka, ca in row[j].items():
+                        ca *= sign
+                        for kb, cb in sub.items():
+                            k = ka + kb
+                            acc[k] = acc.get(k, 0) + ca * cb
+                sign = -sign
+            cache[unused] = acc = {k: c for k, c in acc.items() if c}
             return acc
 
-        return minor_det(frozenset(range(m)))
+        total = math.prod(dens)
+        terms = [(tuple([k // w % base for w in weights]), Fraction(c, total))
+                 for k, c in minor_det((1 << m) - 1).items()]
+        terms.sort(key=lambda t: grlex_key(t[0]))
+        return Polynomial(n, tuple(terms))

@@ -62,9 +62,17 @@ def rat_to_str(x: Fraction) -> str:
 # Characters of an offending literal an error message shows.
 SHOWN_LITERAL = 40
 
+# The literals reports repeat most, parsed once: "0", "1" and "-1" are about
+# nine in ten of a report's rationals (operator terms, blocks, subspaces).
+# Keys are the exact ``rat_to_str`` spellings of the small integers.
+_COMMON_LITERALS = {str(i): Fraction(i) for i in range(-16, 17)}
+
 
 def rat_from_str(s: str) -> Fraction:
     text = str(s)
+    common = _COMMON_LITERALS.get(text)
+    if common is not None:
+        return common
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -95,30 +95,18 @@ def solve_symbol_directions(
     return np.moveaxis(u, -1, 0)  # (dimV, *half_shape)
 
 
-def build_blowup_field(
+def blowup_direction(
     a: SymbolOperator,
     e: Sequence,
-    scale: float,
-    spec: GridSpec,
-    profile: Optional[BlowupProfile] = None,
     ellipticity: Optional[EllipticityVerdict] = None,
     canceling: Optional[CancelingVerdict] = None,
     seed: int = 0,
-) -> tuple[GridField, GridField, dict]:
-    """Construct (u, A(D)u) for one scale; returns the fields and a flags
-    dictionary (nyquist margin, truncation tail, cutoff mass bound).
-
-    Requires a certified injective symbol and a direction e inside the
-    common image intersection of a certified cancellation verdict (computed
-    with ``seed`` when not given): only then does A(D)u collapse to the
-    two-cutoff difference whose L1 norm the experiments rely on.
-    """
-    if scale < 2:
-        raise BlowupError("scale parameter must be at least 2")
-    if spec.nyquist < scale:
-        raise BlowupError(
-            f"grid Nyquist {spec.nyquist} cannot hold content at scale {scale}"
-        )
+) -> np.ndarray:
+    """e as a float vector, once A is certified injective and e is a
+    nonzero vector of the common image intersection of a certified
+    cancellation verdict (each verdict computed with ``seed`` when not
+    given): only then does A(D)u collapse to the two-cutoff difference whose
+    L1 norm the experiments rely on."""
     if ellipticity is None:
         ellipticity = check_ellipticity(a)
     if ellipticity.status != ELLIPTIC:
@@ -134,19 +122,47 @@ def build_blowup_field(
         )
     if all(x == 0 for x in e_exact):
         raise BlowupError("direction must be nonzero")
+    return np.array([float(x) for x in e_exact])
+
+
+def build_blowup_field(
+    a: SymbolOperator,
+    e: Sequence,
+    scale: float,
+    spec: GridSpec,
+    profile: Optional[BlowupProfile] = None,
+    ellipticity: Optional[EllipticityVerdict] = None,
+    canceling: Optional[CancelingVerdict] = None,
+    seed: int = 0,
+    directions: Optional[np.ndarray] = None,
+) -> tuple[GridField, GridField, dict]:
+    """Construct (u, A(D)u) for one scale; returns the fields and a flags
+    dictionary (nyquist margin, truncation tail, cutoff mass bound).
+
+    The symbol and direction must pass ``blowup_direction``.  U(xi) does not
+    depend on the scale: ``directions`` is ``solve_symbol_directions(a,
+    spec, e)`` when the caller has it, and is solved here otherwise.
+    """
+    if scale < 2:
+        raise BlowupError("scale parameter must be at least 2")
+    if spec.nyquist < scale:
+        raise BlowupError(
+            f"grid Nyquist {spec.nyquist} cannot hold content at scale {scale}"
+        )
+    e_float = blowup_direction(a, e, ellipticity, canceling, seed)
 
     if profile is None or profile.spec != spec:
         profile = BlowupProfile.build(spec)
     xi = spec.frequency_grids()
     r = np.sqrt(sum(x**2 for x in xi))
     window = plateau_cutoff(r / scale) - plateau_cutoff(r * scale)
-    e_float = np.array([float(x) for x in e_exact])
-    u_dirs = solve_symbol_directions(a, spec, e_float)
+    if directions is None:
+        directions = solve_symbol_directions(a, spec, e_float)
     factor = (2j * pi) ** (-a.order)
     # Shift the concentration point to the box center so the boundary shell
     # measures genuine truncation.
     shift = np.exp(-2j * pi * (spec.box / 2.0) * sum(xi))
-    u_hat = factor * (window * shift)[None, ...] * u_dirs
+    u_hat = factor * (window * shift)[None, ...] * directions
     u = GridField.from_spectrum(spec, u_hat)
     au = apply_symbol(a, u)
     e_norm = float(np.sqrt((e_float**2).sum()))

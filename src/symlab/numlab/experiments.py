@@ -19,7 +19,12 @@ from ..catalog import divergence, gradient, sym_gradient
 from ..deciders.cancellation import image_intersection
 from ..deciders.ellipticity import check_ellipticity
 from ..exact.symbol import SymbolOperator
-from .blowup import BlowupProfile, build_blowup_field
+from .blowup import (
+    BlowupProfile,
+    blowup_direction,
+    build_blowup_field,
+    solve_symbol_directions,
+)
 from .fields import (
     curl_potential_field,
     dx_bump,
@@ -73,10 +78,11 @@ def _blowup_point(
     profile: Optional[BlowupProfile],
     ellipticity,
     canceling,
+    directions: np.ndarray,
 ) -> dict:
     u, au, flags = build_blowup_field(
         a, e, scale, spec, profile=profile,
-        ellipticity=ellipticity, canceling=canceling,
+        ellipticity=ellipticity, canceling=canceling, directions=directions,
     )
     q = sobolev_exponent(spec.n, a.order, ell)
     if ell == 0:
@@ -124,16 +130,22 @@ def blowup_experiment(
         raise ValueError("derivative gap k - ell must stay below the dimension")
     ellipticity = check_ellipticity(a)
     canceling = image_intersection(a, seed)
+    e_float = blowup_direction(a, e, ellipticity, canceling)
     profile = BlowupProfile.build(spec)
     half = spec.halved() if check_convergence else None
     half_profile = BlowupProfile.build(half) if half is not None else None
+    # U(xi) does not depend on the scale: one solve per grid.
+    directions = solve_symbol_directions(a, spec, e_float)
+    half_directions = solve_symbol_directions(a, half, e_float) if half is not None else None
     rows = []
     for scale in scales:
-        row = _blowup_point(a, e, ell, scale, spec, profile, ellipticity, canceling)
+        row = _blowup_point(a, e, ell, scale, spec, profile, ellipticity, canceling,
+                            directions)
         ref = None
         if half is not None and half.nyquist >= scale:
             ref = _blowup_point(
-                a, e, ell, scale, half, half_profile, ellipticity, canceling
+                a, e, ell, scale, half, half_profile, ellipticity, canceling,
+                half_directions,
             )["ratio"]
         row["converged"] = _converged(row["ratio"], ref)
         rows.append(row)

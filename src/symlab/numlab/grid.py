@@ -29,6 +29,11 @@ from math import factorial, pi, prod
 from typing import Iterator, Optional
 
 import numpy as np
+# NumPy 2 imports numpy.fft lazily, on first attribute access.  Importing it
+# with the package keeps that import out of the first transform of a run,
+# where a signal handler that also calls numpy.fft (the benchmark's timing
+# kernel, bench/calibrate.py) can re-enter it and fail with RecursionError.
+import numpy.fft  # noqa: F401
 
 from ..exact.matrix import QMatrix
 from ..exact.poly import multi_indices

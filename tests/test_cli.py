@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 from symlab.catalog import regression_instances
 from symlab.cli import build_parser, main
 from symlab.exact import full_space, kernel_basis, subspace_from_columns
-from symlab.io import matrix_from_json, subspace_from_json, subspace_to_json
+from symlab.io import (
+    OperatorFileError,
+    matrix_from_json,
+    rat_from_str,
+    rat_to_str,
+    subspace_from_json,
+    subspace_to_json,
+)
 
 SEED = 1
 
@@ -209,6 +216,22 @@ def test_canceling_relabelled_not_canceling(tmp_path):
     assert checked["verified"]["bb_spanning"] is False
 
 
+def test_canceling_report_with_samples_after_zero_verifies(tmp_path):
+    # Reports written before the search stopped at W = {0} list every
+    # initial sample; verify accepts them, and rejects a cut-short list.
+    _code, report = analyze(tmp_path, "catalog:gradient?n=2")
+    canceling = report["verdicts"]["canceling"]
+    assert canceling["dim_trajectory"][-1] == 0
+    samples = list(canceling["samples"])
+    canceling["samples"] = samples + [["3", "-7"], ["1", "1"]]
+    canceling["dim_trajectory"] += [0, 0]
+    code, checked = verify(tmp_path, report)
+    assert code == 0 and checked["verified"]["canceling"] is True
+    canceling["samples"] = samples[:-1]
+    code, checked = verify(tmp_path, report)
+    assert code == 3 and checked["verified"]["canceling"] is False
+
+
 def test_not_canceling_verifies_without_ellipticity_verdict(tmp_path):
     for uri in ("catalog:hodge_pair?n=3&ell=1", "catalog:laplacian?n=2",
                 "catalog:saint_venant_k?n=2&k=3"):
@@ -347,6 +370,31 @@ def test_deep_rational_error_is_short(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "bad rational literal" in err and len(err) < 200
+
+
+RATIONAL_LITERALS = ("0", "1", "-1", "16", "-16", "17", "-17", "1/2", "-15/2", "33/2",
+                     "2/4", "03", " 7 ", "+3", "-0", "1e2", "0.5", "7/3", 5, 0.25)
+
+
+def test_rat_from_str_accepts_what_fraction_accepts():
+    # The common literals are looked up, the rest parsed: the same values
+    # either way, and always a Fraction.
+    for literal in RATIONAL_LITERALS:
+        value = rat_from_str(literal)
+        assert type(value) is Fraction and value == Fraction(str(literal)), literal
+    for p in range(-20, 21):
+        for q in (1, 2, 3):
+            text = rat_to_str(Fraction(p, q))
+            assert rat_from_str(text) == Fraction(p, q) and rat_to_str(rat_from_str(text)) == text
+
+
+def test_rat_from_str_error_is_bounded():
+    for literal in ("abc", "1/0", "1/2/3", "", "True", "x" * 100, [1, [2]]):
+        with pytest.raises(OperatorFileError) as err:
+            rat_from_str(literal)
+        text = str(literal)
+        shown = text if len(text) <= 40 else text[:40] + "..."
+        assert str(err.value) == f"bad rational literal {shown!r}"
 
 
 # ---------------------------------------------------------------------------

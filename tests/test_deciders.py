@@ -1,5 +1,6 @@
 """Classification deciders and their certificates."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -16,6 +17,7 @@ from symlab.catalog import (
     hyperbolic_example,
     laplacian,
     quaternion,
+    regression_instances,
     saint_venant,
     strange_r4,
     sym_gradient,
@@ -41,7 +43,12 @@ from symlab.deciders import (
     verify_partial_canceling,
     verify_spanning,
 )
-from symlab.deciders.cancellation import Membership, find_membership, verify_membership
+from symlab.deciders.cancellation import (
+    Membership,
+    find_membership,
+    sample_directions,
+    verify_membership,
+)
 from symlab.exact.bernstein import certify_positive
 from symlab.deciders.ellipticity import CertifiedBox, FaceBox
 from symlab.exact import Polynomial, QMatrix, SymbolOperator, subspace_from_columns
@@ -494,6 +501,47 @@ def test_canceling_relabelled_not_canceling_rejected():
 
 def test_check_canceling_is_image_intersection():
     assert check_canceling is image_intersection
+
+
+def canceling_verdicts(seeds=range(3)):
+    for inst in regression_instances():
+        for seed in seeds:
+            v = check_canceling(inst.operator, seed=seed)
+            if v.status == CANCELING:
+                yield inst, v
+
+
+def test_canceling_trajectory_ends_at_first_zero():
+    # The search stops at the first sample where W = {0} and stores only
+    # the samples up to it.
+    count = 0
+    for inst, v in canceling_verdicts():
+        traj = v.dim_trajectory
+        assert traj and traj[-1] == 0 and 0 not in traj[:-1], inst.name
+        assert len(v.samples) == len(traj), inst.name
+        count += 1
+    assert count >= 30
+
+
+def test_verify_accepts_samples_after_zero_intersection():
+    # Reports written before the search stopped at W = {0} carry more
+    # samples; they are checked to be nonzero directions but change nothing.
+    rng = random.Random(0)
+    for inst, v in canceling_verdicts(seeds=(1,)):
+        op = inst.operator
+        extra = sample_directions(op.n, op.dim_e + 4, rng)
+        longer = replace(v, samples=v.samples + extra,
+                         dim_trajectory=v.dim_trajectory + [0] * len(extra))
+        assert verify_canceling(op, longer), inst.name
+        zero = tuple(F(0) for _ in range(op.n))
+        assert not verify_canceling(op, replace(v, samples=v.samples + [zero])), inst.name
+        assert not verify_canceling(op, replace(v, samples=v.samples + [(F(1),) * (op.n + 1)]))
+
+
+def test_verify_rejects_samples_cut_before_zero_intersection():
+    for inst, v in canceling_verdicts(seeds=(1,)):
+        cut = replace(v, samples=v.samples[:-1], dim_trajectory=v.dim_trajectory[:-1])
+        assert not verify_canceling(inst.operator, cut), inst.name
 
 
 # ---------------------------------------------------------------------------

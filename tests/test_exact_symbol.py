@@ -5,10 +5,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symlab.catalog import (
     divergence,
     gradient,
+    hodge_pair,
     hyperbolic_example,
     regression_instances,
     saint_venant,
@@ -93,6 +96,72 @@ def test_diag_polymatrix_det():
     z = Polynomial.zero(2)
     m = PolyMatrix.from_rows(2, [[x0, z], [z, x1]])
     assert m.det() == x0 * x1
+
+
+def exact_det(m: QMatrix) -> F:
+    """det of a rational matrix by Gaussian elimination."""
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    det = F(1)
+    for c in range(len(rows)):
+        pivot = next((r for r in range(c, len(rows)) if rows[r][c] != 0), None)
+        if pivot is None:
+            return F(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return det
+
+
+def test_gram_determinant_matches_evaluated_determinant():
+    # det(G)(xi) == det(G(xi)) on every regression instance, including the
+    # 1/2 and 1/3 entries of sym_gradient and sym_gradient_sk.
+    rng = random.Random(11)
+    for inst in regression_instances():
+        gram = inst.operator.gram()
+        det = gram.det()
+        for _ in range(3):
+            xi = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(inst.operator.n)]
+            assert det.evaluate(xi) == exact_det(gram.evaluate(xi)), inst.name
+
+
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# Entries in n = 1, 2, 3 variables: up to 3 terms with exponents 0..2.
+ENTRIES = {n: st.dictionaries(st.tuples(*[st.integers(0, 2)] * n), RATIONALS, max_size=3)
+           for n in (1, 2, 3)}
+POINTS = {n: st.lists(RATIONALS, min_size=n, max_size=n) for n in (1, 2, 3)}
+
+
+@st.composite
+def poly_matrices(draw):
+    n, size = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rows = [[Polynomial.make(n, draw(ENTRIES[n])) for _ in range(size)] for _ in range(size)]
+    return PolyMatrix.from_rows(n, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=poly_matrices(), data=st.data())
+def test_det_matches_evaluated_determinant(m, data):
+    det = m.det()
+    for _ in range(3):
+        xi = data.draw(POINTS[m.n])
+        assert det.evaluate(xi) == exact_det(m.evaluate(xi))
+
+
+def test_det_of_empty_matrix_and_zero_row():
+    assert PolyMatrix.from_rows(3, []).det() == Polynomial.constant(3, 1)
+    x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    z = Polynomial.zero(2)
+    assert PolyMatrix.from_rows(2, [[x0, x1], [z, z]]).det() == z
+    assert PolyMatrix.from_rows(2, [[z, z], [x0, x1]]).det() == z
+
+
+def test_hodge_pair_5_2_gram_determinant_size():
+    det = hodge_pair(5, 2).operator.gram().det()
+    assert len(det.terms) == 1001 and det.degree() == 20 and det.is_homogeneous(20)
 
 
 def test_gram_matches_product_at_sampled_points():

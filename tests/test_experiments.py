@@ -13,6 +13,7 @@ from symlab.numlab import (
     necessity_experiment,
     sobolev_exponent,
 )
+from symlab.numlab import blowup, experiments
 from symlab.numlab.experiments import mean_component
 from symlab.numlab.fields import curl_potential_field, gaussian_bump
 from symlab.numlab.norms import lp_norm
@@ -35,6 +36,28 @@ def test_blowup_schedule_monotone_small():
         assert r["image_l1"] <= r["image_l1_bound"] * 1.05
     assert manifest["kind"] == "blowup"
     assert manifest["grid"]["size"] == 256
+
+
+def test_blowup_solves_directions_once_per_grid(monkeypatch):
+    # U(xi) does not depend on the scale: one solve on the grid and one on
+    # the halved grid, and the fields match a per-scale solve.
+    calls = []
+    solve = blowup.solve_symbol_directions
+
+    def counted(a, spec, e):
+        calls.append(spec.size)
+        return solve(a, spec, e)
+
+    monkeypatch.setattr(blowup, "solve_symbol_directions", counted)
+    monkeypatch.setattr(experiments, "solve_symbol_directions", counted)
+    spec = GridSpec(2, 128, 4.0)
+    op = laplacian(2).operator
+    rows, _ = blowup_experiment(op, [1], 1, [4, 8, 16], spec, check_convergence=True)
+    assert sorted(calls) == [64, 128]
+    u, au, _ = blowup.build_blowup_field(op, [1], 8, spec)
+    v, av, _ = blowup.build_blowup_field(op, [1], 8, spec,
+                                         directions=solve(op, spec, np.array([1.0])))
+    assert np.array_equal(u.values, v.values) and np.array_equal(au.values, av.values)
 
 
 def test_blowup_rejects_bad_derivative_order():
