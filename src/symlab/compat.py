@@ -51,9 +51,9 @@ def _rows_of_degree(a: SymbolOperator, d: int) -> Optional[SymbolOperator]:
 
 
 def build_annihilator(a: SymbolOperator, seed: int = 0) -> AnnihilatorResult:
-    xi = max(sample_directions(a.n, RANK_SAMPLES, random.Random(seed)),
-             key=lambda x: a.evaluate(x).rank())
-    rank_a = a.evaluate(xi).rank()
+    ranked = [(a.evaluate(x).rank(), x)
+              for x in sample_directions(a.n, RANK_SAMPLES, random.Random(seed))]
+    rank_a, xi = max(ranked, key=lambda rx: rx[0])
     l = None
     if rank_a < a.dim_e:
         for d in range(a.order * rank_a + 1):

@@ -292,12 +292,14 @@ def _dyadic_cell(lo: Fraction, hi: Fraction) -> Optional[tuple[int, int]]:
 def _lattice_zero(q: IntPoly, n: int) -> Optional[tuple]:
     """The first point with coordinates in {-1, 0, 1} and one of them +1
     where q vanishes."""
-    # Per term: variables present, variables with an odd exponent.
-    terms = [
-        (sum(1 << i for i, e in enumerate(alpha) if e),
-         sum(1 << i for i, e in enumerate(alpha) if e % 2), c)
-        for alpha, c in q.items()
-    ]
+    # Terms with the same variables present and the same variables of odd
+    # exponent have the same sign at every lattice point: sum each class.
+    classes: dict = {}
+    for alpha, c in q.items():
+        key = (sum(1 << i for i, e in enumerate(alpha) if e),
+               sum(1 << i for i, e in enumerate(alpha) if e % 2))
+        classes[key] = classes.get(key, 0) + c
+    terms = [(present, odd, c) for (present, odd), c in classes.items() if c]
     for pt in product((-1, 0, 1), repeat=n):
         if 1 not in pt:
             continue

@@ -5,19 +5,98 @@ entries.  Everything here is computed exactly; there is no floating point
 in this module.  Subspaces are kept in reduced column echelon form so that
 two objects describe the same subspace if and only if they compare equal
 structurally.
+
+Elimination runs on Python ints, in one routine (``_echelon``): each row is
+scaled to integers by the lcm of its denominators, and a row is reduced
+against a pivot row fraction-free, row <- (a/g) row - (b/g) pivot_row with
+a, b the two entries in the pivot column and g = gcd(a, b), after which the
+row is divided by the gcd of its entries.  Scaling a row changes neither
+the pivots nor the reduced form, so ``rref`` divides each pivot row by its
+pivot once, at the end, and gets the unique RREF.  ``rank`` counts pivots
+and builds no ``Fraction``; kernels, solutions and subspace bases are read
+from the integer rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 Rat = Fraction
+_ZERO = Fraction(0)
 
 
 def _rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _int_row(row: Sequence[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators."""
+    pairs = [x.as_integer_ratio() for x in row]
+    den = math.lcm(*{d for _n, d in pairs})
+    return [n * (den // d) for n, d in pairs]
+
+
+def _reduce(row: list[int], col: int, top: list[int]) -> Optional[list[int]]:
+    """Clear ``row[col]`` with the pivot row ``top``, fraction-free, and
+    divide out the gcd of the result; None when the result is zero."""
+    a, b = top[col], row[col]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    out = [a * x - b * y for x, y in zip(row, top)]
+    g = math.gcd(*out)
+    if g == 0:
+        return None
+    return out if g == 1 else [x // g for x in out]
+
+
+def _echelon(rows: Iterable[list[int]], ncols: int, reduced: bool = True):
+    """Fraction-free Gauss(-Jordan) elimination of integer rows.
+
+    Returns the nonzero echelon rows, each with entries of gcd 1, and their
+    pivot columns.  With ``reduced`` every pivot column is also zero
+    outside its own pivot row, so row i divided by its entry at pivots[i]
+    is row i of the RREF."""
+    todo = []
+    for r in rows:
+        g = math.gcd(*r)
+        if g:
+            todo.append(r if g == 1 else [x // g for x in r])
+    done: list[list[int]] = []
+    pivots: list[int] = []
+    for col in range(ncols):
+        if not todo:
+            break
+        sel = next((i for i, r in enumerate(todo) if r[col]), None)
+        if sel is None:
+            continue
+        top = todo.pop(sel)
+        # Rows still to do are zero left of col; a row that cancels to zero
+        # is dropped.
+        rest = []
+        for r in todo:
+            if r[col]:
+                r = _reduce(r, col, top)
+                if r is None:
+                    continue
+            rest.append(r)
+        todo = rest
+        if reduced:
+            # A done row keeps its own pivot: top is zero in that column.
+            done = [_reduce(r, col, top) if r[col] else r for r in done]
+        done.append(top)
+        pivots.append(col)
+    return done, pivots
+
+
+def _pivot_quotients(rows: list[list[int]], pivots: Sequence[int], start: int = 0) -> list[tuple]:
+    """Each reduced row from column ``start`` on, divided by its pivot."""
+    return [
+        tuple(Fraction(x, r[p]) if x else _ZERO for x in r[start:])
+        for r, p in zip(rows, pivots)
+    ]
 
 
 @dataclass(frozen=True)
@@ -129,46 +208,28 @@ class QMatrix:
             raise ValueError("column mismatch in vstack")
         return QMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
+    def _int_rows(self) -> list[list[int]]:
+        """Each row times the lcm of its denominators."""
+        return [_int_row(r) for r in self.entries]
+
     def rref(self) -> tuple["QMatrix", tuple[int, ...]]:
         """Reduced row echelon form and pivot column indices."""
-        m = [list(r) for r in self.entries]
-        pivots: list[int] = []
-        prow = 0
-        for col in range(self.cols):
-            if prow == self.rows:
-                break
-            sel = next((i for i in range(prow, self.rows) if m[i][col] != 0), None)
-            if sel is None:
-                continue
-            m[prow], m[sel] = m[sel], m[prow]
-            top = m[prow]
-            inv = Fraction(1) / top[col]
-            # Entries left of col are zero in the pivot row; only its
-            # nonzero entries change the other rows.
-            support = [j for j in range(col, self.cols) if top[j] != 0]
-            for j in support:
-                top[j] *= inv
-            for i in range(self.rows):
-                row = m[i]
-                f = row[col]
-                if i != prow and f != 0:
-                    for j in support:
-                        row[j] -= f * top[j]
-            pivots.append(col)
-            prow += 1
-        return QMatrix.from_rows(m), tuple(pivots)
+        rows, pivots = _echelon(self._int_rows(), self.cols)
+        out = _pivot_quotients(rows, pivots)
+        out += [(_ZERO,) * self.cols] * (self.rows - len(out))
+        return QMatrix(self.rows, self.cols, tuple(out)), tuple(pivots)
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(_echelon(self._int_rows(), self.cols, reduced=False)[1])
 
     def inverse(self) -> "QMatrix":
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
-        aug = self.hstack(QMatrix.identity(self.rows))
-        red, pivots = aug.rref()
-        if len(pivots) < self.rows or any(p >= self.rows for p in pivots):
+        n = self.rows
+        rows, pivots = _echelon(self.hstack(QMatrix.identity(n))._int_rows(), 2 * n)
+        if len(pivots) < n or any(p >= n for p in pivots):
             raise ValueError("matrix is singular")
-        return QMatrix.from_rows([r[self.rows :] for r in red.entries])
+        return QMatrix(n, n, tuple(_pivot_quotients(rows, pivots, n)))
 
 
 @dataclass(frozen=True)
@@ -210,38 +271,52 @@ class Subspace:
         return hash((self.ambient, self.basis.entries))
 
 
+def _span(ambient: int, rows: Iterable[list[int]]) -> Subspace:
+    """Canonical subspace spanned by integer vectors."""
+    # The nonzero RREF rows of the generator matrix, transposed, are the
+    # reduced column echelon basis.
+    red, pivots = _echelon(rows, ambient)
+    gens = _pivot_quotients(red, pivots)
+    entries = tuple(zip(*gens)) if gens else ((),) * ambient
+    return Subspace(ambient, QMatrix(ambient, len(gens), entries))
+
+
 def subspace_from_columns(ambient: int, columns: Iterable[Sequence]) -> Subspace:
     """Canonical subspace spanned by the given vectors."""
     cols = [tuple(_rat(x) for x in c) for c in columns]
     for c in cols:
         if len(c) != ambient:
             raise ValueError("generator length does not match ambient dimension")
-    if not cols:
-        return Subspace(ambient, QMatrix.zeros(ambient, 0))
-    # Reduce the transposed generator matrix; the nonzero RREF rows transposed
-    # back give the reduced column echelon basis.
-    red, pivots = QMatrix.from_rows(cols).rref()
-    kept = [red.row(i) for i in range(len(pivots))]
-    basis = QMatrix.from_rows(kept).transpose() if kept else QMatrix.zeros(ambient, 0)
-    return Subspace(ambient, basis)
+    return _span(ambient, map(_int_row, cols))
 
 
 def column_space(m: QMatrix) -> Subspace:
-    return subspace_from_columns(m.rows, [m.col(j) for j in range(m.cols)])
+    return _span(m.rows, map(_int_row, zip(*m.entries)))
+
+
+def _kernel_rows(rows: list[list[int]], pivots: Sequence[int], ncols: int) -> list[list[int]]:
+    """Integer kernel generators of reduced echelon rows: one per free
+    column f, with f-th entry the lcm L of the pivots that involve f and
+    entry -r[f] L / r[p] at the pivot column p of each row r."""
+    pivot_set = set(pivots)
+    gens = []
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        den = math.lcm(*(r[p] for r, p in zip(rows, pivots) if r[f]))
+        v = [0] * ncols
+        v[f] = den
+        for r, p in zip(rows, pivots):
+            if r[f]:
+                v[p] = -r[f] * (den // r[p])
+        gens.append(v)
+    return gens
 
 
 def kernel_basis(m: QMatrix) -> Subspace:
     """Canonical basis of the exact null space of ``m``."""
-    red, pivots = m.rref()
-    free = [j for j in range(m.cols) if j not in pivots]
-    gens = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i, f]
-        gens.append(v)
-    return subspace_from_columns(m.cols, gens)
+    rows, pivots = _echelon(m._int_rows(), m.cols)
+    return _span(m.cols, _kernel_rows(rows, pivots, m.cols))
 
 
 def solve_exact(m: QMatrix, b: QMatrix):
@@ -251,13 +326,13 @@ def solve_exact(m: QMatrix, b: QMatrix):
     """
     if b.cols != 1 or b.rows != m.rows:
         raise ValueError("right-hand side shape mismatch")
-    red, pivots = m.hstack(b).rref()
+    rows, pivots = _echelon(m.hstack(b)._int_rows(), m.cols + 1)
     if m.cols in pivots:
         return None
-    x = [Fraction(0)] * m.cols
-    for i, p in enumerate(pivots):
-        x[p] = red[i, m.cols]
-    return QMatrix.column(x)
+    x = [_ZERO] * m.cols
+    for r, p in zip(rows, pivots):
+        x[p] = Fraction(r[m.cols], r[p])
+    return QMatrix(m.cols, 1, tuple((v,) for v in x))
 
 
 def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
@@ -265,14 +340,18 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
     if s1.ambient != s2.ambient:
         raise ValueError("ambient dimension mismatch")
     if s1.is_trivial() or s2.is_trivial():
-        return subspace_from_columns(s1.ambient, [])
-    stacked = s1.basis.hstack(s2.basis.scale(Fraction(-1)))
-    ker = kernel_basis(stacked)
-    gens = []
-    for j in range(ker.dim):
-        coeffs = ker.basis.col(j)[: s1.dim]
-        gens.append(s1.basis.mul_vector(coeffs))
-    return subspace_from_columns(s1.ambient, gens)
+        return _span(s1.ambient, [])
+    # With integer generators C1, C2 of the two subspaces, a kernel vector
+    # (c, c') of [C1 | -C2] gives C1 c in both.
+    c1 = list(zip(*(_int_row(c) for c in zip(*s1.basis.entries))))
+    c2 = list(zip(*(_int_row(c) for c in zip(*s2.basis.entries))))
+    stacked = [list(r1) + [-x for x in r2] for r1, r2 in zip(c1, c2)]
+    rows, pivots = _echelon(stacked, s1.dim + s2.dim)
+    gens = [
+        [sum(k * x for k, x in zip(v, r1)) for r1 in c1]
+        for v in _kernel_rows(rows, pivots, s1.dim + s2.dim)
+    ]
+    return _span(s1.ambient, gens)
 
 
 def full_space(ambient: int) -> Subspace:

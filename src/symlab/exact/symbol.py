@@ -9,8 +9,10 @@ is rejected because classifying it is vacuous.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .matrix import QMatrix
@@ -60,24 +62,47 @@ class SymbolOperator:
     def is_zero(self) -> bool:
         return not self.terms
 
+    @cached_property
+    def _int_terms(self) -> tuple[int, list]:
+        """(D, [(alpha, rows)]): D the lcm of every coefficient denominator
+        and each row the (column, numerator over D) pairs of its nonzero
+        entries."""
+        den = math.lcm(*(x.denominator for _a, mat in self.terms for r in mat.entries for x in r))
+        return den, [
+            (alpha, [[(j, x.numerator * (den // x.denominator)) for j, x in enumerate(r) if x]
+                     for r in mat.entries])
+            for alpha, mat in self.terms
+        ]
+
     def evaluate(self, xi: Sequence) -> QMatrix:
-        """Exact value of the symbol at a rational frequency vector."""
+        """Exact value of the symbol at a rational frequency vector.
+
+        With q the lcm of the denominators of xi, v = q xi is an integer
+        vector, and every term has degree ``order``, so A(xi) is the integer
+        sum of the numerators over D times the monomials of v, divided by
+        D q^order."""
         pt = [Fraction(x) for x in xi]
         if len(pt) != self.n:
             raise ValueError("frequency dimension mismatch")
+        q = math.lcm(*(x.denominator for x in pt))
+        v = [x.numerator * (q // x.denominator) for x in pt]
+        den, terms = self._int_terms
         acc = [[0] * self.dim_v for _ in range(self.dim_e)]
-        for alpha, mat in self.terms:
-            c = Fraction(1)
-            for x, e in zip(pt, alpha):
+        for alpha, rows in terms:
+            c = 1
+            for x, e in zip(v, alpha):
                 if e:
                     c *= x**e
             if c == 0:
                 continue
-            for acc_row, row in zip(acc, mat.entries):
-                for j, x in enumerate(row):
-                    if x:
-                        acc_row[j] += c * x
-        return QMatrix.from_rows(acc)
+            for acc_row, row in zip(acc, rows):
+                for j, x in row:
+                    acc_row[j] += c * x
+        den *= q**self.order
+        zero = Fraction(0)
+        return QMatrix(self.dim_e, self.dim_v, tuple(
+            tuple(Fraction(x, den) if x else zero for x in r) for r in acc
+        ))
 
     def to_polymatrix(self) -> PolyMatrix:
         rows = []

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symlab.exact import (
     QMatrix,
@@ -131,7 +133,114 @@ def test_product_matches_explicit_sum():
 
 
 def test_inverse_round_trip():
-    m = QMatrix.from_rows([[2, 1], [7, 4]])
-    assert m.inverse() @ m == QMatrix.identity(2)
+    for m in (QMatrix.from_rows([[2, 1], [7, 4]]),
+              QMatrix.from_rows([[F(1, 2), 1], [0, F(-1, 3)]])):
+        assert m.inverse() @ m == QMatrix.identity(2)
     with pytest.raises(ValueError):
         QMatrix.from_rows([[1, 2], [2, 4]]).inverse()
+
+
+# Reference: Gauss-Jordan on Fraction entries, the textbook algorithm the
+# integer elimination must reproduce exactly.
+
+def ref_rref(m):
+    a = [list(r) for r in m.entries]
+    pivots, prow = [], 0
+    for col in range(m.cols):
+        sel = next((i for i in range(prow, m.rows) if a[i][col] != 0), None)
+        if sel is None:
+            continue
+        a[prow], a[sel] = a[sel], a[prow]
+        a[prow] = [x / a[prow][col] for x in a[prow]]
+        for i in range(m.rows):
+            if i != prow and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[prow])]
+        pivots.append(col)
+        prow += 1
+    return a, pivots
+
+
+def ref_kernel_columns(m):
+    """Reduced column echelon basis of ker m, from the reference RREF."""
+    red, pivots = ref_rref(m)
+    gens = []
+    for f in (j for j in range(m.cols) if j not in pivots):
+        v = [F(0)] * m.cols
+        v[f] = F(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        gens.append(v)
+    if not gens:
+        return []
+    g = QMatrix.from_rows(gens)
+    red, pivots = ref_rref(g)
+    return [tuple(red[i]) for i in range(len(pivots))]
+
+
+ENTRY = st.one_of(
+    st.just(F(0)),
+    st.integers(-9, 9).map(F),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+)
+
+
+@st.composite
+def rational_matrices(draw, max_side=7, rows=None):
+    if rows is None:
+        rows = draw(st.integers(0, max_side))
+    cols = draw(st.integers(0, max_side))
+    a = [[draw(ENTRY) for _ in range(cols)] for _ in range(rows)]
+    # Dependent rows, zero rows and zero columns.
+    if rows >= 3 and draw(st.booleans()):
+        c = draw(ENTRY)
+        a[-1] = [c * x + y for x, y in zip(a[0], a[1])]
+    for i in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2)):
+        if i < rows:
+            a[i] = [F(0)] * cols
+    for j in draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2)):
+        for r in a:
+            if j < cols:
+                r[j] = F(0)
+    return QMatrix(rows, cols, tuple(map(tuple, a)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=rational_matrices())
+def test_rref_rank_kernel_match_fraction_reference(m):
+    red, pivots = m.rref()
+    ref_red, ref_pivots = ref_rref(m)
+    assert list(pivots) == ref_pivots
+    assert [list(r) for r in red.entries] == ref_red
+    assert all(type(x) is F for r in red.entries for x in r)
+    assert m.rank() == len(ref_pivots)
+    k = kernel_basis(m)
+    assert k.ambient == m.cols and k.dim == m.cols - m.rank()
+    assert cols(k) == ref_kernel_columns(m)
+    assert (m @ k.basis).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=rational_matrices(max_side=5))
+def test_inverse_and_solve_match_rank(m):
+    k = min(m.rows, m.cols)
+    sq = QMatrix(k, k, tuple(r[:k] for r in m.entries[:k]))
+    if sq.rank() == k:
+        assert sq.inverse() @ sq == QMatrix.identity(k)
+    else:
+        with pytest.raises(ValueError):
+            sq.inverse()
+    if m.cols:
+        b = QMatrix(m.rows, 1, tuple((x,) for x in m.col(0)))
+        assert m @ solve_exact(m, b) == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=rational_matrices(max_side=5), data=st.data())
+def test_intersection_dimension_formula(m, data):
+    n = data.draw(rational_matrices(max_side=5, rows=m.rows))
+    s, t = column_space(m), column_space(n)
+    both = subspace_intersection(s, t)
+    total = subspace_from_columns(s.ambient, s.columns() + t.columns())
+    assert both.dim == s.dim + t.dim - total.dim
+    assert all(s.contains(v) and t.contains(v) for v in both.columns())

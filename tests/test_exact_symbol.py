@@ -235,3 +235,63 @@ def test_scale_commutes_with_evaluation():
     g = gradient(2).operator
     xi = [F(3), F(5)]
     assert g.scale(F(-2)).evaluate(xi) == g.evaluate(xi).scale(F(-2))
+
+
+def ref_evaluate(op, xi):
+    """A(xi) summed term by term in Fraction arithmetic."""
+    acc = [[F(0)] * op.dim_v for _ in range(op.dim_e)]
+    for alpha, mat in op.terms:
+        c = F(1)
+        for x, e in zip(xi, alpha):
+            c *= F(x) ** e
+        for i in range(op.dim_e):
+            for j in range(op.dim_v):
+                acc[i][j] += c * mat[i, j]
+    return acc
+
+
+COEFFS = st.one_of(
+    st.just(F(0)),
+    st.integers(-5, 5).map(F),
+    st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**6),
+)
+# Non-integer rationals, with zero coordinates drawn often.
+COORDS = st.one_of(st.just(F(0)), st.fractions(min_value=-50, max_value=50, max_denominator=97))
+
+
+@st.composite
+def operators(draw):
+    n, dim_v, dim_e, order = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                              draw(st.integers(1, 3)), draw(st.integers(0, 3)))
+    alphas = draw(st.lists(st.sampled_from(multi_indices(n, order)), max_size=4, unique=True))
+    terms = {alpha: QMatrix.from_rows([[draw(COEFFS) for _ in range(dim_v)]
+                                       for _ in range(dim_e)])
+             for alpha in alphas}
+    return SymbolOperator.make(n, dim_v, dim_e, order, terms, allow_zero=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(op=operators(), data=st.data())
+def test_evaluate_matches_fraction_reference(op, data):
+    for _ in range(3):
+        xi = data.draw(st.lists(COORDS, min_size=op.n, max_size=op.n))
+        got = op.evaluate(xi)
+        assert [list(r) for r in got.entries] == ref_evaluate(op, xi)
+        assert all(type(x) is F for r in got.entries for x in r)
+    zero = SymbolOperator.zero(op.n, op.dim_v, op.dim_e, op.order)
+    assert zero.evaluate(xi) == QMatrix.zeros(op.dim_e, op.dim_v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(op=operators())
+def test_evaluation_cache_keeps_equality_hash_and_json(op):
+    from symlab.io import operator_from_json, operator_to_json
+
+    fresh = SymbolOperator.make(op.n, op.dim_v, op.dim_e, op.order, dict(op.terms),
+                                allow_zero=True)
+    doc = operator_to_json(fresh)
+    op.evaluate([F(1, 3)] * op.n)
+    assert op == fresh and hash(op) == hash(fresh)
+    assert operator_to_json(op) == doc
+    back, _t, _meta = operator_from_json(doc)
+    assert back == op and hash(back) == hash(op)

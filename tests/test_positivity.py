@@ -1,14 +1,19 @@
 """The positivity certifier for even polynomials on the faces x_i = +1, on
 its own: no operator, no Gram determinant."""
 
+import math
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symlab.exact import Polynomial
 from symlab.exact.bernstein import (
     CertifiedBox,
     FaceBox,
+    _lattice_zero,
     certify_positive,
     verify_positive,
 )
@@ -68,3 +73,30 @@ def test_cover_must_hold_exactly_the_n_faces():
     assert not verify_positive(p, [cb for cb in cover if cb.box.axis != 2])
     beyond = CertifiedBox(FaceBox(3, cover[-1].box.bounds), cover[-1].lower_bound)
     assert not verify_positive(p, cover + [beyond])
+
+
+def brute_lattice_zero(q, n):
+    """First point of {-1, 0, 1}^n with a coordinate +1 where q vanishes,
+    summing every term at every point."""
+    for pt in product((-1, 0, 1), repeat=n):
+        if 1 in pt and sum(c * math.prod(x**e for x, e in zip(pt, alpha))
+                           for alpha, c in q.items()) == 0:
+            return tuple(F(x) for x in pt)
+    return None
+
+
+@st.composite
+def even_int_polys(draw):
+    """Few terms of even total degree with small coefficients, so that the
+    classes often cancel and lattice zeros are common."""
+    n = draw(st.integers(1, 4))
+    alphas = st.tuples(*[st.integers(0, 3)] * n).filter(lambda a: sum(a) % 2 == 0)
+    terms = draw(st.dictionaries(alphas, st.integers(-3, 3).filter(bool), max_size=8))
+    return terms, n
+
+
+@settings(max_examples=120, deadline=None)
+@given(qn=even_int_polys())
+def test_lattice_zero_matches_per_term_brute_force(qn):
+    q, n = qn
+    assert _lattice_zero(q, n) == brute_lattice_zero(q, n)
