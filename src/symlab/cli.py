@@ -111,7 +111,9 @@ def _parse_grid(text: Optional[str], n: int, default: tuple[int, float]):
 
 
 def _write_json(doc: dict, path: Optional[str]) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # One line: ``indent`` would send json.dumps down its pure-Python
+    # encoder, several times slower on the large compat reports.
+    text = json.dumps(doc, sort_keys=True) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)

@@ -23,7 +23,7 @@ import numpy as np
 from ..deciders.cancellation import CancelingVerdict, image_intersection
 from ..deciders.ellipticity import ELLIPTIC, EllipticityVerdict, check_ellipticity
 from ..exact.symbol import SymbolOperator
-from .grid import GridField, GridSpec, apply_symbol, symbol_on_grid
+from .grid import GridField, GridSpec, apply_symbol, half_box_shift, symbol_on_grid
 from .norms import lp_norm
 
 
@@ -158,11 +158,12 @@ def build_blowup_field(
     window = plateau_cutoff(r / scale) - plateau_cutoff(r * scale)
     if directions is None:
         directions = solve_symbol_directions(a, spec, e_float)
-    factor = (2j * pi) ** (-a.order)
     # Shift the concentration point to the box center so the boundary shell
-    # measures genuine truncation.
-    shift = np.exp(-2j * pi * (spec.box / 2.0) * sum(xi))
-    u_hat = factor * (window * shift)[None, ...] * directions
+    # measures genuine truncation: the shift by half the box is (-1)^m_i on
+    # axis i, a real sign applied in place.
+    for sign in half_box_shift(spec):
+        window *= sign
+    u_hat = ((2j * pi) ** (-a.order) * window)[None, ...] * directions
     u = GridField.from_spectrum(spec, u_hat)
     au = apply_symbol(a, u)
     e_norm = float(np.sqrt((e_float**2).sum()))

@@ -10,7 +10,7 @@ import numpy as np
 from ..exact.matrix import QMatrix
 from ..exact.symbol import SymbolOperator
 from .blowup import smoothstep, smoothstep_deriv
-from .grid import GridField, GridSpec, apply_symbol
+from .grid import GridField, GridSpec, apply_symbol, half_box_shift
 
 # g -> (d2 g, -d1 g): the planar curl of a scalar potential.
 _PERP_GRADIENT = SymbolOperator.make(
@@ -85,24 +85,28 @@ def newton_gradient_field(spec: GridSpec, eps: float) -> GridField:
     if spec.n != 3:
         raise ValueError("this family lives on a three-dimensional box")
     xi = spec.frequency_grids()
+    # The real factor shared by the three components, shift moll_hat /
+    # |xi|^2, with the constant mode removed.  The shift by half the box,
+    # which puts the singular core at the box center rather than the
+    # corner, is (-1)^m_i on axis i, and the Gaussian mollifier is a product
+    # over the axes too: both are built from one 1-d factor per axis.
+    factor = 1.0
+    for sign, x in zip(half_box_shift(spec), xi):
+        factor = factor * (sign * np.exp(-pi * eps**2 * x**2))
     r2 = sum(x**2 for x in xi)
     origin = tuple(0 for _ in range(spec.n))
-    # The factor shared by the three components, -i moll_hat shift / (2 pi
-    # |xi|^2), with the constant mode removed.  The shift puts the singular
-    # core at the box center rather than the corner.
-    factor = np.exp(-2j * pi * (spec.box / 2.0) * sum(xi))
-    factor *= np.exp(-pi * eps**2 * r2)
     r2[origin] = 1.0
     factor /= r2
-    factor *= -1j / (2.0 * pi)
     factor[origin] = 0.0
+    # The spectrum is purely imaginary: -i factor xi_i / (2 pi).
     spectrum = np.empty((3,) + factor.shape, dtype=complex)
+    spectrum.real = 0.0
     for i in range(3):
         # xi_i is odd: on the unpaired Nyquist bin of axis i it has no real
         # representation, so component i carries nothing there.
-        odd = xi[i].copy()
+        odd = xi[i] * (-1.0 / (2.0 * pi))
         odd.flat[spec.size // 2] = 0.0
-        np.multiply(factor, odd, out=spectrum[i])
+        np.multiply(factor, odd, out=spectrum[i].imag)
     return GridField.from_spectrum(spec, spectrum)
 
 

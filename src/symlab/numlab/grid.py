@@ -9,9 +9,12 @@ multiplies the FFT by h^n (a Riemann sum for the integral transform),
 synthesis divides by T^n, so a derivative of order alpha is the multiplier
 (2 pi i xi)^alpha.
 
-A ``GridField`` keeps its Nyquist-masked half spectrum once it is known:
-a field synthesized from a spectrum never transforms forward, and a field
-read by several operators transforms forward once.
+Transforms run one component at a time, each into its slice of one
+preallocated array, so no transform keeps a (components, ...) intermediate
+alive.  A ``GridField`` keeps its Nyquist-masked half spectrum once it is
+known: a field synthesized from a spectrum never transforms forward, and a
+field read by several operators transforms forward once.  It also keeps its
+pointwise magnitude once a norm or the boundary tail has asked for it.
 
 ``symbol_on_grid`` is the one place that evaluates a symbol
 sum_alpha xi^alpha A_alpha at the grid frequencies.  ``apply_symbol``
@@ -113,10 +116,11 @@ class GridSpec:
 class GridField:
     spec: GridSpec
     values: np.ndarray  # shape (components, *spec.shape), float64
-    # The Nyquist-masked, continuum-normalized half spectrum of ``values``,
-    # read-only, once ``from_spectrum`` or ``spectrum`` has produced it; the
+    # The Nyquist-masked, continuum-normalized half spectrum of ``values``
+    # and their pointwise magnitude, each read-only once produced; the
     # values must not change after that.
     _hat: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _mag: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = (self.components,) + self.spec.shape
@@ -144,18 +148,30 @@ class GridField:
 
     def spectrum(self) -> np.ndarray:
         """The Nyquist-masked, continuum-normalized half spectrum, of shape
-        (components, *spec.half_shape): computed by one ``rfftn`` on first
-        use, then cached (read-only)."""
+        (components, *spec.half_shape): computed by one ``rfftn`` per
+        component on first use, then cached (read-only)."""
         if self._hat is None:
-            axes = tuple(range(1, self.spec.n + 1))
-            hat = np.fft.rfftn(self.values, axes=axes)
+            hat = np.empty((self.components,) + self.spec.half_shape, dtype=complex)
+            for c in range(self.components):
+                np.fft.rfftn(self.values[c], out=hat[c])
             hat *= self.spec.cell_volume * nyquist_mask(self.spec)
             hat.flags.writeable = False
             self._hat = hat
         return self._hat
 
     def magnitude(self) -> np.ndarray:
-        return np.sqrt((self.values**2).sum(axis=0))
+        """Pointwise Euclidean norm over the components, of shape
+        spec.shape: computed on first use, then cached (read-only)."""
+        if self._mag is None:
+            mag = np.square(self.values[0])
+            square = None
+            for v in self.values[1:]:
+                square = np.square(v, out=square)
+                mag += square
+            np.sqrt(mag, out=mag)
+            mag.flags.writeable = False
+            self._mag = mag
+        return self._mag
 
     def boundary_tail(self) -> float:
         """Largest magnitude on the outermost grid shell relative to the
@@ -189,11 +205,28 @@ def nyquist_mask(spec: GridSpec) -> np.ndarray:
     return mask
 
 
+def half_box_shift(spec: GridSpec) -> list[np.ndarray]:
+    """The shift exp(-2 pi i (T/2) xi) by half the box, one real factor per
+    axis shaped like ``frequency_grids()``.  At the grid frequencies
+    xi_i = m_i / T the factor of axis i is exactly (-1)^m_i, and m_i has the
+    parity of its index on every axis because N is even."""
+    factors = []
+    for ax, length in enumerate(spec.half_shape):
+        sign = np.ones(length)
+        sign[1::2] = -1.0
+        shape = [1] * spec.n
+        shape[ax] = length
+        factors.append(sign.reshape(shape))
+    return factors
+
+
 def _synthesize(spec: GridSpec, hat: np.ndarray, cache: np.ndarray) -> GridField:
     """The real field whose continuum-normalized half spectrum is ``hat``,
     holding ``cache`` (its Nyquist-masked spectrum) from now on."""
-    axes = tuple(range(1, spec.n + 1))
-    values = np.fft.irfftn(hat, s=spec.shape, axes=axes)
+    axes = tuple(range(spec.n))
+    values = np.empty((hat.shape[0],) + spec.shape)
+    for c in range(hat.shape[0]):
+        np.fft.irfftn(hat[c], s=spec.shape, axes=axes, out=values[c])
     values *= spec.size**spec.n / spec.box**spec.n
     out = GridField(spec, values)
     cache.flags.writeable = False
@@ -231,16 +264,29 @@ def symbol_on_grid(a: SymbolOperator, spec: GridSpec) -> Iterator[tuple[int, int
 def apply_symbol(a: SymbolOperator, u: GridField) -> GridField:
     """Apply the operator to a periodic field through its Fourier multiplier
     (2 pi i)^k A(xi), one entry of the symbol at a time, on the half
-    spectrum of ``u`` (cached by ``u``).  The result holds its own spectrum,
-    so operators applied to it transform only backward."""
+    spectrum of ``u`` (cached by ``u``).  The (2 pi i)^k factor goes into
+    each entry, which broadcasts and is smaller than the grid; the first
+    entry of a row writes it and the others add through one buffer.  The
+    result holds its own spectrum, so operators applied to it transform
+    only backward."""
     if u.components != a.dim_v:
         raise ValueError(f"field has {u.components} components, operator expects {a.dim_v}")
     spec = u.spec
     u_hat = u.spectrum()
-    out_hat = np.zeros((a.dim_e,) + spec.half_shape, dtype=complex)
+    out_hat = np.empty((a.dim_e,) + spec.half_shape, dtype=complex)
+    unit = (2j * pi) ** a.order
+    written: set[int] = set()
+    term = None
     for r, c, values in symbol_on_grid(a, spec):
-        out_hat[r] += values * u_hat[c]
-    out_hat *= (2j * pi) ** a.order
+        if r in written:
+            term = np.multiply(unit * values, u_hat[c], out=term)
+            out_hat[r] += term
+        else:
+            np.multiply(unit * values, u_hat[c], out=out_hat[r])
+            written.add(r)
+    for r in range(a.dim_e):
+        if r not in written:
+            out_hat[r] = 0.0
     return _synthesize(spec, out_hat, out_hat)
 
 

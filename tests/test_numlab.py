@@ -39,7 +39,7 @@ from symlab.numlab import (
 )
 from symlab.numlab.experiments import _newton_point
 from symlab.numlab.fields import newton_gradient_field
-from symlab.numlab.grid import nyquist_mask
+from symlab.numlab.grid import half_box_shift, nyquist_mask
 
 
 def random_field(spec, components, seed=0):
@@ -231,15 +231,43 @@ def cache_error(u):
 def test_cached_spectrum_is_the_spectrum_of_the_values():
     # Synthesized fields and operator outputs hand their spectrum on
     # instead of transforming forward; it must be the one rfftn would give.
+    # The last field transforms forward, one component at a time.
     newton = newton_gradient_field(GridSpec(3, 32, 8.0), 0.4)
     u, au, _flags = build_blowup_field(laplacian(2).operator, [1], 4.0, GridSpec(2, 128, 4.0))
     fields = [newton, u, au, apply_symbol(exterior_d(3, 1).operator, newton),
-              apply_symbol(gradient(2).operator, random_field(GridSpec(2, 32, 8.0), 1))]
+              apply_symbol(gradient(2).operator, random_field(GridSpec(2, 32, 8.0), 1)),
+              random_field(GridSpec(2, 32, 8.0), 2, seed=7)]
     for f in fields:
         assert f.spectrum().shape == (f.components,) + f.spec.half_shape
         assert cache_error(f) <= 1e-12
     with pytest.raises(ValueError):
         newton.spectrum()[0, 1, 1, 1] = 0.0
+
+
+def test_half_box_shift_is_the_exponential():
+    for spec in (GridSpec(2, 32, 8.0), GridSpec(3, 16, 4.0)):
+        xi = spec.frequency_grids()
+        shift = np.ones(spec.half_shape)
+        for sign in half_box_shift(spec):
+            shift = shift * sign
+        assert np.abs(shift - np.exp(-2j * np.pi * (spec.box / 2.0) * sum(xi))).max() <= 1e-12
+
+
+def test_cached_magnitude_is_read_only_and_exact():
+    u = random_field(GridSpec(3, 16, 8.0), 3, seed=2)
+    mag = u.magnitude()
+    assert u.magnitude() is mag
+    assert np.abs(mag - np.sqrt((u.values**2).sum(0))).max() <= 1e-14
+    with pytest.raises(ValueError):
+        mag[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_lp_norm_fast_paths_match_the_power_sum(p):
+    for components, seed in ((1, 4), (2, 5), (3, 6)):
+        u = random_field(GridSpec(2, 64, 8.0), components, seed=seed)
+        direct = (u.spec.cell_volume * (u.magnitude() ** p).sum()) ** (1.0 / p)
+        assert abs(lp_norm(u, p) - direct) <= 1e-13 * direct
 
 
 def test_odd_order_matches_full_complex_transform():
@@ -261,8 +289,9 @@ def test_odd_order_matches_full_complex_transform():
 
 
 def test_newton_point_transform_count(monkeypatch):
-    # One backward transform for the field, one for the divergence and one
-    # for the curl: no forward transform and no full complex one.
+    # Backward transforms only, one per component: three for the field, one
+    # for the divergence and three for the curl.  No forward transform and
+    # no full complex one.
     calls = {}
     for name in ("fftn", "ifftn", "fft2", "ifft2", "rfftn", "irfftn", "rfft", "irfft"):
         original = getattr(np.fft, name)
@@ -274,4 +303,4 @@ def test_newton_point_transform_count(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     row = _newton_point(16, 0.4)
     assert np.isfinite(row["ratio"])
-    assert calls == {"irfftn": 3}
+    assert calls == {"irfftn": 7}
