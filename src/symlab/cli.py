@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -400,17 +401,28 @@ def cmd_catalog(args) -> int:
 # experiment
 
 
+# The options each experiment kind reads, besides --seed, --csv, --json and
+# --no-figure; every other option is refused.
+EXPERIMENT_OPTIONS = {
+    "blowup": {"--op", "--e", "--ell", "--lambda", "--grid"},
+    "necessity": {"--lambda", "--field", "--grid"},
+    "duality": {"--lambda", "--field", "--grid"},
+    "inequality": {"--family"},
+}
+
+
 def cmd_experiment(args) -> int:
     from .io import operator_digest
 
     kind = args.kind
     seed = args.seed
-    if kind != "blowup":
-        given = [flag for flag, value in (("--op", args.op), ("--e", args.direction),
-                                          ("--ell", args.ell)) if value is not None]
-        if given:
-            raise CliError(f"{kind} takes no {', '.join(given)}: only blowup reads them")
-    rows: list[dict]
+    given = {"--op": args.op, "--e": args.direction, "--ell": args.ell, "--lambda": args.scales,
+             "--family": args.family, "--field": args.field, "--grid": args.grid}
+    unread = [flag for flag, value in given.items()
+              if value is not None and flag not in EXPERIMENT_OPTIONS[kind]]
+    if unread:
+        raise CliError(f"{kind} takes no {', '.join(unread)}; it reads only "
+                       f"{', '.join(sorted(EXPERIMENT_OPTIONS[kind]))}")
     if kind == "blowup":
         from .numlab import blowup_experiment
 
@@ -420,46 +432,39 @@ def cmd_experiment(args) -> int:
         spec = _parse_grid(args.grid, op.n, (1024, 4.0))
         scales = _parse_floats(args.scales or "4,8,16,32")
         e = _parse_rationals(args.direction, op.dim_e)
-        try:
-            rows, manifest = blowup_experiment(
-                op, e, args.ell or 0, scales, spec, seed=seed,
-                digest=operator_digest(op),
-            )
-        except ValueError as exc:
-            raise CliError(str(exc))
-        flagged = any(
-            not r["converged"] or not r["nyquist_margin_ok"] for r in rows
-        )
+        run = functools.partial(blowup_experiment, op, e, args.ell or 0, scales, spec,
+                                seed=seed, digest=operator_digest(op))
+        flag = lambda r: not r["converged"] or not r["nyquist_margin_ok"]
     elif kind == "necessity":
         from .numlab import necessity_experiment
 
         spec = _parse_grid(args.grid, 2, (512, 40.0))
         exps = _parse_floats(args.scales or "1,0.5,0.3333333333333333,0.25")
-        rows, manifest = necessity_experiment(
-            args.field or "gaussian", exps, spec, seed=seed
-        )
-        flagged = any(r["scale_err"] > 0.02 for r in rows)
+        run = functools.partial(necessity_experiment, args.field or "gaussian", exps, spec,
+                                seed=seed)
+        flag = lambda r: r["scale_err"] > 0.02
     elif kind == "duality":
         from .numlab import duality_experiment
 
         spec = _parse_grid(args.grid, 2, (512, 40.0))
         exps = _parse_floats(args.scales or "1,0.5,0.3333333333333333,0.25")
-        rows, manifest = duality_experiment(
-            args.field or "curl-potential", exps, spec, sigma=1.5, seed=seed
-        )
-        flagged = False
-    elif kind == "inequality":
+        run = functools.partial(duality_experiment, args.field or "curl-potential", exps,
+                                spec, sigma=1.5, seed=seed)
+        flag = lambda r: False
+    else:
         from .numlab import INEQUALITY_FAMILIES, inequality_experiment
 
-        family = args.family
-        if family not in INEQUALITY_FAMILIES:
+        if args.family not in INEQUALITY_FAMILIES:
             raise CliError(
                 f"--family must be one of {', '.join(INEQUALITY_FAMILIES)}"
             )
-        rows, manifest = inequality_experiment(family, seed=seed)
-        flagged = any(not r.get("converged", True) for r in rows)
-    else:
-        raise CliError(f"unknown experiment kind {kind!r}")
+        run = functools.partial(inequality_experiment, args.family, seed=seed)
+        flag = lambda r: not r.get("converged", True)
+    try:
+        rows, manifest = run()
+    except ValueError as exc:
+        raise CliError(str(exc))
+    flagged = any(flag(r) for r in rows)
 
     csv_path = args.csv_out or f"{kind}.csv"
     _write_csv(rows, csv_path)
@@ -474,9 +479,12 @@ def cmd_experiment(args) -> int:
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x]
+        vals = [float(x) for x in text.split(",") if x]
     except ValueError as exc:
         raise CliError(f"bad numeric list {text!r}: {exc}")
+    if not all(map(math.isfinite, vals)):
+        raise CliError(f"bad numeric list {text!r}: entries must be finite")
+    return vals
 
 
 def _parse_rationals(text: Optional[str], expected: int):
@@ -536,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.set_defaults(fn=cmd_catalog)
 
     pe = sub.add_parser("experiment", help="run a numerical experiment")
-    pe.add_argument("kind", choices=("blowup", "inequality", "necessity", "duality"))
+    pe.add_argument("kind", choices=tuple(EXPERIMENT_OPTIONS))
     pe.add_argument("--op", default=None)
     pe.add_argument("--e", dest="direction", default=None,
                     help="codomain direction (comma-separated rationals)")

@@ -13,8 +13,10 @@ is the generic rank, the cofactor rows of the (r+1)-minors of A through one
 nonzero r-minor have degree k r, annihilate A and reach that rank.  A of
 rank dim E has the zero annihilator.
 
-L(x) A(x) == 0 holds by construction and ``verify_annihilator`` re-checks it
-exactly.  That the kernel of L(xi) equals the image of A(xi) is only
+L(x) A(x) == 0 holds by construction.  ``verify_annihilator`` re-checks it
+exactly: ``SymbolOperator.apply`` multiplies L by each column of A
+(``SymbolOperator.columns``), and every one of those polynomial vectors
+must be zero.  That the kernel of L(xi) equals the image of A(xi) is only
 compared at sampled directions, by ``verify_annihilator``.
 """
 
@@ -89,7 +91,7 @@ def verify_annihilator(
     """Exact annihilation check plus sampled kernel and rank bookkeeping."""
     if l.dim_v != a.dim_e or l.n != a.n:
         raise ValueError("annihilator dimensions do not match the operator")
-    identity_ok = (l.to_polymatrix() @ a.to_polymatrix()).is_zero()
+    identity_ok = all(p.is_zero() for col in a.columns() for p in l.apply(col))
     kernel_checks = []
     rank_checks = []
     for xi in probe_directions(a.n, samples, random.Random(seed)):

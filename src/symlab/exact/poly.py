@@ -5,8 +5,8 @@ int per variable) to nonzero Fraction coefficients.  Terms iterate in
 graded lexicographic order, so serialization and equality behave
 deterministically.  ``clear_denominators`` turns one into an integer
 polynomial (a dict from exponent tuples to nonzero ints) times a positive
-integer, for the integer arithmetic of ``PolyMatrix.det`` and
-``exact.bernstein``.
+integer, for the integer arithmetic of ``SymbolOperator.apply``,
+``PolyMatrix.det`` and ``exact.bernstein``.
 """
 
 from __future__ import annotations

@@ -1,4 +1,9 @@
-"""Matrices with multivariate polynomial entries.
+"""Matrices with multivariate polynomial entries, for the Gram determinant.
+
+``SymbolOperator.gram`` returns A(x)^T A(x) as a ``PolyMatrix`` and the
+ellipticity decider takes its ``det``; ``evaluate`` is the reference that
+tests compare the determinant against.  Products of a symbol with
+polynomial vectors are ``SymbolOperator.apply``, not matrix products here.
 
 The determinant is expanded by minors along the rows, memoized on the set
 of columns still unused, in integer arithmetic:
@@ -45,43 +50,6 @@ class PolyMatrix:
     def from_rows(n: int, rows: Sequence[Sequence[Polynomial]]) -> "PolyMatrix":
         data = tuple(tuple(r) for r in rows)
         return PolyMatrix(len(data), len(data[0]) if data else 0, n, data)
-
-    @staticmethod
-    def identity_times(n: int, size: int, p: Polynomial) -> "PolyMatrix":
-        z = Polynomial.zero(n)
-        return PolyMatrix(
-            size, size, n,
-            tuple(tuple(p if i == j else z for j in range(size)) for i in range(size)),
-        )
-
-    def __getitem__(self, ij) -> Polynomial:
-        i, j = ij
-        return self.entries[i][j]
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            self.cols, self.rows, self.n,
-            tuple(tuple(r[j] for r in self.entries) for j in range(self.cols)),
-        )
-
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.cols != other.rows or self.n != other.n:
-            raise ValueError("shape mismatch in product")
-        ot = other.transpose()
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in ot.entries:
-                acc = Polynomial.zero(self.n)
-                for a, b in zip(row, col):
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return PolyMatrix(self.rows, other.cols, self.n, tuple(out))
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for r in self.entries for p in r)
 
     def evaluate(self, point: Sequence) -> QMatrix:
         return QMatrix.from_rows(

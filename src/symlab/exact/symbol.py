@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .matrix import QMatrix
-from .poly import MultiIndex, Polynomial, grlex_key, multi_indices
+from .poly import MultiIndex, Polynomial, clear_denominators, grlex_key, multi_indices
 from .polymatrix import PolyMatrix
 
 
@@ -104,22 +104,18 @@ class SymbolOperator:
             tuple(Fraction(x, den) if x else zero for x in r) for r in acc
         ))
 
-    def to_polymatrix(self) -> PolyMatrix:
-        rows = []
-        for i in range(self.dim_e):
-            row = []
-            for j in range(self.dim_v):
-                coeffs = {alpha: mat[i, j] for alpha, mat in self.terms if mat[i, j] != 0}
-                row.append(Polynomial.make(self.n, coeffs))
-            rows.append(row)
-        return PolyMatrix.from_rows(self.n, rows)
+    def columns(self) -> list[list[Polynomial]]:
+        """The columns of A(x): for each coordinate j of V, the polynomial
+        vector A(x) e_j, by ``apply`` of the constant unit vector."""
+        one, zero = Polynomial.constant(self.n, 1), Polynomial.zero(self.n)
+        return [self.apply([one if i == j else zero for i in range(self.dim_v)])
+                for j in range(self.dim_v)]
 
     def gram(self) -> PolyMatrix:
         """A(x)^T A(x) as an exact polynomial matrix (degree 2 * order): A^T
-        applied to each column of A, from the nonzero coefficients only."""
+        applied to each column of A."""
         at = self.transpose()
-        columns = self.to_polymatrix().transpose().entries
-        return PolyMatrix.from_rows(self.n, [at.apply(col) for col in columns])
+        return PolyMatrix.from_rows(self.n, [at.apply(col) for col in self.columns()])
 
     def transpose(self) -> "SymbolOperator":
         """The symbol x -> A(x)^T."""
@@ -151,23 +147,25 @@ class SymbolOperator:
 
     def apply(self, u: Sequence[Polynomial]) -> list[Polynomial]:
         """The polynomial vector A(x) u(x), for one polynomial per
-        coordinate of V."""
+        coordinate of V: the one product of a symbol and a polynomial
+        vector in the exact layer.
+
+        It multiplies the sparse integer rows of ``_int_terms`` (numerators
+        over D) by u with its denominators cleared to one common du, so each
+        coefficient of the result is one integer sum, divided once by D du."""
         if len(u) != self.dim_v:
             raise ValueError("vector length mismatch")
+        cleared = [clear_denominators(q) for q in u]
+        du = math.lcm(*(d for _q, d in cleared))
+        den, terms = self._int_terms
         acc: list[dict] = [{} for _ in range(self.dim_e)]
-        for alpha, mat in self.terms:
-            for out, row in zip(acc, mat.entries):
-                for x, q in zip(row, u):
-                    if x:
-                        for beta, c in q.terms:
-                            key = tuple(a + b for a, b in zip(alpha, beta))
-                            out[key] = out.get(key, 0) + x * c
-        return [Polynomial.make(self.n, terms) for terms in acc]
-
-    def scale(self, c) -> "SymbolOperator":
-        c = Fraction(c)
-        return SymbolOperator.make(
-            self.n, self.dim_v, self.dim_e, self.order,
-            {alpha: mat.scale(c) for alpha, mat in self.terms},
-            allow_zero=True,
-        )
+        for alpha, rows in terms:
+            shifted = [[(tuple(a + b for a, b in zip(alpha, beta)), c * (du // d))
+                        for beta, c in q.items()] for q, d in cleared]
+            for out, row in zip(acc, rows):
+                for j, x in row:
+                    for key, c in shifted[j]:
+                        out[key] = out.get(key, 0) + x * c
+        den *= du
+        return [Polynomial.make(self.n, {k: Fraction(c, den) for k, c in out.items() if c})
+                for out in acc]

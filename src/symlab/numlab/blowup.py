@@ -30,12 +30,9 @@ from .norms import lp_norm
 def smoothstep(t: np.ndarray) -> np.ndarray:
     """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
     t = np.asarray(t, dtype=float)
-    a = np.zeros_like(t)
-    pos = t > 0
-    a[pos] = np.exp(-1.0 / t[pos])
-    b = np.zeros_like(t)
-    neg = t < 1
-    b[neg] = np.exp(-1.0 / (1.0 - t[neg]))
+    with np.errstate(divide="ignore"):
+        a = np.exp(-1.0 / t, where=t > 0, out=np.zeros_like(t))
+        b = np.exp(-1.0 / (1.0 - t), where=t < 1, out=np.zeros_like(t))
     return a / (a + b)
 
 

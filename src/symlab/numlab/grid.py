@@ -28,7 +28,7 @@ allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial, pi, prod
+from math import factorial, isfinite, pi, prod
 from typing import Iterator, Optional
 
 import numpy as np
@@ -62,8 +62,8 @@ class GridSpec:
             raise ValueError("grid dimension must be between 1 and 4")
         if not _is_power_of_two(self.size):
             raise ValueError("points per axis must be a power of two")
-        if self.box <= 0:
-            raise ValueError("box side must be positive")
+        if not (isfinite(self.box) and self.box > 0):
+            raise ValueError("box side must be positive and finite")
         if self.size**self.n > MAX_GRID_POINTS:
             raise ValueError(
                 f"{self.size}^{self.n} grid points exceed the budget of {MAX_GRID_POINTS}"

@@ -50,12 +50,18 @@ def test_double_star_sign():
         assert ss == expect
 
 
+def norm_squared_identity(n, size):
+    """|x|^2 times the size x size identity, in n variables."""
+    q = Polynomial.make(n, {tuple(2 if i == j else 0 for i in range(n)): F(1) for j in range(n)})
+    z = Polynomial.zero(n)
+    return PolyMatrix.from_rows(n, [[q if i == j else z for j in range(size)]
+                                    for i in range(size)])
+
+
 def test_hodge_pair_gram_is_scalar():
     # The two components' squared lengths add up to |xi|^2 |v|^2.
     op = hodge_pair(4, 2).operator
-    gram = op.gram()
-    q = Polynomial.make(4, {tuple(2 if i == j else 0 for i in range(4)): F(1) for j in range(4)})
-    assert gram == PolyMatrix.identity_times(4, op.dim_v, q)
+    assert op.gram() == norm_squared_identity(4, op.dim_v)
 
 
 def test_hodge_pair_dimensions():
@@ -95,9 +101,7 @@ def test_quaternion_multiplication_table():
     # (1 + i + j + k) times j = j + ij + j^2 + kj = -1 - i + j + k.
     out = op.evaluate([1, 1, 1, 1]).mul_vector([0, 1, 0])
     assert out == (F(-1), F(-1), F(1), F(1))
-    assert op.gram() == PolyMatrix.identity_times(
-        4, 3, Polynomial.make(4, {tuple(2 if i == j else 0 for i in range(4)): F(1) for j in range(4)})
-    )
+    assert op.gram() == norm_squared_identity(4, 3)
 
 
 def test_sym_gradient_sk_counts():

@@ -17,7 +17,7 @@ from symlab.catalog import (
 from symlab.cli import main
 from symlab.compat import build_annihilator, verify_annihilator
 from symlab.deciders import COCANCELING, check_canceling, check_cocanceling
-from symlab.exact import Polynomial, PolyMatrix, QMatrix, SymbolOperator, multi_indices
+from symlab.exact import Polynomial, QMatrix, SymbolOperator, multi_indices
 
 
 def elliptic_instances():
@@ -49,7 +49,7 @@ def test_sym_gradient_annihilator_is_saint_venant():
         (2, 0, 0): QMatrix.from_rows([[0, 0, 0, 1, 0, 0]]),
         (1, 1, 0): QMatrix.from_rows([[0, -2, 0, 0, 0, 0]]),
     })
-    assert (row.to_polymatrix() @ op.to_polymatrix()).is_zero()
+    assert all(p.is_zero() for col in op.columns() for p in row.apply(col))
 
     def flat(sym):
         """One coefficient vector per row, over every monomial of degree 2."""
@@ -115,6 +115,21 @@ def test_verify_annihilator_full_pass_on_construction():
     assert report.identity_ok and report.kernels_match and report.ranks_full
 
 
+def test_verify_annihilator_rejects_perturbed_identity():
+    # One coefficient of L moved by 1 adds x^alpha times row 0 of A to row 0
+    # of L(x) A(x), which is then no longer zero.
+    op = sym_gradient(2).operator
+    l = build_annihilator(op).operator
+    terms = dict(l.terms)
+    alpha, mat = l.terms[0]
+    rows = [list(r) for r in mat.entries]
+    rows[0][0] += 1
+    terms[alpha] = QMatrix.from_rows(rows)
+    bad = SymbolOperator.make(l.n, l.dim_v, l.dim_e, l.order, terms)
+    assert verify_annihilator(op, bad).identity_ok is False
+    assert verify_annihilator(op, l).identity_ok is True
+
+
 def test_annihilator_cocancellation_tracks_cancellation():
     # The paper's criterion: L cocanceling iff A canceling, on every
     # elliptic regression instance.
@@ -148,29 +163,25 @@ def test_hodge_remark_annihilator():
     xs = [Polynomial.variable(n, i) for i in range(n)]
     q = sum((x * x for x in xs[1:]), xs[0] * xs[0])
 
-    def pm_from_terms(terms):
+    def first_order(terms):
         mat = next(iter(terms.values()))
-        return SymbolOperator.make(n, mat.cols, mat.rows, 1, terms).to_polymatrix()
+        return SymbolOperator.make(n, mat.cols, mat.rows, 1, terms)
 
-    du3 = pm_from_terms(exterior_derivative_terms(n, ell + 1))  # 3-forms -> 4-forms
-    co4 = pm_from_terms(codifferential_terms(n, ell + 2))       # 4-forms -> 3-forms
-    top = co4 @ du3                                             # 4 x 4, degree 2
-    co1 = pm_from_terms(codifferential_terms(n, ell - 1))       # 1-forms -> 0-forms
-    du0 = pm_from_terms(exterior_derivative_terms(n, ell - 2))  # 0-forms -> 1-forms
-    bottom = du0 @ co1                                          # 4 x 4, degree 2
-
-    z = Polynomial.zero(n)
-    rows = []
-    for i in range(4):
-        rows.append(list(top.entries[i]) + [z] * 4)
-    for i in range(4):
-        rows.append([z] * 4 + list(bottom.entries[i]))
-    bare = PolyMatrix.from_rows(n, rows)
-    assert (bare @ a.to_polymatrix()).is_zero()
+    du3 = first_order(exterior_derivative_terms(n, ell + 1))  # 3-forms -> 4-forms
+    co4 = first_order(codifferential_terms(n, ell + 2))       # 4-forms -> 3-forms
+    co1 = first_order(codifferential_terms(n, ell - 1))       # 1-forms -> 0-forms
+    du0 = first_order(exterior_derivative_terms(n, ell - 2))  # 0-forms -> 1-forms
+    # The bare block operator: co4 du3 on the 3-form part of each column of
+    # A (its first 4 entries), du0 co1 on the 1-form part (the last 4).
+    for col in a.columns():
+        assert all(p.is_zero() for p in co4.apply(du3.apply(col[:4])))
+        assert all(p.is_zero() for p in du0.apply(co1.apply(col[4:])))
+    top = [co4.apply(col) for col in du3.columns()]     # 4 x 4, degree 2
+    bottom = [du0.apply(col) for col in co1.columns()]  # 4 x 4, degree 2
     # The full remark operator carries the q^(m-1) factor; scaling by a
     # polynomial preserves annihilation, and the result is homogeneous of
     # degree 2(m - 1) + 2.
     m = 8
-    scaled = [q.pow(m - 1) * p for row in bare.entries for p in row]
+    scaled = [q.pow(m - 1) * p for block in (top, bottom) for col in block for p in col]
     assert all(p.is_homogeneous(2 * (m - 1) + 2) for p in scaled)
     assert any(not p.is_zero() for p in scaled)

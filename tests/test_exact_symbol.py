@@ -15,6 +15,7 @@ from symlab.catalog import (
     hyperbolic_example,
     regression_instances,
     saint_venant,
+    sym_gradient,
 )
 from symlab.exact import Polynomial, PolyMatrix, QMatrix, SymbolOperator, multi_indices
 
@@ -178,39 +179,42 @@ def test_gram_matches_product_at_sampled_points():
 
 def test_multiplication_matrix_and_apply_agree_with_evaluation():
     # Column b * dimV + j of the matrix is A(x) x^beta e_j in coordinates of
-    # E[x]_(d+k); apply(u) evaluates to A(xi) u(xi).
-    op = saint_venant(2).operator
-    d = 1
-    m = op.multiplication_matrix(d)
-    sources = multi_indices(2, d)
-    targets = multi_indices(2, d + op.order)
-    assert (m.rows, m.cols) == (len(targets) * op.dim_e, len(sources) * op.dim_v)
-    coeffs = [F(c % 5 - 2, 1 + c % 3) for c in range(m.cols)]
-    u = [Polynomial.make(2, {beta: coeffs[b * op.dim_v + j] for b, beta in enumerate(sources)})
-         for j in range(op.dim_v)]
-    image = m.mul_vector(coeffs)
-    au = op.apply(u)
-    for i in range(op.dim_e):
-        expect = Polynomial.make(2, {gamma: image[g * op.dim_e + i]
-                                     for g, gamma in enumerate(targets)})
-        assert au[i] == expect
-    xi = [F(3), F(-2, 5)]
-    assert op.evaluate(xi).mul_vector([q.evaluate(xi) for q in u]) == tuple(
-        q.evaluate(xi) for q in au)
+    # E[x]_(d+k); apply(u) evaluates to A(xi) u(xi).  sym_gradient(3) has
+    # entries 1/2, so apply divides by a common denominator.
+    for op in (saint_venant(2).operator, sym_gradient(3).operator):
+        n, d = op.n, 1
+        m = op.multiplication_matrix(d)
+        sources = multi_indices(n, d)
+        targets = multi_indices(n, d + op.order)
+        assert (m.rows, m.cols) == (len(targets) * op.dim_e, len(sources) * op.dim_v)
+        coeffs = [F(c % 5 - 2, 1 + c % 3) for c in range(m.cols)]
+        u = [Polynomial.make(n, {beta: coeffs[b * op.dim_v + j]
+                                 for b, beta in enumerate(sources)})
+             for j in range(op.dim_v)]
+        image = m.mul_vector(coeffs)
+        au = op.apply(u)
+        for i in range(op.dim_e):
+            expect = Polynomial.make(n, {gamma: image[g * op.dim_e + i]
+                                         for g, gamma in enumerate(targets)})
+            assert au[i] == expect
+        xi = [F(3), F(-2, 5), F(7, 4)][:n]
+        assert op.evaluate(xi).mul_vector([q.evaluate(xi) for q in u]) == tuple(
+            q.evaluate(xi) for q in au)
 
 
 def test_coefficient_round_trip():
-    # The coefficients of each polynomial entry are the term matrices.
+    # The coefficients of each polynomial entry of the columns are the term
+    # matrices.
     for inst in (gradient(2), hyperbolic_example(), saint_venant(2)):
         op = inst.operator
-        pm = op.to_polymatrix()
+        cols = op.columns()
         back = {
             alpha: QMatrix.from_rows(
-                [[p.as_dict().get(alpha, 0) for p in row] for row in pm.entries])
+                [[col[i].as_dict().get(alpha, 0) for col in cols] for i in range(op.dim_e)])
             for alpha, _ in op.terms
         }
         assert SymbolOperator.make(op.n, op.dim_v, op.dim_e, op.order, back) == op
-        assert sum(len(p.terms) for row in pm.entries for p in row) == sum(
+        assert sum(len(p.terms) for col in cols for p in col) == sum(
             x != 0 for _, mat in op.terms for row in mat.entries for x in row)
 
 
@@ -229,12 +233,6 @@ def test_shape_validation():
         SymbolOperator.make(2, 1, 2, 1, {(1, 0): QMatrix.from_rows([[1]])})
     with pytest.raises(ValueError):
         SymbolOperator.make(2, 1, 1, 2, {(1, 0): QMatrix.from_rows([[1]])})
-
-
-def test_scale_commutes_with_evaluation():
-    g = gradient(2).operator
-    xi = [F(3), F(5)]
-    assert g.scale(F(-2)).evaluate(xi) == g.evaluate(xi).scale(F(-2))
 
 
 def ref_evaluate(op, xi):
@@ -280,6 +278,31 @@ def test_evaluate_matches_fraction_reference(op, data):
         assert all(type(x) is F for r in got.entries for x in r)
     zero = SymbolOperator.zero(op.n, op.dim_v, op.dim_e, op.order)
     assert zero.evaluate(xi) == QMatrix.zeros(op.dim_e, op.dim_v)
+
+
+def ref_apply(op, u):
+    """A(x) u(x) summed term by term in Fraction arithmetic."""
+    acc = [{} for _ in range(op.dim_e)]
+    for alpha, mat in op.terms:
+        for i in range(op.dim_e):
+            for j in range(op.dim_v):
+                for beta, c in u[j].terms:
+                    key = tuple(a + b for a, b in zip(alpha, beta))
+                    acc[i][key] = acc[i].get(key, F(0)) + mat[i, j] * c
+    return [Polynomial.make(op.n, terms) for terms in acc]
+
+
+@settings(max_examples=80, deadline=None)
+@given(op=operators(), data=st.data())
+def test_apply_matches_fraction_reference(op, data):
+    u = [Polynomial.make(op.n, data.draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * op.n), COEFFS, max_size=3)))
+        for _ in range(op.dim_v)]
+    got = op.apply(u)
+    assert got == ref_apply(op, u)
+    assert all(type(c) is F for p in got for _a, c in p.terms)
+    zero = SymbolOperator.zero(op.n, op.dim_v, op.dim_e, op.order)
+    assert all(p.is_zero() for p in zero.apply(u))
 
 
 @settings(max_examples=40, deadline=None)

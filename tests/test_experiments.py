@@ -158,15 +158,21 @@ def test_duality_refuses_op(tmp_path, capsys):
     assert not (tmp_path / "d.csv").exists()
 
 
-OPTIONS = {"op": ["--op", "catalog:gradient?n=2"], "e": ["--e", "1"], "ell": ["--ell", "0"]}
+OPTIONS = {"op": ["--op", "catalog:gradient?n=2"], "e": ["--e", "1"], "ell": ["--ell", "0"],
+           "lambda": ["--lambda", "1"], "family": ["--family", "gns_disc"],
+           "field": ["--field", "gaussian"], "grid": ["--grid", "64,8"]}
+# The options each kind ignores; duality's --op has its own test.
+UNREAD = {"necessity": ("op", "e", "ell", "family"), "duality": ("e", "ell", "family"),
+          "inequality": ("op", "e", "ell", "lambda", "field", "grid"),
+          "blowup": ("family", "field")}
 
 
 @pytest.mark.parametrize("kind, option", [
-    (kind, option) for kind in ("necessity", "inequality", "duality") for option in OPTIONS
-    if (kind, option) != ("duality", "op")
+    (kind, option) for kind, options in UNREAD.items() for option in options
 ])
 def test_unread_options_refused(tmp_path, capsys, kind, option):
-    # Only blowup reads an operator, a direction and a derivative order.
+    # Only blowup reads an operator, a direction and a derivative order, and
+    # inequality reads nothing but its family.
     from symlab.cli import main
 
     option = OPTIONS[option]
@@ -175,4 +181,24 @@ def test_unread_options_refused(tmp_path, capsys, kind, option):
                  "--csv", str(tmp_path / "x.csv")])
     assert code == 2
     assert option[0] in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["necessity", "--grid", "64,nan"],
+    ["necessity", "--grid", "64,inf"],
+    ["necessity", "--lambda", "nan"],
+    ["necessity", "--lambda", "0"],
+    ["duality", "--lambda", "nan"],
+    ["necessity", "--field", "nonexistent"],
+])
+def test_bad_experiment_input_exits_2(tmp_path, capsys, argv):
+    # A box or schedule that is not finite, and input the experiment itself
+    # refuses with ValueError, end in a short error with exit 2, not a
+    # traceback.
+    from symlab.cli import main
+
+    code = main(["experiment", *argv, "--no-figure", "--csv", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "x.csv").exists()
