@@ -21,7 +21,8 @@ Exit codes: 0 all verdicts certified (verify: all verdicts pass), 2
 input/validation error, including a malformed report given to verify and
 a file that is not UTF-8 JSON or is nested too deeply, 3
 at least one verdict or experiment row is undecided/sampled/unconverged
-(verify: at least one verdict is rejected).
+(verify: at least one verdict is rejected; compat: L A = 0 or a sampled
+kernel check fails).
 
 Operators come from JSON files or from catalog URIs such as
 ``catalog:gradient?n=2``.  Reports are byte-reproducible for a fixed seed
@@ -245,6 +246,7 @@ def cmd_analyze(args) -> int:
             "witness_degrees": [m.degree for m in done["canceling"].memberships],
         }
 
+    operator_doc = operator_to_json(op)
     report = {
         "schema_version": 1,
         "tool": {"name": "symlab", "version": __version__},
@@ -252,14 +254,14 @@ def cmd_analyze(args) -> int:
         "seed": args.seed,
         "depth": args.depth,
         "input": {
-            "digest": operator_digest(op),
+            "digest": operator_digest(operator_doc),
             "metadata": metadata,
             "n": op.n,
             "dimV": op.dim_v,
             "dimE": op.dim_e,
             "order": op.order,
         },
-        "operator": operator_to_json(op),
+        "operator": operator_doc,
         "verdicts": verdicts,
         "uncertified": uncertified,
         "stats": stats,
@@ -283,13 +285,12 @@ def cmd_compat(args) -> int:
     op, _t, metadata = load_operator(args.source)
     result = build_annihilator(op, seed=args.seed)
     report = verify_annihilator(op, result.operator, seed=args.seed)
+    digest = operator_digest(operator_to_json(op))
     doc = {
         "schema_version": 1,
         "tool": {"name": "symlab", "version": __version__},
-        "input": {"digest": operator_digest(op), "metadata": metadata},
-        "annihilator": operator_to_json(
-            result.operator, metadata={"annihilates": operator_digest(op)}
-        ),
+        "input": {"digest": digest, "metadata": metadata},
+        "annihilator": operator_to_json(result.operator, metadata={"annihilates": digest}),
         "transcript": {
             "order": result.operator.order,
             "rows": result.operator.dim_e,
@@ -305,7 +306,7 @@ def cmd_compat(args) -> int:
         },
     }
     _write_json(doc, args.json_out)
-    return EXIT_OK if report.identity_ok else EXIT_UNDECIDED
+    return EXIT_OK if report.identity_ok and report.kernels_match else EXIT_UNDECIDED
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +413,7 @@ EXPERIMENT_OPTIONS = {
 
 
 def cmd_experiment(args) -> int:
-    from .io import operator_digest
+    from .io import operator_digest, operator_to_json
 
     kind = args.kind
     seed = args.seed
@@ -433,7 +434,7 @@ def cmd_experiment(args) -> int:
         scales = _parse_floats(args.scales or "4,8,16,32")
         e = _parse_rationals(args.direction, op.dim_e)
         run = functools.partial(blowup_experiment, op, e, args.ell or 0, scales, spec,
-                                seed=seed, digest=operator_digest(op))
+                                seed=seed, digest=operator_digest(operator_to_json(op)))
         flag = lambda r: not r["converged"] or not r["nyquist_margin_ok"]
     elif kind == "necessity":
         from .numlab import necessity_experiment

@@ -10,8 +10,8 @@ Both verdicts carry one certificate: the joint kernel K and an r x r block
 M of S (r rows, r columns) with a stated inverse N.  The verifier only
 multiplies: N M = I_r gives rank S >= r, S kills every basis vector of K,
 and r + dim K = dim V then forces K = ker S.  The status is COCANCELING
-exactly when dim K = 0.  The decider takes the pivot columns of rref(S),
-the pivot rows of rref of S[:, cols]^T and inverts that block.
+exactly when dim K = 0.  The decider takes the pivot columns of S, those
+of S[:, cols]^T as rows, both from the forward pass, and inverts that block.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ def joint_kernel(l: SymbolOperator) -> Subspace:
 
 def check_cocanceling(l: SymbolOperator) -> CocancelingVerdict:
     s = _stacked(l)
-    _red, cols = s.rref()
-    _red, rows = QMatrix.from_rows([s.col(j) for j in cols]).rref()
+    cols = s.pivots()
+    rows = QMatrix.from_rows([s.col(j) for j in cols]).pivots()
     block = RankBlock(rows, cols, _block(s, rows, cols).inverse())
     ker = kernel_basis(s)
     return CocancelingVerdict(COCANCELING if ker.dim == 0 else NOT_COCANCELING, ker, block)

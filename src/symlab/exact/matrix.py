@@ -11,10 +11,11 @@ scaled to integers by the lcm of its denominators, and a row is reduced
 against a pivot row fraction-free, row <- (a/g) row - (b/g) pivot_row with
 a, b the two entries in the pivot column and g = gcd(a, b), after which the
 row is divided by the gcd of its entries.  Scaling a row changes neither
-the pivots nor the reduced form, so ``rref`` divides each pivot row by its
-pivot once, at the end, and gets the unique RREF.  ``rank`` counts pivots
-and builds no ``Fraction``; kernels, solutions and subspace bases are read
-from the integer rows.
+the pivots nor the reduced form, so dividing each reduced pivot row by its
+pivot once gives the unique RREF.  Back-elimination changes only finished
+rows, so ``pivots`` and ``rank`` run the forward pass alone and build no
+``Fraction``; kernels, solutions and subspace bases are read from the
+reduced integer rows.
 """
 
 from __future__ import annotations
@@ -212,15 +213,12 @@ class QMatrix:
         """Each row times the lcm of its denominators."""
         return [_int_row(r) for r in self.entries]
 
-    def rref(self) -> tuple["QMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and pivot column indices."""
-        rows, pivots = _echelon(self._int_rows(), self.cols)
-        out = _pivot_quotients(rows, pivots)
-        out += [(_ZERO,) * self.cols] * (self.rows - len(out))
-        return QMatrix(self.rows, self.cols, tuple(out)), tuple(pivots)
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot columns of the RREF, from the forward pass alone."""
+        return tuple(_echelon(self._int_rows(), self.cols, reduced=False)[1])
 
     def rank(self) -> int:
-        return len(_echelon(self._int_rows(), self.cols, reduced=False)[1])
+        return len(self.pivots())
 
     def inverse(self) -> "QMatrix":
         if self.rows != self.cols:

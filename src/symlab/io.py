@@ -189,8 +189,9 @@ def operator_from_json(doc: dict) -> tuple[SymbolOperator, Optional[QMatrix], di
     return op, t, metadata
 
 
-def operator_digest(a: SymbolOperator) -> str:
-    blob = json.dumps(operator_to_json(a), sort_keys=True).encode()
+def operator_digest(doc: dict) -> str:
+    """Digest of an ``operator_to_json`` document."""
+    blob = json.dumps(doc, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -140,11 +140,11 @@ class GridField:
 
         The values keep the Nyquist bins, read at -N/2 on the first n - 1
         axes, so a factor odd in the frequency of such an axis belongs
-        zeroed on its Nyquist bin.  The cached spectrum is the input times
-        ``nyquist_mask``: the spectrum of the values when the input is the
-        half spectrum of a real field, that is when its zero plane of the
-        last axis is Hermitian off the Nyquist bins."""
-        return _synthesize(spec, spectrum, spectrum * nyquist_mask(spec))
+        zeroed on its Nyquist bin.  The field takes the input over as its
+        spectrum, Nyquist-zeroed in place: the values' spectrum when the
+        input is the half spectrum of a real field, that is when its zero
+        plane of the last axis is Hermitian off the Nyquist bins."""
+        return _synthesize(spec, spectrum)
 
     def spectrum(self) -> np.ndarray:
         """The Nyquist-masked, continuum-normalized half spectrum, of shape
@@ -154,7 +154,8 @@ class GridField:
             hat = np.empty((self.components,) + self.spec.half_shape, dtype=complex)
             for c in range(self.components):
                 np.fft.rfftn(self.values[c], out=hat[c])
-            hat *= self.spec.cell_volume * nyquist_mask(self.spec)
+            hat *= self.spec.cell_volume
+            zero_nyquist(self.spec, hat)
             hat.flags.writeable = False
             self._hat = hat
         return self._hat
@@ -188,21 +189,16 @@ class GridField:
         return edge / peak
 
 
-def nyquist_mask(spec: GridSpec) -> np.ndarray:
-    """Zero on the unpaired Nyquist hyperplanes of the half spectrum, one
-    elsewhere; shape spec.half_shape.
+def zero_nyquist(spec: GridSpec, hat: np.ndarray) -> None:
+    """Zero the unpaired Nyquist hyperplanes (index N/2 on every axis) of a
+    half spectrum in place; ``hat`` has shape (..., *spec.half_shape).
 
     Real fields carry the N/2 frequency without its sign partner, so
     odd-order multipliers on that bin have no Hermitian representation;
     projecting the bin out makes multiplier application commute with
     composition exactly."""
-    mask = np.ones(spec.half_shape)
-    half = spec.size // 2
     for ax in range(spec.n):
-        sl: list = [slice(None)] * spec.n
-        sl[ax] = half
-        mask[tuple(sl)] = 0.0
-    return mask
+        hat[(Ellipsis, spec.size // 2) + (slice(None),) * (spec.n - 1 - ax)] = 0.0
 
 
 def half_box_shift(spec: GridSpec) -> list[np.ndarray]:
@@ -220,17 +216,18 @@ def half_box_shift(spec: GridSpec) -> list[np.ndarray]:
     return factors
 
 
-def _synthesize(spec: GridSpec, hat: np.ndarray, cache: np.ndarray) -> GridField:
-    """The real field whose continuum-normalized half spectrum is ``hat``,
-    holding ``cache`` (its Nyquist-masked spectrum) from now on."""
+def _synthesize(spec: GridSpec, hat: np.ndarray) -> GridField:
+    """The real field whose continuum-normalized half spectrum is ``hat``;
+    ``hat``, then Nyquist-zeroed in place, is its cached spectrum."""
     axes = tuple(range(spec.n))
     values = np.empty((hat.shape[0],) + spec.shape)
     for c in range(hat.shape[0]):
         np.fft.irfftn(hat[c], s=spec.shape, axes=axes, out=values[c])
     values *= spec.size**spec.n / spec.box**spec.n
     out = GridField(spec, values)
-    cache.flags.writeable = False
-    out._hat = cache
+    zero_nyquist(spec, hat)
+    hat.flags.writeable = False
+    out._hat = hat
     return out
 
 
@@ -287,7 +284,7 @@ def apply_symbol(a: SymbolOperator, u: GridField) -> GridField:
     for r in range(a.dim_e):
         if r not in written:
             out_hat[r] = 0.0
-    return _synthesize(spec, out_hat, out_hat)
+    return _synthesize(spec, out_hat)
 
 
 def derivative_magnitude(u: GridField, order: int) -> np.ndarray:

@@ -328,6 +328,20 @@ def test_compat_transcript_states_order_and_rows(tmp_path):
     assert (transcript["order"], transcript["rows"]) == (1, 3)
 
 
+@pytest.mark.parametrize("uri, code, kernels_match, ranks_full", [
+    ("catalog:hyperbolic", 3, False, False),
+    ("catalog:curl_div?n=2", 0, True, False),
+])
+def test_compat_exit_code_follows_kernel_checks(tmp_path, uri, code, kernels_match, ranks_full):
+    # The kernel checks concern L and gate the exit code; the rank checks
+    # concern A and do not.
+    out = tmp_path / "compat.json"
+    assert main(["compat", uri, "--json", str(out)]) == code
+    transcript = json.loads(out.read_text())["transcript"]
+    assert transcript["identity_ok"]
+    assert (transcript["kernels_match"], transcript["ranks_full"]) == (kernels_match, ranks_full)
+
+
 # ---------------------------------------------------------------------------
 # Malformed reports: exit 2, never a traceback.
 

@@ -17,7 +17,14 @@ from symlab.catalog import (
 from symlab.cli import main
 from symlab.compat import build_annihilator, verify_annihilator
 from symlab.deciders import COCANCELING, check_canceling, check_cocanceling
-from symlab.exact import Polynomial, QMatrix, SymbolOperator, multi_indices
+from symlab.exact import (
+    Polynomial,
+    QMatrix,
+    SymbolOperator,
+    column_space,
+    kernel_basis,
+    multi_indices,
+)
 
 
 def elliptic_instances():
@@ -115,19 +122,40 @@ def test_verify_annihilator_full_pass_on_construction():
     assert report.identity_ok and report.kernels_match and report.ranks_full
 
 
-def test_verify_annihilator_rejects_perturbed_identity():
+def perturbed_sym_gradient_annihilator():
     # One coefficient of L moved by 1 adds x^alpha times row 0 of A to row 0
     # of L(x) A(x), which is then no longer zero.
-    op = sym_gradient(2).operator
-    l = build_annihilator(op).operator
+    l = build_annihilator(sym_gradient(2).operator).operator
     terms = dict(l.terms)
     alpha, mat = l.terms[0]
     rows = [list(r) for r in mat.entries]
     rows[0][0] += 1
     terms[alpha] = QMatrix.from_rows(rows)
-    bad = SymbolOperator.make(l.n, l.dim_v, l.dim_e, l.order, terms)
-    assert verify_annihilator(op, bad).identity_ok is False
-    assert verify_annihilator(op, l).identity_ok is True
+    return SymbolOperator.make(l.n, l.dim_v, l.dim_e, l.order, terms)
+
+
+def test_verify_annihilator_rejects_perturbed_identity():
+    op = sym_gradient(2).operator
+    report = verify_annihilator(op, perturbed_sym_gradient_annihilator())
+    assert report.identity_ok is False and not report.kernels_match
+    assert verify_annihilator(op, build_annihilator(op).operator).identity_ok is True
+
+
+def test_rank_counts_match_subspace_comparison():
+    # With L A = 0 exact, the rank count must give the verdict of comparing
+    # the canonical subspaces ker L(xi) and A(xi)[V]; without it every
+    # kernel check reads False.
+    cases = [(inst.operator, build_annihilator(inst.operator).operator)
+             for inst in regression_instances()]
+    cases += [(gradient(2).operator, SymbolOperator.zero(2, 2, 2, 2)),
+              (sym_gradient(2).operator, perturbed_sym_gradient_annihilator())]
+    for a, l in cases:
+        report = verify_annihilator(a, l)
+        for (xi, ker_ok), (_xi, rank_ok) in zip(report.kernel_checks, report.rank_checks):
+            image = column_space(a.evaluate(xi))
+            assert ker_ok == (report.identity_ok and kernel_basis(l.evaluate(xi)) == image)
+            assert rank_ok == (image.dim == a.dim_v)
+    assert not report.identity_ok  # the last case takes the failed-identity branch
 
 
 def test_annihilator_cocancellation_tracks_cancellation():

@@ -207,12 +207,9 @@ def rational_matrices(draw, max_side=7, rows=None):
 
 @settings(max_examples=100, deadline=None)
 @given(m=rational_matrices())
-def test_rref_rank_kernel_match_fraction_reference(m):
-    red, pivots = m.rref()
-    ref_red, ref_pivots = ref_rref(m)
-    assert list(pivots) == ref_pivots
-    assert [list(r) for r in red.entries] == ref_red
-    assert all(type(x) is F for r in red.entries for x in r)
+def test_pivots_rank_kernel_match_fraction_reference(m):
+    _ref_red, ref_pivots = ref_rref(m)
+    assert list(m.pivots()) == ref_pivots
     assert m.rank() == len(ref_pivots)
     k = kernel_basis(m)
     assert k.ambient == m.cols and k.dim == m.cols - m.rank()

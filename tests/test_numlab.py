@@ -39,7 +39,17 @@ from symlab.numlab import (
 )
 from symlab.numlab.experiments import _newton_point
 from symlab.numlab.fields import newton_gradient_field
-from symlab.numlab.grid import half_box_shift, nyquist_mask
+from symlab.numlab.grid import half_box_shift, zero_nyquist
+
+
+def nyquist_mask(spec):
+    # Reference: one on the half spectrum, zero on index N/2 of every axis.
+    mask = np.ones(spec.half_shape)
+    for ax in range(spec.n):
+        sl = [slice(None)] * spec.n
+        sl[ax] = spec.size // 2
+        mask[tuple(sl)] = 0.0
+    return mask
 
 
 def random_field(spec, components, seed=0):
@@ -103,6 +113,16 @@ def test_compose_matches_direct_multiplier():
     direct = np.fft.irfftn(mult * np.fft.rfftn(u.values[0]), s=spec.shape, axes=(0, 1))
     scale = np.abs(direct).max()
     assert np.abs(lap.values[0] - direct).max() <= 1e-9 * scale
+
+
+def test_zero_nyquist_matches_mask():
+    rng = np.random.default_rng(5)
+    for n, size in ((1, 16), (2, 8), (3, 8), (4, 4)):
+        spec = GridSpec(n, size, 4.0)
+        hat = rng.standard_normal((2,) + spec.half_shape) * (1 + 1j)
+        expected = hat * nyquist_mask(spec)
+        zero_nyquist(spec, hat)
+        assert np.array_equal(hat, expected)
 
 
 def test_smoothstep_properties():
