@@ -7,9 +7,12 @@ certificates), catalog (list / emit built-ins) and experiment (blowup /
 inequality / necessity / duality; CSV + JSON manifest + a rendered figure
 next to the CSV).
 
-analyze and verify each walk one table of verdicts.  verify decodes every
-verdict of the report, checks that its "certified" flag matches its status
-and re-checks it with the decider's verifier.  Ellipticity, cancellation
+analyze and verify walk one verdict table, ``_verdict_kinds``: each verdict
+kind is one row of key, check, codec, verifier and counters, so a new kind
+is one new row.  verify decodes every verdict of the report, checks that its
+"certified" flag matches its status and re-checks it with the decider's
+verifier; a verdict key the table does not know, or no verdict at all, makes
+the report malformed.  Ellipticity, cancellation
 and cocancellation certificates stand on their own (cancellation carries
 membership witnesses and needs no ellipticity verdict; cocancellation of
 either status carries the joint kernel and an inverted block of the stacked
@@ -174,77 +177,85 @@ def _render_figure(rows: list[dict], csv_path: str, kind: str) -> Optional[str]:
 
 
 # ---------------------------------------------------------------------------
+# The verdict table, which analyze and verify both walk
+
+
+def _verdict_kinds() -> tuple:
+    """One row per verdict kind, in dependency order: (report key, the
+    roles --as it serves, check(op, t, args, done), encoder, decode(doc,
+    op), verify(op, t, verdict, passed), stats encoder or None).  ``done``
+    holds the verdicts decided so far and ``passed`` those verified so far;
+    a check that returns None does not apply.  The table is built on every
+    call, so it finds the deciders and codecs under the names the
+    benchmark's trace wraps."""
+    from . import deciders as d
+    from . import io
+
+    def verify_partial(op, t, v, passed):
+        if t is None:
+            raise KeyError("T")
+        return d.verify_partial_canceling(v, passed.get("canceling"), t)
+
+    return (
+        ("ellipticity", ("operator",),
+         lambda op, t, args, done: d.check_ellipticity(op, max_depth=args.depth),
+         io.ellipticity_to_json, io.ellipticity_from_json,
+         lambda op, t, v, passed: d.verify_ellipticity(op, v),
+         lambda v: {"boxes_examined": v.boxes_examined, "cover_boxes": len(v.cover),
+                    "axis_depths": list(v.axis_depths), "det_terms": v.det_terms,
+                    "det_degree": v.det_degree}),
+        ("canceling", ("operator",),
+         lambda op, t, args, done: d.check_canceling(op, seed=args.seed),
+         io.canceling_to_json, io.canceling_from_json,
+         lambda op, t, v, passed: d.verify_canceling(op, v),
+         lambda v: {"iterations": v.iterations, "samples": len(v.samples),
+                    "witness_degrees": [m.degree for m in v.memberships]}),
+        ("bb_spanning", ("operator",),
+         lambda op, t, args, done: d.check_bb_spanning(done["canceling"]),
+         io.spanning_to_json, io.spanning_from_json,
+         lambda op, t, v, passed: d.verify_spanning(v, passed.get("canceling")), None),
+        ("cocanceling", ("operator", "constraint"),
+         lambda op, t, args, done: d.check_cocanceling(op),
+         io.cocanceling_to_json, io.cocanceling_from_json,
+         lambda op, t, v, passed: d.verify_cocanceling(op, v), None),
+        ("partial", ("operator",),
+         lambda op, t, args, done: (None if t is None
+                                    else d.check_partial_canceling(done["canceling"], t)),
+         io.partial_to_json, io.partial_from_json, verify_partial, None),
+    )
+
+
+# ---------------------------------------------------------------------------
 # analyze
 
 
 def cmd_analyze(args) -> int:
     from . import __version__
-    from .deciders import (
-        check_bb_spanning,
-        check_canceling,
-        check_cocanceling,
-        check_ellipticity,
-        check_partial_canceling,
-    )
-    from .io import (
-        canceling_to_json,
-        cocanceling_to_json,
-        ellipticity_to_json,
-        matrix_to_json,
-        operator_digest,
-        operator_to_json,
-        partial_to_json,
-        spanning_to_json,
-    )
+    from .io import matrix_to_json, operator_digest, operator_to_json
 
+    if args.depth < 0:
+        raise CliError(f"--depth must be at least 0, got {args.depth}")
     op, t, metadata = load_operator(args.source)
     timings: dict[str, float] = {}
     verdicts: dict[str, dict] = {}
-    uncertified = []
-
-    # (report key, check given the verdicts decided so far, encoder)
-    if args.as_role == "constraint":
-        table = [("cocanceling", lambda done: check_cocanceling(op), cocanceling_to_json)]
-    else:
-        table = [
-            ("ellipticity", lambda done: check_ellipticity(op, max_depth=args.depth),
-             ellipticity_to_json),
-            ("canceling",
-             lambda done: check_canceling(op, seed=args.seed),
-             canceling_to_json),
-            ("bb_spanning", lambda done: check_bb_spanning(done["canceling"]),
-             spanning_to_json),
-            ("cocanceling", lambda done: check_cocanceling(op), cocanceling_to_json),
-        ]
-        if t is not None:
-            table.append(("partial", lambda done: check_partial_canceling(done["canceling"], t),
-                          partial_to_json))
-    done: dict = {}
-    for key, check, encode in table:
-        t0 = time.perf_counter()
-        done[key] = check(done)
-        timings[key] = time.perf_counter() - t0
-        verdicts[key] = encode(done[key])
-        if not done[key].certified:
-            uncertified.append(key)
-
     # Counters of the deciders; verify ignores them.
     stats: dict = {}
-    if "ellipticity" in done:
-        ell = done["ellipticity"]
-        stats["ellipticity"] = {
-            "boxes_examined": ell.boxes_examined,
-            "cover_boxes": len(ell.cover),
-            "axis_depths": list(ell.axis_depths),
-            "det_terms": ell.det_terms,
-            "det_degree": ell.det_degree,
-        }
-    if "canceling" in done:
-        stats["canceling"] = {
-            "iterations": done["canceling"].iterations,
-            "samples": len(done["canceling"].samples),
-            "witness_degrees": [m.degree for m in done["canceling"].memberships],
-        }
+    uncertified = []
+    done: dict = {}
+    for key, roles, check, encode, _decode, _verify, encode_stats in _verdict_kinds():
+        if args.as_role not in roles:
+            continue
+        t0 = time.perf_counter()
+        v = check(op, t, args, done)
+        if v is None:
+            continue
+        timings[key] = time.perf_counter() - t0
+        done[key] = v
+        verdicts[key] = encode(v)
+        if encode_stats is not None:
+            stats[key] = encode_stats(v)
+        if not v.certified:
+            uncertified.append(key)
 
     operator_doc = operator_to_json(op)
     report = {
@@ -314,23 +325,7 @@ def cmd_compat(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .deciders import (
-        verify_canceling,
-        verify_cocanceling,
-        verify_ellipticity,
-        verify_partial_canceling,
-        verify_spanning,
-    )
-    from .io import (
-        canceling_from_json,
-        cocanceling_from_json,
-        ellipticity_from_json,
-        load_json,
-        matrix_from_json,
-        operator_from_json,
-        partial_from_json,
-        spanning_from_json,
-    )
+    from .io import load_json, matrix_from_json, operator_from_json
 
     try:
         report = load_json(args.report)
@@ -343,26 +338,17 @@ def cmd_verify(args) -> int:
     passed: dict = {}
     try:
         op, _, _ = operator_from_json(report["operator"])
-        # (report key, decoder, verifier), in dependency order
-        table = (
-            ("ellipticity", lambda doc: ellipticity_from_json(doc, op.n),
-             lambda v: verify_ellipticity(op, v)),
-            ("canceling", lambda doc: canceling_from_json(doc, op.dim_e, op.n),
-             lambda v: verify_canceling(op, v)),
-            ("bb_spanning", spanning_from_json,
-             lambda v: verify_spanning(v, passed.get("canceling"))),
-            ("cocanceling", lambda doc: cocanceling_from_json(doc, op.dim_v),
-             lambda v: verify_cocanceling(op, v)),
-            ("partial", lambda doc: partial_from_json(doc, op.dim_e),
-             lambda v: verify_partial_canceling(v, passed.get("canceling"),
-                                                matrix_from_json(report["T"], "T"))),
-        )
-        for key, decode, verify in table:
+        t = matrix_from_json(report["T"], "T") if "T" in report else None
+        kinds = _verdict_kinds()
+        unknown = sorted(set(report["verdicts"]) - {kind[0] for kind in kinds})
+        if unknown or not report["verdicts"]:
+            raise ValueError(f"unknown verdicts {unknown}" if unknown else "no verdicts")
+        for key, _roles, _check, _encode, decode, verify, _stats in kinds:
             if key not in report["verdicts"]:
                 continue
             doc = report["verdicts"][key]
-            v = decode(doc)
-            results[key] = doc["certified"] is v.certified and verify(v)
+            v = decode(doc, op)
+            results[key] = doc["certified"] is v.certified and verify(op, t, v, passed)
             if results[key]:
                 passed[key] = v
     except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:

@@ -6,7 +6,8 @@ integer arrays.  Serialization is deterministic: keys are emitted sorted
 and collections in graded-lex order, so reports reproduce byte-for-byte
 under a fixed seed once timing fields are stripped.
 
-Each verdict has one ``*_to_json`` / ``*_from_json`` pair.  A positivity
+Each verdict has one ``*_to_json`` / ``*_from_json`` pair; the decoder
+takes ``(doc, op)``, the report's operator giving the shapes.  A positivity
 cover (of det(A^T A) in an ellipticity verdict, of p in a membership
 witness) is a list of ``{"box": ..., "lower_bound": "p/q"}``.  A box lies
 on a face x_axis = +1 of the cube and is stored as
@@ -61,6 +62,9 @@ def rat_to_str(x: Fraction) -> str:
 
 # Characters of an offending literal an error message shows.
 SHOWN_LITERAL = 40
+# The largest |exponent| of a literal such as "1e-3": Fraction builds
+# 10**exponent in full.  4300 is the digit limit of Python's int("...").
+MAX_EXPONENT = 4300
 
 # The literals reports repeat most, parsed once: "0", "1" and "-1" are about
 # nine in ten of a report's rationals (operator terms, blocks, subspaces).
@@ -73,7 +77,10 @@ def rat_from_str(s: str) -> Fraction:
     common = _COMMON_LITERALS.get(text)
     if common is not None:
         return common
+    _mantissa, e, exponent = text.lower().partition("e")
     try:
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         shown = text if len(text) <= SHOWN_LITERAL else text[:SHOWN_LITERAL] + "..."
@@ -266,11 +273,11 @@ def ellipticity_to_json(v: EllipticityVerdict) -> dict:
     return doc
 
 
-def ellipticity_from_json(doc: dict, n: int) -> EllipticityVerdict:
+def ellipticity_from_json(doc: dict, op: SymbolOperator) -> EllipticityVerdict:
     status = doc["status"]
     v = EllipticityVerdict(status)
     if status == "ELLIPTIC":
-        v.cover = _cover_from_json(doc["cover"], n)
+        v.cover = _cover_from_json(doc["cover"], op.n)
     if status == "NOT_ELLIPTIC":
         v.witness_xi = vector_from_json(doc["witness_xi"])
         v.witness_v = vector_from_json(doc["witness_v"])
@@ -292,12 +299,12 @@ def canceling_to_json(v: CancelingVerdict) -> dict:
     return doc
 
 
-def canceling_from_json(doc: dict, dim_e: int, n: int) -> CancelingVerdict:
+def canceling_from_json(doc: dict, op: SymbolOperator) -> CancelingVerdict:
     return CancelingVerdict(
         doc["status"],
         [vector_from_json(xi) for xi in doc["samples"]],
-        subspace_from_json(doc["intersection"], dim_e),
-        memberships=[_membership_from_json(m, n) for m in doc.get("memberships", [])],
+        subspace_from_json(doc["intersection"], op.dim_e),
+        memberships=[_membership_from_json(m, op.n) for m in doc.get("memberships", [])],
     )
 
 
@@ -311,7 +318,7 @@ def cocanceling_to_json(v: CocancelingVerdict) -> dict:
     }
 
 
-def cocanceling_from_json(doc: dict, dim_v: int) -> CocancelingVerdict:
+def cocanceling_from_json(doc: dict, op: SymbolOperator) -> CocancelingVerdict:
     block = doc["block"]
     rows, cols = tuple(block["rows"]), tuple(block["cols"])
     if not all(type(i) is int for i in rows + cols):
@@ -320,7 +327,7 @@ def cocanceling_from_json(doc: dict, dim_v: int) -> CocancelingVerdict:
     inverse = (QMatrix.zeros(0, 0) if block["inverse"] == []
                else matrix_from_json(block["inverse"], "block inverse"))
     return CocancelingVerdict(
-        doc["status"], subspace_from_json(doc["joint_kernel"], dim_v),
+        doc["status"], subspace_from_json(doc["joint_kernel"], op.dim_v),
         RankBlock(rows, cols, inverse),
     )
 
@@ -329,7 +336,7 @@ def spanning_to_json(v: SpanningVerdict) -> dict:
     return {"status": v.status, "certified": v.certified, "span_dim": v.span_dim}
 
 
-def spanning_from_json(doc: dict) -> SpanningVerdict:
+def spanning_from_json(doc: dict, op: SymbolOperator) -> SpanningVerdict:
     return SpanningVerdict(doc["status"], doc["span_dim"], doc["certified"])
 
 
@@ -341,9 +348,9 @@ def partial_to_json(v: PartialCancelingVerdict) -> dict:
     }
 
 
-def partial_from_json(doc: dict, dim_e: int) -> PartialCancelingVerdict:
+def partial_from_json(doc: dict, op: SymbolOperator) -> PartialCancelingVerdict:
     return PartialCancelingVerdict(
-        doc["status"], subspace_from_json(doc["constrained_intersection"], dim_e)
+        doc["status"], subspace_from_json(doc["constrained_intersection"], op.dim_e)
     )
 
 

@@ -46,6 +46,8 @@ def test_trace_wraps_the_names_it_times(tmp_path, monkeypatch):
     finally:
         tracer.uninstall()
     names = {s.name for s in tracer.spans}
-    assert {"cancellation.check", "cancellation.verify", "cancellation.bb",
-            "cancellation.partial", "io.encode", "io.decode"} <= names
+    assert {"ellipticity.check", "ellipticity.verify",
+            "cancellation.check", "cancellation.verify", "cancellation.bb",
+            "cancellation.partial", "cocancellation.check", "cocancellation.verify",
+            "io.encode", "io.decode"} <= names
     assert all(getattr(owner, attr) is fn for (owner, attr), fn in originals.items())

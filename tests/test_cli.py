@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -71,6 +72,7 @@ def test_analyze_then_verify_matches_truth(tmp_path):
                                                 "block"}, uri
         vcode, checked = verify(tmp_path, report)
         assert vcode == 0 and checked["all_ok"], (uri, checked)
+        assert set(checked["verified"]) == set(report["verdicts"]), uri
         for key, doc in verdicts.items():
             if key not in TRUTH_KEYS or not doc["certified"]:
                 continue
@@ -242,6 +244,29 @@ def test_not_canceling_verifies_without_ellipticity_verdict(tmp_path):
         assert code == 0 and checked["all_ok"], uri
 
 
+@pytest.mark.parametrize("forge", ["rename", "empty"])
+def test_unknown_or_missing_verdicts_are_malformed(tmp_path, capsys, forge):
+    # A verdict verify does not know is not skipped, and a report with no
+    # verdict does not pass.
+    _code, report = analyze(tmp_path, "catalog:gradient?n=2")
+    verdicts = report["verdicts"]
+    if forge == "rename":
+        verdicts["Canceling"] = verdicts.pop("canceling")
+    else:
+        verdicts.clear()
+    code, _ = verify(tmp_path, report)
+    assert code == 2
+    assert "malformed report" in capsys.readouterr().err
+
+
+def test_negative_depth_exits_2(tmp_path, capsys):
+    assert main(["analyze", "catalog:defigueiredo?n=3&m=2", "--depth", "-1"]) == 2
+    assert "--depth" in capsys.readouterr().err
+    # Depth 0 keeps the root boxes only, which suffice for the gradient.
+    code, report = analyze(tmp_path, "catalog:gradient?n=2", "--depth", "0")
+    assert code == 0 and report["depth"] == 0
+
+
 def test_forged_negative_witness_rejected(tmp_path):
     # u -> -u and p -> -p keep A u = p e, but -|x|^2 is not positive.
     _code, report = analyze(tmp_path, "catalog:laplacian?n=2")
@@ -400,6 +425,27 @@ def test_rat_from_str_accepts_what_fraction_accepts():
         for q in (1, 2, 3):
             text = rat_to_str(Fraction(p, q))
             assert rat_from_str(text) == Fraction(p, q) and rat_to_str(rat_from_str(text)) == text
+
+
+def test_huge_exponent_exits_2_quickly(tmp_path, capsys):
+    # Fraction would build 10**10000000 from this literal, for seconds.
+    huge = "1e10000000"
+    with pytest.raises(OperatorFileError):
+        rat_from_str(huge)
+    _code, report = analyze(tmp_path, "catalog:gradient?n=2")
+    report["verdicts"]["ellipticity"]["cover"][0]["box"]["bounds"][0][1] = huge
+    start = time.perf_counter()
+    code, _ = verify(tmp_path, report)
+    assert code == 2 and time.perf_counter() - start < 1.0
+    assert "malformed report" in capsys.readouterr().err
+    doc = report["operator"]
+    doc["terms"][0]["matrix"][0][0] = huge
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["analyze", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "bad rational literal" in capsys.readouterr().err
 
 
 def test_rat_from_str_error_is_bounded():
