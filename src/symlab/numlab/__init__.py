@@ -1,9 +1,12 @@
 """Floating-point spectral laboratory on periodic boxes.
 
 Every spectral step evaluates the symbol on the grid through
-``grid.symbol_on_grid``: ``apply_symbol``, ``derivative_magnitude``, the
-blowup direction solve and the planar curl field of the duality
-experiment.
+``grid.symbol_on_grid``: ``apply_symbol``, ``image_magnitude`` (and
+``derivative_magnitude`` through it), the blowup direction solve and the
+planar curl field of the duality experiment.  ``apply_symbol`` builds the
+image field; ``image_magnitude`` streams it row by row into its pointwise
+magnitude, for the images the experiments only measure (the right-hand
+sides of the inequality families and the duality residual).
 """
 
 from .blowup import (
@@ -36,6 +39,7 @@ from .grid import (
     GridSpec,
     apply_symbol,
     derivative_magnitude,
+    image_magnitude,
     symbol_on_grid,
 )
 from .norms import (
@@ -68,6 +72,7 @@ __all__ = [
     "GridSpec",
     "apply_symbol",
     "derivative_magnitude",
+    "image_magnitude",
     "symbol_on_grid",
     "l2_norm_spectral",
     "lp_norm",

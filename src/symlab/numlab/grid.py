@@ -9,18 +9,25 @@ multiplies the FFT by h^n (a Riemann sum for the integral transform),
 synthesis divides by T^n, so a derivative of order alpha is the multiplier
 (2 pi i xi)^alpha.
 
-Transforms run one component at a time, each into its slice of one
-preallocated array, so no transform keeps a (components, ...) intermediate
-alive.  A ``GridField`` keeps its Nyquist-masked half spectrum once it is
-known: a field synthesized from a spectrum never transforms forward, and a
-field read by several operators transforms forward once.  It also keeps its
-pointwise magnitude once a norm or the boundary tail has asked for it.
+Forward transforms run one component at a time, each into its slice of
+one preallocated array.  Inverse transforms run in place: the n - 1 complex
+passes overwrite one reused work buffer, and the final real pass writes
+straight into the output.  A ``GridField`` keeps its Nyquist-masked half
+spectrum once it is known: a field synthesized from a spectrum never
+transforms forward, and a field read by several operators transforms
+forward once.  It also keeps its pointwise magnitude once a norm or the
+boundary tail has asked for it.
 
 ``symbol_on_grid`` is the one place that evaluates a symbol
-sum_alpha xi^alpha A_alpha at the grid frequencies.  ``apply_symbol``
-multiplies a spectrum by it one entry at a time, ``derivative_magnitude``
-applies the operator stacking all partial derivatives of one order, and
-the blowup direction solve reads its per-frequency matrices from it.
+sum_alpha xi^alpha A_alpha at the grid frequencies, and ``_image_rows``
+the one place that multiplies a spectrum by it, one row of the image at a
+time.  ``apply_symbol`` collects the rows into a field; ``image_magnitude``
+inverts each row as soon as it is built and adds its square to one
+accumulator, so an image that is only measured is never materialized.
+``derivative_magnitude`` measures the image of the operator stacking all
+partial derivatives of one order, and the blowup direction solve reads its
+per-frequency matrices from ``symbol_on_grid``.
+
 Grids larger than ``MAX_GRID_POINTS`` are refused before anything is
 allocated.
 """
@@ -29,7 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import factorial, isfinite, pi, prod
-from typing import Iterator, Optional
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 # NumPy 2 imports numpy.fft lazily, on first attribute access.  Importing it
@@ -216,14 +225,26 @@ def half_box_shift(spec: GridSpec) -> list[np.ndarray]:
     return factors
 
 
+def _invert(spec: GridSpec, work: np.ndarray, out: np.ndarray) -> None:
+    """Synthesize one real component into ``out`` (shape spec.shape) from
+    the continuum-normalized half spectrum in ``work``, which the n - 1
+    complex passes overwrite in place.  The same passes as ``irfftn``, in
+    the same order, without its fresh array per pass."""
+    for ax in range(spec.n - 1):
+        np.fft.ifft(work, axis=ax, out=work)
+    np.fft.irfft(work, n=spec.size, axis=spec.n - 1, out=out)
+    out *= spec.size**spec.n / spec.box**spec.n
+
+
 def _synthesize(spec: GridSpec, hat: np.ndarray) -> GridField:
     """The real field whose continuum-normalized half spectrum is ``hat``;
-    ``hat``, then Nyquist-zeroed in place, is its cached spectrum."""
-    axes = tuple(range(spec.n))
+    ``hat``, then Nyquist-zeroed in place, is its cached spectrum, so each
+    component is inverted from a copy in one work buffer."""
     values = np.empty((hat.shape[0],) + spec.shape)
+    work = np.empty(spec.half_shape, dtype=complex)
     for c in range(hat.shape[0]):
-        np.fft.irfftn(hat[c], s=spec.shape, axes=axes, out=values[c])
-    values *= spec.size**spec.n / spec.box**spec.n
+        np.copyto(work, hat[c])
+        _invert(spec, work, values[c])
     out = GridField(spec, values)
     zero_nyquist(spec, hat)
     hat.flags.writeable = False
@@ -258,33 +279,68 @@ def symbol_on_grid(a: SymbolOperator, spec: GridSpec) -> Iterator[tuple[int, int
                 yield r, c, values
 
 
-def apply_symbol(a: SymbolOperator, u: GridField) -> GridField:
-    """Apply the operator to a periodic field through its Fourier multiplier
-    (2 pi i)^k A(xi), one entry of the symbol at a time, on the half
-    spectrum of ``u`` (cached by ``u``).  The (2 pi i)^k factor goes into
-    each entry, which broadcasts and is smaller than the grid; the first
-    entry of a row writes it and the others add through one buffer.  The
-    result holds its own spectrum, so operators applied to it transform
-    only backward."""
+def _image_rows(
+    a: SymbolOperator, u: GridField, target: Callable[[int], np.ndarray]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The half spectrum of A(D)u row by row: for each row with a nonzero
+    symbol entry, in order, writes the row into ``target(row)`` and yields
+    (row, that array).  The multiplier is (2 pi i)^k A(xi), applied to the
+    spectrum of ``u`` (cached by ``u``) one entry at a time; the (2 pi i)^k
+    factor goes into each entry, which broadcasts and is smaller than the
+    grid.  The first entry of a row writes it and the others add through one
+    buffer."""
     if u.components != a.dim_v:
         raise ValueError(f"field has {u.components} components, operator expects {a.dim_v}")
-    spec = u.spec
     u_hat = u.spectrum()
-    out_hat = np.empty((a.dim_e,) + spec.half_shape, dtype=complex)
     unit = (2j * pi) ** a.order
-    written: set[int] = set()
     term = None
-    for r, c, values in symbol_on_grid(a, spec):
-        if r in written:
+    for r, entries in groupby(symbol_on_grid(a, u.spec), key=itemgetter(0)):
+        row = target(r)
+        _, c, values = next(entries)
+        np.multiply(unit * values, u_hat[c], out=row)
+        for _, c, values in entries:
             term = np.multiply(unit * values, u_hat[c], out=term)
-            out_hat[r] += term
-        else:
-            np.multiply(unit * values, u_hat[c], out=out_hat[r])
-            written.add(r)
+            row += term
+        yield r, row
+
+
+def apply_symbol(a: SymbolOperator, u: GridField) -> GridField:
+    """Apply the operator to a periodic field through its Fourier multiplier
+    (2 pi i)^k A(xi), on the half spectrum of ``u``.  The result holds its
+    own spectrum, so operators applied to it transform only backward."""
+    out_hat = np.empty((a.dim_e,) + u.spec.half_shape, dtype=complex)
+    written = {r for r, _ in _image_rows(a, u, out_hat.__getitem__)}
     for r in range(a.dim_e):
         if r not in written:
             out_hat[r] = 0.0
-    return _synthesize(spec, out_hat)
+    return _synthesize(u.spec, out_hat)
+
+
+def image_magnitude(
+    a: SymbolOperator, u: GridField, weights: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """Pointwise magnitude of A(D)u, sqrt of sum_r w_r (A(D)u)_r^2 (every
+    w_r = 1 without ``weights``), equal bit for bit to
+    ``apply_symbol(a, u).magnitude()`` for unit weights.  Each row spectrum
+    is built in one work buffer, inverted in place and its weighted square
+    added to one accumulator: the image itself is never held."""
+    spec = u.spec
+    work = np.empty(spec.half_shape, dtype=complex)
+    total = row = None
+    for r, hat in _image_rows(a, u, lambda r: work):
+        if row is None:
+            row = np.empty(spec.shape)
+        _invert(spec, hat, row)
+        np.square(row, out=row)
+        if weights is not None:
+            row *= weights[r]
+        if total is None:
+            total, row = row, None
+        else:
+            total += row
+    if total is None:
+        total = np.zeros(spec.shape)
+    return np.sqrt(total, out=total)
 
 
 def derivative_magnitude(u: GridField, order: int) -> np.ndarray:
@@ -298,9 +354,5 @@ def derivative_magnitude(u: GridField, order: int) -> np.ndarray:
         alpha: QMatrix.from_rows([[int(r == i * m + c) for c in range(m)] for r in rows])
         for i, alpha in enumerate(alphas)
     }
-    d = apply_symbol(SymbolOperator.make(n, m, len(rows), order, terms), u).values
-    total = np.zeros(u.spec.shape)
-    for r in rows:
-        weight = factorial(order) // prod(factorial(e) for e in alphas[r // m])
-        total += weight * d[r] ** 2
-    return np.sqrt(total)
+    weights = [factorial(order) // prod(factorial(e) for e in alphas[r // m]) for r in rows]
+    return image_magnitude(SymbolOperator.make(n, m, len(rows), order, terms), u, weights)

@@ -1,22 +1,29 @@
 """Norms of sampled periodic fields.
 
-The Lebesgue norms and the pairing are plain Riemann sums; the spectral L2
-norm is the Parseval counterpart of the L2 norm.
+The Lebesgue norms and the pairing are plain Riemann sums, of a field or of
+a pointwise magnitude such as ``grid.image_magnitude`` returns; the
+spectral L2 norm is the Parseval counterpart of the L2 norm.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridField
+from .grid import GridField, GridSpec
 
 
 def lp_norm(u: GridField, p: float) -> float:
     """Riemann sum of |u|^p to the power 1/p, over the field's cached
-    magnitude; p = 1, 3/2 and 2 avoid the general power."""
+    magnitude."""
+    return magnitude_norm(u.spec, u.magnitude(), p)
+
+
+def magnitude_norm(spec: GridSpec, mag: np.ndarray, p: float) -> float:
+    """Riemann sum of mag^p to the power 1/p for a pointwise magnitude of
+    shape spec.shape; p = 1, 3/2 and 2 avoid the general power."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    mag = u.magnitude().ravel()
+    mag = mag.ravel()
     if p == 1:
         total = mag.sum()
     elif p == 1.5:
@@ -25,7 +32,7 @@ def lp_norm(u: GridField, p: float) -> float:
         total = np.dot(mag, mag)
     else:
         total = (mag**p).sum()
-    return float((u.spec.cell_volume * total) ** (1.0 / p))
+    return float((spec.cell_volume * total) ** (1.0 / p))
 
 
 def pairing(f: GridField, g: GridField) -> float:

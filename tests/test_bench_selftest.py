@@ -31,7 +31,11 @@ def test_trace_wraps_the_names_it_times(tmp_path, monkeypatch):
                           "check_bb_spanning", "check_partial_canceling"),
         symlab.io: ("canceling_to_json", "canceling_from_json", "partial_to_json",
                     "partial_from_json", "load_json"),
-        symlab.numlab.experiments: ("image_intersection", "check_ellipticity"),
+        symlab.numlab.experiments: ("image_intersection", "check_ellipticity",
+                                    "apply_symbol", "derivative_magnitude", "lp_norm",
+                                    "pairing", "build_blowup_field", "curl_potential_field",
+                                    "dx_bump", "gaussian_bump", "mollified_disc",
+                                    "newton_gradient_field", "radial_cutoff_test_function"),
         numpy.fft: ("fftn", "ifftn"),
     }
     originals = {(owner, attr): getattr(owner, attr)

@@ -1,6 +1,7 @@
 """Spectral grid machinery, norms and concentration families."""
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -23,6 +24,9 @@ from symlab.deciders import (
     check_canceling,
 )
 from symlab.exact import full_space
+from symlab.exact.matrix import QMatrix
+from symlab.exact.poly import multi_indices
+from symlab.exact.symbol import SymbolOperator
 from symlab.numlab import (
     BlowupError,
     GridField,
@@ -30,6 +34,7 @@ from symlab.numlab import (
     apply_symbol,
     build_blowup_field,
     derivative_magnitude,
+    image_magnitude,
     l2_norm_spectral,
     lp_norm,
     plateau_cutoff,
@@ -310,17 +315,96 @@ def test_odd_order_matches_full_complex_transform():
 
 def test_newton_point_transform_count(monkeypatch):
     # Backward transforms only, one per component: three for the field, one
-    # for the divergence and three for the curl.  No forward transform and
-    # no full complex one.
+    # for the divergence and three for the curl.  Each is n - 1 = 2 complex
+    # passes in place on one work buffer and one real pass; no forward
+    # transform, no full complex one and no irfftn.
     calls = {}
-    for name in ("fftn", "ifftn", "fft2", "ifft2", "rfftn", "irfftn", "rfft", "irfft"):
+    names = ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2", "rfft", "irfft", "rfftn", "irfftn")
+    for name in names:
         original = getattr(np.fft, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
+        def counted(a, *args, _name=name, _original=original, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
-            return _original(*args, **kwargs)
+            if _name == "ifft":
+                assert kwargs.get("out") is a
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     row = _newton_point(16, 0.4)
     assert np.isfinite(row["ratio"])
-    assert calls == {"irfftn": 7}
+    assert calls == {"irfft": 7, "ifft": 14}
+
+
+IMAGE_CASES = [
+    (divergence(3).operator, GridSpec(3, 16, 8.0)),
+    (exterior_d(3, 1).operator, GridSpec(3, 16, 8.0)),
+    (sym_gradient(2).operator, GridSpec(2, 32, 8.0)),
+    # A 4-d mixed monomial, and an operator whose middle row is all zero.
+    (SymbolOperator.make(4, 1, 1, 2, {(1, 0, 0, 1): QMatrix.from_rows([[1]])}),
+     GridSpec(4, 8, 4.0)),
+    (SymbolOperator.make(2, 2, 3, 1, {(1, 0): QMatrix.from_rows([[1, 0], [0, 0], [0, 2]]),
+                                      (0, 1): QMatrix.from_rows([[0, -1], [0, 0], [3, 0]])}),
+     GridSpec(2, 32, 8.0)),
+]
+
+
+@pytest.mark.parametrize("op, spec", IMAGE_CASES)
+def test_image_magnitude_is_the_magnitude_of_the_image(op, spec):
+    u = random_field(spec, op.dim_v, seed=11)
+    assert np.array_equal(image_magnitude(op, u), apply_symbol(op, u).magnitude())
+
+
+def test_image_magnitude_of_an_all_zero_symbol_is_zero():
+    spec = GridSpec(2, 16, 8.0)
+    op = SymbolOperator.make(2, 1, 2, 1, {}, allow_zero=True)
+    assert np.array_equal(image_magnitude(op, random_field(spec, 1)), np.zeros(spec.shape))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_magnitude_is_the_weighted_sum_of_squares(order):
+    # Reference: build the stacked image of all order-th derivatives and sum
+    # its squares with the multinomial weights.
+    spec = GridSpec(2, 32, 8.0)
+    u = random_field(spec, 2, seed=order)
+    alphas = multi_indices(spec.n, order)
+    m = u.components
+    rows = range(len(alphas) * m)
+    terms = {
+        alpha: QMatrix.from_rows([[int(r == i * m + c) for c in range(m)] for r in rows])
+        for i, alpha in enumerate(alphas)
+    }
+    d = apply_symbol(SymbolOperator.make(spec.n, m, len(rows), order, terms), u).values
+    total = np.zeros(spec.shape)
+    for r in rows:
+        weight = math.factorial(order) // math.prod(math.factorial(e) for e in alphas[r // m])
+        total += weight * d[r] ** 2
+    assert np.array_equal(derivative_magnitude(u, order), np.sqrt(total))
+
+
+@pytest.mark.parametrize("n, size", [(1, 16), (2, 8), (3, 8), (4, 4)])
+def test_from_spectrum_matches_irfftn_and_keeps_its_input(n, size):
+    # The in-place passes run on a copy: the cached spectrum is the input
+    # with its Nyquist hyperplanes zeroed, not the scrambled work buffer.
+    spec = GridSpec(n, size, 3.0)
+    rng = np.random.default_rng(n)
+    hat = rng.standard_normal((2,) + spec.half_shape) + 1j * rng.standard_normal((2,) + spec.half_shape)
+    expected_hat = hat * nyquist_mask(spec)
+    axes = tuple(range(1, n + 1))
+    expected = np.fft.irfftn(hat, s=spec.shape, axes=axes) * (size**n / spec.box**n)
+    u = GridField.from_spectrum(spec, hat)
+    assert np.array_equal(u.values, expected)
+    assert np.array_equal(u.spectrum(), expected_hat)
+
+
+def test_newton_point_memory():
+    # Streaming the images keeps the peak of one point below 13.5 real
+    # components of the grid; building both images in full needs about 16.6.
+    size = 32
+    component = 8 * size**3
+    tracemalloc.start()
+    try:
+        _newton_point(size, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13.5 * component
