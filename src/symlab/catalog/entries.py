@@ -456,7 +456,7 @@ def saint_venant_k(
             beta = [0] * n
             for i in form_slots:
                 beta[i] += 1
-            col = src_pos[tuple(sorted_counts(form_slots, n))]
+            col = src_pos[tuple(beta)]
             alpha = [0] * n
             for i in xi_slots:
                 alpha[i] += 1
@@ -474,13 +474,6 @@ def saint_venant_k(
         _name, _params if _params is not None else {"n": n, "k": k},
         op, ROLE_CONSTRAINT, {"cocanceling": n >= 2},
     )
-
-
-def sorted_counts(slots: Sequence[int], n: int) -> tuple[int, ...]:
-    beta = [0] * n
-    for i in slots:
-        beta[i] += 1
-    return tuple(beta)
 
 
 def curl_div(n: int) -> CatalogResult:

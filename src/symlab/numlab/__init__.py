@@ -5,13 +5,13 @@ Every spectral step evaluates the symbol on the grid through
 ``derivative_magnitude`` through it), the blowup direction solve and the
 planar curl field of the duality experiment.  ``apply_symbol`` builds the
 image field; ``image_magnitude`` streams it row by row into its pointwise
-magnitude, for the images the experiments only measure (the right-hand
-sides of the inequality families and the duality residual).
+magnitude, for every image the experiments only measure (the right-hand
+sides of the inequality families, the duality residual and the blowup
+image A(D)u).
 """
 
 from .blowup import (
     BlowupError,
-    BlowupProfile,
     build_blowup_field,
     plateau_cutoff,
     smoothstep,
@@ -50,7 +50,6 @@ from .norms import (
 
 __all__ = [
     "BlowupError",
-    "BlowupProfile",
     "build_blowup_field",
     "plateau_cutoff",
     "smoothstep",

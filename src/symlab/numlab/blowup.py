@@ -9,21 +9,26 @@ under A(D) exactly to the difference of two dilated copies of the cutoff's
 inverse transform times e.  Its L1 image norm stays bounded by twice the
 cutoff mass while derivative norms grow with the scale parameter; the
 experiments chart that growth.
+
+One path: ``blowup_direction`` validates e once against both certified
+verdicts, ``solve_symbol_directions`` and ``cutoff_l1`` run once per grid,
+and ``build_blowup_field`` builds only u at each scale.  The image A(D)u
+is never built here: the experiment measures it with
+``grid.image_magnitude`` like every other image it only measures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import pi
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..deciders.cancellation import CancelingVerdict, image_intersection
-from ..deciders.ellipticity import ELLIPTIC, EllipticityVerdict, check_ellipticity
+from ..deciders.cancellation import CancelingVerdict
+from ..deciders.ellipticity import ELLIPTIC, EllipticityVerdict
 from ..exact.symbol import SymbolOperator
-from .grid import GridField, GridSpec, apply_symbol, half_box_shift, symbol_on_grid
+from .grid import GridField, GridSpec, half_box_shift, symbol_on_grid
 from .norms import lp_norm
 
 
@@ -54,20 +59,14 @@ def plateau_cutoff(r: np.ndarray) -> np.ndarray:
     return smoothstep((2.0 - r) / 1.5)
 
 
-@dataclass
-class BlowupProfile:
-    """Radial cutoff data shared by one experiment run."""
-
-    spec: GridSpec
-    cutoff_l1: float          # L1 norm of the cutoff's inverse transform
-
-    @staticmethod
-    def build(spec: GridSpec) -> "BlowupProfile":
-        xi = spec.frequency_grids()
-        r = np.sqrt(sum(x**2 for x in xi))
-        hat = plateau_cutoff(r)[None, ...].astype(complex)
-        psi = GridField.from_spectrum(spec, hat)
-        return BlowupProfile(spec, lp_norm(psi, 1.0))
+def cutoff_l1(spec: GridSpec) -> float:
+    """L1 norm of psi, the inverse transform of the plateau cutoff on the
+    grid: A(D)u is a difference of two dilates of psi times e, so its L1
+    norm is at most 2 ||psi||_1 |e|."""
+    xi = spec.frequency_grids()
+    r = np.sqrt(sum(x**2 for x in xi))
+    hat = plateau_cutoff(r)[None, ...].astype(complex)
+    return lp_norm(GridField.from_spectrum(spec, hat), 1.0)
 
 
 class BlowupError(ValueError):
@@ -93,26 +92,17 @@ def solve_symbol_directions(
 
 
 def blowup_direction(
-    a: SymbolOperator,
-    e: Sequence,
-    ellipticity: Optional[EllipticityVerdict] = None,
-    canceling: Optional[CancelingVerdict] = None,
-    seed: int = 0,
+    a: SymbolOperator, e: Sequence, ellipticity: EllipticityVerdict, canceling: CancelingVerdict
 ) -> np.ndarray:
     """e as a float vector, once A is certified injective and e is a
     nonzero vector of the common image intersection of a certified
-    cancellation verdict (each verdict computed with ``seed`` when not
-    given): only then does A(D)u collapse to the two-cutoff difference whose
-    L1 norm the experiments rely on."""
-    if ellipticity is None:
-        ellipticity = check_ellipticity(a)
+    cancellation verdict: only then does A(D)u collapse to the two-cutoff
+    difference whose L1 norm the experiments rely on."""
     if ellipticity.status != ELLIPTIC:
         raise BlowupError("symbol is not certified injective")
-    e_exact = [Fraction(x) for x in e]
-    if canceling is None:
-        canceling = image_intersection(a, seed)
     if not canceling.certified:
         raise BlowupError("the common image intersection is not certified")
+    e_exact = [Fraction(x) for x in e]
     if not canceling.intersection.contains(e_exact):
         raise BlowupError(
             "direction does not lie in the certified common image intersection"
@@ -123,52 +113,24 @@ def blowup_direction(
 
 
 def build_blowup_field(
-    a: SymbolOperator,
-    e: Sequence,
-    scale: float,
-    spec: GridSpec,
-    profile: Optional[BlowupProfile] = None,
-    ellipticity: Optional[EllipticityVerdict] = None,
-    canceling: Optional[CancelingVerdict] = None,
-    seed: int = 0,
-    directions: Optional[np.ndarray] = None,
-) -> tuple[GridField, GridField, dict]:
-    """Construct (u, A(D)u) for one scale; returns the fields and a flags
-    dictionary (nyquist margin, truncation tail, cutoff mass bound).
-
-    The symbol and direction must pass ``blowup_direction``.  U(xi) does not
-    depend on the scale: ``directions`` is ``solve_symbol_directions(a,
-    spec, e)`` when the caller has it, and is solved here otherwise.
-    """
+    a: SymbolOperator, scale: float, spec: GridSpec, directions: np.ndarray
+) -> GridField:
+    """The field u at one scale, from ``directions`` =
+    ``solve_symbol_directions(a, spec, e)`` for a direction e that passed
+    ``blowup_direction``; U(xi) does not depend on the scale."""
     if scale < 2:
         raise BlowupError("scale parameter must be at least 2")
     if spec.nyquist < scale:
         raise BlowupError(
             f"grid Nyquist {spec.nyquist} cannot hold content at scale {scale}"
         )
-    e_float = blowup_direction(a, e, ellipticity, canceling, seed)
-
-    if profile is None or profile.spec != spec:
-        profile = BlowupProfile.build(spec)
     xi = spec.frequency_grids()
     r = np.sqrt(sum(x**2 for x in xi))
     window = plateau_cutoff(r / scale) - plateau_cutoff(r * scale)
-    if directions is None:
-        directions = solve_symbol_directions(a, spec, e_float)
     # Shift the concentration point to the box center so the boundary shell
     # measures genuine truncation: the shift by half the box is (-1)^m_i on
     # axis i, a real sign applied in place.
     for sign in half_box_shift(spec):
         window *= sign
     u_hat = ((2j * pi) ** (-a.order) * window)[None, ...] * directions
-    u = GridField.from_spectrum(spec, u_hat)
-    au = apply_symbol(a, u)
-    e_norm = float(np.sqrt((e_float**2).sum()))
-    flags = {
-        "nyquist": spec.nyquist,
-        "nyquist_margin_ok": bool(spec.nyquist >= 4 * scale),
-        "tail": u.boundary_tail(),
-        "cutoff_l1": profile.cutoff_l1,
-        "image_l1_bound": 2.0 * profile.cutoff_l1 * e_norm,
-    }
-    return u, au, flags
+    return GridField.from_spectrum(spec, u_hat)

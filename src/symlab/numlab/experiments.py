@@ -20,9 +20,9 @@ from ..deciders.cancellation import image_intersection
 from ..deciders.ellipticity import check_ellipticity
 from ..exact.symbol import SymbolOperator
 from .blowup import (
-    BlowupProfile,
     blowup_direction,
     build_blowup_field,
+    cutoff_l1,
     solve_symbol_directions,
 )
 from .fields import (
@@ -78,33 +78,22 @@ def _image_l1(a: SymbolOperator, u: GridField) -> float:
 
 
 def _blowup_point(
-    a: SymbolOperator,
-    e: Sequence,
-    ell: int,
-    scale: float,
-    spec: GridSpec,
-    profile: Optional[BlowupProfile],
-    ellipticity,
-    canceling,
-    directions: np.ndarray,
+    a: SymbolOperator, ell: int, scale: float, spec: GridSpec,
+    directions: np.ndarray, bound: float,
 ) -> dict:
-    u, au, flags = build_blowup_field(
-        a, e, scale, spec, profile=profile,
-        ellipticity=ellipticity, canceling=canceling, directions=directions,
-    )
+    u = build_blowup_field(a, scale, spec, directions)
     q = sobolev_exponent(spec.n, a.order, ell)
     if ell == 0:
         num = lp_norm(u, q)
     else:
         dmag = derivative_magnitude(u, ell)
-        num = float((spec.cell_volume * (dmag**q).sum()) ** (1.0 / q))
-    den = lp_norm(au, 1.0)
+        num = magnitude_norm(spec, dmag, q)
+    den = _image_l1(a, u)
     # Gradient-control companion on the same field: the order-zero Sobolev
     # ratio against the full first derivative.
-    ctrl_q = spec.n / (spec.n - 1.0)
-    ctrl_num = lp_norm(u, ctrl_q)
+    ctrl_num = lp_norm(u, spec.n / (spec.n - 1.0))
     dmag1 = dmag if ell == 1 else derivative_magnitude(u, 1)
-    ctrl_den = float(spec.cell_volume * dmag1.sum())
+    ctrl_den = magnitude_norm(spec, dmag1, 1.0)
     return {
         "scale": scale,
         "numerator": num,
@@ -114,9 +103,9 @@ def _blowup_point(
         "control_denominator": ctrl_den,
         "control_ratio": ctrl_num / ctrl_den,
         "image_l1": den,
-        "image_l1_bound": flags["image_l1_bound"],
-        "tail": flags["tail"],
-        "nyquist_margin_ok": flags["nyquist_margin_ok"],
+        "image_l1_bound": bound,
+        "tail": u.boundary_tail(),
+        "nyquist_margin_ok": bool(spec.nyquist >= 4 * scale),
     }
 
 
@@ -136,25 +125,21 @@ def blowup_experiment(
         raise ValueError("derivative order must satisfy 0 <= ell < operator order")
     if a.order - ell >= spec.n:
         raise ValueError("derivative gap k - ell must stay below the dimension")
-    ellipticity = check_ellipticity(a)
-    canceling = image_intersection(a, seed)
-    e_float = blowup_direction(a, e, ellipticity, canceling)
-    profile = BlowupProfile.build(spec)
+    e_float = blowup_direction(a, e, check_ellipticity(a), image_intersection(a, seed))
+    e_norm = float(np.sqrt((e_float**2).sum()))
     half = spec.halved() if check_convergence else None
-    half_profile = BlowupProfile.build(half) if half is not None else None
-    # U(xi) does not depend on the scale: one solve per grid.
-    directions = solve_symbol_directions(a, spec, e_float)
-    half_directions = solve_symbol_directions(a, half, e_float) if half is not None else None
+    # U(xi) and the image bound 2 ||psi||_1 |e| do not depend on the scale:
+    # one solve and one cutoff mass per grid.
+    per_grid = {
+        g: (solve_symbol_directions(a, g, e_float), 2.0 * cutoff_l1(g) * e_norm)
+        for g in (spec, half) if g is not None
+    }
     rows = []
     for scale in scales:
-        row = _blowup_point(a, e, ell, scale, spec, profile, ellipticity, canceling,
-                            directions)
+        row = _blowup_point(a, ell, scale, spec, *per_grid[spec])
         ref = None
         if half is not None and half.nyquist >= scale:
-            ref = _blowup_point(
-                a, e, ell, scale, half, half_profile, ellipticity, canceling,
-                half_directions,
-            )["ratio"]
+            ref = _blowup_point(a, ell, scale, half, *per_grid[half])["ratio"]
         row["converged"] = _converged(row["ratio"], ref)
         rows.append(row)
     manifest = _manifest(

@@ -119,7 +119,8 @@ def radial_cutoff_test_function(
 
     Returns the scalar field and the n-th root of the Riemann sum of
     |gradient|^n (the gradient taken from the exact radial derivative),
-    which scales like exponent^(1 - 1/n).
+    which scales like exponent^(1 - 1/n).  A grid too coarse to sample the
+    ramp, where that gradient sums to zero, is refused.
     """
     lam = float(exponent)
     if lam <= 0:
@@ -140,4 +141,9 @@ def radial_cutoff_test_function(
     grads = [dphi_dr * d / r_safe for d in diffs]
     grad_mag = np.sqrt(sum(g**2 for g in grads))
     ln_riemann = float((grad_mag**spec.n).sum() * spec.cell_volume) ** (1.0 / spec.n)
+    if ln_riemann == 0.0:
+        raise ValueError(
+            f"the plateau test function of exponent {lam} has no gradient on the grid "
+            f"(spacing {spec.spacing}); refine the grid"
+        )
     return GridField(spec, phi[None, ...]), ln_riemann

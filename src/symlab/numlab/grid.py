@@ -24,6 +24,10 @@ the one place that multiplies a spectrum by it, one row of the image at a
 time.  ``apply_symbol`` collects the rows into a field; ``image_magnitude``
 inverts each row as soon as it is built and adds its square to one
 accumulator, so an image that is only measured is never materialized.
+Every image an experiment only measures, the blowup image A(D)u included,
+goes through ``image_magnitude``; the one image still built as a field is
+the duality experiment's curl-potential field (the planar curl of a
+Gaussian), which the experiment pairs against its test functions.
 ``derivative_magnitude`` measures the image of the operator stacking all
 partial derivatives of one order, and the blowup direction solve reads its
 per-frequency matrices from ``symbol_on_grid``.
@@ -35,7 +39,7 @@ allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial, isfinite, pi, prod
+from math import factorial, inf, isfinite, pi, prod
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence
@@ -77,6 +81,15 @@ class GridSpec:
             raise ValueError(
                 f"{self.size}^{self.n} grid points exceed the budget of {MAX_GRID_POINTS}"
             )
+        try:
+            scales = (self.cell_volume, self.synthesis_scale)
+        except (OverflowError, ZeroDivisionError):
+            scales = (0.0,)
+        if not all(0.0 < x < inf for x in scales):
+            raise ValueError(
+                f"box side {self.box} makes the cell volume h^n or the synthesis "
+                f"scale (N/T)^n zero or not finite"
+            )
 
     @property
     def spacing(self) -> float:
@@ -99,6 +112,12 @@ class GridSpec:
     @property
     def cell_volume(self) -> float:
         return self.spacing**self.n
+
+    @property
+    def synthesis_scale(self) -> float:
+        """N^n / T^n, the factor that turns an inverse FFT of a continuum
+        spectrum into grid values."""
+        return self.size**self.n / self.box**self.n
 
     def axes(self) -> list[np.ndarray]:
         return [np.arange(self.size) * self.spacing for _ in range(self.n)]
@@ -152,8 +171,19 @@ class GridField:
         zeroed on its Nyquist bin.  The field takes the input over as its
         spectrum, Nyquist-zeroed in place: the values' spectrum when the
         input is the half spectrum of a real field, that is when its zero
-        plane of the last axis is Hermitian off the Nyquist bins."""
-        return _synthesize(spec, spectrum)
+        plane of the last axis is Hermitian off the Nyquist bins.  Each
+        component is inverted from a copy in one work buffer, because the
+        input becomes the cached spectrum."""
+        values = np.empty((spectrum.shape[0],) + spec.shape)
+        work = np.empty(spec.half_shape, dtype=complex)
+        for c in range(spectrum.shape[0]):
+            np.copyto(work, spectrum[c])
+            _invert(spec, work, values[c])
+        out = GridField(spec, values)
+        zero_nyquist(spec, spectrum)
+        spectrum.flags.writeable = False
+        out._hat = spectrum
+        return out
 
     def spectrum(self) -> np.ndarray:
         """The Nyquist-masked, continuum-normalized half spectrum, of shape
@@ -233,23 +263,7 @@ def _invert(spec: GridSpec, work: np.ndarray, out: np.ndarray) -> None:
     for ax in range(spec.n - 1):
         np.fft.ifft(work, axis=ax, out=work)
     np.fft.irfft(work, n=spec.size, axis=spec.n - 1, out=out)
-    out *= spec.size**spec.n / spec.box**spec.n
-
-
-def _synthesize(spec: GridSpec, hat: np.ndarray) -> GridField:
-    """The real field whose continuum-normalized half spectrum is ``hat``;
-    ``hat``, then Nyquist-zeroed in place, is its cached spectrum, so each
-    component is inverted from a copy in one work buffer."""
-    values = np.empty((hat.shape[0],) + spec.shape)
-    work = np.empty(spec.half_shape, dtype=complex)
-    for c in range(hat.shape[0]):
-        np.copyto(work, hat[c])
-        _invert(spec, work, values[c])
-    out = GridField(spec, values)
-    zero_nyquist(spec, hat)
-    hat.flags.writeable = False
-    out._hat = hat
-    return out
+    out *= spec.synthesis_scale
 
 
 def symbol_on_grid(a: SymbolOperator, spec: GridSpec) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -313,7 +327,7 @@ def apply_symbol(a: SymbolOperator, u: GridField) -> GridField:
     for r in range(a.dim_e):
         if r not in written:
             out_hat[r] = 0.0
-    return _synthesize(u.spec, out_hat)
+    return GridField.from_spectrum(u.spec, out_hat)
 
 
 def image_magnitude(

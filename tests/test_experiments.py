@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from symlab.catalog import hodge_pair, laplacian
+from symlab.deciders import check_ellipticity, image_intersection
 from symlab.numlab import (
     GridField,
     GridSpec,
+    apply_symbol,
     blowup_experiment,
+    derivative_magnitude,
     duality_experiment,
     inequality_experiment,
     necessity_experiment,
@@ -54,10 +57,40 @@ def test_blowup_solves_directions_once_per_grid(monkeypatch):
     op = laplacian(2).operator
     rows, _ = blowup_experiment(op, [1], 1, [4, 8, 16], spec, check_convergence=True)
     assert sorted(calls) == [64, 128]
-    u, au, _ = blowup.build_blowup_field(op, [1], 8, spec)
-    v, av, _ = blowup.build_blowup_field(op, [1], 8, spec,
-                                         directions=solve(op, spec, np.array([1.0])))
-    assert np.array_equal(u.values, v.values) and np.array_equal(au.values, av.values)
+    fresh = experiments._blowup_point(op, 1, 8, spec, solve(op, spec, np.array([1.0])),
+                                      2.0 * blowup.cutoff_l1(spec))
+    assert rows[1] == dict(fresh, converged=rows[1]["converged"])
+
+
+@pytest.mark.parametrize("entry, e, ell, spec, scale", [
+    (laplacian(2), [1], 1, GridSpec(2, 128, 4.0), 4.0),
+    (hodge_pair(3, 1), [0, 0, 0, 1], 0, GridSpec(3, 32, 4.0), 2.0),
+])
+def test_blowup_point_matches_the_built_image_recipe(entry, e, ell, spec, scale):
+    # Measuring A(D)u row by row gives the row that building the image and
+    # summing inline gave, bit for bit.
+    op = entry.operator
+    e_float = blowup.blowup_direction(op, e, check_ellipticity(op), image_intersection(op, 0))
+    directions = blowup.solve_symbol_directions(op, spec, e_float)
+    bound = 2.0 * blowup.cutoff_l1(spec) * float(np.sqrt((e_float**2).sum()))
+    row = experiments._blowup_point(op, ell, scale, spec, directions, bound)
+    u = blowup.build_blowup_field(op, scale, spec, directions)
+    au = apply_symbol(op, u)
+    q = sobolev_exponent(spec.n, op.order, ell)
+    if ell == 0:
+        num = lp_norm(u, q)
+    else:
+        dmag = derivative_magnitude(u, ell)
+        num = float((spec.cell_volume * (dmag**q).sum()) ** (1.0 / q))
+    den = lp_norm(au, 1.0)
+    ctrl_num = lp_norm(u, spec.n / (spec.n - 1.0))
+    ctrl_den = float(spec.cell_volume * derivative_magnitude(u, 1).sum())
+    assert row == {
+        "scale": scale, "numerator": num, "denominator": den, "ratio": num / den,
+        "control_numerator": ctrl_num, "control_denominator": ctrl_den,
+        "control_ratio": ctrl_num / ctrl_den, "image_l1": den, "image_l1_bound": bound,
+        "tail": u.boundary_tail(), "nyquist_margin_ok": spec.nyquist >= 4 * scale,
+    }
 
 
 def test_blowup_rejects_bad_derivative_order():
@@ -191,14 +224,26 @@ def test_unread_options_refused(tmp_path, capsys, kind, option):
     ["necessity", "--lambda", "0"],
     ["duality", "--lambda", "nan"],
     ["necessity", "--field", "nonexistent"],
+    # Plateau test functions whose ramp falls between the grid points.
+    ["necessity", "--grid", "8,40"],
+    ["necessity", "--grid", "16,40"],
+    ["duality", "--grid", "8,40"],
+    ["duality", "--grid", "16,40"],
+    # Boxes whose cell volume or synthesis scale under- or overflows.
+    ["duality", "--grid", "512,1e-300"],
+    ["blowup", "--op", "catalog:laplacian?n=2", "--e", "1", "--ell", "1", "--grid", "8,1e-300"],
+    ["necessity", "--grid", "8,1e308"],
+    ["duality", "--grid", "8,1e308"],
+    ["blowup", "--op", "catalog:laplacian?n=2", "--e", "1", "--ell", "1", "--grid", "8,1e300"],
 ])
 def test_bad_experiment_input_exits_2(tmp_path, capsys, argv):
-    # A box or schedule that is not finite, and input the experiment itself
-    # refuses with ValueError, end in a short error with exit 2, not a
-    # traceback.
+    # A box or schedule that is not finite or that the grid cannot resolve,
+    # and input the experiment itself refuses with ValueError, end in a
+    # one-line error with exit 2, not a traceback.
     from symlab.cli import main
 
     code = main(["experiment", *argv, "--no-figure", "--csv", str(tmp_path / "x.csv")])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()

@@ -22,6 +22,8 @@ from symlab.deciders import (
     NOT_CANCELING_SAMPLED,
     CancelingVerdict,
     check_canceling,
+    check_ellipticity,
+    image_intersection,
 )
 from symlab.exact import full_space
 from symlab.exact.matrix import QMatrix
@@ -42,6 +44,7 @@ from symlab.numlab import (
     smoothstep_deriv,
     solve_symbol_directions,
 )
+from symlab.numlab.blowup import blowup_direction, cutoff_l1
 from symlab.numlab.experiments import _newton_point
 from symlab.numlab.fields import newton_gradient_field
 from symlab.numlab.grid import half_box_shift, zero_nyquist
@@ -175,27 +178,35 @@ def test_direction_solver_homogeneity():
         assert abs(b - a / 4.0) <= 1e-10 * abs(a)
 
 
+def admissible(op, e):
+    # The experiment's validation: both verdicts computed, then checked once.
+    return blowup_direction(op, e, check_ellipticity(op), image_intersection(op, 0))
+
+
 def test_blowup_requires_admissible_direction():
     spec = GridSpec(2, 64, 4.0)
     with pytest.raises(BlowupError):
-        build_blowup_field(gradient(2).operator, [1, 0], 4.0, spec)
+        admissible(gradient(2).operator, [1, 0])
     with pytest.raises(BlowupError):
-        build_blowup_field(hyperbolic_example().operator, [1, 0], 4.0, spec)
-    with pytest.raises(BlowupError):
-        build_blowup_field(laplacian(2).operator, [1], 512.0, spec)
+        admissible(hyperbolic_example().operator, [1, 0])
+    op = laplacian(2).operator
+    directions = solve_symbol_directions(op, spec, admissible(op, [1]))
+    for scale in (512.0, 1.5):
+        with pytest.raises(BlowupError):
+            build_blowup_field(op, scale, spec, directions)
 
 
 def test_blowup_refuses_uncertified_intersection():
     # e = 1 lies in the stated intersection, but a sampled verdict certifies
     # nothing about the common image.
-    spec = GridSpec(2, 64, 4.0)
     op = laplacian(2).operator
+    elliptic = check_ellipticity(op)
     sampled = CancelingVerdict(NOT_CANCELING_SAMPLED, [], full_space(1))
     with pytest.raises(BlowupError, match="not certified"):
-        build_blowup_field(op, [1], 4.0, spec, canceling=sampled)
+        blowup_direction(op, [1], elliptic, sampled)
     certified = check_canceling(op, seed=0)
     assert certified.status == NOT_CANCELING
-    build_blowup_field(op, [1], 4.0, spec, canceling=certified)
+    assert blowup_direction(op, [1], elliptic, certified).tolist() == [1.0]
 
 
 def test_blowup_image_identity_and_bound():
@@ -203,7 +214,8 @@ def test_blowup_image_identity_and_bound():
     # direct synthesis of that difference.
     spec = GridSpec(2, 256, 4.0)
     op = laplacian(2).operator
-    u, au, flags = build_blowup_field(op, [1], 4.0, spec)
+    u = build_blowup_field(op, 4.0, spec, solve_symbol_directions(op, spec, [1.0]))
+    au = apply_symbol(op, u)
     xi = spec.frequency_grids()
     r = np.sqrt(xi[0] ** 2 + xi[1] ** 2)
     window = plateau_cutoff(r / 4.0) - plateau_cutoff(r * 4.0)
@@ -211,14 +223,13 @@ def test_blowup_image_identity_and_bound():
     direct = GridField.from_spectrum(spec, (window * shift)[None, ...])
     scale = np.abs(direct.values).max()
     assert np.abs(au.values - direct.values).max() <= 1e-9 * scale
-    assert lp_norm(au, 1.0) <= flags["image_l1_bound"] * 1.05
+    assert lp_norm(au, 1.0) <= 2.0 * cutoff_l1(spec) * 1.05
 
 
 def test_quaternion_blowup_disallowed_everywhere():
     # Trivial common image: no admissible direction at all.
-    spec = GridSpec(4, 16, 4.0)
     with pytest.raises(BlowupError):
-        build_blowup_field(quaternion().operator, [1, 0, 0, 0], 4.0, spec)
+        admissible(quaternion().operator, [1, 0, 0, 0])
 
 
 def test_derivative_magnitude_of_mode():
@@ -258,7 +269,9 @@ def test_cached_spectrum_is_the_spectrum_of_the_values():
     # instead of transforming forward; it must be the one rfftn would give.
     # The last field transforms forward, one component at a time.
     newton = newton_gradient_field(GridSpec(3, 32, 8.0), 0.4)
-    u, au, _flags = build_blowup_field(laplacian(2).operator, [1], 4.0, GridSpec(2, 128, 4.0))
+    op, spec = laplacian(2).operator, GridSpec(2, 128, 4.0)
+    u = build_blowup_field(op, 4.0, spec, solve_symbol_directions(op, spec, [1.0]))
+    au = apply_symbol(op, u)
     fields = [newton, u, au, apply_symbol(exterior_d(3, 1).operator, newton),
               apply_symbol(gradient(2).operator, random_field(GridSpec(2, 32, 8.0), 1)),
               random_field(GridSpec(2, 32, 8.0), 2, seed=7)]
