@@ -21,8 +21,9 @@ partial cancellation are derived from the cancellation verdict: verify
 derives them again from it, and sees it only if it passed.
 
 Exit codes: 0 all verdicts certified (verify: all verdicts pass), 2
-input/validation error, including a malformed report given to verify and
-a file that is not UTF-8 JSON or is nested too deeply, 3
+input/validation error, including a malformed report given to verify,
+a file that is not UTF-8 JSON or is nested too deeply, and an output path
+that cannot be written, 3
 at least one verdict or experiment row is undecided/sampled/unconverged
 (verify: at least one verdict is rejected; compat: L A = 0 or a sampled
 kernel check fails).
@@ -115,13 +116,20 @@ def _parse_grid(text: Optional[str], n: int, default: tuple[int, float]):
         raise CliError(f"bad --grid {parts[0]},{parts[1]} in dimension {n}: {exc}")
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _write_json(doc: dict, path: Optional[str]) -> None:
     # One line: ``indent`` would send json.dumps down its pure-Python
     # encoder, several times slower on the large compat reports.
     text = json.dumps(doc, sort_keys=True) + "\n"
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write_file(path, text)
     else:
         sys.stdout.write(text)
 
@@ -139,8 +147,7 @@ def _write_csv(rows: list[dict], path: str) -> list[str]:
     lines = [",".join(cols)]
     for row in rows:
         lines.append(",".join(_fmt_cell(row.get(c, "")) for c in cols))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_file(path, "\n".join(lines) + "\n")
     return cols
 
 

@@ -2,10 +2,11 @@
 
 The rows l of degree d with l(x) A(x) == 0 are the kernel of one rational
 matrix, because the coefficients of l(x) A(x) are linear in those of l
-(``SymbolOperator.multiplication_matrix`` of A^T).  ``build_annihilator``
-takes that whole kernel as the rows of L, for d = 0, 1, ..., and stops at
-the first d at which rank L(xi) = dim E - rank A(xi) at one seeded
-direction xi.  As A(xi)[V] lies in the kernel of L(xi) at every xi, this
+(``SymbolOperator.multiplication_matrix`` of A^T); that kernel is taken
+from the matrix's integer numerators over D (``multiplication_rows``).
+``build_annihilator`` takes that whole kernel as the rows of L, for d = 0,
+1, ..., and stops at the first d at which rank L(xi) = dim E - rank A(xi)
+at one seeded direction xi.  As A(xi)[V] lies in the kernel of L(xi) at every xi, this
 equality says that L(xi) cuts out exactly the image there.
 
 The search ends by d = k r, k the order of A and r its rank at xi: when r
@@ -20,6 +21,10 @@ must be zero.  Given that, A(xi)[V] lies in ker L(xi), so the two are
 equal at a sampled direction iff rank L(xi) + rank A(xi) = dim E, the count
 that stops the build; where the identity fails, every kernel check reads
 False.
+
+Every rank at xi is taken from the integer rows of a positive multiple of
+the symbol's value (``SymbolOperator.scaled_rows``), which go straight into
+the forward pass of the elimination; no ``Fraction`` matrix is built.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .deciders.cancellation import probe_directions, sample_directions
-from .exact.matrix import QMatrix, kernel_basis
+from .exact.matrix import QMatrix, int_kernel, int_pivots
 from .exact.poly import multi_indices
 from .exact.symbol import SymbolOperator
 
@@ -41,28 +46,34 @@ class AnnihilatorResult:
     operator: SymbolOperator  # rows of L: the symbol E -> Q^rows
 
 
+def _rank_at(s: SymbolOperator, xi: tuple) -> int:
+    """rank s(xi), from the integer rows of a positive multiple."""
+    return len(int_pivots(s.scaled_rows(xi), s.dim_v))
+
+
 def _rows_of_degree(a: SymbolOperator, d: int) -> Optional[SymbolOperator]:
     """Every row l of degree d with l A == 0, as one symbol, or None."""
-    rows = kernel_basis(a.transpose().multiplication_matrix(d)).columns()
+    sources = multi_indices(a.n, d)
+    dim = a.dim_e  # row b * dim + i of a kernel vector: x^beta_b in slot i
+    rows = int_kernel(a.transpose().multiplication_rows(d), len(sources) * dim).columns()
     if not rows:
         return None
-    dim = a.dim_e  # row b * dim + i of a kernel vector: x^beta_b in slot i
     terms = {
         beta: QMatrix.from_rows([row[b * dim:(b + 1) * dim] for row in rows])
-        for b, beta in enumerate(multi_indices(a.n, d))
+        for b, beta in enumerate(sources)
     }
     return SymbolOperator.make(a.n, dim, len(rows), d, terms)
 
 
 def build_annihilator(a: SymbolOperator, seed: int = 0) -> AnnihilatorResult:
-    ranked = [(a.evaluate(x).rank(), x)
+    ranked = [(_rank_at(a, x), x)
               for x in sample_directions(a.n, RANK_SAMPLES, random.Random(seed))]
     rank_a, xi = max(ranked, key=lambda rx: rx[0])
     l = None
     if rank_a < a.dim_e:
         for d in range(a.order * rank_a + 1):
             l = _rows_of_degree(a, d)
-            if l is not None and l.evaluate(xi).rank() == a.dim_e - rank_a:
+            if l is not None and _rank_at(l, xi) == a.dim_e - rank_a:
                 break
     if l is None:
         l = SymbolOperator.zero(a.n, a.dim_e, a.dim_e, 0)
@@ -97,7 +108,7 @@ def verify_annihilator(
     kernel_checks = []
     rank_checks = []
     for xi in probe_directions(a.n, samples, random.Random(seed)):
-        rank_a = a.evaluate(xi).rank()
-        kernel_checks.append((xi, identity_ok and rank_a + l.evaluate(xi).rank() == a.dim_e))
+        rank_a = _rank_at(a, xi)
+        kernel_checks.append((xi, identity_ok and rank_a + _rank_at(l, xi) == a.dim_e))
         rank_checks.append((xi, rank_a == a.dim_v))
     return AnnihilatorReport(identity_ok, kernel_checks, rank_checks)

@@ -44,8 +44,8 @@ from ..exact.bernstein import CertifiedBox, certify_positive, verify_positive
 from ..exact.matrix import (
     QMatrix,
     Subspace,
-    column_space,
     full_space,
+    int_column_space,
     kernel_basis,
     solve_exact,
     subspace_from_columns,
@@ -187,10 +187,11 @@ def find_membership(a: SymbolOperator, e: Sequence[Fraction]) -> Optional[Member
 
 def _intersect(a: SymbolOperator, w: Subspace, xi: tuple) -> Subspace:
     """w ∩ A(xi)[V]; the image itself when w is the whole space, and w
-    itself when it is already {0}."""
+    itself when it is already {0}.  The image is the column space of the
+    integer rows of a positive multiple of A(xi)."""
     if w.dim == 0:
         return w
-    image = column_space(a.evaluate(xi))
+    image = int_column_space(a.scaled_rows(xi))
     return image if w.dim == w.ambient else subspace_intersection(w, image)
 
 

@@ -16,7 +16,8 @@ suffice.  ``exact.bernstein.certify_positive`` decides that positivity:
 
 The verifier recomputes det(A^T A) from the operator and replays the cover
 with ``exact.bernstein.verify_positive``; kernel witnesses are
-re-multiplied.
+re-multiplied.  Kernel vectors are found, and re-multiplied, on the integer
+rows of a positive multiple of A(xi) (``SymbolOperator.scaled_rows``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..exact.bernstein import CertifiedBox, FaceBox, certify_positive, verify_positive
-from ..exact.matrix import kernel_basis
+from ..exact.matrix import int_kernel
 from ..exact.symbol import SymbolOperator
 
 ELLIPTIC = "ELLIPTIC"
@@ -56,8 +57,9 @@ class EllipticityVerdict:
 
 
 def _kernel_witness(a: SymbolOperator, xi: Sequence[Fraction]) -> tuple:
-    """A nonzero kernel vector of A(xi); the caller knows A(xi) has one."""
-    return tuple(kernel_basis(a.evaluate(xi)).basis.col(0))
+    """A nonzero kernel vector of A(xi), the first canonical one of the
+    integer rows of a positive multiple; the caller knows A(xi) has one."""
+    return tuple(int_kernel(a.scaled_rows(xi), a.dim_v).basis.col(0))
 
 
 def check_ellipticity(
@@ -105,7 +107,10 @@ def verify_ellipticity(a: SymbolOperator, verdict: EllipticityVerdict) -> bool:
             return False
         if all(x == 0 for x in xi) or all(x == 0 for x in v):
             return False
-        return all(x == 0 for x in a.evaluate(xi).mul_vector(v))
+        rows = a.scaled_rows(xi)  # a positive multiple of A(xi)
+        if len(v) != a.dim_v:
+            raise ValueError("vector length mismatch")
+        return all(sum(x * y for x, y in zip(r, v)) == 0 for r in rows)
     if verdict.status != ELLIPTIC:
         return False
     return verify_positive(a.gram().det(), verdict.cover)

@@ -16,12 +16,22 @@ pivot once gives the unique RREF.  Back-elimination changes only finished
 rows, so ``pivots`` and ``rank`` run the forward pass alone and build no
 ``Fraction``; kernels, solutions and subspace bases are read from the
 reduced integer rows.
+
+Matrices that are integer already enter ``_echelon`` as they are, through
+three entry points on integer rows: ``int_pivots`` (the forward pass),
+``int_column_space`` (``_span`` of the columns) and ``int_kernel``.  Symbol
+values take this way: ``SymbolOperator.scaled_rows`` gives the integer rows
+of a positive multiple of A(xi), which has the pivots, column space and
+kernel of A(xi), so no ``Fraction`` is built between a symbol and
+``_echelon``.  ``QMatrix.pivots`` and ``kernel_basis`` call the same entry
+points on their rows scaled one by one, which moves neither pivots nor
+kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -215,7 +225,7 @@ class QMatrix:
 
     def pivots(self) -> tuple[int, ...]:
         """Pivot columns of the RREF, from the forward pass alone."""
-        return tuple(_echelon(self._int_rows(), self.cols, reduced=False)[1])
+        return int_pivots(self._int_rows(), self.cols)
 
     def rank(self) -> int:
         return len(self.pivots())
@@ -238,10 +248,13 @@ class Subspace:
     nonzero entry is 1, those leading entries occur in strictly increasing
     row positions, and every leading row is zero in the other columns.  The
     representation is unique, so structural equality is subspace equality.
+    ``int_gens`` holds the same basis as integer vectors, column j times a
+    nonzero integer, so intersections start from integers again.
     """
 
     ambient: int
     basis: QMatrix  # ambient x dim, columns are generators
+    int_gens: tuple = field(compare=False, repr=False)  # dim integer vectors
 
     @property
     def dim(self) -> int:
@@ -269,14 +282,20 @@ class Subspace:
         return hash((self.ambient, self.basis.entries))
 
 
+def int_pivots(rows: Iterable[list[int]], ncols: int) -> tuple[int, ...]:
+    """Pivot columns of the integer rows, from the forward pass alone; their
+    count is the rank."""
+    return tuple(_echelon(rows, ncols, reduced=False)[1])
+
+
 def _span(ambient: int, rows: Iterable[list[int]]) -> Subspace:
     """Canonical subspace spanned by integer vectors."""
     # The nonzero RREF rows of the generator matrix, transposed, are the
     # reduced column echelon basis.
     red, pivots = _echelon(rows, ambient)
-    gens = _pivot_quotients(red, pivots)
-    entries = tuple(zip(*gens)) if gens else ((),) * ambient
-    return Subspace(ambient, QMatrix(ambient, len(gens), entries))
+    cols = _pivot_quotients(red, pivots)
+    entries = tuple(zip(*cols)) if cols else ((),) * ambient
+    return Subspace(ambient, QMatrix(ambient, len(cols), entries), tuple(map(tuple, red)))
 
 
 def subspace_from_columns(ambient: int, columns: Iterable[Sequence]) -> Subspace:
@@ -288,7 +307,13 @@ def subspace_from_columns(ambient: int, columns: Iterable[Sequence]) -> Subspace
     return _span(ambient, map(_int_row, cols))
 
 
+def int_column_space(rows: Sequence[Sequence[int]]) -> Subspace:
+    """Canonical column space of the matrix with these integer rows."""
+    return _span(len(rows), map(list, zip(*rows)))
+
+
 def column_space(m: QMatrix) -> Subspace:
+    # Each column scaled on its own: scaling rows apart would move the span.
     return _span(m.rows, map(_int_row, zip(*m.entries)))
 
 
@@ -311,10 +336,15 @@ def _kernel_rows(rows: list[list[int]], pivots: Sequence[int], ncols: int) -> li
     return gens
 
 
+def int_kernel(rows: Iterable[list[int]], ncols: int) -> Subspace:
+    """Canonical basis of the null space of the integer rows."""
+    red, pivots = _echelon(rows, ncols)
+    return _span(ncols, _kernel_rows(red, pivots, ncols))
+
+
 def kernel_basis(m: QMatrix) -> Subspace:
     """Canonical basis of the exact null space of ``m``."""
-    rows, pivots = _echelon(m._int_rows(), m.cols)
-    return _span(m.cols, _kernel_rows(rows, pivots, m.cols))
+    return int_kernel(m._int_rows(), m.cols)
 
 
 def solve_exact(m: QMatrix, b: QMatrix):
@@ -341,8 +371,7 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
         return _span(s1.ambient, [])
     # With integer generators C1, C2 of the two subspaces, a kernel vector
     # (c, c') of [C1 | -C2] gives C1 c in both.
-    c1 = list(zip(*(_int_row(c) for c in zip(*s1.basis.entries))))
-    c2 = list(zip(*(_int_row(c) for c in zip(*s2.basis.entries))))
+    c1, c2 = list(zip(*s1.int_gens)), list(zip(*s2.int_gens))
     stacked = [list(r1) + [-x for x in r2] for r1, r2 in zip(c1, c2)]
     rows, pivots = _echelon(stacked, s1.dim + s2.dim)
     gens = [
@@ -353,4 +382,4 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
 
 
 def full_space(ambient: int) -> Subspace:
-    return column_space(QMatrix.identity(ambient))
+    return _span(ambient, ([int(i == j) for j in range(ambient)] for i in range(ambient)))

@@ -5,6 +5,14 @@ rational coefficient matrices indexed by exponent tuples of one common
 total degree (the operator order).  The zero symbol is representable, but
 only through the explicit ``zero`` constructor; accidental all-zero input
 is rejected because classifying it is vacuous.
+
+Coefficients are kept as integer numerators over one common denominator D
+(``_int_terms``).  A symbol value enters elimination as integer rows:
+``scaled_rows`` sums those numerators at the integer multiple of xi, and
+``multiplication_rows`` places them in the matrix of u -> A u.  Both are
+positive multiples of ``evaluate`` and ``multiplication_matrix``, which
+divide them, so every rank, image and kernel question reads the integer
+rows and builds no ``Fraction`` on the way to ``_echelon``.
 """
 
 from __future__ import annotations
@@ -74,21 +82,23 @@ class SymbolOperator:
             for alpha, mat in self.terms
         ]
 
-    def evaluate(self, xi: Sequence) -> QMatrix:
-        """Exact value of the symbol at a rational frequency vector.
+    def scaled_rows(self, xi: Sequence) -> list[list[int]]:
+        """The integer rows of c A(xi) for a rational frequency vector, with
+        c = D q^order > 0.
 
         With q the lcm of the denominators of xi, v = q xi is an integer
-        vector, and every term has degree ``order``, so A(xi) is the integer
-        sum of the numerators over D times the monomials of v, divided by
-        D q^order."""
+        vector, and every term has degree ``order``, so c A(xi) is the
+        integer sum of the numerators over D times the monomials of v.  Rank,
+        column space and kernel do not change under a positive scale, so the
+        questions at xi send these rows straight into elimination
+        (``int_pivots``, ``int_column_space``, ``int_kernel``)."""
         pt = [Fraction(x) for x in xi]
         if len(pt) != self.n:
             raise ValueError("frequency dimension mismatch")
         q = math.lcm(*(x.denominator for x in pt))
         v = [x.numerator * (q // x.denominator) for x in pt]
-        den, terms = self._int_terms
         acc = [[0] * self.dim_v for _ in range(self.dim_e)]
-        for alpha, rows in terms:
+        for alpha, rows in self._int_terms[1]:
             c = 1
             for x, e in zip(v, alpha):
                 if e:
@@ -98,10 +108,16 @@ class SymbolOperator:
             for acc_row, row in zip(acc, rows):
                 for j, x in row:
                     acc_row[j] += c * x
-        den *= q**self.order
+        return acc
+
+    def evaluate(self, xi: Sequence) -> QMatrix:
+        """Exact value of the symbol at a rational frequency vector: the rows
+        of ``scaled_rows`` divided by D q^order."""
+        rows = self.scaled_rows(xi)
+        den = self._int_terms[0] * math.lcm(*(Fraction(x).denominator for x in xi))**self.order
         zero = Fraction(0)
         return QMatrix(self.dim_e, self.dim_v, tuple(
-            tuple(Fraction(x, den) if x else zero for x in r) for r in acc
+            tuple(Fraction(x, den) if x else zero for x in r) for r in rows
         ))
 
     def columns(self) -> list[list[Polynomial]]:
@@ -125,25 +141,32 @@ class SymbolOperator:
             allow_zero=True,
         )
 
+    def multiplication_rows(self, d: int) -> list[list[int]]:
+        """The integer rows of D times ``multiplication_matrix(d)``: the
+        numerators over D of ``_int_terms``, placed as that matrix places
+        the coefficients."""
+        sources = multi_indices(self.n, d)
+        targets = {gamma: g for g, gamma in enumerate(multi_indices(self.n, d + self.order))}
+        out = [[0] * (len(sources) * self.dim_v) for _ in range(len(targets) * self.dim_e)]
+        for b, beta in enumerate(sources):
+            for alpha, rows in self._int_terms[1]:
+                g = targets[tuple(x + y for x, y in zip(alpha, beta))]
+                for i, row in enumerate(rows):
+                    out_row = out[g * self.dim_e + i]
+                    for j, x in row:
+                        out_row[b * self.dim_v + j] = x
+        return out
+
     def multiplication_matrix(self, d: int) -> QMatrix:
         """The rational matrix of u -> A u from V[x]_d to E[x]_(d + order).
 
         Column b * dim_v + j stands for x^beta e_j and row g * dim_e + i for
         x^gamma e_i, with beta and gamma the b-th and g-th entries of
         ``multi_indices(n, d)`` and ``multi_indices(n, d + order)``."""
-        sources = multi_indices(self.n, d)
-        targets = {gamma: g for g, gamma in enumerate(multi_indices(self.n, d + self.order))}
-        zero = Fraction(0)
-        out = [[zero] * (len(sources) * self.dim_v) for _ in range(len(targets) * self.dim_e)]
-        for b, beta in enumerate(sources):
-            for alpha, mat in self.terms:
-                g = targets[tuple(x + y for x, y in zip(alpha, beta))]
-                for i, row in enumerate(mat.entries):
-                    out_row = out[g * self.dim_e + i]
-                    for j, x in enumerate(row):
-                        if x:
-                            out_row[b * self.dim_v + j] = x
-        return QMatrix(len(out), len(sources) * self.dim_v, tuple(map(tuple, out)))
+        rows = self.multiplication_rows(d)
+        den, zero = self._int_terms[0], Fraction(0)
+        return QMatrix(len(rows), len(multi_indices(self.n, d)) * self.dim_v, tuple(
+            tuple(Fraction(x, den) if x else zero for x in r) for r in rows))
 
     def apply(self, u: Sequence[Polynomial]) -> list[Polynomial]:
         """The polynomial vector A(x) u(x), for one polynomial per

@@ -400,6 +400,29 @@ def test_malformed_witness(tmp_path, capsys, field, value):
     assert "malformed report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, code, message", [
+    ("witness_xi", ["-1"], 2, "frequency dimension mismatch"),
+    ("witness_xi", ["-1", "1", "1"], 2, "frequency dimension mismatch"),
+    ("witness_v", ["1", "-1", "0"], 2, "vector length mismatch"),
+    ("witness_v", [], 3, None),
+    ("witness_xi", [], 3, None),
+], ids=["xi_short", "xi_long", "v_long", "v_empty", "xi_empty"])
+def test_forged_not_elliptic_witness_shape(tmp_path, capsys, field, value, code, message):
+    # A(xi) v = 0 at xi = (-1, 1), v = (1, -1).  A longer v with a zero
+    # appended is no witness for this 2 x 2 symbol; an empty vector is zero.
+    _code, report = analyze(tmp_path, "catalog:hyperbolic")
+    witness = report["verdicts"]["ellipticity"]
+    assert (witness["status"], witness["witness_xi"], witness["witness_v"]) == (
+        "NOT_ELLIPTIC", ["-1", "1"], ["1", "-1"])
+    witness[field] = value
+    got, checked = verify(tmp_path, report)
+    assert got == code
+    if message is None:
+        assert checked["verified"]["ellipticity"] is False
+    else:
+        assert message in capsys.readouterr().err
+
+
 def test_deep_rational_error_is_short(tmp_path, capsys):
     # A deeply nested value in place of a rational: exit 2 with a one-line
     # message that shows only the start of the literal.
@@ -455,6 +478,29 @@ def test_rat_from_str_error_is_bounded():
         text = str(literal)
         shown = text if len(text) <= 40 else text[:40] + "..."
         assert str(err.value) == f"bad rational literal {shown!r}"
+
+
+# ---------------------------------------------------------------------------
+# An output path that cannot be written: exit 2 with one line.
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "catalog:gradient?n=2", "--json", "{bad}"],
+    ["verify", "{report}", "--json", "{bad}"],
+    ["compat", "catalog:gradient?n=2", "--json", "{bad}"],
+    ["catalog", "emit", "gradient?n=2", "--json", "{bad}"],
+    ["experiment", "necessity", "--grid", "32,10", "--no-figure", "--csv", "{bad}"],
+    ["experiment", "necessity", "--grid", "32,10", "--no-figure", "--csv", "{csv}",
+     "--json", "{bad}"],
+], ids=["analyze", "verify", "compat", "catalog", "experiment_csv", "experiment_json"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    bad = tmp_path / "missing" / "out"
+    report = tmp_path / "report.json"
+    assert main(["analyze", "catalog:gradient?n=2", "--json", str(report)]) == 0
+    names = {"bad": bad, "report": report, "csv": tmp_path / "rows.csv"}
+    assert main([arg.format(**names) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {bad}: No such file or directory\n"
+    assert not bad.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from symlab.catalog import (
     codifferential_terms,
     exterior_derivative_terms,
@@ -16,7 +18,12 @@ from symlab.catalog import (
 )
 from symlab.cli import main
 from symlab.compat import build_annihilator, verify_annihilator
-from symlab.deciders import COCANCELING, check_canceling, check_cocanceling
+from symlab.deciders import (
+    COCANCELING,
+    check_canceling,
+    check_cocanceling,
+    image_intersection,
+)
 from symlab.exact import (
     Polynomial,
     QMatrix,
@@ -25,6 +32,7 @@ from symlab.exact import (
     kernel_basis,
     multi_indices,
 )
+from symlab.exact import matrix
 
 
 def elliptic_instances():
@@ -213,3 +221,21 @@ def test_hodge_remark_annihilator():
     scaled = [q.pow(m - 1) * p for block in (top, bottom) for col in block for p in col]
     assert all(p.is_homogeneous(2 * (m - 1) + 2) for p in scaled)
     assert any(not p.is_zero() for p in scaled)
+
+
+def test_questions_at_xi_build_no_fraction_rows(monkeypatch):
+    # Ranks, images and kernels at xi read the integer rows of the symbol
+    # and of its multiplication matrix: with the Fraction-to-integer row
+    # conversion disabled, building and verifying the annihilator and
+    # intersecting the images still succeed.
+    def refuse(row):
+        raise AssertionError("a Fraction row entered the elimination")
+
+    a = sym_gradient(4).operator
+    monkeypatch.setattr(matrix, "_int_row", refuse)
+    with pytest.raises(AssertionError):  # the Fraction path goes through it
+        kernel_basis(a.evaluate([1] * a.n))
+    l = build_annihilator(a).operator
+    report = verify_annihilator(a, l)
+    assert report.identity_ok and report.kernels_match and report.ranks_full
+    assert image_intersection(a).status == "CANCELING"

@@ -1,5 +1,6 @@
 """Symbol operators, gram matrices, polynomial-matrix determinants."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -17,7 +18,18 @@ from symlab.catalog import (
     saint_venant,
     sym_gradient,
 )
-from symlab.exact import Polynomial, PolyMatrix, QMatrix, SymbolOperator, multi_indices
+from symlab.compat import build_annihilator
+from symlab.deciders import NOT_ELLIPTIC, EllipticityVerdict, verify_ellipticity
+from symlab.exact import (
+    Polynomial,
+    PolyMatrix,
+    QMatrix,
+    SymbolOperator,
+    column_space,
+    kernel_basis,
+    multi_indices,
+)
+from symlab.exact.matrix import int_column_space, int_kernel, int_pivots
 
 
 def test_gradient_evaluate():
@@ -318,3 +330,79 @@ def test_evaluation_cache_keeps_equality_hash_and_json(op):
     assert operator_to_json(op) == doc
     back, _t, _meta = operator_from_json(doc)
     assert back == op and hash(back) == hash(op)
+
+
+# ---------------------------------------------------------------------------
+# The integer rows that rank, image and kernel questions at xi read, pinned
+# to the Fraction value of the symbol.
+
+
+def assert_scaled_rows_match_evaluate(op, xi):
+    rows, value = op.scaled_rows(xi), op.evaluate(xi)
+    assert all(type(x) is int for r in rows for x in r)
+    # rows == c value for one c > 0.
+    nonzero = [(x, y) for r, s in zip(rows, value.entries) for x, y in zip(r, s) if y]
+    c = F(nonzero[0][0]) / nonzero[0][1] if nonzero else F(1)
+    assert c > 0
+    assert [[F(x) for x in r] for r in rows] == [[c * y for y in s] for s in value.entries]
+    assert int_pivots(rows, op.dim_v) == value.pivots()
+    assert int_column_space(rows) == column_space(value)
+    kernel = int_kernel(rows, op.dim_v)
+    assert kernel == kernel_basis(value)
+    # A(xi) v = 0 on the rows, as verify_ellipticity checks it, against the
+    # Fraction product: a kernel vector, and one off the kernel unless the
+    # kernel is everything.
+    if any(xi):
+        off = [F(j + 1, 2) for j in range(op.dim_v)]
+        for v in kernel.columns()[:1] + [off]:
+            verdict = EllipticityVerdict(NOT_ELLIPTIC, witness_xi=tuple(xi), witness_v=tuple(v))
+            assert verify_ellipticity(op, verdict) == all(x == 0 for x in value.mul_vector(v))
+
+
+@functools.cache
+def regression_symbols():
+    """Every regression operator and its built annihilator."""
+    ops = [inst.operator for inst in regression_instances()]
+    return ops + [build_annihilator(op).operator for op in ops]
+
+
+NON_INTEGER = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(
+    lambda x: x.denominator > 1)
+
+
+@st.composite
+def directions(draw, n):
+    """Rational directions with a non-integer coordinate: a non-integer
+    multiple of a {-1, 0, 1} lattice direction, where images drop rank, or
+    a drawn vector with one coordinate made non-integer."""
+    if draw(st.booleans()):
+        t = draw(NON_INTEGER)
+        return [t * c for c in draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n,
+                                             max_size=n))]
+    xi = draw(st.lists(COORDS, min_size=n, max_size=n))
+    xi[draw(st.integers(0, n - 1))] = draw(NON_INTEGER)
+    return xi
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_scaled_rows_match_evaluate_on_regression_symbols(data):
+    # Draw an index: the repr hypothesis keeps of a drawn symbol is slow.
+    ops = regression_symbols()
+    op = ops[data.draw(st.integers(0, len(ops) - 1))]
+    assert_scaled_rows_match_evaluate(op, data.draw(directions(op.n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(op=operators(), data=st.data())
+def test_scaled_rows_match_evaluate_on_drawn_symbols(op, data):
+    assert_scaled_rows_match_evaluate(op, data.draw(directions(op.n)))
+    zero = SymbolOperator.zero(op.n, op.dim_v, op.dim_e, op.order)
+    assert_scaled_rows_match_evaluate(zero, data.draw(directions(op.n)))
+
+
+def test_scaled_rows_match_evaluate_on_every_regression_symbol():
+    # Each of the 31 operators and its annihilator at least once.
+    xi = [F(3, 7), F(-5, 11), F(2, 3), F(1, 5), F(-7, 2)]
+    for op in regression_symbols():
+        assert_scaled_rows_match_evaluate(op, xi[:op.n])
