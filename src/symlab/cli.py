@@ -476,6 +476,8 @@ def _parse_floats(text: str) -> list[float]:
         vals = [float(x) for x in text.split(",") if x]
     except ValueError as exc:
         raise CliError(f"bad numeric list {text!r}: {exc}")
+    if not vals:
+        raise CliError(f"bad numeric list {text!r}: no entries")
     if not all(map(math.isfinite, vals)):
         raise CliError(f"bad numeric list {text!r}: entries must be finite")
     return vals

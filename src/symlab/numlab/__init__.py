@@ -7,7 +7,9 @@ planar curl field of the duality experiment.  ``apply_symbol`` builds the
 image field; ``image_magnitude`` streams it row by row into its pointwise
 magnitude, for every image the experiments only measure (the right-hand
 sides of the inequality families, the duality residual and the blowup
-image A(D)u).
+image A(D)u).  A field built from a spectrum (the newton family, the
+blowup field, every ``apply_symbol`` output) synthesizes its values only
+when they are read; its norms stream the magnitude without them.
 """
 
 from .blowup import (

@@ -10,13 +10,20 @@ synthesis divides by T^n, so a derivative of order alpha is the multiplier
 (2 pi i xi)^alpha.
 
 Forward transforms run one component at a time, each into its slice of
-one preallocated array.  Inverse transforms run in place: the n - 1 complex
-passes overwrite one reused work buffer, and the final real pass writes
-straight into the output.  A ``GridField`` keeps its Nyquist-masked half
-spectrum once it is known: a field synthesized from a spectrum never
-transforms forward, and a field read by several operators transforms
-forward once.  It also keeps its pointwise magnitude once a norm or the
-boundary tail has asked for it.
+one preallocated array.  Inverse transforms run in place: the n - 1
+complex passes overwrite one reused work buffer, on the leading last-axis
+columns that hold data only, and the final real pass writes straight into
+the output.
+
+A ``GridField`` is spectrum-first when it comes from a spectrum:
+``from_spectrum`` keeps the Nyquist-masked half spectrum and a copy of the
+input's Nyquist hyperplanes, and synthesizes nothing.  Its values are
+synthesized when first read, and its magnitude, when asked for before the
+values, streams the components through one work buffer and one row buffer,
+so a field that is only measured is never held as values.  A field built
+from values transforms forward once, when an operator first reads its
+spectrum.  Either way the magnitude is cached once a norm or the boundary
+tail has asked for it.
 
 ``symbol_on_grid`` is the one place that evaluates a symbol
 sum_alpha xi^alpha A_alpha at the grid frequencies, and ``_image_rows``
@@ -38,7 +45,7 @@ allocated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial, inf, isfinite, pi, prod
 from itertools import groupby
 from operator import itemgetter
@@ -140,50 +147,82 @@ class GridSpec:
         return GridSpec(self.n, self.size // 2, self.box)
 
 
-@dataclass
 class GridField:
-    spec: GridSpec
-    values: np.ndarray  # shape (components, *spec.shape), float64
-    # The Nyquist-masked, continuum-normalized half spectrum of ``values``
-    # and their pointwise magnitude, each read-only once produced; the
-    # values must not change after that.
-    _hat: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    _mag: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    """A real field on a grid, of shape (components, *spec.shape).
 
-    def __post_init__(self):
-        expected = (self.components,) + self.spec.shape
-        if self.values.shape != expected:
-            raise ValueError(f"values shape {self.values.shape} != {expected}")
-        if not np.all(np.isfinite(self.values)):
+    ``GridField(spec, values)`` holds the given values and transforms them
+    forward on the first ``spectrum()``; the values must not change after
+    that.  ``from_spectrum`` holds a spectrum and synthesizes values only
+    when they are read.  The spectrum, synthesized values and magnitude are
+    each cached read-only once produced."""
+
+    __slots__ = ("spec", "components", "_values", "_hat", "_planes", "_mag")
+
+    def __init__(self, spec: GridSpec, values: np.ndarray):
+        expected = (values.shape[0],) + spec.shape
+        if values.shape != expected:
+            raise ValueError(f"values shape {values.shape} != {expected}")
+        if not np.all(np.isfinite(values)):
             raise ValueError("field contains non-finite entries")
+        self.spec = spec
+        self.components = values.shape[0]
+        self._values: Optional[np.ndarray] = values
+        # The Nyquist-masked, continuum-normalized half spectrum, the input's
+        # Nyquist hyperplanes (a field built from a spectrum only) and the
+        # pointwise magnitude.
+        self._hat: Optional[np.ndarray] = None
+        self._planes: list[np.ndarray] = []
+        self._mag: Optional[np.ndarray] = None
 
-    @property
-    def components(self) -> int:
-        return self.values.shape[0]
+    @classmethod
+    def from_spectrum(cls, spec: GridSpec, spectrum: np.ndarray) -> "GridField":
+        """A real field held by its continuum-normalized half spectrum, of
+        shape (components, *spec.half_shape); nothing is synthesized here.
 
-    @staticmethod
-    def from_spectrum(spec: GridSpec, spectrum: np.ndarray) -> "GridField":
-        """Synthesize a real field from a continuum-normalized half spectrum
-        of shape (components, *spec.half_shape).
-
-        The values keep the Nyquist bins, read at -N/2 on the first n - 1
-        axes, so a factor odd in the frequency of such an axis belongs
-        zeroed on its Nyquist bin.  The field takes the input over as its
-        spectrum, Nyquist-zeroed in place: the values' spectrum when the
-        input is the half spectrum of a real field, that is when its zero
-        plane of the last axis is Hermitian off the Nyquist bins.  Each
-        component is inverted from a copy in one work buffer, because the
-        input becomes the cached spectrum."""
-        values = np.empty((spectrum.shape[0],) + spec.shape)
-        work = np.empty(spec.half_shape, dtype=complex)
-        for c in range(spectrum.shape[0]):
-            np.copyto(work, spectrum[c])
-            _invert(spec, work, values[c])
-        out = GridField(spec, values)
+        The field takes the input over as its spectrum, Nyquist-zeroed in
+        place, and keeps a copy of the input's Nyquist hyperplanes (index
+        N/2 on each axis, n N^(n-1) bins per component).  Synthesis writes
+        them back, so the values are ``irfftn`` of the input: they keep the
+        Nyquist bins, read at -N/2 on the first n - 1 axes, and a factor odd
+        in the frequency of such an axis belongs zeroed on its Nyquist bin.
+        The cached spectrum is the values' spectrum when the input is the
+        half spectrum of a real field, that is when its zero plane of the
+        last axis is Hermitian off the Nyquist bins."""
+        if spectrum.shape[1:] != spec.half_shape:
+            raise ValueError(f"spectrum shape {spectrum.shape} does not end in {spec.half_shape}")
+        out = cls.__new__(cls)
+        out.spec = spec
+        out.components = spectrum.shape[0]
+        out._values = out._mag = None
+        out._planes = [spectrum[index].copy() for index in _nyquist_planes(spec)]
         zero_nyquist(spec, spectrum)
         spectrum.flags.writeable = False
         out._hat = spectrum
         return out
+
+    @property
+    def values(self) -> np.ndarray:
+        """The grid values, of shape (components, *spec.shape); a field built
+        from a spectrum synthesizes them on first read, then caches them
+        (read-only)."""
+        if self._values is None:
+            values = np.empty((self.components,) + self.spec.shape)
+            work = np.empty(self.spec.half_shape, dtype=complex)
+            for c in range(self.components):
+                self._synthesize(c, work, values[c])
+            values.flags.writeable = False
+            self._values = values
+        return self._values
+
+    def _synthesize(self, c: int, work: np.ndarray, out: np.ndarray) -> None:
+        """Invert component c of the input spectrum into ``out`` from a copy
+        in ``work``: the in-place passes would scramble the cached spectrum."""
+        np.copyto(work, self._hat[c])
+        for index, plane in zip(_nyquist_planes(self.spec), self._planes):
+            work[index] = plane[c]
+        _invert(self.spec, work, out)
+        if not np.all(np.isfinite(out)):
+            raise ValueError("field contains non-finite entries")
 
     def spectrum(self) -> np.ndarray:
         """The Nyquist-masked, continuum-normalized half spectrum, of shape
@@ -201,13 +240,27 @@ class GridField:
 
     def magnitude(self) -> np.ndarray:
         """Pointwise Euclidean norm over the components, of shape
-        spec.shape: computed on first use, then cached (read-only)."""
+        spec.shape: computed on first use, then cached (read-only).  A field
+        whose values were never read streams its components through one work
+        buffer and one row buffer, each squared in place and added, so the
+        values are not held; the result is the same bit for bit."""
         if self._mag is None:
-            mag = np.square(self.values[0])
-            square = None
-            for v in self.values[1:]:
-                square = np.square(v, out=square)
-                mag += square
+            if self._values is None:
+                work = np.empty(self.spec.half_shape, dtype=complex)
+                mag = np.empty(self.spec.shape)
+                row = np.empty(self.spec.shape) if self.components > 1 else None
+                for c in range(self.components):
+                    target = row if c else mag
+                    self._synthesize(c, work, target)
+                    np.square(target, out=target)
+                    if c:
+                        mag += row
+            else:
+                mag = np.square(self._values[0])
+                square = None
+                for v in self._values[1:]:
+                    square = np.square(v, out=square)
+                    mag += square
             np.sqrt(mag, out=mag)
             mag.flags.writeable = False
             self._mag = mag
@@ -228,6 +281,13 @@ class GridField:
         return edge / peak
 
 
+def _nyquist_planes(spec: GridSpec) -> list[tuple]:
+    """Indices of the Nyquist hyperplanes (index N/2 on axis 0 .. n - 1) of
+    an array of shape (..., *spec.half_shape)."""
+    return [(Ellipsis, spec.size // 2) + (slice(None),) * (spec.n - 1 - ax)
+            for ax in range(spec.n)]
+
+
 def zero_nyquist(spec: GridSpec, hat: np.ndarray) -> None:
     """Zero the unpaired Nyquist hyperplanes (index N/2 on every axis) of a
     half spectrum in place; ``hat`` has shape (..., *spec.half_shape).
@@ -236,8 +296,8 @@ def zero_nyquist(spec: GridSpec, hat: np.ndarray) -> None:
     odd-order multipliers on that bin have no Hermitian representation;
     projecting the bin out makes multiplier application commute with
     composition exactly."""
-    for ax in range(spec.n):
-        hat[(Ellipsis, spec.size // 2) + (slice(None),) * (spec.n - 1 - ax)] = 0.0
+    for index in _nyquist_planes(spec):
+        hat[index] = 0.0
 
 
 def half_box_shift(spec: GridSpec) -> list[np.ndarray]:
@@ -259,9 +319,19 @@ def _invert(spec: GridSpec, work: np.ndarray, out: np.ndarray) -> None:
     """Synthesize one real component into ``out`` (shape spec.shape) from
     the continuum-normalized half spectrum in ``work``, which the n - 1
     complex passes overwrite in place.  The same passes as ``irfftn``, in
-    the same order, without its fresh array per pass."""
-    for ax in range(spec.n - 1):
-        np.fft.ifft(work, axis=ax, out=work)
+    the same order, without its fresh array per pass.
+
+    The complex passes run only on the leading columns of the last axis
+    that hold data.  When the top two columns are zero, as for a
+    band-limited spectrum, one ``any`` reduction finds the last nonzero
+    column; the zero columns above it would transform to zeros."""
+    live = work
+    if spec.n > 1 and not (work[..., -1].any() or work[..., -2].any()):
+        nonzero = np.flatnonzero(work.any(axis=tuple(range(spec.n - 1))))
+        live = work[..., : nonzero[-1] + 1 if nonzero.size else 0]
+    if live.size:
+        for ax in range(spec.n - 1):
+            np.fft.ifft(live, axis=ax, out=live)
     np.fft.irfft(work, n=spec.size, axis=spec.n - 1, out=out)
     out *= spec.synthesis_scale
 
@@ -294,20 +364,20 @@ def symbol_on_grid(a: SymbolOperator, spec: GridSpec) -> Iterator[tuple[int, int
 
 
 def _image_rows(
-    a: SymbolOperator, u: GridField, target: Callable[[int], np.ndarray]
+    a: SymbolOperator, u: GridField, target: Callable[[int], np.ndarray],
+    term: Optional[np.ndarray] = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The half spectrum of A(D)u row by row: for each row with a nonzero
     symbol entry, in order, writes the row into ``target(row)`` and yields
     (row, that array).  The multiplier is (2 pi i)^k A(xi), applied to the
     spectrum of ``u`` (cached by ``u``) one entry at a time; the (2 pi i)^k
     factor goes into each entry, which broadcasts and is smaller than the
-    grid.  The first entry of a row writes it and the others add through one
-    buffer."""
+    grid.  The first entry of a row writes it and the others add through
+    ``term`` (allocated on first need when not given)."""
     if u.components != a.dim_v:
         raise ValueError(f"field has {u.components} components, operator expects {a.dim_v}")
     u_hat = u.spectrum()
     unit = (2j * pi) ** a.order
-    term = None
     for r, entries in groupby(symbol_on_grid(a, u.spec), key=itemgetter(0)):
         row = target(r)
         _, c, values = next(entries)
@@ -340,18 +410,21 @@ def image_magnitude(
     added to one accumulator: the image itself is never held."""
     spec = u.spec
     work = np.empty(spec.half_shape, dtype=complex)
-    total = row = None
-    for r, hat in _image_rows(a, u, lambda r: work):
-        if row is None:
-            row = np.empty(spec.shape)
-        _invert(spec, hat, row)
-        np.square(row, out=row)
+    # Once a row spectrum is built its ``term`` buffer is free, and the real
+    # row of every row after the first is inverted into that memory.
+    term = np.empty(spec.half_shape, dtype=complex)
+    row = term.view(float).reshape(-1)[: prod(spec.shape)].reshape(spec.shape)
+    total = None
+    for r, hat in _image_rows(a, u, lambda r: work, term):
+        out = row if total is not None else np.empty(spec.shape)
+        _invert(spec, hat, out)
+        np.square(out, out=out)
         if weights is not None:
-            row *= weights[r]
+            out *= weights[r]
         if total is None:
-            total, row = row, None
+            total = out
         else:
-            total += row
+            total += out
     if total is None:
         total = np.zeros(spec.shape)
     return np.sqrt(total, out=total)

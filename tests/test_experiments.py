@@ -235,6 +235,10 @@ def test_unread_options_refused(tmp_path, capsys, kind, option):
     ["necessity", "--grid", "8,1e308"],
     ["duality", "--grid", "8,1e308"],
     ["blowup", "--op", "catalog:laplacian?n=2", "--e", "1", "--ell", "1", "--grid", "8,1e300"],
+    # An empty schedule.
+    ["necessity", "--lambda", ","],
+    ["duality", "--lambda", ","],
+    ["blowup", "--op", "catalog:laplacian?n=2", "--e", "1", "--ell", "1", "--lambda", ","],
 ])
 def test_bad_experiment_input_exits_2(tmp_path, capsys, argv):
     # A box or schedule that is not finite or that the grid cannot resolve,

@@ -47,7 +47,7 @@ from symlab.numlab import (
 from symlab.numlab.blowup import blowup_direction, cutoff_l1
 from symlab.numlab.experiments import _newton_point
 from symlab.numlab.fields import newton_gradient_field
-from symlab.numlab.grid import half_box_shift, zero_nyquist
+from symlab.numlab.grid import _invert, half_box_shift, zero_nyquist
 
 
 def nyquist_mask(spec):
@@ -409,9 +409,62 @@ def test_from_spectrum_matches_irfftn_and_keeps_its_input(n, size):
     assert np.array_equal(u.spectrum(), expected_hat)
 
 
+def random_spectrum(spec, components, seed):
+    # Complex noise on every bin, the Nyquist hyperplanes included.
+    rng = np.random.default_rng(seed)
+    shape = (components,) + spec.half_shape
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def synthesized(spec, hat):
+    # Reference synthesis: irfftn of the whole input, Nyquist bins included.
+    axes = tuple(range(1, spec.n + 1))
+    return np.fft.irfftn(hat, s=spec.shape, axes=axes) * spec.synthesis_scale
+
+
+@pytest.mark.parametrize("n, size", [(1, 16), (2, 8), (3, 8), (4, 4)])
+@pytest.mark.parametrize("components", [1, 2, 3])
+def test_from_spectrum_streams_the_magnitude_of_its_values(n, size, components):
+    # A field built from a spectrum measures its magnitude without holding
+    # its values; the magnitude is the one of the synthesized values, and
+    # values read afterwards are still irfftn of the input.
+    spec = GridSpec(n, size, 3.0)
+    hat = random_spectrum(spec, components, seed=10 * n + components)
+    expected = synthesized(spec, hat)
+    u = GridField.from_spectrum(spec, hat)
+    mag = u.magnitude()
+    assert u._values is None
+    assert np.array_equal(mag, GridField(spec, expected).magnitude())
+    assert np.array_equal(u.values, expected)
+    assert u.magnitude() is mag
+
+
+def test_synthesized_values_are_read_only():
+    spec = GridSpec(2, 8, 3.0)
+    u = GridField.from_spectrum(spec, random_spectrum(spec, 2, seed=3))
+    with pytest.raises(ValueError):
+        u.values[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n, size", [(1, 16), (2, 16), (3, 8), (4, 8)])
+@pytest.mark.parametrize("band", [0, 1, 2, 3, 4, 5])
+def test_invert_of_a_banded_spectrum_is_irfftn(n, size, band):
+    # Spectra whose last-axis columns vanish from ``band`` on (an all-zero
+    # spectrum for band 0, no zero column for the largest band): the complex
+    # passes skip the zero columns and the result is still irfftn.
+    spec = GridSpec(n, size, 3.0)
+    hat = random_spectrum(spec, 1, seed=band)[0]
+    hat[..., band:] = 0.0
+    expected = synthesized(spec, hat[None, ...])[0]
+    out = np.empty(spec.shape)
+    _invert(spec, hat.copy(), out)
+    assert np.array_equal(out, expected)
+
+
 def test_newton_point_memory():
-    # Streaming the images keeps the peak of one point below 13.5 real
-    # components of the grid; building both images in full needs about 16.6.
+    # Streaming the field's magnitude and the images keeps the peak of one
+    # point below 9 real components of the grid; synthesizing the field's
+    # values and building both images in full needs about 16.6.
     size = 32
     component = 8 * size**3
     tracemalloc.start()
@@ -420,4 +473,4 @@ def test_newton_point_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 13.5 * component
+    assert peak < 9 * component
