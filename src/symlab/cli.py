@@ -297,11 +297,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_compat(args) -> int:
     from . import __version__
-    from .compat import build_annihilator, verify_annihilator
+    from .compat import AnnihilatorBudgetError, build_annihilator, verify_annihilator
     from .io import operator_digest, operator_to_json, vector_to_json
 
     op, _t, metadata = load_operator(args.source)
-    result = build_annihilator(op, seed=args.seed)
+    try:
+        result = build_annihilator(op, seed=args.seed)
+    except AnnihilatorBudgetError as exc:
+        raise CliError(f"compat undecided: {exc}", EXIT_UNDECIDED)
     report = verify_annihilator(op, result.operator, seed=args.seed)
     digest = operator_digest(operator_to_json(op))
     doc = {

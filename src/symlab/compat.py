@@ -25,12 +25,18 @@ False.
 Every rank at xi is taken from the integer rows of a positive multiple of
 the symbol's value (``SymbolOperator.scaled_rows``), which go straight into
 the forward pass of the elimination; no ``Fraction`` matrix is built.
+
+The system of degree d has dim V * #monomials(d + k) rows and
+dim E * #monomials(d) columns.  Its size is checked before it is built: a
+system of more than ``MAX_SYSTEM_ENTRIES`` entries ends the build with
+``AnnihilatorBudgetError``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 from .deciders.cancellation import probe_directions, sample_directions
@@ -39,6 +45,14 @@ from .exact.poly import multi_indices
 from .exact.symbol import SymbolOperator
 
 RANK_SAMPLES = 3  # seeded directions; the one of largest rank A(xi) is used
+# Entries (rows times columns) of the largest system built.  The regression
+# instances need at most 14,580 and saint_venant(5) 1,640,625 (525 x 3,125;
+# about 20 s and 400 MB); saint_venant(6) at degree 1 would need 7.6 million.
+MAX_SYSTEM_ENTRIES = 2**21
+
+
+class AnnihilatorBudgetError(ValueError):
+    """The next annihilator system is larger than ``MAX_SYSTEM_ENTRIES``."""
 
 
 @dataclass
@@ -51,8 +65,20 @@ def _rank_at(s: SymbolOperator, xi: tuple) -> int:
     return len(int_pivots(s.scaled_rows(xi), s.dim_v))
 
 
+def _check_size(a: SymbolOperator, d: int) -> None:
+    """Refuse the system of degree d when it has too many entries."""
+    rows = a.dim_v * comb(a.n + d + a.order - 1, a.n - 1)
+    cols = a.dim_e * comb(a.n + d - 1, a.n - 1)
+    if rows * cols > MAX_SYSTEM_ENTRIES:
+        raise AnnihilatorBudgetError(
+            f"the degree-{d} annihilator system is {rows:,} x {cols:,}, over the budget "
+            f"of {MAX_SYSTEM_ENTRIES:,} entries"
+        )
+
+
 def _rows_of_degree(a: SymbolOperator, d: int) -> Optional[SymbolOperator]:
     """Every row l of degree d with l A == 0, as one symbol, or None."""
+    _check_size(a, d)
     sources = multi_indices(a.n, d)
     dim = a.dim_e  # row b * dim + i of a kernel vector: x^beta_b in slot i
     rows = int_kernel(a.transpose().multiplication_rows(d), len(sources) * dim).columns()
@@ -66,6 +92,11 @@ def _rows_of_degree(a: SymbolOperator, d: int) -> Optional[SymbolOperator]:
 
 
 def build_annihilator(a: SymbolOperator, seed: int = 0) -> AnnihilatorResult:
+    if a.dim_v < a.dim_e:
+        # rank A(xi) < dim E, so the search starts at degree 0: check its
+        # size before ranking A(xi), which alone takes seconds on an
+        # operator as large as saint_venant(9).
+        _check_size(a, 0)
     ranked = [(_rank_at(a, x), x)
               for x in sample_directions(a.n, RANK_SAMPLES, random.Random(seed))]
     rank_a, xi = max(ranked, key=lambda rx: rx[0])

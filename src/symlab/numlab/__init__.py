@@ -10,10 +10,16 @@ sides of the inequality families, the duality residual and the blowup
 image A(D)u).  A field built from a spectrum (the newton family, the
 blowup field, every ``apply_symbol`` output) synthesizes its values only
 when they are read; its norms stream the magnitude without them.
+
+The compactly supported closed forms (the blowup window and cutoff, the
+plateau test functions) are evaluated on the box of indices that holds
+their support and are exact zeros elsewhere; every coordinate grid of a
+test field is sparse, one broadcast axis each.
 """
 
 from .blowup import (
     BlowupError,
+    SymbolDirections,
     build_blowup_field,
     plateau_cutoff,
     smoothstep,
@@ -52,6 +58,7 @@ from .norms import (
 
 __all__ = [
     "BlowupError",
+    "SymbolDirections",
     "build_blowup_field",
     "plateau_cutoff",
     "smoothstep",

@@ -15,20 +15,35 @@ verdicts, ``solve_symbol_directions`` and ``cutoff_l1`` run once per grid,
 and ``build_blowup_field`` builds only u at each scale.  The image A(D)u
 is never built here: the experiment measures it with
 ``grid.image_magnitude`` like every other image it only measures.
+
+Every support here is compact: the cutoff vanishes for |xi| >= 2 and the
+window at scale s for |xi| >= 2 s.  Each is evaluated only on the box of
+frequencies with every |xi_i| below that reach (``grid.support_indices``)
+and is an exact zero elsewhere, as the full-grid formula is there; the
+direction solve runs on the box of the largest scale and carries that
+reach, which ``build_blowup_field`` checks.  The spectra are so
+band-limited, and the complex inverse passes skip their zero columns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import pi
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ..deciders.cancellation import CancelingVerdict
 from ..deciders.ellipticity import ELLIPTIC, EllipticityVerdict
 from ..exact.symbol import SymbolOperator
-from .grid import GridField, GridSpec, half_box_shift, symbol_on_grid
+from .grid import (
+    GridField,
+    GridSpec,
+    half_box_shift,
+    restrict,
+    support_indices,
+    symbol_on_grid,
+)
 from .norms import lp_norm
 
 
@@ -62,10 +77,13 @@ def plateau_cutoff(r: np.ndarray) -> np.ndarray:
 def cutoff_l1(spec: GridSpec) -> float:
     """L1 norm of psi, the inverse transform of the plateau cutoff on the
     grid: A(D)u is a difference of two dilates of psi times e, so its L1
-    norm is at most 2 ||psi||_1 |e|."""
+    norm is at most 2 ||psi||_1 |e|.  The cutoff is evaluated where every
+    |xi_i| < 2, its support."""
     xi = spec.frequency_grids()
-    r = np.sqrt(sum(x**2 for x in xi))
-    hat = plateau_cutoff(r)[None, ...].astype(complex)
+    box = support_indices(xi, 2.0)
+    r = np.sqrt(sum(restrict(x, box) ** 2 for x in xi))
+    hat = np.zeros((1,) + spec.half_shape, dtype=complex)
+    hat[(0,) + np.ix_(*box)] = plateau_cutoff(r)
     return lp_norm(GridField.from_spectrum(spec, hat), 1.0)
 
 
@@ -73,22 +91,36 @@ class BlowupError(ValueError):
     pass
 
 
+class SymbolDirections(NamedTuple):
+    """U(xi) of shape (dimV, *spec.half_shape), solved where every
+    |xi_i| < reach and zero elsewhere."""
+
+    values: np.ndarray
+    reach: float
+
+
 def solve_symbol_directions(
-    a: SymbolOperator, spec: GridSpec, e: Sequence[float]
-) -> np.ndarray:
+    a: SymbolOperator, spec: GridSpec, e: Sequence[float], reach: float
+) -> SymbolDirections:
     """U(xi) with A(xi) U(xi) = e solved through the normal equations at
-    every nonzero frequency of the half spectrum; the zero frequency gets
-    U = 0."""
-    amat = np.zeros(spec.half_shape + (a.dim_e, a.dim_v))
+    every nonzero frequency of the half spectrum with every |xi_i| < reach
+    (``math.inf`` for all of them); the zero frequency and the frequencies
+    beyond reach get U = 0."""
+    box = support_indices(spec.frequency_grids(), reach)
+    amat = np.zeros(tuple(len(index) for index in box) + (a.dim_e, a.dim_v))
     for r, c, values in symbol_on_grid(a, spec):
-        amat[..., r, c] = values
-    gram = np.einsum("...ev,...ew->...vw", amat, amat)
-    rhs = np.einsum("...ev,e->...v", amat, np.asarray(e, dtype=float))
-    origin = tuple(0 for _ in range(spec.n))
-    gram[origin] = np.eye(a.dim_v)
-    u = np.linalg.solve(gram, rhs[..., None])[..., 0]
-    u[origin] = 0.0
-    return np.moveaxis(u, -1, 0)  # (dimV, *half_shape)
+        amat[..., r, c] = restrict(values, box)
+    u = np.zeros((a.dim_v,) + spec.half_shape)
+    if amat.size:
+        gram = np.einsum("...ev,...ew->...vw", amat, amat)
+        rhs = np.einsum("...ev,e->...v", amat, np.asarray(e, dtype=float))
+        # A nonempty box holds the zero frequency at its first index.
+        origin = tuple(0 for _ in range(spec.n))
+        gram[origin] = np.eye(a.dim_v)
+        solved = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        solved[origin] = 0.0
+        u[(slice(None),) + np.ix_(*box)] = np.moveaxis(solved, -1, 0)
+    return SymbolDirections(u, reach)
 
 
 def blowup_direction(
@@ -113,24 +145,34 @@ def blowup_direction(
 
 
 def build_blowup_field(
-    a: SymbolOperator, scale: float, spec: GridSpec, directions: np.ndarray
+    a: SymbolOperator, scale: float, spec: GridSpec, directions: SymbolDirections
 ) -> GridField:
     """The field u at one scale, from ``directions`` =
-    ``solve_symbol_directions(a, spec, e)`` for a direction e that passed
-    ``blowup_direction``; U(xi) does not depend on the scale."""
+    ``solve_symbol_directions(a, spec, e, reach)`` for a direction e that
+    passed ``blowup_direction`` and a reach of at least 2 scale; U(xi) does
+    not depend on the scale.  The window is evaluated where every
+    |xi_i| < 2 scale, its support, and u is zero outside it."""
     if scale < 2:
         raise BlowupError("scale parameter must be at least 2")
     if spec.nyquist < scale:
         raise BlowupError(
             f"grid Nyquist {spec.nyquist} cannot hold content at scale {scale}"
         )
+    if directions.reach < 2.0 * scale:
+        raise BlowupError(
+            f"directions solved within {directions.reach} do not cover the "
+            f"window at scale {scale}"
+        )
     xi = spec.frequency_grids()
-    r = np.sqrt(sum(x**2 for x in xi))
+    box = support_indices(xi, 2.0 * scale)
+    r = np.sqrt(sum(restrict(x, box) ** 2 for x in xi))
     window = plateau_cutoff(r / scale) - plateau_cutoff(r * scale)
     # Shift the concentration point to the box center so the boundary shell
     # measures genuine truncation: the shift by half the box is (-1)^m_i on
     # axis i, a real sign applied in place.
     for sign in half_box_shift(spec):
-        window *= sign
-    u_hat = ((2j * pi) ** (-a.order) * window)[None, ...] * directions
+        window *= restrict(sign, box)
+    inside = (slice(None),) + np.ix_(*box)
+    u_hat = np.zeros((a.dim_v,) + spec.half_shape, dtype=complex)
+    u_hat[inside] = ((2j * pi) ** (-a.order) * window)[None, ...] * directions.values[inside]
     return GridField.from_spectrum(spec, u_hat)

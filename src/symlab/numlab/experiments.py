@@ -20,6 +20,7 @@ from ..deciders.cancellation import image_intersection
 from ..deciders.ellipticity import check_ellipticity
 from ..exact.symbol import SymbolOperator
 from .blowup import (
+    SymbolDirections,
     blowup_direction,
     build_blowup_field,
     cutoff_l1,
@@ -79,7 +80,7 @@ def _image_l1(a: SymbolOperator, u: GridField) -> float:
 
 def _blowup_point(
     a: SymbolOperator, ell: int, scale: float, spec: GridSpec,
-    directions: np.ndarray, bound: float,
+    directions: SymbolDirections, bound: float,
 ) -> dict:
     u = build_blowup_field(a, scale, spec, directions)
     q = sobolev_exponent(spec.n, a.order, ell)
@@ -129,9 +130,11 @@ def blowup_experiment(
     e_norm = float(np.sqrt((e_float**2).sum()))
     half = spec.halved() if check_convergence else None
     # U(xi) and the image bound 2 ||psi||_1 |e| do not depend on the scale:
-    # one solve and one cutoff mass per grid.
+    # one solve and one cutoff mass per grid.  The windows of every scale
+    # live where each |xi_i| < 2 max(scales), so U is solved there only.
+    reach = 2.0 * max(scales, default=0.0)
     per_grid = {
-        g: (solve_symbol_directions(a, g, e_float), 2.0 * cutoff_l1(g) * e_norm)
+        g: (solve_symbol_directions(a, g, e_float, reach), 2.0 * cutoff_l1(g) * e_norm)
         for g in (spec, half) if g is not None
     }
     rows = []
@@ -236,6 +239,9 @@ def duality_experiment(
         raise ValueError(f"unknown duality field {field_kind!r}")
     div = divergence(spec.n).operator
     residual = _image_l1(div, f)
+    # The pairings read the values: synthesize them once, before the L1
+    # norm, which then takes the magnitude from them.
+    f.values
     f_l1 = lp_norm(f, 1.0)
     direction = np.zeros(f.components)
     direction[mean_component(f, f_l1)] = 1.0

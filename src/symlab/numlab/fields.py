@@ -10,7 +10,14 @@ import numpy as np
 from ..exact.matrix import QMatrix
 from ..exact.symbol import SymbolOperator
 from .blowup import smoothstep, smoothstep_deriv
-from .grid import GridField, GridSpec, apply_symbol, half_box_shift
+from .grid import (
+    GridField,
+    GridSpec,
+    apply_symbol,
+    half_box_shift,
+    restrict,
+    support_indices,
+)
 
 # g -> (d2 g, -d1 g): the planar curl of a scalar potential.
 _PERP_GRADIENT = SymbolOperator.make(
@@ -99,8 +106,7 @@ def newton_gradient_field(spec: GridSpec, eps: float) -> GridField:
     factor /= r2
     factor[origin] = 0.0
     # The spectrum is purely imaginary: -i factor xi_i / (2 pi).
-    spectrum = np.empty((3,) + factor.shape, dtype=complex)
-    spectrum.real = 0.0
+    spectrum = np.zeros((3,) + factor.shape, dtype=complex)
     for i in range(3):
         # xi_i is odd: on the unpaired Nyquist bin of axis i it has no real
         # representation, so component i carries nothing there.
@@ -121,26 +127,36 @@ def radial_cutoff_test_function(
     |gradient|^n (the gradient taken from the exact radial derivative),
     which scales like exponent^(1 - 1/n).  A grid too coarse to sample the
     ramp, where that gradient sums to zero, is refused.
+
+    Both are evaluated where every |x_i - c| is within one cell beyond
+    2^(1/exponent) of the centre c, a box that holds their support, and are
+    exact zeros elsewhere.  The Riemann sum runs over the whole grid, so it
+    adds in the order a full-grid evaluation would.
     """
     lam = float(exponent)
     if lam <= 0:
         raise ValueError("exponent must be positive")
-    coords = spec.coordinate_grids()
     c = spec.box / 2.0
-    diffs = [x - c for x in coords]
+    offsets = [x - c for x in spec.coordinate_grids()]
+    with np.errstate(over="ignore"):  # an infinite reach keeps every point
+        reach = np.exp2(1.0 / lam) + spec.spacing
+    box = support_indices(offsets, reach)
+    inside = np.ix_(*box)
+    diffs = [restrict(d, box) for d in offsets]
     r = np.sqrt(sum(d**2 for d in diffs))
     r_safe = np.where(r == 0, 1.0, r)
     s = r_safe**lam
     # Profile psi: 1 on [0,1], 0 on [2,inf); phi = psi(r^lam).
-    phi = smoothstep(2.0 - s)
-    phi = np.where(r == 0, 1.0, phi)
+    phi = np.zeros(spec.shape)
+    phi[inside] = np.where(r == 0, 1.0, smoothstep(2.0 - s))
     # d phi / dr = psi'(s) * lam * r^(lam-1) with psi(s) = smoothstep(2-s).
     sp = -smoothstep_deriv(2.0 - s)
     dphi_dr = sp * lam * r_safe ** (lam - 1.0)
     dphi_dr = np.where(r == 0, 0.0, dphi_dr)
     grads = [dphi_dr * d / r_safe for d in diffs]
-    grad_mag = np.sqrt(sum(g**2 for g in grads))
-    ln_riemann = float((grad_mag**spec.n).sum() * spec.cell_volume) ** (1.0 / spec.n)
+    grad_power = np.zeros(spec.shape)
+    grad_power[inside] = np.sqrt(sum(g**2 for g in grads)) ** spec.n
+    ln_riemann = float(grad_power.sum() * spec.cell_volume) ** (1.0 / spec.n)
     if ln_riemann == 0.0:
         raise ValueError(
             f"the plateau test function of exponent {lam} has no gradient on the grid "

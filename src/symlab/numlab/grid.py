@@ -39,6 +39,13 @@ Gaussian), which the experiment pairs against its test functions.
 partial derivatives of one order, and the blowup direction solve reads its
 per-frequency matrices from ``symbol_on_grid``.
 
+Closed-form fields with compact support (the blowup window in frequency,
+the plateau test function in space) are evaluated on the box of indices
+that ``support_indices`` returns and are exact zeros elsewhere, where the
+full-grid formula gives 0 as well.  A band-limited spectrum so built
+costs the complex inverse passes on its band only.  Coordinates are
+broadcast (sparse) grids: one axis each, never a dense copy per axis.
+
 Grids larger than ``MAX_GRID_POINTS`` are refused before anything is
 allocated.
 """
@@ -130,7 +137,9 @@ class GridSpec:
         return [np.arange(self.size) * self.spacing for _ in range(self.n)]
 
     def coordinate_grids(self) -> list[np.ndarray]:
-        return list(np.meshgrid(*self.axes(), indexing="ij"))
+        """Physical coordinates per axis, one axis each, shaped to broadcast
+        to spec.shape."""
+        return list(np.meshgrid(*self.axes(), indexing="ij", sparse=True))
 
     def frequency_grids(self) -> list[np.ndarray]:
         """Frequency coordinates of the half spectrum per axis, shaped to
@@ -313,6 +322,25 @@ def half_box_shift(spec: GridSpec) -> list[np.ndarray]:
         shape[ax] = length
         factors.append(sign.reshape(shape))
     return factors
+
+
+def support_indices(grids: Sequence[np.ndarray], reach: float) -> list[np.ndarray]:
+    """Per axis, the indices where |coordinate| < reach, for coordinate
+    grids that vary along one axis each (sparse grids, such as
+    ``frequency_grids()`` returns).  ``np.ix_`` of the result indexes the
+    box they span in a full array; ``restrict`` cuts a broadcast array to
+    it."""
+    return [np.flatnonzero(np.abs(g.ravel()) < reach) for g in grids]
+
+
+def restrict(a: np.ndarray, indices: Sequence[np.ndarray]) -> np.ndarray:
+    """The part of ``a``, an array that broadcasts to the full grid, on the
+    box of ``indices`` (from ``support_indices``), still broadcast: axes
+    of length 1 stay as they are."""
+    for ax, index in enumerate(indices):
+        if a.shape[ax] > 1:
+            a = np.take(a, index, axis=ax)
+    return a
 
 
 def _invert(spec: GridSpec, work: np.ndarray, out: np.ndarray) -> None:

@@ -1,6 +1,7 @@
 """Annihilator construction and verification."""
 
 import json
+import time
 
 import pytest
 
@@ -13,10 +14,12 @@ from symlab.catalog import (
     laplacian,
     quaternion,
     regression_instances,
+    saint_venant,
     split_laplacian,
     sym_gradient,
 )
 from symlab.cli import main
+from symlab import compat
 from symlab.compat import build_annihilator, verify_annihilator
 from symlab.deciders import (
     COCANCELING,
@@ -239,3 +242,27 @@ def test_questions_at_xi_build_no_fraction_rows(monkeypatch):
     report = verify_annihilator(a, l)
     assert report.identity_ok and report.kernels_match and report.ranks_full
     assert image_intersection(a).status == "CANCELING"
+
+
+def test_system_budget_admits_saint_venant_5_and_every_regression_instance(monkeypatch):
+    # saint_venant(5) stops at degree 1, on a 525 x 3,125 system.
+    sv5 = saint_venant(5).operator
+    compat._check_size(sv5, 0)
+    compat._check_size(sv5, 1)
+    with pytest.raises(compat.AnnihilatorBudgetError, match="degree-2"):
+        compat._check_size(sv5, 2)
+    monkeypatch.setattr(compat, "MAX_SYSTEM_ENTRIES", 14_580)
+    for inst in regression_instances():
+        build_annihilator(inst.operator)
+
+
+def test_oversize_compat_exits_3_before_building(tmp_path, capsys):
+    # saint_venant(9) has dim E = 6,561: its degree-0 system (2,025 x 6,561)
+    # is refused before the ranks or any row is built.
+    out = tmp_path / "compat.json"
+    start = time.perf_counter()
+    assert main(["compat", "catalog:saint_venant?n=9", "--json", str(out)]) == 3
+    assert time.perf_counter() - start < 30.0
+    err = capsys.readouterr().err
+    assert "2,025 x 6,561" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()

@@ -1,5 +1,7 @@
 """Experiment drivers at reduced desk scale (full runs live in acceptance)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,9 +49,9 @@ def test_blowup_solves_directions_once_per_grid(monkeypatch):
     calls = []
     solve = blowup.solve_symbol_directions
 
-    def counted(a, spec, e):
+    def counted(a, spec, e, reach):
         calls.append(spec.size)
-        return solve(a, spec, e)
+        return solve(a, spec, e, reach)
 
     monkeypatch.setattr(blowup, "solve_symbol_directions", counted)
     monkeypatch.setattr(experiments, "solve_symbol_directions", counted)
@@ -57,7 +59,7 @@ def test_blowup_solves_directions_once_per_grid(monkeypatch):
     op = laplacian(2).operator
     rows, _ = blowup_experiment(op, [1], 1, [4, 8, 16], spec, check_convergence=True)
     assert sorted(calls) == [64, 128]
-    fresh = experiments._blowup_point(op, 1, 8, spec, solve(op, spec, np.array([1.0])),
+    fresh = experiments._blowup_point(op, 1, 8, spec, solve(op, spec, np.array([1.0]), math.inf),
                                       2.0 * blowup.cutoff_l1(spec))
     assert rows[1] == dict(fresh, converged=rows[1]["converged"])
 
@@ -71,7 +73,7 @@ def test_blowup_point_matches_the_built_image_recipe(entry, e, ell, spec, scale)
     # summing inline gave, bit for bit.
     op = entry.operator
     e_float = blowup.blowup_direction(op, e, check_ellipticity(op), image_intersection(op, 0))
-    directions = blowup.solve_symbol_directions(op, spec, e_float)
+    directions = blowup.solve_symbol_directions(op, spec, e_float, math.inf)
     bound = 2.0 * blowup.cutoff_l1(spec) * float(np.sqrt((e_float**2).sum()))
     row = experiments._blowup_point(op, ell, scale, spec, directions, bound)
     u = blowup.build_blowup_field(op, scale, spec, directions)

@@ -43,10 +43,11 @@ from symlab.numlab import (
     smoothstep,
     smoothstep_deriv,
     solve_symbol_directions,
+    symbol_on_grid,
 )
 from symlab.numlab.blowup import blowup_direction, cutoff_l1
 from symlab.numlab.experiments import _newton_point
-from symlab.numlab.fields import newton_gradient_field
+from symlab.numlab.fields import newton_gradient_field, radial_cutoff_test_function
 from symlab.numlab.grid import _invert, half_box_shift, zero_nyquist
 
 
@@ -98,7 +99,7 @@ def test_pure_mode_matches_exact_symbol():
 
 def test_gradient_of_sine_mode():
     spec = GridSpec(2, 64, 8.0)
-    x = spec.coordinate_grids()
+    x = np.broadcast_arrays(*spec.coordinate_grids())
     u = GridField(spec, np.sin(2 * np.pi * x[0] / spec.box)[None, ...])
     du = apply_symbol(gradient(2).operator, u)
     expected = (2 * np.pi / spec.box) * np.cos(2 * np.pi * x[0] / spec.box)
@@ -152,7 +153,7 @@ def test_direction_solver_solves_symbol_everywhere():
     spec = GridSpec(3, 16, 16.0)
     op = hodge_pair(3, 1).operator
     e = np.array([0.0, 0.0, 0.0, 1.0])
-    u = solve_symbol_directions(op, spec, e)
+    u = solve_symbol_directions(op, spec, e, math.inf).values
     assert u.shape == (op.dim_v,) + spec.half_shape
     last = np.fft.rfftfreq(spec.size, d=1.0 / spec.size)  # integer modes 0 .. N/2
     worst = 0.0
@@ -170,7 +171,7 @@ def test_direction_solver_solves_symbol_everywhere():
 
 def test_direction_solver_homogeneity():
     spec = GridSpec(2, 128, 8.0)
-    u = solve_symbol_directions(laplacian(2).operator, spec, [1.0])
+    u = solve_symbol_directions(laplacian(2).operator, spec, [1.0], math.inf).values
     # U(2 xi) = 2^(-k) U(xi) at representable mode pairs.
     for m in [(1, 2), (3, 1), (5, 4)]:
         m2 = (2 * m[0], 2 * m[1])
@@ -190,10 +191,14 @@ def test_blowup_requires_admissible_direction():
     with pytest.raises(BlowupError):
         admissible(hyperbolic_example().operator, [1, 0])
     op = laplacian(2).operator
-    directions = solve_symbol_directions(op, spec, admissible(op, [1]))
+    directions = solve_symbol_directions(op, spec, admissible(op, [1]), math.inf)
     for scale in (512.0, 1.5):
         with pytest.raises(BlowupError):
             build_blowup_field(op, scale, spec, directions)
+    # Directions solved short of the window's support are refused.
+    short = solve_symbol_directions(op, spec, admissible(op, [1]), 7.9)
+    with pytest.raises(BlowupError, match="do not cover"):
+        build_blowup_field(op, 4.0, spec, short)
 
 
 def test_blowup_refuses_uncertified_intersection():
@@ -214,7 +219,7 @@ def test_blowup_image_identity_and_bound():
     # direct synthesis of that difference.
     spec = GridSpec(2, 256, 4.0)
     op = laplacian(2).operator
-    u = build_blowup_field(op, 4.0, spec, solve_symbol_directions(op, spec, [1.0]))
+    u = build_blowup_field(op, 4.0, spec, solve_symbol_directions(op, spec, [1.0], math.inf))
     au = apply_symbol(op, u)
     xi = spec.frequency_grids()
     r = np.sqrt(xi[0] ** 2 + xi[1] ** 2)
@@ -234,7 +239,7 @@ def test_quaternion_blowup_disallowed_everywhere():
 
 def test_derivative_magnitude_of_mode():
     spec = GridSpec(2, 64, 8.0)
-    x = spec.coordinate_grids()
+    x = np.broadcast_arrays(*spec.coordinate_grids())
     k = 2 * np.pi * 3 / spec.box
     u = GridField(spec, np.sin(k * x[0])[None, ...])
     dm = derivative_magnitude(u, 1)
@@ -270,7 +275,7 @@ def test_cached_spectrum_is_the_spectrum_of_the_values():
     # The last field transforms forward, one component at a time.
     newton = newton_gradient_field(GridSpec(3, 32, 8.0), 0.4)
     op, spec = laplacian(2).operator, GridSpec(2, 128, 4.0)
-    u = build_blowup_field(op, 4.0, spec, solve_symbol_directions(op, spec, [1.0]))
+    u = build_blowup_field(op, 4.0, spec, solve_symbol_directions(op, spec, [1.0], math.inf))
     au = apply_symbol(op, u)
     fields = [newton, u, au, apply_symbol(exterior_d(3, 1).operator, newton),
               apply_symbol(gradient(2).operator, random_field(GridSpec(2, 32, 8.0), 1)),
@@ -474,3 +479,146 @@ def test_newton_point_memory():
     finally:
         tracemalloc.stop()
     assert peak < 9 * component
+
+
+# ---------------------------------------------------------------------------
+# Compact supports and band-limited spectra: bit for bit the full-grid
+# formulas.
+
+
+def full_grid_window(op, scale, spec, directions):
+    # Reference: the blowup spectrum evaluated on every frequency.
+    xi = spec.frequency_grids()
+    r = np.sqrt(sum(x**2 for x in xi))
+    window = plateau_cutoff(r / scale) - plateau_cutoff(r * scale)
+    for sign in half_box_shift(spec):
+        window *= sign
+    return ((2j * np.pi) ** (-op.order) * window)[None, ...] * directions
+
+
+@pytest.mark.parametrize("entry, e, spec, scale", [
+    (laplacian(2), [1], GridSpec(2, 256, 4.0), 4.0),
+    # The window reaches the top column.
+    (laplacian(2), [1], GridSpec(2, 128, 4.0), 16.0),
+    # 16 columns hold data, and the second from the top is one of them.
+    (hodge_pair(3, 1), [0, 0, 0, 1], GridSpec(3, 32, 4.0), 2.0),
+])
+def test_blowup_spectrum_is_the_full_grid_formula(entry, e, spec, scale):
+    # == counts -0 equal to 0: only signed zeros may differ outside the box.
+    op = entry.operator
+    e_float = admissible(op, e)
+    full = solve_symbol_directions(op, spec, e_float, math.inf).values
+    boxed = solve_symbol_directions(op, spec, e_float, 2.0 * scale)
+    xi = spec.frequency_grids()
+    inside = np.all([np.abs(x) < 2.0 * scale for x in np.broadcast_arrays(*xi)], axis=0)
+    assert np.array_equal(boxed.values, np.where(inside, full, 0.0))
+    reference = full_grid_window(op, scale, spec, full)
+    u = build_blowup_field(op, scale, spec, boxed)
+    assert np.array_equal(u.spectrum(), reference * nyquist_mask(spec))
+    assert np.array_equal(u.values, synthesized(spec, reference))
+
+
+@pytest.mark.parametrize("spec", [GridSpec(2, 64, 4.0), GridSpec(2, 256, 8.0), GridSpec(3, 16, 4.0)])
+def test_cutoff_l1_is_the_full_grid_formula(spec):
+    xi = spec.frequency_grids()
+    hat = plateau_cutoff(np.sqrt(sum(x**2 for x in xi)))[None, ...].astype(complex)
+    assert cutoff_l1(spec) == lp_norm(GridField.from_spectrum(spec, hat), 1.0)
+
+
+def full_grid_plateau(spec, lam):
+    # Reference: the plateau test function and its gradient sum on every point.
+    c = spec.box / 2.0
+    diffs = [x - c for x in spec.coordinate_grids()]
+    r = np.sqrt(sum(d**2 for d in diffs))
+    r_safe = np.where(r == 0, 1.0, r)
+    s = r_safe**lam
+    phi = np.where(r == 0, 1.0, smoothstep(2.0 - s))
+    dphi_dr = np.where(r == 0, 0.0, -smoothstep_deriv(2.0 - s) * lam * r_safe ** (lam - 1.0))
+    grad_mag = np.sqrt(sum((dphi_dr * d / r_safe) ** 2 for d in diffs))
+    return phi, float((grad_mag**spec.n).sum() * spec.cell_volume) ** (1.0 / spec.n)
+
+
+@pytest.mark.parametrize("spec", [GridSpec(2, 512, 40.0), GridSpec(3, 64, 12.0)])
+@pytest.mark.parametrize("lam", [1.0, 0.5, 1.0 / 3.0, 0.25, 0.1])
+def test_plateau_test_function_is_the_full_grid_formula(spec, lam):
+    phi, grad_ln = radial_cutoff_test_function(spec, lam)
+    phi_ref, grad_ln_ref = full_grid_plateau(spec, lam)
+    assert np.array_equal(phi.values[0], phi_ref)
+    assert grad_ln == grad_ln_ref
+
+
+def banded_spectrum(spec, components, band, seed):
+    # Noise on the last-axis columns below ``band``, zero above.
+    hat = random_spectrum(spec, components, seed)
+    hat[..., band:] = 0.0
+    return hat
+
+
+def nyquist_only_spectrum(spec, ax):
+    # Data on one Nyquist hyperplane only, in the low columns: zero once
+    # masked, but the values keep it.
+    hat = np.zeros((2,) + spec.half_shape, dtype=complex)
+    index = [slice(None)] * spec.n
+    index[ax] = spec.size // 2
+    index[-1] = slice(0, 2) if ax < spec.n - 1 else spec.size // 2
+    hat[(slice(None),) + tuple(index)] = 1.0 + 0.5j
+    return hat
+
+
+@pytest.mark.parametrize("n, size", [(1, 16), (2, 16), (3, 8), (4, 8)])
+def test_from_spectrum_of_band_limited_zero_and_nyquist_inputs(n, size):
+    spec = GridSpec(n, size, 3.0)
+    half = spec.half_shape[-1]
+    cases = [banded_spectrum(spec, 2, band, seed=band) for band in (1, 2, half - 2)]
+    cases.append(np.zeros((2,) + spec.half_shape, dtype=complex))
+    cases.extend(nyquist_only_spectrum(spec, ax) for ax in range(n))
+    for hat in cases:
+        expected = synthesized(spec, hat)
+        u = GridField.from_spectrum(spec, hat.copy())
+        assert np.array_equal(u.magnitude(), GridField(spec, expected).magnitude())
+        assert np.array_equal(u.values, expected)
+
+
+def full_grid_image(op, u):
+    # Reference: every row of the image spectrum on the whole half grid.
+    rows = np.zeros((op.dim_e,) + u.spec.half_shape, dtype=complex)
+    unit = (2j * np.pi) ** op.order
+    for r, c, values in symbol_on_grid(op, u.spec):
+        rows[r] = rows[r] + unit * values * u.spectrum()[c]
+    return rows
+
+
+@pytest.mark.parametrize("op, spec", IMAGE_CASES)
+def test_image_magnitude_of_a_band_limited_field(op, spec):
+    u = GridField.from_spectrum(spec, banded_spectrum(spec, op.dim_v, 3, seed=4))
+    mag = image_magnitude(op, u)
+    assert np.array_equal(mag, apply_symbol(op, u).magnitude())
+    expected = synthesized(spec, full_grid_image(op, u))
+    assert np.array_equal(mag, GridField(spec, expected).magnitude())
+
+
+def test_supports_are_evaluated_on_their_box_only(monkeypatch):
+    # The blowup window at scale 4 on 1024^2 (box 4) lives on 63 x 32
+    # frequencies of the 1024 x 513 half spectrum; the plateau at exponent 1
+    # on 512^2 (box 40) on 53 x 53 points.
+    from symlab.numlab import blowup, fields
+
+    sizes = []
+
+    def counting(name, module):
+        original = getattr(module, name)
+
+        def counted(t):
+            sizes.append((name, np.size(t)))
+            return original(t)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting("plateau_cutoff", blowup)
+    counting("smoothstep", fields)
+    op, spec = laplacian(2).operator, GridSpec(2, 1024, 4.0)
+    build_blowup_field(op, 4.0, spec, solve_symbol_directions(op, spec, [1.0], 8.0))
+    assert sizes == [("plateau_cutoff", 2016)] * 2
+    sizes.clear()
+    radial_cutoff_test_function(GridSpec(2, 512, 40.0), 1.0)
+    assert sizes == [("smoothstep", 2809)]
