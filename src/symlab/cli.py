@@ -507,6 +507,8 @@ def _parse_rationals(text: Optional[str], expected: int):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged, so every ``main`` call can share it."""
+    from .deciders.ellipticity import DEFAULT_MAX_DEPTH
+
     parser = argparse.ArgumentParser(
         prog="symlab",
         description="Exact classification of differential operator symbols "
@@ -517,9 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="classify an operator and emit a report")
     pa.add_argument("source", help="operator JSON path or catalog:<name>?<params>")
     pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--depth", type=int, default=24,
+    pa.add_argument("--depth", type=int, default=DEFAULT_MAX_DEPTH,
                     help="bisections per axis of a cube face in the ellipticity "
-                    "cover (default 24)")
+                    "cover (default %(default)s)")
     pa.add_argument("--as", dest="as_role", choices=("operator", "constraint"),
                     default="operator")
     pa.add_argument("--json", dest="json_out", default=None)

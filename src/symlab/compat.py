@@ -1,9 +1,9 @@
 """Annihilating symbols: L with L(x) A(x) == 0, of least degree.
 
-The rows l of degree d with l(x) A(x) == 0 are the kernel of one rational
-matrix, because the coefficients of l(x) A(x) are linear in those of l
-(``SymbolOperator.multiplication_matrix`` of A^T); that kernel is taken
-from the matrix's integer numerators over D (``multiplication_rows``).
+The rows l of degree d with l(x) A(x) == 0 are the kernel of one linear
+map, because the coefficients of l(x) A(x) are linear in those of l; that
+kernel is taken from the integer rows of D times its matrix
+(``SymbolOperator.multiplication_rows`` of A^T).
 ``build_annihilator`` takes that whole kernel as the rows of L, for d = 0,
 1, ..., and stops at the first d at which rank L(xi) = dim E - rank A(xi)
 at one seeded direction xi.  As A(xi)[V] lies in the kernel of L(xi) at every xi, this

@@ -14,10 +14,10 @@ homogeneous of even degree s + k (k the order of A) with
 and a cover from ``exact.bernstein.certify_positive`` proving p > 0 on the
 cube boundary, hence at every x != 0.  Then e = A(xi) u(xi) / p(xi) at every
 xi != 0; no ellipticity is assumed.  For s = 0, 1, ... the pairs (u, p) are
-the kernel of one rational matrix: p = |x|^(s+k) is tried first by one
-exact solve, then the kernel's basis vectors, signed to be positive at
-(1, ..., 1).  If every basis vector of the sampled intersection has a
-witness, it is W itself (NOT_CANCELING).  Otherwise further seeded
+the kernel of one linear system on integer rows: p = |x|^(s+k) is tried
+first by one exact solve, then the kernel's basis vectors, signed to be
+positive at (1, ..., 1).  If every basis vector of the sampled intersection
+has a witness, it is W itself (NOT_CANCELING).  Otherwise further seeded
 directions, the low-height lattice ones first, are intersected until it
 shrinks, and the witnesses are sought again; if it does not shrink, the
 verdict is NOT_CANCELING_SAMPLED, which claims nothing, with the reason.
@@ -35,6 +35,7 @@ cancellation verdict that passed instead of re-certifying W.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,10 +45,11 @@ from ..exact.bernstein import CertifiedBox, certify_positive, verify_positive
 from ..exact.matrix import (
     QMatrix,
     Subspace,
+    _echelon,
     full_space,
     int_column_space,
+    int_kernel,
     kernel_basis,
-    solve_exact,
     subspace_from_columns,
     subspace_intersection,
 )
@@ -157,20 +159,33 @@ def _norm_power(n: int, degree: int) -> Polynomial:
 def find_membership(a: SymbolOperator, e: Sequence[Fraction]) -> Optional[Membership]:
     """A witness (u, p) that e lies in every image A(xi)[V], xi != 0, with
     u of degree at most MAX_WITNESS_DEGREE, or None."""
+    # Every system row is the rational row of the equations times L D > 0,
+    # with L the lcm of the denominators of e and D the symbol's: u -> A u is
+    # multiplication_rows times L, and L e is an integer vector.
+    lcm = math.lcm(*(Fraction(c).denominator for c in e))
+    e_int = [int(c * lcm) for c in e]
+    den = a._int_terms[0]
     for s in range(a.order % 2, MAX_WITNESS_DEGREE + 1, 2):  # s + k even
-        targets = multi_indices(a.n, s + a.order)
-        m = a.multiplication_matrix(s)  # rows: x^gamma_g e_i at g * dim E + i
+        sources, targets = multi_indices(a.n, s), multi_indices(a.n, s + a.order)
+        ncols = len(sources) * a.dim_v
+        m = [[lcm * x for x in r] for r in a.multiplication_rows(s)]  # rows: x^gamma_g e_i
         q = _norm_power(a.n, s + a.order).as_dict()
-        x = solve_exact(m, QMatrix.column([q.get(g, 0) * c for g in targets for c in e]))
-        if x is not None:
-            candidates = [x.col(0) + tuple(q.get(g, 0) for g in targets)]
+        q_int = [den * int(q.get(g, 0)) for g in targets]
+        rows, pivots = _echelon(
+            [r + [qg * c] for r, (qg, c) in zip(m, itertools.product(q_int, e_int))], ncols + 1)
+        if ncols not in pivots:
+            x = [Fraction(0)] * ncols
+            for r, col in zip(rows, pivots):
+                x[col] = Fraction(r[ncols], r[col])
+            candidates = [tuple(x) + tuple(q.get(g, 0) for g in targets)]
         else:
-            # Unknowns (u, p): column h of the p block stands for -x^gamma_h e.
-            p_block = QMatrix.from_rows([[-c * (g == h) for h in range(len(targets))]
-                                         for g in range(len(targets)) for c in e])
-            candidates = kernel_basis(m.hstack(p_block)).columns()
+            # Unknowns (u, p): column h of the p block stands for -D x^gamma_h L e.
+            candidates = int_kernel([
+                r + [-den * c if g == h else 0 for h in range(len(targets))]
+                for r, (g, c) in zip(m, itertools.product(range(len(targets)), e_int))
+            ], ncols + len(targets)).columns()
         for v in candidates:
-            p = Polynomial.make(a.n, dict(zip(targets, v[m.cols:])))
+            p = Polynomial.make(a.n, dict(zip(targets, v[ncols:])))
             sign = p.evaluate((1,) * a.n)
             if sign == 0:
                 continue
@@ -178,8 +193,7 @@ def find_membership(a: SymbolOperator, e: Sequence[Fraction]) -> Optional[Member
                 v, p = [-c for c in v], p.scale(-1)
             found = certify_positive(p, WITNESS_MAX_DEPTH, WITNESS_BOX_BUDGET)
             if found.zero is None and found.undecided_box is None:
-                sources = multi_indices(a.n, s)
-                u = tuple(Polynomial.make(a.n, dict(zip(sources, v[j:m.cols:a.dim_v])))
+                u = tuple(Polynomial.make(a.n, dict(zip(sources, v[j:ncols:a.dim_v])))
                           for j in range(a.dim_v))
                 return Membership(tuple(e), u, p, found.cover)
     return None

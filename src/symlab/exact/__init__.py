@@ -6,7 +6,6 @@ from .matrix import (
     column_space,
     full_space,
     kernel_basis,
-    solve_exact,
     subspace_from_columns,
     subspace_intersection,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "column_space",
     "full_space",
     "kernel_basis",
-    "solve_exact",
     "subspace_from_columns",
     "subspace_intersection",
     "Polynomial",

@@ -1,10 +1,13 @@
 """Exact rational linear algebra.
 
-Matrices are immutable, dense, row-major tuples of ``fractions.Fraction``
-entries.  Everything here is computed exactly; there is no floating point
-in this module.  Subspaces are kept in reduced column echelon form so that
-two objects describe the same subspace if and only if they compare equal
-structurally.
+``QMatrix`` is the exchange format: an immutable, dense, row-major tuple
+of ``fractions.Fraction`` entries, which operator terms, constraint maps,
+blocks and reports use.  Everything here is computed exactly; there is no
+floating point in this module.  A ``Subspace`` is kept as the RREF rows of
+its generators, each scaled to primitive integers with a positive pivot, so
+that two objects describe the same subspace if and only if they compare
+equal structurally; its rational basis in reduced column echelon form is
+derived from those rows when read.
 
 Elimination runs on Python ints, in one routine (``_echelon``): each row is
 scaled to integers by the lcm of its denominators, and a row is reduced
@@ -14,8 +17,8 @@ row is divided by the gcd of its entries.  Scaling a row changes neither
 the pivots nor the reduced form, so dividing each reduced pivot row by its
 pivot once gives the unique RREF.  Back-elimination changes only finished
 rows, so ``pivots`` and ``rank`` run the forward pass alone and build no
-``Fraction``; kernels, solutions and subspace bases are read from the
-reduced integer rows.
+``Fraction``; kernels are read from the reduced integer rows, and a
+subspace is its reduced integer rows.
 
 Matrices that are integer already enter ``_echelon`` as they are, through
 three entry points on integer rows: ``int_pivots`` (the forward pass),
@@ -25,14 +28,17 @@ of a positive multiple of A(xi), which has the pivots, column space and
 kernel of A(xi), so no ``Fraction`` is built between a symbol and
 ``_echelon``.  ``QMatrix.pivots`` and ``kernel_basis`` call the same entry
 points on their rows scaled one by one, which moves neither pivots nor
-kernel.
+kernel.  Every elimination a decider runs, intersections and the systems of
+membership witnesses included, starts from integer rows; the witness search
+reads its one particular solution from ``_echelon`` itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 Rat = Fraction
@@ -141,16 +147,9 @@ class QMatrix:
             n, n, tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
         )
 
-    @staticmethod
-    def column(values: Sequence) -> "QMatrix":
-        return QMatrix.from_rows([[v] for v in values])
-
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
@@ -170,15 +169,6 @@ class QMatrix:
                 tuple(a + b for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
             ),
-        )
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> "QMatrix":
-        c = _rat(c)
-        return QMatrix(
-            self.rows, self.cols, tuple(tuple(c * x for x in r) for r in self.entries)
         )
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
@@ -205,15 +195,6 @@ class QMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.entries for x in r)
 
-    def hstack(self, other: "QMatrix") -> "QMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        return QMatrix(
-            self.rows,
-            self.cols + other.cols,
-            tuple(ra + rb for ra, rb in zip(self.entries, other.entries)),
-        )
-
     def vstack(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.cols:
             raise ValueError("column mismatch in vstack")
@@ -234,7 +215,8 @@ class QMatrix:
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        rows, pivots = _echelon(self.hstack(QMatrix.identity(n))._int_rows(), 2 * n)
+        rows, pivots = _echelon((_int_row(r + tuple(int(i == j) for j in range(n)))
+                                 for i, r in enumerate(self.entries)), 2 * n)
         if len(pivots) < n or any(p >= n for p in pivots):
             raise ValueError("matrix is singular")
         return QMatrix(n, n, tuple(_pivot_quotients(rows, pivots, n)))
@@ -242,44 +224,42 @@ class QMatrix:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Linear subspace of Q^ambient with a canonical basis.
+    """Linear subspace of Q^ambient in a unique form.
 
-    The basis matrix is in reduced column echelon form: each column's first
-    nonzero entry is 1, those leading entries occur in strictly increasing
-    row positions, and every leading row is zero in the other columns.  The
-    representation is unique, so structural equality is subspace equality.
-    ``int_gens`` holds the same basis as integer vectors, column j times a
-    nonzero integer, so intersections start from integers again.
+    ``rows`` are the nonzero RREF rows of any generator matrix, each scaled
+    to integers of gcd 1 with a positive pivot.  The form is unique, so
+    structural equality is subspace equality.  ``basis`` is the same
+    subspace as a rational matrix in reduced column echelon form: each
+    column's first nonzero entry is 1, those leading entries occur in
+    strictly increasing row positions, and every leading row is zero in the
+    other columns.
     """
 
     ambient: int
-    basis: QMatrix  # ambient x dim, columns are generators
-    int_gens: tuple = field(compare=False, repr=False)  # dim integer vectors
+    rows: tuple  # dim tuples of ints
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.rows)
 
-    def is_trivial(self) -> bool:
-        return self.dim == 0
+    @cached_property
+    def basis(self) -> QMatrix:
+        """ambient x dim, columns are generators: the rows divided by their
+        pivots, transposed."""
+        pivots = [next(j for j, x in enumerate(r) if x) for r in self.rows]
+        cols = _pivot_quotients(self.rows, pivots)
+        entries = tuple(zip(*cols)) if cols else ((),) * self.ambient
+        return QMatrix(self.ambient, self.dim, entries)
 
     def columns(self) -> list[tuple]:
         return [self.basis.col(j) for j in range(self.dim)]
 
     def contains(self, v: Sequence) -> bool:
+        """v lies in the subspace iff adding it keeps the rank."""
         if len(v) != self.ambient:
             raise ValueError("ambient mismatch")
-        return solve_exact(self.basis, QMatrix.column(v)) is not None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient == other.ambient
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.ambient, self.basis.entries))
+        v = _int_row([_rat(x) for x in v])
+        return len(int_pivots([*self.rows, v], self.ambient)) == self.dim
 
 
 def int_pivots(rows: Iterable[list[int]], ncols: int) -> tuple[int, ...]:
@@ -290,12 +270,9 @@ def int_pivots(rows: Iterable[list[int]], ncols: int) -> tuple[int, ...]:
 
 def _span(ambient: int, rows: Iterable[list[int]]) -> Subspace:
     """Canonical subspace spanned by integer vectors."""
-    # The nonzero RREF rows of the generator matrix, transposed, are the
-    # reduced column echelon basis.
     red, pivots = _echelon(rows, ambient)
-    cols = _pivot_quotients(red, pivots)
-    entries = tuple(zip(*cols)) if cols else ((),) * ambient
-    return Subspace(ambient, QMatrix(ambient, len(cols), entries), tuple(map(tuple, red)))
+    return Subspace(ambient, tuple(
+        tuple(r) if r[p] > 0 else tuple(-x for x in r) for r, p in zip(red, pivots)))
 
 
 def subspace_from_columns(ambient: int, columns: Iterable[Sequence]) -> Subspace:
@@ -347,31 +324,15 @@ def kernel_basis(m: QMatrix) -> Subspace:
     return int_kernel(m._int_rows(), m.cols)
 
 
-def solve_exact(m: QMatrix, b: QMatrix):
-    """One exact solution of ``m @ x = b`` or None when inconsistent.
-
-    ``b`` must be a column matrix; the result is a column matrix.
-    """
-    if b.cols != 1 or b.rows != m.rows:
-        raise ValueError("right-hand side shape mismatch")
-    rows, pivots = _echelon(m.hstack(b)._int_rows(), m.cols + 1)
-    if m.cols in pivots:
-        return None
-    x = [_ZERO] * m.cols
-    for r, p in zip(rows, pivots):
-        x[p] = Fraction(r[m.cols], r[p])
-    return QMatrix(m.cols, 1, tuple((v,) for v in x))
-
-
 def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
     """Canonical basis of s1 ∩ s2."""
     if s1.ambient != s2.ambient:
         raise ValueError("ambient dimension mismatch")
-    if s1.is_trivial() or s2.is_trivial():
+    if s1.dim == 0 or s2.dim == 0:
         return _span(s1.ambient, [])
-    # With integer generators C1, C2 of the two subspaces, a kernel vector
-    # (c, c') of [C1 | -C2] gives C1 c in both.
-    c1, c2 = list(zip(*s1.int_gens)), list(zip(*s2.int_gens))
+    # With the rows of the two subspaces as the columns of C1, C2, a kernel
+    # vector (c, c') of [C1 | -C2] gives C1 c in both.
+    c1, c2 = list(zip(*s1.rows)), list(zip(*s2.rows))
     stacked = [list(r1) + [-x for x in r2] for r1, r2 in zip(c1, c2)]
     rows, pivots = _echelon(stacked, s1.dim + s2.dim)
     gens = [

@@ -8,11 +8,11 @@ is rejected because classifying it is vacuous.
 
 Coefficients are kept as integer numerators over one common denominator D
 (``_int_terms``).  A symbol value enters elimination as integer rows:
-``scaled_rows`` sums those numerators at the integer multiple of xi, and
-``multiplication_rows`` places them in the matrix of u -> A u.  Both are
-positive multiples of ``evaluate`` and ``multiplication_matrix``, which
-divide them, so every rank, image and kernel question reads the integer
-rows and builds no ``Fraction`` on the way to ``_echelon``.
+``scaled_rows`` sums those numerators at the integer multiple of xi, a
+positive multiple of ``evaluate``, which divides them; and
+``multiplication_rows`` places them in D times the matrix of u -> A u.
+Every rank, image, kernel and witness question reads the integer rows and
+builds no ``Fraction`` on the way to ``_echelon``.
 """
 
 from __future__ import annotations
@@ -142,9 +142,12 @@ class SymbolOperator:
         )
 
     def multiplication_rows(self, d: int) -> list[list[int]]:
-        """The integer rows of D times ``multiplication_matrix(d)``: the
-        numerators over D of ``_int_terms``, placed as that matrix places
-        the coefficients."""
+        """The integer rows of D times the matrix of u -> A u from V[x]_d to
+        E[x]_(d + order), with the numerators over D of ``_int_terms``.
+
+        Column b * dim_v + j stands for x^beta e_j and row g * dim_e + i for
+        x^gamma e_i, with beta and gamma the b-th and g-th entries of
+        ``multi_indices(n, d)`` and ``multi_indices(n, d + order)``."""
         sources = multi_indices(self.n, d)
         targets = {gamma: g for g, gamma in enumerate(multi_indices(self.n, d + self.order))}
         out = [[0] * (len(sources) * self.dim_v) for _ in range(len(targets) * self.dim_e)]
@@ -156,17 +159,6 @@ class SymbolOperator:
                     for j, x in row:
                         out_row[b * self.dim_v + j] = x
         return out
-
-    def multiplication_matrix(self, d: int) -> QMatrix:
-        """The rational matrix of u -> A u from V[x]_d to E[x]_(d + order).
-
-        Column b * dim_v + j stands for x^beta e_j and row g * dim_e + i for
-        x^gamma e_i, with beta and gamma the b-th and g-th entries of
-        ``multi_indices(n, d)`` and ``multi_indices(n, d + order)``."""
-        rows = self.multiplication_rows(d)
-        den, zero = self._int_terms[0], Fraction(0)
-        return QMatrix(len(rows), len(multi_indices(self.n, d)) * self.dim_v, tuple(
-            tuple(Fraction(x, den) if x else zero for x in r) for r in rows))
 
     def apply(self, u: Sequence[Polynomial]) -> list[Polynomial]:
         """The polynomial vector A(x) u(x), for one polynomial per

@@ -20,16 +20,18 @@ def lp_norm(u: GridField, p: float) -> float:
 
 def magnitude_norm(spec: GridSpec, mag: np.ndarray, p: float) -> float:
     """Riemann sum of mag^p to the power 1/p for a pointwise magnitude of
-    shape spec.shape; p = 1, 3/2 and 2 avoid the general power."""
+    shape spec.shape; p = 1, 3/2 and 2 avoid the general power.  The
+    products are summed by ``einsum``, whose order of summation does not
+    depend on the number of BLAS threads, as ``np.dot``'s does."""
     if p < 1:
         raise ValueError("p must be at least 1")
     mag = mag.ravel()
     if p == 1:
         total = mag.sum()
     elif p == 1.5:
-        total = np.dot(mag, np.sqrt(mag))
+        total = np.einsum("i,i->", mag, np.sqrt(mag))
     elif p == 2:
-        total = np.dot(mag, mag)
+        total = np.einsum("i,i->", mag, mag)
     else:
         total = (mag**p).sum()
     return float((spec.cell_volume * total) ** (1.0 / p))

@@ -46,7 +46,8 @@ def test_double_star_sign():
     for n, ell in ((4, 2), (3, 1), (4, 1), (5, 2)):
         dim = comb(n, ell)
         ss = star_matrix(n, n - ell) @ star_matrix(n, ell)
-        expect = QMatrix.identity(dim).scale((-1) ** (ell * (n - ell)))
+        sign = (-1) ** (ell * (n - ell))
+        expect = QMatrix.from_rows([[sign * (i == j) for j in range(dim)] for i in range(dim)])
         assert ss == expect
 
 

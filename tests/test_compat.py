@@ -74,7 +74,7 @@ def test_sym_gradient_annihilator_is_saint_venant():
         terms = dict(sym.terms)
         zero = QMatrix.zeros(sym.dim_e, sym.dim_v)
         return [
-            [x for alpha in multi_indices(3, 2) for x in terms.get(alpha, zero).row(i)]
+            [x for alpha in multi_indices(3, 2) for x in terms.get(alpha, zero).entries[i]]
             for i in range(sym.dim_e)
         ]
 

@@ -1,5 +1,6 @@
 """Classification deciders and their certificates."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -44,6 +45,9 @@ from symlab.deciders import (
     verify_spanning,
 )
 from symlab.deciders.cancellation import (
+    MAX_WITNESS_DEGREE,
+    WITNESS_BOX_BUDGET,
+    WITNESS_MAX_DEPTH,
     Membership,
     find_membership,
     sample_directions,
@@ -51,7 +55,13 @@ from symlab.deciders.cancellation import (
 )
 from symlab.exact.bernstein import certify_positive
 from symlab.deciders.ellipticity import CertifiedBox, FaceBox
-from symlab.exact import Polynomial, QMatrix, SymbolOperator, subspace_from_columns
+from symlab.exact import (
+    Polynomial,
+    QMatrix,
+    SymbolOperator,
+    multi_indices,
+    subspace_from_columns,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -612,3 +622,127 @@ def test_partial_shape_mismatch():
 def test_joint_kernel_of_nonzero_term_free_symbol():
     z = SymbolOperator.zero(2, 2, 1, 1)
     assert joint_kernel(z).dim == 2
+
+
+# ---------------------------------------------------------------------------
+# The witness systems on integer rows against a Fraction reference
+
+
+def ref_rref(rows, ncols):
+    """Gauss-Jordan on Fraction rows: the nonzero RREF rows and pivots."""
+    a = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        sel = next((i for i in range(top, len(a)) if a[i][col]), None)
+        if sel is None:
+            continue
+        a[top], a[sel] = a[sel], a[top]
+        a[top] = [x / a[top][col] for x in a[top]]
+        for i in range(len(a)):
+            if i != top and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[top])]
+        pivots.append(col)
+    return a[:len(pivots)], pivots
+
+
+def ref_kernel_columns(rows, ncols):
+    """The reduced column echelon basis of the kernel of Fraction rows."""
+    red, pivots = ref_rref(rows, ncols)
+    gens = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [F(0)] * ncols
+        v[f] = F(1)
+        for r, p in zip(red, pivots):
+            v[p] = -r[f]
+        gens.append(v)
+    return [tuple(r) for r in ref_rref(gens, ncols)[0]]
+
+
+def ref_membership(a, e):
+    """The witness recipe on rational matrices: u -> A u is
+    multiplication_rows / D; p = |x|^(s+k) is tried by a rational solve,
+    then the kernel of [M | -P_e] gives the candidates."""
+    den = math.lcm(*(x.denominator for _a, mat in a.terms for r in mat.entries for x in r))
+    for s in range(a.order % 2, MAX_WITNESS_DEGREE + 1, 2):
+        targets, sources = multi_indices(a.n, s + a.order), multi_indices(a.n, s)
+        ncols = len(sources) * a.dim_v
+        m = [[F(x, den) for x in r] for r in a.multiplication_rows(s)]
+        q = norm_squared(a.n).pow((s + a.order) // 2).as_dict()
+        b = [q.get(g, F(0)) * c for g in targets for c in e]
+        red, pivots = ref_rref([r + [x] for r, x in zip(m, b)], ncols + 1)
+        if ncols not in pivots:
+            x = [F(0)] * ncols
+            for r, p in zip(red, pivots):
+                x[p] = r[ncols]
+            candidates = [tuple(x) + tuple(q.get(g, F(0)) for g in targets)]
+        else:
+            p_block = [[-c * (g == h) for h in range(len(targets))]
+                       for g in range(len(targets)) for c in e]
+            candidates = ref_kernel_columns(
+                [r + pr for r, pr in zip(m, p_block)], ncols + len(targets))
+        for v in candidates:
+            p = Polynomial.make(a.n, dict(zip(targets, v[ncols:])))
+            sign = p.evaluate((1,) * a.n)
+            if sign == 0:
+                continue
+            if sign < 0:
+                v, p = [-c for c in v], p.scale(-1)
+            found = certify_positive(p, WITNESS_MAX_DEPTH, WITNESS_BOX_BUDGET)
+            if found.zero is None and found.undecided_box is None:
+                u = tuple(Polynomial.make(a.n, dict(zip(sources, v[j:ncols:a.dim_v])))
+                          for j in range(a.dim_v))
+                return Membership(tuple(e), u, p, found.cover)
+    return None
+
+
+def test_witnesses_match_the_fraction_reference_on_not_canceling_regression_operators():
+    # Besides W's basis, the unit vectors of small E, most of them outside
+    # W, send the search through the kernel branch up to MAX_WITNESS_DEGREE.
+    seen = 0
+    for result in regression_instances():
+        op = result.operator
+        v = check_canceling(op, seed=1)
+        if v.status != NOT_CANCELING:
+            continue
+        vectors = v.intersection.columns()
+        if op.dim_e <= 4:
+            vectors += [tuple(F(int(i == j)) for j in range(op.dim_e)) for i in range(op.dim_e)]
+        for e in vectors:
+            assert find_membership(op, e) == ref_membership(op, e), (result.name, e)
+        seen += 1
+    assert seen >= 5
+
+
+def test_witness_with_symbol_denominator_and_fractional_e():
+    # hodge_pair(3,1) with its xi_0 term halved has D = 2; e is half of the
+    # basis vector of W, so it has an entry 1/2.  |x|^2 gives no witness
+    # there, and the kernel branch finds p = x_0^2 / 2 + 2 x_1^2 + 2 x_2^2.
+    base = hodge_pair(3, 1).operator
+    terms = {alpha: QMatrix.from_rows([[x / (2 if alpha[0] else 1) for x in r]
+                                       for r in mat.entries])
+             for alpha, mat in base.terms}
+    op = SymbolOperator.make(base.n, base.dim_v, base.dim_e, base.order, terms)
+    v = check_canceling(op, seed=1)
+    assert v.status == NOT_CANCELING and v.intersection.dim == 1
+    assert verify_canceling(op, v)
+    e = tuple(x / 2 for x in v.intersection.columns()[0])
+    assert any(x.denominator == 2 for x in e)
+    m = find_membership(op, e)
+    assert m == ref_membership(op, e)
+    assert m.degree == 1
+    assert m.p == Polynomial.make(3, {(2, 0, 0): F(1, 2), (0, 2, 0): F(2), (0, 0, 2): F(2)})
+    assert verify_membership(op, m)
+
+
+def test_witness_solve_with_symbol_denominator():
+    # |x|^2 / 2 has D = 2, and p = |x|^2 is reached by the solve branch:
+    # u = 2 e.
+    op = SymbolOperator.make(3, 1, 1, 2, {alpha: QMatrix.from_rows([[F(1, 2)]])
+                                          for alpha in ((2, 0, 0), (0, 2, 0), (0, 0, 2))})
+    e = (F(1, 3),)
+    m = find_membership(op, e)
+    assert m == ref_membership(op, e)
+    assert m.p == norm_squared(3) and m.u == (Polynomial.constant(3, F(2, 3)),)
+    assert verify_membership(op, m)

@@ -1,5 +1,6 @@
-"""Exact linear algebra: kernels, solving, canonical subspaces."""
+"""Exact linear algebra: kernels, ranks, canonical subspaces."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,6 @@ from symlab.exact import (
     QMatrix,
     column_space,
     kernel_basis,
-    solve_exact,
     subspace_from_columns,
     subspace_intersection,
 )
@@ -41,22 +41,6 @@ def test_kernel_row_equivalence_invariance():
     # Left-multiplying by an invertible matrix keeps the kernel.
     g = QMatrix.from_rows([[3, 1], [5, 2]])
     assert kernel_basis(m) == kernel_basis(g @ m)
-
-
-def test_solve_identity_returns_rhs():
-    b = QMatrix.column([3, F(1, 2), -2])
-    assert solve_exact(QMatrix.identity(3), b) == b
-
-
-def test_solve_inconsistent_none():
-    assert solve_exact(QMatrix.from_rows([[1], [1]]), QMatrix.column([1, 2])) is None
-
-
-def test_solve_gradient_direction():
-    # Symbol of the gradient at (1, 0): solve A x = (1, 0).
-    a = QMatrix.from_rows([[1], [0]])
-    x = solve_exact(a, QMatrix.column([1, 0]))
-    assert x == QMatrix.column([1])
 
 
 def test_intersection_coordinate_planes():
@@ -98,7 +82,8 @@ def test_canonical_form_unique_for_equal_spans():
 
 def test_rank_scale_invariance():
     m = QMatrix.from_rows([[1, 2], [2, 4], [3, 5]])
-    assert m.rank() == m.scale(F(-7, 3)).rank() == 2
+    scaled = QMatrix.from_rows([[F(-7, 3) * x for x in r] for r in m.entries])
+    assert m.rank() == scaled.rank() == 2
 
 
 def test_subspace_contains():
@@ -227,9 +212,9 @@ def test_inverse_and_solve_match_rank(m):
     else:
         with pytest.raises(ValueError):
             sq.inverse()
+    # m x = (column 0 of m) is solvable: the column space contains it.
     if m.cols:
-        b = QMatrix(m.rows, 1, tuple((x,) for x in m.col(0)))
-        assert m @ solve_exact(m, b) == b
+        assert column_space(m).contains(m.col(0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,3 +226,43 @@ def test_intersection_dimension_formula(m, data):
     total = subspace_from_columns(s.ambient, s.columns() + t.columns())
     assert both.dim == s.dim + t.dim - total.dim
     assert all(s.contains(v) and t.contains(v) for v in both.columns())
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=rational_matrices(max_side=5), data=st.data())
+def test_subspace_form_ignores_how_generators_are_given(m, data):
+    # The rows of m generate s; scaling by nonzero rationals, negating,
+    # permuting and duplicating them changes neither the subspace nor its
+    # hash.
+    gens = [list(r) for r in m.entries]
+    s = subspace_from_columns(m.cols, gens)
+    scales = [data.draw(ENTRY.filter(bool)) for _ in gens]
+    moved = [[c * x for x in g] for c, g in zip(scales, gens)]
+    moved += [g for g, dup in zip(gens, data.draw(st.lists(st.booleans(), min_size=len(gens),
+                                                           max_size=len(gens)))) if dup]
+    moved = data.draw(st.permutations(moved))
+    t = subspace_from_columns(m.cols, moved)
+    assert s == t and hash(s) == hash(t)
+    # Primitive integer rows with positive pivots, in RREF.
+    pivots = [next(j for j, x in enumerate(r) if x) for r in s.rows]
+    assert pivots == sorted(set(pivots)) and len(pivots) == s.dim == len(ref_rref(m)[1])
+    for r, p in zip(s.rows, pivots):
+        assert all(type(x) is int for x in r) and r[p] > 0 and math.gcd(*r) == 1
+        assert all(other[p] == 0 for other in s.rows if other is not r)
+    assert cols(s) == [tuple(r[:m.cols]) for r in ref_rref(m)[0][:s.dim]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=rational_matrices(max_side=5), data=st.data())
+def test_contains_matches_rank_reference(m, data):
+    s = column_space(m)
+    v = data.draw(st.one_of(
+        st.lists(ENTRY, min_size=m.rows, max_size=m.rows),
+        # a combination of the columns, which s contains
+        st.lists(ENTRY, min_size=m.cols, max_size=m.cols).map(
+            lambda c: [sum((x * y for x, y in zip(r, c)), F(0)) for r in m.entries]),
+    ))
+    gens = [list(c) for c in zip(*m.entries)]
+    rank = len(ref_rref(QMatrix.from_rows(gens))[1]) if gens else 0
+    with_v = len(ref_rref(QMatrix.from_rows(gens + [v]))[1])
+    assert s.contains(v) == (with_v == rank)

@@ -1,8 +1,12 @@
 """Spectral grid machinery, norms and concentration families."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -622,3 +626,27 @@ def test_supports_are_evaluated_on_their_box_only(monkeypatch):
     sizes.clear()
     radial_cutoff_test_function(GridSpec(2, 512, 40.0), 1.0)
     assert sizes == [("smoothstep", 2809)]
+
+
+THREADED_NORM = """
+import numpy as np
+from symlab.numlab import GridSpec
+from symlab.numlab.norms import magnitude_norm
+spec = GridSpec(2, 1024, 4.0)
+mag = np.abs(np.random.default_rng(7).standard_normal(spec.shape))
+print(repr(magnitude_norm(spec, mag, 1.5)), repr(magnitude_norm(spec, mag, 2)))
+"""
+
+
+def test_magnitude_norm_does_not_depend_on_thread_count():
+    # On 2^20 points np.dot splits its sum across BLAS threads, so its last
+    # digit moved with the thread count; the norm must not.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", THREADED_NORM], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
