@@ -1,6 +1,10 @@
 """Built-in operator symbols with their expected classifications.
 
-Every constructor returns exact rational coefficient matrices.  The
+Every constructor returns exact rational coefficient matrices.  Entries
+whose coefficient matrices are sparse tables state only their nonzero
+coefficients, {(alpha, row, col): value}, through
+``SymbolOperator.from_entries``; the forms-built entries and the small
+explicit matrices pass whole matrices to ``SymbolOperator.make``.  The
 ``truth`` attached to each instance records the expected verdicts and is
 the oracle for the regression suite: ``elliptic``/``canceling`` for
 operators, ``cocanceling`` (and optionally a joint kernel basis) for
@@ -10,13 +14,15 @@ encode that dependence here, not in the tests.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Callable, Optional, Sequence
 
 from ..exact.matrix import QMatrix
+from ..exact.poly import multi_indices
 from ..exact.symbol import SymbolOperator
 from .forms import (
     FormIndexing,
@@ -50,12 +56,6 @@ def _unit_alpha(n: int, i: int, k: int = 1) -> tuple[int, ...]:
     return tuple(k if j == i else 0 for j in range(n))
 
 
-def _multi_indices(n: int, k: int) -> list[tuple[int, ...]]:
-    from ..exact.poly import multi_indices
-
-    return multi_indices(n, k)
-
-
 # ---------------------------------------------------------------------------
 # First-order operators
 
@@ -64,22 +64,12 @@ def gradient(n: int) -> CatalogResult:
     n = int(n)
     if n < 1:
         raise ValueError("gradient needs n >= 1")
-    terms = {
-        _unit_alpha(n, i): QMatrix.from_rows(
-            [[1 if r == i else 0] for r in range(n)]
-        )
-        for i in range(n)
-    }
-    op = SymbolOperator.make(n, 1, n, 1, terms)
+    entries = {(_unit_alpha(n, i), i, 0): 1 for i in range(n)}
+    op = SymbolOperator.from_entries(n, 1, n, 1, entries)
     return CatalogResult(
         "gradient", {"n": n}, op, ROLE_OPERATOR,
         {"elliptic": True, "canceling": n >= 2},
     )
-
-
-def sym_indices(n: int, k: int) -> list[tuple[int, ...]]:
-    """Sorted multisets of size k over n letters, as exponent tuples."""
-    return _multi_indices(n, k)
 
 
 def sym_gradient(n: int) -> CatalogResult:
@@ -89,18 +79,12 @@ def sym_gradient(n: int) -> CatalogResult:
     if n < 1:
         raise ValueError("sym_gradient needs n >= 1")
     pairs = list(itertools.combinations_with_replacement(range(n), 2))
-    dim_e = len(pairs)
-    terms: dict[tuple[int, ...], QMatrix] = {}
-    for i in range(n):
-        rows = [[Fraction(0)] * n for _ in range(dim_e)]
-        for r, (p, q) in enumerate(pairs):
-            # value on (e_p, e_q) of (xi_i/2)(e_i tensor v + v tensor e_i)
-            if p == i:
-                rows[r][q] += Fraction(1, 2)
-            if q == i:
-                rows[r][p] += Fraction(1, 2)
-        terms[_unit_alpha(n, i)] = QMatrix.from_rows(rows)
-    op = SymbolOperator.make(n, n, dim_e, 1, terms)
+    entries: Counter = Counter()
+    for r, (p, q) in enumerate(pairs):
+        # value on (e_p, e_q) of (xi_i/2)(e_i tensor v + v tensor e_i)
+        for i, j in ((p, q), (q, p)):
+            entries[_unit_alpha(n, i), r, j] += Fraction(1, 2)
+    op = SymbolOperator.from_entries(n, n, len(pairs), 1, entries)
     return CatalogResult(
         "sym_gradient", {"n": n}, op, ROLE_OPERATOR,
         {"elliptic": True, "canceling": n >= 2},
@@ -113,19 +97,16 @@ def sym_gradient_sk(n: int, k: int) -> CatalogResult:
     n, k = int(n), int(k)
     if n < 1 or k < 1:
         raise ValueError("sym_gradient_sk needs n >= 1 and k >= 1")
-    src = sym_indices(n, k)
-    dst = sym_indices(n, k + 1)
+    src = multi_indices(n, k)
+    dst = multi_indices(n, k + 1)
     src_pos = {a: j for j, a in enumerate(src)}
-    terms: dict[tuple[int, ...], QMatrix] = {}
-    for i in range(n):
-        rows = [[Fraction(0)] * len(src) for _ in range(len(dst))]
-        for r, beta in enumerate(dst):
-            if beta[i] == 0:
-                continue
-            reduced = tuple(b - 1 if j == i else b for j, b in enumerate(beta))
-            rows[r][src_pos[reduced]] = Fraction(beta[i], k + 1)
-        terms[_unit_alpha(n, i)] = QMatrix.from_rows(rows)
-    op = SymbolOperator.make(n, len(src), len(dst), 1, terms)
+    entries = {
+        (_unit_alpha(n, i), r,
+         src_pos[tuple(b - 1 if j == i else b for j, b in enumerate(beta))]):
+            Fraction(beta[i], k + 1)
+        for r, beta in enumerate(dst) for i in range(n) if beta[i]
+    }
+    op = SymbolOperator.from_entries(n, len(src), len(dst), 1, entries)
     return CatalogResult(
         "sym_gradient_sk", {"n": n, "k": k}, op, ROLE_OPERATOR,
         {"elliptic": True, "canceling": n >= 2},
@@ -151,11 +132,8 @@ def hodge_pair(n: int, ell: int) -> CatalogResult:
     op = SymbolOperator.make(n, dim_v, dim_up + dim_down, 1, terms)
     t = None
     if ell == 1:
-        rows = [
-            [Fraction(1 if c == dim_up + r else 0) for c in range(dim_up + dim_down)]
-            for r in range(dim_down)
-        ]
-        t = QMatrix.from_rows(rows)
+        t = QMatrix.from_rows([[int(c == dim_up + r) for c in range(dim_up + dim_down)]
+                               for r in range(dim_down)])
     return CatalogResult(
         "hodge_pair", {"n": n, "ell": ell}, op, ROLE_OPERATOR,
         {
@@ -223,13 +201,11 @@ def defigueiredo(
         raise ValueError("frequency directions are not n-wise independent")
     if not _check_wise_independent(ws, min(m, count)):
         raise ValueError("component directions are not m-wise independent")
-    terms: dict[tuple[int, ...], QMatrix] = {}
-    for i in range(n):
-        rows = [[eta[i] * w[c] for c in range(m)] for eta, w in zip(etas, ws)]
-        terms[_unit_alpha(n, i)] = QMatrix.from_rows(
-            [[Fraction(x) for x in row] for row in rows]
-        )
-    op = SymbolOperator.make(n, m, count, 1, terms)
+    entries = {
+        (_unit_alpha(n, i), r, c): eta[i] * w[c]
+        for r, (eta, w) in enumerate(zip(etas, ws)) for i in range(n) for c in range(m)
+    }
+    op = SymbolOperator.from_entries(n, m, count, 1, entries)
     return CatalogResult(
         "defigueiredo", {"n": n, "m": m}, op, ROLE_OPERATOR,
         {"elliptic": True, "canceling": n >= 2},
@@ -251,10 +227,8 @@ def laplacian(n: int) -> CatalogResult:
     n = int(n)
     if n < 1:
         raise ValueError("laplacian needs n >= 1")
-    terms = {
-        _unit_alpha(n, i, 2): QMatrix.from_rows([[1]]) for i in range(n)
-    }
-    op = SymbolOperator.make(n, 1, 1, 2, terms)
+    entries = {(_unit_alpha(n, i, 2), 0, 0): 1 for i in range(n)}
+    op = SymbolOperator.from_entries(n, 1, 1, 2, entries)
     return CatalogResult(
         "laplacian", {"n": n}, op, ROLE_OPERATOR,
         {"elliptic": True, "canceling": False},
@@ -276,9 +250,7 @@ def split_laplacian(n: int, ell: int) -> CatalogResult:
     terms: dict[tuple[int, ...], QMatrix] = {}
     for i in range(n):
         for j in range(n):
-            alpha = tuple(
-                (1 if x == i else 0) + (1 if x == j else 0) for x in range(n)
-            )
+            alpha = tuple((x == i) + (x == j) for x in range(n))
             top = up_low[_unit_alpha(n, i)] @ down_mid[_unit_alpha(n, j)]
             bottom = down_high[_unit_alpha(n, i)] @ up_mid[_unit_alpha(n, j)]
             block = top.vstack(bottom)
@@ -322,24 +294,15 @@ def quadratic_collection(
     ws = _moment_vectors(count, m)
     if not _check_wise_independent(ws, min(m, count)):
         raise ValueError("component directions are not m-wise independent")
-    terms: dict[tuple[int, ...], QMatrix] = {}
-    for p in range(n):
-        for q in range(p, n):
-            alpha = tuple(
-                (2 if (x == p == q) else (1 if x in (p, q) else 0)) for x in range(n)
-            )
-            rows = []
-            for xi_i, w in zip(xis, ws):
-                # coefficient of xi_p xi_q in |xi|^2 - (xi_i . xi)^2
-                if p == q:
-                    coeff = Fraction(1) - xi_i[p] * xi_i[p]
-                else:
-                    coeff = Fraction(-2) * xi_i[p] * xi_i[q]
-                rows.append([coeff * w[c] for c in range(m)])
-            mat = QMatrix.from_rows(rows)
-            if not mat.is_zero():
-                terms[alpha] = mat
-    op = SymbolOperator.make(n, m, count, 2, terms)
+    entries = {}
+    for p, q in itertools.combinations_with_replacement(range(n), 2):
+        alpha = tuple((x == p) + (x == q) for x in range(n))
+        for r, (xi_i, w) in enumerate(zip(xis, ws)):
+            # coefficient of xi_p xi_q in |xi|^2 - (xi_i . xi)^2
+            coeff = 1 - xi_i[p] * xi_i[p] if p == q else -2 * xi_i[p] * xi_i[q]
+            for c in range(m):
+                entries[alpha, r, c] = coeff * w[c]
+    op = SymbolOperator.from_entries(n, m, count, 2, entries)
     return CatalogResult(
         "quadratic_collection", {"n": n, "m": m}, op, ROLE_OPERATOR,
         {"elliptic": True, "canceling": True},
@@ -378,11 +341,8 @@ def divergence(n: int) -> CatalogResult:
     n = int(n)
     if n < 1:
         raise ValueError("divergence needs n >= 1")
-    terms = {
-        _unit_alpha(n, i): QMatrix.from_rows([[1 if c == i else 0 for c in range(n)]])
-        for i in range(n)
-    }
-    op = SymbolOperator.make(n, n, 1, 1, terms)
+    entries = {(_unit_alpha(n, i), 0, i): 1 for i in range(n)}
+    op = SymbolOperator.from_entries(n, n, 1, 1, entries)
     return CatalogResult(
         "divergence", {"n": n}, op, ROLE_CONSTRAINT, {"cocanceling": True}
     )
@@ -393,13 +353,9 @@ def higher_order_div(n: int, k: int) -> CatalogResult:
     n, k = int(n), int(k)
     if n < 1 or k < 1:
         raise ValueError("higher_order_div needs n >= 1 and k >= 1")
-    alphas = _multi_indices(n, k)
-    dim_e = len(alphas)
-    terms = {
-        alpha: QMatrix.from_rows([[1 if c == j else 0 for c in range(dim_e)]])
-        for j, alpha in enumerate(alphas)
-    }
-    op = SymbolOperator.make(n, dim_e, 1, k, terms)
+    alphas = multi_indices(n, k)
+    entries = {(alpha, 0, j): 1 for j, alpha in enumerate(alphas)}
+    op = SymbolOperator.from_entries(n, len(alphas), 1, k, entries)
     return CatalogResult(
         "higher_order_div", {"n": n, "k": k}, op, ROLE_CONSTRAINT,
         {"cocanceling": True},
@@ -421,12 +377,10 @@ def exterior_d(n: int, ell: int) -> CatalogResult:
 
 
 def saint_venant(n: int) -> CatalogResult:
-    return saint_venant_k(n, 2, _name="saint_venant", _params={"n": int(n)})
+    return dataclasses.replace(saint_venant_k(n, 2), name="saint_venant", params={"n": int(n)})
 
 
-def saint_venant_k(
-    n: int, k: int, _name: str = "saint_venant_k", _params: Optional[dict] = None
-) -> CatalogResult:
+def saint_venant_k(n: int, k: int) -> CatalogResult:
     """Compatibility conditions on symmetric k-linear forms, embedded in the
     full 2k-tensor coordinate space.
 
@@ -438,41 +392,21 @@ def saint_venant_k(
     n, k = int(n), int(k)
     if n < 1 or k < 1:
         raise ValueError("saint_venant needs n >= 1 and k >= 1")
-    src = sym_indices(n, k)
+    src = multi_indices(n, k)
     src_pos = {a: j for j, a in enumerate(src)}
-    dim_e = len(src)
-    dim_f = n ** (2 * k)
-    rows_index = list(itertools.product(range(n), repeat=2 * k))
-    acc: dict[tuple[int, ...], list[list[Fraction]]] = {}
-    for r, tensor_idx in enumerate(rows_index):
+    entries: Counter = Counter()
+    for r, tensor_idx in enumerate(itertools.product(range(n), repeat=2 * k)):
         v0 = tensor_idx[:k]
         v1 = tensor_idx[k:]
         for choice in itertools.product((0, 1), repeat=k):
             sign = -1 if sum(choice) % 2 else 1
-            form_slots = tuple(
-                v1[j] if choice[j] else v0[j] for j in range(k)
-            )
-            xi_slots = tuple(v0[j] if choice[j] else v1[j] for j in range(k))
-            beta = [0] * n
-            for i in form_slots:
-                beta[i] += 1
-            col = src_pos[tuple(beta)]
-            alpha = [0] * n
-            for i in xi_slots:
-                alpha[i] += 1
-            alpha = tuple(alpha)
-            if alpha not in acc:
-                acc[alpha] = [[Fraction(0)] * dim_e for _ in range(dim_f)]
-            acc[alpha][r][col] += sign
-    terms = {
-        alpha: QMatrix.from_rows(rows)
-        for alpha, rows in acc.items()
-        if any(x != 0 for row in rows for x in row)
-    }
-    op = SymbolOperator.make(n, dim_e, dim_f, k, terms, allow_zero=True)
+            form_slots = [v1[j] if c else v0[j] for j, c in enumerate(choice)]
+            xi_slots = [v0[j] if c else v1[j] for j, c in enumerate(choice)]
+            beta = tuple(form_slots.count(i) for i in range(n))
+            entries[tuple(xi_slots.count(i) for i in range(n)), r, src_pos[beta]] += sign
+    op = SymbolOperator.from_entries(n, len(src), n ** (2 * k), k, entries, allow_zero=True)
     return CatalogResult(
-        _name, _params if _params is not None else {"n": n, "k": k},
-        op, ROLE_CONSTRAINT, {"cocanceling": n >= 2},
+        "saint_venant_k", {"n": n, "k": k}, op, ROLE_CONSTRAINT, {"cocanceling": n >= 2},
     )
 
 
@@ -484,26 +418,16 @@ def curl_div(n: int) -> CatalogResult:
         raise ValueError("curl_div needs n >= 2")
     pairs = list(itertools.combinations(range(n), 2))  # rows of the 2-form part
     dim_e = n * n  # e indexed row-major: e[(i, j)] = entry i of e applied to e_j
-    acc: dict[tuple[int, ...], list[list[Fraction]]] = {}
+    entries: Counter = Counter()
     for r, (a, b) in enumerate(pairs):
         # (xi wedge e(xi))_(a, b) = xi_a (e xi)_b - xi_b (e xi)_a
         #                        = sum_j xi_a xi_j e[b, j] - xi_b xi_j e[a, j]
         for j in range(n):
             for sign, row_idx, other in ((1, b, a), (-1, a, b)):
-                alpha = [0] * n
-                alpha[other] += 1
-                alpha[j] += 1
-                alpha = tuple(alpha)
-                if alpha not in acc:
-                    acc[alpha] = [
-                        [Fraction(0)] * dim_e for _ in range(len(pairs))
-                    ]
-                acc[alpha][r][row_idx * n + j] += sign
-    terms = {a: QMatrix.from_rows(rows) for a, rows in acc.items()}
-    op = SymbolOperator.make(n, dim_e, len(pairs), 2, terms)
-    identity_vec = tuple(
-        Fraction(1 if (i % (n + 1)) == 0 else 0) for i in range(n * n)
-    )
+                alpha = tuple((x == other) + (x == j) for x in range(n))
+                entries[alpha, r, row_idx * n + j] += sign
+    op = SymbolOperator.from_entries(n, dim_e, len(pairs), 2, entries)
+    identity_vec = tuple(Fraction(int(i % (n + 1) == 0)) for i in range(n * n))
     return CatalogResult(
         "curl_div", {"n": n}, op, ROLE_CONSTRAINT,
         {"cocanceling": False, "joint_kernel_basis": [identity_vec]},

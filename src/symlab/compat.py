@@ -3,7 +3,9 @@
 The rows l of degree d with l(x) A(x) == 0 are the kernel of one linear
 map, because the coefficients of l(x) A(x) are linear in those of l; that
 kernel is taken from the integer rows of D times its matrix
-(``SymbolOperator.multiplication_rows`` of A^T).
+(``SymbolOperator.multiplication_rows`` of A^T), and its basis vectors
+become the rows of L through their nonzero entries
+(``SymbolOperator.from_entries``).
 ``build_annihilator`` takes that whole kernel as the rows of L, for d = 0,
 1, ..., and stops at the first d at which rank L(xi) = dim E - rank A(xi)
 at one seeded direction xi.  As A(xi)[V] lies in the kernel of L(xi) at every xi, this
@@ -40,7 +42,7 @@ from math import comb
 from typing import Optional
 
 from .deciders.cancellation import probe_directions, sample_directions
-from .exact.matrix import QMatrix, int_kernel, int_pivots
+from .exact.matrix import int_kernel, int_pivots
 from .exact.poly import multi_indices
 from .exact.symbol import SymbolOperator
 
@@ -84,11 +86,9 @@ def _rows_of_degree(a: SymbolOperator, d: int) -> Optional[SymbolOperator]:
     rows = int_kernel(a.transpose().multiplication_rows(d), len(sources) * dim).columns()
     if not rows:
         return None
-    terms = {
-        beta: QMatrix.from_rows([row[b * dim:(b + 1) * dim] for row in rows])
-        for b, beta in enumerate(sources)
-    }
-    return SymbolOperator.make(a.n, dim, len(rows), d, terms)
+    entries = {(sources[k // dim], r, k % dim): x
+               for r, row in enumerate(rows) for k, x in enumerate(row) if x}
+    return SymbolOperator.from_entries(a.n, dim, len(rows), d, entries)
 
 
 def build_annihilator(a: SymbolOperator, seed: int = 0) -> AnnihilatorResult:

@@ -12,11 +12,14 @@ suffice.  ``exact.bernstein.certify_positive`` decides that positivity:
 - an exact rational zero xi of det(A^T A) makes it NOT_ELLIPTIC, with a
   nonzero kernel vector of A(xi) as the re-checkable witness;
 - when the budget runs out without either outcome the verdict is UNDECIDED
-  and reports the box where it ran out.
+  and reports the box where it ran out;
+- when det(A^T A) itself is over its budget (``DetBudgetError``) the
+  verdict is UNDECIDED with that reason, and no cover is searched.
 
 The verifier recomputes det(A^T A) from the operator and replays the cover
 with ``exact.bernstein.verify_positive``; kernel witnesses are
-re-multiplied.  Kernel vectors are found, and re-multiplied, on the integer
+re-multiplied; an ELLIPTIC report whose determinant is over the budget is
+rejected.  Kernel vectors are found, and re-multiplied, on the integer
 rows of a positive multiple of A(xi) (``SymbolOperator.scaled_rows``).
 """
 
@@ -28,6 +31,7 @@ from typing import Optional, Sequence
 
 from ..exact.bernstein import CertifiedBox, FaceBox, certify_positive, verify_positive
 from ..exact.matrix import int_kernel
+from ..exact.polymatrix import DetBudgetError
 from ..exact.symbol import SymbolOperator
 
 ELLIPTIC = "ELLIPTIC"
@@ -50,6 +54,7 @@ class EllipticityVerdict:
     axis_depths: tuple = ()  # deepest bisection along each coordinate
     det_terms: int = 0
     det_degree: int = 0
+    reason: Optional[str] = None  # why an UNDECIDED verdict claims nothing
 
     @property
     def certified(self) -> bool:
@@ -72,7 +77,10 @@ def check_ellipticity(
         # More columns than rows: every direction has a nontrivial kernel.
         return EllipticityVerdict(NOT_ELLIPTIC, witness_xi=first_axis,
                                   witness_v=_kernel_witness(a, first_axis))
-    det_gram = a.gram().det()
+    try:
+        det_gram = a.gram().det()
+    except DetBudgetError as exc:
+        return EllipticityVerdict(UNDECIDED, reason=f"det(A^T A): {exc}")
     sizes = {"det_terms": len(det_gram.terms), "det_degree": det_gram.degree()}
     if det_gram.is_zero():
         return EllipticityVerdict(NOT_ELLIPTIC, witness_xi=first_axis,
@@ -113,4 +121,8 @@ def verify_ellipticity(a: SymbolOperator, verdict: EllipticityVerdict) -> bool:
         return all(sum(x * y for x, y in zip(r, v)) == 0 for r in rows)
     if verdict.status != ELLIPTIC:
         return False
-    return verify_positive(a.gram().det(), verdict.cover)
+    try:
+        det_gram = a.gram().det()
+    except DetBudgetError:
+        return False
+    return verify_positive(det_gram, verdict.cover)

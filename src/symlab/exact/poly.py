@@ -124,17 +124,6 @@ class Polynomial:
             total += v
         return total
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for a, c in self.terms:
-            mono = "*".join(
-                f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(a) if e > 0
-            )
-            parts.append(f"{c}" if not mono else f"{c}*{mono}")
-        return " + ".join(parts)
-
 
 def clear_denominators(p: Polynomial) -> tuple[IntPoly, int]:
     """(q, D) with D > 0 the least common denominator and q = D * p."""

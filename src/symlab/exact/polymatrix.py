@@ -17,6 +17,10 @@ of columns still unused, in integer arithmetic:
 - the minors are dicts from packed monomials to ints;
 - at the end each monomial is unpacked once and every coefficient divided
   by the product of the row denominators.
+
+The memo holds up to 2^m minors of an m x m matrix, so the expansion
+counts its coefficient products and stops with ``DetBudgetError`` past
+``MAX_DET_PRODUCTS``.
 """
 
 from __future__ import annotations
@@ -29,6 +33,15 @@ from typing import Sequence
 
 from .matrix import QMatrix
 from .poly import Polynomial, clear_denominators, grlex_key
+
+# Coefficient products one determinant may take.  hodge_pair(6,3) needs
+# 1,062,600, split_laplacian(5,2) 282,480; a dense 16 x 16 Gram matrix of a
+# two-term symbol needs about 10 million.
+MAX_DET_PRODUCTS = 2**22
+
+
+class DetBudgetError(ValueError):
+    """The determinant needs more than ``MAX_DET_PRODUCTS`` products."""
 
 
 @dataclass(frozen=True)
@@ -71,9 +84,11 @@ class PolyMatrix:
             for row, den in zip(cleared, dens)
         ]
         cache: dict[int, dict[int, int]] = {0: {0: 1}}
+        products = 0
 
         def minor_det(unused: int) -> dict[int, int]:
             """Determinant of the last rows on the columns set in ``unused``."""
+            nonlocal products
             if unused in cache:
                 return cache[unused]
             row = rows[m - unused.bit_count()]
@@ -84,6 +99,10 @@ class PolyMatrix:
                     continue
                 if row[j]:
                     sub = minor_det(unused & ~(1 << j))
+                    products += len(row[j]) * len(sub)
+                    if products > MAX_DET_PRODUCTS:
+                        raise DetBudgetError(f"the determinant of a {m} x {m} matrix needs more "
+                                             f"than {MAX_DET_PRODUCTS:,} coefficient products")
                     for ka, ca in row[j].items():
                         ca *= sign
                         for kb, cb in sub.items():

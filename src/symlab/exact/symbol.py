@@ -4,7 +4,11 @@ A symbol is a matrix-valued homogeneous polynomial: a finite family of
 rational coefficient matrices indexed by exponent tuples of one common
 total degree (the operator order).  The zero symbol is representable, but
 only through the explicit ``zero`` constructor; accidental all-zero input
-is rejected because classifying it is vacuous.
+is rejected because classifying it is vacuous.  ``make`` takes the terms as
+coefficient matrices and is the one place that validates a symbol;
+``from_entries`` takes a symbol's nonzero coefficients as
+{(alpha, row, col): value}, builds each term's matrix around shared zero
+rows and hands the terms to ``make``.
 
 Coefficients are kept as integer numerators over one common denominator D
 (``_int_terms``).  A symbol value enters elimination as integer rows:
@@ -18,6 +22,7 @@ builds no ``Fraction`` on the way to ``_echelon``.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -64,6 +69,24 @@ class SymbolOperator:
         return SymbolOperator(n, dim_v, dim_e, order, items)
 
     @staticmethod
+    def from_entries(n: int, dim_v: int, dim_e: int, order: int, entries: Mapping[tuple, object],
+                     allow_zero: bool = False) -> "SymbolOperator":
+        """The symbol whose coefficient of x^alpha has ``value`` at (row, col)
+        for each ((alpha, row, col), value) of ``entries`` and is zero
+        elsewhere; every row with no entry is one shared zero row."""
+        zero_row = (Fraction(0),) * dim_v
+        rows: dict = defaultdict(lambda: [zero_row] * dim_e)
+        for (alpha, i, j), x in entries.items():
+            if not (0 <= i < dim_e and 0 <= j < dim_v):
+                raise ValueError(f"entry ({i}, {j}) outside a {dim_e} x {dim_v} matrix")
+            term = rows[tuple(alpha)]
+            if term[i] is zero_row:
+                term[i] = list(zero_row)
+            term[i][j] = Fraction(x)
+        terms = {alpha: QMatrix(dim_e, dim_v, tuple(map(tuple, r))) for alpha, r in rows.items()}
+        return SymbolOperator.make(n, dim_v, dim_e, order, terms, allow_zero)
+
+    @staticmethod
     def zero(n: int, dim_v: int, dim_e: int, order: int) -> "SymbolOperator":
         return SymbolOperator.make(n, dim_v, dim_e, order, {}, allow_zero=True)
 
@@ -75,11 +98,12 @@ class SymbolOperator:
         """(D, [(alpha, rows)]): D the lcm of every coefficient denominator
         and each row the (column, numerator over D) pairs of its nonzero
         entries."""
-        den = math.lcm(*(x.denominator for _a, mat in self.terms for r in mat.entries for x in r))
+        sparse = [(alpha, [[(j, x) for j, x in enumerate(r) if x] for r in mat.entries])
+                  for alpha, mat in self.terms]
+        den = math.lcm(*(x.denominator for _a, rows in sparse for r in rows for _j, x in r))
         return den, [
-            (alpha, [[(j, x.numerator * (den // x.denominator)) for j, x in enumerate(r) if x]
-                     for r in mat.entries])
-            for alpha, mat in self.terms
+            (alpha, [[(j, x.numerator * (den // x.denominator)) for j, x in r] for r in rows])
+            for alpha, rows in sparse
         ]
 
     def scaled_rows(self, xi: Sequence) -> list[list[int]]:
@@ -122,10 +146,9 @@ class SymbolOperator:
 
     def columns(self) -> list[list[Polynomial]]:
         """The columns of A(x): for each coordinate j of V, the polynomial
-        vector A(x) e_j, by ``apply`` of the constant unit vector."""
-        one, zero = Polynomial.constant(self.n, 1), Polynomial.zero(self.n)
-        return [self.apply([one if i == j else zero for i in range(self.dim_v)])
-                for j in range(self.dim_v)]
+        vector A(x) e_j, read from column j of the coefficient matrices."""
+        return [[Polynomial.make(self.n, {alpha: mat[i, j] for alpha, mat in self.terms})
+                 for i in range(self.dim_e)] for j in range(self.dim_v)]
 
     def gram(self) -> PolyMatrix:
         """A(x)^T A(x) as an exact polynomial matrix (degree 2 * order): A^T

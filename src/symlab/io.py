@@ -270,6 +270,8 @@ def ellipticity_to_json(v: EllipticityVerdict) -> dict:
             _facebox_to_json(v.undecided_box) if v.undecided_box else None
         )
         doc["depth_reached"] = v.depth_reached
+    if v.reason is not None:
+        doc["reason"] = v.reason
     return doc
 
 

@@ -331,9 +331,7 @@ def _newton_point(size: int, eps: float, box: float = 8.0) -> dict:
 
 def _monomial_operator(n: int, alpha: tuple) -> SymbolOperator:
     """The scalar operator with the single monomial symbol xi^alpha."""
-    from ..exact.matrix import QMatrix
-
-    return SymbolOperator.make(n, 1, 1, sum(alpha), {alpha: QMatrix.from_rows([[1]])})
+    return SymbolOperator.from_entries(n, 1, 1, sum(alpha), {(alpha, 0, 0): 1})
 
 
 # family -> (point, default levels, dimension and box of the manifest grid,

@@ -7,7 +7,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..exact.matrix import QMatrix
 from ..exact.symbol import SymbolOperator
 from .blowup import smoothstep, smoothstep_deriv
 from .grid import (
@@ -20,10 +19,7 @@ from .grid import (
 )
 
 # g -> (d2 g, -d1 g): the planar curl of a scalar potential.
-_PERP_GRADIENT = SymbolOperator.make(
-    2, 1, 2, 1,
-    {(1, 0): QMatrix.from_rows([[0], [-1]]), (0, 1): QMatrix.from_rows([[1], [0]])},
-)
+_PERP_GRADIENT = SymbolOperator.from_entries(2, 1, 2, 1, {((1, 0), 1, 0): -1, ((0, 1), 0, 0): 1})
 
 
 def _centered_radius(spec: GridSpec) -> np.ndarray:

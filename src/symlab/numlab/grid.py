@@ -65,7 +65,6 @@ import numpy as np
 # kernel, bench/calibrate.py) can re-enter it and fail with RecursionError.
 import numpy.fft  # noqa: F401
 
-from ..exact.matrix import QMatrix
 from ..exact.poly import multi_indices
 from ..exact.symbol import SymbolOperator
 
@@ -465,9 +464,7 @@ def derivative_magnitude(u: GridField, order: int) -> np.ndarray:
     n, m = u.spec.n, u.components
     alphas = multi_indices(n, order)
     rows = range(len(alphas) * m)
-    terms = {
-        alpha: QMatrix.from_rows([[int(r == i * m + c) for c in range(m)] for r in rows])
-        for i, alpha in enumerate(alphas)
-    }
+    entries = {(alpha, i * m + c, c): 1 for i, alpha in enumerate(alphas) for c in range(m)}
     weights = [factorial(order) // prod(factorial(e) for e in alphas[r // m]) for r in rows]
-    return image_magnitude(SymbolOperator.make(n, m, len(rows), order, terms), u, weights)
+    return image_magnitude(SymbolOperator.from_entries(n, m, len(rows), order, entries),
+                           u, weights)

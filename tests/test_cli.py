@@ -3,6 +3,7 @@ malformed reports, and a mutation test of every certificate kind."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -469,6 +470,35 @@ def test_huge_exponent_exits_2_quickly(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
     assert time.perf_counter() - start < 1.0
     assert "bad rational literal" in capsys.readouterr().err
+
+
+def dense_two_term_operator(dim):
+    """The operator file of xi_0 I + xi_1 M on Q^dim, M drawn from {-1, 0, 1}
+    by random.Random(1): det(A^T A) takes about 2.2 times more coefficient
+    products per added dimension, 10 million at dim 16."""
+    rng = random.Random(1)
+    m = [[str(rng.choice((-1, 0, 1))) for _ in range(dim)] for _ in range(dim)]
+    eye = [[str(int(i == j)) for j in range(dim)] for i in range(dim)]
+    return {"schema_version": 1, "n": 2, "dimV": dim, "dimE": dim, "order": 1,
+            "terms": [{"alpha": [1, 0], "matrix": eye}, {"alpha": [0, 1], "matrix": m}]}
+
+
+def test_gram_determinant_over_budget_exits_3_quickly(tmp_path):
+    path = tmp_path / "dense24.json"
+    path.write_text(json.dumps(dense_two_term_operator(24)))
+    start = time.perf_counter()
+    code, report = analyze(tmp_path, str(path))
+    assert code == 3 and time.perf_counter() - start < 10.0
+    v = report["verdicts"]["ellipticity"]
+    assert v["status"] == "UNDECIDED" and v["certified"] is False
+    assert v["reason"].startswith("det(A^T A): the determinant of a 24 x 24 matrix needs more")
+    # A forged ELLIPTIC verdict needs the same determinant: rejected, not
+    # recomputed without bound.
+    report["verdicts"]["ellipticity"] = {"status": "ELLIPTIC", "certified": True, "cover": []}
+    start = time.perf_counter()
+    code, checked = verify(tmp_path, report)
+    assert code == 3 and checked["verified"]["ellipticity"] is False
+    assert time.perf_counter() - start < 10.0
 
 
 def test_rat_from_str_error_is_bounded():

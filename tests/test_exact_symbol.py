@@ -30,6 +30,7 @@ from symlab.exact import (
     kernel_basis,
     multi_indices,
 )
+from symlab.exact import polymatrix
 from symlab.exact.matrix import int_column_space, int_kernel, int_pivots
 
 
@@ -177,6 +178,34 @@ def test_det_of_empty_matrix_and_zero_row():
 def test_hodge_pair_5_2_gram_determinant_size():
     det = hodge_pair(5, 2).operator.gram().det()
     assert len(det.terms) == 1001 and det.degree() == 20 and det.is_homogeneous(20)
+
+
+def test_det_budget_counts_coefficient_products(monkeypatch):
+    # det(A^T A) of hodge_pair(5,2) takes exactly 10,010 coefficient products.
+    gram = hodge_pair(5, 2).operator.gram()
+    monkeypatch.setattr(polymatrix, "MAX_DET_PRODUCTS", 10_010)
+    assert len(gram.det().terms) == 1001
+    monkeypatch.setattr(polymatrix, "MAX_DET_PRODUCTS", 10_009)
+    with pytest.raises(polymatrix.DetBudgetError, match="10,009 coefficient products"):
+        gram.det()
+
+
+def test_from_entries_builds_the_dense_terms():
+    entries = {((1, 0), 0, 1): F(1, 2), ((1, 0), 2, 0): -3, ((0, 1), 1, 1): 1,
+               ((0, 1), 2, 1): 0}
+    op = SymbolOperator.from_entries(2, 2, 3, 1, entries)
+    dense = {(1, 0): QMatrix.from_rows([[0, F(1, 2)], [0, 0], [-3, 0]]),
+             (0, 1): QMatrix.from_rows([[0, 0], [0, 1], [0, 0]])}
+    assert op == SymbolOperator.make(2, 2, 3, 1, dense)
+    # Entries that are all zero leave no term; make decides about the rest.
+    with pytest.raises(ValueError, match="all coefficient matrices are zero"):
+        SymbolOperator.from_entries(2, 2, 3, 1, {((1, 0), 0, 0): 0})
+    assert SymbolOperator.from_entries(2, 2, 3, 1, {((1, 0), 0, 0): 0}, allow_zero=True).is_zero()
+    with pytest.raises(ValueError, match="does not have degree"):
+        SymbolOperator.from_entries(2, 2, 3, 1, {((2, 0), 0, 0): 1})
+    for i, j in ((3, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="outside"):
+            SymbolOperator.from_entries(2, 2, 3, 1, {((1, 0), i, j): 1})
 
 
 def test_gram_matches_product_at_sampled_points():
