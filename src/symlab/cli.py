@@ -13,8 +13,9 @@ is one new row.  verify decodes every verdict of the report, checks that its
 "certified" flag matches its status and re-checks it with the decider's
 verifier; a verdict key the table does not know, or no verdict at all, makes
 the report malformed.  Ellipticity, cancellation
-and cocancellation certificates stand on their own (cancellation carries
-membership witnesses and needs no ellipticity verdict; cocancellation of
+and cocancellation certificates stand on their own (ELLIPTIC carries
+membership witnesses of A^T, NOT_ELLIPTIC a kernel vector, cancellation
+membership witnesses of A and needs no ellipticity verdict; cocancellation of
 either status carries the joint kernel and an inverted block of the stacked
 coefficients whose size is their rank).  Spanning and
 partial cancellation are derived from the cancellation verdict: verify
@@ -32,9 +33,9 @@ Operators come from JSON files or from catalog URIs such as
 ``catalog:gradient?n=2``.  Reports are byte-reproducible for a fixed seed
 apart from the "timings" member.  Next to it, "stats" holds the deciders'
 counters: boxes examined, cover size, per-axis cover depth, size and degree
-of det(A^T A), cancellation iterations, samples and the degree s of each
-membership witness.  The compat transcript states the order and row count
-of the annihilator.
+of det(A^T A) when it was formed, cancellation iterations, samples and the
+degree s of each membership witness of either verdict.  The compat
+transcript states the order and row count of the annihilator.
 
 symlab sets no thread counts of its own: to bound the threads of the numeric
 libraries, set OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS in
@@ -210,7 +211,8 @@ def _verdict_kinds() -> tuple:
          lambda op, t, v, passed: d.verify_ellipticity(op, v),
          lambda v: {"boxes_examined": v.boxes_examined, "cover_boxes": len(v.cover),
                     "axis_depths": list(v.axis_depths), "det_terms": v.det_terms,
-                    "det_degree": v.det_degree}),
+                    "det_degree": v.det_degree,
+                    "witness_degrees": [m.degree for m in v.memberships]}),
         ("canceling", ("operator",),
          lambda op, t, args, done: d.check_canceling(op, seed=args.seed),
          io.canceling_to_json, io.canceling_from_json,

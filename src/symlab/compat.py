@@ -30,7 +30,8 @@ the forward pass of the elimination; no ``Fraction`` matrix is built.
 
 The system of degree d has dim V * #monomials(d + k) rows and
 dim E * #monomials(d) columns.  Its size is checked before it is built: a
-system of more than ``MAX_SYSTEM_ENTRIES`` entries ends the build with
+system of more than ``MAX_SYSTEM_ENTRIES`` entries, the budget it shares
+with the witness systems of ``deciders.witness``, ends the build with
 ``AnnihilatorBudgetError``.
 """
 
@@ -38,19 +39,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 from typing import Optional
 
 from .deciders.cancellation import probe_directions, sample_directions
+from .deciders.witness import MAX_SYSTEM_ENTRIES
 from .exact.matrix import int_kernel, int_pivots
 from .exact.poly import multi_indices
 from .exact.symbol import SymbolOperator
 
 RANK_SAMPLES = 3  # seeded directions; the one of largest rank A(xi) is used
-# Entries (rows times columns) of the largest system built.  The regression
-# instances need at most 14,580 and saint_venant(5) 1,640,625 (525 x 3,125;
-# about 20 s and 400 MB); saint_venant(6) at degree 1 would need 7.6 million.
-MAX_SYSTEM_ENTRIES = 2**21
 
 
 class AnnihilatorBudgetError(ValueError):
@@ -82,13 +81,19 @@ def _rows_of_degree(a: SymbolOperator, d: int) -> Optional[SymbolOperator]:
     """Every row l of degree d with l A == 0, as one symbol, or None."""
     _check_size(a, d)
     sources = multi_indices(a.n, d)
-    dim = a.dim_e  # row b * dim + i of a kernel vector: x^beta_b in slot i
-    rows = int_kernel(a.transpose().multiplication_rows(d), len(sources) * dim).columns()
-    if not rows:
+    dim = a.dim_e  # entry b * dim + i of a kernel vector: x^beta_b in slot i
+    kernel = int_kernel(a.transpose().multiplication_rows(d), len(sources) * dim)
+    if not kernel.dim:
         return None
-    entries = {(sources[k // dim], r, k % dim): x
-               for r, row in enumerate(rows) for k, x in enumerate(row) if x}
-    return SymbolOperator.from_entries(a.n, dim, len(rows), d, entries)
+    # The kernel's basis vectors are its integer RREF rows divided by their
+    # pivots, the first nonzero entries.
+    entries = {}
+    for r, row in enumerate(kernel.rows):
+        start = next(k for k, x in enumerate(row) if x)
+        for k, x in enumerate(row[start:], start):
+            if x:
+                entries[(sources[k // dim], r, k % dim)] = Fraction(x, row[start])
+    return SymbolOperator.from_entries(a.n, dim, kernel.dim, d, entries)
 
 
 def build_annihilator(a: SymbolOperator, seed: int = 0) -> AnnihilatorResult:

@@ -6,18 +6,20 @@ intersection certifies W = {0}.  The search starts from the image at the
 first sample and stops at the first sample where the intersection is {0}:
 the verdict stores only the samples up to that one, and its dimension
 trajectory ends with that 0.  A vector e is certified to lie in W by a
-membership witness (u, p): u in V[x] homogeneous of degree s and p
-homogeneous of even degree s + k (k the order of A) with
+membership witness (``deciders.witness``): u in V[x] homogeneous of degree
+s and p > 0 homogeneous of even degree s + k (k the order of A) with
 
     A(x) u(x) == p(x) e        exactly, as polynomials,
 
-and a cover from ``exact.bernstein.certify_positive`` proving p > 0 on the
-cube boundary, hence at every x != 0.  Then e = A(xi) u(xi) / p(xi) at every
-xi != 0; no ellipticity is assumed.  For s = 0, 1, ... the pairs (u, p) are
-the kernel of one linear system on integer rows: p = |x|^(s+k) is tried
-first by one exact solve, then the kernel's basis vectors, signed to be
-positive at (1, ..., 1).  If every basis vector of the sampled intersection
-has a witness, it is W itself (NOT_CANCELING).  Otherwise further seeded
+so that e = A(xi) u(xi) / p(xi) at every xi != 0; no ellipticity is
+assumed.  ``find_witnesses`` seeks them for every basis vector of the
+sampled intersection at once, for s = 0, 1, ... up to ``max_degree`` (3)
+and the operator's ``witness_degree_bound``: p = |x|^(s+k) by one exact
+solve with a column of right-hand sides per vector, then, vector by
+vector, the basis vectors of the kernel of the system with p unknown,
+signed to be positive at (1, ..., 1).  ``find_membership`` is the same
+search for one vector.  If every basis vector has a witness, the sampled
+intersection is W itself (NOT_CANCELING).  Otherwise further seeded
 directions, the low-height lattice ones first, are intersected until it
 shrinks, and the witnesses are sought again; if it does not shrink, the
 verdict is NOT_CANCELING_SAMPLED, which claims nothing, with the reason.
@@ -35,27 +37,28 @@ cancellation verdict that passed instead of re-certifying W.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ..exact.bernstein import CertifiedBox, certify_positive, verify_positive
 from ..exact.matrix import (
     QMatrix,
     Subspace,
-    _echelon,
     full_space,
     int_column_space,
-    int_kernel,
     kernel_basis,
     subspace_from_columns,
     subspace_intersection,
 )
-from ..exact.poly import Polynomial, multi_indices
 from ..exact.symbol import SymbolOperator
 from .ellipticity import check_ellipticity  # noqa: F401  (wrapped by bench/spans.py)
+from .witness import (
+    Membership,
+    find_witnesses,
+    verify_memberships,
+    witness_degree_bound,
+)
 
 CANCELING = "CANCELING"
 NOT_CANCELING = "NOT_CANCELING"
@@ -70,9 +73,6 @@ FAILS_SAMPLED = "FAILS_SAMPLED"
 
 SAMPLE_COORD_RANGE = 10
 EXTRA_SAMPLE_ROUNDS = 2
-MAX_WITNESS_DEGREE = 3  # largest degree s of u in a membership witness
-WITNESS_MAX_DEPTH = 8  # bisections per axis when certifying p > 0
-WITNESS_BOX_BUDGET = 200
 
 
 def sample_directions(n: int, count: int, rng: random.Random) -> list[tuple]:
@@ -100,21 +100,6 @@ def probe_directions(n: int, count: int, rng: random.Random) -> list[tuple]:
         if len(lattice) >= 2 * n + 8:
             break
     return lattice + sample_directions(n, count, rng)
-
-
-@dataclass
-class Membership:
-    """A(x) u(x) == p(x) e, with ``cover`` proving p > 0 away from 0."""
-
-    e: tuple
-    u: tuple  # of Polynomial, one per coordinate of V, homogeneous of degree s
-    p: Polynomial  # homogeneous of even degree s + k
-    cover: list[CertifiedBox]
-
-    @property
-    def degree(self) -> int:
-        """s, the degree of u."""
-        return max(q.degree() for q in self.u)
 
 
 @dataclass
@@ -149,54 +134,12 @@ class PartialCancelingVerdict:
         return self.status in (HOLDS, FAILS)
 
 
-def _norm_power(n: int, degree: int) -> Polynomial:
-    """|x|^degree for an even degree."""
-    square = Polynomial.make(
-        n, {tuple(2 * (i == j) for j in range(n)): Fraction(1) for i in range(n)})
-    return square.pow(degree // 2)
-
-
-def find_membership(a: SymbolOperator, e: Sequence[Fraction]) -> Optional[Membership]:
+def find_membership(a: SymbolOperator, e: Sequence[Fraction],
+                    max_degree: int = 3) -> Optional[Membership]:
     """A witness (u, p) that e lies in every image A(xi)[V], xi != 0, with
-    u of degree at most MAX_WITNESS_DEGREE, or None."""
-    # Every system row is the rational row of the equations times L D > 0,
-    # with L the lcm of the denominators of e and D the symbol's: u -> A u is
-    # multiplication_rows times L, and L e is an integer vector.
-    lcm = math.lcm(*(Fraction(c).denominator for c in e))
-    e_int = [int(c * lcm) for c in e]
-    den = a._int_terms[0]
-    for s in range(a.order % 2, MAX_WITNESS_DEGREE + 1, 2):  # s + k even
-        sources, targets = multi_indices(a.n, s), multi_indices(a.n, s + a.order)
-        ncols = len(sources) * a.dim_v
-        m = [[lcm * x for x in r] for r in a.multiplication_rows(s)]  # rows: x^gamma_g e_i
-        q = _norm_power(a.n, s + a.order).as_dict()
-        q_int = [den * int(q.get(g, 0)) for g in targets]
-        rows, pivots = _echelon(
-            [r + [qg * c] for r, (qg, c) in zip(m, itertools.product(q_int, e_int))], ncols + 1)
-        if ncols not in pivots:
-            x = [Fraction(0)] * ncols
-            for r, col in zip(rows, pivots):
-                x[col] = Fraction(r[ncols], r[col])
-            candidates = [tuple(x) + tuple(q.get(g, 0) for g in targets)]
-        else:
-            # Unknowns (u, p): column h of the p block stands for -D x^gamma_h L e.
-            candidates = int_kernel([
-                r + [-den * c if g == h else 0 for h in range(len(targets))]
-                for r, (g, c) in zip(m, itertools.product(range(len(targets)), e_int))
-            ], ncols + len(targets)).columns()
-        for v in candidates:
-            p = Polynomial.make(a.n, dict(zip(targets, v[ncols:])))
-            sign = p.evaluate((1,) * a.n)
-            if sign == 0:
-                continue
-            if sign < 0:
-                v, p = [-c for c in v], p.scale(-1)
-            found = certify_positive(p, WITNESS_MAX_DEPTH, WITNESS_BOX_BUDGET)
-            if found.zero is None and found.undecided_box is None:
-                u = tuple(Polynomial.make(a.n, dict(zip(sources, v[j:ncols:a.dim_v])))
-                          for j in range(a.dim_v))
-                return Membership(tuple(e), u, p, found.cover)
-    return None
+    u of degree at most ``max_degree``, or None: ``find_witnesses`` for one
+    vector, with the kernel's candidates for p."""
+    return find_witnesses(a, [e], max_degree, kernel_candidates=True)[0]
 
 
 def _intersect(a: SymbolOperator, w: Subspace, xi: tuple) -> Subspace:
@@ -209,10 +152,12 @@ def _intersect(a: SymbolOperator, w: Subspace, xi: tuple) -> Subspace:
     return image if w.dim == w.ambient else subspace_intersection(w, image)
 
 
-def image_intersection(a: SymbolOperator, seed: int = 0) -> CancelingVerdict:
+def image_intersection(a: SymbolOperator, seed: int = 0,
+                       max_degree: int = 3) -> CancelingVerdict:
     """Intersect images at sampled directions, then certify every basis
-    vector of the result with a membership witness or sample further.
-    ``check_canceling`` is the same function."""
+    vector of the result with a membership witness of degree at most
+    ``max_degree`` or sample further.  ``check_canceling`` is the same
+    function."""
     rng = random.Random(seed)
     initial = a.dim_e + 4
     samples = sample_directions(a.n, initial, rng)
@@ -228,15 +173,12 @@ def image_intersection(a: SymbolOperator, seed: int = 0) -> CancelingVerdict:
     iterations = 0
     while True:
         iterations += 1
-        memberships = []
-        for e in w.columns():
-            found = find_membership(a, e)
-            if found is None:
-                break
-            memberships.append(found)
-        else:
+        basis = w.columns()
+        memberships = find_witnesses(a, basis, max_degree, kernel_candidates=True)
+        if None not in memberships:
             return CancelingVerdict(NOT_CANCELING, samples, w, trajectory, iterations,
                                     memberships)
+        e = basis[memberships.index(None)]
         # Images may drop rank only on a thin locus: sample until w shrinks.
         dim = w.dim
         for xi in probes:
@@ -250,8 +192,8 @@ def image_intersection(a: SymbolOperator, seed: int = 0) -> CancelingVerdict:
         if w.dim == dim:
             reason = (
                 f"basis vector {[str(x) for x in e]} has no membership witness of degree "
-                f"s <= {MAX_WITNESS_DEGREE}, and the sampled intersection (dimension {dim}) "
-                f"did not shrink at {len(samples)} directions"
+                f"s <= {min(max_degree, witness_degree_bound(a))}, and the sampled "
+                f"intersection (dimension {dim}) did not shrink at {len(samples)} directions"
             )
             return CancelingVerdict(NOT_CANCELING_SAMPLED, samples, w, trajectory, iterations,
                                     reason=reason)
@@ -289,17 +231,6 @@ def check_partial_canceling(
     return PartialCancelingVerdict(FAILS if canceling.certified else FAILS_SAMPLED, constrained)
 
 
-def verify_membership(a: SymbolOperator, m: Membership) -> bool:
-    """A(x) u(x) == p(x) e exactly, with u homogeneous of degree s <=
-    MAX_WITNESS_DEGREE (which bounds the work), and ``verify_positive``
-    accepts the cover of p.  For e != 0 the identity makes p homogeneous of
-    degree s + k, and ``verify_positive`` requires that degree to be even."""
-    s = m.p.degree() - a.order
-    if not 0 <= s <= MAX_WITNESS_DEGREE or not all(q.is_homogeneous(s) for q in m.u):
-        return False
-    return a.apply(m.u) == [m.p.scale(c) for c in m.e] and verify_positive(m.p, m.cover)
-
-
 def verify_canceling(a: SymbolOperator, verdict: CancelingVerdict) -> bool:
     """Re-check a cancellation verdict independently of the decision path:
     re-intersect the images at the stored samples, which must be nonzero
@@ -318,7 +249,7 @@ def verify_canceling(a: SymbolOperator, verdict: CancelingVerdict) -> bool:
     if verdict.status == NOT_CANCELING:
         spanned = subspace_from_columns(a.dim_e, [m.e for m in verdict.memberships])
         return (w.dim > 0 and spanned == w
-                and all(verify_membership(a, m) for m in verdict.memberships))
+                and verify_memberships(a, verdict.memberships))
     if verdict.status == NOT_CANCELING_SAMPLED:
         return w.dim > 0
     return False

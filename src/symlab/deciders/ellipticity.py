@@ -1,38 +1,62 @@
 """Injectivity certification for symbols.
 
-A symbol A is injective away from the origin exactly when det(A^T A) is
-positive on the unit sphere; by homogeneity this is equivalent to
-positivity on the boundary of the cube [-1, 1]^n.  The determinant is
-homogeneous of even degree, so it takes the same values on the faces
-x_i = -1 as on their mirror images x_i = +1, and the n faces x_i = +1
-suffice.  ``exact.bernstein.certify_positive`` decides that positivity:
+A(xi) is injective exactly when A^T(xi) maps onto V.  So ELLIPTIC is proved
+by membership witnesses of A^T (``deciders.witness``): for each basis
+vector e_i of V, u_i in E[x] and q_i > 0 with A^T(x) u_i(x) == q_i(x) e_i
+exactly, which puts every e_i in the image of A^T(xi) at every xi != 0.
+``check_ellipticity`` runs three steps:
 
-- a cover of the n faces by dyadic boxes, each with a positive exact lower
-  bound of det(A^T A), makes the verdict ELLIPTIC;
-- an exact rational zero xi of det(A^T A) makes it NOT_ELLIPTIC, with a
-  nonzero kernel vector of A(xi) as the re-checkable witness;
-- when the budget runs out without either outcome the verdict is UNDECIDED
-  and reports the box where it ran out;
-- when det(A^T A) itself is over its budget (``DetBudgetError``) the
-  verdict is UNDECIDED with that reason, and no cover is searched.
+1. Lattice: the exact rank of A(xi), from the integer rows
+   ``SymbolOperator.scaled_rows``, at the axis directions.  A kernel vector
+   there is the NOT_ELLIPTIC witness, and no determinant is formed.
+2. Witnesses with q = |x|^(s+k) for s <= ``max_degree`` (3), all e_i of one
+   degree by one elimination.  When every e_i has one, the verdict is
+   ELLIPTIC.  Otherwise the rank is taken at the other directions with
+   coordinates in {-1, 0, 1}, one of each pair +-xi, as in step 1.
+3. det(A^T A): ``exact.bernstein.certify_positive`` searches its zeros on
+   the cube boundary.  An exact zero xi makes the verdict NOT_ELLIPTIC with
+   a kernel vector of A(xi).  A cover proves det(A^T A) > 0, and the open
+   e_i get the witness q = det(A^T A) at s = ``witness_degree_bound``:
+   u_i = A adj(A^T A) e_i solves A^T u_i = det(A^T A) e_i for every A.
+   The columns adj(A^T A) e_i come from one elimination, as the solutions w
+   of (A^T A) w = det(A^T A) e_i, a smaller system than that of u.
 
-The verifier recomputes det(A^T A) from the operator and replays the cover
-with ``exact.bernstein.verify_positive``; kernel witnesses are
-re-multiplied; an ELLIPTIC report whose determinant is over the budget is
-rejected.  Kernel vectors are found, and re-multiplied, on the integer
-rows of a positive multiple of A(xi) (``SymbolOperator.scaled_rows``).
+A verdict that stops at a limit is UNDECIDED, and its ``reason`` names the
+limit: the box budget or the depth limit of the zero search, the budget of
+the determinant (``DetBudgetError``), or that of the witness system
+(``SystemBudgetError``).  The ``cover`` of an ELLIPTIC verdict is the
+boxes of its witnesses' covers of q_i together, which the counters and
+older readers of reports take as the verdict's cover; ``boxes_examined``
+and ``depth_reached`` count those searches.
+
+The verifier re-checks each witness with ``verify_memberships`` on A^T
+(the identity, the degree bound computed from the operator and the cover
+of q_i), requires the e_i to span V and the verdict's ``cover`` to be the
+witnesses' covers together; it forms no det(A^T A).  Kernel
+witnesses are re-multiplied on the integer rows of a positive multiple of
+A(xi).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ..exact.bernstein import CertifiedBox, FaceBox, certify_positive, verify_positive
-from ..exact.matrix import int_kernel
+from ..exact.bernstein import CertifiedBox, FaceBox, certify_positive
+from ..exact.matrix import int_kernel_vector, int_pivots, subspace_from_columns
 from ..exact.polymatrix import DetBudgetError
 from ..exact.symbol import SymbolOperator
+from .witness import (
+    Membership,
+    SystemBudgetError,
+    find_witnesses,
+    solve_witnesses,
+    verify_memberships,
+    witness_degree_bound,
+)
 
 ELLIPTIC = "ELLIPTIC"
 NOT_ELLIPTIC = "NOT_ELLIPTIC"
@@ -45,7 +69,8 @@ DEFAULT_BOX_BUDGET = 100_000
 @dataclass
 class EllipticityVerdict:
     status: str
-    cover: list[CertifiedBox] = field(default_factory=list)
+    memberships: list[Membership] = field(default_factory=list)  # of A^T, one per e_i
+    cover: list[CertifiedBox] = field(default_factory=list)  # the witnesses' covers together
     witness_xi: Optional[tuple] = None
     witness_v: Optional[tuple] = None
     undecided_box: Optional[FaceBox] = None
@@ -61,49 +86,107 @@ class EllipticityVerdict:
         return self.status in (ELLIPTIC, NOT_ELLIPTIC)
 
 
+def _covers(memberships: Sequence[Membership]) -> list[CertifiedBox]:
+    """The boxes of the witnesses' covers of q_i, in order."""
+    return [cb for m in memberships for cb in m.cover]
+
+
 def _kernel_witness(a: SymbolOperator, xi: Sequence[Fraction]) -> tuple:
-    """A nonzero kernel vector of A(xi), the first canonical one of the
-    integer rows of a positive multiple; the caller knows A(xi) has one."""
-    return tuple(int_kernel(a.scaled_rows(xi), a.dim_v).basis.col(0))
+    """A nonzero kernel vector of A(xi), from the integer rows of a positive
+    multiple, divided by its leading entry; the caller knows A(xi) has
+    one."""
+    row = int_kernel_vector(a.scaled_rows(xi), a.dim_v)
+    lead = next(x for x in row if x)
+    return tuple(Fraction(x, lead) for x in row)
+
+
+def _off_axis_lattice(n: int):
+    """The directions with coordinates in {-1, 0, 1}, at least two nonzero
+    and one +1, in product order, one of each pair +-xi (A(-xi) = +-A(xi)
+    has the same kernel)."""
+    seen = set()
+    for combo in itertools.product((-1, 0, 1), repeat=n):
+        if 1 in combo and n - combo.count(0) > 1 and tuple(-c for c in combo) not in seen:
+            seen.add(combo)
+            yield tuple(Fraction(c) for c in combo)
+
+
+def _singular_direction(a: SymbolOperator, directions) -> Optional[tuple]:
+    """The first of the directions where A has a kernel."""
+    return next((xi for xi in directions
+                 if len(int_pivots(a.scaled_rows(xi), a.dim_v)) < a.dim_v), None)
 
 
 def check_ellipticity(
     a: SymbolOperator,
     max_depth: int = DEFAULT_MAX_DEPTH,
     box_budget: int = DEFAULT_BOX_BUDGET,
+    max_degree: int = 3,
 ) -> EllipticityVerdict:
-    first_axis = tuple(Fraction(1 if i == 0 else 0) for i in range(a.n))
-    if a.dim_v > a.dim_e:
-        # More columns than rows: every direction has a nontrivial kernel.
-        return EllipticityVerdict(NOT_ELLIPTIC, witness_xi=first_axis,
-                                  witness_v=_kernel_witness(a, first_axis))
+    def not_elliptic(xi, **counters) -> EllipticityVerdict:
+        return EllipticityVerdict(NOT_ELLIPTIC, witness_xi=xi,
+                                  witness_v=_kernel_witness(a, xi), **counters)
+
+    axes = [tuple(Fraction(int(i == j)) for j in range(a.n)) for i in range(a.n)]
+    xi = _singular_direction(a, axes)
+    if xi is not None:
+        return not_elliptic(xi)
+    at = a.transpose()
+    basis = [tuple(Fraction(int(i == j)) for j in range(a.dim_v)) for i in range(a.dim_v)]
+    found = find_witnesses(at, basis, max_degree, kernel_candidates=False)
+    boxes = sum(len(m.cover) for m in found if m)
+    if None not in found:
+        # Each cover of |x|^(s+k) is the n faces at the root.
+        return EllipticityVerdict(ELLIPTIC, found, _covers(found), boxes_examined=boxes,
+                                  axis_depths=(0,) * a.n)
+    xi = _singular_direction(a, _off_axis_lattice(a.n))
+    if xi is not None:
+        return not_elliptic(xi)
+    gram = a.gram()
     try:
-        det_gram = a.gram().det()
+        det_gram = gram.det()
     except DetBudgetError as exc:
         return EllipticityVerdict(UNDECIDED, reason=f"det(A^T A): {exc}")
-    sizes = {"det_terms": len(det_gram.terms), "det_degree": det_gram.degree()}
-    if det_gram.is_zero():
-        return EllipticityVerdict(NOT_ELLIPTIC, witness_xi=first_axis,
-                                  witness_v=_kernel_witness(a, first_axis), **sizes)
-    found = certify_positive(det_gram, max_depth, box_budget)
-    counters = dict(sizes, boxes_examined=found.boxes_examined, axis_depths=found.axis_depths,
-                    depth_reached=max(found.axis_depths, default=0))
-    if found.zero is not None:
+    positive = certify_positive(det_gram, max_depth, box_budget)
+    counters = dict(det_terms=len(det_gram.terms), det_degree=det_gram.degree(),
+                    boxes_examined=boxes + positive.boxes_examined,
+                    axis_depths=positive.axis_depths,
+                    depth_reached=max(positive.axis_depths, default=0))
+    if positive.zero is not None:
         # det(A^T A)(xi) = 0 with xi != 0: A(xi) has a kernel.
-        return EllipticityVerdict(NOT_ELLIPTIC, witness_xi=found.zero,
-                                  witness_v=_kernel_witness(a, found.zero), **counters)
-    if found.undecided_box is not None:
-        return EllipticityVerdict(UNDECIDED, undecided_box=found.undecided_box, **counters)
-    return EllipticityVerdict(ELLIPTIC, cover=found.cover, **counters)
+        return not_elliptic(positive.zero, **counters)
+    if positive.undecided_box is not None:
+        limit = (f"the box budget of {box_budget:,}" if positive.boxes_examined > box_budget
+                 else f"the depth limit of {max_depth} bisections per axis")
+        return EllipticityVerdict(
+            UNDECIDED, undecided_box=positive.undecided_box, **counters,
+            reason=f"the search for zeros of det(A^T A) reached {limit} after "
+                   f"{positive.boxes_examined:,} boxes, with neither a cover nor a zero")
+    # w_i = adj(A^T A) e_i is the one solution of (A^T A) w = det(A^T A) e_i,
+    # of degree 2k (dim V - 1); u_i = A w_i has the degree witness_degree_bound.
+    open_ = [i for i, m in enumerate(found) if m is None]
+    g = SymbolOperator.from_entries(a.n, a.dim_v, a.dim_v, 2 * a.order, {
+        (alpha, i, j): c for i, row in enumerate(gram.entries)
+        for j, entry in enumerate(row) for alpha, c in entry.terms})
+    try:
+        solutions = solve_witnesses(g, det_gram, [basis[i] for i in open_],
+                                    witness_degree_bound(at) - a.order)
+    except SystemBudgetError as exc:
+        return EllipticityVerdict(UNDECIDED, **counters,
+                                  reason=f"det(A^T A) > 0 is certified, but {exc}")
+    for i, w in zip(open_, solutions):
+        found[i] = Membership(basis[i], tuple(a.apply(w)), det_gram, positive.cover)
+    return EllipticityVerdict(ELLIPTIC, found, _covers(found), **counters)
 
 
 def verify_ellipticity(a: SymbolOperator, verdict: EllipticityVerdict) -> bool:
     """Re-check an ellipticity certificate from scratch.
 
-    Uses only exact arithmetic and trusts nothing in the verdict: an
-    ELLIPTIC cover must pass ``verify_positive`` on det(A^T A) recomputed
-    from the operator, which also checks that the determinant is even, so
-    that the n faces x_i = +1 stand for the whole cube boundary.  Kernel
+    Uses only exact arithmetic and trusts nothing in the verdict.  ELLIPTIC
+    needs membership witnesses of A^T that ``verify_memberships`` accepts
+    (A^T u == q e, u within the degree bound of the operator, the cover of
+    q > 0), whose vectors e span V and whose covers together are the
+    verdict's ``cover``; no det(A^T A) is formed.  Kernel
     witnesses are re-multiplied.  An UNDECIDED verdict claims nothing and is
     accepted.
     """
@@ -118,11 +201,13 @@ def verify_ellipticity(a: SymbolOperator, verdict: EllipticityVerdict) -> bool:
         rows = a.scaled_rows(xi)  # a positive multiple of A(xi)
         if len(v) != a.dim_v:
             raise ValueError("vector length mismatch")
+        # v times the lcm of its denominators: integer products only.
+        den = math.lcm(*(Fraction(x).denominator for x in v))
+        v = [int(Fraction(x) * den) for x in v]
         return all(sum(x * y for x, y in zip(r, v)) == 0 for r in rows)
     if verdict.status != ELLIPTIC:
         return False
-    try:
-        det_gram = a.gram().det()
-    except DetBudgetError:
-        return False
-    return verify_positive(det_gram, verdict.cover)
+    at = a.transpose()
+    spanned = subspace_from_columns(a.dim_v, [m.e for m in verdict.memberships])
+    return (spanned.dim == a.dim_v and verdict.cover == _covers(verdict.memberships)
+            and verify_memberships(at, verdict.memberships))

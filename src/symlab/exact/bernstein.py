@@ -7,15 +7,15 @@ returned.  As p is even, the face x_i = -1 mirrors the face x_i = +1, so
 both work on the n faces x_i = +1 alone and refuse a polynomial with a term
 of odd degree.  The search:
 
-1. Lattice pre-scan: p at every face point with coordinates in {-1, 0, 1}.
-   An exact zero ends the search.
-2. Per face, the monomial lower bound on the whole face.  It certifies most
-   faces with one box.
-3. Otherwise the face's Bernstein tensor is built once and the face is
-   bisected.  A box whose coefficients are all positive is certified, a zero
-   corner coefficient is an exact zero, and any other box is split at its
-   midpoint by exact integer de Casteljau along the axis where its
-   coefficients vary most.  ``max_depth`` bounds the bisections along each
+1. Per face, the monomial lower bound on the whole face.  It certifies most
+   faces with one box, and when it certifies every face the search ends.
+2. Otherwise a lattice pre-scan: p at every face point with coordinates in
+   {-1, 0, 1}.  An exact zero ends the search.
+3. On each face the bound did not certify, the face's Bernstein tensor is
+   built once and the face is bisected.  A box whose coefficients are all
+   positive is certified, a zero corner coefficient is an exact zero, and
+   any other box is split at its midpoint by exact integer de Casteljau
+   along the axis where its coefficients vary most.  ``max_depth`` bounds the bisections along each
    axis.  When a budget runs out, low-height rational points of the last box
    are tried as exact zeros before it is reported undecided.
 
@@ -363,13 +363,15 @@ def certify_positive(p: Polynomial, max_depth: int, box_budget: int) -> Positivi
     def stop(**found) -> Positivity:
         return Positivity(boxes_examined=examined, axis_depths=tuple(depths), **found)
 
-    zero = _lattice_zero(q, n)
-    if zero is not None:
-        return stop(zero=zero)
     root = (0,) * m
-    for axis in range(n):
-        face = pin_variable(q, axis)
-        low = monomial_lower_bound(face)
+    faces = [pin_variable(q, axis) for axis in range(n)]
+    lows = [monomial_lower_bound(face) for face in faces]
+    if min(lows) <= 0:
+        # A face needs subdivision, and p may vanish: try the lattice first.
+        zero = _lattice_zero(q, n)
+        if zero is not None:
+            return stop(zero=zero)
+    for axis, (face, low) in enumerate(zip(faces, lows)):
         if low > 0:
             examined += 1
             cover.append(CertifiedBox(_face_box(axis, root, root), Fraction(low, den)))

@@ -294,29 +294,39 @@ def column_space(m: QMatrix) -> Subspace:
     return _span(m.rows, map(_int_row, zip(*m.entries)))
 
 
+def _kernel_row(rows: list[list[int]], pivots: Sequence[int], f: int, ncols: int) -> list[int]:
+    """The integer kernel generator of the free column f of reduced echelon
+    rows: f-th entry the lcm L of the pivots that involve f and entry
+    -r[f] L / r[p] at the pivot column p of each row r."""
+    den = math.lcm(*(r[p] for r, p in zip(rows, pivots) if r[f]))
+    v = [0] * ncols
+    v[f] = den
+    for r, p in zip(rows, pivots):
+        if r[f]:
+            v[p] = -r[f] * (den // r[p])
+    return v
+
+
 def _kernel_rows(rows: list[list[int]], pivots: Sequence[int], ncols: int) -> list[list[int]]:
-    """Integer kernel generators of reduced echelon rows: one per free
-    column f, with f-th entry the lcm L of the pivots that involve f and
-    entry -r[f] L / r[p] at the pivot column p of each row r."""
+    """Integer kernel generators of reduced echelon rows, one per free column."""
     pivot_set = set(pivots)
-    gens = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        den = math.lcm(*(r[p] for r, p in zip(rows, pivots) if r[f]))
-        v = [0] * ncols
-        v[f] = den
-        for r, p in zip(rows, pivots):
-            if r[f]:
-                v[p] = -r[f] * (den // r[p])
-        gens.append(v)
-    return gens
+    return [_kernel_row(rows, pivots, f, ncols) for f in range(ncols) if f not in pivot_set]
 
 
 def int_kernel(rows: Iterable[list[int]], ncols: int) -> Subspace:
     """Canonical basis of the null space of the integer rows."""
     red, pivots = _echelon(rows, ncols)
     return _span(ncols, _kernel_rows(red, pivots, ncols))
+
+
+def int_kernel_vector(rows: Iterable[list[int]], ncols: int) -> Optional[list[int]]:
+    """One nonzero integer kernel vector of the rows, the generator of the
+    first free column, or None when the kernel is {0}; no basis of the whole
+    kernel is formed."""
+    red, pivots = _echelon(rows, ncols)
+    pivot_set = set(pivots)
+    f = next((f for f in range(ncols) if f not in pivot_set), None)
+    return None if f is None else _kernel_row(red, pivots, f, ncols)
 
 
 def kernel_basis(m: QMatrix) -> Subspace:

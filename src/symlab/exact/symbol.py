@@ -29,7 +29,14 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from .matrix import QMatrix
-from .poly import MultiIndex, Polynomial, clear_denominators, grlex_key, multi_indices
+from .poly import (
+    MultiIndex,
+    Polynomial,
+    clear_denominators,
+    grlex_key,
+    monomial_count,
+    multi_indices,
+)
 from .polymatrix import PolyMatrix
 
 
@@ -163,6 +170,11 @@ class SymbolOperator:
             {alpha: mat.transpose() for alpha, mat in self.terms},
             allow_zero=True,
         )
+
+    def multiplication_shape(self, d: int) -> tuple[int, int]:
+        """(rows, columns) of ``multiplication_rows(d)``, without building it."""
+        return (self.dim_e * monomial_count(self.n, d + self.order),
+                self.dim_v * monomial_count(self.n, d))
 
     def multiplication_rows(self, d: int) -> list[list[int]]:
         """The integer rows of D times the matrix of u -> A u from V[x]_d to

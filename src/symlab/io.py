@@ -8,15 +8,17 @@ under a fixed seed once timing fields are stripped.
 
 Each verdict has one ``*_to_json`` / ``*_from_json`` pair; the decoder
 takes ``(doc, op)``, the report's operator giving the shapes.  A positivity
-cover (of det(A^T A) in an ellipticity verdict, of p in a membership
-witness) is a list of ``{"box": ..., "lower_bound": "p/q"}``.  A box lies
+cover (of p in a membership witness) is a list of ``{"box": ...,
+"lower_bound": "p/q"}``.  A box lies
 on a face x_axis = +1 of the cube and is stored as
 ``{"axis": i, "bounds": [[lo, hi], ...]}`` with the n-1 intervals of the
 other coordinates; the faces x_i = -1 are their mirror images and are not
 stored.  A polynomial is a list of ``[alpha, "c"]`` terms, and a membership
-witness (A(x) u(x) == p(x) e) is ``{"e": vector, "u": [polynomial, ...],
-"p": polynomial, "cover": cover}``; only a NOT_CANCELING verdict carries
-them, one per basis vector of the common image, under ``"memberships"``.
+witness (S(x) u(x) == p(x) e) is ``{"e": vector, "u": [polynomial, ...],
+"p": polynomial, "cover": cover}``.  Two verdicts carry them under
+``"memberships"``: NOT_CANCELING, one per basis vector of the common image
+(S = A), and ELLIPTIC, one per basis vector of V (S = A^T), whose
+``"cover"`` repeats its witnesses' covers together.
 Decoders read untrusted reports: a missing field, a wrong type or a bad
 shape (such as a cover box without n-1 bound pairs) raises KeyError,
 TypeError or ValueError, which ``symlab verify`` reports as malformed input.
@@ -37,14 +39,10 @@ import json
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .deciders.cancellation import (
-    CancelingVerdict,
-    Membership,
-    PartialCancelingVerdict,
-    SpanningVerdict,
-)
+from .deciders.cancellation import CancelingVerdict, PartialCancelingVerdict, SpanningVerdict
 from .deciders.cocancellation import CocancelingVerdict, RankBlock
 from .deciders.ellipticity import CertifiedBox, EllipticityVerdict, FaceBox
+from .deciders.witness import Membership
 from .exact.matrix import QMatrix, Subspace, subspace_from_columns
 from .exact.poly import Polynomial
 from .exact.symbol import SymbolOperator
@@ -261,6 +259,7 @@ def _membership_from_json(d: dict, n: int) -> Membership:
 def ellipticity_to_json(v: EllipticityVerdict) -> dict:
     doc: dict = {"status": v.status, "certified": v.certified}
     if v.status == "ELLIPTIC":
+        doc["memberships"] = [_membership_to_json(m) for m in v.memberships]
         doc["cover"] = _cover_to_json(v.cover)
     if v.status == "NOT_ELLIPTIC":
         doc["witness_xi"] = vector_to_json(v.witness_xi)
@@ -279,6 +278,7 @@ def ellipticity_from_json(doc: dict, op: SymbolOperator) -> EllipticityVerdict:
     status = doc["status"]
     v = EllipticityVerdict(status)
     if status == "ELLIPTIC":
+        v.memberships = [_membership_from_json(m, op.n) for m in doc["memberships"]]
         v.cover = _cover_from_json(doc["cover"], op.n)
     if status == "NOT_ELLIPTIC":
         v.witness_xi = vector_from_json(doc["witness_xi"])

@@ -93,16 +93,23 @@ def test_analyze_reports_stats(tmp_path):
     _code, report = analyze(tmp_path, "catalog:defigueiredo?n=2&m=2")
     stats = report["stats"]
     ell = stats["ellipticity"]
-    assert ell["cover_boxes"] == len(report["verdicts"]["ellipticity"]["cover"])
-    assert ell["boxes_examined"] >= ell["cover_boxes"] > 4
-    assert len(ell["axis_depths"]) == 2 and max(ell["axis_depths"]) > 0
-    assert (ell["det_terms"], ell["det_degree"]) == (5, 4)
+    # Two witnesses with q = |x|^2, each covered by its two root boxes; no
+    # determinant is formed.
+    assert ell["witness_degrees"] == [1, 1]
+    assert ell["cover_boxes"] == len(report["verdicts"]["ellipticity"]["cover"]) == 4
+    assert ell["boxes_examined"] == 4 and ell["axis_depths"] == [0, 0]
+    assert (ell["det_terms"], ell["det_degree"]) == (0, 0)
     canceling = report["verdicts"]["canceling"]
     assert stats["canceling"]["samples"] == len(canceling["samples"])
     assert stats["canceling"]["iterations"] >= 0
     assert stats["canceling"]["witness_degrees"] == []
     _code, report = analyze(tmp_path, "catalog:hodge_pair?n=3&ell=1")
     assert report["stats"]["canceling"]["witness_degrees"] == [1]
+    # q = det(A^T A) at s = 2k dim V - k, its cover searched once.
+    _code, report = analyze(tmp_path, "catalog:quadratic_collection?n=3&m=2")
+    ell = report["stats"]["ellipticity"]
+    assert ell["witness_degrees"] == [6, 6] and (ell["det_terms"], ell["det_degree"]) == (15, 8)
+    assert ell["cover_boxes"] == 2 * ell["boxes_examined"]
     # verify ignores the counters.
     report["stats"] = {"ellipticity": {"boxes_examined": "x"}}
     code, checked = verify(tmp_path, report)
@@ -492,13 +499,28 @@ def test_gram_determinant_over_budget_exits_3_quickly(tmp_path):
     v = report["verdicts"]["ellipticity"]
     assert v["status"] == "UNDECIDED" and v["certified"] is False
     assert v["reason"].startswith("det(A^T A): the determinant of a 24 x 24 matrix needs more")
-    # A forged ELLIPTIC verdict needs the same determinant: rejected, not
-    # recomputed without bound.
-    report["verdicts"]["ellipticity"] = {"status": "ELLIPTIC", "certified": True, "cover": []}
+    # A forged ELLIPTIC verdict without witnesses is rejected, and verify
+    # forms no determinant.
+    report["verdicts"]["ellipticity"] = {"status": "ELLIPTIC", "certified": True,
+                                         "memberships": [], "cover": []}
     start = time.perf_counter()
     code, checked = verify(tmp_path, report)
     assert code == 3 and checked["verified"]["ellipticity"] is False
     assert time.perf_counter() - start < 10.0
+
+
+def test_zero_cone_undecided_names_the_depth_limit(tmp_path):
+    # x_0^2 - 2 x_1^2 vanishes only at irrational directions.
+    path = tmp_path / "zero_cone.json"
+    path.write_text(json.dumps({"schema_version": 1, "n": 2, "dimV": 1, "dimE": 1, "order": 2,
+                                "terms": [{"alpha": [2, 0], "matrix": [["1"]]},
+                                          {"alpha": [0, 2], "matrix": [["-2"]]}]}))
+    code, report = analyze(tmp_path, str(path))
+    v = report["verdicts"]["ellipticity"]
+    assert code == 3 and v["status"] == "UNDECIDED" and v["depth_reached"] == 24
+    assert v["reason"] == ("the search for zeros of det(A^T A) reached the depth limit of 24 "
+                           "bisections per axis after 37 boxes, with neither a cover nor a zero")
+    assert report["stats"]["ellipticity"]["boxes_examined"] == 37
 
 
 def test_rat_from_str_error_is_bounded():
@@ -538,7 +560,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
 # verdicts; verify may accept, reject or call the input malformed, but it
 # must never raise.
 
-# One report per certificate kind: ELLIPTIC cover, CANCELING, SPANS and
+# One report per certificate kind: ELLIPTIC witnesses, CANCELING, SPANS and
 # COCANCELING block; NOT_CANCELING membership witnesses; NOT_ELLIPTIC
 # witness; partial HOLDS; NOT_COCANCELING joint kernel and block.
 MUTATION_SOURCES = (
@@ -621,13 +643,14 @@ def test_mutated_certificates_never_crash_verify(genuine_reports, tmp_path, data
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_mutated_witnesses_never_crash_verify(genuine_reports, tmp_path, data):
-    # Only the membership witnesses (e, u, p and the cover of p) change.
-    witnessed = [r for r in genuine_reports
-                 if "memberships" in r["verdicts"].get("canceling", {})]
-    genuine = data.draw(st.sampled_from(witnessed))
+    # Only the membership witnesses (e, u, p and the cover of p) change, of
+    # a NOT_CANCELING or an ELLIPTIC verdict.
+    witnessed = [(r, key) for r in genuine_reports for key in ("canceling", "ellipticity")
+                 if "memberships" in r["verdicts"].get(key, {})]
+    genuine, key = data.draw(st.sampled_from(witnessed))
     report = json.loads(json.dumps(genuine))
-    memberships = report["verdicts"]["canceling"]["memberships"]
-    targets = [("verdicts", "canceling", "memberships") + p for p in paths(memberships) if p]
+    memberships = report["verdicts"][key]["memberships"]
+    targets = [("verdicts", key, "memberships") + p for p in paths(memberships) if p]
     mutate(report, targets, data)
     code, _ = verify(tmp_path, report)
     assert_sound(code, report, genuine)

@@ -1,5 +1,6 @@
 """Annihilator construction and verification."""
 
+import hashlib
 import json
 import time
 
@@ -266,3 +267,20 @@ def test_oversize_compat_exits_3_before_building(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "2,025 x 6,561" in err and len(err.strip().splitlines()) == 1
     assert not out.exists()
+
+
+# sha256 of the compat JSON, as written before L was read from the kernel's
+# integer rows; reading them instead of the dense basis changes no byte.
+COMPAT_PINS = {
+    "catalog:sym_gradient?n=4": "a6f17f3de549df84",
+    "catalog:hodge_pair?n=4&ell=1": "1d3c8c508f16eeab",
+    "catalog:split_laplacian?n=3&ell=1": "2ace564da8aaeae3",
+    "catalog:saint_venant?n=3": "31cdf7d5086329d0",
+}
+
+
+@pytest.mark.parametrize("uri", sorted(COMPAT_PINS))
+def test_compat_json_matches_its_pin(tmp_path, uri):
+    out = tmp_path / "compat.json"
+    assert main(["compat", uri, "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == COMPAT_PINS[uri]

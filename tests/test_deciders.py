@@ -2,12 +2,14 @@
 
 import math
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from symlab.catalog import (
+    catalog_get,
     curl_div,
     defigueiredo,
     divergence,
@@ -44,16 +46,10 @@ from symlab.deciders import (
     verify_partial_canceling,
     verify_spanning,
 )
-from symlab.deciders.cancellation import (
-    MAX_WITNESS_DEGREE,
-    WITNESS_BOX_BUDGET,
-    WITNESS_MAX_DEPTH,
-    Membership,
-    find_membership,
-    sample_directions,
-    verify_membership,
-)
-from symlab.exact.bernstein import certify_positive
+from symlab.deciders import witness
+from symlab.deciders.cancellation import find_membership, sample_directions
+from symlab.deciders.witness import Membership, verify_membership, witness_degree_bound
+from symlab.exact.bernstein import certify_positive, verify_positive
 from symlab.deciders.ellipticity import CertifiedBox, FaceBox
 from symlab.exact import (
     Polynomial,
@@ -77,10 +73,12 @@ def test_gradient_elliptic_with_full_cover():
 
 
 def test_hyperbolic_witness():
+    # Not elliptic: no A^T witness exists, and the lattice after the witness
+    # search finds xi = (-1, 1).
     op = hyperbolic_example().operator
     v = check_ellipticity(op)
-    assert v.status == NOT_ELLIPTIC
-    assert abs(v.witness_xi[0]) == abs(v.witness_xi[1])
+    assert v.status == NOT_ELLIPTIC and v.memberships == []
+    assert v.witness_xi == (-1, 1)
     assert all(x == 0 for x in op.evaluate(v.witness_xi).mul_vector(v.witness_v))
     assert verify_ellipticity(op, v)
 
@@ -104,33 +102,177 @@ def test_wide_operator_immediately_not_elliptic():
     assert v.status == NOT_ELLIPTIC and verify_ellipticity(op, v)
 
 
+ZERO_CONE = SymbolOperator.make(
+    2, 1, 1, 2, {(2, 0): QMatrix.from_rows([[1]]), (0, 2): QMatrix.from_rows([[-2]])})
+
+
 def test_irrational_zero_yields_undecided():
     # x1^2 - 2 x2^2 vanishes only on irrational directions: no exact witness
     # exists, so the checker must fall back to UNDECIDED with a small box.
-    op = SymbolOperator.make(
-        2, 1, 1, 2,
-        {(2, 0): QMatrix.from_rows([[1]]), (0, 2): QMatrix.from_rows([[-2]])},
-    )
-    v = check_ellipticity(op, max_depth=8, box_budget=2000)
+    v = check_ellipticity(ZERO_CONE, max_depth=8, box_budget=2000)
     assert v.status == UNDECIDED
     assert v.undecided_box is not None and not v.certified
+    assert "the depth limit of 8 bisections per axis" in v.reason
+
+
+def test_undecided_names_the_limit_that_stopped_it():
+    # At the default depth the zero cone stops at the depth limit after 37
+    # boxes; with 10 boxes it stops at the box budget.
+    v = check_ellipticity(ZERO_CONE)
+    assert v.status == UNDECIDED and v.boxes_examined == 37 and v.depth_reached == 24
+    assert v.reason == ("the search for zeros of det(A^T A) reached the depth limit of 24 "
+                        "bisections per axis after 37 boxes, with neither a cover nor a zero")
+    v = check_ellipticity(ZERO_CONE, box_budget=10)
+    assert v.status == UNDECIDED and v.reason.startswith(
+        "the search for zeros of det(A^T A) reached the box budget of 10 after 12 boxes")
+    assert verify_ellipticity(ZERO_CONE, v)
+
+
+def test_witness_system_budget_names_itself(monkeypatch):
+    # quadratic_collection(3,2) needs q = det(A^T A); with a budget below its
+    # Gram system the verdict is UNDECIDED, with the positivity proven.
+    op = catalog_get("quadratic_collection", n=3, m=2).operator
+    monkeypatch.setattr(witness, "MAX_SYSTEM_ENTRIES", 100)
+    v = check_ellipticity(op)
+    assert v.status == UNDECIDED and v.undecided_box is None
+    assert v.reason.startswith("det(A^T A) > 0 is certified, but the degree-4 witness system")
+    assert verify_ellipticity(op, v)
+
+
+def test_zero_symbol_not_elliptic_at_the_first_axis_without_gram(monkeypatch):
+    # 500 x 500 with no terms: the lattice step sees rank 0 at e_0 and never
+    # forms A^T A.
+    op = SymbolOperator.zero(2, 500, 500, 1)
+    monkeypatch.setattr(SymbolOperator, "gram", lambda self: pytest.fail("gram() called"))
+    start = time.perf_counter()
+    v = check_ellipticity(op)
+    assert time.perf_counter() - start < 0.1
+    assert v.status == NOT_ELLIPTIC and v.witness_xi == (1, 0)
+    assert v.witness_v == (1,) + (0,) * 499
+    # The witness is re-multiplied in integers: 250,000 products, not
+    # Fraction ones.
+    start = time.perf_counter()
+    assert verify_ellipticity(op, v)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_elliptic_witnesses_span_v_with_norm_powers():
+    # Every e_i of V gets A^T u_i = |x|^2 e_i at s = 1: no determinant.
+    op = gradient(2).operator
+    v = check_ellipticity(op)
+    assert [m.e for m in v.memberships] == [(F(1),)]
+    assert [m.p for m in v.memberships] == [norm_squared(2)]
+    assert v.det_terms == 0 and v.cover == v.memberships[0].cover
+    op = hodge_pair(5, 2).operator
+    v = check_ellipticity(op)
+    assert v.status == ELLIPTIC and [m.degree for m in v.memberships] == [1] * 10
+    assert (v.det_terms, v.det_degree) == (0, 0)
+    assert len(v.cover) == v.boxes_examined == 50 and v.axis_depths == (0,) * 5
+    assert verify_ellipticity(op, v)
+
+
+def test_det_witness_at_the_degree_bound():
+    # No |x|^(s+k) witness exists for s <= 3: both e_i get q = det(A^T A)
+    # at s = 2k dim V - k = 6, u_i = A adj(A^T A) e_i.
+    op = catalog_get("quadratic_collection", n=3, m=2).operator
+    v = check_ellipticity(op)
+    det = op.gram().det()
+    assert v.status == ELLIPTIC and (v.det_terms, v.det_degree) == (15, 8)
+    assert [m.degree for m in v.memberships] == [6, 6] == [witness_degree_bound(op)] * 2
+    assert all(m.p == det for m in v.memberships)
+    assert verify_ellipticity(op, v)
+
+
+def elliptic_witnesses(name="hodge_pair", **params):
+    op = catalog_get(name, **(params or {"n": 3, "ell": 1})).operator
+    v = check_ellipticity(op)
+    assert v.status == ELLIPTIC and verify_ellipticity(op, v)
+    return op, v
+
+
+def forged(v, i, **changes):
+    """v with membership i replaced, and the cover kept consistent."""
+    memberships = list(v.memberships)
+    memberships[i] = replace(memberships[i], **changes)
+    return replace(v, memberships=memberships,
+                   cover=[cb for m in memberships for cb in m.cover])
+
+
+def test_forged_elliptic_wrong_e_rejected():
+    op, v = elliptic_witnesses()
+    assert not verify_ellipticity(op, forged(v, 0, e=(F(1), F(1), F(0))))
+    assert not verify_ellipticity(op, forged(v, 0, e=(F(2), F(0), F(0))))
+
+
+def test_forged_elliptic_vectors_not_spanning_v_rejected():
+    # Each witness is genuine, but e_0 twice spans a line, not V.
+    op, v = elliptic_witnesses()
+    first = v.memberships[0]
+    for kept in ([first, first, v.memberships[2]], v.memberships[:2], []):
+        assert not verify_ellipticity(op, replace(v, memberships=kept,
+                                                  cover=[cb for m in kept for cb in m.cover]))
+    assert verify_ellipticity(op, replace(v, memberships=v.memberships[::-1],
+                                          cover=[cb for m in v.memberships[::-1]
+                                                 for cb in m.cover]))
+
+
+def test_forged_elliptic_q_rejected():
+    # A^T (-u) = (-q) e holds, but -q is not positive; a punctured cover of
+    # q and a cover that disagrees with the verdict's are rejected too.
+    op, v = elliptic_witnesses()
+    m = v.memberships[0]
+    negated = forged(v, 0, u=tuple(q.scale(-1) for q in m.u), p=m.p.scale(-1))
+    assert op.transpose().apply(negated.memberships[0].u) == [
+        negated.memberships[0].p.scale(c) for c in m.e]
+    assert not verify_ellipticity(op, negated)
+    assert not verify_ellipticity(op, forged(v, 0, cover=m.cover[1:]))
+    raised = CertifiedBox(m.cover[0].box, m.cover[0].lower_bound + 1)
+    assert not verify_ellipticity(op, forged(v, 0, cover=[raised] + m.cover[1:]))
+    assert not verify_ellipticity(op, replace(v, cover=v.cover[:-1]))
+
+
+def test_forged_elliptic_u_rejected():
+    op, v = elliptic_witnesses()
+    m = v.memberships[1]
+    assert not verify_ellipticity(op, forged(v, 1, u=(m.u[0].scale(2),) + m.u[1:]))
+    x0 = Polynomial.variable(3, 0)
+    assert not verify_ellipticity(op, forged(v, 1, u=(m.u[0] + x0,) + m.u[1:]))
+
+
+def test_forged_elliptic_degree_above_bound_rejected():
+    # gradient(1): A^T u = q e holds with u = x^(2j + 1) and q = x^(2j + 2)
+    # for every j, but the bound 2k dim V - k is 1.
+    op, v = elliptic_witnesses("gradient", n=1)
+    x = Polynomial.variable(1, 0)
+    for power in (3, 5):
+        u, q = (x.pow(power),), x.pow(power + 1)
+        cover = certify_positive(q, 8, 200).cover
+        assert op.transpose().apply(u) == [q] and verify_positive(q, cover)
+        assert not verify_ellipticity(op, forged(v, 0, u=u, p=q, cover=cover))
+
+
+# The forgeries of a positivity cover, on det(A^T A) itself.
+
+
+def det_cover(inst):
+    det = inst.operator.gram().det()
+    found = certify_positive(det, 24, 100_000)
+    assert found.zero is None and found.undecided_box is None
+    assert verify_positive(det, found.cover)
+    return det, found
 
 
 def test_tampered_cover_rejected():
-    op = gradient(2).operator
-    v = check_ellipticity(op)
-    v.cover = v.cover[:-1]  # puncture the cover
-    assert not verify_ellipticity(op, v)
+    det, found = det_cover(gradient(2))
+    assert not verify_positive(det, found.cover[:-1])  # puncture the cover
 
 
 def subdivided_cover():
     """defigueiredo(2, 2): face x_1 = +1 certifies at the root, x_0 = +1 is
     bisected."""
-    op = defigueiredo(2, 2).operator
-    v = check_ellipticity(op)
-    assert v.status == ELLIPTIC and verify_ellipticity(op, v)
-    assert len(v.cover) > 4
-    return op, v
+    det, found = det_cover(defigueiredo(2, 2))
+    assert len(found.cover) > 4
+    return det, list(found.cover)
 
 
 def with_box(cb, axis=None, bounds=None, lower_bound=None):
@@ -155,87 +297,83 @@ def sibling_pair(cover):
 
 
 def test_forged_cover_duplicate_box_rejected():
-    op, v = subdivided_cover()
-    v.cover = v.cover + [v.cover[-1]]
-    assert not verify_ellipticity(op, v)
+    det, cover = subdivided_cover()
+    assert not verify_positive(det, cover + [cover[-1]])
 
 
 def test_forged_cover_gap_rejected():
-    op, v = subdivided_cover()
-    i, _ = sibling_pair(v.cover)
-    v.cover = v.cover[:i] + v.cover[i + 1:]
-    assert not verify_ellipticity(op, v)
+    det, cover = subdivided_cover()
+    i, _ = sibling_pair(cover)
+    assert not verify_positive(det, cover[:i] + cover[i + 1:])
 
 
 def test_forged_cover_non_dyadic_split_rejected():
     # The two halves of a dyadic interval, re-cut at a third: still an exact
     # tiling of the face, but no bisection tree has these leaves.
-    op, v = subdivided_cover()
-    i, j = sibling_pair(v.cover)
-    (lo, _), = v.cover[i].box.bounds
-    (_, hi), = v.cover[j].box.bounds
+    det, cover = subdivided_cover()
+    i, j = sibling_pair(cover)
+    (lo, _), = cover[i].box.bounds
+    (_, hi), = cover[j].box.bounds
     cut = lo + (hi - lo) / 3
-    v.cover[i] = with_box(v.cover[i], bounds=[(lo, cut)])
-    v.cover[j] = with_box(v.cover[j], bounds=[(cut, hi)])
-    assert not verify_ellipticity(op, v)
+    cover[i] = with_box(cover[i], bounds=[(lo, cut)])
+    cover[j] = with_box(cover[j], bounds=[(cut, hi)])
+    assert not verify_positive(det, cover)
 
 
 def test_forged_cover_crossing_halves_rejected():
     # On a square face: the two halves along x1 plus a lower half along x2.
     # Every box is dyadic, but they overlap, and no split axis separates them.
-    op = gradient(3).operator
-    v = check_ellipticity(op)
+    det, found = det_cover(gradient(3))
+    cover = list(found.cover)
     one, half = (F(-1), F(1)), [(F(-1), F(0)), (F(0), F(1))]
-    v.cover[0:1] = [with_box(v.cover[0], bounds=[half[0], one]),
-                    with_box(v.cover[0], bounds=[half[1], one]),
-                    with_box(v.cover[0], bounds=[one, half[0]])]
-    assert not verify_ellipticity(op, v)
+    cover[0:1] = [with_box(cover[0], bounds=[half[0], one]),
+                  with_box(cover[0], bounds=[half[1], one]),
+                  with_box(cover[0], bounds=[one, half[0]])]
+    assert not verify_positive(det, cover)
 
 
 def test_forged_cover_box_outside_cube_rejected():
-    op = gradient(2).operator
-    v = check_ellipticity(op)
-    assert v.cover[0].box.bounds == ((F(-1), F(1)),)
+    det, found = det_cover(gradient(2))
+    cover = list(found.cover)
+    assert cover[0].box.bounds == ((F(-1), F(1)),)
     # [-1, 1] is cut into [-1, 0] plus [0, 2], which reaches past the face.
-    v.cover[0:1] = [with_box(v.cover[0], bounds=[(F(-1), F(0))]),
-                    with_box(v.cover[0], bounds=[(F(0), F(2))])]
-    assert not verify_ellipticity(op, v)
-    v = check_ellipticity(op)
-    v.cover.append(with_box(v.cover[0], bounds=[(F(1), F(3))]))
-    assert not verify_ellipticity(op, v)
+    assert not verify_positive(det, [with_box(cover[0], bounds=[(F(-1), F(0))]),
+                                     with_box(cover[0], bounds=[(F(0), F(2))])] + cover[1:])
+    assert not verify_positive(det, cover + [with_box(cover[0], bounds=[(F(1), F(3))])])
 
 
 def test_forged_cover_box_on_wrong_face_rejected():
-    op, v = subdivided_cover()
-    cb = v.cover[-1]
-    v.cover[-1] = with_box(cb, axis=1 - cb.box.axis)  # onto the other face
-    assert not verify_ellipticity(op, v)
+    det, cover = subdivided_cover()
+    cb = cover[-1]
+    assert not verify_positive(det, cover[:-1] + [with_box(cb, axis=1 - cb.box.axis)])
     for axis in (2, -1):  # faces that do not exist
-        v = check_ellipticity(op)
-        v.cover[-1] = with_box(v.cover[-1], axis=axis)
-        assert not verify_ellipticity(op, v)
+        assert not verify_positive(det, cover[:-1] + [with_box(cb, axis=axis)])
 
 
 def test_forged_cover_lower_bound_rejected():
-    op, v = subdivided_cover()
-    v.cover[-1] = with_box(v.cover[-1], lower_bound=v.cover[-1].lower_bound * 2)
-    assert not verify_ellipticity(op, v)
-    v = check_ellipticity(op)
-    v.cover[0] = with_box(v.cover[0], lower_bound=F(0))
-    assert not verify_ellipticity(op, v)
+    det, cover = subdivided_cover()
+    assert not verify_positive(
+        det, cover[:-1] + [with_box(cover[-1], lower_bound=cover[-1].lower_bound * 2)])
+    assert not verify_positive(det, [with_box(cover[0], lower_bound=F(0))] + cover[1:])
+
+
+def test_subdivided_det_cover_counters():
+    # defigueiredo(2,2): det(A^T A) has 5 terms of degree 4, and its cover
+    # bisects the face x_0 = +1.
+    det, found = det_cover(defigueiredo(2, 2))
+    assert found.boxes_examined >= len(found.cover) > 4
+    assert len(found.axis_depths) == 2 and max(found.axis_depths) > 0
+    assert (len(det.terms), det.degree()) == (5, 4)
 
 
 def test_hodge_pair_5_2_certified_at_root():
     # det(A^T A) has 1,001 terms of degree 20; the monomial bound certifies
     # each of the 5 faces x_i = +1 with one box, so no Bernstein tensor is
     # built.
-    op = hodge_pair(5, 2).operator
-    v = check_ellipticity(op)
-    assert v.status == ELLIPTIC
-    assert len(v.cover) == v.boxes_examined == 5
-    assert v.depth_reached == 0 and v.axis_depths == (0,) * 5
-    assert (v.det_terms, v.det_degree) == (1001, 20)
-    assert verify_ellipticity(op, v)
+    det, found = det_cover(hodge_pair(5, 2))
+    assert len(found.cover) == found.boxes_examined == 5
+    assert found.axis_depths == (0,) * 5
+    assert (len(det.terms), det.degree()) == (1001, 20)
 
 
 def test_defigueiredo_3_3_elliptic_and_verified():
@@ -665,7 +803,7 @@ def ref_membership(a, e):
     multiplication_rows / D; p = |x|^(s+k) is tried by a rational solve,
     then the kernel of [M | -P_e] gives the candidates."""
     den = math.lcm(*(x.denominator for _a, mat in a.terms for r in mat.entries for x in r))
-    for s in range(a.order % 2, MAX_WITNESS_DEGREE + 1, 2):
+    for s in range(a.order % 2, min(3, witness_degree_bound(a)) + 1, 2):
         targets, sources = multi_indices(a.n, s + a.order), multi_indices(a.n, s)
         ncols = len(sources) * a.dim_v
         m = [[F(x, den) for x in r] for r in a.multiplication_rows(s)]
@@ -689,7 +827,7 @@ def ref_membership(a, e):
                 continue
             if sign < 0:
                 v, p = [-c for c in v], p.scale(-1)
-            found = certify_positive(p, WITNESS_MAX_DEPTH, WITNESS_BOX_BUDGET)
+            found = certify_positive(p, 8, 200)
             if found.zero is None and found.undecided_box is None:
                 u = tuple(Polynomial.make(a.n, dict(zip(sources, v[j:ncols:a.dim_v])))
                           for j in range(a.dim_v))
@@ -699,7 +837,7 @@ def ref_membership(a, e):
 
 def test_witnesses_match_the_fraction_reference_on_not_canceling_regression_operators():
     # Besides W's basis, the unit vectors of small E, most of them outside
-    # W, send the search through the kernel branch up to MAX_WITNESS_DEGREE.
+    # W, send the search through the kernel branch up to degree 3.
     seen = 0
     for result in regression_instances():
         op = result.operator
