@@ -13,12 +13,11 @@ s and p > 0 homogeneous of even degree s + k (k the order of A) with
 
 so that e = A(xi) u(xi) / p(xi) at every xi != 0; no ellipticity is
 assumed.  ``find_witnesses`` seeks them for every basis vector of the
-sampled intersection at once, for s = 0, 1, ... up to ``max_degree`` (3)
-and the operator's ``witness_degree_bound``: p = |x|^(s+k) by one exact
+sampled intersection at once, for s = 0, 1, ... up to ``MAX_WITNESS_DEGREE``
+(3) and the operator's ``witness_degree_bound``: p = |x|^(s+k) by one exact
 solve with a column of right-hand sides per vector, then, vector by
 vector, the basis vectors of the kernel of the system with p unknown,
-signed to be positive at (1, ..., 1).  ``find_membership`` is the same
-search for one vector.  If every basis vector has a witness, the sampled
+signed to be positive at (1, ..., 1).  If every basis vector has a witness, the sampled
 intersection is W itself (NOT_CANCELING).  Otherwise further seeded
 directions, the low-height lattice ones first, are intersected until it
 shrinks, and the witnesses are sought again; if it does not shrink, the
@@ -40,7 +39,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..exact.matrix import (
     QMatrix,
@@ -54,6 +53,7 @@ from ..exact.matrix import (
 from ..exact.symbol import SymbolOperator
 from .ellipticity import check_ellipticity  # noqa: F401  (wrapped by bench/spans.py)
 from .witness import (
+    MAX_WITNESS_DEGREE,
     Membership,
     find_witnesses,
     verify_memberships,
@@ -134,14 +134,6 @@ class PartialCancelingVerdict:
         return self.status in (HOLDS, FAILS)
 
 
-def find_membership(a: SymbolOperator, e: Sequence[Fraction],
-                    max_degree: int = 3) -> Optional[Membership]:
-    """A witness (u, p) that e lies in every image A(xi)[V], xi != 0, with
-    u of degree at most ``max_degree``, or None: ``find_witnesses`` for one
-    vector, with the kernel's candidates for p."""
-    return find_witnesses(a, [e], max_degree, kernel_candidates=True)[0]
-
-
 def _intersect(a: SymbolOperator, w: Subspace, xi: tuple) -> Subspace:
     """w ∩ A(xi)[V]; the image itself when w is the whole space, and w
     itself when it is already {0}.  The image is the column space of the
@@ -152,11 +144,10 @@ def _intersect(a: SymbolOperator, w: Subspace, xi: tuple) -> Subspace:
     return image if w.dim == w.ambient else subspace_intersection(w, image)
 
 
-def image_intersection(a: SymbolOperator, seed: int = 0,
-                       max_degree: int = 3) -> CancelingVerdict:
+def image_intersection(a: SymbolOperator, seed: int = 0) -> CancelingVerdict:
     """Intersect images at sampled directions, then certify every basis
     vector of the result with a membership witness of degree at most
-    ``max_degree`` or sample further.  ``check_canceling`` is the same
+    ``MAX_WITNESS_DEGREE`` or sample further.  ``check_canceling`` is the same
     function."""
     rng = random.Random(seed)
     initial = a.dim_e + 4
@@ -174,7 +165,7 @@ def image_intersection(a: SymbolOperator, seed: int = 0,
     while True:
         iterations += 1
         basis = w.columns()
-        memberships = find_witnesses(a, basis, max_degree, kernel_candidates=True)
+        memberships = find_witnesses(a, basis, kernel_candidates=True)
         if None not in memberships:
             return CancelingVerdict(NOT_CANCELING, samples, w, trajectory, iterations,
                                     memberships)
@@ -192,7 +183,7 @@ def image_intersection(a: SymbolOperator, seed: int = 0,
         if w.dim == dim:
             reason = (
                 f"basis vector {[str(x) for x in e]} has no membership witness of degree "
-                f"s <= {min(max_degree, witness_degree_bound(a))}, and the sampled "
+                f"s <= {min(MAX_WITNESS_DEGREE, witness_degree_bound(a))}, and the sampled "
                 f"intersection (dimension {dim}) did not shrink at {len(samples)} directions"
             )
             return CancelingVerdict(NOT_CANCELING_SAMPLED, samples, w, trajectory, iterations,

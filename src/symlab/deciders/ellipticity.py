@@ -9,25 +9,26 @@ exactly, which puts every e_i in the image of A^T(xi) at every xi != 0.
 1. Lattice: the exact rank of A(xi), from the integer rows
    ``SymbolOperator.scaled_rows``, at the axis directions.  A kernel vector
    there is the NOT_ELLIPTIC witness, and no determinant is formed.
-2. Witnesses with q = |x|^(s+k) for s <= ``max_degree`` (3), all e_i of one
-   degree by one elimination.  When every e_i has one, the verdict is
-   ELLIPTIC.  Otherwise the rank is taken at the other directions with
-   coordinates in {-1, 0, 1}, one of each pair +-xi, as in step 1.
+2. Witnesses with q = |x|^(s+k) for s <= ``MAX_WITNESS_DEGREE`` (3), all
+   e_i of one degree by one elimination.  When every e_i has one, the
+   verdict is ELLIPTIC.  Otherwise the rank is taken at the other
+   directions with coordinates in {-1, 0, 1}, one of each pair +-xi, as in
+   step 1.
 3. det(A^T A): ``exact.bernstein.certify_positive`` searches its zeros on
    the cube boundary.  An exact zero xi makes the verdict NOT_ELLIPTIC with
    a kernel vector of A(xi).  A cover proves det(A^T A) > 0, and the open
    e_i get the witness q = det(A^T A) at s = ``witness_degree_bound``:
-   u_i = A adj(A^T A) e_i solves A^T u_i = det(A^T A) e_i for every A.
-   The columns adj(A^T A) e_i come from one elimination, as the solutions w
-   of (A^T A) w = det(A^T A) e_i, a smaller system than that of u.
+   u_i = A adj(A^T A) e_i, since A^T A adj(A^T A) = det(A^T A) I.  The
+   column adj(A^T A) e_i is cofactors (``PolyMatrix.adjugate_column``), so
+   no linear system is solved.
 
 A verdict that stops at a limit is UNDECIDED, and its ``reason`` names the
-limit: the box budget or the depth limit of the zero search, the budget of
-the determinant (``DetBudgetError``), or that of the witness system
-(``SystemBudgetError``).  The ``cover`` of an ELLIPTIC verdict is the
-boxes of its witnesses' covers of q_i together, which the counters and
-older readers of reports take as the verdict's cover; ``boxes_examined``
-and ``depth_reached`` count those searches.
+limit: the box budget or the depth limit of the zero search, or the budget
+of the determinant and its cofactors (``DetBudgetError``).  The ``cover``
+of an ELLIPTIC verdict is the boxes of its witnesses' covers of q_i
+together, which the counters and older readers of reports take as the
+verdict's cover; ``boxes_examined`` and ``depth_reached`` count those
+searches.
 
 The verifier re-checks each witness with ``verify_memberships`` on A^T
 (the identity, the degree bound computed from the operator and the cover
@@ -49,14 +50,7 @@ from ..exact.bernstein import CertifiedBox, FaceBox, certify_positive
 from ..exact.matrix import int_kernel_vector, int_pivots, subspace_from_columns
 from ..exact.polymatrix import DetBudgetError
 from ..exact.symbol import SymbolOperator
-from .witness import (
-    Membership,
-    SystemBudgetError,
-    find_witnesses,
-    solve_witnesses,
-    verify_memberships,
-    witness_degree_bound,
-)
+from .witness import Membership, find_witnesses, verify_memberships
 
 ELLIPTIC = "ELLIPTIC"
 NOT_ELLIPTIC = "NOT_ELLIPTIC"
@@ -121,7 +115,6 @@ def check_ellipticity(
     a: SymbolOperator,
     max_depth: int = DEFAULT_MAX_DEPTH,
     box_budget: int = DEFAULT_BOX_BUDGET,
-    max_degree: int = 3,
 ) -> EllipticityVerdict:
     def not_elliptic(xi, **counters) -> EllipticityVerdict:
         return EllipticityVerdict(NOT_ELLIPTIC, witness_xi=xi,
@@ -133,7 +126,7 @@ def check_ellipticity(
         return not_elliptic(xi)
     at = a.transpose()
     basis = [tuple(Fraction(int(i == j)) for j in range(a.dim_v)) for i in range(a.dim_v)]
-    found = find_witnesses(at, basis, max_degree, kernel_candidates=False)
+    found = find_witnesses(at, basis, kernel_candidates=False)
     boxes = sum(len(m.cover) for m in found if m)
     if None not in found:
         # Each cover of |x|^(s+k) is the n faces at the root.
@@ -162,19 +155,13 @@ def check_ellipticity(
             UNDECIDED, undecided_box=positive.undecided_box, **counters,
             reason=f"the search for zeros of det(A^T A) reached {limit} after "
                    f"{positive.boxes_examined:,} boxes, with neither a cover nor a zero")
-    # w_i = adj(A^T A) e_i is the one solution of (A^T A) w = det(A^T A) e_i,
-    # of degree 2k (dim V - 1); u_i = A w_i has the degree witness_degree_bound.
-    open_ = [i for i, m in enumerate(found) if m is None]
-    g = SymbolOperator.from_entries(a.n, a.dim_v, a.dim_v, 2 * a.order, {
-        (alpha, i, j): c for i, row in enumerate(gram.entries)
-        for j, entry in enumerate(row) for alpha, c in entry.terms})
-    try:
-        solutions = solve_witnesses(g, det_gram, [basis[i] for i in open_],
-                                    witness_degree_bound(at) - a.order)
-    except SystemBudgetError as exc:
-        return EllipticityVerdict(UNDECIDED, **counters,
-                                  reason=f"det(A^T A) > 0 is certified, but {exc}")
-    for i, w in zip(open_, solutions):
+    # u_i = A adj(A^T A) e_i has the degree witness_degree_bound(A^T).
+    for i in [i for i, m in enumerate(found) if m is None]:
+        try:
+            w = gram.adjugate_column(i)
+        except DetBudgetError as exc:
+            return EllipticityVerdict(UNDECIDED, **counters,
+                                      reason=f"det(A^T A) > 0 is certified, but adj(A^T A): {exc}")
         found[i] = Membership(basis[i], tuple(a.apply(w)), det_gram, positive.cover)
     return EllipticityVerdict(ELLIPTIC, found, _covers(found), **counters)
 

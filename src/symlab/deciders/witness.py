@@ -13,22 +13,21 @@ the image S(xi)[V] at every xi != 0.  Cancellation takes S = A and proves
 that basis vectors of the common image lie in it; ellipticity takes
 S = A^T and proves that A^T(xi) maps onto V, so that A(xi) is injective.
 
-For a fixed q and s the unknowns u solve one linear system on integer rows
-(``SymbolOperator.multiplication_rows``), and ``find_witnesses`` solves it
-for every vector at once: the right-hand sides q e are extra columns of one
-``_echelon`` call.  It tries q = |x|^(s+k) for s = 0, 1, ... with s + k
-even, and, for cancellation, then the kernel of the system with q unknown,
-whose basis vectors are tried as q after signing them positive at
-(1, ..., 1).  ``solve_witnesses`` takes any q: ellipticity hands it
-q = det(A^T A), since u = A adj(A^T A) e solves A^T u = det(A^T A) e for
-every A.
+``find_witnesses`` searches s = 0, 1, ... up to ``MAX_WITNESS_DEGREE``
+with s + k even.  For a fixed s and q = |x|^(s+k) the unknowns u solve one
+linear system on integer rows (``SymbolOperator.multiplication_rows``),
+solved for every open vector at once: the right-hand sides q e are extra
+columns of one ``_echelon`` call.  For cancellation the kernel of the
+system with q unknown comes next, and its basis vectors are tried as q
+after signing them positive at (1, ..., 1).  Covers of q are searched
+with ``WITNESS_MAX_DEPTH`` and ``WITNESS_BOX_BUDGET``.  A system larger
+than ``MAX_SYSTEM_ENTRIES`` entries is never built: the search skips it.
 
-``witness_degree_bound``, 2k min(dim V, dim E) - k, is the degree of that
-candidate, so it never cuts the candidate off.  ``verify_memberships``
-computes the bound from the symbol and rejects a witness above it, which
-bounds the work of a check, and replays each distinct cover once.  A system
-larger than ``MAX_SYSTEM_ENTRIES`` entries is never built: the search
-skips it, and ``solve_witnesses`` raises ``SystemBudgetError``.
+Ellipticity builds one more witness without a search, q = det(A^T A) and
+u = A adj(A^T A) e; ``witness_degree_bound``, 2k min(dim V, dim E) - k, is
+its degree.  ``verify_memberships`` computes the bound from the symbol and
+rejects a witness above it, which bounds the work of a check, and replays
+each distinct cover once.
 """
 
 from __future__ import annotations
@@ -49,10 +48,9 @@ from ..exact.symbol import SymbolOperator
 # at most 14,580 and saint_venant(5)'s annihilator 1,640,625 (525 x 3,125;
 # about 20 s and 400 MB); saint_venant(6) at degree 1 would need 7.6 million.
 MAX_SYSTEM_ENTRIES = 2**21
-
-
-class SystemBudgetError(ValueError):
-    """A linear system is larger than ``MAX_SYSTEM_ENTRIES`` entries."""
+MAX_WITNESS_DEGREE = 3  # largest degree s of u that the search tries
+WITNESS_MAX_DEPTH = 8  # bisections per axis when certifying q > 0
+WITNESS_BOX_BUDGET = 200
 
 
 @dataclass
@@ -72,7 +70,7 @@ class Membership:
 
 def witness_degree_bound(a: SymbolOperator) -> int:
     """2k min(dim V, dim E) - k: the largest degree s of a witness for the
-    symbol a, that of u = a^T adj(a a^T) e (or the like through a^T a)."""
+    symbol a, that of u = A adj(A^T A) e when a = A^T."""
     return a.order * (2 * min(a.dim_v, a.dim_e) - 1)
 
 
@@ -83,14 +81,11 @@ def _norm_power(n: int, degree: int) -> Polynomial:
     return square.pow(degree // 2)
 
 
-def _check_system_size(a: SymbolOperator, s: int, extra: int) -> None:
-    """Refuse the degree-s system of a with ``extra`` more columns when it
-    has more than ``MAX_SYSTEM_ENTRIES`` entries."""
+def _fits(a: SymbolOperator, s: int, extra: int) -> bool:
+    """Whether the degree-s system of a with ``extra`` more columns has at
+    most ``MAX_SYSTEM_ENTRIES`` entries."""
     rows, cols = a.multiplication_shape(s)
-    if rows * (cols + extra) > MAX_SYSTEM_ENTRIES:
-        raise SystemBudgetError(
-            f"the degree-{s} witness system is {rows:,} x {cols + extra:,}, over the budget "
-            f"of {MAX_SYSTEM_ENTRIES:,} entries")
+    return rows * (cols + extra) <= MAX_SYSTEM_ENTRIES
 
 
 def _u_of(a: SymbolOperator, s: int, x: Mapping[int, Fraction]) -> tuple:
@@ -104,25 +99,22 @@ def _u_of(a: SymbolOperator, s: int, x: Mapping[int, Fraction]) -> tuple:
     return tuple(Polynomial.make(a.n, t) for t in terms)
 
 
-def solve_witnesses(a: SymbolOperator, q: Polynomial, vectors: Sequence[Sequence],
-                    s: int) -> list[Optional[tuple]]:
-    """For each e of ``vectors``, u of degree s with a(x) u(x) == q(x) e, or
-    None when there is none; one elimination solves them all.  Raises
-    ``SystemBudgetError`` before building a system that is too large."""
-    _check_system_size(a, s, len(vectors))
+def _solve_norm_power(a: SymbolOperator, q: Polynomial, vectors: Sequence[Sequence],
+                      s: int) -> list[Optional[tuple]]:
+    """For each e of ``vectors``, u of degree s with a(x) u(x) == q(x) e for
+    q = |x|^(s+k), or None when there is none; one elimination solves them
+    all."""
     targets = multi_indices(a.n, s + a.order)
     ncols = a.multiplication_shape(s)[1]
     # Every row is the rational equation times L D > 0, with D the symbol's
-    # denominator and L = L_e L_q clearing those of the vectors and of q: u ->
-    # a u is multiplication_rows times L, and each column of right-hand sides
-    # holds D (L_q q_gamma) (L_e e_c), an integer.
+    # denominator and L that of the vectors: u -> a u is multiplication_rows
+    # times L, and each column of right-hand sides holds D q_gamma (L e_c),
+    # an integer since q has integer coefficients.
     coeffs = q.as_dict()
-    lcm_e = math.lcm(*(Fraction(c).denominator for e in vectors for c in e))
-    lcm_q = math.lcm(*(c.denominator for c in coeffs.values()))
-    lcm = lcm_e * lcm_q
+    lcm = math.lcm(*(Fraction(c).denominator for e in vectors for c in e))
     den = a._int_terms[0]
-    q_int = [den * int(coeffs.get(g, 0) * lcm_q) for g in targets]
-    e_int = [[int(c * lcm_e) for c in e] for e in vectors]
+    q_int = [den * int(coeffs.get(g, 0)) for g in targets]
+    e_int = [[int(c * lcm) for c in e] for e in vectors]
     rows = a.multiplication_rows(s)  # row g * dim_e + c: coefficient x^gamma_g, slot c
     system = [
         (r if lcm == 1 else [lcm * x for x in r]) + [qg * e[c] for e in e_int]
@@ -143,15 +135,12 @@ def solve_witnesses(a: SymbolOperator, q: Polynomial, vectors: Sequence[Sequence
     return out
 
 
-def _kernel_witness(a: SymbolOperator, e: Sequence, s: int, max_depth: int,
-                    box_budget: int) -> Optional[Membership]:
+def _kernel_witness(a: SymbolOperator, e: Sequence, s: int) -> Optional[Membership]:
     """A witness of degree s whose q is a basis vector of the kernel of the
     system with q unknown, signed positive at (1, ..., 1); None also when
     that system is over the budget."""
     targets = multi_indices(a.n, s + a.order)
-    try:
-        _check_system_size(a, s, len(targets))
-    except SystemBudgetError:
+    if not _fits(a, s, len(targets)):
         return None
     lcm = math.lcm(*(Fraction(c).denominator for c in e))
     e_int = [int(c * lcm) for c in e]
@@ -170,43 +159,39 @@ def _kernel_witness(a: SymbolOperator, e: Sequence, s: int, max_depth: int,
             continue
         if sign < 0:
             v, p = [-c for c in v], p.scale(-1)
-        found = certify_positive(p, max_depth, box_budget)
+        found = certify_positive(p, WITNESS_MAX_DEPTH, WITNESS_BOX_BUDGET)
         if found.zero is None and found.undecided_box is None:
             return Membership(tuple(e), _u_of(a, s, dict(enumerate(v[:ncols]))), p,
                               found.cover)
     return None
 
 
-def find_witnesses(a: SymbolOperator, vectors: Sequence[Sequence], max_degree: int,
-                   kernel_candidates: bool, max_depth: int = 8,
-                   box_budget: int = 200) -> list[Optional[Membership]]:
-    """A witness for each e of ``vectors`` with u of degree s <= max_degree
-    (and within ``witness_degree_bound``), or None for those without one.
+def find_witnesses(a: SymbolOperator, vectors: Sequence[Sequence],
+                   kernel_candidates: bool) -> list[Optional[Membership]]:
+    """A witness for each e of ``vectors`` with u of degree s at most
+    ``MAX_WITNESS_DEGREE`` and ``witness_degree_bound``, or None for those
+    without one.
 
     For each s, q = |x|^(s+k) is tried for every vector still open by one
     solve; with ``kernel_candidates`` the kernel's q basis is then tried
-    vector by vector.  The lowest s wins, and at one s the solve wins.
-    Covers of q are searched with ``max_depth`` and ``box_budget``.  A system
-    over ``MAX_SYSTEM_ENTRIES`` ends the search."""
+    vector by vector.  The lowest s wins, and at one s the solve wins.  A
+    system over ``MAX_SYSTEM_ENTRIES`` ends the search."""
     found: list[Optional[Membership]] = [None] * len(vectors)
-    top = min(max_degree, witness_degree_bound(a))
+    top = min(MAX_WITNESS_DEGREE, witness_degree_bound(a))
     for s in range(a.order % 2, top + 1, 2):  # s + k even
         open_ = [i for i, m in enumerate(found) if m is None]
-        if not open_:
+        if not open_ or not _fits(a, s, len(open_)):
             break
         q = _norm_power(a.n, s + a.order)
-        try:
-            solutions = solve_witnesses(a, q, [vectors[i] for i in open_], s)
-        except SystemBudgetError:
-            break
+        solutions = _solve_norm_power(a, q, [vectors[i] for i in open_], s)
         cover = None
         for i, u in zip(open_, solutions):
             if u is not None:
                 if cover is None:
-                    cover = certify_positive(q, max_depth, box_budget).cover
+                    cover = certify_positive(q, WITNESS_MAX_DEPTH, WITNESS_BOX_BUDGET).cover
                 found[i] = Membership(tuple(vectors[i]), u, q, cover)
             elif kernel_candidates:
-                found[i] = _kernel_witness(a, vectors[i], s, max_depth, box_budget)
+                found[i] = _kernel_witness(a, vectors[i], s)
     return found
 
 
@@ -225,8 +210,3 @@ def verify_memberships(a: SymbolOperator, memberships: Sequence[Membership]) -> 
             return False
     return all(verify_positive(p, list(cover))
                for p, cover in {(m.p, tuple(m.cover)) for m in memberships})
-
-
-def verify_membership(a: SymbolOperator, m: Membership) -> bool:
-    """``verify_memberships`` of one witness."""
-    return verify_memberships(a, [m])

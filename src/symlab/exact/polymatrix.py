@@ -1,8 +1,9 @@
 """Matrices with multivariate polynomial entries, for the Gram determinant.
 
-``SymbolOperator.gram`` returns A(x)^T A(x) as a ``PolyMatrix`` and the
-ellipticity decider takes its ``det``; ``evaluate`` is the reference that
-tests compare the determinant against.  Products of a symbol with
+``SymbolOperator.gram`` returns A(x)^T A(x) as a ``PolyMatrix``; the
+ellipticity decider takes its ``det`` and, for a witness, columns of its
+adjugate (``adjugate_column``, cofactors by the same expansion).
+``evaluate`` is the reference that tests compare them against.  Products of a symbol with
 polynomial vectors are ``SymbolOperator.apply``, not matrix products here.
 
 The determinant is expanded by minors along the rows, memoized on the set
@@ -18,7 +19,7 @@ of columns still unused, in integer arithmetic:
 - at the end each monomial is unpacked once and every coefficient divided
   by the product of the row denominators.
 
-The memo holds up to 2^m minors of an m x m matrix, so the expansion
+The memo holds up to 2^m minors of an m x m matrix, so each expansion
 counts its coefficient products and stops with ``DetBudgetError`` past
 ``MAX_DET_PRODUCTS``.
 """
@@ -72,14 +73,33 @@ class PolyMatrix:
     def det(self) -> Polynomial:
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        m, n = self.rows, self.n
-        cleared = [[clear_denominators(p) for p in row] for row in self.entries]
+        return self._minors(range(self.rows), [(1 << self.cols) - 1])[0]
+
+    def adjugate_column(self, i: int) -> tuple:
+        """adj(M) e_i: entry j is the cofactor (-1)^(i+j) det M_ij, M_ij being
+        M without row i and column j.  All of them come from one memoized
+        expansion of the rows other than i, under the same budget as
+        ``det``, and M adj(M) e_i == det(M) e_i."""
+        if self.rows != self.cols:
+            raise ValueError("adjugate of non-square matrix")
+        full = (1 << self.cols) - 1
+        minors = self._minors([r for r in range(self.rows) if r != i],
+                              [full & ~(1 << j) for j in range(self.cols)])
+        return tuple(d if (i + j) % 2 == 0 else d.scale(-1) for j, d in enumerate(minors))
+
+    def _minors(self, rows: Sequence[int], column_sets: Sequence[int]) -> list[Polynomial]:
+        """The determinants of the given rows on each set of as many columns
+        (a bitmask over the columns), by expansion along the rows; the
+        minors of the later rows are shared between the sets."""
+        m, n = len(rows), self.n
+        entries = [self.entries[r] for r in rows]
+        cleared = [[clear_denominators(p) for p in row] for row in entries]
         if any(not any(q for q, _ in row) for row in cleared):
-            return Polynomial.zero(n)
-        base = 1 + sum(max(p.degree() for p in row) for row in self.entries)
+            return [Polynomial.zero(n)] * len(column_sets)
+        base = 1 + sum(max(p.degree() for p in row) for row in entries)
         weights = [base**i for i in range(n)]
         dens = [math.lcm(*(d for _, d in row)) for row in cleared]
-        rows = [
+        packed = [
             [{sum(map(mul, a, weights)): c * (den // d) for a, c in q.items()} for q, d in row]
             for row, den in zip(cleared, dens)
         ]
@@ -91,18 +111,19 @@ class PolyMatrix:
             nonlocal products
             if unused in cache:
                 return cache[unused]
-            row = rows[m - unused.bit_count()]
+            row = packed[m - unused.bit_count()]
             acc: dict[int, int] = {}
             sign = 1
-            for j in range(m):
+            for j in range(self.cols):
                 if not unused >> j & 1:
                     continue
                 if row[j]:
                     sub = minor_det(unused & ~(1 << j))
                     products += len(row[j]) * len(sub)
                     if products > MAX_DET_PRODUCTS:
-                        raise DetBudgetError(f"the determinant of a {m} x {m} matrix needs more "
-                                             f"than {MAX_DET_PRODUCTS:,} coefficient products")
+                        raise DetBudgetError(
+                            f"the determinant of a {m} x {m} matrix needs more than "
+                            f"{MAX_DET_PRODUCTS:,} coefficient products")
                     for ka, ca in row[j].items():
                         ca *= sign
                         for kb, cb in sub.items():
@@ -113,7 +134,10 @@ class PolyMatrix:
             return acc
 
         total = math.prod(dens)
-        terms = [(tuple([k // w % base for w in weights]), Fraction(c, total))
-                 for k, c in minor_det((1 << m) - 1).items()]
-        terms.sort(key=lambda t: grlex_key(t[0]))
-        return Polynomial(n, tuple(terms))
+        out = []
+        for unused in column_sets:
+            terms = [(tuple([k // w % base for w in weights]), Fraction(c, total))
+                     for k, c in minor_det(unused).items()]
+            terms.sort(key=lambda t: grlex_key(t[0]))
+            out.append(Polynomial(n, tuple(terms)))
+        return out

@@ -167,6 +167,18 @@ def test_det_matches_evaluated_determinant(m, data):
         assert det.evaluate(xi) == exact_det(m.evaluate(xi))
 
 
+@settings(max_examples=40, deadline=None)
+@given(m=poly_matrices(), data=st.data())
+def test_adjugate_columns_give_det_times_unit_vectors(m, data):
+    # M adj(M) e_i == det(M) e_i, evaluated at drawn points.
+    det = m.det()
+    i = data.draw(st.integers(0, m.rows - 1))
+    w = m.adjugate_column(i)
+    xi = data.draw(POINTS[m.n])
+    mw = m.evaluate(xi).mul_vector([p.evaluate(xi) for p in w])
+    assert list(mw) == [det.evaluate(xi) * (r == i) for r in range(m.rows)]
+
+
 def test_det_of_empty_matrix_and_zero_row():
     assert PolyMatrix.from_rows(3, []).det() == Polynomial.constant(3, 1)
     x0, x1 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
