@@ -117,7 +117,12 @@ def solve_symbol_directions(
         # A nonempty box holds the zero frequency at its first index.
         origin = tuple(0 for _ in range(spec.n))
         gram[origin] = np.eye(a.dim_v)
-        solved = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        if a.dim_v == 1:
+            # A scalar unknown: one division per frequency, not a batch of
+            # 1 x 1 solves.
+            solved = rhs / gram[..., 0]
+        else:
+            solved = np.linalg.solve(gram, rhs[..., None])[..., 0]
         solved[origin] = 0.0
         u[(slice(None),) + np.ix_(*box)] = np.moveaxis(solved, -1, 0)
     return SymbolDirections(u, reach)

@@ -10,27 +10,32 @@ synthesis divides by T^n, so a derivative of order alpha is the multiplier
 (2 pi i xi)^alpha.
 
 Forward transforms run one component at a time, each into its slice of
-one preallocated array.  Inverse transforms run in place: the n - 1
-complex passes overwrite one reused work buffer, on the leading last-axis
-columns that hold data only, and the final real pass writes straight into
-the output.
+one preallocated array.  ``_invert`` is the one inverse path.  The complex
+pass over axis 0 needs whole columns and runs in place on one work buffer,
+on the leading last-axis columns that hold data only; the rest runs slab by
+slab along axis 0, each slab at most ``SLAB_BYTES`` of spectrum: the
+complex passes over axes 1 .. n - 2, the real pass and the scale.  Each slab
+of values goes into the caller's output or into one reused slab buffer, so
+a caller that only squares and adds the values never holds a second full
+grid of them.
 
 A ``GridField`` is spectrum-first when it comes from a spectrum:
 ``from_spectrum`` keeps the Nyquist-masked half spectrum and a copy of the
 input's Nyquist hyperplanes, and synthesizes nothing.  Its values are
 synthesized when first read, and its magnitude, when asked for before the
-values, streams the components through one work buffer and one row buffer,
-so a field that is only measured is never held as values.  A field built
-from values transforms forward once, when an operator first reads its
-spectrum.  Either way the magnitude is cached once a norm or the boundary
-tail has asked for it.
+values, streams the components through one work buffer and adds their
+squares slab by slab, so a field that is only measured is never held as
+values.  A field built from values transforms forward once, when an
+operator first reads its spectrum.  Either way the magnitude is cached once
+a norm or the boundary tail has asked for it.
 
 ``symbol_on_grid`` is the one place that evaluates a symbol
 sum_alpha xi^alpha A_alpha at the grid frequencies, and ``_image_rows``
 the one place that multiplies a spectrum by it, one row of the image at a
 time.  ``apply_symbol`` collects the rows into a field; ``image_magnitude``
-inverts each row as soon as it is built and adds its square to one
-accumulator, so an image that is only measured is never materialized.
+inverts each row in its work buffer as soon as it is built and adds its
+weighted square to one accumulator slab by slab, so an image that is only
+measured is never materialized and no row of it is held in full.
 Every image an experiment only measures, the blowup image A(D)u included,
 goes through ``image_magnitude``; the one image still built as a field is
 the duality experiment's curl-potential field (the planar curl of a
@@ -71,6 +76,10 @@ from ..exact.symbol import SymbolOperator
 # 128^3 (the largest built-in grid) is 2^21 points; one half-spectrum
 # component of a 2^22-point grid takes about 32 MiB.
 MAX_GRID_POINTS = 2**22
+
+# Largest slab of half spectrum that the inverse transforms finish at once,
+# below a 2 MiB per-core L2 cache; a slab holds at least one index of axis 0.
+SLAB_BYTES = 2**20
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -217,20 +226,25 @@ class GridField:
             values = np.empty((self.components,) + self.spec.shape)
             work = np.empty(self.spec.half_shape, dtype=complex)
             for c in range(self.components):
-                self._synthesize(c, work, values[c])
+                for _ in self._synthesize(c, work, values[c]):
+                    pass
             values.flags.writeable = False
             self._values = values
         return self._values
 
-    def _synthesize(self, c: int, work: np.ndarray, out: np.ndarray) -> None:
-        """Invert component c of the input spectrum into ``out`` from a copy
-        in ``work``: the in-place passes would scramble the cached spectrum."""
+    def _synthesize(
+        self, c: int, work: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> Iterator[tuple[slice, np.ndarray]]:
+        """Invert component c of the input spectrum slab by slab, as
+        ``_invert`` does, from a copy in ``work``: the in-place passes would
+        scramble the cached spectrum.  Yields each finite slab of values."""
         np.copyto(work, self._hat[c])
         for index, plane in zip(_nyquist_planes(self.spec), self._planes):
             work[index] = plane[c]
-        _invert(self.spec, work, out)
-        if not np.all(np.isfinite(out)):
-            raise ValueError("field contains non-finite entries")
+        for rows, values in _invert(self.spec, work, out):
+            if not np.all(np.isfinite(values)):
+                raise ValueError("field contains non-finite entries")
+            yield rows, values
 
     def spectrum(self) -> np.ndarray:
         """The Nyquist-masked, continuum-normalized half spectrum, of shape
@@ -250,19 +264,15 @@ class GridField:
         """Pointwise Euclidean norm over the components, of shape
         spec.shape: computed on first use, then cached (read-only).  A field
         whose values were never read streams its components through one work
-        buffer and one row buffer, each squared in place and added, so the
-        values are not held; the result is the same bit for bit."""
+        buffer: the first is synthesized into the result and squared there,
+        the others are squared and added one slab at a time, so the values
+        are not held; the result is the same bit for bit."""
         if self._mag is None:
             if self._values is None:
                 work = np.empty(self.spec.half_shape, dtype=complex)
                 mag = np.empty(self.spec.shape)
-                row = np.empty(self.spec.shape) if self.components > 1 else None
                 for c in range(self.components):
-                    target = row if c else mag
-                    self._synthesize(c, work, target)
-                    np.square(target, out=target)
-                    if c:
-                        mag += row
+                    _add_squares(self._synthesize(c, work, None if c else mag), mag, c == 0)
             else:
                 mag = np.square(self._values[0])
                 square = None
@@ -342,25 +352,68 @@ def restrict(a: np.ndarray, indices: Sequence[np.ndarray]) -> np.ndarray:
     return a
 
 
-def _invert(spec: GridSpec, work: np.ndarray, out: np.ndarray) -> None:
-    """Synthesize one real component into ``out`` (shape spec.shape) from
-    the continuum-normalized half spectrum in ``work``, which the n - 1
-    complex passes overwrite in place.  The same passes as ``irfftn``, in
-    the same order, without its fresh array per pass.
+def _slab_rows(spec: GridSpec) -> int:
+    """Indices of axis 0 per slab: as many as fit ``SLAB_BYTES`` of half
+    spectrum, and at least one."""
+    return max(1, SLAB_BYTES // (16 * prod(spec.half_shape[1:])))
 
+
+def _invert(
+    spec: GridSpec, work: np.ndarray, out: Optional[np.ndarray] = None
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Synthesize one real component from the continuum-normalized half
+    spectrum in ``work``, which the complex passes overwrite in place: the
+    same passes as ``irfftn``, on the same lines, without its fresh array
+    per pass.  Yields (rows, values): the values of the slab ``rows`` of
+    axis 0, which are ``out[rows]`` when ``out`` (shape spec.shape) is
+    given, and otherwise one reused slab buffer that the next slab
+    overwrites.
+
+    The pass over axis 0 needs whole columns and runs first, on the whole
+    buffer.  Each slab of axis 0 then runs the passes over axes 1 .. n - 2,
+    the real pass and the scale; for n = 1 the one slab is the whole grid.
     The complex passes run only on the leading columns of the last axis
     that hold data.  When the top two columns are zero, as for a
     band-limited spectrum, one ``any`` reduction finds the last nonzero
     column; the zero columns above it would transform to zeros."""
     live = work
-    if spec.n > 1 and not (work[..., -1].any() or work[..., -2].any()):
-        nonzero = np.flatnonzero(work.any(axis=tuple(range(spec.n - 1))))
-        live = work[..., : nonzero[-1] + 1 if nonzero.size else 0]
-    if live.size:
-        for ax in range(spec.n - 1):
-            np.fft.ifft(live, axis=ax, out=live)
-    np.fft.irfft(work, n=spec.size, axis=spec.n - 1, out=out)
-    out *= spec.synthesis_scale
+    if spec.n == 1:
+        step = spec.size
+    else:
+        if not (work[..., -1].any() or work[..., -2].any()):
+            nonzero = np.flatnonzero(work.any(axis=tuple(range(spec.n - 1))))
+            live = work[..., : nonzero[-1] + 1 if nonzero.size else 0]
+        if live.size:
+            np.fft.ifft(live, axis=0, out=live)
+        step = _slab_rows(spec)
+    buffer = np.empty((min(step, spec.size),) + spec.shape[1:]) if out is None else None
+    for lo in range(0, spec.size, step):
+        hi = min(lo + step, spec.size)
+        rows = slice(lo, hi)
+        columns = live[rows]
+        if columns.size:
+            for ax in range(1, spec.n - 1):
+                np.fft.ifft(columns, axis=ax, out=columns)
+        values = buffer[: hi - lo] if out is None else out[rows]
+        np.fft.irfft(work[rows], n=spec.size, axis=spec.n - 1, out=values)
+        values *= spec.synthesis_scale
+        yield rows, values
+
+
+def _add_squares(
+    slabs: Iterator[tuple[slice, np.ndarray]], total: np.ndarray, in_total: bool,
+    weight: Optional[int] = None,
+) -> None:
+    """Square each slab of values in place, times ``weight`` when given, and
+    add it to its rows of ``total``; slabs that were written into ``total``
+    itself (``in_total``) are left there.  The slab views end with the call,
+    so a slab buffer never outlives its transform."""
+    for rows, values in slabs:
+        np.square(values, out=values)
+        if weight is not None:
+            values *= weight
+        if not in_total:
+            total[rows] += values
 
 
 def symbol_on_grid(a: SymbolOperator, spec: GridSpec) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -391,27 +444,29 @@ def symbol_on_grid(a: SymbolOperator, spec: GridSpec) -> Iterator[tuple[int, int
 
 
 def _image_rows(
-    a: SymbolOperator, u: GridField, target: Callable[[int], np.ndarray],
-    term: Optional[np.ndarray] = None,
+    a: SymbolOperator, u: GridField, target: Callable[[int], np.ndarray]
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The half spectrum of A(D)u row by row: for each row with a nonzero
     symbol entry, in order, writes the row into ``target(row)`` and yields
     (row, that array).  The multiplier is (2 pi i)^k A(xi), applied to the
     spectrum of ``u`` (cached by ``u``) one entry at a time; the (2 pi i)^k
     factor goes into each entry, which broadcasts and is smaller than the
-    grid.  The first entry of a row writes it and the others add through
-    ``term`` (allocated on first need when not given)."""
+    grid.  The first entry of a row writes it and the others add one slab
+    of axis 0 at a time, through a temporary the size of that slab."""
     if u.components != a.dim_v:
         raise ValueError(f"field has {u.components} components, operator expects {a.dim_v}")
     u_hat = u.spectrum()
     unit = (2j * pi) ** a.order
+    step = _slab_rows(u.spec)
     for r, entries in groupby(symbol_on_grid(a, u.spec), key=itemgetter(0)):
         row = target(r)
         _, c, values = next(entries)
         np.multiply(unit * values, u_hat[c], out=row)
         for _, c, values in entries:
-            term = np.multiply(unit * values, u_hat[c], out=term)
-            row += term
+            factor = unit * values
+            for lo in range(0, len(row), step):
+                rows = slice(lo, lo + step)
+                row[rows] += (factor[rows] if len(factor) > 1 else factor) * u_hat[c, rows]
         yield r, row
 
 
@@ -433,25 +488,19 @@ def image_magnitude(
     """Pointwise magnitude of A(D)u, sqrt of sum_r w_r (A(D)u)_r^2 (every
     w_r = 1 without ``weights``), equal bit for bit to
     ``apply_symbol(a, u).magnitude()`` for unit weights.  Each row spectrum
-    is built in one work buffer, inverted in place and its weighted square
-    added to one accumulator: the image itself is never held."""
+    is built in one work buffer and inverted in place: the first row into
+    the accumulator, where it is squared and weighted, every later row slab
+    by slab, each slab's weighted square added to the accumulator.  Neither
+    the image nor a full row of its values is ever held."""
     spec = u.spec
     work = np.empty(spec.half_shape, dtype=complex)
-    # Once a row spectrum is built its ``term`` buffer is free, and the real
-    # row of every row after the first is inverted into that memory.
-    term = np.empty(spec.half_shape, dtype=complex)
-    row = term.view(float).reshape(-1)[: prod(spec.shape)].reshape(spec.shape)
     total = None
-    for r, hat in _image_rows(a, u, lambda r: work, term):
-        out = row if total is not None else np.empty(spec.shape)
-        _invert(spec, hat, out)
-        np.square(out, out=out)
-        if weights is not None:
-            out *= weights[r]
-        if total is None:
-            total = out
-        else:
-            total += out
+    for r, hat in _image_rows(a, u, lambda r: work):
+        first = total is None
+        if first:
+            total = np.empty(spec.shape)
+        _add_squares(_invert(spec, hat, total if first else None), total, first,
+                     None if weights is None else weights[r])
     if total is None:
         total = np.zeros(spec.shape)
     return np.sqrt(total, out=total)

@@ -52,6 +52,7 @@ from symlab.numlab import (
 from symlab.numlab.blowup import blowup_direction, cutoff_l1
 from symlab.numlab.experiments import _newton_point
 from symlab.numlab.fields import newton_gradient_field, radial_cutoff_test_function
+from symlab.numlab import grid
 from symlab.numlab.grid import _invert, half_box_shift, zero_nyquist
 
 
@@ -63,6 +64,12 @@ def nyquist_mask(spec):
         sl[ax] = spec.size // 2
         mask[tuple(sl)] = 0.0
     return mask
+
+
+def three_row_slabs(monkeypatch, spec):
+    # Slabs of three indices of axis 0: the 8 or 16 indices of the test
+    # grids split into at least three slabs, the last one shorter.
+    monkeypatch.setattr(grid, "SLAB_BYTES", 3 * 16 * math.prod(spec.half_shape[1:]))
 
 
 def random_field(spec, components, seed=0):
@@ -171,6 +178,23 @@ def test_direction_solver_solves_symbol_everywhere():
         a = np.array([[float(x) for x in row] for row in op.evaluate(xi).entries])
         worst = max(worst, np.abs(a @ u[(slice(None),) + m] - e).max())
     assert worst <= 1e-12
+
+
+def test_direction_solver_divides_for_one_unknown(monkeypatch):
+    # dim V = 1: U = <A(xi), e> / |A(xi)|^2, one division per frequency and
+    # no batched 1 x 1 solve.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called for one unknown")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    spec = GridSpec(2, 64, 8.0)
+    u = solve_symbol_directions(gradient(2).operator, spec, [1.0, 0.5], math.inf).values[0]
+    x, y = spec.frequency_grids()
+    r2 = x**2 + y**2
+    r2[0, 0] = 1.0
+    expected = (x + 0.5 * y) / r2
+    assert u[0, 0] == 0.0
+    assert np.allclose(u, expected, rtol=1e-14, atol=0.0)
 
 
 def test_direction_solver_homogeneity():
@@ -376,6 +400,17 @@ def test_image_magnitude_is_the_magnitude_of_the_image(op, spec):
     assert np.array_equal(image_magnitude(op, u), apply_symbol(op, u).magnitude())
 
 
+@pytest.mark.parametrize("op, spec", IMAGE_CASES)
+def test_image_magnitude_in_three_row_slabs(op, spec, monkeypatch):
+    # Rows built and inverted in slabs of three indices of axis 0 give the
+    # magnitude of the image built in one slab, bit for bit.
+    u = random_field(spec, op.dim_v, seed=11)
+    expected = apply_symbol(op, u).magnitude()
+    three_row_slabs(monkeypatch, spec)
+    assert np.array_equal(image_magnitude(op, u), expected)
+    assert np.array_equal(apply_symbol(op, u).magnitude(), expected)
+
+
 def test_image_magnitude_of_an_all_zero_symbol_is_zero():
     spec = GridSpec(2, 16, 8.0)
     op = SymbolOperator.make(2, 1, 2, 1, {}, allow_zero=True)
@@ -448,6 +483,20 @@ def test_from_spectrum_streams_the_magnitude_of_its_values(n, size, components):
     assert u.magnitude() is mag
 
 
+@pytest.mark.parametrize("n, size", [(2, 16), (3, 8), (4, 8)])
+@pytest.mark.parametrize("components", [1, 2, 3])
+def test_streamed_magnitude_in_three_row_slabs(n, size, components, monkeypatch):
+    # The magnitude squared and added slab by slab is the magnitude of the
+    # synthesized values, and the values synthesized in slabs are irfftn.
+    spec = GridSpec(n, size, 3.0)
+    hat = random_spectrum(spec, components, seed=10 * n + components)
+    expected = synthesized(spec, hat)
+    three_row_slabs(monkeypatch, spec)
+    u = GridField.from_spectrum(spec, hat)
+    assert np.array_equal(u.magnitude(), GridField(spec, expected).magnitude())
+    assert np.array_equal(u.values, expected)
+
+
 def test_synthesized_values_are_read_only():
     spec = GridSpec(2, 8, 3.0)
     u = GridField.from_spectrum(spec, random_spectrum(spec, 2, seed=3))
@@ -457,32 +506,67 @@ def test_synthesized_values_are_read_only():
 
 @pytest.mark.parametrize("n, size", [(1, 16), (2, 16), (3, 8), (4, 8)])
 @pytest.mark.parametrize("band", [0, 1, 2, 3, 4, 5])
-def test_invert_of_a_banded_spectrum_is_irfftn(n, size, band):
+def test_invert_of_a_banded_spectrum_is_irfftn(n, size, band, monkeypatch):
     # Spectra whose last-axis columns vanish from ``band`` on (an all-zero
     # spectrum for band 0, no zero column for the largest band): the complex
-    # passes skip the zero columns and the result is still irfftn.
+    # passes skip the zero columns and the result is still irfftn, in one
+    # slab and in slabs of three rows, written into ``out`` or yielded from
+    # the slab buffer.
     spec = GridSpec(n, size, 3.0)
     hat = random_spectrum(spec, 1, seed=band)[0]
     hat[..., band:] = 0.0
     expected = synthesized(spec, hat[None, ...])[0]
-    out = np.empty(spec.shape)
-    _invert(spec, hat.copy(), out)
-    assert np.array_equal(out, expected)
+    for slabs in (1, 3):
+        if slabs == 3:
+            three_row_slabs(monkeypatch, spec)
+        out = np.empty(spec.shape)
+        yielded = [(rows, values.base is out) for rows, values in _invert(spec, hat.copy(), out)]
+        assert np.array_equal(out, expected)
+        assert all(in_out for _, in_out in yielded)
+        lengths = [rows.stop - rows.start for rows, _ in yielded]
+        if slabs == 3 and n > 1:
+            assert len(lengths) >= 3 and lengths[-1] < max(lengths) == 3
+        else:
+            assert lengths == [size]
+        gathered = np.empty(spec.shape)
+        for rows, values in _invert(spec, hat.copy()):
+            gathered[rows] = values
+        assert np.array_equal(gathered, expected)
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_newton_point_memory():
-    # Streaming the field's magnitude and the images keeps the peak of one
-    # point below 9 real components of the grid; synthesizing the field's
-    # values and building both images in full needs about 16.6.
-    size = 32
-    component = 8 * size**3
-    tracemalloc.start()
-    try:
-        _newton_point(size, 0.4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 9 * component
+    # The field's spectrum (3 components), one work buffer, one accumulator
+    # and a slab: on 64^3 one point peaks at about 5.9 real components of
+    # the grid.  A full row buffer next to the work buffer and accumulator
+    # reads about 7.4; synthesizing the field's values and building both
+    # images in full, about 16.6.
+    size = 64
+    peak = traced_peak(lambda: _newton_point(size, 0.4))
+    assert peak < 6.25 * 8 * size**3
+
+
+def test_image_magnitude_holds_no_full_row(monkeypatch):
+    # A 3-row image (the curl) of a field whose spectrum is cached peaks at
+    # its work buffer and accumulator plus about 1.6 slabs, NumPy's own
+    # iteration buffers included; a second full-grid buffer would add 16.
+    spec = GridSpec(3, 64, 8.0)
+    u = GridField.from_spectrum(spec, random_spectrum(spec, 3, seed=5))
+    u.spectrum()
+    monkeypatch.setattr(grid, "SLAB_BYTES", 2**17)
+    op = exterior_d(3, 1).operator
+    work = 16 * math.prod(spec.half_shape)
+    accumulator = 8 * math.prod(spec.shape)
+    peak = traced_peak(lambda: image_magnitude(op, u))
+    assert peak < work + accumulator + 3 * grid.SLAB_BYTES
 
 
 # ---------------------------------------------------------------------------
