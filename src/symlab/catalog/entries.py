@@ -1,10 +1,9 @@
 """Built-in operator symbols with their expected classifications.
 
-Every constructor returns exact rational coefficient matrices.  Entries
-whose coefficient matrices are sparse tables state only their nonzero
-coefficients, {(alpha, row, col): value}, through
-``SymbolOperator.from_entries``; the forms-built entries and the small
-explicit matrices pass whole matrices to ``SymbolOperator.make``.  The
+Every constructor states a symbol's nonzero coefficients,
+{(alpha, row, col): value}, to ``SymbolOperator.from_entries``; the
+forms-built entries and the quaternion table build whole coefficient
+matrices, and ``_matrix_entries`` lists their nonzero entries.  The
 ``truth`` attached to each instance records the expected verdicts and is
 the oracle for the regression suite: ``elliptic``/``canceling`` for
 operators, ``cocanceling`` (and optionally a joint kernel basis) for
@@ -19,7 +18,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from ..exact.matrix import QMatrix
 from ..exact.poly import multi_indices
@@ -54,6 +53,12 @@ class CatalogEntry:
 
 def _unit_alpha(n: int, i: int, k: int = 1) -> tuple[int, ...]:
     return tuple(k if j == i else 0 for j in range(n))
+
+
+def _matrix_entries(terms: Mapping[tuple[int, ...], QMatrix]) -> dict:
+    """The nonzero entries of coefficient matrices, keyed (alpha, row, col)."""
+    return {(alpha, i, j): x for alpha, mat in terms.items()
+            for i, row in enumerate(mat.entries) for j, x in enumerate(row) if x}
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +134,7 @@ def hodge_pair(n: int, ell: int) -> CatalogResult:
     for i in range(n):
         alpha = _unit_alpha(n, i)
         terms[alpha] = up[alpha].vstack(down[alpha])
-    op = SymbolOperator.make(n, dim_v, dim_up + dim_down, 1, terms)
+    op = SymbolOperator.from_entries(n, dim_v, dim_up + dim_down, 1, _matrix_entries(terms))
     t = None
     if ell == 1:
         t = QMatrix.from_rows([[int(c == dim_up + r) for c in range(dim_up + dim_down)]
@@ -159,7 +164,7 @@ def quaternion() -> CatalogResult:
         (0, 0, 1, 0): aj,
         (0, 0, 0, 1): ak,
     }
-    op = SymbolOperator.make(4, 3, 4, 1, terms)
+    op = SymbolOperator.from_entries(4, 3, 4, 1, _matrix_entries(terms))
     return CatalogResult(
         "quaternion", {}, op, ROLE_OPERATOR, {"elliptic": True, "canceling": True}
     )
@@ -255,7 +260,7 @@ def split_laplacian(n: int, ell: int) -> CatalogResult:
             bottom = down_high[_unit_alpha(n, i)] @ up_mid[_unit_alpha(n, j)]
             block = top.vstack(bottom)
             terms[alpha] = terms[alpha] + block if alpha in terms else block
-    op = SymbolOperator.make(n, dim_v, 2 * dim_v, 2, terms)
+    op = SymbolOperator.from_entries(n, dim_v, 2 * dim_v, 2, _matrix_entries(terms))
     return CatalogResult(
         "split_laplacian", {"n": n, "ell": ell}, op, ROLE_OPERATOR,
         {"elliptic": True, "canceling": True},
@@ -310,11 +315,8 @@ def quadratic_collection(
 
 
 def hyperbolic_example() -> CatalogResult:
-    terms = {
-        (1, 0): QMatrix.from_rows([[1, 0], [0, 1]]),
-        (0, 1): QMatrix.from_rows([[0, -1], [-1, 0]]),
-    }
-    op = SymbolOperator.make(2, 2, 2, 1, terms)
+    entries = {((1, 0), 0, 0): 1, ((1, 0), 1, 1): 1, ((0, 1), 0, 1): -1, ((0, 1), 1, 0): -1}
+    op = SymbolOperator.from_entries(2, 2, 2, 1, entries)
     return CatalogResult(
         "hyperbolic", {}, op, ROLE_OPERATOR,
         {"elliptic": False, "canceling": True},
@@ -322,11 +324,8 @@ def hyperbolic_example() -> CatalogResult:
 
 
 def strange_r4() -> CatalogResult:
-    terms = {
-        (1, 1, 0, 0): QMatrix.from_rows([[1], [0]]),
-        (0, 0, 1, 1): QMatrix.from_rows([[0], [1]]),
-    }
-    op = SymbolOperator.make(4, 1, 2, 2, terms)
+    entries = {((1, 1, 0, 0), 0, 0): 1, ((0, 0, 1, 1), 1, 0): 1}
+    op = SymbolOperator.from_entries(4, 1, 2, 2, entries)
     return CatalogResult(
         "strange_r4", {}, op, ROLE_OPERATOR,
         {"elliptic": False, "canceling": True},
@@ -366,9 +365,9 @@ def exterior_d(n: int, ell: int) -> CatalogResult:
     n, ell = int(n), int(ell)
     if not 0 <= ell <= n - 1:
         raise ValueError("exterior_d needs 0 <= ell <= n-1")
-    terms = exterior_derivative_terms(n, ell)
-    op = SymbolOperator.make(
-        n, FormIndexing(n, ell).dim, FormIndexing(n, ell + 1).dim, 1, terms
+    entries = _matrix_entries(exterior_derivative_terms(n, ell))
+    op = SymbolOperator.from_entries(
+        n, FormIndexing(n, ell).dim, FormIndexing(n, ell + 1).dim, 1, entries
     )
     return CatalogResult(
         "exterior_d", {"n": n, "ell": ell}, op, ROLE_CONSTRAINT,

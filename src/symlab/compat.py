@@ -40,13 +40,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Optional
 
 from .deciders.cancellation import probe_directions, sample_directions
 from .deciders.witness import MAX_SYSTEM_ENTRIES
 from .exact.matrix import int_kernel, int_pivots
-from .exact.poly import multi_indices
+from .exact.poly import monomial_count, multi_indices
 from .exact.symbol import SymbolOperator
 
 RANK_SAMPLES = 3  # seeded directions; the one of largest rank A(xi) is used
@@ -68,8 +67,9 @@ def _rank_at(s: SymbolOperator, xi: tuple) -> int:
 
 def _check_size(a: SymbolOperator, d: int) -> None:
     """Refuse the system of degree d when it has too many entries."""
-    rows = a.dim_v * comb(a.n + d + a.order - 1, a.n - 1)
-    cols = a.dim_e * comb(a.n + d - 1, a.n - 1)
+    # multiplication_shape(d) of A^T, without transposing A.
+    rows = a.dim_v * monomial_count(a.n, d + a.order)
+    cols = a.dim_e * monomial_count(a.n, d)
     if rows * cols > MAX_SYSTEM_ENTRIES:
         raise AnnihilatorBudgetError(
             f"the degree-{d} annihilator system is {rows:,} x {cols:,}, over the budget "

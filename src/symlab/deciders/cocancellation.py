@@ -12,13 +12,17 @@ multiplies: N M = I_r gives rank S >= r, S kills every basis vector of K,
 and r + dim K = dim V then forces K = ker S.  The status is COCANCELING
 exactly when dim K = 0.  The decider takes the pivot columns of S, those
 of S[:, cols]^T as rows, both from the forward pass, and inverts that block.
+S is read from the symbol's sparse integer entries, which are D times S:
+the positive scale moves no pivot and no kernel, and the nonzero rows of S
+alone enter elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from ..exact.matrix import QMatrix, Subspace, kernel_basis
+from ..exact.matrix import QMatrix, Subspace, int_kernel, int_pivots
 from ..exact.symbol import SymbolOperator
 
 COCANCELING = "COCANCELING"
@@ -46,27 +50,45 @@ class CocancelingVerdict:
         return True
 
 
-def _stacked(l: SymbolOperator) -> QMatrix:
-    """S: the coefficient matrices stacked in term order (0 rows for the
-    zero symbol)."""
-    rows = tuple(row for _alpha, mat in l.terms for row in mat.entries)
-    return QMatrix(len(rows), l.dim_v, rows)
+def _stacked(l: SymbolOperator) -> list:
+    """The rows of S, D times the coefficient matrices stacked in term
+    order, as (column, numerator) pairs: row t * dim E + i is row i of the
+    t-th term (no rows for the zero symbol)."""
+    return [row for _alpha, rows in l.terms for row in rows]
 
 
-def _block(s: QMatrix, rows, cols) -> QMatrix:
-    return QMatrix.from_rows([[s[i, j] for j in cols] for i in rows])
+def _block(l: SymbolOperator, s: list, rows, cols) -> QMatrix:
+    """The block of S (divided by D) on the given rows and columns."""
+    return QMatrix.from_rows([[Fraction(dict(s[i]).get(j, 0), l.den) for j in cols]
+                              for i in rows])
+
+
+def _dense(s: list, ncols: int) -> tuple[list[int], list[list[int]]]:
+    """The indices of the nonzero rows of S and those rows, dense: the zero
+    rows move no pivot and no kernel."""
+    nonzero = [i for i, row in enumerate(s) if row]
+    dense = []
+    for i in nonzero:
+        r = [0] * ncols
+        for j, x in s[i]:
+            r[j] = x
+        dense.append(r)
+    return nonzero, dense
 
 
 def joint_kernel(l: SymbolOperator) -> Subspace:
-    return kernel_basis(_stacked(l))
+    return int_kernel(_dense(_stacked(l), l.dim_v)[1], l.dim_v)
 
 
 def check_cocanceling(l: SymbolOperator) -> CocancelingVerdict:
     s = _stacked(l)
-    cols = s.pivots()
-    rows = QMatrix.from_rows([s.col(j) for j in cols]).pivots()
-    block = RankBlock(rows, cols, _block(s, rows, cols).inverse())
-    ker = kernel_basis(s)
+    nonzero, dense = _dense(s, l.dim_v)
+    cols = int_pivots(dense, l.dim_v)
+    # The pivots of S[:, cols]^T; the zero rows of S are its zero columns.
+    picked = int_pivots([[r[j] for r in dense] for j in cols], len(dense))
+    rows = tuple(nonzero[k] for k in picked)
+    block = RankBlock(rows, cols, _block(l, s, rows, cols).inverse())
+    ker = int_kernel(dense, l.dim_v)
     return CocancelingVerdict(COCANCELING if ker.dim == 0 else NOT_COCANCELING, ker, block)
 
 
@@ -77,12 +99,13 @@ def verify_cocanceling(l: SymbolOperator, verdict: CocancelingVerdict) -> bool:
     r = len(b.rows)
     if len(b.cols) != r or (b.inverse.rows, b.inverse.cols) != (r, r):
         return False
-    if not all(0 <= i < s.rows for i in b.rows) or not all(0 <= j < s.cols for j in b.cols):
+    if not all(0 <= i < len(s) for i in b.rows) or not all(0 <= j < l.dim_v for j in b.cols):
         return False
-    if b.inverse @ _block(s, b.rows, b.cols) != QMatrix.identity(r):
+    if b.inverse @ _block(l, s, b.rows, b.cols) != QMatrix.identity(r):
         return False
     if r + ker.dim != l.dim_v:
         return False
-    if any(x != 0 for v in ker.columns() for x in s.mul_vector(v)):
+    # The integer rows of K span it.
+    if any(sum(x * v[j] for j, x in row) for v in ker.rows for row in s if row):
         return False
     return verdict.status == (COCANCELING if ker.dim == 0 else NOT_COCANCELING)

@@ -112,7 +112,7 @@ def _solve_norm_power(a: SymbolOperator, q: Polynomial, vectors: Sequence[Sequen
     # an integer since q has integer coefficients.
     coeffs = q.as_dict()
     lcm = math.lcm(*(Fraction(c).denominator for e in vectors for c in e))
-    den = a._int_terms[0]
+    den = a.den
     q_int = [den * int(coeffs.get(g, 0)) for g in targets]
     e_int = [[int(c * lcm) for c in e] for e in vectors]
     rows = a.multiplication_rows(s)  # row g * dim_e + c: coefficient x^gamma_g, slot c
@@ -144,7 +144,7 @@ def _kernel_witness(a: SymbolOperator, e: Sequence, s: int) -> Optional[Membersh
         return None
     lcm = math.lcm(*(Fraction(c).denominator for c in e))
     e_int = [int(c * lcm) for c in e]
-    den = a._int_terms[0]
+    den = a.den
     ncols = a.multiplication_shape(s)[1]
     # Unknowns (u, q): column h of the q block stands for -D x^gamma_h L e.
     candidates = int_kernel([

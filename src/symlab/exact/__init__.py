@@ -3,7 +3,6 @@
 from .matrix import (
     QMatrix,
     Subspace,
-    column_space,
     full_space,
     kernel_basis,
     subspace_from_columns,
@@ -16,7 +15,6 @@ from .symbol import SymbolOperator
 __all__ = [
     "QMatrix",
     "Subspace",
-    "column_space",
     "full_space",
     "kernel_basis",
     "subspace_from_columns",

@@ -1,13 +1,15 @@
 """Exact rational linear algebra.
 
-``QMatrix`` is the exchange format: an immutable, dense, row-major tuple
-of ``fractions.Fraction`` entries, which operator terms, constraint maps,
-blocks and reports use.  Everything here is computed exactly; there is no
-floating point in this module.  A ``Subspace`` is kept as the RREF rows of
-its generators, each scaled to primitive integers with a positive pivot, so
-that two objects describe the same subspace if and only if they compare
-equal structurally; its rational basis in reduced column echelon form is
-derived from those rows when read.
+``QMatrix`` is an immutable, dense, row-major tuple of
+``fractions.Fraction`` entries, for the small matrices that stand whole:
+constraint maps, cocancellation blocks and their inverses, and subspace
+bases as read.  Symbols are not kept as ``QMatrix``: ``SymbolOperator``
+stores its sparse integer entries.  Everything here is computed exactly;
+there is no floating point in this module.  A ``Subspace`` is kept as the
+RREF rows of its generators, each scaled to primitive integers with a
+positive pivot, so that two objects describe the same subspace if and only
+if they compare equal structurally; its rational basis in reduced column
+echelon form is derived from those rows when read.
 
 Elimination runs on Python ints, in one routine (``_echelon``): each row is
 scaled to integers by the lcm of its denominators, and a row is reduced
@@ -18,7 +20,8 @@ the pivots nor the reduced form, so dividing each reduced pivot row by its
 pivot once gives the unique RREF.  Back-elimination changes only finished
 rows, so ``pivots`` and ``rank`` run the forward pass alone and build no
 ``Fraction``; kernels are read from the reduced integer rows, and a
-subspace is its reduced integer rows.
+subspace is its reduced integer rows.  The whole space needs no
+elimination: its unit rows are already that form (``full_space``).
 
 Matrices that are integer already enter ``_echelon`` as they are, through
 three entry points on integer rows: ``int_pivots`` (the forward pass),
@@ -32,7 +35,6 @@ kernel.  Every elimination a decider runs, intersections and the systems of
 membership witnesses included, starts from integer rows; the witness search
 reads its one particular solution from ``_echelon`` itself.
 """
-
 from __future__ import annotations
 
 import math
@@ -289,11 +291,6 @@ def int_column_space(rows: Sequence[Sequence[int]]) -> Subspace:
     return _span(len(rows), map(list, zip(*rows)))
 
 
-def column_space(m: QMatrix) -> Subspace:
-    # Each column scaled on its own: scaling rows apart would move the span.
-    return _span(m.rows, map(_int_row, zip(*m.entries)))
-
-
 def _kernel_row(rows: list[list[int]], pivots: Sequence[int], f: int, ncols: int) -> list[int]:
     """The integer kernel generator of the free column f of reduced echelon
     rows: f-th entry the lcm L of the pivots that involve f and entry
@@ -353,4 +350,6 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
 
 
 def full_space(ambient: int) -> Subspace:
-    return _span(ambient, ([int(i == j) for j in range(ambient)] for i in range(ambient)))
+    """Q^ambient, from its unit rows: they are already its canonical form."""
+    zeros = (0,) * ambient
+    return Subspace(ambient, tuple(zeros[:i] + (1,) + zeros[i + 1:] for i in range(ambient)))

@@ -2,33 +2,30 @@
 
 A symbol is a matrix-valued homogeneous polynomial: a finite family of
 rational coefficient matrices indexed by exponent tuples of one common
-total degree (the operator order).  The zero symbol is representable, but
-only through the explicit ``zero`` constructor; accidental all-zero input
-is rejected because classifying it is vacuous.  ``make`` takes the terms as
-coefficient matrices and is the one place that validates a symbol;
-``from_entries`` takes a symbol's nonzero coefficients as
-{(alpha, row, col): value}, builds each term's matrix around shared zero
-rows and hands the terms to ``make``.
+total degree (the operator order).  It is kept sparse, as integers: ``den``
+is the lcm D of every coefficient denominator, and ``terms`` holds, for
+each exponent alpha with a nonzero coefficient in graded-lex order, the
+dim E rows of that coefficient times D, each row the (column, numerator)
+pairs of its nonzero entries.  ``from_entries`` is the one constructor: it
+takes a symbol's nonzero coefficients as {(alpha, row, col): value} and is
+the one place that validates a symbol.  The zero symbol is representable,
+but only on request (``allow_zero``, or ``zero``); accidental all-zero
+input is rejected because classifying it is vacuous.
 
-Coefficients are kept as integer numerators over one common denominator D
-(``_int_terms``).  A symbol value enters elimination as integer rows:
-``scaled_rows`` sums those numerators at the integer multiple of xi, a
-positive multiple of ``evaluate``, which divides them; and
-``multiplication_rows`` places them in D times the matrix of u -> A u.
-Every rank, image, kernel and witness question reads the integer rows and
-builds no ``Fraction`` on the way to ``_echelon``.
+A symbol value enters elimination as integer rows: ``scaled_rows`` sums
+the numerators at the integer multiple of xi, a positive multiple of
+A(xi); and ``multiplication_rows`` places them in D times the matrix of
+u -> A u.  Every rank, image, kernel and witness question reads the
+integer rows and builds no ``Fraction`` on the way to ``_echelon``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping, Sequence
 
-from .matrix import QMatrix
 from .poly import (
     MultiIndex,
     Polynomial,
@@ -46,72 +43,47 @@ class SymbolOperator:
     dim_v: int    # domain dimension
     dim_e: int    # codomain dimension
     order: int    # common total degree of all terms
-    terms: tuple  # sorted tuple of (MultiIndex, QMatrix), graded-lex order
+    den: int      # lcm of the coefficient denominators (1 for the zero symbol)
+    terms: tuple  # (alpha, rows) in graded-lex order; row i: ((col, numerator), ...)
 
     @staticmethod
-    def make(
-        n: int,
-        dim_v: int,
-        dim_e: int,
-        order: int,
-        terms: Mapping[MultiIndex, QMatrix],
-        allow_zero: bool = False,
-    ) -> "SymbolOperator":
+    def from_entries(n: int, dim_v: int, dim_e: int, order: int,
+                     entries: Mapping[tuple, object],
+                     allow_zero: bool = False) -> "SymbolOperator":
+        """The symbol whose coefficient of x^alpha has ``value`` at (row, col)
+        for each ((alpha, row, col), value) of ``entries`` and is zero
+        elsewhere; zero values are checked and dropped."""
         if n < 1 or dim_v < 1 or dim_e < 1 or order < 0:
             raise ValueError("dimensions must be positive and order non-negative")
-        cleaned = {}
-        for alpha, mat in terms.items():
+        coeffs: dict[MultiIndex, dict] = {}
+        for (alpha, i, j), x in entries.items():
             alpha = tuple(int(a) for a in alpha)
             if len(alpha) != n or any(a < 0 for a in alpha):
                 raise ValueError(f"bad multi-index {alpha}")
             if sum(alpha) != order:
                 raise ValueError(f"multi-index {alpha} does not have degree {order}")
-            if (mat.rows, mat.cols) != (dim_e, dim_v):
-                raise ValueError("coefficient matrix shape mismatch")
-            if not mat.is_zero():
-                cleaned[alpha] = mat
-        if not cleaned and not allow_zero:
-            raise ValueError("all coefficient matrices are zero")
-        items = tuple(sorted(cleaned.items(), key=lambda kv: grlex_key(kv[0])))
-        return SymbolOperator(n, dim_v, dim_e, order, items)
-
-    @staticmethod
-    def from_entries(n: int, dim_v: int, dim_e: int, order: int, entries: Mapping[tuple, object],
-                     allow_zero: bool = False) -> "SymbolOperator":
-        """The symbol whose coefficient of x^alpha has ``value`` at (row, col)
-        for each ((alpha, row, col), value) of ``entries`` and is zero
-        elsewhere; every row with no entry is one shared zero row."""
-        zero_row = (Fraction(0),) * dim_v
-        rows: dict = defaultdict(lambda: [zero_row] * dim_e)
-        for (alpha, i, j), x in entries.items():
             if not (0 <= i < dim_e and 0 <= j < dim_v):
                 raise ValueError(f"entry ({i}, {j}) outside a {dim_e} x {dim_v} matrix")
-            term = rows[tuple(alpha)]
-            if term[i] is zero_row:
-                term[i] = list(zero_row)
-            term[i][j] = Fraction(x)
-        terms = {alpha: QMatrix(dim_e, dim_v, tuple(map(tuple, r))) for alpha, r in rows.items()}
-        return SymbolOperator.make(n, dim_v, dim_e, order, terms, allow_zero)
+            x = Fraction(x)
+            if x:
+                coeffs.setdefault(alpha, {})[i, j] = x
+        if not coeffs and not allow_zero:
+            raise ValueError("all coefficient matrices are zero")
+        den = math.lcm(*(x.denominator for c in coeffs.values() for x in c.values()))
+        terms = []
+        for alpha in sorted(coeffs, key=grlex_key):
+            rows: list[list] = [[] for _ in range(dim_e)]
+            for (i, j), x in sorted(coeffs[alpha].items()):
+                rows[i].append((j, x.numerator * (den // x.denominator)))
+            terms.append((alpha, tuple(map(tuple, rows))))
+        return SymbolOperator(n, dim_v, dim_e, order, den, tuple(terms))
 
     @staticmethod
     def zero(n: int, dim_v: int, dim_e: int, order: int) -> "SymbolOperator":
-        return SymbolOperator.make(n, dim_v, dim_e, order, {}, allow_zero=True)
+        return SymbolOperator.from_entries(n, dim_v, dim_e, order, {}, allow_zero=True)
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    @cached_property
-    def _int_terms(self) -> tuple[int, list]:
-        """(D, [(alpha, rows)]): D the lcm of every coefficient denominator
-        and each row the (column, numerator over D) pairs of its nonzero
-        entries."""
-        sparse = [(alpha, [[(j, x) for j, x in enumerate(r) if x] for r in mat.entries])
-                  for alpha, mat in self.terms]
-        den = math.lcm(*(x.denominator for _a, rows in sparse for r in rows for _j, x in r))
-        return den, [
-            (alpha, [[(j, x.numerator * (den // x.denominator)) for j, x in r] for r in rows])
-            for alpha, rows in sparse
-        ]
 
     def scaled_rows(self, xi: Sequence) -> list[list[int]]:
         """The integer rows of c A(xi) for a rational frequency vector, with
@@ -129,7 +101,7 @@ class SymbolOperator:
         q = math.lcm(*(x.denominator for x in pt))
         v = [x.numerator * (q // x.denominator) for x in pt]
         acc = [[0] * self.dim_v for _ in range(self.dim_e)]
-        for alpha, rows in self._int_terms[1]:
+        for alpha, rows in self.terms:
             c = 1
             for x, e in zip(v, alpha):
                 if e:
@@ -141,21 +113,15 @@ class SymbolOperator:
                     acc_row[j] += c * x
         return acc
 
-    def evaluate(self, xi: Sequence) -> QMatrix:
-        """Exact value of the symbol at a rational frequency vector: the rows
-        of ``scaled_rows`` divided by D q^order."""
-        rows = self.scaled_rows(xi)
-        den = self._int_terms[0] * math.lcm(*(Fraction(x).denominator for x in xi))**self.order
-        zero = Fraction(0)
-        return QMatrix(self.dim_e, self.dim_v, tuple(
-            tuple(Fraction(x, den) if x else zero for x in r) for r in rows
-        ))
-
     def columns(self) -> list[list[Polynomial]]:
         """The columns of A(x): for each coordinate j of V, the polynomial
-        vector A(x) e_j, read from column j of the coefficient matrices."""
-        return [[Polynomial.make(self.n, {alpha: mat[i, j] for alpha, mat in self.terms})
-                 for i in range(self.dim_e)] for j in range(self.dim_v)]
+        vector A(x) e_j, read from column j of the entries."""
+        cols = [[{} for _ in range(self.dim_e)] for _ in range(self.dim_v)]
+        for alpha, rows in self.terms:
+            for i, row in enumerate(rows):
+                for j, x in row:
+                    cols[j][i][alpha] = Fraction(x, self.den)
+        return [[Polynomial.make(self.n, c) for c in col] for col in cols]
 
     def gram(self) -> PolyMatrix:
         """A(x)^T A(x) as an exact polynomial matrix (degree 2 * order): A^T
@@ -164,12 +130,15 @@ class SymbolOperator:
         return PolyMatrix.from_rows(self.n, [at.apply(col) for col in self.columns()])
 
     def transpose(self) -> "SymbolOperator":
-        """The symbol x -> A(x)^T."""
-        return SymbolOperator.make(
-            self.n, self.dim_e, self.dim_v, self.order,
-            {alpha: mat.transpose() for alpha, mat in self.terms},
-            allow_zero=True,
-        )
+        """The symbol x -> A(x)^T, with the same D."""
+        terms = []
+        for alpha, rows in self.terms:
+            cols: list[list] = [[] for _ in range(self.dim_v)]
+            for i, row in enumerate(rows):
+                for j, x in row:
+                    cols[j].append((i, x))
+            terms.append((alpha, tuple(map(tuple, cols))))
+        return SymbolOperator(self.n, self.dim_e, self.dim_v, self.order, self.den, tuple(terms))
 
     def multiplication_shape(self, d: int) -> tuple[int, int]:
         """(rows, columns) of ``multiplication_rows(d)``, without building it."""
@@ -178,7 +147,7 @@ class SymbolOperator:
 
     def multiplication_rows(self, d: int) -> list[list[int]]:
         """The integer rows of D times the matrix of u -> A u from V[x]_d to
-        E[x]_(d + order), with the numerators over D of ``_int_terms``.
+        E[x]_(d + order), with the numerators over D of ``terms``.
 
         Column b * dim_v + j stands for x^beta e_j and row g * dim_e + i for
         x^gamma e_i, with beta and gamma the b-th and g-th entries of
@@ -187,7 +156,7 @@ class SymbolOperator:
         targets = {gamma: g for g, gamma in enumerate(multi_indices(self.n, d + self.order))}
         out = [[0] * (len(sources) * self.dim_v) for _ in range(len(targets) * self.dim_e)]
         for b, beta in enumerate(sources):
-            for alpha, rows in self._int_terms[1]:
+            for alpha, rows in self.terms:
                 g = targets[tuple(x + y for x, y in zip(alpha, beta))]
                 for i, row in enumerate(rows):
                     out_row = out[g * self.dim_e + i]
@@ -200,22 +169,21 @@ class SymbolOperator:
         coordinate of V: the one product of a symbol and a polynomial
         vector in the exact layer.
 
-        It multiplies the sparse integer rows of ``_int_terms`` (numerators
-        over D) by u with its denominators cleared to one common du, so each
+        It multiplies the sparse integer rows of ``terms`` (numerators over
+        D) by u with its denominators cleared to one common du, so each
         coefficient of the result is one integer sum, divided once by D du."""
         if len(u) != self.dim_v:
             raise ValueError("vector length mismatch")
         cleared = [clear_denominators(q) for q in u]
         du = math.lcm(*(d for _q, d in cleared))
-        den, terms = self._int_terms
         acc: list[dict] = [{} for _ in range(self.dim_e)]
-        for alpha, rows in terms:
+        for alpha, rows in self.terms:
             shifted = [[(tuple(a + b for a, b in zip(alpha, beta)), c * (du // d))
                         for beta, c in q.items()] for q, d in cleared]
             for out, row in zip(acc, rows):
                 for j, x in row:
                     for key, c in shifted[j]:
                         out[key] = out.get(key, 0) + x * c
-        den *= du
+        den = self.den * du
         return [Polynomial.make(self.n, {k: Fraction(c, den) for k, c in out.items() if c})
                 for out in acc]

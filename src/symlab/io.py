@@ -1,10 +1,19 @@
 """JSON serialization of operators, verdicts and certificates.
 
 Rationals travel as strings "p/q" (or "p" when the denominator is 1),
-matrices as row-major nested arrays of those strings, multi-indices as
-integer arrays.  Serialization is deterministic: keys are emitted sorted
-and collections in graded-lex order, so reports reproduce byte-for-byte
-under a fixed seed once timing fields are stripped.
+multi-indices as integer arrays, and the small dense matrices (T, block
+inverses) as row-major nested arrays of those strings.  Serialization is
+deterministic: keys are emitted sorted and collections in graded-lex
+order, so reports reproduce byte-for-byte under a fixed seed once timing
+fields are stripped.
+
+An operator (``schema_version`` 2) is ``{"n", "dimV", "dimE", "order",
+"terms"}`` with ``"terms"`` its nonzero coefficients, each
+``[alpha, row, col, "p/q"]``, sorted by graded-lex alpha, then row, then
+column.  Its one reader refuses with ``OperatorFileError`` a malformed or
+zero entry, an alpha of the wrong length or degree, a row or column that is
+not an int in range, and a repeated (alpha, row, col); a document of any
+other ``schema_version`` is refused as unsupported.
 
 Each verdict has one ``*_to_json`` / ``*_from_json`` pair; the decoder
 takes ``(doc, op)``, the report's operator giving the shapes.  A positivity
@@ -47,7 +56,7 @@ from .exact.matrix import QMatrix, Subspace, subspace_from_columns
 from .exact.poly import Polynomial
 from .exact.symbol import SymbolOperator
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class OperatorFileError(ValueError):
@@ -128,8 +137,8 @@ def operator_to_json(a: SymbolOperator, metadata: Optional[dict] = None) -> dict
         "dimE": a.dim_e,
         "order": a.order,
         "terms": [
-            {"alpha": list(alpha), "matrix": matrix_to_json(mat)}
-            for alpha, mat in a.terms
+            [list(alpha), i, j, rat_to_str(Fraction(x, a.den))]
+            for alpha, rows in a.terms for i, row in enumerate(rows) for j, x in row
         ],
     }
     if metadata:
@@ -155,34 +164,24 @@ def operator_from_json(doc: dict) -> tuple[SymbolOperator, Optional[QMatrix], di
         raise OperatorFileError("order must be a non-negative integer")
     if not isinstance(doc["terms"], list):
         raise OperatorFileError("terms must be an array")
-    terms = {}
+    entries = {}
     for idx, item in enumerate(doc["terms"]):
-        if not isinstance(item, dict) or "alpha" not in item or "matrix" not in item:
-            raise OperatorFileError(f"terms[{idx}] needs 'alpha' and 'matrix'")
-        alpha = item["alpha"]
-        if (
-            not isinstance(alpha, list)
-            or len(alpha) != n
-            or not all(isinstance(x, int) and x >= 0 for x in alpha)
-        ):
-            raise OperatorFileError(
-                f"terms[{idx}].alpha must be {n} non-negative integers"
-            )
-        if sum(alpha) != order:
-            raise OperatorFileError(
-                f"terms[{idx}].alpha has degree {sum(alpha)}, expected {order}"
-            )
-        mat = matrix_from_json(item["matrix"], f"terms[{idx}].matrix")
-        if (mat.rows, mat.cols) != (dim_e, dim_v):
-            raise OperatorFileError(
-                f"terms[{idx}].matrix is {mat.rows}x{mat.cols}, expected {dim_e}x{dim_v}"
-            )
-        key = tuple(alpha)
-        if key in terms:
-            raise OperatorFileError(f"duplicate multi-index {alpha}")
-        terms[key] = mat
+        if not isinstance(item, list) or len(item) != 4:
+            raise OperatorFileError(f"terms[{idx}] must be [alpha, row, col, value]")
+        alpha, i, j, literal = item
+        if not isinstance(alpha, list) or not all(type(a) is int for a in alpha):
+            raise OperatorFileError(f"terms[{idx}] alpha must be an array of integers")
+        if type(i) is not int or type(j) is not int:
+            raise OperatorFileError(f"terms[{idx}] row and col must be integers")
+        x = rat_from_str(literal)
+        if not x:
+            raise OperatorFileError(f"terms[{idx}] is zero; list only nonzero entries")
+        key = (tuple(alpha), i, j)
+        if key in entries:
+            raise OperatorFileError(f"terms[{idx}] repeats the entry {alpha}, {i}, {j}")
+        entries[key] = x
     try:
-        op = SymbolOperator.make(n, dim_v, dim_e, order, terms, allow_zero=True)
+        op = SymbolOperator.from_entries(n, dim_v, dim_e, order, entries, allow_zero=True)
     except ValueError as exc:
         raise OperatorFileError(str(exc)) from exc
     t = None

@@ -425,22 +425,26 @@ def symbol_on_grid(a: SymbolOperator, spec: GridSpec) -> Iterator[tuple[int, int
         raise ValueError("operator and grid dimensions differ")
     xi = spec.frequency_grids()
     monomials = []
-    for alpha, mat in a.terms:
+    # (row, column) -> [(term, numerator)], the terms in graded-lex order.
+    entries: dict = {}
+    for t, (alpha, rows) in enumerate(a.terms):
         mono = np.ones((1,) * spec.n)
         for i, e in enumerate(alpha):
             if e:
                 mono = mono * xi[i] ** e
-        monomials.append((mono, mat))
-    for r in range(a.dim_e):
-        for c in range(a.dim_v):
-            values = None
-            for mono, mat in monomials:
-                coeff = float(mat[r, c])
-                if coeff != 0.0:
-                    term = coeff * mono
-                    values = term if values is None else values + term
-            if values is not None:
-                yield r, c, values
+        monomials.append(mono)
+        for r, row in enumerate(rows):
+            for c, x in row:
+                entries.setdefault((r, c), []).append((t, x))
+    for (r, c), coeffs in sorted(entries.items()):
+        values = None
+        for t, x in coeffs:
+            coeff = x / a.den
+            if coeff != 0.0:
+                term = coeff * monomials[t]
+                values = term if values is None else values + term
+        if values is not None:
+            yield r, c, values
 
 
 def _image_rows(

@@ -291,8 +291,8 @@ def test_forged_joint_kernel_strict_subspace(tmp_path):
     # must not pass.
     source = tmp_path / "op.json"
     source.write_text(json.dumps({
-        "schema_version": 1, "n": 2, "dimV": 3, "dimE": 1, "order": 1,
-        "terms": [{"alpha": [1, 0], "matrix": [["1", "0", "0"]]}],
+        "schema_version": 2, "n": 2, "dimV": 3, "dimE": 1, "order": 1,
+        "terms": [[[1, 0], 0, 0, "1"]],
     }))
     _code, report = analyze(tmp_path, str(source), "--as", "constraint")
     assert verify(tmp_path, report)[0] == 0
@@ -470,7 +470,7 @@ def test_huge_exponent_exits_2_quickly(tmp_path, capsys):
     assert code == 2 and time.perf_counter() - start < 1.0
     assert "malformed report" in capsys.readouterr().err
     doc = report["operator"]
-    doc["terms"][0]["matrix"][0][0] = huge
+    doc["terms"][0][3] = huge
     path = tmp_path / "operator.json"
     path.write_text(json.dumps(doc))
     start = time.perf_counter()
@@ -479,15 +479,53 @@ def test_huge_exponent_exits_2_quickly(tmp_path, capsys):
     assert "bad rational literal" in capsys.readouterr().err
 
 
+# xi_0 e_0 + xi_1 e_1: the gradient on R^2, to which each case adds one entry.
+GRADIENT_FILE = {"schema_version": 2, "n": 2, "dimV": 1, "dimE": 2, "order": 1,
+                 "terms": [[[0, 1], 1, 0, "1"], [[1, 0], 0, 0, "1"]]}
+
+
+@pytest.mark.parametrize("entry, message", [
+    (["1"], "terms[2] must be [alpha, row, col, value]"),
+    ({"alpha": [1, 0], "matrix": [["1"], ["0"]]}, "terms[2] must be [alpha, row, col, value]"),
+    ([[1], 0, 0, "1"], "bad multi-index (1,)"),
+    ([[1.0, 0], 0, 0, "1"], "terms[2] alpha must be an array of integers"),
+    ([[2, 0], 0, 0, "1"], "multi-index (2, 0) does not have degree 1"),
+    ([[1, 0], 2, 0, "1"], "entry (2, 0) outside a 2 x 1 matrix"),
+    ([[1, 0], 0, -1, "1"], "entry (0, -1) outside a 2 x 1 matrix"),
+    ([[1, 0], "1", 0, "1"], "terms[2] row and col must be integers"),
+    ([[1, 0], 1, 0.0, "1"], "terms[2] row and col must be integers"),
+    ([[1, 0], 1, 0, "0"], "terms[2] is zero"),
+    ([[1, 0], 1, 0, "1/0"], "bad rational literal '1/0'"),
+    ([[1, 0], 1, 0, "1e10000000"], "bad rational literal '1e10000000'"),
+    ([[1, 0], 0, 0, "2"], "terms[2] repeats the entry [1, 0], 0, 0"),
+], ids=["short", "schema_1_term", "alpha_length", "alpha_float", "alpha_degree", "row_range",
+        "col_negative", "row_string", "col_float", "zero", "bad_literal", "huge_exponent",
+        "duplicate"])
+def test_operator_file_refusal_exits_2(tmp_path, capsys, entry, message):
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps({**GRADIENT_FILE, "terms": GRADIENT_FILE["terms"] + [entry]}))
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
+def test_schema_1_operator_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps({"schema_version": 1, "n": 1, "dimV": 1, "dimE": 1, "order": 1,
+                                "terms": [{"alpha": [1], "matrix": [["1"]]}]}))
+    assert main(["analyze", str(path)]) == 2
+    assert "unsupported schema_version 1" in capsys.readouterr().err
+
+
 def dense_two_term_operator(dim):
     """The operator file of xi_0 I + xi_1 M on Q^dim, M drawn from {-1, 0, 1}
     by random.Random(1): det(A^T A) takes about 2.2 times more coefficient
     products per added dimension, 10 million at dim 16."""
     rng = random.Random(1)
-    m = [[str(rng.choice((-1, 0, 1))) for _ in range(dim)] for _ in range(dim)]
-    eye = [[str(int(i == j)) for j in range(dim)] for i in range(dim)]
-    return {"schema_version": 1, "n": 2, "dimV": dim, "dimE": dim, "order": 1,
-            "terms": [{"alpha": [1, 0], "matrix": eye}, {"alpha": [0, 1], "matrix": m}]}
+    m = [[rng.choice((-1, 0, 1)) for _ in range(dim)] for _ in range(dim)]
+    terms = [[[0, 1], i, j, str(x)] for i, row in enumerate(m) for j, x in enumerate(row) if x]
+    terms += [[[1, 0], i, i, "1"] for i in range(dim)]
+    return {"schema_version": 2, "n": 2, "dimV": dim, "dimE": dim, "order": 1, "terms": terms}
 
 
 def test_gram_determinant_over_budget_exits_3_quickly(tmp_path):
@@ -512,9 +550,8 @@ def test_gram_determinant_over_budget_exits_3_quickly(tmp_path):
 def test_zero_cone_undecided_names_the_depth_limit(tmp_path):
     # x_0^2 - 2 x_1^2 vanishes only at irrational directions.
     path = tmp_path / "zero_cone.json"
-    path.write_text(json.dumps({"schema_version": 1, "n": 2, "dimV": 1, "dimE": 1, "order": 2,
-                                "terms": [{"alpha": [2, 0], "matrix": [["1"]]},
-                                          {"alpha": [0, 2], "matrix": [["-2"]]}]}))
+    path.write_text(json.dumps({"schema_version": 2, "n": 2, "dimV": 1, "dimE": 1, "order": 2,
+                                "terms": [[[0, 2], 0, 0, "-2"], [[2, 0], 0, 0, "1"]]}))
     code, report = analyze(tmp_path, str(path))
     v = report["verdicts"]["ellipticity"]
     assert code == 3 and v["status"] == "UNDECIDED" and v["depth_reached"] == 24

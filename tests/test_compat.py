@@ -32,11 +32,12 @@ from symlab.exact import (
     Polynomial,
     QMatrix,
     SymbolOperator,
-    column_space,
     kernel_basis,
     multi_indices,
+    subspace_from_columns,
 )
 from symlab.exact import matrix
+from test_exact_symbol import coefficients, ref_evaluate
 
 
 def elliptic_instances():
@@ -46,11 +47,7 @@ def elliptic_instances():
 def test_gradient_annihilator_matches_hand_expansion():
     # L(x) = (x_2, -x_1): the planar curl, of degree 1.
     res = build_annihilator(gradient(2).operator)
-    expect = {
-        (0, 1): QMatrix.from_rows([[1, 0]]),
-        (1, 0): QMatrix.from_rows([[0, -1]]),
-    }
-    assert dict(res.operator.terms) == expect
+    assert coefficients(res.operator) == {((0, 1), 0, 0): 1, ((1, 0), 0, 1): -1}
     assert res.operator.order == 1
     report = verify_annihilator(gradient(2).operator, res.operator)
     assert report.identity_ok and report.kernels_match
@@ -63,21 +60,16 @@ def test_sym_gradient_annihilator_is_saint_venant():
     op = sym_gradient(3).operator
     l = build_annihilator(op).operator
     assert (l.order, l.dim_e) == (2, 6)
-    row = SymbolOperator.make(3, 6, 1, 2, {
-        (0, 2, 0): QMatrix.from_rows([[1, 0, 0, 0, 0, 0]]),
-        (2, 0, 0): QMatrix.from_rows([[0, 0, 0, 1, 0, 0]]),
-        (1, 1, 0): QMatrix.from_rows([[0, -2, 0, 0, 0, 0]]),
-    })
+    row = SymbolOperator.from_entries(3, 6, 1, 2, {
+        ((0, 2, 0), 0, 0): 1, ((2, 0, 0), 0, 3): 1, ((1, 1, 0), 0, 1): -2})
     assert all(p.is_zero() for col in op.columns() for p in row.apply(col))
 
     def flat(sym):
         """One coefficient vector per row, over every monomial of degree 2."""
-        terms = dict(sym.terms)
-        zero = QMatrix.zeros(sym.dim_e, sym.dim_v)
-        return [
-            [x for alpha in multi_indices(3, 2) for x in terms.get(alpha, zero).entries[i]]
-            for i in range(sym.dim_e)
-        ]
+        coeffs = coefficients(sym)
+        return [[coeffs.get((alpha, i, j), 0)
+                 for alpha in multi_indices(3, 2) for j in range(sym.dim_v)]
+                for i in range(sym.dim_e)]
 
     rows = flat(l)
     assert QMatrix.from_rows(rows).rank() == QMatrix.from_rows(rows + flat(row)).rank() == 6
@@ -138,12 +130,10 @@ def perturbed_sym_gradient_annihilator():
     # One coefficient of L moved by 1 adds x^alpha times row 0 of A to row 0
     # of L(x) A(x), which is then no longer zero.
     l = build_annihilator(sym_gradient(2).operator).operator
-    terms = dict(l.terms)
-    alpha, mat = l.terms[0]
-    rows = [list(r) for r in mat.entries]
-    rows[0][0] += 1
-    terms[alpha] = QMatrix.from_rows(rows)
-    return SymbolOperator.make(l.n, l.dim_v, l.dim_e, l.order, terms)
+    coeffs = coefficients(l)
+    key = (l.terms[0][0], 0, 0)
+    coeffs[key] = coeffs.get(key, 0) + 1
+    return SymbolOperator.from_entries(l.n, l.dim_v, l.dim_e, l.order, coeffs)
 
 
 def test_verify_annihilator_rejects_perturbed_identity():
@@ -164,8 +154,9 @@ def test_rank_counts_match_subspace_comparison():
     for a, l in cases:
         report = verify_annihilator(a, l)
         for (xi, ker_ok), (_xi, rank_ok) in zip(report.kernel_checks, report.rank_checks):
-            image = column_space(a.evaluate(xi))
-            assert ker_ok == (report.identity_ok and kernel_basis(l.evaluate(xi)) == image)
+            image = subspace_from_columns(a.dim_e, zip(*ref_evaluate(a, xi)))
+            kernel = kernel_basis(QMatrix.from_rows(ref_evaluate(l, xi)))
+            assert ker_ok == (report.identity_ok and kernel == image)
             assert rank_ok == (image.dim == a.dim_v)
     assert not report.identity_ok  # the last case takes the failed-identity branch
 
@@ -205,7 +196,9 @@ def test_hodge_remark_annihilator():
 
     def first_order(terms):
         mat = next(iter(terms.values()))
-        return SymbolOperator.make(n, mat.cols, mat.rows, 1, terms)
+        return SymbolOperator.from_entries(n, mat.cols, mat.rows, 1, {
+            (alpha, i, j): x for alpha, m in terms.items()
+            for i, row in enumerate(m.entries) for j, x in enumerate(row)})
 
     du3 = first_order(exterior_derivative_terms(n, ell + 1))  # 3-forms -> 4-forms
     co4 = first_order(codifferential_terms(n, ell + 2))       # 4-forms -> 3-forms
@@ -238,7 +231,7 @@ def test_questions_at_xi_build_no_fraction_rows(monkeypatch):
     a = sym_gradient(4).operator
     monkeypatch.setattr(matrix, "_int_row", refuse)
     with pytest.raises(AssertionError):  # the Fraction path goes through it
-        kernel_basis(a.evaluate([1] * a.n))
+        kernel_basis(QMatrix.from_rows(ref_evaluate(a, [1] * a.n)))
     l = build_annihilator(a).operator
     report = verify_annihilator(a, l)
     assert report.identity_ok and report.kernels_match and report.ranks_full
@@ -269,13 +262,13 @@ def test_oversize_compat_exits_3_before_building(tmp_path, capsys):
     assert not out.exists()
 
 
-# sha256 of the compat JSON, as written before L was read from the kernel's
-# integer rows; reading them instead of the dense basis changes no byte.
+# sha256 of the compat JSON, with L and the input digest written in operator
+# schema 2 (nonzero entries only).
 COMPAT_PINS = {
-    "catalog:sym_gradient?n=4": "a6f17f3de549df84",
-    "catalog:hodge_pair?n=4&ell=1": "1d3c8c508f16eeab",
-    "catalog:split_laplacian?n=3&ell=1": "2ace564da8aaeae3",
-    "catalog:saint_venant?n=3": "31cdf7d5086329d0",
+    "catalog:sym_gradient?n=4": "02ff7e4a901bbc38",
+    "catalog:hodge_pair?n=4&ell=1": "23459b57baf97951",
+    "catalog:split_laplacian?n=3&ell=1": "5893daff7e185f3b",
+    "catalog:saint_venant?n=3": "9433b06d6a82c7a9",
 }
 
 

@@ -66,6 +66,7 @@ from symlab.exact import (
     multi_indices,
     subspace_from_columns,
 )
+from test_exact_symbol import coefficients, ref_evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +88,8 @@ def test_hyperbolic_witness():
     v = check_ellipticity(op)
     assert v.status == NOT_ELLIPTIC and v.memberships == []
     assert v.witness_xi == (-1, 1)
-    assert all(x == 0 for x in op.evaluate(v.witness_xi).mul_vector(v.witness_v))
+    value = QMatrix.from_rows(ref_evaluate(op, v.witness_xi))
+    assert all(x == 0 for x in value.mul_vector(v.witness_v))
     assert verify_ellipticity(op, v)
 
 
@@ -110,8 +112,7 @@ def test_wide_operator_immediately_not_elliptic():
     assert v.status == NOT_ELLIPTIC and verify_ellipticity(op, v)
 
 
-ZERO_CONE = SymbolOperator.make(
-    2, 1, 1, 2, {(2, 0): QMatrix.from_rows([[1]]), (0, 2): QMatrix.from_rows([[-2]])})
+ZERO_CONE = SymbolOperator.from_entries(2, 1, 1, 2, {((2, 0), 0, 0): 1, ((0, 2), 0, 0): -2})
 
 
 def test_irrational_zero_yields_undecided():
@@ -410,8 +411,10 @@ def test_defigueiredo_4_2_elliptic_at_default_depth():
 
 def selected_block(op, block):
     """The entries of the stacked coefficient matrices that a block selects."""
-    stacked = [row for _alpha, m in op.terms for row in m.entries]
-    return QMatrix.from_rows([[stacked[i][j] for j in block.cols] for i in block.rows])
+    coeffs = coefficients(op)
+    alphas = [alpha for alpha, _rows in op.terms]
+    return QMatrix.from_rows([[coeffs.get((alphas[i // op.dim_e], i % op.dim_e, j), 0)
+                               for j in block.cols] for i in block.rows])
 
 
 def test_divergence_cocanceling_with_full_block():
@@ -533,10 +536,8 @@ def test_not_canceling_certified_without_ellipticity():
     # images meet in span(e_0).  Random samples see all of E; e_1 has no
     # witness, the lattice direction (0, 1) shrinks the intersection, and e_0
     # is then witnessed by u = (1, 0), p = |x|^2.
-    op = SymbolOperator.make(2, 2, 2, 2, {
-        (2, 0): QMatrix.from_rows([[1, 0], [0, 1]]),
-        (0, 2): QMatrix.from_rows([[1, 0], [0, 0]]),
-    })
+    op = SymbolOperator.from_entries(2, 2, 2, 2, {
+        ((2, 0), 0, 0): 1, ((2, 0), 1, 1): 1, ((0, 2), 0, 0): 1})
     assert check_ellipticity(op).status == NOT_ELLIPTIC
     v = check_canceling(op, seed=0)
     assert v.status == NOT_CANCELING and v.iterations == 2
@@ -617,9 +618,8 @@ def test_witness_outside_intersection_rejected():
 
 def test_basis_vector_without_witness_rejected():
     # diag(|x|^2, |x|^2): every vector of E lies in every image.
-    op = SymbolOperator.make(2, 2, 2, 2, {
-        (2, 0): QMatrix.identity(2), (0, 2): QMatrix.identity(2),
-    })
+    op = SymbolOperator.from_entries(2, 2, 2, 2, {
+        (alpha, i, i): 1 for alpha in ((2, 0), (0, 2)) for i in range(2)})
     v = witnessed(op)
     assert v.intersection.dim == 2 and len(v.memberships) == 2
     first, second = v.memberships
@@ -814,7 +814,7 @@ def ref_membership(a, e):
     """The witness recipe on rational matrices: u -> A u is
     multiplication_rows / D; p = |x|^(s+k) is tried by a rational solve,
     then the kernel of [M | -P_e] gives the candidates."""
-    den = math.lcm(*(x.denominator for _a, mat in a.terms for r in mat.entries for x in r))
+    den = math.lcm(*(x.denominator for x in coefficients(a).values()))
     for s in range(a.order % 2, min(MAX_WITNESS_DEGREE, witness_degree_bound(a)) + 1, 2):
         targets, sources = multi_indices(a.n, s + a.order), multi_indices(a.n, s)
         ncols = len(sources) * a.dim_v
@@ -870,10 +870,9 @@ def test_witness_with_symbol_denominator_and_fractional_e():
     # basis vector of W, so it has an entry 1/2.  |x|^2 gives no witness
     # there, and the kernel branch finds p = x_0^2 / 2 + 2 x_1^2 + 2 x_2^2.
     base = hodge_pair(3, 1).operator
-    terms = {alpha: QMatrix.from_rows([[x / (2 if alpha[0] else 1) for x in r]
-                                       for r in mat.entries])
-             for alpha, mat in base.terms}
-    op = SymbolOperator.make(base.n, base.dim_v, base.dim_e, base.order, terms)
+    entries = {(alpha, i, j): x / (2 if alpha[0] else 1)
+               for (alpha, i, j), x in coefficients(base).items()}
+    op = SymbolOperator.from_entries(base.n, base.dim_v, base.dim_e, base.order, entries)
     v = check_canceling(op, seed=1)
     assert v.status == NOT_CANCELING and v.intersection.dim == 1
     assert verify_canceling(op, v)
@@ -889,8 +888,8 @@ def test_witness_with_symbol_denominator_and_fractional_e():
 def test_witness_solve_with_symbol_denominator():
     # |x|^2 / 2 has D = 2, and p = |x|^2 is reached by the solve branch:
     # u = 2 e.
-    op = SymbolOperator.make(3, 1, 1, 2, {alpha: QMatrix.from_rows([[F(1, 2)]])
-                                          for alpha in ((2, 0, 0), (0, 2, 0), (0, 0, 2))})
+    op = SymbolOperator.from_entries(3, 1, 1, 2, {(alpha, 0, 0): F(1, 2)
+                                                  for alpha in ((2, 0, 0), (0, 2, 0), (0, 0, 2))})
     e = (F(1, 3),)
     m = find_witnesses(op, [e], kernel_candidates=True)[0]
     assert m == ref_membership(op, e)

@@ -9,15 +9,27 @@ from hypothesis import strategies as st
 
 from symlab.exact import (
     QMatrix,
-    column_space,
+    full_space,
     kernel_basis,
     subspace_from_columns,
     subspace_intersection,
 )
+from symlab.exact.matrix import _span
 
 
 def cols(s):
     return [tuple(c) for c in s.columns()]
+
+
+def column_space(m):
+    return subspace_from_columns(m.rows, zip(*m.entries))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+def test_full_space_is_the_span_of_the_identity(n):
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert full_space(n) == _span(n, identity)
+    assert full_space(n).dim == n
 
 
 def test_kernel_one_equation_canonical():

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -26,48 +27,64 @@ from symlab.exact import (
     PolyMatrix,
     QMatrix,
     SymbolOperator,
-    column_space,
     kernel_basis,
     multi_indices,
+    subspace_from_columns,
 )
 from symlab.exact import polymatrix
 from symlab.exact.matrix import int_column_space, int_kernel, int_pivots
+from symlab.io import operator_from_json, operator_to_json
+
+
+def coefficients(op):
+    """The symbol's nonzero coefficients, {(alpha, row, col): value}."""
+    return {(alpha, i, j): F(x, op.den) for alpha, rows in op.terms
+            for i, row in enumerate(rows) for j, x in row}
+
+
+def ref_evaluate(op, xi):
+    """A(xi) summed coefficient by coefficient in Fraction arithmetic."""
+    acc = [[F(0)] * op.dim_v for _ in range(op.dim_e)]
+    for (alpha, i, j), x in coefficients(op).items():
+        for c, e in zip(xi, alpha):
+            x *= F(c) ** e
+        acc[i][j] += x
+    return acc
 
 
 def test_gradient_evaluate():
     g = gradient(2).operator
-    assert g.evaluate([2, 3]) == QMatrix.from_rows([[2], [3]])
+    assert ref_evaluate(g, [2, 3]) == [[2], [3]]
 
 
 def test_divergence_evaluate():
     d = divergence(2).operator
-    assert d.evaluate([2, 3]) == QMatrix.from_rows([[2, 3]])
+    assert ref_evaluate(d, [2, 3]) == [[2, 3]]
 
 
 def test_evaluate_homogeneity():
     h = hyperbolic_example().operator
     for t in (F(2), F(-3, 7), F(5, 2)):
         xi = [F(1, 3), F(-2)]
-        scaled = h.evaluate([t * x for x in xi])
-        assert scaled.entries == tuple(
-            tuple(t**h.order * x for x in r) for r in h.evaluate(xi).entries)
+        scaled = ref_evaluate(h, [t * x for x in xi])
+        assert scaled == [[t**h.order * x for x in r] for r in ref_evaluate(h, xi)]
 
 
 def test_saint_venant_displayed_entry():
     # At frequency (1, 0) applied to the (e2 tensor e2) form, the tensor
     # component (e2, e2, e1, e1) equals 1.
     w = saint_venant(2).operator
-    mat = w.evaluate([1, 0])
+    mat = ref_evaluate(w, [1, 0])
     col = 0  # multiset {2, 2} is exponent (0, 2), first in graded-lex order
     row = 1 * 8 + 1 * 4 + 0 * 2 + 0  # tensor index (1, 1, 0, 0), row-major
-    assert mat[row, col] == 1
+    assert mat[row][col] == 1
 
 
 def test_saint_venant_matches_quadruple_formula():
     # Independent oracle: evaluate the displayed 4-slot formula directly.
     w = saint_venant(2).operator
     xi = [F(2), F(-3)]
-    mat = w.evaluate(xi)
+    mat = ref_evaluate(w, xi)
     pairs = [(0, 0), (0, 1), (1, 1)]  # graded-lex multisets (0,2),(1,1),(2,0) map
     sym = {(0, 2): (1, 1), (1, 1): (0, 1), (2, 0): (0, 0)}
     from symlab.exact.poly import multi_indices
@@ -88,7 +105,7 @@ def test_saint_venant_matches_quadruple_formula():
                 - e_val(ww, v) * xi[u] * xi[z]
             )
             row = u * 8 + v * 4 + ww * 2 + z
-            assert mat[row, col] == expected
+            assert mat[row][col] == expected
 
 
 def test_gram_gradient_and_hyperbolic_determinant():
@@ -202,14 +219,17 @@ def test_det_budget_counts_coefficient_products(monkeypatch):
         gram.det()
 
 
-def test_from_entries_builds_the_dense_terms():
+def test_from_entries_builds_the_sparse_terms():
+    # D = 2, the terms in graded-lex order, each of its dim E rows the
+    # (column, numerator over D) pairs of its nonzero entries.
     entries = {((1, 0), 0, 1): F(1, 2), ((1, 0), 2, 0): -3, ((0, 1), 1, 1): 1,
                ((0, 1), 2, 1): 0}
     op = SymbolOperator.from_entries(2, 2, 3, 1, entries)
-    dense = {(1, 0): QMatrix.from_rows([[0, F(1, 2)], [0, 0], [-3, 0]]),
-             (0, 1): QMatrix.from_rows([[0, 0], [0, 1], [0, 0]])}
-    assert op == SymbolOperator.make(2, 2, 3, 1, dense)
-    # Entries that are all zero leave no term; make decides about the rest.
+    assert op.den == 2
+    assert op.terms == (((0, 1), ((), ((1, 2),), ())),
+                        ((1, 0), (((1, 1),), (), ((0, -6),))))
+    assert coefficients(op) == {k: F(x) for k, x in entries.items() if x}
+    # Entries that are all zero leave no term.
     with pytest.raises(ValueError, match="all coefficient matrices are zero"):
         SymbolOperator.from_entries(2, 2, 3, 1, {((1, 0), 0, 0): 0})
     assert SymbolOperator.from_entries(2, 2, 3, 1, {((1, 0), 0, 0): 0}, allow_zero=True).is_zero()
@@ -228,7 +248,7 @@ def test_gram_matches_product_at_sampled_points():
         gram = op.gram()
         for _ in range(3):
             xi = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(op.n)]
-            a = op.evaluate(xi)
+            a = QMatrix.from_rows(ref_evaluate(op, xi))
             assert gram.evaluate(xi) == a.transpose() @ a, inst.name
 
 
@@ -239,7 +259,7 @@ def test_multiplication_matrix_and_apply_agree_with_evaluation():
     # sym_gradient(3) has entries 1/2, so D = 2 there.
     for op in (saint_venant(2).operator, sym_gradient(3).operator):
         n, d = op.n, 1
-        den = math.lcm(*(x.denominator for _a, mat in op.terms for r in mat.entries for x in r))
+        den = math.lcm(*(x.denominator for x in coefficients(op).values()))
         rows = op.multiplication_rows(d)
         sources = multi_indices(n, d)
         targets = multi_indices(n, d + op.order)
@@ -256,54 +276,38 @@ def test_multiplication_matrix_and_apply_agree_with_evaluation():
                                          for g, gamma in enumerate(targets)})
             assert au[i] == expect
         xi = [F(3), F(-2, 5), F(7, 4)][:n]
-        assert op.evaluate(xi).mul_vector([q.evaluate(xi) for q in u]) == tuple(
-            q.evaluate(xi) for q in au)
+        assert QMatrix.from_rows(ref_evaluate(op, xi)).mul_vector(
+            [q.evaluate(xi) for q in u]) == tuple(q.evaluate(xi) for q in au)
 
 
 def test_coefficient_round_trip():
-    # The coefficients of each polynomial entry of the columns are the term
-    # matrices.
+    # The coefficients of each polynomial entry of the columns are the
+    # symbol's entries.
     for inst in (gradient(2), hyperbolic_example(), saint_venant(2)):
         op = inst.operator
-        cols = op.columns()
-        back = {
-            alpha: QMatrix.from_rows(
-                [[col[i].as_dict().get(alpha, 0) for col in cols] for i in range(op.dim_e)])
-            for alpha, _ in op.terms
-        }
-        assert SymbolOperator.make(op.n, op.dim_v, op.dim_e, op.order, back) == op
-        assert sum(len(p.terms) for col in cols for p in col) == sum(
-            x != 0 for _, mat in op.terms for row in mat.entries for x in row)
+        back = {(alpha, i, j): c for j, col in enumerate(op.columns())
+                for i, p in enumerate(col) for alpha, c in p.terms}
+        assert back == coefficients(op)
+        assert SymbolOperator.from_entries(op.n, op.dim_v, op.dim_e, op.order, back) == op
 
 
 def test_zero_operator_rules():
     with pytest.raises(ValueError):
-        SymbolOperator.make(2, 1, 1, 1, {})
+        SymbolOperator.from_entries(2, 1, 1, 1, {})
     z = SymbolOperator.zero(2, 3, 4, 2)
-    assert z.is_zero()
-    assert z.evaluate([5, 7]) == QMatrix.zeros(4, 3)
+    assert z.is_zero() and z.den == 1
+    assert z.scaled_rows([5, 7]) == [[0] * 3] * 4
     sv1 = saint_venant(1).operator
     assert sv1.is_zero()
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        SymbolOperator.make(2, 1, 2, 1, {(1, 0): QMatrix.from_rows([[1]])})
-    with pytest.raises(ValueError):
-        SymbolOperator.make(2, 1, 1, 2, {(1, 0): QMatrix.from_rows([[1]])})
-
-
-def ref_evaluate(op, xi):
-    """A(xi) summed term by term in Fraction arithmetic."""
-    acc = [[F(0)] * op.dim_v for _ in range(op.dim_e)]
-    for alpha, mat in op.terms:
-        c = F(1)
-        for x, e in zip(xi, alpha):
-            c *= F(x) ** e
-        for i in range(op.dim_e):
-            for j in range(op.dim_v):
-                acc[i][j] += c * mat[i, j]
-    return acc
+    with pytest.raises(ValueError, match="outside"):
+        SymbolOperator.from_entries(2, 1, 2, 1, {((1, 0), 0, 1): 1})
+    with pytest.raises(ValueError, match="does not have degree"):
+        SymbolOperator.from_entries(2, 1, 1, 2, {((1, 0), 0, 0): 1})
+    with pytest.raises(ValueError, match="bad multi-index"):
+        SymbolOperator.from_entries(2, 1, 1, 1, {((1,), 0, 0): 1})
 
 
 COEFFS = st.one_of(
@@ -320,33 +324,31 @@ def operators(draw):
     n, dim_v, dim_e, order = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
                               draw(st.integers(1, 3)), draw(st.integers(0, 3)))
     alphas = draw(st.lists(st.sampled_from(multi_indices(n, order)), max_size=4, unique=True))
-    terms = {alpha: QMatrix.from_rows([[draw(COEFFS) for _ in range(dim_v)]
-                                       for _ in range(dim_e)])
-             for alpha in alphas}
-    return SymbolOperator.make(n, dim_v, dim_e, order, terms, allow_zero=True)
+    entries = {(alpha, i, j): draw(COEFFS)
+               for alpha in alphas for i in range(dim_e) for j in range(dim_v)}
+    return SymbolOperator.from_entries(n, dim_v, dim_e, order, entries, allow_zero=True)
 
 
 @settings(max_examples=80, deadline=None)
 @given(op=operators(), data=st.data())
 def test_evaluate_matches_fraction_reference(op, data):
+    # scaled_rows(xi) is A(xi) times exactly D q^order, q the lcm of the
+    # denominators of xi.
     for _ in range(3):
         xi = data.draw(st.lists(COORDS, min_size=op.n, max_size=op.n))
-        got = op.evaluate(xi)
-        assert [list(r) for r in got.entries] == ref_evaluate(op, xi)
-        assert all(type(x) is F for r in got.entries for x in r)
+        c = op.den * math.lcm(*(x.denominator for x in xi)) ** op.order
+        assert [[F(x, c) for x in r] for r in op.scaled_rows(xi)] == ref_evaluate(op, xi)
     zero = SymbolOperator.zero(op.n, op.dim_v, op.dim_e, op.order)
-    assert zero.evaluate(xi) == QMatrix.zeros(op.dim_e, op.dim_v)
+    assert ref_evaluate(zero, xi) == [[0] * op.dim_v] * op.dim_e
 
 
 def ref_apply(op, u):
-    """A(x) u(x) summed term by term in Fraction arithmetic."""
+    """A(x) u(x) summed coefficient by coefficient in Fraction arithmetic."""
     acc = [{} for _ in range(op.dim_e)]
-    for alpha, mat in op.terms:
-        for i in range(op.dim_e):
-            for j in range(op.dim_v):
-                for beta, c in u[j].terms:
-                    key = tuple(a + b for a, b in zip(alpha, beta))
-                    acc[i][key] = acc[i].get(key, F(0)) + mat[i, j] * c
+    for (alpha, i, j), x in coefficients(op).items():
+        for beta, c in u[j].terms:
+            key = tuple(a + b for a, b in zip(alpha, beta))
+            acc[i][key] = acc[i].get(key, F(0)) + x * c
     return [Polynomial.make(op.n, terms) for terms in acc]
 
 
@@ -363,19 +365,21 @@ def test_apply_matches_fraction_reference(op, data):
     assert all(p.is_zero() for p in zero.apply(u))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(op=operators())
-def test_evaluation_cache_keeps_equality_hash_and_json(op):
-    from symlab.io import operator_from_json, operator_to_json
-
-    fresh = SymbolOperator.make(op.n, op.dim_v, op.dim_e, op.order, dict(op.terms),
-                                allow_zero=True)
-    doc = operator_to_json(fresh)
-    op.evaluate([F(1, 3)] * op.n)
-    assert op == fresh and hash(op) == hash(fresh)
-    assert operator_to_json(op) == doc
+def test_operator_json_round_trip(op):
+    # The document lists exactly the nonzero coefficients, sorted by
+    # graded-lex alpha, then row, then column, and reads back to the symbol.
+    doc = json.loads(json.dumps(operator_to_json(op)))
+    assert doc["schema_version"] == 2
+    keys = [((sum(a), tuple(a)), i, j) for a, i, j, _x in doc["terms"]]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    assert {(tuple(a), i, j): F(x) for a, i, j, x in doc["terms"]} == coefficients(op)
     back, _t, _meta = operator_from_json(doc)
     assert back == op and hash(back) == hash(op)
+    zero = SymbolOperator.zero(op.n, op.dim_v, op.dim_e, op.order)
+    assert operator_to_json(zero)["terms"] == []
+    assert operator_from_json(operator_to_json(zero))[0] == zero
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +388,7 @@ def test_evaluation_cache_keeps_equality_hash_and_json(op):
 
 
 def assert_scaled_rows_match_evaluate(op, xi):
-    rows, value = op.scaled_rows(xi), op.evaluate(xi)
+    rows, value = op.scaled_rows(xi), QMatrix.from_rows(ref_evaluate(op, xi))
     assert all(type(x) is int for r in rows for x in r)
     # rows == c value for one c > 0.
     nonzero = [(x, y) for r, s in zip(rows, value.entries) for x, y in zip(r, s) if y]
@@ -392,7 +396,8 @@ def assert_scaled_rows_match_evaluate(op, xi):
     assert c > 0
     assert [[F(x) for x in r] for r in rows] == [[c * y for y in s] for s in value.entries]
     assert int_pivots(rows, op.dim_v) == value.pivots()
-    assert int_column_space(rows) == column_space(value)
+    assert int_column_space(rows) == subspace_from_columns(
+        op.dim_e, [value.col(j) for j in range(op.dim_v)])
     kernel = int_kernel(rows, op.dim_v)
     assert kernel == kernel_basis(value)
     # A(xi) v = 0 on the rows, as verify_ellipticity checks it, against the
