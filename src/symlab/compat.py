@@ -17,9 +17,8 @@ nonzero r-minor have degree k r, annihilate A and reach that rank.  A of
 rank dim E has the zero annihilator.
 
 L(x) A(x) == 0 holds by construction.  ``verify_annihilator`` re-checks it
-exactly: ``SymbolOperator.apply`` multiplies L by each column of A
-(``SymbolOperator.columns``), and every one of those polynomial vectors
-must be zero.  Given that, A(xi)[V] lies in ker L(xi), so the two are
+exactly: the composite symbol L A (``SymbolOperator.compose``) must be the
+zero symbol.  Given that, A(xi)[V] lies in ker L(xi), so the two are
 equal at a sampled direction iff rank L(xi) + rank A(xi) = dim E, the count
 that stops the build; where the identity fails, every kernel check reads
 False.
@@ -140,7 +139,7 @@ def verify_annihilator(
     """Exact annihilation check plus the rank counts at probe directions."""
     if l.dim_v != a.dim_e or l.n != a.n:
         raise ValueError("annihilator dimensions do not match the operator")
-    identity_ok = all(p.is_zero() for col in a.columns() for p in l.apply(col))
+    identity_ok = l.compose(a).is_zero()
     kernel_checks = []
     rank_checks = []
     for xi in probe_directions(a.n, samples, random.Random(seed)):

@@ -134,14 +134,15 @@ class PartialCancelingVerdict:
         return self.status in (HOLDS, FAILS)
 
 
-def _intersect(a: SymbolOperator, w: Subspace, xi: tuple) -> Subspace:
-    """w ∩ A(xi)[V]; the image itself when w is the whole space, and w
+def _intersect(a: SymbolOperator, w: Optional[Subspace], xi: tuple) -> Subspace:
+    """w ∩ A(xi)[V], with None standing for the whole space, which is
+    never built: the image itself when w is None or the whole space, and w
     itself when it is already {0}.  The image is the column space of the
     integer rows of a positive multiple of A(xi)."""
-    if w.dim == 0:
+    if w is not None and w.dim == 0:
         return w
     image = int_column_space(a.scaled_rows(xi))
-    return image if w.dim == w.ambient else subspace_intersection(w, image)
+    return image if w is None or w.dim == w.ambient else subspace_intersection(w, image)
 
 
 def image_intersection(a: SymbolOperator, seed: int = 0) -> CancelingVerdict:
@@ -152,7 +153,7 @@ def image_intersection(a: SymbolOperator, seed: int = 0) -> CancelingVerdict:
     rng = random.Random(seed)
     initial = a.dim_e + 4
     samples = sample_directions(a.n, initial, rng)
-    w = full_space(a.dim_e)
+    w = None  # the whole space, replaced by the first image
     trajectory: list[int] = []
     for count, xi in enumerate(samples, 1):
         w = _intersect(a, w, xi)
@@ -228,11 +229,13 @@ def verify_canceling(a: SymbolOperator, verdict: CancelingVerdict) -> bool:
     directions in R^n, and compare with the stated intersection W.  Samples
     after W = {0} are checked but not evaluated.  NOT_CANCELING needs
     W != {0} and valid membership witnesses whose vectors span W."""
-    w = full_space(a.dim_e)
+    w = None  # the whole space, replaced by the first image
     for xi in verdict.samples:
         if len(xi) != a.n or all(x == 0 for x in xi):
             return False
         w = _intersect(a, w, xi)
+    if w is None:
+        w = full_space(a.dim_e)
     if w != verdict.intersection:
         return False
     if verdict.status == CANCELING:

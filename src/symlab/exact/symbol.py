@@ -17,6 +17,11 @@ the numerators at the integer multiple of xi, a positive multiple of
 A(xi); and ``multiplication_rows`` places them in D times the matrix of
 u -> A u.  Every rank, image, kernel and witness question reads the
 integer rows and builds no ``Fraction`` on the way to ``_echelon``.
+
+``compose`` is the symbol of a composition A(D) B(D), the exact product
+A(x) B(x) of the sparse rows: an identity such as L(x) A(x) == 0 is the
+zero symbol, and the spectral lab measures B(D) A(D) v through one
+composite symbol instead of two multipliers.
 """
 
 from __future__ import annotations
@@ -139,6 +144,31 @@ class SymbolOperator:
                     cols[j].append((i, x))
             terms.append((alpha, tuple(map(tuple, cols))))
         return SymbolOperator(self.n, self.dim_e, self.dim_v, self.order, self.den, tuple(terms))
+
+    def compose(self, inner: "SymbolOperator") -> "SymbolOperator":
+        """The symbol x -> A(x) B(x) of A(D) B(D), for A this symbol and B
+        ``inner``: of order k_A + k_B, from V_B to E_A.
+
+        Each product of a term of A and a term of B adds its numerators'
+        products into the coefficient of x^(alpha + beta), all over
+        D_A D_B; a product that cancels everywhere is the zero symbol."""
+        if inner.n != self.n or inner.dim_e != self.dim_v:
+            raise ValueError(
+                f"cannot compose a symbol on {self.n} variables from {self.dim_v} "
+                f"coordinates after one on {inner.n} variables into {inner.dim_e}")
+        acc: dict = {}
+        for alpha, rows in self.terms:
+            for beta, inner_rows in inner.terms:
+                gamma = tuple(a + b for a, b in zip(alpha, beta))
+                for i, row in enumerate(rows):
+                    for k, x in row:
+                        for j, y in inner_rows[k]:
+                            key = (gamma, i, j)
+                            acc[key] = acc.get(key, 0) + x * y
+        den = self.den * inner.den
+        return SymbolOperator.from_entries(
+            self.n, inner.dim_v, self.dim_e, self.order + inner.order,
+            {key: Fraction(c, den) for key, c in acc.items() if c}, allow_zero=True)
 
     def multiplication_shape(self, d: int) -> tuple[int, int]:
         """(rows, columns) of ``multiplication_rows(d)``, without building it."""

@@ -2,14 +2,19 @@
 
 Every spectral step evaluates the symbol on the grid through
 ``grid.symbol_on_grid``: ``apply_symbol``, ``image_magnitude`` (and
-``derivative_magnitude`` through it), the blowup direction solve and the
-planar curl field of the duality experiment.  ``apply_symbol`` builds the
-image field; ``image_magnitude`` streams it row by row into its pointwise
+``derivative_magnitude`` through it) and the blowup direction solve.
+``apply_symbol`` makes an operator-made field that records the operator
+and its source and transforms nothing; applied to an operator-made field
+B(D)v it records the exact composite symbol (``SymbolOperator.compose``)
+on v.  ``image_magnitude`` streams an image row by row into its pointwise
 magnitude, for every image the experiments only measure (the right-hand
 sides of the inequality families, the duality residual and the blowup
-image A(D)u).  A field built from a spectrum (the newton family, the
-blowup field, every ``apply_symbol`` output) synthesizes its values only
-when they are read; its norms stream the magnitude without them.
+image A(D)u), and measures an image of B(D)v through the composite: the
+curl of the newton gradient field and the divergence of the planar curl
+field are the zero symbol, measured as exact zeros with no transform.  A
+field built from a spectrum (the newton potential, the blowup field) or by
+an operator synthesizes its values only when they are read; its norms
+stream the magnitude without them.
 
 The compactly supported closed forms (the blowup window and cutoff, the
 plateau test functions) are evaluated on the box of indices that holds

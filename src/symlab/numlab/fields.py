@@ -1,4 +1,10 @@
-"""Test fields used by the experiments."""
+"""Test fields used by the experiments.
+
+The fields built from an operator are operator-made (``grid.apply_symbol``):
+the curl-potential field is the planar curl of a Gaussian, and the newton
+field is the gradient of a scalar potential held by its spectrum, so every
+image the experiments measure on them is one composite symbol applied to
+the potential."""
 
 from __future__ import annotations
 
@@ -7,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..catalog import gradient
 from ..exact.symbol import SymbolOperator
 from .blowup import smoothstep, smoothstep_deriv
 from .grid import (
@@ -20,6 +27,8 @@ from .grid import (
 
 # g -> (d2 g, -d1 g): the planar curl of a scalar potential.
 _PERP_GRADIENT = SymbolOperator.from_entries(2, 1, 2, 1, {((1, 0), 1, 0): -1, ((0, 1), 0, 0): 1})
+# phi -> (d1 phi, d2 phi, d3 phi).
+_GRADIENT_3 = gradient(3).operator
 
 
 def _centered_radius(spec: GridSpec) -> np.ndarray:
@@ -81,18 +90,20 @@ def curl_potential_field(spec: GridSpec, sigma: float = 1.0) -> GridField:
 
 
 def newton_gradient_field(spec: GridSpec, eps: float) -> GridField:
-    """Mollified fundamental-solution gradient on a 3-d box: the spectrum is
-    -i xi / (2 pi |xi|^2) times a Gaussian mollifier at scale eps, with the
-    constant mode removed.  Its divergence is the mollifier minus its box
-    mean and its curl vanishes."""
+    """Mollified fundamental-solution gradient on a 3-d box, the field
+    grad(D) phi made from the scalar potential phi: the spectrum of phi is
+    -moll_hat / (4 pi^2 |xi|^2), a Gaussian mollifier at scale eps over the
+    Laplacian's multiplier, with the constant mode removed, and shifted to
+    the box center.  The field's divergence is the mollifier minus its box
+    mean, and its curl is the zero symbol."""
     if spec.n != 3:
         raise ValueError("this family lives on a three-dimensional box")
     xi = spec.frequency_grids()
-    # The real factor shared by the three components, shift moll_hat /
-    # |xi|^2, with the constant mode removed.  The shift by half the box,
-    # which puts the singular core at the box center rather than the
-    # corner, is (-1)^m_i on axis i, and the Gaussian mollifier is a product
-    # over the axes too: both are built from one 1-d factor per axis.
+    # The real spectrum of phi, shift moll_hat / (-4 pi^2 |xi|^2), with the
+    # constant mode removed.  The shift by half the box, which puts the
+    # singular core at the box center rather than the corner, is (-1)^m_i on
+    # axis i, and the Gaussian mollifier is a product over the axes too:
+    # both are built from one 1-d factor per axis.
     factor = 1.0
     for sign, x in zip(half_box_shift(spec), xi):
         factor = factor * (sign * np.exp(-pi * eps**2 * x**2))
@@ -101,15 +112,9 @@ def newton_gradient_field(spec: GridSpec, eps: float) -> GridField:
     r2[origin] = 1.0
     factor /= r2
     factor[origin] = 0.0
-    # The spectrum is purely imaginary: -i factor xi_i / (2 pi).
-    spectrum = np.zeros((3,) + factor.shape, dtype=complex)
-    for i in range(3):
-        # xi_i is odd: on the unpaired Nyquist bin of axis i it has no real
-        # representation, so component i carries nothing there.
-        odd = xi[i] * (-1.0 / (2.0 * pi))
-        odd.flat[spec.size // 2] = 0.0
-        np.multiply(factor, odd, out=spectrum[i].imag)
-    return GridField.from_spectrum(spec, spectrum)
+    spectrum = np.zeros((1,) + factor.shape, dtype=complex)
+    np.multiply(factor, -1.0 / (4.0 * pi**2), out=spectrum[0].real)
+    return apply_symbol(_GRADIENT_3, GridField.from_spectrum(spec, spectrum))
 
 
 def radial_cutoff_test_function(

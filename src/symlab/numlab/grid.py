@@ -19,27 +19,34 @@ of values goes into the caller's output or into one reused slab buffer, so
 a caller that only squares and adds the values never holds a second full
 grid of them.
 
-A ``GridField`` is spectrum-first when it comes from a spectrum:
-``from_spectrum`` keeps the Nyquist-masked half spectrum and a copy of the
-input's Nyquist hyperplanes, and synthesizes nothing.  Its values are
-synthesized when first read, and its magnitude, when asked for before the
-values, streams the components through one work buffer and adds their
-squares slab by slab, so a field that is only measured is never held as
-values.  A field built from values transforms forward once, when an
-operator first reads its spectrum.  Either way the magnitude is cached once
-a norm or the boundary tail has asked for it.
+A ``GridField`` is one of three kinds.  A field built from values
+transforms forward once, when an operator first reads its spectrum.  A
+field from a spectrum (``from_spectrum``) keeps the Nyquist-masked half
+spectrum and a copy of the input's Nyquist hyperplanes, and synthesizes
+nothing: its values are synthesized when first read, and its magnitude,
+when asked for before the values, streams the components through one work
+buffer and adds their squares slab by slab, so a field that is only
+measured is never held as values.  An operator-made field
+(``apply_symbol``) records the operator A and its source v and holds
+nothing else until it is read; applying B(D) to it records the exact
+composite symbol B A (``SymbolOperator.compose``) on the same v, so a
+chain of operators is never more than one symbol away from a field that
+holds data.  Its spectrum, when read, is built once from the spectrum of
+v; its magnitude, asked for first, streams A(D)v as ``image_magnitude``
+does.  Every kind caches its magnitude once a norm or the boundary tail
+has asked for it.
 
 ``symbol_on_grid`` is the one place that evaluates a symbol
 sum_alpha xi^alpha A_alpha at the grid frequencies, and ``_image_rows``
 the one place that multiplies a spectrum by it, one row of the image at a
-time.  ``apply_symbol`` collects the rows into a field; ``image_magnitude``
-inverts each row in its work buffer as soon as it is built and adds its
-weighted square to one accumulator slab by slab, so an image that is only
-measured is never materialized and no row of it is held in full.
-Every image an experiment only measures, the blowup image A(D)u included,
-goes through ``image_magnitude``; the one image still built as a field is
-the duality experiment's curl-potential field (the planar curl of a
-Gaussian), which the experiment pairs against its test functions.
+time.  An operator-made field collects the rows into its spectrum;
+``image_magnitude`` inverts each row in its work buffer as soon as it is
+built and adds its weighted square to one accumulator slab by slab, so an
+image that is only measured is never materialized and no row of it is
+held in full.  Measured on an operator-made field B(D)v, A(D)B(D)v is one
+image of v through the composite A B: the newton gradient field is
+grad(D) phi, so its divergence is the Laplacian of phi, one transform, and
+its curl is the zero symbol, measured as exact zeros with no transform.
 ``derivative_magnitude`` measures the image of the operator stacking all
 partial derivatives of one order, and the blowup direction solve reads its
 per-frequency matrices from ``symbol_on_grid``.
@@ -170,10 +177,12 @@ class GridField:
     ``GridField(spec, values)`` holds the given values and transforms them
     forward on the first ``spectrum()``; the values must not change after
     that.  ``from_spectrum`` holds a spectrum and synthesizes values only
-    when they are read.  The spectrum, synthesized values and magnitude are
-    each cached read-only once produced."""
+    when they are read.  ``apply_symbol`` makes a field that holds an
+    operator and its source field and builds its spectrum only when it is
+    read.  The spectrum, synthesized values and magnitude are each cached
+    read-only once produced."""
 
-    __slots__ = ("spec", "components", "_values", "_hat", "_planes", "_mag")
+    __slots__ = ("spec", "components", "_values", "_hat", "_planes", "_mag", "_made")
 
     def __init__(self, spec: GridSpec, values: np.ndarray):
         expected = (values.shape[0],) + spec.shape
@@ -190,6 +199,9 @@ class GridField:
         self._hat: Optional[np.ndarray] = None
         self._planes: list[np.ndarray] = []
         self._mag: Optional[np.ndarray] = None
+        # (A, v) for the field A(D)v of ``apply_symbol``; v is never itself
+        # operator-made.
+        self._made: Optional[tuple[SymbolOperator, GridField]] = None
 
     @classmethod
     def from_spectrum(cls, spec: GridSpec, spectrum: np.ndarray) -> "GridField":
@@ -207,21 +219,28 @@ class GridField:
         last axis is Hermitian off the Nyquist bins."""
         if spectrum.shape[1:] != spec.half_shape:
             raise ValueError(f"spectrum shape {spectrum.shape} does not end in {spec.half_shape}")
-        out = cls.__new__(cls)
-        out.spec = spec
-        out.components = spectrum.shape[0]
-        out._values = out._mag = None
+        out = cls._empty(spec, spectrum.shape[0])
         out._planes = [spectrum[index].copy() for index in _nyquist_planes(spec)]
         zero_nyquist(spec, spectrum)
         spectrum.flags.writeable = False
         out._hat = spectrum
         return out
 
+    @classmethod
+    def _empty(cls, spec: GridSpec, components: int) -> "GridField":
+        """A field with nothing held yet, for the other constructors."""
+        out = cls.__new__(cls)
+        out.spec = spec
+        out.components = components
+        out._values = out._hat = out._mag = out._made = None
+        out._planes = []
+        return out
+
     @property
     def values(self) -> np.ndarray:
         """The grid values, of shape (components, *spec.shape); a field built
-        from a spectrum synthesizes them on first read, then caches them
-        (read-only)."""
+        from a spectrum or by an operator synthesizes them on first read,
+        then caches them (read-only)."""
         if self._values is None:
             values = np.empty((self.components,) + self.spec.shape)
             work = np.empty(self.spec.half_shape, dtype=complex)
@@ -238,7 +257,7 @@ class GridField:
         """Invert component c of the input spectrum slab by slab, as
         ``_invert`` does, from a copy in ``work``: the in-place passes would
         scramble the cached spectrum.  Yields each finite slab of values."""
-        np.copyto(work, self._hat[c])
+        np.copyto(work, self.spectrum()[c])
         for index, plane in zip(_nyquist_planes(self.spec), self._planes):
             work[index] = plane[c]
         for rows, values in _invert(self.spec, work, out):
@@ -248,14 +267,23 @@ class GridField:
 
     def spectrum(self) -> np.ndarray:
         """The Nyquist-masked, continuum-normalized half spectrum, of shape
-        (components, *spec.half_shape): computed by one ``rfftn`` per
-        component on first use, then cached (read-only)."""
+        (components, *spec.half_shape): computed on first use, then cached
+        (read-only).  A field made by A(D) from v multiplies the spectrum of
+        v row by row, whose Nyquist bins are zero already; a field built
+        from values takes one ``rfftn`` per component."""
         if self._hat is None:
             hat = np.empty((self.components,) + self.spec.half_shape, dtype=complex)
-            for c in range(self.components):
-                np.fft.rfftn(self.values[c], out=hat[c])
-            hat *= self.spec.cell_volume
-            zero_nyquist(self.spec, hat)
+            if self._made is not None:
+                a, v = self._made
+                written = {r for r, _ in _image_rows(a, v, hat.__getitem__)}
+                for r in range(self.components):
+                    if r not in written:
+                        hat[r] = 0.0
+            else:
+                for c in range(self.components):
+                    np.fft.rfftn(self.values[c], out=hat[c])
+                hat *= self.spec.cell_volume
+                zero_nyquist(self.spec, hat)
             hat.flags.writeable = False
             self._hat = hat
         return self._hat
@@ -266,9 +294,13 @@ class GridField:
         whose values were never read streams its components through one work
         buffer: the first is synthesized into the result and squared there,
         the others are squared and added one slab at a time, so the values
-        are not held; the result is the same bit for bit."""
+        are not held; the result is the same bit for bit.  A field made by
+        A(D) from v whose spectrum was never read (nor, then, its values)
+        takes ``image_magnitude(A, v)``, equal bit for bit as well."""
         if self._mag is None:
-            if self._values is None:
+            if self._hat is None and self._made is not None:
+                mag = _image_squares(*self._made)
+            elif self._values is None:
                 work = np.empty(self.spec.half_shape, dtype=complex)
                 mag = np.empty(self.spec.shape)
                 for c in range(self.components):
@@ -457,8 +489,6 @@ def _image_rows(
     factor goes into each entry, which broadcasts and is smaller than the
     grid.  The first entry of a row writes it and the others add one slab
     of axis 0 at a time, through a temporary the size of that slab."""
-    if u.components != a.dim_v:
-        raise ValueError(f"field has {u.components} components, operator expects {a.dim_v}")
     u_hat = u.spectrum()
     unit = (2j * pi) ** a.order
     step = _slab_rows(u.spec)
@@ -474,28 +504,52 @@ def _image_rows(
         yield r, row
 
 
+def _source(a: SymbolOperator, u: GridField) -> tuple[SymbolOperator, GridField]:
+    """(A, u) with the operator that made u composed in: (A B, v) when u is
+    B(D)v, so that A(D)u is measured or built from v through one symbol."""
+    if u.components != a.dim_v:
+        raise ValueError(f"field has {u.components} components, operator expects {a.dim_v}")
+    if a.n != u.spec.n:
+        raise ValueError("operator and grid dimensions differ")
+    if u._made is None:
+        return a, u
+    b, v = u._made
+    return a.compose(b), v
+
+
 def apply_symbol(a: SymbolOperator, u: GridField) -> GridField:
-    """Apply the operator to a periodic field through its Fourier multiplier
-    (2 pi i)^k A(xi), on the half spectrum of ``u``.  The result holds its
-    own spectrum, so operators applied to it transform only backward."""
-    out_hat = np.empty((a.dim_e,) + u.spec.half_shape, dtype=complex)
-    written = {r for r, _ in _image_rows(a, u, out_hat.__getitem__)}
-    for r in range(a.dim_e):
-        if r not in written:
-            out_hat[r] = 0.0
-    return GridField.from_spectrum(u.spec, out_hat)
+    """The periodic field A(D)u, whose Fourier multiplier is (2 pi i)^k A(xi),
+    made without transforming anything: it records (A, u), or (A B, v) when
+    u is itself B(D)v.  Its spectrum is the multiplier times the half
+    spectrum of the source, built when first read; measuring it or an
+    image of it runs only backward transforms, and a composite that is the
+    zero symbol runs none."""
+    out = GridField._empty(u.spec, a.dim_e)
+    out._made = _source(a, u)
+    return out
 
 
 def image_magnitude(
     a: SymbolOperator, u: GridField, weights: Optional[Sequence[int]] = None
 ) -> np.ndarray:
     """Pointwise magnitude of A(D)u, sqrt of sum_r w_r (A(D)u)_r^2 (every
-    w_r = 1 without ``weights``), equal bit for bit to
-    ``apply_symbol(a, u).magnitude()`` for unit weights.  Each row spectrum
-    is built in one work buffer and inverted in place: the first row into
-    the accumulator, where it is squared and weighted, every later row slab
-    by slab, each slab's weighted square added to the accumulator.  Neither
-    the image nor a full row of its values is ever held."""
+    w_r = 1 without ``weights``), equal bit for bit to the magnitude of
+    ``apply_symbol(a, u)`` with its spectrum built, for unit weights.  A
+    field u made by B(D) from v is measured as (A B)(D)v."""
+    total = _image_squares(a, u, weights)
+    return np.sqrt(total, out=total)
+
+
+def _image_squares(
+    a: SymbolOperator, u: GridField, weights: Optional[Sequence[int]] = None
+) -> np.ndarray:
+    """sum_r w_r (A(D)u)_r^2, the square of ``image_magnitude``.  Each row
+    spectrum is built in one work buffer and inverted in place: the first
+    row into the accumulator, where it is squared and weighted, every later
+    row slab by slab, each slab's weighted square added to the accumulator.
+    Neither the image nor a full row of its values is ever held, and a
+    symbol with no nonzero entry builds no row and runs no transform."""
+    a, u = _source(a, u)
     spec = u.spec
     work = np.empty(spec.half_shape, dtype=complex)
     total = None
@@ -507,7 +561,7 @@ def image_magnitude(
                      None if weights is None else weights[r])
     if total is None:
         total = np.zeros(spec.shape)
-    return np.sqrt(total, out=total)
+    return total
 
 
 def derivative_magnitude(u: GridField, order: int) -> np.ndarray:

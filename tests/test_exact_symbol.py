@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from symlab.catalog import (
     divergence,
+    exterior_d,
     gradient,
     hodge_pair,
     hyperbolic_example,
+    laplacian,
     regression_instances,
     saint_venant,
     sym_gradient,
@@ -320,13 +322,19 @@ COORDS = st.one_of(st.just(F(0)), st.fractions(min_value=-50, max_value=50, max_
 
 
 @st.composite
-def operators(draw):
-    n, dim_v, dim_e, order = (draw(st.integers(1, 3)), draw(st.integers(1, 3)),
-                              draw(st.integers(1, 3)), draw(st.integers(0, 3)))
+def operators(draw, n=None, dim_v=None, dim_e=None):
+    n, dim_v, dim_e, order = (n or draw(st.integers(1, 3)), dim_v or draw(st.integers(1, 3)),
+                              dim_e or draw(st.integers(1, 3)), draw(st.integers(0, 3)))
     alphas = draw(st.lists(st.sampled_from(multi_indices(n, order)), max_size=4, unique=True))
     entries = {(alpha, i, j): draw(COEFFS)
                for alpha in alphas for i in range(dim_e) for j in range(dim_v)}
     return SymbolOperator.from_entries(n, dim_v, dim_e, order, entries, allow_zero=True)
+
+
+def value(op, xi):
+    """A(xi) from ``scaled_rows``, divided by its own D q^order."""
+    c = op.den * math.lcm(*(F(x).denominator for x in xi)) ** op.order
+    return [[F(x, c) for x in r] for r in op.scaled_rows(xi)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -336,8 +344,7 @@ def test_evaluate_matches_fraction_reference(op, data):
     # denominators of xi.
     for _ in range(3):
         xi = data.draw(st.lists(COORDS, min_size=op.n, max_size=op.n))
-        c = op.den * math.lcm(*(x.denominator for x in xi)) ** op.order
-        assert [[F(x, c) for x in r] for r in op.scaled_rows(xi)] == ref_evaluate(op, xi)
+        assert value(op, xi) == ref_evaluate(op, xi)
     zero = SymbolOperator.zero(op.n, op.dim_v, op.dim_e, op.order)
     assert ref_evaluate(zero, xi) == [[0] * op.dim_v] * op.dim_e
 
@@ -380,6 +387,61 @@ def test_operator_json_round_trip(op):
     zero = SymbolOperator.zero(op.n, op.dim_v, op.dim_e, op.order)
     assert operator_to_json(zero)["terms"] == []
     assert operator_from_json(operator_to_json(zero))[0] == zero
+
+
+# ---------------------------------------------------------------------------
+# Composition: the symbol of A(D) B(D) is the product A(x) B(x).
+
+
+@st.composite
+def composable(draw):
+    """(A, B) with B's codomain A's domain, on the same variables."""
+    n, mid = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a, b = draw(operators(n=n, dim_v=mid)), draw(operators(n=n, dim_e=mid))
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=composable(), data=st.data())
+def test_compose_is_the_product_of_values(pair, data):
+    a, b = pair
+    ab = a.compose(b)
+    assert (ab.n, ab.dim_v, ab.dim_e, ab.order) == (a.n, b.dim_v, a.dim_e, a.order + b.order)
+    assert ab.terms or ab.den == 1  # the zero symbol has D = 1
+    for _ in range(3):
+        xi = data.draw(st.lists(COORDS, min_size=a.n, max_size=a.n))
+        va, vb = value(a, xi), value(b, xi)
+        product = [[sum((x * vb[k][j] for k, x in enumerate(row)), F(0))
+                    for j in range(b.dim_v)] for row in va]
+        assert value(ab, xi) == product
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_compositions_of_the_catalog_that_vanish(n):
+    for ell in range(n - 1):
+        d = exterior_d(n, ell + 1).operator.compose(exterior_d(n, ell).operator)
+        assert d.is_zero() and (d.dim_v, d.dim_e, d.order) == (
+            exterior_d(n, ell).operator.dim_v, exterior_d(n, ell + 1).operator.dim_e, 2)
+    assert exterior_d(n, 1).operator.compose(gradient(n).operator).is_zero()
+    # d after the gradient is zero, the divergence after it is the Laplacian.
+    assert divergence(n).operator.compose(gradient(n).operator) == laplacian(n).operator
+
+
+@pytest.mark.parametrize("entry", [sym_gradient(4), hodge_pair(4, 1)])
+def test_annihilator_composes_to_zero(entry):
+    a = entry.operator
+    l = build_annihilator(a).operator
+    assert not l.is_zero() and l.compose(a).is_zero()
+
+
+def test_compose_refuses_mismatched_symbols():
+    with pytest.raises(ValueError, match="compose"):
+        gradient(3).operator.compose(gradient(3).operator)
+    with pytest.raises(ValueError, match="compose"):
+        divergence(3).operator.compose(gradient(2).operator)
+    # Dimensions that fit, on different variables.
+    with pytest.raises(ValueError, match="compose"):
+        laplacian(2).operator.compose(divergence(3).operator)
 
 
 # ---------------------------------------------------------------------------

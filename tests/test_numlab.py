@@ -300,17 +300,21 @@ def cache_error(u):
 def test_cached_spectrum_is_the_spectrum_of_the_values():
     # Synthesized fields and operator outputs hand their spectrum on
     # instead of transforming forward; it must be the one rfftn would give.
-    # The last field transforms forward, one component at a time.
+    # The last field transforms forward, one component at a time.  The
+    # curl of the newton field is the zero symbol: its spectrum is zero.
     newton = newton_gradient_field(GridSpec(3, 32, 8.0), 0.4)
     op, spec = laplacian(2).operator, GridSpec(2, 128, 4.0)
     u = build_blowup_field(op, 4.0, spec, solve_symbol_directions(op, spec, [1.0], math.inf))
     au = apply_symbol(op, u)
-    fields = [newton, u, au, apply_symbol(exterior_d(3, 1).operator, newton),
+    fields = [newton, u, au, apply_symbol(divergence(3).operator, newton),
               apply_symbol(gradient(2).operator, random_field(GridSpec(2, 32, 8.0), 1)),
               random_field(GridSpec(2, 32, 8.0), 2, seed=7)]
     for f in fields:
         assert f.spectrum().shape == (f.components,) + f.spec.half_shape
         assert cache_error(f) <= 1e-12
+    curl = apply_symbol(exterior_d(3, 1).operator, newton)
+    assert curl.spectrum().shape == (3,) + newton.spec.half_shape
+    assert not curl.spectrum().any()
     with pytest.raises(ValueError):
         newton.spectrum()[0, 1, 1, 1] = 0.0
 
@@ -359,11 +363,9 @@ def test_odd_order_matches_full_complex_transform():
         assert np.abs(out.values[i] - direct).max() <= 1e-12 * scale
 
 
-def test_newton_point_transform_count(monkeypatch):
-    # Backward transforms only, one per component: three for the field, one
-    # for the divergence and three for the curl.  Each is n - 1 = 2 complex
-    # passes in place on one work buffer and one real pass; no forward
-    # transform, no full complex one and no irfftn.
+def count_transforms(monkeypatch):
+    # Count every numpy.fft transform by name; every complex pass must run
+    # in place.
     calls = {}
     names = ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2", "rfft", "irfft", "rfftn", "irfftn")
     for name in names:
@@ -376,9 +378,60 @@ def test_newton_point_transform_count(monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_newton_point_transform_count(monkeypatch):
+    # Backward transforms only, one per component of an image of the
+    # potential: three for the field (the gradient), one for the divergence
+    # (the Laplacian) and none for the curl (the zero symbol).  Each is
+    # n - 1 = 2 complex passes in place on one work buffer and one real
+    # pass; no forward transform, no full complex one and no irfftn.
+    calls = count_transforms(monkeypatch)
     row = _newton_point(16, 0.4)
-    assert np.isfinite(row["ratio"])
-    assert calls == {"irfft": 7, "ifft": 14}
+    assert np.isfinite(row["ratio"]) and row["curl_l1"] == 0.0
+    assert calls == {"irfft": 4, "ifft": 8}
+
+
+def test_operator_made_field_is_lazy_and_composes(monkeypatch):
+    # B(D) of A(D)v records (B A, v): nothing is transformed until it is
+    # read, and its magnitude is that of the field of the composite symbol
+    # with its spectrum built.
+    spec = GridSpec(2, 32, 8.0)
+    v = random_field(spec, 1, seed=3)
+    v.spectrum()
+    a, b = gradient(2).operator, sym_gradient(2).operator
+    expected = apply_symbol(b.compose(a), v)
+    expected.spectrum()
+    expected = expected.magnitude()
+    calls = count_transforms(monkeypatch)
+    u = apply_symbol(b, apply_symbol(a, v))
+    assert calls == {} and u.components == 3
+    assert np.array_equal(u.magnitude(), expected)
+    assert calls == {"irfft": 3, "ifft": 3}
+    assert np.array_equal(image_magnitude(b, apply_symbol(a, v)), expected)
+
+
+def test_zero_composite_measures_as_zero_without_transforms(monkeypatch):
+    spec = GridSpec(3, 16, 8.0)
+    v = random_field(spec, 1, seed=4)
+    v.spectrum()
+    grad = apply_symbol(gradient(3).operator, v)
+    calls = count_transforms(monkeypatch)
+    curl = apply_symbol(exterior_d(3, 1).operator, grad)
+    zero = np.zeros(spec.shape)
+    assert np.array_equal(curl.magnitude(), zero)
+    assert np.array_equal(image_magnitude(exterior_d(3, 1).operator, grad), zero)
+    assert lp_norm(curl, 1.0) == 0.0 and curl.boundary_tail() == 0.0
+    assert calls == {}
+
+
+def test_apply_symbol_checks_dimensions_when_it_records():
+    u = random_field(GridSpec(2, 16, 8.0), 1)
+    with pytest.raises(ValueError, match="components"):
+        apply_symbol(divergence(2).operator, u)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        apply_symbol(gradient(3).operator, u)
 
 
 IMAGE_CASES = [
@@ -540,14 +593,15 @@ def traced_peak(call):
 
 
 def test_newton_point_memory():
-    # The field's spectrum (3 components), one work buffer, one accumulator
-    # and a slab: on 64^3 one point peaks at about 5.9 real components of
-    # the grid.  A full row buffer next to the work buffer and accumulator
-    # reads about 7.4; synthesizing the field's values and building both
+    # The potential's spectrum (1 component), one work buffer, one
+    # accumulator, the Laplacian's symbol on the grid and a slab: on 64^3
+    # one point peaks at about 3.7 real components of the grid.  Holding
+    # the gradient's spectrum (3 components) instead of the potential's
+    # reads about 5.9; synthesizing the field's values and building both
     # images in full, about 16.6.
     size = 64
     peak = traced_peak(lambda: _newton_point(size, 0.4))
-    assert peak < 6.25 * 8 * size**3
+    assert peak < 4.25 * 8 * size**3
 
 
 def test_image_magnitude_holds_no_full_row(monkeypatch):
