@@ -1,14 +1,13 @@
 """Built-in operator symbols with their expected classifications.
 
 Every constructor states a symbol's nonzero coefficients,
-{(alpha, row, col): value}, to ``SymbolOperator.from_entries``; the
-forms-built entries and the quaternion table build whole coefficient
-matrices, and ``_matrix_entries`` lists their nonzero entries.  The
-``truth`` attached to each instance records the expected verdicts and is
-the oracle for the regression suite: ``elliptic``/``canceling`` for
-operators, ``cocanceling`` (and optionally a joint kernel basis) for
-constraints.  Entries whose expected verdict depends on the parameters
-encode that dependence here, not in the tests.
+{(alpha, row, col): value}, to ``SymbolOperator.from_entries``, or builds
+it from the symbols of d and delta in ``forms`` by stacking and composing
+them.  The ``truth`` attached to each instance records the expected
+verdicts and is the oracle for the regression suite:
+``elliptic``/``canceling`` for operators, ``cocanceling`` (and optionally a
+joint kernel basis) for constraints.  Entries whose expected verdict
+depends on the parameters encode that dependence here, not in the tests.
 """
 
 from __future__ import annotations
@@ -18,16 +17,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..exact.matrix import QMatrix
 from ..exact.poly import multi_indices
 from ..exact.symbol import SymbolOperator
-from .forms import (
-    FormIndexing,
-    codifferential_terms,
-    exterior_derivative_terms,
-)
+from .forms import codifferential, exterior_derivative
 
 ROLE_OPERATOR = "operator"
 ROLE_CONSTRAINT = "constraint"
@@ -55,10 +50,14 @@ def _unit_alpha(n: int, i: int, k: int = 1) -> tuple[int, ...]:
     return tuple(k if j == i else 0 for j in range(n))
 
 
-def _matrix_entries(terms: Mapping[tuple[int, ...], QMatrix]) -> dict:
-    """The nonzero entries of coefficient matrices, keyed (alpha, row, col)."""
-    return {(alpha, i, j): x for alpha, mat in terms.items()
-            for i, row in enumerate(mat.entries) for j, x in enumerate(row) if x}
+def _stack(top: SymbolOperator, bottom: SymbolOperator) -> SymbolOperator:
+    """The symbol x -> (top(x), bottom(x)) of two symbols on one domain and
+    of one order: the rows of ``bottom`` below those of ``top``."""
+    entries = {(alpha, shift + i, j): Fraction(x, op.den)
+               for shift, op in ((0, top), (top.dim_e, bottom))
+               for alpha, rows in op.terms for i, row in enumerate(rows) for j, x in row}
+    return SymbolOperator.from_entries(top.n, top.dim_v, top.dim_e + bottom.dim_e,
+                                       top.order, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -119,26 +118,18 @@ def sym_gradient_sk(n: int, k: int) -> CatalogResult:
 
 
 def hodge_pair(n: int, ell: int) -> CatalogResult:
-    """v -> (xi wedge v, star(xi wedge star v)) on ell-forms.  For ell = 1 a
-    constraint map selecting the degree-0 component is attached; the common
-    image intersection is exactly {0} x degree-0 part."""
+    """v -> (d v, delta v) on ell-forms.  For ell = 1 a constraint map
+    selecting the degree-0 component is attached; the common image
+    intersection is exactly {0} x degree-0 part."""
     n, ell = int(n), int(ell)
     if not 1 <= ell <= n - 1:
         raise ValueError("hodge_pair needs 1 <= ell <= n-1")
-    up = exterior_derivative_terms(n, ell)
-    down = codifferential_terms(n, ell)
-    dim_v = FormIndexing(n, ell).dim
-    dim_up = FormIndexing(n, ell + 1).dim
-    dim_down = FormIndexing(n, ell - 1).dim
-    terms = {}
-    for i in range(n):
-        alpha = _unit_alpha(n, i)
-        terms[alpha] = up[alpha].vstack(down[alpha])
-    op = SymbolOperator.from_entries(n, dim_v, dim_up + dim_down, 1, _matrix_entries(terms))
+    up = exterior_derivative(n, ell)
+    op = _stack(up, codifferential(n, ell))
     t = None
     if ell == 1:
-        t = QMatrix.from_rows([[int(c == dim_up + r) for c in range(dim_up + dim_down)]
-                               for r in range(dim_down)])
+        t = QMatrix.from_rows([[int(c == up.dim_e + r) for c in range(op.dim_e)]
+                               for r in range(op.dim_e - up.dim_e)])
     return CatalogResult(
         "hodge_pair", {"n": n, "ell": ell}, op, ROLE_OPERATOR,
         {
@@ -152,19 +143,17 @@ def hodge_pair(n: int, ell: int) -> CatalogResult:
 
 def quaternion() -> CatalogResult:
     """Left multiplication of an imaginary quaternion by a real frequency
-    quaternion, stored through the multiplication table."""
-    # Rows ordered (1, i, j, k); columns (i, j, k).
-    a1 = QMatrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    ai = QMatrix.from_rows([[-1, 0, 0], [0, 0, 0], [0, 0, -1], [0, 1, 0]])
-    aj = QMatrix.from_rows([[0, -1, 0], [0, 0, 1], [0, 0, 0], [-1, 0, 0]])
-    ak = QMatrix.from_rows([[0, 0, -1], [0, -1, 0], [1, 0, 0], [0, 0, 0]])
-    terms = {
-        (1, 0, 0, 0): a1,
-        (0, 1, 0, 0): ai,
-        (0, 0, 1, 0): aj,
-        (0, 0, 0, 1): ak,
+    quaternion, stated through the multiplication table."""
+    # Rows ordered (1, i, j, k), columns (i, j, k): the frequency unit q,
+    # row, column and sign of each product q v, as i j = k and j i = -k.
+    table = {
+        (0, 1, 0): 1, (0, 2, 1): 1, (0, 3, 2): 1,
+        (1, 0, 0): -1, (1, 2, 2): -1, (1, 3, 1): 1,
+        (2, 0, 1): -1, (2, 1, 2): 1, (2, 3, 0): -1,
+        (3, 0, 2): -1, (3, 1, 1): -1, (3, 2, 0): 1,
     }
-    op = SymbolOperator.from_entries(4, 3, 4, 1, _matrix_entries(terms))
+    entries = {(_unit_alpha(4, q), r, c): x for (q, r, c), x in table.items()}
+    op = SymbolOperator.from_entries(4, 3, 4, 1, entries)
     return CatalogResult(
         "quaternion", {}, op, ROLE_OPERATOR, {"elliptic": True, "canceling": True}
     )
@@ -241,26 +230,14 @@ def laplacian(n: int) -> CatalogResult:
 
 
 def split_laplacian(n: int, ell: int) -> CatalogResult:
-    """Second-order pair (down-then-up, up-then-down) on ell-forms."""
+    """The second-order pair (d delta, delta d) on ell-forms."""
     n, ell = int(n), int(ell)
     if not 1 <= ell <= n - 1:
         raise ValueError("split_laplacian needs 1 <= ell <= n-1")
     if n < 2:
         raise ValueError("split_laplacian needs n >= 2")
-    dim_v = FormIndexing(n, ell).dim
-    up_low = exterior_derivative_terms(n, ell - 1)   # ell-1 -> ell
-    down_mid = codifferential_terms(n, ell)          # ell -> ell-1
-    down_high = codifferential_terms(n, ell + 1)     # ell+1 -> ell
-    up_mid = exterior_derivative_terms(n, ell)       # ell -> ell+1
-    terms: dict[tuple[int, ...], QMatrix] = {}
-    for i in range(n):
-        for j in range(n):
-            alpha = tuple((x == i) + (x == j) for x in range(n))
-            top = up_low[_unit_alpha(n, i)] @ down_mid[_unit_alpha(n, j)]
-            bottom = down_high[_unit_alpha(n, i)] @ up_mid[_unit_alpha(n, j)]
-            block = top.vstack(bottom)
-            terms[alpha] = terms[alpha] + block if alpha in terms else block
-    op = SymbolOperator.from_entries(n, dim_v, 2 * dim_v, 2, _matrix_entries(terms))
+    op = _stack(exterior_derivative(n, ell - 1).compose(codifferential(n, ell)),
+                codifferential(n, ell + 1).compose(exterior_derivative(n, ell)))
     return CatalogResult(
         "split_laplacian", {"n": n, "ell": ell}, op, ROLE_OPERATOR,
         {"elliptic": True, "canceling": True},
@@ -365,12 +342,8 @@ def exterior_d(n: int, ell: int) -> CatalogResult:
     n, ell = int(n), int(ell)
     if not 0 <= ell <= n - 1:
         raise ValueError("exterior_d needs 0 <= ell <= n-1")
-    entries = _matrix_entries(exterior_derivative_terms(n, ell))
-    op = SymbolOperator.from_entries(
-        n, FormIndexing(n, ell).dim, FormIndexing(n, ell + 1).dim, 1, entries
-    )
     return CatalogResult(
-        "exterior_d", {"n": n, "ell": ell}, op, ROLE_CONSTRAINT,
+        "exterior_d", {"n": n, "ell": ell}, exterior_derivative(n, ell), ROLE_CONSTRAINT,
         {"cocanceling": True},
     )
 

@@ -1,21 +1,29 @@
-"""Exterior algebra over Q^n with explicit coordinates.
+"""The exterior algebra over Q^n: the symbols of d and its adjoint.
 
 Degree-l forms are coordinatized by the lexicographically ordered
-l-element subsets of {0, ..., n-1}.  Signs follow the usual conventions:
-e_i wedge e_S picks up (-1)^(number of elements of S below i), and the
-star of a basis form e_S is the sign of the permutation (S, complement)
-times the complementary basis form, so star(star(v)) = (-1)^(l(n-l)) v.
+l-element subsets of {0, ..., n-1}.  Both symbols are first order and are
+stated entry by entry through two sign rules, each the parity of a
+position p counted from 0:
+
+- the exterior derivative d on l-forms has the symbol v -> xi wedge v,
+  whose entry at (xi_i, S + {i}, S) for i not in S is the sign (-1)^p of
+  e_i wedge e_S, with p the position of i in S + {i};
+- the codifferential delta on l-forms has the symbol
+  (-1)^(n(l+1)) iota_xi, with iota_xi e_S the sum over i in S of
+  (-1)^p xi_i e_(S - {i}), p the position of i in S; its entry at
+  (xi_i, S - {i}, S) is (-1)^p (-1)^(n(l+1)).
+
+The interior product iota_xi satisfies Cartan's identity
+d iota_xi + iota_xi d = |xi|^2 I, and d d = delta delta = 0.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
-from typing import Sequence
 
-from ..exact.matrix import QMatrix
+from ..exact.symbol import SymbolOperator
 
 
 @dataclass(frozen=True)
@@ -36,99 +44,33 @@ class FormIndexing:
 
 
 def wedge_insert_sign(i: int, subset: tuple[int, ...]) -> int:
-    """Sign of e_i wedge e_subset; 0 when i already occurs."""
-    if i in subset:
-        return 0
-    below = sum(1 for s in subset if s < i)
-    return -1 if below % 2 else 1
+    """Sign of e_i wedge e_subset for i not in subset."""
+    return (-1) ** sum(s < i for s in subset)
 
 
-def wedge_matrix(n: int, ell: int, i: int) -> QMatrix:
-    """Matrix of v -> e_i wedge v from degree ell to degree ell + 1."""
+def _first_order(n: int, src: FormIndexing, dst: FormIndexing, entries) -> SymbolOperator:
+    """The symbol from src-forms to dst-forms with entry ``sign`` at
+    (xi_i, target, s) for each (i, target, s, sign) of ``entries``."""
+    rows = {t: r for r, t in enumerate(dst.subsets())}
+    cols = {s: c for c, s in enumerate(src.subsets())}
+    return SymbolOperator.from_entries(n, src.dim, dst.dim, 1, {
+        (tuple(int(j == i) for j in range(n)), rows[t], cols[s]): sign
+        for i, t, s, sign in entries})
+
+
+def exterior_derivative(n: int, ell: int) -> SymbolOperator:
+    """The symbol v -> xi wedge v of d, from ell-forms to (ell + 1)-forms."""
     src = FormIndexing(n, ell)
-    dst = FormIndexing(n, ell + 1)
-    rows = [[Fraction(0)] * src.dim for _ in range(dst.dim)]
-    dst_subsets = dst.subsets()
-    for j, s in enumerate(src.subsets()):
-        sign = wedge_insert_sign(i, s)
-        if sign == 0:
-            continue
-        target = tuple(sorted(s + (i,)))
-        rows[dst_subsets.index(target)][j] = Fraction(sign)
-    return QMatrix.from_rows(rows)
+    return _first_order(n, src, FormIndexing(n, ell + 1), (
+        (i, tuple(sorted(s + (i,))), s, wedge_insert_sign(i, s))
+        for s in src.subsets() for i in range(n) if i not in s))
 
 
-def perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def star_sign(subset: tuple[int, ...], n: int) -> int:
-    complement = tuple(i for i in range(n) if i not in subset)
-    return perm_sign(subset + complement)
-
-
-def star_matrix(n: int, ell: int) -> QMatrix:
-    """Matrix of the Hodge star from degree ell to degree n - ell."""
+def codifferential(n: int, ell: int) -> SymbolOperator:
+    """The symbol (-1)^(n(ell + 1)) iota_xi of delta, from ell-forms to
+    (ell - 1)-forms."""
     src = FormIndexing(n, ell)
-    dst = FormIndexing(n, n - ell)
-    rows = [[Fraction(0)] * src.dim for _ in range(dst.dim)]
-    dst_subsets = dst.subsets()
-    for j, s in enumerate(src.subsets()):
-        complement = tuple(i for i in range(n) if i not in s)
-        rows[dst_subsets.index(complement)][j] = Fraction(star_sign(s, n))
-    return QMatrix.from_rows(rows)
-
-
-def wedge(n: int, xi: Sequence, v: Sequence, ell: int) -> tuple:
-    """Coordinates of xi wedge v for a covector xi and an ell-form v."""
-    src = FormIndexing(n, ell)
-    if len(v) != src.dim or len(xi) != n:
-        raise ValueError("dimension mismatch in wedge")
-    total = [Fraction(0)] * FormIndexing(n, ell + 1).dim
-    for i, c in enumerate(xi):
-        c = Fraction(c)
-        if c == 0:
-            continue
-        for k, x in enumerate(wedge_matrix(n, ell, i).mul_vector(v)):
-            total[k] += c * x
-    return tuple(total)
-
-
-def hodge_star(n: int, v: Sequence, ell: int) -> tuple:
-    return star_matrix(n, ell).mul_vector(v)
-
-
-def exterior_derivative_terms(n: int, ell: int) -> dict[tuple[int, ...], QMatrix]:
-    """Coefficient matrices of the symbol v -> xi wedge v."""
-    out = {}
-    for i in range(n):
-        alpha = tuple(1 if j == i else 0 for j in range(n))
-        out[alpha] = wedge_matrix(n, ell, i)
-    return out
-
-
-def codifferential_terms(n: int, ell: int) -> dict[tuple[int, ...], QMatrix]:
-    """Coefficient matrices of the symbol v -> star(xi wedge star(v)),
-    mapping degree ell to degree ell - 1."""
-    if ell < 1:
-        raise ValueError("codifferential needs degree at least 1")
-    s1 = star_matrix(n, ell)                # ell -> n-ell
-    s2 = star_matrix(n, n - ell + 1)        # n-ell+1 -> ell-1
-    out = {}
-    for i in range(n):
-        alpha = tuple(1 if j == i else 0 for j in range(n))
-        out[alpha] = s2 @ wedge_matrix(n, n - ell, i) @ s1
-    return out
+    sign = (-1) ** (n * (ell + 1))
+    return _first_order(n, src, FormIndexing(n, ell - 1), (
+        (i, s[:p] + s[p + 1:], s, sign * (-1) ** p)
+        for s in src.subsets() for p, i in enumerate(s)))

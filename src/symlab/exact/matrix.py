@@ -161,18 +161,6 @@ class QMatrix:
             self.cols, self.rows, tuple(tuple(r[j] for r in self.entries) for j in range(self.cols))
         )
 
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        return QMatrix(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
-
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
@@ -196,11 +184,6 @@ class QMatrix:
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self.entries for x in r)
-
-    def vstack(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in vstack")
-        return QMatrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def _int_rows(self) -> list[list[int]]:
         """Each row times the lcm of its denominators."""

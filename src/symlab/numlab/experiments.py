@@ -361,11 +361,20 @@ def inequality_experiment(
         raise ValueError(f"unknown inequality family {family!r}")
     point, default, n, box, min_ref = _INEQUALITIES[family]
     levels = [list(l) if isinstance(l, (tuple, list)) else l for l in levels or default]
+    # A half-resolution reference is often a level of the schedule itself;
+    # the points are pure, so each distinct input is measured once.
+    measured: dict[tuple, dict] = {}
+
+    def measure(*args) -> dict:
+        if args not in measured:
+            measured[args] = point(*args)
+        return measured[args]
+
     rows: list[dict] = []
     for level in levels:
         size, *rest = level if isinstance(level, list) else [level]
-        row = point(size, *rest)
-        ref = point(size // 2, *rest)["ratio"] if size >= min_ref else None
+        row = dict(measure(size, *rest))
+        ref = measure(size // 2, *rest)["ratio"] if size >= min_ref else None
         row["converged"] = _converged(row["ratio"], ref)
         rows.append(row)
     spec = GridSpec(n, rows[-1]["size"], box)

@@ -1,5 +1,6 @@
-"""Catalog constructors, exterior algebra, validation, ground truth."""
+"""Catalog constructors, the sign rules of d and delta, validation, ground truth."""
 
+from collections import Counter
 from fractions import Fraction as F
 from math import comb
 
@@ -9,47 +10,59 @@ from symlab.catalog import (
     FormIndexing,
     catalog_get,
     catalog_names,
+    codifferential,
     defigueiredo,
+    exterior_derivative,
     gradient,
-    hodge_star,
     hodge_pair,
     lstar_bound_records,
     quadratic_collection,
     quaternion,
     regression_instances,
     saint_venant_k,
-    star_matrix,
     sym_gradient_sk,
-    wedge,
 )
 from symlab.deciders import check_canceling, check_ellipticity
 from symlab.exact import PolyMatrix, Polynomial, QMatrix
 from test_exact_symbol import ref_evaluate
 
 
-def test_wedge_basic_sign():
-    # e1 wedge e2 in R^3 with +1.
-    v = [F(1), F(0), F(0)]  # e1 as a 1-form
-    out = wedge(3, [0, 1, 0], v, 1)  # e2 wedge ... wait: xi wedge v
-    # xi = e2, v = e1: e2 wedge e1 = -e1 wedge e2.
-    assert out == (F(-1), F(0), F(0))
-    out2 = wedge(3, [1, 0, 0], [F(0), F(1), F(0)], 1)  # e1 wedge e2
-    assert out2 == (F(1), F(0), F(0))
+def symbol_entries(op, sign=1):
+    """The nonzero coefficients of a symbol times ``sign``, keyed (alpha, row, col)."""
+    return {(alpha, i, j): sign * F(x, op.den)
+            for alpha, rows in op.terms for i, row in enumerate(rows) for j, x in row}
 
 
-def test_hodge_star_r3():
-    # Basis of 2-forms in R^3 is (e12, e13, e23); star(e12) = e3.
-    out = hodge_star(3, [F(1), F(0), F(0)], 2)
-    assert out == (F(0), F(0), F(1))
+def test_wedge_sign_entries():
+    # 1-forms of R^3 are (e1, e2, e3) and 2-forms (e12, e13, e23).
+    d = symbol_entries(exterior_derivative(3, 1))
+    assert d[(0, 1, 0), 0, 0] == -1  # xi = e2 on e1: e2 wedge e1 = -e12
+    assert d[(1, 0, 0), 0, 1] == 1   # xi = e1 on e2: e1 wedge e2 = e12
+    assert ((1, 0, 0), 0, 0) not in d  # e1 wedge e1 = 0
 
 
-def test_double_star_sign():
-    for n, ell in ((4, 2), (3, 1), (4, 1), (5, 2)):
-        dim = comb(n, ell)
-        ss = star_matrix(n, n - ell) @ star_matrix(n, ell)
-        sign = (-1) ** (ell * (n - ell))
-        expect = QMatrix.from_rows([[sign * (i == j) for j in range(dim)] for i in range(dim)])
-        assert ss == expect
+def test_d_and_delta_square_to_zero():
+    for n in range(1, 7):
+        for ell in range(n - 1):
+            assert exterior_derivative(n, ell + 1).compose(exterior_derivative(n, ell)).is_zero()
+            assert codifferential(n, ell + 1).compose(codifferential(n, ell + 2)).is_zero()
+
+
+def test_cartan_identity():
+    # With iota = (-1)^(n(ell+1)) delta on ell-forms, the interior product
+    # by xi, d iota + iota d = |xi|^2 I on ell-forms at every degree.
+    for n in range(1, 7):
+        for ell in range(n + 1):
+            total = Counter()
+            if ell >= 1:
+                d_delta = exterior_derivative(n, ell - 1).compose(codifferential(n, ell))
+                total.update(symbol_entries(d_delta, (-1) ** (n * (ell + 1))))
+            if ell <= n - 1:
+                delta_d = codifferential(n, ell + 1).compose(exterior_derivative(n, ell))
+                total.update(symbol_entries(delta_d, (-1) ** (n * (ell + 2))))
+            assert {k: x for k, x in total.items() if x} == {
+                (tuple(2 * (j == i) for j in range(n)), r, r): 1
+                for i in range(n) for r in range(comb(n, ell))}, (n, ell)
 
 
 def norm_squared_identity(n, size):

@@ -7,8 +7,8 @@ import time
 import pytest
 
 from symlab.catalog import (
-    codifferential_terms,
-    exterior_derivative_terms,
+    codifferential,
+    exterior_derivative,
     gradient,
     hodge_pair,
     hyperbolic_example,
@@ -194,16 +194,10 @@ def test_hodge_remark_annihilator():
     xs = [Polynomial.variable(n, i) for i in range(n)]
     q = sum((x * x for x in xs[1:]), xs[0] * xs[0])
 
-    def first_order(terms):
-        mat = next(iter(terms.values()))
-        return SymbolOperator.from_entries(n, mat.cols, mat.rows, 1, {
-            (alpha, i, j): x for alpha, m in terms.items()
-            for i, row in enumerate(m.entries) for j, x in enumerate(row)})
-
-    du3 = first_order(exterior_derivative_terms(n, ell + 1))  # 3-forms -> 4-forms
-    co4 = first_order(codifferential_terms(n, ell + 2))       # 4-forms -> 3-forms
-    co1 = first_order(codifferential_terms(n, ell - 1))       # 1-forms -> 0-forms
-    du0 = first_order(exterior_derivative_terms(n, ell - 2))  # 0-forms -> 1-forms
+    du3 = exterior_derivative(n, ell + 1)  # 3-forms -> 4-forms
+    co4 = codifferential(n, ell + 2)       # 4-forms -> 3-forms
+    co1 = codifferential(n, ell - 1)       # 1-forms -> 0-forms
+    du0 = exterior_derivative(n, ell - 2)  # 0-forms -> 1-forms
     # The bare block operator: co4 du3 on the 3-form part of each column of
     # A (its first 4 entries), du0 co1 on the 1-form part (the last 4).
     for col in a.columns():

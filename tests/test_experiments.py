@@ -145,6 +145,27 @@ def test_inequality_family_validation():
         inequality_experiment("no_such_family")
 
 
+@pytest.mark.parametrize("family,distinct", [
+    ("korn", [64, 32, 128, 256]),
+    ("solonnikov", [64, 32, 128, 256]),
+    ("strange_r4", [16, 32]),
+])
+def test_inequality_measures_each_input_once(monkeypatch, family, distinct):
+    # The half-resolution references of these schedules are levels of the
+    # schedule themselves; each distinct size is measured once.
+    calls = []
+
+    def point(size, *rest):
+        calls.append(size)
+        return {"size": size, "ratio": 1.0 + 1.0 / size}
+
+    _, *spec = experiments._INEQUALITIES[family]
+    monkeypatch.setitem(experiments._INEQUALITIES, family, (point, *spec))
+    rows, _ = inequality_experiment(family)
+    assert calls == distinct
+    assert [r["size"] for r in rows] == sorted(distinct)[-len(rows):]
+
+
 def test_gns_disc_small_levels():
     rows, manifest = inequality_experiment("gns_disc", levels=[(64, 0.4), (128, 0.4)])
     assert all(np.isfinite(r["ratio"]) for r in rows)
