@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from ..exact.matrix import QMatrix
+from ..exact.matrix import subspace_from_columns
 from ..exact.poly import multi_indices
 from ..exact.symbol import SymbolOperator
 from .forms import codifferential, exterior_derivative
@@ -35,7 +35,7 @@ class CatalogResult:
     operator: SymbolOperator
     role: str
     truth: dict
-    constraint_map: Optional[QMatrix] = None  # T for partial-cancellation cases
+    constraint_map: Optional[tuple] = None  # rows of T for partial-cancellation cases
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,8 @@ def hodge_pair(n: int, ell: int) -> CatalogResult:
     op = _stack(up, codifferential(n, ell))
     t = None
     if ell == 1:
-        t = QMatrix.from_rows([[int(c == up.dim_e + r) for c in range(op.dim_e)]
-                               for r in range(op.dim_e - up.dim_e)])
+        t = tuple(tuple(Fraction(int(c == up.dim_e + r)) for c in range(op.dim_e))
+                  for r in range(op.dim_e - up.dim_e))
     return CatalogResult(
         "hodge_pair", {"n": n, "ell": ell}, op, ROLE_OPERATOR,
         {
@@ -167,7 +167,7 @@ def _moment_vectors(count: int, dim: int) -> list[tuple[Fraction, ...]]:
 
 def _check_wise_independent(vectors: Sequence[tuple], take: int) -> bool:
     for subset in itertools.combinations(vectors, take):
-        if QMatrix.from_rows(list(subset)).rank() < take:
+        if subspace_from_columns(len(subset[0]), subset).dim < take:
             return False
     return True
 
@@ -270,8 +270,7 @@ def quadratic_collection(
             raise ValueError("zero-set vectors must be exact unit vectors")
     for x, y in itertools.combinations(xis, 2):
         # Pairwise non-parallel keeps the zero lines distinct.
-        gram = QMatrix.from_rows([list(x), list(y)])
-        if gram.rank() < 2:
+        if subspace_from_columns(n, [x, y]).dim < 2:
             raise ValueError("zero-set vectors must be pairwise non-parallel")
     ws = _moment_vectors(count, m)
     if not _check_wise_independent(ws, min(m, count)):

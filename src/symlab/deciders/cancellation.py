@@ -25,8 +25,9 @@ verdict is NOT_CANCELING_SAMPLED, which claims nothing, with the reason.
 
 The cancellation verdict is the only certificate of W.  Its verifier
 re-intersects the stored samples (any after W = {0} are only checked to
-be nonzero), re-checks every witness and requires the
-witnessed vectors to span the stated intersection.  Bourgain-Brezis
+be nonzero), compares the dimension after each with the stated trajectory,
+re-checks every witness and requires the witnessed vectors to span the
+stated intersection.  Bourgain-Brezis
 spanning holds iff W = {0}, and partial cancellation with respect to a map
 T holds iff W meets ker T only at 0; both verdicts are derived from the
 cancellation verdict, and their verifiers derive them again from a
@@ -42,7 +43,6 @@ from fractions import Fraction
 from typing import Optional
 
 from ..exact.matrix import (
-    QMatrix,
     Subspace,
     full_space,
     int_column_space,
@@ -207,17 +207,18 @@ def check_bb_spanning(canceling: CancelingVerdict) -> SpanningVerdict:
 
 
 def check_partial_canceling(
-    canceling: CancelingVerdict, t: QMatrix
+    canceling: CancelingVerdict, t: tuple
 ) -> PartialCancelingVerdict:
     """Decide whether the common image W meets ker(t) only at 0, derived
     from the cancellation verdict.  HOLDS is certified even when W is only
     sampled, since the true common image lies in the sampled one; FAILS is
     as certain as the cancellation verdict, whose witnesses put every
-    vector of W in every image."""
+    vector of W in every image.  ``t`` is the rows of T, each a tuple of
+    ``Fraction``."""
     w = canceling.intersection
-    if t.cols != w.ambient:
+    if any(len(row) != w.ambient for row in t):
         raise ValueError("constraint map must accept codomain vectors")
-    constrained = subspace_intersection(w, kernel_basis(t))
+    constrained = subspace_intersection(w, kernel_basis(t, w.ambient))
     if constrained.dim == 0:
         return PartialCancelingVerdict(HOLDS, constrained)
     return PartialCancelingVerdict(FAILS if canceling.certified else FAILS_SAMPLED, constrained)
@@ -226,17 +227,20 @@ def check_partial_canceling(
 def verify_canceling(a: SymbolOperator, verdict: CancelingVerdict) -> bool:
     """Re-check a cancellation verdict independently of the decision path:
     re-intersect the images at the stored samples, which must be nonzero
-    directions in R^n, and compare with the stated intersection W.  Samples
-    after W = {0} are checked but not evaluated.  NOT_CANCELING needs
-    W != {0} and valid membership witnesses whose vectors span W."""
+    directions in R^n, and compare with the stated intersection W and the
+    stated dimension after each sample.  Samples after W = {0} are checked
+    but not evaluated, and read 0.  NOT_CANCELING needs W != {0} and valid
+    membership witnesses whose vectors span W."""
     w = None  # the whole space, replaced by the first image
+    trajectory = []
     for xi in verdict.samples:
         if len(xi) != a.n or all(x == 0 for x in xi):
             return False
         w = _intersect(a, w, xi)
+        trajectory.append(w.dim)
     if w is None:
         w = full_space(a.dim_e)
-    if w != verdict.intersection:
+    if w != verdict.intersection or trajectory != verdict.dim_trajectory:
         return False
     if verdict.status == CANCELING:
         return w.dim == 0
@@ -259,7 +263,7 @@ def verify_spanning(
 
 
 def verify_partial_canceling(
-    verdict: PartialCancelingVerdict, canceling: Optional[CancelingVerdict], t: QMatrix
+    verdict: PartialCancelingVerdict, canceling: Optional[CancelingVerdict], t: tuple
 ) -> bool:
     """A partial cancellation verdict holds iff it is the one derived from
     the same report's cancellation verdict, passed only if

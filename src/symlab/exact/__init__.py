@@ -1,9 +1,10 @@
-"""Exact rational arithmetic, linear algebra and polynomial matrices."""
+"""Exact rational arithmetic, linear algebra on integer rows and
+polynomial matrices."""
 
 from .matrix import (
-    QMatrix,
     Subspace,
     full_space,
+    inverse,
     kernel_basis,
     subspace_from_columns,
     subspace_intersection,
@@ -13,9 +14,9 @@ from .polymatrix import PolyMatrix
 from .symbol import SymbolOperator
 
 __all__ = [
-    "QMatrix",
     "Subspace",
     "full_space",
+    "inverse",
     "kernel_basis",
     "subspace_from_columns",
     "subspace_intersection",

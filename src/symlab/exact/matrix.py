@@ -1,15 +1,17 @@
 """Exact rational linear algebra.
 
-``QMatrix`` is an immutable, dense, row-major tuple of
-``fractions.Fraction`` entries, for the small matrices that stand whole:
-constraint maps, cocancellation blocks and their inverses, and subspace
-bases as read.  Symbols are not kept as ``QMatrix``: ``SymbolOperator``
-stores its sparse integer entries.  Everything here is computed exactly;
-there is no floating point in this module.  A ``Subspace`` is kept as the
-RREF rows of its generators, each scaled to primitive integers with a
-positive pivot, so that two objects describe the same subspace if and only
-if they compare equal structurally; its rational basis in reduced column
-echelon form is derived from those rows when read.
+Integer rows are the one matrix form: every rank, image, kernel and
+intersection is computed on lists of Python ints, and nothing here uses
+floating point.  Rational rows (tuples of ``fractions.Fraction``) appear
+only where a matrix is stated or read whole: a constraint map T, the inverse
+of a cocancellation block (``inverse``), and the matrices of a JSON
+document; ``kernel_basis`` and ``inverse`` scale them to integer rows first.
+Symbols keep their own sparse integer entries (``SymbolOperator``).  A
+``Subspace`` is kept as the RREF rows of its generators, each scaled to
+primitive integers with a positive pivot, so that two objects describe the
+same subspace if and only if they compare equal structurally; its rational
+generators in reduced column echelon form are derived from those rows when
+read (``Subspace.columns``).
 
 Elimination runs on Python ints, in one routine (``_echelon``): each row is
 scaled to integers by the lcm of its denominators, and a row is reduced
@@ -18,7 +20,7 @@ a, b the two entries in the pivot column and g = gcd(a, b), after which the
 row is divided by the gcd of its entries.  Scaling a row changes neither
 the pivots nor the reduced form, so dividing each reduced pivot row by its
 pivot once gives the unique RREF.  Back-elimination changes only finished
-rows, so ``pivots`` and ``rank`` run the forward pass alone and build no
+rows, so ``int_pivots`` runs the forward pass alone and builds no
 ``Fraction``; kernels are read from the reduced integer rows, and a
 subspace is its reduced integer rows.  The whole space needs no
 elimination: its unit rows are already that form (``full_space``).
@@ -29,21 +31,17 @@ three entry points on integer rows: ``int_pivots`` (the forward pass),
 values take this way: ``SymbolOperator.scaled_rows`` gives the integer rows
 of a positive multiple of A(xi), which has the pivots, column space and
 kernel of A(xi), so no ``Fraction`` is built between a symbol and
-``_echelon``.  ``QMatrix.pivots`` and ``kernel_basis`` call the same entry
-points on their rows scaled one by one, which moves neither pivots nor
-kernel.  Every elimination a decider runs, intersections and the systems of
-membership witnesses included, starts from integer rows; the witness search
-reads its one particular solution from ``_echelon`` itself.
+``_echelon``.  Every elimination a decider runs, intersections and the
+systems of membership witnesses included, starts from integer rows; the
+witness search reads its one particular solution from ``_echelon`` itself.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-Rat = Fraction
 _ZERO = Fraction(0)
 
 
@@ -51,8 +49,8 @@ def _rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _int_row(row: Sequence[Fraction]) -> list[int]:
-    """The row times the lcm of its denominators."""
+def _int_row(row: Sequence) -> list[int]:
+    """The row of ints and ``Fraction`` times the lcm of its denominators."""
     pairs = [x.as_integer_ratio() for x in row]
     den = math.lcm(*{d for _n, d in pairs})
     return [n * (den // d) for n, d in pairs]
@@ -118,93 +116,17 @@ def _pivot_quotients(rows: list[list[int]], pivots: Sequence[int], start: int = 
     ]
 
 
-@dataclass(frozen=True)
-class QMatrix:
-    """Dense matrix over the rationals."""
-
-    rows: int
-    cols: int
-    entries: tuple  # tuple of row tuples, each entry a Fraction
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix shape")
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry count does not match shape")
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "QMatrix":
-        data = tuple(tuple(_rat(x) for x in r) for r in rows)
-        nrows = len(data)
-        ncols = len(data[0]) if data else 0
-        return QMatrix(nrows, ncols, data)
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "QMatrix":
-        return QMatrix(rows, cols, tuple((Fraction(0),) * cols for _ in range(rows)))
-
-    @staticmethod
-    def identity(n: int) -> "QMatrix":
-        return QMatrix(
-            n, n, tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
-        )
-
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(
-            self.cols, self.rows, tuple(tuple(r[j] for r in self.entries) for j in range(self.cols))
-        )
-
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        # Row i of the product adds a * (row k of other) for each nonzero
-        # a = self[i, k], skipping zero entries on both sides.
-        out = []
-        for row in self.entries:
-            acc = [Fraction(0)] * other.cols
-            for a, orow in zip(row, other.entries):
-                if a:
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] += a * b
-            out.append(tuple(acc))
-        return QMatrix(self.rows, other.cols, tuple(out))
-
-    def mul_vector(self, v: Sequence) -> tuple:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(a * _rat(b) for a, b in zip(row, v)) for row in self.entries)
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.entries for x in r)
-
-    def _int_rows(self) -> list[list[int]]:
-        """Each row times the lcm of its denominators."""
-        return [_int_row(r) for r in self.entries]
-
-    def pivots(self) -> tuple[int, ...]:
-        """Pivot columns of the RREF, from the forward pass alone."""
-        return int_pivots(self._int_rows(), self.cols)
-
-    def rank(self) -> int:
-        return len(self.pivots())
-
-    def inverse(self) -> "QMatrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        rows, pivots = _echelon((_int_row(r + tuple(int(i == j) for j in range(n)))
-                                 for i, r in enumerate(self.entries)), 2 * n)
-        if len(pivots) < n or any(p >= n for p in pivots):
-            raise ValueError("matrix is singular")
-        return QMatrix(n, n, tuple(_pivot_quotients(rows, pivots, n)))
+def inverse(rows: Sequence[Sequence]) -> list[tuple]:
+    """The inverse of the square matrix with these rows of ints and
+    ``Fraction``, as rows of ``Fraction``; ValueError when it is singular."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("inverse of non-square matrix")
+    red, pivots = _echelon((_int_row([*r, *(int(i == j) for j in range(n))])
+                            for i, r in enumerate(rows)), 2 * n)
+    if len(pivots) < n or any(p >= n for p in pivots):
+        raise ValueError("matrix is singular")
+    return _pivot_quotients(red, pivots, n)
 
 
 @dataclass(frozen=True)
@@ -213,11 +135,7 @@ class Subspace:
 
     ``rows`` are the nonzero RREF rows of any generator matrix, each scaled
     to integers of gcd 1 with a positive pivot.  The form is unique, so
-    structural equality is subspace equality.  ``basis`` is the same
-    subspace as a rational matrix in reduced column echelon form: each
-    column's first nonzero entry is 1, those leading entries occur in
-    strictly increasing row positions, and every leading row is zero in the
-    other columns.
+    structural equality is subspace equality.
     """
 
     ambient: int
@@ -227,17 +145,13 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    @cached_property
-    def basis(self) -> QMatrix:
-        """ambient x dim, columns are generators: the rows divided by their
-        pivots, transposed."""
-        pivots = [next(j for j, x in enumerate(r) if x) for r in self.rows]
-        cols = _pivot_quotients(self.rows, pivots)
-        entries = tuple(zip(*cols)) if cols else ((),) * self.ambient
-        return QMatrix(self.ambient, self.dim, entries)
-
     def columns(self) -> list[tuple]:
-        return [self.basis.col(j) for j in range(self.dim)]
+        """The generators in reduced column echelon form, the rows divided
+        by their pivots: each one's first nonzero entry is 1, those leading
+        entries occur in strictly increasing positions, and every leading
+        position is zero in the other generators."""
+        pivots = [next(j for j, x in enumerate(r) if x) for r in self.rows]
+        return _pivot_quotients(self.rows, pivots)
 
     def contains(self, v: Sequence) -> bool:
         """v lies in the subspace iff adding it keeps the rank."""
@@ -309,9 +223,9 @@ def int_kernel_vector(rows: Iterable[list[int]], ncols: int) -> Optional[list[in
     return None if f is None else _kernel_row(red, pivots, f, ncols)
 
 
-def kernel_basis(m: QMatrix) -> Subspace:
-    """Canonical basis of the exact null space of ``m``."""
-    return int_kernel(m._int_rows(), m.cols)
+def kernel_basis(rows: Iterable[Sequence], ncols: int) -> Subspace:
+    """Canonical basis of the null space of the rational rows."""
+    return int_kernel(map(_int_row, rows), ncols)
 
 
 def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:

@@ -2,9 +2,9 @@
 
 ``SymbolOperator.gram`` returns A(x)^T A(x) as a ``PolyMatrix``; the
 ellipticity decider takes its ``det`` and, for a witness, columns of its
-adjugate (``adjugate_column``, cofactors by the same expansion).
-``evaluate`` is the reference that tests compare them against.  Products of a symbol with
-polynomial vectors are ``SymbolOperator.apply``, not matrix products here.
+adjugate (``adjugate_column``, cofactors by the same expansion).  Products
+of a symbol with polynomial vectors are ``SymbolOperator.apply``, not
+matrix products here.
 
 The determinant is expanded by minors along the rows, memoized on the set
 of columns still unused, in integer arithmetic:
@@ -32,7 +32,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .matrix import QMatrix
 from .poly import Polynomial, clear_denominators, grlex_key
 
 # Coefficient products one determinant may take.  hodge_pair(6,3) needs
@@ -64,11 +63,6 @@ class PolyMatrix:
     def from_rows(n: int, rows: Sequence[Sequence[Polynomial]]) -> "PolyMatrix":
         data = tuple(tuple(r) for r in rows)
         return PolyMatrix(len(data), len(data[0]) if data else 0, n, data)
-
-    def evaluate(self, point: Sequence) -> QMatrix:
-        return QMatrix.from_rows(
-            [[p.evaluate(point) for p in row] for row in self.entries]
-        )
 
     def det(self) -> Polynomial:
         if self.rows != self.cols:

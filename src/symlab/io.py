@@ -1,11 +1,12 @@
 """JSON serialization of operators, verdicts and certificates.
 
 Rationals travel as strings "p/q" (or "p" when the denominator is 1),
-multi-indices as integer arrays, and the small dense matrices (T, block
-inverses) as row-major nested arrays of those strings.  Serialization is
-deterministic: keys are emitted sorted and collections in graded-lex
-order, so reports reproduce byte-for-byte under a fixed seed once timing
-fields are stripped.
+multi-indices as integer arrays, and the two matrices stated whole, T and
+the inverse of a cocancellation block, held as rows of ``Fraction``, as
+arrays of their rows, each an array of those strings.  Serialization is
+deterministic: keys are emitted sorted and collections in graded-lex order,
+so reports reproduce byte-for-byte under a fixed seed once timing fields
+are stripped.
 
 An operator (``schema_version`` 2) is ``{"n", "dimV", "dimE", "order",
 "terms"}`` with ``"terms"`` its nonzero coefficients, each
@@ -29,8 +30,10 @@ witness (S(x) u(x) == p(x) e) is ``{"e": vector, "u": [polynomial, ...],
 (S = A), and ELLIPTIC, one per basis vector of V (S = A^T), whose
 ``"cover"`` repeats its witnesses' covers together.
 Decoders read untrusted reports: a missing field, a wrong type or a bad
-shape (such as a cover box without n-1 bound pairs) raises KeyError,
-TypeError or ValueError, which ``symlab verify`` reports as malformed input.
+shape (such as a cover box without n-1 bound pairs, or a subspace whose
+"ambient", "dim" or number of basis columns disagrees with its span) raises
+KeyError, TypeError or ValueError, which ``symlab verify`` reports as
+malformed input.
 Spanning and partial cancellation verdicts store no samples or witnesses of
 their own; they are re-derived from the cancellation verdict of the same
 report.  A partial verdict is ``{"status", "certified",
@@ -52,7 +55,7 @@ from .deciders.cancellation import CancelingVerdict, PartialCancelingVerdict, Sp
 from .deciders.cocancellation import CocancelingVerdict, RankBlock
 from .deciders.ellipticity import CertifiedBox, EllipticityVerdict, FaceBox
 from .deciders.witness import Membership
-from .exact.matrix import QMatrix, Subspace, subspace_from_columns
+from .exact.matrix import Subspace, subspace_from_columns
 from .exact.poly import Polynomial
 from .exact.symbol import SymbolOperator
 
@@ -94,17 +97,18 @@ def rat_from_str(s: str) -> Fraction:
         raise OperatorFileError(f"bad rational literal {shown!r}") from None
 
 
-def matrix_to_json(m: QMatrix) -> list:
-    return [[rat_to_str(x) for x in row] for row in m.entries]
+def matrix_to_json(rows: Sequence[Sequence[Fraction]]) -> list:
+    return [[rat_to_str(x) for x in row] for row in rows]
 
 
-def matrix_from_json(data, what: str = "matrix") -> QMatrix:
+def matrix_from_json(data, what: str = "matrix") -> tuple:
+    """The rows of a non-empty rational matrix, each a tuple of ``Fraction``."""
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise OperatorFileError(f"{what} must be a non-empty nested array")
     width = len(data[0])
     if any(len(r) != width for r in data):
         raise OperatorFileError(f"{what} rows have inconsistent lengths")
-    return QMatrix.from_rows([[rat_from_str(x) for x in row] for row in data])
+    return tuple(tuple(rat_from_str(x) for x in row) for row in data)
 
 
 def vector_to_json(v: Sequence[Fraction]) -> list:
@@ -124,9 +128,17 @@ def subspace_to_json(s: Subspace) -> dict:
 
 
 def subspace_from_json(doc: dict, ambient: int) -> Subspace:
-    return subspace_from_columns(
-        ambient, [vector_from_json(c) for c in doc["basis_columns"]]
-    )
+    """The span of the basis columns.  ValueError unless the stated ambient
+    is ``ambient`` and both "dim" and the number of columns are the
+    dimension of the span."""
+    if doc["ambient"] != ambient:
+        raise ValueError(f"subspace ambient {doc['ambient']!r}, expected {ambient}")
+    columns = doc["basis_columns"]
+    s = subspace_from_columns(ambient, [vector_from_json(c) for c in columns])
+    if doc["dim"] != s.dim or len(columns) != s.dim:
+        raise ValueError(f"subspace states dim {doc['dim']!r} with {len(columns)} basis "
+                         f"columns, which span dimension {s.dim}")
+    return s
 
 
 def operator_to_json(a: SymbolOperator, metadata: Optional[dict] = None) -> dict:
@@ -146,8 +158,8 @@ def operator_to_json(a: SymbolOperator, metadata: Optional[dict] = None) -> dict
     return doc
 
 
-def operator_from_json(doc: dict) -> tuple[SymbolOperator, Optional[QMatrix], dict]:
-    """Parse an operator file; returns (operator, optional T, metadata)."""
+def operator_from_json(doc: dict) -> tuple[SymbolOperator, Optional[tuple], dict]:
+    """Parse an operator file; returns (operator, optional rows of T, metadata)."""
     if not isinstance(doc, dict):
         raise OperatorFileError("operator file must be a JSON object")
     version = doc.get("schema_version")
@@ -187,8 +199,8 @@ def operator_from_json(doc: dict) -> tuple[SymbolOperator, Optional[QMatrix], di
     t = None
     if "T" in doc and doc["T"] is not None:
         t = matrix_from_json(doc["T"], "T")
-        if t.cols != dim_e:
-            raise OperatorFileError(f"T has {t.cols} columns, expected {dim_e}")
+        if len(t[0]) != dim_e:
+            raise OperatorFileError(f"T has {len(t[0])} columns, expected {dim_e}")
     metadata = doc.get("metadata") or {}
     return op, t, metadata
 
@@ -305,6 +317,7 @@ def canceling_from_json(doc: dict, op: SymbolOperator) -> CancelingVerdict:
         doc["status"],
         [vector_from_json(xi) for xi in doc["samples"]],
         subspace_from_json(doc["intersection"], op.dim_e),
+        list(doc["dim_trajectory"]),
         memberships=[_membership_from_json(m, op.n) for m in doc.get("memberships", [])],
     )
 
@@ -325,7 +338,7 @@ def cocanceling_from_json(doc: dict, op: SymbolOperator) -> CocancelingVerdict:
     if not all(type(i) is int for i in rows + cols):
         raise ValueError("block indices must be integers")
     # The rank-0 block has an empty inverse, which matrix_from_json refuses.
-    inverse = (QMatrix.zeros(0, 0) if block["inverse"] == []
+    inverse = (() if block["inverse"] == []
                else matrix_from_json(block["inverse"], "block inverse"))
     return CocancelingVerdict(
         doc["status"], subspace_from_json(doc["joint_kernel"], op.dim_v),

@@ -172,7 +172,8 @@ def test_forged_certified_does_not_span(tmp_path):
 def test_forged_partial_fails_without_witness(tmp_path):
     # Without samples the sampled intersection is all of E and meets ker T.
     _code, report = analyze(tmp_path, "catalog:hodge_pair?n=3&ell=1")
-    ker_t = kernel_basis(matrix_from_json(report["T"]))
+    t = matrix_from_json(report["T"])
+    ker_t = kernel_basis(t, len(t[0]))
     report["verdicts"]["partial"] = {
         "status": "FAILS",
         "certified": True,
@@ -240,6 +241,60 @@ def test_canceling_report_with_samples_after_zero_verifies(tmp_path):
     canceling["samples"] = samples[:-1]
     code, checked = verify(tmp_path, report)
     assert code == 3 and checked["verified"]["canceling"] is False
+
+
+def test_forged_dim_trajectory_rejected(tmp_path):
+    # The trajectory is the dimension of the sampled intersection after each
+    # sample; verify recomputes it.
+    _code, report = analyze(tmp_path, "catalog:sym_gradient?n=3")
+    canceling = report["verdicts"]["canceling"]
+    assert canceling["dim_trajectory"] == [3, 1, 0]
+    canceling["dim_trajectory"] = [5, 4, 3]
+    code, checked = verify(tmp_path, report)
+    assert code == 3 and checked["verified"]["canceling"] is False
+    canceling["dim_trajectory"] = [3, 1]
+    code, checked = verify(tmp_path, report)
+    assert code == 3 and checked["verified"]["canceling"] is False
+
+
+@pytest.mark.parametrize("source, subspace, change", [
+    (("catalog:curl_div?n=2", "--as", "constraint"), ("cocanceling", "joint_kernel"),
+     {"dim": 7, "ambient": 99}),
+    (("catalog:curl_div?n=2", "--as", "constraint"), ("cocanceling", "joint_kernel"),
+     {"ambient": 5}),
+    (("catalog:gradient?n=3",), ("canceling", "intersection"), {"dim": 2}),
+    (("catalog:hodge_pair?n=3&ell=1",), ("partial", "constrained_intersection"), {"dim": 3}),
+    # Two equal columns and their stated count, for a line.
+    (("catalog:hodge_pair?n=3&ell=1",), ("canceling", "intersection"),
+     {"dim": 2, "basis_columns": [["0", "0", "0", "1"]] * 2}),
+], ids=["curl_div_dim_and_ambient", "curl_div_ambient", "gradient_dim", "hodge_partial_dim",
+        "hodge_repeated_column"])
+def test_forged_subspace_shape_is_malformed(tmp_path, capsys, source, subspace, change):
+    _code, report = analyze(tmp_path, *source)
+    assert verify(tmp_path, report)[0] == 0
+    key, field = subspace
+    report["verdicts"][key][field].update(change)
+    code, _ = verify(tmp_path, report)
+    assert code == 2 and "malformed report" in capsys.readouterr().err
+
+
+def test_operator_file_with_t_round_trip(tmp_path, capsys):
+    # The emitted file carries T, which analyze reads and copies into the
+    # report, and verify reads back from the report.
+    source = tmp_path / "hodge.json"
+    assert main(["catalog", "emit", "hodge_pair?n=3&ell=1", "--json", str(source)]) == 0
+    doc = json.loads(source.read_text())
+    assert doc["T"] == [["0", "0", "0", "1"]]
+    code, report = analyze(tmp_path, str(source))
+    assert code == 0 and report["T"] == doc["T"]
+    partial = report["verdicts"]["partial"]
+    assert partial["status"] == "HOLDS" and partial["certified"] is True
+    code, checked = verify(tmp_path, report)
+    assert code == 0 and checked["all_ok"] and checked["verified"]["partial"] is True
+    capsys.readouterr()
+    source.write_text(json.dumps({**doc, "T": [["0", "0", "1"]]}))
+    assert main(["analyze", str(source)]) == 2
+    assert "T has 3 columns, expected 4" in capsys.readouterr().err
 
 
 def test_not_canceling_verifies_without_ellipticity_verdict(tmp_path):

@@ -1,5 +1,6 @@
 """Classification deciders and their certificates."""
 
+import itertools
 import math
 import random
 import time
@@ -61,12 +62,13 @@ from symlab.exact.bernstein import certify_positive, verify_positive
 from symlab.deciders.ellipticity import CertifiedBox, FaceBox
 from symlab.exact import (
     Polynomial,
-    QMatrix,
     SymbolOperator,
+    inverse,
     multi_indices,
     subspace_from_columns,
 )
-from test_exact_symbol import coefficients, ref_evaluate
+from test_exact_matrix import identity, ref_product
+from test_exact_symbol import coefficients, ref_evaluate, ref_times
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +90,7 @@ def test_hyperbolic_witness():
     v = check_ellipticity(op)
     assert v.status == NOT_ELLIPTIC and v.memberships == []
     assert v.witness_xi == (-1, 1)
-    value = QMatrix.from_rows(ref_evaluate(op, v.witness_xi))
-    assert all(x == 0 for x in value.mul_vector(v.witness_v))
+    assert all(x == 0 for x in ref_times(ref_evaluate(op, v.witness_xi), v.witness_v))
     assert verify_ellipticity(op, v)
 
 
@@ -413,8 +414,8 @@ def selected_block(op, block):
     """The entries of the stacked coefficient matrices that a block selects."""
     coeffs = coefficients(op)
     alphas = [alpha for alpha, _rows in op.terms]
-    return QMatrix.from_rows([[coeffs.get((alphas[i // op.dim_e], i % op.dim_e, j), 0)
-                               for j in block.cols] for i in block.rows])
+    return [[coeffs.get((alphas[i // op.dim_e], i % op.dim_e, j), F(0)) for j in block.cols]
+            for i in block.rows]
 
 
 def test_divergence_cocanceling_with_full_block():
@@ -425,14 +426,14 @@ def test_divergence_cocanceling_with_full_block():
     assert v.status == COCANCELING and v.joint_kernel.dim == 0
     assert verify_cocanceling(op, v)
     assert sorted(v.block.rows) == sorted(v.block.cols) == [0, 1, 2]
-    assert v.block.inverse == selected_block(op, v.block).inverse()
+    assert list(v.block.inverse) == inverse(selected_block(op, v.block))
 
 
 def test_higher_order_block_has_full_rank():
     op = higher_order_div(2, 2).operator
     v = check_cocanceling(op)
     assert len(v.block.rows) == op.dim_v
-    assert v.block.inverse @ selected_block(op, v.block) == QMatrix.identity(op.dim_v)
+    assert ref_product(v.block.inverse, selected_block(op, v.block)) == identity(op.dim_v)
 
 
 def test_curl_div_joint_kernel_is_identity_line():
@@ -451,8 +452,25 @@ def test_saint_venant_r1_zero_operator_not_cocanceling():
     v = check_cocanceling(op)
     assert v.status == NOT_COCANCELING
     assert v.joint_kernel.dim == op.dim_v
-    assert v.block.rows == v.block.cols == () and v.block.inverse.rows == 0
+    assert v.block.rows == v.block.cols == () and v.block.inverse == ()
     assert verify_cocanceling(op, v)
+
+
+def test_cocanceling_verifier_refuses_changed_inverse_entries():
+    # N B = D I_r fails once any one entry of N changes, zero or not; D = 2
+    # for sym_gradient(3), whose entries are 1/2.
+    for op in (sym_gradient(3).operator, higher_order_div(2, 2).operator,
+               curl_div(2).operator):
+        v = check_cocanceling(op)
+        assert verify_cocanceling(op, v)
+        n = [list(row) for row in v.block.inverse]
+        assert any(x == 0 for row in n for x in row)
+        for k, m in itertools.product(range(len(n)), repeat=2):
+            forged = [row[:] for row in n]
+            forged[k][m] += F(1, 3)
+            block = replace(v.block, inverse=tuple(map(tuple, forged)))
+            assert not verify_cocanceling(op, replace(v, block=block)), (k, m)
+    assert sym_gradient(3).operator.den == 2
 
 
 def test_exterior_d_cocanceling():
@@ -732,7 +750,7 @@ def test_partial_holds_for_hodge_degree_one():
 def test_partial_reduces_to_cancellation_at_zero_map():
     inst = hodge_pair(3, 1)
     op = inst.operator
-    z = QMatrix.zeros(1, op.dim_e)
+    z = ((F(0),) * op.dim_e,)
     cv = check_canceling(op, seed=2)
     v = check_partial_canceling(cv, z)
     assert v.status == "FAILS"  # ker 0 = E and the intersection is a line
@@ -752,7 +770,7 @@ def test_partial_verdict_must_match_its_derivation():
                    replace(v, constrained_intersection=cv.intersection)):
         assert not verify_partial_canceling(forged, cv, t)
     # Derived from a sampled W, FAILS is only FAILS_SAMPLED.
-    z = QMatrix.zeros(1, inst.operator.dim_e)
+    z = ((F(0),) * inst.operator.dim_e,)
     sampled = replace(cv, status="NOT_CANCELING_SAMPLED", memberships=[])
     assert check_partial_canceling(sampled, z).status == "FAILS_SAMPLED"
     assert not verify_partial_canceling(check_partial_canceling(cv, z), sampled, z)
@@ -760,13 +778,13 @@ def test_partial_verdict_must_match_its_derivation():
 
 def test_partial_always_holds_at_identity():
     inst = laplacian(2)
-    v = check_partial_canceling(check_canceling(inst.operator, seed=2), QMatrix.identity(1))
+    v = check_partial_canceling(check_canceling(inst.operator, seed=2), ((F(1),),))
     assert v.status == "HOLDS"
 
 
 def test_partial_shape_mismatch():
     with pytest.raises(ValueError):
-        check_partial_canceling(check_canceling(gradient(2).operator), QMatrix.identity(3))
+        check_partial_canceling(check_canceling(gradient(2).operator), identity(3))
 
 
 def test_joint_kernel_of_nonzero_term_free_symbol():

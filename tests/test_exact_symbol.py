@@ -27,7 +27,6 @@ from symlab.deciders import NOT_ELLIPTIC, EllipticityVerdict, verify_ellipticity
 from symlab.exact import (
     Polynomial,
     PolyMatrix,
-    QMatrix,
     SymbolOperator,
     kernel_basis,
     multi_indices,
@@ -36,6 +35,7 @@ from symlab.exact import (
 from symlab.exact import polymatrix
 from symlab.exact.matrix import int_column_space, int_kernel, int_pivots
 from symlab.io import operator_from_json, operator_to_json
+from test_exact_matrix import ref_rref
 
 
 def coefficients(op):
@@ -52,6 +52,23 @@ def ref_evaluate(op, xi):
             x *= F(c) ** e
         acc[i][j] += x
     return acc
+
+
+def ref_gram(op, xi):
+    """A(xi)^T A(xi), summed entry by entry in Fraction arithmetic."""
+    a = ref_evaluate(op, xi)
+    return [[sum((r[i] * r[j] for r in a), F(0)) for j in range(op.dim_v)]
+            for i in range(op.dim_v)]
+
+
+def ref_times(rows, v):
+    """The matrix with these rows times the vector v."""
+    return [sum((x * y for x, y in zip(r, v)), F(0)) for r in rows]
+
+
+def ref_at(m, xi):
+    """The polynomial matrix m, a Gram matrix for one, evaluated at xi."""
+    return [[p.evaluate(xi) for p in row] for row in m.entries]
 
 
 def test_gradient_evaluate():
@@ -133,9 +150,9 @@ def test_diag_polymatrix_det():
     assert m.det() == x0 * x1
 
 
-def exact_det(m: QMatrix) -> F:
-    """det of a rational matrix by Gaussian elimination."""
-    rows = [list(r) for r in m.entries]
+def exact_det(m) -> F:
+    """det of the rational matrix with rows m by Gaussian elimination."""
+    rows = [list(r) for r in m]
     det = F(1)
     for c in range(len(rows)):
         pivot = next((r for r in range(c, len(rows)) if rows[r][c] != 0), None)
@@ -160,7 +177,7 @@ def test_gram_determinant_matches_evaluated_determinant():
         det = gram.det()
         for _ in range(3):
             xi = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(inst.operator.n)]
-            assert det.evaluate(xi) == exact_det(gram.evaluate(xi)), inst.name
+            assert det.evaluate(xi) == exact_det(ref_at(gram, xi)), inst.name
 
 
 RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -183,7 +200,7 @@ def test_det_matches_evaluated_determinant(m, data):
     det = m.det()
     for _ in range(3):
         xi = data.draw(POINTS[m.n])
-        assert det.evaluate(xi) == exact_det(m.evaluate(xi))
+        assert det.evaluate(xi) == exact_det(ref_at(m, xi))
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,8 +211,8 @@ def test_adjugate_columns_give_det_times_unit_vectors(m, data):
     i = data.draw(st.integers(0, m.rows - 1))
     w = m.adjugate_column(i)
     xi = data.draw(POINTS[m.n])
-    mw = m.evaluate(xi).mul_vector([p.evaluate(xi) for p in w])
-    assert list(mw) == [det.evaluate(xi) * (r == i) for r in range(m.rows)]
+    mw = ref_times(ref_at(m, xi), [p.evaluate(xi) for p in w])
+    assert mw == [det.evaluate(xi) * (r == i) for r in range(m.rows)]
 
 
 def test_det_of_empty_matrix_and_zero_row():
@@ -250,8 +267,7 @@ def test_gram_matches_product_at_sampled_points():
         gram = op.gram()
         for _ in range(3):
             xi = [F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(op.n)]
-            a = QMatrix.from_rows(ref_evaluate(op, xi))
-            assert gram.evaluate(xi) == a.transpose() @ a, inst.name
+            assert ref_at(gram, xi) == ref_gram(op, xi), inst.name
 
 
 def test_multiplication_matrix_and_apply_agree_with_evaluation():
@@ -278,8 +294,8 @@ def test_multiplication_matrix_and_apply_agree_with_evaluation():
                                          for g, gamma in enumerate(targets)})
             assert au[i] == expect
         xi = [F(3), F(-2, 5), F(7, 4)][:n]
-        assert QMatrix.from_rows(ref_evaluate(op, xi)).mul_vector(
-            [q.evaluate(xi) for q in u]) == tuple(q.evaluate(xi) for q in au)
+        assert ref_times(ref_evaluate(op, xi), [q.evaluate(xi) for q in u]) == [
+            q.evaluate(xi) for q in au]
 
 
 def test_coefficient_round_trip():
@@ -450,18 +466,17 @@ def test_compose_refuses_mismatched_symbols():
 
 
 def assert_scaled_rows_match_evaluate(op, xi):
-    rows, value = op.scaled_rows(xi), QMatrix.from_rows(ref_evaluate(op, xi))
+    rows, value = op.scaled_rows(xi), ref_evaluate(op, xi)
     assert all(type(x) is int for r in rows for x in r)
     # rows == c value for one c > 0.
-    nonzero = [(x, y) for r, s in zip(rows, value.entries) for x, y in zip(r, s) if y]
+    nonzero = [(x, y) for r, s in zip(rows, value) for x, y in zip(r, s) if y]
     c = F(nonzero[0][0]) / nonzero[0][1] if nonzero else F(1)
     assert c > 0
-    assert [[F(x) for x in r] for r in rows] == [[c * y for y in s] for s in value.entries]
-    assert int_pivots(rows, op.dim_v) == value.pivots()
-    assert int_column_space(rows) == subspace_from_columns(
-        op.dim_e, [value.col(j) for j in range(op.dim_v)])
+    assert [[F(x) for x in r] for r in rows] == [[c * y for y in s] for s in value]
+    assert list(int_pivots(rows, op.dim_v)) == ref_rref(value, op.dim_v)[1]
+    assert int_column_space(rows) == subspace_from_columns(op.dim_e, zip(*value))
     kernel = int_kernel(rows, op.dim_v)
-    assert kernel == kernel_basis(value)
+    assert kernel == kernel_basis(value, op.dim_v)
     # A(xi) v = 0 on the rows, as verify_ellipticity checks it, against the
     # Fraction product: a kernel vector, and one off the kernel unless the
     # kernel is everything.
@@ -469,7 +484,7 @@ def assert_scaled_rows_match_evaluate(op, xi):
         off = [F(j + 1, 2) for j in range(op.dim_v)]
         for v in kernel.columns()[:1] + [off]:
             verdict = EllipticityVerdict(NOT_ELLIPTIC, witness_xi=tuple(xi), witness_v=tuple(v))
-            assert verify_ellipticity(op, verdict) == all(x == 0 for x in value.mul_vector(v))
+            assert verify_ellipticity(op, verdict) == all(x == 0 for x in ref_times(value, v))
 
 
 @functools.cache
