@@ -12,16 +12,16 @@ s and p > 0 homogeneous of even degree s + k (k the order of A) with
     A(x) u(x) == p(x) e        exactly, as polynomials,
 
 so that e = A(xi) u(xi) / p(xi) at every xi != 0; no ellipticity is
-assumed.  ``find_witnesses`` seeks them for every basis vector of the
-sampled intersection at once, for s = 0, 1, ... up to ``MAX_WITNESS_DEGREE``
-(3) and the operator's ``witness_degree_bound``: p = |x|^(s+k) by one exact
-solve with a column of right-hand sides per vector, then, vector by
-vector, the basis vectors of the kernel of the system with p unknown,
-signed to be positive at (1, ..., 1).  If every basis vector has a witness, the sampled
-intersection is W itself (NOT_CANCELING).  Otherwise further seeded
-directions, the low-height lattice ones first, are intersected until it
-shrinks, and the witnesses are sought again; if it does not shrink, the
-verdict is NOT_CANCELING_SAMPLED, which claims nothing, with the reason.
+assumed.  Every basis vector of the sampled intersection is tried with
+p = |x|^(s+k), s <= ``MAX_WITNESS_DEGREE`` (3), by one exact solve
+(``find_witnesses``); the vectors it leaves open on the first intersection
+are tried with p = det(A^T A) (``cofactor_witnesses``), which succeeds for
+every vector of W when A is injective away from 0.  If every basis vector
+has a witness, the sampled intersection is W itself (NOT_CANCELING).
+Otherwise further seeded directions, the low-height lattice ones first, are
+intersected until it shrinks, and the witnesses are sought again; if it
+does not shrink, the verdict is NOT_CANCELING_SAMPLED, which claims
+nothing, with the reason.
 
 The cancellation verdict is the only certificate of W.  Its verifier
 re-intersects the stored samples (any after W = {0} are only checked to
@@ -55,6 +55,7 @@ from .ellipticity import check_ellipticity  # noqa: F401  (wrapped by bench/span
 from .witness import (
     MAX_WITNESS_DEGREE,
     Membership,
+    cofactor_witnesses,
     find_witnesses,
     verify_memberships,
     witness_degree_bound,
@@ -147,9 +148,8 @@ def _intersect(a: SymbolOperator, w: Optional[Subspace], xi: tuple) -> Subspace:
 
 def image_intersection(a: SymbolOperator, seed: int = 0) -> CancelingVerdict:
     """Intersect images at sampled directions, then certify every basis
-    vector of the result with a membership witness of degree at most
-    ``MAX_WITNESS_DEGREE`` or sample further.  ``check_canceling`` is the same
-    function."""
+    vector of the result with a membership witness or sample further.
+    ``check_canceling`` is the same function."""
     rng = random.Random(seed)
     initial = a.dim_e + 4
     samples = sample_directions(a.n, initial, rng)
@@ -162,14 +162,16 @@ def image_intersection(a: SymbolOperator, seed: int = 0) -> CancelingVerdict:
             return CancelingVerdict(CANCELING, samples[:count], w, trajectory)
 
     probes = iter(probe_directions(a.n, EXTRA_SAMPLE_ROUNDS * initial, rng))
-    iterations = 0
-    while True:
-        iterations += 1
-        basis = w.columns()
-        memberships = find_witnesses(a, basis, kernel_candidates=True)
-        if None not in memberships:
-            return CancelingVerdict(NOT_CANCELING, samples, w, trajectory, iterations,
-                                    memberships)
+    iterations = 1
+    basis = w.columns()
+    memberships = find_witnesses(a, basis)
+    # A cofactor witness costs det(A^T A), its adjugate and a cover: it is
+    # tried once, on this first intersection, which is W itself unless every
+    # sample met the thin locus where images drop rank.
+    open_ = [i for i, m in enumerate(memberships) if m is None]
+    for i, m in zip(open_, cofactor_witnesses(a, [basis[i] for i in open_])):
+        memberships[i] = m
+    while None in memberships:
         e = basis[memberships.index(None)]
         # Images may drop rank only on a thin locus: sample until w shrinks.
         dim = w.dim
@@ -182,13 +184,18 @@ def image_intersection(a: SymbolOperator, seed: int = 0) -> CancelingVerdict:
         if w.dim == 0:
             return CancelingVerdict(CANCELING, samples, w, trajectory, iterations)
         if w.dim == dim:
+            top = min(MAX_WITNESS_DEGREE, witness_degree_bound(a))
             reason = (
-                f"basis vector {[str(x) for x in e]} has no membership witness of degree "
-                f"s <= {min(MAX_WITNESS_DEGREE, witness_degree_bound(a))}, and the sampled "
-                f"intersection (dimension {dim}) did not shrink at {len(samples)} directions"
+                f"basis vector {[str(x) for x in e]} has no membership witness with "
+                f"p = |x|^(s+k), s <= {top}, and the sampled intersection (dimension "
+                f"{dim}) did not shrink at {len(samples)} directions"
             )
             return CancelingVerdict(NOT_CANCELING_SAMPLED, samples, w, trajectory, iterations,
                                     reason=reason)
+        iterations += 1
+        basis = w.columns()
+        memberships = find_witnesses(a, basis)
+    return CancelingVerdict(NOT_CANCELING, samples, w, trajectory, iterations, memberships)
 
 
 # The deciders' name for the same function; the benchmark trace wraps both.

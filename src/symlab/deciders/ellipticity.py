@@ -15,12 +15,11 @@ exactly, which puts every e_i in the image of A^T(xi) at every xi != 0.
    directions with coordinates in {-1, 0, 1}, one of each pair +-xi, as in
    step 1.
 3. det(A^T A): ``exact.bernstein.certify_positive`` searches its zeros on
-   the cube boundary.  An exact zero xi makes the verdict NOT_ELLIPTIC with
-   a kernel vector of A(xi).  A cover proves det(A^T A) > 0, and the open
-   e_i get the witness q = det(A^T A) at s = ``witness_degree_bound``:
-   u_i = A adj(A^T A) e_i, since A^T A adj(A^T A) = det(A^T A) I.  The
-   column adj(A^T A) e_i is cofactors (``PolyMatrix.adjugate_column``), so
-   no linear system is solved.
+   the cube boundary, where step 2 left none at the {-1, 0, 1} lattice.  An
+   exact zero xi makes the verdict NOT_ELLIPTIC with a kernel vector of
+   A(xi).  A cover proves det(A^T A) > 0, and the open e_i get the cofactor
+   witness q = det(A^T A), u_i = A adj(A^T A) e_i, since A^T A adj(A^T A)
+   = det(A^T A) I; no linear system is solved.
 
 A verdict that stops at a limit is UNDECIDED, and its ``reason`` names the
 limit: the box budget or the depth limit of the zero search, or the budget
@@ -85,7 +84,7 @@ def _covers(memberships: Sequence[Membership]) -> list[CertifiedBox]:
     return [cb for m in memberships for cb in m.cover]
 
 
-def _kernel_witness(a: SymbolOperator, xi: Sequence[Fraction]) -> tuple:
+def _kernel_vector(a: SymbolOperator, xi: Sequence[Fraction]) -> tuple:
     """A nonzero kernel vector of A(xi), from the integer rows of a positive
     multiple, divided by its leading entry; the caller knows A(xi) has
     one."""
@@ -118,7 +117,7 @@ def check_ellipticity(
 ) -> EllipticityVerdict:
     def not_elliptic(xi, **counters) -> EllipticityVerdict:
         return EllipticityVerdict(NOT_ELLIPTIC, witness_xi=xi,
-                                  witness_v=_kernel_witness(a, xi), **counters)
+                                  witness_v=_kernel_vector(a, xi), **counters)
 
     axes = [tuple(Fraction(int(i == j)) for j in range(a.n)) for i in range(a.n)]
     xi = _singular_direction(a, axes)
@@ -126,7 +125,7 @@ def check_ellipticity(
         return not_elliptic(xi)
     at = a.transpose()
     basis = [tuple(Fraction(int(i == j)) for j in range(a.dim_v)) for i in range(a.dim_v)]
-    found = find_witnesses(at, basis, kernel_candidates=False)
+    found = find_witnesses(at, basis)
     boxes = sum(len(m.cover) for m in found if m)
     if None not in found:
         # Each cover of |x|^(s+k) is the n faces at the root.

@@ -13,21 +13,19 @@ the image S(xi)[V] at every xi != 0.  Cancellation takes S = A and proves
 that basis vectors of the common image lie in it; ellipticity takes
 S = A^T and proves that A^T(xi) maps onto V, so that A(xi) is injective.
 
-``find_witnesses`` searches s = 0, 1, ... up to ``MAX_WITNESS_DEGREE``
-with s + k even.  For a fixed s and q = |x|^(s+k) the unknowns u solve one
-linear system on integer rows (``SymbolOperator.multiplication_rows``),
-solved for every open vector at once: the right-hand sides q e are extra
-columns of one ``_echelon`` call.  For cancellation the kernel of the
-system with q unknown comes next, and its basis vectors are tried as q
-after signing them positive at (1, ..., 1).  Covers of q are searched
-with ``WITNESS_MAX_DEPTH`` and ``WITNESS_BOX_BUDGET``.  A system larger
-than ``MAX_SYSTEM_ENTRIES`` entries is never built: the search skips it.
-
-Ellipticity builds one more witness without a search, q = det(A^T A) and
-u = A adj(A^T A) e; ``witness_degree_bound``, 2k min(dim V, dim E) - k, is
-its degree.  ``verify_memberships`` computes the bound from the symbol and
-rejects a witness above it, which bounds the work of a check, and replays
-each distinct cover once.
+``find_witnesses`` tries q = |x|^(s+k) for s = 0, 1, ... up to
+``MAX_WITNESS_DEGREE`` with s + k even: the unknowns u solve one linear
+system on integer rows (``SymbolOperator.multiplication_rows``) whose
+right-hand sides q e, one column per open vector, enter one ``_echelon``
+call.  A system over ``MAX_SYSTEM_ENTRIES`` entries is never built.
+The cofactor witness q = det(A^T A) needs no system, as its u comes from
+columns of adj(A^T A) (``PolyMatrix.adjugate_column``): ``cofactor_witnesses``
+(S = A) takes u = adj(A^T A) A^T e, the r = dim V case of Decell's formula
+for the projection onto A(x)[V] (SIAM Review, 1965), and ellipticity
+(S = A^T) takes u = A adj(A^T A) e.  Both have the degree
+``witness_degree_bound``, 2k min(dim V, dim E) - k.  ``verify_memberships``
+computes that bound from the symbol and rejects a witness above it, which
+bounds the work of a check, and replays each distinct cover once.
 """
 
 from __future__ import annotations
@@ -36,11 +34,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..exact.bernstein import CertifiedBox, certify_positive, verify_positive
-from ..exact.matrix import _echelon, int_kernel
+from ..exact.matrix import _echelon
 from ..exact.poly import Polynomial, multi_indices
+from ..exact.polymatrix import DetBudgetError
 from ..exact.symbol import SymbolOperator
 
 # Entries (rows times columns) of the largest linear system built, by the
@@ -81,24 +80,6 @@ def _norm_power(n: int, degree: int) -> Polynomial:
     return square.pow(degree // 2)
 
 
-def _fits(a: SymbolOperator, s: int, extra: int) -> bool:
-    """Whether the degree-s system of a with ``extra`` more columns has at
-    most ``MAX_SYSTEM_ENTRIES`` entries."""
-    rows, cols = a.multiplication_shape(s)
-    return rows * (cols + extra) <= MAX_SYSTEM_ENTRIES
-
-
-def _u_of(a: SymbolOperator, s: int, x: Mapping[int, Fraction]) -> tuple:
-    """The polynomial vector whose coefficients are the unknowns x, given
-    as {column: value}; column b * dim_v + j stands for x^beta_b e_j."""
-    sources = multi_indices(a.n, s)
-    terms: list[dict] = [{} for _ in range(a.dim_v)]
-    for col, value in x.items():
-        b, j = divmod(col, a.dim_v)
-        terms[j][sources[b]] = value
-    return tuple(Polynomial.make(a.n, t) for t in terms)
-
-
 def _solve_norm_power(a: SymbolOperator, q: Polynomial, vectors: Sequence[Sequence],
                       s: int) -> list[Optional[tuple]]:
     """For each e of ``vectors``, u of degree s with a(x) u(x) == q(x) e for
@@ -125,62 +106,34 @@ def _solve_norm_power(a: SymbolOperator, q: Polynomial, vectors: Sequence[Sequen
     # every vector they touch; the others give u with its free unknowns 0.
     inconsistent = [r for r, col in zip(red, pivots) if col >= ncols]
     solved = [(r, col) for r, col in zip(red, pivots) if col < ncols]
+    sources = multi_indices(a.n, s)
     out: list[Optional[tuple]] = []
     for j in range(len(vectors)):
         if any(r[ncols + j] for r in inconsistent):
             out.append(None)
             continue
-        out.append(_u_of(a, s, {col: Fraction(r[ncols + j], r[col])
-                                for r, col in solved if r[ncols + j]}))
+        terms: list[dict] = [{} for _ in range(a.dim_v)]
+        for r, col in solved:
+            if r[ncols + j]:
+                b, i = divmod(col, a.dim_v)  # column b * dim_v + i stands for x^beta_b e_i
+                terms[i][sources[b]] = Fraction(r[ncols + j], r[col])
+        out.append(tuple(Polynomial.make(a.n, t) for t in terms))
     return out
 
 
-def _kernel_witness(a: SymbolOperator, e: Sequence, s: int) -> Optional[Membership]:
-    """A witness of degree s whose q is a basis vector of the kernel of the
-    system with q unknown, signed positive at (1, ..., 1); None also when
-    that system is over the budget."""
-    targets = multi_indices(a.n, s + a.order)
-    if not _fits(a, s, len(targets)):
-        return None
-    lcm = math.lcm(*(Fraction(c).denominator for c in e))
-    e_int = [int(c * lcm) for c in e]
-    den = a.den
-    ncols = a.multiplication_shape(s)[1]
-    # Unknowns (u, q): column h of the q block stands for -D x^gamma_h L e.
-    candidates = int_kernel([
-        [lcm * x for x in r] + [-den * c if g == h else 0 for h in range(len(targets))]
-        for r, (g, c) in zip(a.multiplication_rows(s),
-                             itertools.product(range(len(targets)), e_int))
-    ], ncols + len(targets)).columns()
-    for v in candidates:
-        p = Polynomial.make(a.n, dict(zip(targets, v[ncols:])))
-        sign = p.evaluate((1,) * a.n)
-        if sign == 0:
-            continue
-        if sign < 0:
-            v, p = [-c for c in v], p.scale(-1)
-        found = certify_positive(p, WITNESS_MAX_DEPTH, WITNESS_BOX_BUDGET)
-        if found.zero is None and found.undecided_box is None:
-            return Membership(tuple(e), _u_of(a, s, dict(enumerate(v[:ncols]))), p,
-                              found.cover)
-    return None
+def find_witnesses(a: SymbolOperator, vectors: Sequence[Sequence]) -> list[Optional[Membership]]:
+    """A witness with q = |x|^(s+k) for each e of ``vectors``, with u of
+    degree s at most ``MAX_WITNESS_DEGREE`` and ``witness_degree_bound``, or
+    None for those without one.
 
-
-def find_witnesses(a: SymbolOperator, vectors: Sequence[Sequence],
-                   kernel_candidates: bool) -> list[Optional[Membership]]:
-    """A witness for each e of ``vectors`` with u of degree s at most
-    ``MAX_WITNESS_DEGREE`` and ``witness_degree_bound``, or None for those
-    without one.
-
-    For each s, q = |x|^(s+k) is tried for every vector still open by one
-    solve; with ``kernel_candidates`` the kernel's q basis is then tried
-    vector by vector.  The lowest s wins, and at one s the solve wins.  A
-    system over ``MAX_SYSTEM_ENTRIES`` ends the search."""
+    For each s, one solve tries every vector still open, and the lowest s
+    wins.  A system over ``MAX_SYSTEM_ENTRIES`` ends the search."""
     found: list[Optional[Membership]] = [None] * len(vectors)
     top = min(MAX_WITNESS_DEGREE, witness_degree_bound(a))
     for s in range(a.order % 2, top + 1, 2):  # s + k even
         open_ = [i for i, m in enumerate(found) if m is None]
-        if not open_ or not _fits(a, s, len(open_)):
+        rows, cols = a.multiplication_shape(s)
+        if not open_ or rows * (cols + len(open_)) > MAX_SYSTEM_ENTRIES:
             break
         q = _norm_power(a.n, s + a.order)
         solutions = _solve_norm_power(a, q, [vectors[i] for i in open_], s)
@@ -190,8 +143,39 @@ def find_witnesses(a: SymbolOperator, vectors: Sequence[Sequence],
                 if cover is None:
                     cover = certify_positive(q, WITNESS_MAX_DEPTH, WITNESS_BOX_BUDGET).cover
                 found[i] = Membership(tuple(vectors[i]), u, q, cover)
-            elif kernel_candidates:
-                found[i] = _kernel_witness(a, vectors[i], s)
+    return found
+
+
+def cofactor_witnesses(a: SymbolOperator, vectors: Sequence[Sequence]) -> list[Optional[Membership]]:
+    """For each e of ``vectors``, the witness q = det(A^T A) and u =
+    adj(A^T A) A^T e, of degree ``witness_degree_bound(a)``, or None where
+    A u != q e.
+
+    When A(x) is injective at every x != 0, A adj(A^T A) A^T is q times the
+    projection onto A(x)[V], so the identity holds exactly for the vectors
+    of the common image.  The determinant, the adjugate and one cover of q
+    serve every vector.  Every entry is None when the cover is not found
+    within ``WITNESS_MAX_DEPTH`` and ``WITNESS_BOX_BUDGET`` or a cofactor
+    expansion is over its budget (``DetBudgetError``)."""
+    if not vectors:
+        return []
+    gram = a.gram()
+    try:
+        q = gram.det()
+        positive = certify_positive(q, WITNESS_MAX_DEPTH, WITNESS_BOX_BUDGET)
+        if positive.zero is not None or positive.undecided_box is not None:
+            return [None] * len(vectors)
+        adjugate = [gram.adjugate_column(i) for i in range(a.dim_v)]  # column i of adj(A^T A)
+    except DetBudgetError:
+        return [None] * len(vectors)
+    at = a.transpose()
+    found: list[Optional[Membership]] = []
+    for e in vectors:
+        ate = at.apply([Polynomial.constant(a.n, c) for c in e])
+        u = tuple(sum((col[j] * x for col, x in zip(adjugate, ate)), Polynomial.zero(a.n))
+                  for j in range(a.dim_v))
+        holds = a.apply(u) == [q.scale(c) for c in e]
+        found.append(Membership(tuple(e), u, q, positive.cover) if holds else None)
     return found
 
 

@@ -8,16 +8,15 @@ both work on the n faces x_i = +1 alone and refuse a polynomial with a term
 of odd degree.  The search:
 
 1. Per face, the monomial lower bound on the whole face.  It certifies most
-   faces with one box, and when it certifies every face the search ends.
-2. Otherwise a lattice pre-scan: p at every face point with coordinates in
-   {-1, 0, 1}.  An exact zero ends the search.
-3. On each face the bound did not certify, the face's Bernstein tensor is
+   faces with one box.
+2. On each face the bound did not certify, the face's Bernstein tensor is
    built once and the face is bisected.  A box whose coefficients are all
    positive is certified, a zero corner coefficient is an exact zero, and
    any other box is split at its midpoint by exact integer de Casteljau
-   along the axis where its coefficients vary most.  ``max_depth`` bounds the bisections along each
-   axis.  When a budget runs out, low-height rational points of the last box
-   are tried as exact zeros before it is reported undecided.
+   along the axis where its coefficients vary most.  ``max_depth`` bounds
+   the bisections along each axis.  When a budget runs out, low-height
+   rational points of the last box are tried as exact zeros before it is
+   reported undecided.
 
 Every box of a cover is a leaf of the bisection tree of its face (a product
 of dyadic intervals) and carries a positive exact lower bound of p on it.
@@ -289,32 +288,6 @@ def _dyadic_cell(lo: Fraction, hi: Fraction) -> Optional[tuple[int, int]]:
     return cells.bit_length() - 1, index
 
 
-def _lattice_zero(q: IntPoly, n: int) -> Optional[tuple]:
-    """The first point with coordinates in {-1, 0, 1} and one of them +1
-    where q vanishes."""
-    # Terms with the same variables present and the same variables of odd
-    # exponent have the same sign at every lattice point: sum each class.
-    classes: dict = {}
-    for alpha, c in q.items():
-        key = (sum(1 << i for i, e in enumerate(alpha) if e),
-               sum(1 << i for i, e in enumerate(alpha) if e % 2))
-        classes[key] = classes.get(key, 0) + c
-    terms = [(present, odd, c) for (present, odd), c in classes.items() if c]
-    for pt in product((-1, 0, 1), repeat=n):
-        if 1 not in pt:
-            continue
-        zero = sum(1 << i for i, x in enumerate(pt) if x == 0)
-        neg = sum(1 << i for i, x in enumerate(pt) if x < 0)
-        value = sum(
-            -c if (odd & neg).bit_count() % 2 else c
-            for present, odd, c in terms
-            if not present & zero
-        )
-        if value == 0:
-            return tuple(Fraction(x) for x in pt)
-    return None
-
-
 def _simple_rationals_in(lo: Fraction, hi: Fraction, max_den: int = 64) -> list[Fraction]:
     """A few low-height rationals inside [lo, hi], midpoint first."""
     out = [(lo + hi) / 2, lo, hi]
@@ -364,14 +337,9 @@ def certify_positive(p: Polynomial, max_depth: int, box_budget: int) -> Positivi
         return Positivity(boxes_examined=examined, axis_depths=tuple(depths), **found)
 
     root = (0,) * m
-    faces = [pin_variable(q, axis) for axis in range(n)]
-    lows = [monomial_lower_bound(face) for face in faces]
-    if min(lows) <= 0:
-        # A face needs subdivision, and p may vanish: try the lattice first.
-        zero = _lattice_zero(q, n)
-        if zero is not None:
-            return stop(zero=zero)
-    for axis, (face, low) in enumerate(zip(faces, lows)):
+    for axis in range(n):
+        face = pin_variable(q, axis)
+        low = monomial_lower_bound(face)
         if low > 0:
             examined += 1
             cover.append(CertifiedBox(_face_box(axis, root, root), Fraction(low, den)))

@@ -33,7 +33,8 @@ Decoders read untrusted reports: a missing field, a wrong type or a bad
 shape (such as a cover box without n-1 bound pairs, or a subspace whose
 "ambient", "dim" or number of basis columns disagrees with its span) raises
 KeyError, TypeError or ValueError, which ``symlab verify`` reports as
-malformed input.
+malformed input.  An integer field must be a JSON integer (``true`` or
+``4.0`` is refused), and a polynomial lists each monomial once.
 Spanning and partial cancellation verdicts store no samples or witnesses of
 their own; they are re-derived from the cancellation verdict of the same
 report.  A partial verdict is ``{"status", "certified",
@@ -127,15 +128,22 @@ def subspace_to_json(s: Subspace) -> dict:
     }
 
 
+def _int(x, what: str) -> int:
+    """x itself if it is an int; a bool or a float equal to one is refused."""
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, not {x!r}")
+    return x
+
+
 def subspace_from_json(doc: dict, ambient: int) -> Subspace:
     """The span of the basis columns.  ValueError unless the stated ambient
     is ``ambient`` and both "dim" and the number of columns are the
     dimension of the span."""
-    if doc["ambient"] != ambient:
+    if _int(doc["ambient"], "subspace ambient") != ambient:
         raise ValueError(f"subspace ambient {doc['ambient']!r}, expected {ambient}")
     columns = doc["basis_columns"]
     s = subspace_from_columns(ambient, [vector_from_json(c) for c in columns])
-    if doc["dim"] != s.dim or len(columns) != s.dim:
+    if _int(doc["dim"], "subspace dim") != s.dim or len(columns) != s.dim:
         raise ValueError(f"subspace states dim {doc['dim']!r} with {len(columns)} basis "
                          f"columns, which span dimension {s.dim}")
     return s
@@ -227,7 +235,7 @@ def _facebox_from_json(d: dict, n: int) -> FaceBox:
     if len(bounds) != n - 1 or any(len(pair) != 2 for pair in bounds):
         raise ValueError(f"a box on a face of the {n}-cube needs {n - 1} bound pairs")
     return FaceBox(
-        int(d["axis"]),
+        _int(d["axis"], "box axis"),
         tuple((rat_from_str(lo), rat_from_str(hi)) for lo, hi in bounds),
     )
 
@@ -254,6 +262,8 @@ def polynomial_from_json(doc: list, n: int) -> Polynomial:
     terms = {tuple(alpha): rat_from_str(c) for alpha, c in doc}
     if not all(type(x) is int for alpha in terms for x in alpha):
         raise ValueError("monomial exponents must be integers")
+    if len(terms) != len(doc):
+        raise ValueError("a polynomial lists a monomial twice")
     return Polynomial.make(n, terms)
 
 
@@ -317,7 +327,7 @@ def canceling_from_json(doc: dict, op: SymbolOperator) -> CancelingVerdict:
         doc["status"],
         [vector_from_json(xi) for xi in doc["samples"]],
         subspace_from_json(doc["intersection"], op.dim_e),
-        list(doc["dim_trajectory"]),
+        [_int(d, "dim_trajectory entry") for d in doc["dim_trajectory"]],
         memberships=[_membership_from_json(m, op.n) for m in doc.get("memberships", [])],
     )
 
@@ -334,9 +344,8 @@ def cocanceling_to_json(v: CocancelingVerdict) -> dict:
 
 def cocanceling_from_json(doc: dict, op: SymbolOperator) -> CocancelingVerdict:
     block = doc["block"]
-    rows, cols = tuple(block["rows"]), tuple(block["cols"])
-    if not all(type(i) is int for i in rows + cols):
-        raise ValueError("block indices must be integers")
+    rows = tuple(_int(i, "block row") for i in block["rows"])
+    cols = tuple(_int(j, "block column") for j in block["cols"])
     # The rank-0 block has an empty inverse, which matrix_from_json refuses.
     inverse = (() if block["inverse"] == []
                else matrix_from_json(block["inverse"], "block inverse"))
@@ -351,7 +360,9 @@ def spanning_to_json(v: SpanningVerdict) -> dict:
 
 
 def spanning_from_json(doc: dict, op: SymbolOperator) -> SpanningVerdict:
-    return SpanningVerdict(doc["status"], doc["span_dim"], doc["certified"])
+    if type(doc["certified"]) is not bool:
+        raise ValueError(f"certified must be true or false, not {doc['certified']!r}")
+    return SpanningVerdict(doc["status"], _int(doc["span_dim"], "span_dim"), doc["certified"])
 
 
 def partial_to_json(v: PartialCancelingVerdict) -> dict:

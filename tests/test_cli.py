@@ -20,6 +20,8 @@ from symlab.exact import full_space, kernel_basis, subspace_from_columns
 from symlab.io import (
     OperatorFileError,
     matrix_from_json,
+    operator_from_json,
+    polynomial_from_json,
     rat_from_str,
     rat_to_str,
     subspace_from_json,
@@ -267,13 +269,56 @@ def test_forged_dim_trajectory_rejected(tmp_path):
     # Two equal columns and their stated count, for a line.
     (("catalog:hodge_pair?n=3&ell=1",), ("canceling", "intersection"),
      {"dim": 2, "basis_columns": [["0", "0", "0", "1"]] * 2}),
+    # Equal to the true values under ==, but not JSON integers.
+    (("catalog:hodge_pair?n=3&ell=1",), ("canceling", "intersection"), {"dim": True}),
+    (("catalog:hodge_pair?n=3&ell=1",), ("canceling", "intersection"), {"ambient": 4.0}),
 ], ids=["curl_div_dim_and_ambient", "curl_div_ambient", "gradient_dim", "hodge_partial_dim",
-        "hodge_repeated_column"])
+        "hodge_repeated_column", "hodge_dim_true", "hodge_ambient_float"])
 def test_forged_subspace_shape_is_malformed(tmp_path, capsys, source, subspace, change):
     _code, report = analyze(tmp_path, *source)
     assert verify(tmp_path, report)[0] == 0
     key, field = subspace
     report["verdicts"][key][field].update(change)
+    code, _ = verify(tmp_path, report)
+    assert code == 2 and "malformed report" in capsys.readouterr().err
+
+
+def _forge_trajectory(verdicts):
+    canceling = verdicts["canceling"]
+    canceling["dim_trajectory"] = [float(d) for d in canceling["dim_trajectory"]]
+
+
+def _forge_spanning(key, value):
+    def forge(verdicts):
+        verdicts["bb_spanning"][key] = value
+    return forge
+
+
+def _forge_axis(verdicts):
+    box = verdicts["canceling"]["memberships"][0]["cover"][0]["box"]
+    assert box["axis"] == 0
+    box["axis"] = 0.5
+
+
+def _forge_repeated_term(verdicts):
+    p = verdicts["canceling"]["memberships"][0]["p"]
+    p.append(list(p[0]))
+
+
+@pytest.mark.parametrize("forge", [
+    _forge_spanning("span_dim", 3.0),
+    _forge_spanning("certified", 1),
+    _forge_trajectory,
+    _forge_axis,
+    _forge_repeated_term,
+], ids=["span_dim_float", "certified_one", "trajectory_floats", "axis_half",
+        "repeated_monomial"])
+def test_forged_number_types_are_malformed(tmp_path, capsys, forge):
+    # Each edit keeps the genuine values under == (the repeated monomial
+    # too, as a dict), so only the decoder's type checks can refuse it.
+    _code, report = analyze(tmp_path, "catalog:hodge_pair?n=3&ell=1")
+    assert verify(tmp_path, report)[0] == 0
+    forge(report["verdicts"])
     code, _ = verify(tmp_path, report)
     assert code == 2 and "malformed report" in capsys.readouterr().err
 
@@ -295,6 +340,25 @@ def test_operator_file_with_t_round_trip(tmp_path, capsys):
     source.write_text(json.dumps({**doc, "T": [["0", "0", "1"]]}))
     assert main(["analyze", str(source)]) == 2
     assert "T has 3 columns, expected 4" in capsys.readouterr().err
+
+
+def test_cofactor_witness_round_trip(tmp_path):
+    # hodge_pair(3,1) with its xi_0 terms halved: |x|^(s+1) witnesses no
+    # vector of W, and p = det(A^T A) does, with s = 5.
+    source = Path(__file__).parent / "data" / "anisotropic_hodge_pair.json"
+    op = operator_from_json(json.loads(source.read_text()))[0]
+    code, report = analyze(tmp_path, str(source))
+    canceling = report["verdicts"]["canceling"]
+    assert code == 0 and canceling["status"] == "NOT_CANCELING" and canceling["certified"]
+    [witness] = canceling["memberships"]
+    assert polynomial_from_json(witness["p"], op.n) == op.gram().det()
+    assert report["stats"]["canceling"]["witness_degrees"] == [5]
+    code, checked = verify(tmp_path, report)
+    assert code == 0 and checked["all_ok"]
+    term = witness["u"][0][0]
+    term[1] = str(Fraction(term[1]) + 1)
+    code, checked = verify(tmp_path, report)
+    assert code == 3 and checked["verified"]["canceling"] is False
 
 
 def test_not_canceling_verifies_without_ellipticity_verdict(tmp_path):

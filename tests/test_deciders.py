@@ -1,11 +1,13 @@
 """Classification deciders and their certificates."""
 
 import itertools
+import json
 import math
 import random
 import time
 from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,7 @@ from symlab.deciders.witness import (
     WITNESS_BOX_BUDGET,
     WITNESS_MAX_DEPTH,
     Membership,
+    cofactor_witnesses,
     find_witnesses,
     verify_memberships,
     witness_degree_bound,
@@ -67,6 +70,7 @@ from symlab.exact import (
     multi_indices,
     subspace_from_columns,
 )
+from symlab.io import operator_from_json
 from test_exact_matrix import identity, ref_product
 from test_exact_symbol import coefficients, ref_evaluate, ref_times
 
@@ -542,9 +546,8 @@ def norm_squared(n):
 
 
 def test_divergence_witness_is_norm_squared():
-    # At s = 1 the p-space of divergence(2) is 4-dimensional and has no
-    # positive basis vector, but it contains |x|^2.
-    m = find_witnesses(divergence(2).operator, [(F(1),)], kernel_candidates=True)[0]
+    # At s = 1, p = |x|^2 with u = x.
+    m = find_witnesses(divergence(2).operator, [(F(1),)])[0]
     assert m is not None and m.p == norm_squared(2) and m.degree == 1
     assert verify_memberships(divergence(2).operator, [m])
 
@@ -815,59 +818,33 @@ def ref_rref(rows, ncols):
     return a[:len(pivots)], pivots
 
 
-def ref_kernel_columns(rows, ncols):
-    """The reduced column echelon basis of the kernel of Fraction rows."""
-    red, pivots = ref_rref(rows, ncols)
-    gens = []
-    for f in (j for j in range(ncols) if j not in pivots):
-        v = [F(0)] * ncols
-        v[f] = F(1)
-        for r, p in zip(red, pivots):
-            v[p] = -r[f]
-        gens.append(v)
-    return [tuple(r) for r in ref_rref(gens, ncols)[0]]
-
-
 def ref_membership(a, e):
     """The witness recipe on rational matrices: u -> A u is
-    multiplication_rows / D; p = |x|^(s+k) is tried by a rational solve,
-    then the kernel of [M | -P_e] gives the candidates."""
+    multiplication_rows / D, and p = |x|^(s+k) is tried by a rational
+    solve at each s."""
     den = math.lcm(*(x.denominator for x in coefficients(a).values()))
     for s in range(a.order % 2, min(MAX_WITNESS_DEGREE, witness_degree_bound(a)) + 1, 2):
         targets, sources = multi_indices(a.n, s + a.order), multi_indices(a.n, s)
         ncols = len(sources) * a.dim_v
         m = [[F(x, den) for x in r] for r in a.multiplication_rows(s)]
-        q = norm_squared(a.n).pow((s + a.order) // 2).as_dict()
-        b = [q.get(g, F(0)) * c for g in targets for c in e]
+        p = norm_squared(a.n).pow((s + a.order) // 2)
+        b = [p.as_dict().get(g, F(0)) * c for g in targets for c in e]
         red, pivots = ref_rref([r + [x] for r, x in zip(m, b)], ncols + 1)
-        if ncols not in pivots:
-            x = [F(0)] * ncols
-            for r, p in zip(red, pivots):
-                x[p] = r[ncols]
-            candidates = [tuple(x) + tuple(q.get(g, F(0)) for g in targets)]
-        else:
-            p_block = [[-c * (g == h) for h in range(len(targets))]
-                       for g in range(len(targets)) for c in e]
-            candidates = ref_kernel_columns(
-                [r + pr for r, pr in zip(m, p_block)], ncols + len(targets))
-        for v in candidates:
-            p = Polynomial.make(a.n, dict(zip(targets, v[ncols:])))
-            sign = p.evaluate((1,) * a.n)
-            if sign == 0:
-                continue
-            if sign < 0:
-                v, p = [-c for c in v], p.scale(-1)
-            found = certify_positive(p, WITNESS_MAX_DEPTH, WITNESS_BOX_BUDGET)
-            if found.zero is None and found.undecided_box is None:
-                u = tuple(Polynomial.make(a.n, dict(zip(sources, v[j:ncols:a.dim_v])))
-                          for j in range(a.dim_v))
-                return Membership(tuple(e), u, p, found.cover)
+        if ncols in pivots:
+            continue
+        x = [F(0)] * ncols
+        for r, col in zip(red, pivots):
+            x[col] = r[ncols]
+        u = tuple(Polynomial.make(a.n, dict(zip(sources, x[j::a.dim_v])))
+                  for j in range(a.dim_v))
+        return Membership(tuple(e), u, p, certify_positive(p, WITNESS_MAX_DEPTH,
+                                                           WITNESS_BOX_BUDGET).cover)
     return None
 
 
 def test_witnesses_match_the_fraction_reference_on_not_canceling_regression_operators():
     # Besides W's basis, the unit vectors of small E, most of them outside
-    # W, send the search through the kernel branch up to degree 3.
+    # W, send the search through every degree up to 3 without a witness.
     seen = 0
     for result in regression_instances():
         op = result.operator
@@ -878,38 +855,71 @@ def test_witnesses_match_the_fraction_reference_on_not_canceling_regression_oper
         if op.dim_e <= 4:
             vectors += [tuple(F(int(i == j)) for j in range(op.dim_e)) for i in range(op.dim_e)]
         for e in vectors:
-            assert find_witnesses(op, [e], kernel_candidates=True)[0] == ref_membership(op, e), (result.name, e)
+            assert find_witnesses(op, [e])[0] == ref_membership(op, e), (result.name, e)
         seen += 1
     assert seen >= 5
 
 
-def test_witness_with_symbol_denominator_and_fractional_e():
-    # hodge_pair(3,1) with its xi_0 term halved has D = 2; e is half of the
-    # basis vector of W, so it has an entry 1/2.  |x|^2 gives no witness
-    # there, and the kernel branch finds p = x_0^2 / 2 + 2 x_1^2 + 2 x_2^2.
+def anisotropic_hodge_pair():
+    """tests/data/anisotropic_hodge_pair.json: hodge_pair(3,1) with its xi_0
+    terms halved, so D = 2 and |x|^(s+1) gives no witness of W."""
+    doc = json.loads((Path(__file__).parent / "data" / "anisotropic_hodge_pair.json").read_text())
+    return operator_from_json(doc)[0]
+
+
+def test_anisotropic_file_is_hodge_pair_with_halved_xi0_terms():
     base = hodge_pair(3, 1).operator
     entries = {(alpha, i, j): x / (2 if alpha[0] else 1)
                for (alpha, i, j), x in coefficients(base).items()}
-    op = SymbolOperator.from_entries(base.n, base.dim_v, base.dim_e, base.order, entries)
+    assert anisotropic_hodge_pair() == SymbolOperator.from_entries(
+        base.n, base.dim_v, base.dim_e, base.order, entries)
+
+
+def test_anisotropic_not_canceling_by_cofactor_witness_at_every_seed():
+    op = anisotropic_hodge_pair()
+    for seed in range(4):
+        v = check_canceling(op, seed=seed)
+        assert v.status == NOT_CANCELING and v.certified, seed
+        assert [m.p for m in v.memberships] == [op.gram().det()], seed
+        assert verify_canceling(op, v), seed
+
+
+def test_witness_with_symbol_denominator_and_fractional_e():
+    # hodge_pair(3,1) with its xi_0 term halved has D = 2; e is half of the
+    # basis vector of W, so it has an entry 1/2.  |x|^(s+1) gives no witness
+    # there up to s = 3, and the cofactor witness p = det(A^T A) does, with
+    # s = 5.
+    op = anisotropic_hodge_pair()
     v = check_canceling(op, seed=1)
-    assert v.status == NOT_CANCELING and v.intersection.dim == 1
+    assert v.intersection.dim == 1
     assert verify_canceling(op, v)
     e = tuple(x / 2 for x in v.intersection.columns()[0])
     assert any(x.denominator == 2 for x in e)
-    m = find_witnesses(op, [e], kernel_candidates=True)[0]
-    assert m == ref_membership(op, e)
-    assert m.degree == 1
-    assert m.p == Polynomial.make(3, {(2, 0, 0): F(1, 2), (0, 2, 0): F(2), (0, 0, 2): F(2)})
+    assert find_witnesses(op, [e]) == [None]
+    m = cofactor_witnesses(op, [e])[0]
+    assert m.p == op.gram().det() and m.degree == 5 == witness_degree_bound(op)
     assert verify_memberships(op, [m])
 
 
+def test_cofactor_witness_only_for_vectors_of_w_and_injective_symbols():
+    # The identity A u == det(A^T A) e fails for a vector outside W, and
+    # det(A^T A) of hyperbolic, which is not elliptic, has a zero.
+    op = anisotropic_hodge_pair()
+    w = check_canceling(op, seed=1).intersection.columns()[0]
+    outside = tuple(F(int(i == 0)) for i in range(op.dim_e))
+    found = cofactor_witnesses(op, [outside, w])
+    assert found[0] is None and found[1].e == w and verify_memberships(op, [found[1]])
+    h = hyperbolic_example().operator
+    assert cofactor_witnesses(h, [(F(1), F(0)), (F(0), F(1))]) == [None, None]
+    assert cofactor_witnesses(h, []) == []
+
+
 def test_witness_solve_with_symbol_denominator():
-    # |x|^2 / 2 has D = 2, and p = |x|^2 is reached by the solve branch:
-    # u = 2 e.
+    # |x|^2 / 2 has D = 2, and the solve reaches p = |x|^2 with u = 2 e.
     op = SymbolOperator.from_entries(3, 1, 1, 2, {(alpha, 0, 0): F(1, 2)
                                                   for alpha in ((2, 0, 0), (0, 2, 0), (0, 0, 2))})
     e = (F(1, 3),)
-    m = find_witnesses(op, [e], kernel_candidates=True)[0]
+    m = find_witnesses(op, [e])[0]
     assert m == ref_membership(op, e)
     assert m.p == norm_squared(3) and m.u == (Polynomial.constant(3, F(2, 3)),)
     assert verify_memberships(op, [m])

@@ -1,22 +1,12 @@
 """The positivity certifier for even polynomials on the faces x_i = +1, on
 its own: no operator, no Gram determinant."""
 
-import math
 from fractions import Fraction as F
-from itertools import product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from symlab.exact import Polynomial
-from symlab.exact.bernstein import (
-    CertifiedBox,
-    FaceBox,
-    _lattice_zero,
-    certify_positive,
-    verify_positive,
-)
+from symlab.exact.bernstein import CertifiedBox, FaceBox, certify_positive, verify_positive
 
 DEPTH, BUDGET = 24, 100_000
 
@@ -42,8 +32,8 @@ def test_positive_even_polynomial_certified_and_replayed():
 
 
 @pytest.mark.parametrize("p, max_boxes", [
-    # zero (1, 1, 0), found by the lattice pre-scan
-    ((x(0) - x(1)).pow(2) + x(2).pow(2), 0),
+    # zero (1, 1, 0), found as a box corner after a few bisections
+    ((x(0) - x(1)).pow(2) + x(2).pow(2), 6),
     # zero (1/2, 1, 0), found as a box corner long before the depth budget
     ((x(0).scale(2) - x(1)).pow(2) + x(2).pow(2), 50),
 ])
@@ -52,6 +42,20 @@ def test_exact_zero_on_a_plus_face(p, max_boxes):
     assert found.zero is not None and not found.cover
     assert 1 in found.zero and p.evaluate(found.zero) == 0
     assert found.boxes_examined <= max_boxes
+
+
+def test_zero_hunt_finds_a_zero_when_the_budget_runs_out():
+    # (3 x0 + 4 x1)^2 + x2^2 vanishes at (1, -3/4, 0).  With no box to
+    # spare, the root box of the face x0 = +1 is the last one, and its
+    # low-height rational points hold the zero; with boxes to spare, the
+    # bisection reaches it as a corner.
+    p = (x(0).scale(3) + x(1).scale(4)).pow(2) + x(2).pow(2)
+    zero = (F(1), F(-3, 4), F(0))
+    hunted = certify_positive(p, DEPTH, 0)
+    assert hunted.zero == zero and hunted.boxes_examined == 1
+    assert hunted.undecided_box is None and not hunted.cover
+    bisected = certify_positive(p, DEPTH, BUDGET)
+    assert bisected.zero == zero and bisected.boxes_examined == 5
 
 
 def test_odd_degree_term_refused():
@@ -73,30 +77,3 @@ def test_cover_must_hold_exactly_the_n_faces():
     assert not verify_positive(p, [cb for cb in cover if cb.box.axis != 2])
     beyond = CertifiedBox(FaceBox(3, cover[-1].box.bounds), cover[-1].lower_bound)
     assert not verify_positive(p, cover + [beyond])
-
-
-def brute_lattice_zero(q, n):
-    """First point of {-1, 0, 1}^n with a coordinate +1 where q vanishes,
-    summing every term at every point."""
-    for pt in product((-1, 0, 1), repeat=n):
-        if 1 in pt and sum(c * math.prod(x**e for x, e in zip(pt, alpha))
-                           for alpha, c in q.items()) == 0:
-            return tuple(F(x) for x in pt)
-    return None
-
-
-@st.composite
-def even_int_polys(draw):
-    """Few terms of even total degree with small coefficients, so that the
-    classes often cancel and lattice zeros are common."""
-    n = draw(st.integers(1, 4))
-    alphas = st.tuples(*[st.integers(0, 3)] * n).filter(lambda a: sum(a) % 2 == 0)
-    terms = draw(st.dictionaries(alphas, st.integers(-3, 3).filter(bool), max_size=8))
-    return terms, n
-
-
-@settings(max_examples=120, deadline=None)
-@given(qn=even_int_polys())
-def test_lattice_zero_matches_per_term_brute_force(qn):
-    q, n = qn
-    assert _lattice_zero(q, n) == brute_lattice_zero(q, n)
