@@ -21,21 +21,24 @@ coefficients whose size is their rank).  Spanning and
 partial cancellation are derived from the cancellation verdict: verify
 derives them again from it, and sees it only if it passed.
 
+analyze takes --seed, --as and --json and no budget: every positivity
+search runs under the one pair of ``deciders.witness``, which states why.
 Exit codes: 0 all verdicts certified (verify: all verdicts pass), 2
-input/validation error, including a malformed report given to verify,
-a file that is not UTF-8 JSON or is nested too deeply, and an output path
-that cannot be written, 3
+input/validation error, including an unknown option, a malformed report
+given to verify, a file that is not UTF-8 JSON or is nested too deeply,
+and an output path that cannot be written, 3
 at least one verdict or experiment row is undecided/sampled/unconverged
 (verify: at least one verdict is rejected; compat: L A = 0 or a sampled
 kernel check fails).
 
 Operators come from JSON files or from catalog URIs such as
 ``catalog:gradient?n=2``.  Reports are byte-reproducible for a fixed seed
-apart from the "timings" member.  Next to it, "stats" holds the deciders'
-counters: boxes examined, cover size, per-axis cover depth, size and degree
-of det(A^T A) when it was formed, cancellation iterations, samples and the
-degree s of each membership witness of either verdict.  The compat
-transcript states the order and row count of the annihilator.
+apart from the "timings" member; "input.digest" covers T when given.
+Next to it, "stats" holds the deciders' counters: boxes examined, cover
+size, per-axis cover depth, size and degree of det(A^T A) when it was
+formed, cancellation iterations, samples and the degree s of each
+membership witness of either verdict.  The compat transcript states the
+order and row count of the annihilator.
 
 symlab sets no thread counts of its own: to bound the threads of the numeric
 libraries, set OMP_NUM_THREADS, OPENBLAS_NUM_THREADS or MKL_NUM_THREADS in
@@ -206,7 +209,7 @@ def _verdict_kinds() -> tuple:
 
     return (
         ("ellipticity", ("operator",),
-         lambda op, t, args, done: d.check_ellipticity(op, max_depth=args.depth),
+         lambda op, t, args, done: d.check_ellipticity(op),
          io.ellipticity_to_json, io.ellipticity_from_json,
          lambda op, t, v, passed: d.verify_ellipticity(op, v),
          lambda v: {"boxes_examined": v.boxes_examined, "cover_boxes": len(v.cover),
@@ -242,8 +245,6 @@ def cmd_analyze(args) -> int:
     from . import __version__
     from .io import matrix_to_json, operator_digest, operator_to_json
 
-    if args.depth < 0:
-        raise CliError(f"--depth must be at least 0, got {args.depth}")
     op, t, metadata = load_operator(args.source)
     timings: dict[str, float] = {}
     verdicts: dict[str, dict] = {}
@@ -267,14 +268,14 @@ def cmd_analyze(args) -> int:
             uncertified.append(key)
 
     operator_doc = operator_to_json(op)
+    t_doc = None if t is None else matrix_to_json(t)
     report = {
         "schema_version": 1,
         "tool": {"name": "symlab", "version": __version__},
         "mode": args.as_role,
         "seed": args.seed,
-        "depth": args.depth,
         "input": {
-            "digest": operator_digest(operator_doc),
+            "digest": operator_digest(operator_doc, t_doc),
             "metadata": metadata,
             "n": op.n,
             "dimV": op.dim_v,
@@ -287,8 +288,8 @@ def cmd_analyze(args) -> int:
         "stats": stats,
         "timings": timings,
     }
-    if t is not None:
-        report["T"] = matrix_to_json(t)
+    if t_doc is not None:
+        report["T"] = t_doc
     _write_json(report, args.json_out)
     return EXIT_UNDECIDED if uncertified else EXIT_OK
 
@@ -509,8 +510,6 @@ def _parse_rationals(text: Optional[str], expected: int):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged, so every ``main`` call can share it."""
-    from .deciders.ellipticity import DEFAULT_MAX_DEPTH
-
     parser = argparse.ArgumentParser(
         prog="symlab",
         description="Exact classification of differential operator symbols "
@@ -521,9 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="classify an operator and emit a report")
     pa.add_argument("source", help="operator JSON path or catalog:<name>?<params>")
     pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--depth", type=int, default=DEFAULT_MAX_DEPTH,
-                    help="bisections per axis of a cube face in the ellipticity "
-                    "cover (default %(default)s)")
     pa.add_argument("--as", dest="as_role", choices=("operator", "constraint"),
                     default="operator")
     pa.add_argument("--json", dest="json_out", default=None)

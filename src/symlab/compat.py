@@ -48,6 +48,7 @@ from .exact.poly import monomial_count, multi_indices
 from .exact.symbol import SymbolOperator
 
 RANK_SAMPLES = 3  # seeded directions; the one of largest rank A(xi) is used
+PROBE_SAMPLES = 8  # directions where verify_annihilator compares ranks
 
 
 class AnnihilatorBudgetError(ValueError):
@@ -130,19 +131,14 @@ class AnnihilatorReport:
         return all(ok for _xi, ok in self.rank_checks)
 
 
-def verify_annihilator(
-    a: SymbolOperator,
-    l: SymbolOperator,
-    samples: int = 8,
-    seed: int = 1,
-) -> AnnihilatorReport:
+def verify_annihilator(a: SymbolOperator, l: SymbolOperator, seed: int = 1) -> AnnihilatorReport:
     """Exact annihilation check plus the rank counts at probe directions."""
     if l.dim_v != a.dim_e or l.n != a.n:
         raise ValueError("annihilator dimensions do not match the operator")
     identity_ok = l.compose(a).is_zero()
     kernel_checks = []
     rank_checks = []
-    for xi in probe_directions(a.n, samples, random.Random(seed)):
+    for xi in probe_directions(a.n, PROBE_SAMPLES, random.Random(seed)):
         rank_a = _rank_at(a, xi)
         kernel_checks.append((xi, identity_ok and rank_a + _rank_at(l, xi) == a.dim_e))
         rank_checks.append((xi, rank_a == a.dim_v))

@@ -14,16 +14,17 @@ exactly, which puts every e_i in the image of A^T(xi) at every xi != 0.
    verdict is ELLIPTIC.  Otherwise the rank is taken at the other
    directions with coordinates in {-1, 0, 1}, one of each pair +-xi, as in
    step 1.
-3. det(A^T A): ``exact.bernstein.certify_positive`` searches its zeros on
-   the cube boundary, where step 2 left none at the {-1, 0, 1} lattice.  An
-   exact zero xi makes the verdict NOT_ELLIPTIC with a kernel vector of
-   A(xi).  A cover proves det(A^T A) > 0, and the open e_i get the cofactor
-   witness q = det(A^T A), u_i = A adj(A^T A) e_i, since A^T A adj(A^T A)
-   = det(A^T A) I; no linear system is solved.
+3. det(A^T A): ``witness.certify_gram_det`` forms it and searches its
+   zeros on the cube boundary, where step 2 left none at the {-1, 0, 1}
+   lattice.  An exact zero xi makes the verdict NOT_ELLIPTIC with a kernel
+   vector of A(xi).  A cover proves det(A^T A) > 0, and the open e_i get
+   the cofactor witness q = det(A^T A), u_i = A adj(A^T A) e_i, since
+   A^T A adj(A^T A) = det(A^T A) I; no linear system is solved.
 
 A verdict that stops at a limit is UNDECIDED, and its ``reason`` names the
-limit: the box budget or the depth limit of the zero search, or the budget
-of the determinant and its cofactors (``DetBudgetError``).  The ``cover``
+limit: the box budget or the depth limit of the zero search (the one pair
+that ``deciders.witness`` sets and explains), or the budget of the
+determinant and its cofactors (``DetBudgetError``).  The ``cover``
 of an ELLIPTIC verdict is the boxes of its witnesses' covers of q_i
 together, which the counters and older readers of reports take as the
 verdict's cover; ``boxes_examined`` and ``depth_reached`` count those
@@ -45,18 +46,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ..exact.bernstein import CertifiedBox, FaceBox, certify_positive
+from ..exact.bernstein import CertifiedBox, FaceBox
 from ..exact.matrix import int_kernel_vector, int_pivots, subspace_from_columns
 from ..exact.polymatrix import DetBudgetError
 from ..exact.symbol import SymbolOperator
-from .witness import Membership, find_witnesses, verify_memberships
+from .witness import Membership, certify_gram_det, find_witnesses, verify_memberships
 
 ELLIPTIC = "ELLIPTIC"
 NOT_ELLIPTIC = "NOT_ELLIPTIC"
 UNDECIDED = "UNDECIDED"
-
-DEFAULT_MAX_DEPTH = 24  # bisections per axis
-DEFAULT_BOX_BUDGET = 100_000
 
 
 @dataclass
@@ -110,11 +108,7 @@ def _singular_direction(a: SymbolOperator, directions) -> Optional[tuple]:
                  if len(int_pivots(a.scaled_rows(xi), a.dim_v)) < a.dim_v), None)
 
 
-def check_ellipticity(
-    a: SymbolOperator,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    box_budget: int = DEFAULT_BOX_BUDGET,
-) -> EllipticityVerdict:
+def check_ellipticity(a: SymbolOperator) -> EllipticityVerdict:
     def not_elliptic(xi, **counters) -> EllipticityVerdict:
         return EllipticityVerdict(NOT_ELLIPTIC, witness_xi=xi,
                                   witness_v=_kernel_vector(a, xi), **counters)
@@ -134,12 +128,10 @@ def check_ellipticity(
     xi = _singular_direction(a, _off_axis_lattice(a.n))
     if xi is not None:
         return not_elliptic(xi)
-    gram = a.gram()
     try:
-        det_gram = gram.det()
+        gram, det_gram, positive = certify_gram_det(a)
     except DetBudgetError as exc:
         return EllipticityVerdict(UNDECIDED, reason=f"det(A^T A): {exc}")
-    positive = certify_positive(det_gram, max_depth, box_budget)
     counters = dict(det_terms=len(det_gram.terms), det_degree=det_gram.degree(),
                     boxes_examined=boxes + positive.boxes_examined,
                     axis_depths=positive.axis_depths,
@@ -148,11 +140,9 @@ def check_ellipticity(
         # det(A^T A)(xi) = 0 with xi != 0: A(xi) has a kernel.
         return not_elliptic(positive.zero, **counters)
     if positive.undecided_box is not None:
-        limit = (f"the box budget of {box_budget:,}" if positive.boxes_examined > box_budget
-                 else f"the depth limit of {max_depth} bisections per axis")
         return EllipticityVerdict(
             UNDECIDED, undecided_box=positive.undecided_box, **counters,
-            reason=f"the search for zeros of det(A^T A) reached {limit} after "
+            reason=f"the search for zeros of det(A^T A) reached {positive.limit} after "
                    f"{positive.boxes_examined:,} boxes, with neither a cover nor a zero")
     # u_i = A adj(A^T A) e_i has the degree witness_degree_bound(A^T).
     for i in [i for i, m in enumerate(found) if m is None]:

@@ -26,6 +26,11 @@ for the projection onto A(x)[V] (SIAM Review, 1965), and ellipticity
 ``witness_degree_bound``, 2k min(dim V, dim E) - k.  ``verify_memberships``
 computes that bound from the symbol and rejects a witness above it, which
 bounds the work of a check, and replays each distinct cover once.
+``certify_gram_det`` forms det(A^T A) and its cover for both.  Every
+positivity search has one budget, ``WITNESS_MAX_DEPTH`` bisections per axis
+and ``WITNESS_BOX_BUDGET`` boxes: no search on the 1,200 symbols of seeds
+0-2 of tests/test_random_symbols.py took over 766 boxes, and 8 bisections
+and 200 boxes would leave one ELLIPTIC symbol there UNDECIDED (it needs 9).
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ from ..exact.symbol import SymbolOperator
 # about 20 s and 400 MB); saint_venant(6) at degree 1 would need 7.6 million.
 MAX_SYSTEM_ENTRIES = 2**21
 MAX_WITNESS_DEGREE = 3  # largest degree s of u that the search tries
-WITNESS_MAX_DEPTH = 8  # bisections per axis when certifying q > 0
-WITNESS_BOX_BUDGET = 200
+WITNESS_MAX_DEPTH = 24  # bisections per axis of every positivity search
+WITNESS_BOX_BUDGET = 100_000  # boxes examined by every positivity search
 
 
 @dataclass
@@ -146,6 +151,14 @@ def find_witnesses(a: SymbolOperator, vectors: Sequence[Sequence]) -> list[Optio
     return found
 
 
+def certify_gram_det(a: SymbolOperator) -> tuple:
+    """A^T A, q = det(A^T A) and ``certify_positive`` of q under the one
+    budget pair; raises ``DetBudgetError`` past the determinant's budget."""
+    gram = a.gram()
+    q = gram.det()
+    return gram, q, certify_positive(q, WITNESS_MAX_DEPTH, WITNESS_BOX_BUDGET)
+
+
 def cofactor_witnesses(a: SymbolOperator, vectors: Sequence[Sequence]) -> list[Optional[Membership]]:
     """For each e of ``vectors``, the witness q = det(A^T A) and u =
     adj(A^T A) A^T e, of degree ``witness_degree_bound(a)``, or None where
@@ -154,15 +167,13 @@ def cofactor_witnesses(a: SymbolOperator, vectors: Sequence[Sequence]) -> list[O
     When A(x) is injective at every x != 0, A adj(A^T A) A^T is q times the
     projection onto A(x)[V], so the identity holds exactly for the vectors
     of the common image.  The determinant, the adjugate and one cover of q
-    serve every vector.  Every entry is None when the cover is not found
-    within ``WITNESS_MAX_DEPTH`` and ``WITNESS_BOX_BUDGET`` or a cofactor
-    expansion is over its budget (``DetBudgetError``)."""
+    serve every vector.  Every entry is None when ``certify_gram_det``
+    finds no cover or a cofactor expansion is over its budget
+    (``DetBudgetError``)."""
     if not vectors:
         return []
-    gram = a.gram()
     try:
-        q = gram.det()
-        positive = certify_positive(q, WITNESS_MAX_DEPTH, WITNESS_BOX_BUDGET)
+        gram, q, positive = certify_gram_det(a)
         if positive.zero is not None or positive.undecided_box is not None:
             return [None] * len(vectors)
         adjugate = [gram.adjugate_column(i) for i in range(a.dim_v)]  # column i of adj(A^T A)

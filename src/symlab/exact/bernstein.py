@@ -60,6 +60,8 @@ from typing import Callable, Optional, Sequence
 
 from .poly import IntPoly, Polynomial, clear_denominators
 
+ZERO_HUNT_MAX_DEN = 64  # largest denominator of a zero tried in an undecided box
+
 
 def pin_variable(q: IntPoly, i: int) -> IntPoly:
     """The polynomial in the remaining variables on the face x_i = +1;
@@ -248,6 +250,7 @@ class Positivity:
     cover: list = field(default_factory=list)  # of CertifiedBox
     zero: Optional[tuple] = None  # an exact zero of p on a face x_i = +1
     undecided_box: Optional[FaceBox] = None  # where a budget ran out
+    limit: Optional[str] = None  # which budget ran out there
     boxes_examined: int = 0
     axis_depths: tuple = ()  # deepest bisection along each coordinate
 
@@ -288,11 +291,11 @@ def _dyadic_cell(lo: Fraction, hi: Fraction) -> Optional[tuple[int, int]]:
     return cells.bit_length() - 1, index
 
 
-def _simple_rationals_in(lo: Fraction, hi: Fraction, max_den: int = 64) -> list[Fraction]:
+def _simple_rationals_in(lo: Fraction, hi: Fraction) -> list[Fraction]:
     """A few low-height rationals inside [lo, hi], midpoint first."""
     out = [(lo + hi) / 2, lo, hi]
     den = 1
-    while den <= max_den:
+    while den <= ZERO_HUNT_MAX_DEN:
         start = math.ceil(lo * den)
         stop = math.floor(hi * den)
         for num in range(start, min(stop, start + 2) + 1):
@@ -317,8 +320,8 @@ def _zero_hunt(p: Polynomial, box: FaceBox) -> Optional[tuple]:
 def certify_positive(p: Polynomial, max_depth: int, box_budget: int) -> Positivity:
     """Certify p > 0 on the boundary of [-1, 1]^n, or find an exact zero of
     p there, or report the box where ``max_depth`` (bisections per axis) or
-    ``box_budget`` (boxes examined) ran out.  Raises ValueError if p has a
-    term of odd degree."""
+    ``box_budget`` (boxes examined) ran out, and which of them.  Raises
+    ValueError if p has a term of odd degree."""
     cleared = _even_integer(p)
     if cleared is None:
         raise ValueError("p has a term of odd degree: p(-x) = p(x) does not hold")
@@ -370,7 +373,9 @@ def certify_positive(p: Polynomial, max_depth: int, box_budget: int) -> Positivi
                 if zero is not None:
                     return stop(zero=zero)
                 record(axis, levels)
-                return stop(undecided_box=box)
+                limit = (f"the box budget of {box_budget:,}" if examined > box_budget
+                         else f"the depth limit of {max_depth} bisections per axis")
+                return stop(undecided_box=box, limit=limit)
             i = max(open_axes, key=lambda j: variation(coeffs, shape, j))
             lower, upper = split(coeffs, shape, i)
             child = levels[:i] + (levels[i] + 1,) + levels[i + 1:]

@@ -213,9 +213,10 @@ def operator_from_json(doc: dict) -> tuple[SymbolOperator, Optional[tuple], dict
     return op, t, metadata
 
 
-def operator_digest(doc: dict) -> str:
-    """Digest of an ``operator_to_json`` document."""
-    blob = json.dumps(doc, sort_keys=True).encode()
+def operator_digest(doc: dict, t_doc: Optional[list] = None) -> str:
+    """Digest of an ``operator_to_json`` document, and of T with it if given."""
+    blob = json.dumps(doc if t_doc is None else {"operator": doc, "T": t_doc},
+                      sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -20,6 +20,7 @@ from symlab.exact import full_space, kernel_basis, subspace_from_columns
 from symlab.io import (
     OperatorFileError,
     matrix_from_json,
+    operator_digest,
     operator_from_json,
     polynomial_from_json,
     rat_from_str,
@@ -386,12 +387,31 @@ def test_unknown_or_missing_verdicts_are_malformed(tmp_path, capsys, forge):
     assert "malformed report" in capsys.readouterr().err
 
 
-def test_negative_depth_exits_2(tmp_path, capsys):
-    assert main(["analyze", "catalog:defigueiredo?n=3&m=2", "--depth", "-1"]) == 2
-    assert "--depth" in capsys.readouterr().err
-    # Depth 0 keeps the root boxes only, which suffice for the gradient.
-    code, report = analyze(tmp_path, "catalog:gradient?n=2", "--depth", "0")
-    assert code == 0 and report["depth"] == 0
+def test_input_digest_covers_t(tmp_path):
+    # A report without T keeps the digest of its operator document alone.
+    _code, report = analyze(tmp_path, "catalog:gradient?n=2")
+    assert report["input"]["digest"] == operator_digest(report["operator"]) == "3f4c4082129da5a6"
+    # Two hodge_pair(3,1) files that differ only in T get different digests.
+    source = tmp_path / "hodge_pair.json"
+    assert main(["catalog", "emit", "hodge_pair?n=3&ell=1", "--json", str(source)]) == 0
+    doc = json.loads(source.read_text())
+    digests = []
+    for t in ([["0", "0", "0", "1"]], [["0", "0", "1", "0"]]):
+        source.write_text(json.dumps(dict(doc, T=t)))
+        _code, report = analyze(tmp_path, str(source))
+        assert report["T"] == t
+        digests.append(report["input"]["digest"])
+    assert digests[0] != digests[1]
+    assert operator_digest(report["operator"]) not in digests
+
+
+def test_depth_option_is_gone(capsys):
+    # Every positivity search runs under one fixed budget: analyze takes no
+    # depth, and argparse refuses the option with exit code 2.
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "catalog:gradient?n=2", "--depth", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --depth 3" in capsys.readouterr().err
 
 
 def test_forged_negative_witness_rejected(tmp_path):
@@ -470,7 +490,7 @@ def test_repeated_main_calls_share_no_state(tmp_path, capsys):
     capsys.readouterr()
     assert main(["analyze", "catalog:gradient?n=2", "--seed", "3", "--json", str(path)]) == 0
     report = json.loads(path.read_text())
-    assert (report["mode"], report["seed"], report["depth"]) == ("operator", 3, 24)
+    assert (report["mode"], report["seed"]) == ("operator", 3) and "depth" not in report
 
 
 def test_compat_transcript_states_order_and_rows(tmp_path):
@@ -667,16 +687,17 @@ def test_gram_determinant_over_budget_exits_3_quickly(tmp_path):
 
 
 def test_zero_cone_undecided_names_the_depth_limit(tmp_path):
-    # x_0^2 - 2 x_1^2 vanishes only at irrational directions.
-    path = tmp_path / "zero_cone.json"
-    path.write_text(json.dumps({"schema_version": 2, "n": 2, "dimV": 1, "dimE": 1, "order": 2,
-                                "terms": [[[0, 2], 0, 0, "-2"], [[2, 0], 0, 0, "1"]]}))
+    # tests/data/zero_cone.json, x_0^2 - 2 x_1^2, vanishes only at irrational
+    # directions.
+    path = Path(__file__).parent / "data" / "zero_cone.json"
     code, report = analyze(tmp_path, str(path))
     v = report["verdicts"]["ellipticity"]
     assert code == 3 and v["status"] == "UNDECIDED" and v["depth_reached"] == 24
     assert v["reason"] == ("the search for zeros of det(A^T A) reached the depth limit of 24 "
                            "bisections per axis after 37 boxes, with neither a cover nor a zero")
     assert report["stats"]["ellipticity"]["boxes_examined"] == 37
+    code, checked = verify(tmp_path, report)
+    assert code == 0 and checked["all_ok"] is True
 
 
 def test_rat_from_str_error_is_bounded():

@@ -49,6 +49,7 @@ from symlab.deciders import (
     verify_partial_canceling,
     verify_spanning,
 )
+from symlab.deciders import witness
 from symlab.deciders.cancellation import sample_directions
 from symlab.deciders.witness import (
     MAX_WITNESS_DEGREE,
@@ -122,21 +123,29 @@ ZERO_CONE = SymbolOperator.from_entries(2, 1, 1, 2, {((2, 0), 0, 0): 1, ((0, 2),
 
 def test_irrational_zero_yields_undecided():
     # x1^2 - 2 x2^2 vanishes only on irrational directions: no exact witness
-    # exists, so the checker must fall back to UNDECIDED with a small box.
-    v = check_ellipticity(ZERO_CONE, max_depth=8, box_budget=2000)
-    assert v.status == UNDECIDED
-    assert v.undecided_box is not None and not v.certified
-    assert "the depth limit of 8 bisections per axis" in v.reason
+    # exists, so the search ends at a limit with a small box.  The search
+    # reports which limit, under the parameters it is given.
+    det = ZERO_CONE.gram().det()
+    found = certify_positive(det, 8, 2000)
+    assert found.undecided_box is not None and found.zero is None and not found.cover
+    assert found.limit == "the depth limit of 8 bisections per axis"
+    assert max(found.axis_depths) == 8
+    found = certify_positive(det, 24, 10)
+    assert found.undecided_box is not None and found.limit == "the box budget of 10"
+    assert found.boxes_examined == 12
 
 
-def test_undecided_names_the_limit_that_stopped_it():
-    # At the default depth the zero cone stops at the depth limit after 37
-    # boxes; with 10 boxes it stops at the box budget.
+def test_undecided_names_the_limit_that_stopped_it(monkeypatch):
+    # Under the one budget pair the zero cone stops at the depth limit after
+    # 37 boxes; with a box budget of 10 it stops at the box budget.
+    assert (WITNESS_MAX_DEPTH, WITNESS_BOX_BUDGET) == (24, 100_000)
     v = check_ellipticity(ZERO_CONE)
     assert v.status == UNDECIDED and v.boxes_examined == 37 and v.depth_reached == 24
+    assert v.undecided_box is not None and not v.certified
     assert v.reason == ("the search for zeros of det(A^T A) reached the depth limit of 24 "
                         "bisections per axis after 37 boxes, with neither a cover nor a zero")
-    v = check_ellipticity(ZERO_CONE, box_budget=10)
+    monkeypatch.setattr(witness, "WITNESS_BOX_BUDGET", 10)
+    v = check_ellipticity(ZERO_CONE)
     assert v.status == UNDECIDED and v.reason.startswith(
         "the search for zeros of det(A^T A) reached the box budget of 10 after 12 boxes")
     assert verify_ellipticity(ZERO_CONE, v)
