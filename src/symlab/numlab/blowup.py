@@ -14,15 +14,17 @@ One path: ``blowup_direction`` validates e once against both certified
 verdicts, ``solve_symbol_directions`` and ``cutoff_l1`` run once per grid,
 and ``build_blowup_field`` builds only u at each scale.  The image A(D)u
 is never built here: the experiment measures it with
-``grid.image_magnitude`` like every other image it only measures.
+``grid.image_squares`` like every other image it only measures.
 
 Every support here is compact: the cutoff vanishes for |xi| >= 2 and the
 window at scale s for |xi| >= 2 s.  Each is evaluated only on the box of
 frequencies with every |xi_i| below that reach (``grid.support_indices``)
 and is an exact zero elsewhere, as the full-grid formula is there; the
 direction solve runs on the box of the largest scale and carries that
-reach, which ``build_blowup_field`` checks.  The spectra are so
-band-limited, and the complex inverse passes skip their zero columns.
+reach, which ``build_blowup_field`` checks.  The spectra of u and of the
+cutoff are held to their band (``grid.GridField.from_spectrum``): the
+columns of the last axis beyond reach are never stored, and every
+transform and image of u runs on the band only.
 """
 
 from __future__ import annotations
@@ -78,13 +80,20 @@ def cutoff_l1(spec: GridSpec) -> float:
     """L1 norm of psi, the inverse transform of the plateau cutoff on the
     grid: A(D)u is a difference of two dilates of psi times e, so its L1
     norm is at most 2 ||psi||_1 |e|.  The cutoff is evaluated where every
-    |xi_i| < 2, its support."""
+    |xi_i| < 2, its support, and held to that band."""
     xi = spec.frequency_grids()
     box = support_indices(xi, 2.0)
     r = np.sqrt(sum(restrict(x, box) ** 2 for x in xi))
-    hat = np.zeros((1,) + spec.half_shape, dtype=complex)
+    hat = np.zeros((1,) + _band_shape(spec, box), dtype=complex)
     hat[(0,) + np.ix_(*box)] = plateau_cutoff(r)
     return lp_norm(GridField.from_spectrum(spec, hat), 1.0)
+
+
+def _band_shape(spec: GridSpec, box: list[np.ndarray]) -> tuple[int, ...]:
+    """The half shape held to the band of ``box`` (from ``support_indices``
+    on ``frequency_grids()``): its last-axis indices are a prefix, as
+    ``rfftfreq`` rises from 0, so the band stops after the last of them."""
+    return spec.half_shape[:-1] + (len(box[-1]),)
 
 
 class BlowupError(ValueError):
@@ -108,7 +117,7 @@ def solve_symbol_directions(
     beyond reach get U = 0."""
     box = support_indices(spec.frequency_grids(), reach)
     amat = np.zeros(tuple(len(index) for index in box) + (a.dim_e, a.dim_v))
-    for r, c, values in symbol_on_grid(a, spec):
+    for r, c, values in symbol_on_grid(a, spec, len(box[-1])):
         amat[..., r, c] = restrict(values, box)
     u = np.zeros((a.dim_v,) + spec.half_shape)
     if amat.size:
@@ -156,7 +165,8 @@ def build_blowup_field(
     ``solve_symbol_directions(a, spec, e, reach)`` for a direction e that
     passed ``blowup_direction`` and a reach of at least 2 scale; U(xi) does
     not depend on the scale.  The window is evaluated where every
-    |xi_i| < 2 scale, its support, and u is zero outside it."""
+    |xi_i| < 2 scale, its support, and u is zero outside it: its spectrum
+    is held to the band of that support."""
     if scale < 2:
         raise BlowupError("scale parameter must be at least 2")
     if spec.nyquist < scale:
@@ -178,6 +188,6 @@ def build_blowup_field(
     for sign in half_box_shift(spec):
         window *= restrict(sign, box)
     inside = (slice(None),) + np.ix_(*box)
-    u_hat = np.zeros((a.dim_v,) + spec.half_shape, dtype=complex)
+    u_hat = np.zeros((a.dim_v,) + _band_shape(spec, box), dtype=complex)
     u_hat[inside] = ((2j * pi) ** (-a.order) * window)[None, ...] * directions.values[inside]
     return GridField.from_spectrum(spec, u_hat)

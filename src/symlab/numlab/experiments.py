@@ -34,7 +34,13 @@ from .fields import (
     newton_gradient_field,
     radial_cutoff_test_function,
 )
-from .grid import GridField, GridSpec, derivative_magnitude, image_magnitude
+from .grid import (
+    GridField,
+    GridSpec,
+    boundary_tail,
+    derivative_magnitude,
+    image_squares,
+)
 # No caller here: the benchmark's trace (bench/spans.py) wraps this name in
 # this module with the other numlab entry points.
 from .grid import apply_symbol  # noqa: F401
@@ -74,8 +80,13 @@ def sobolev_exponent(n: int, k: int, ell: int) -> float:
 
 
 def _image_l1(a: SymbolOperator, u: GridField) -> float:
-    """L1 norm of A(D)u from its magnitude, without building the image."""
-    return magnitude_norm(u.spec, image_magnitude(a, u), 1.0)
+    """L1 norm of A(D)u from its magnitude, without building the image; 0.0
+    for a symbol that is zero (the composite, on an operator-made u), with
+    nothing allocated or summed."""
+    squares = image_squares(a, u)
+    if squares is None:
+        return 0.0
+    return magnitude_norm(u.spec, np.sqrt(squares, out=squares), 1.0)
 
 
 def _blowup_point(
@@ -320,16 +331,40 @@ def _newton_point(size: int, eps: float, box: float = 8.0) -> dict:
     u = newton_gradient_field(spec, eps)
     # The images are measured row by row and never built: each row is
     # inverted in place and its square added into one accumulator slab by
-    # slab.  They are measured before the field's own magnitude, which the
-    # field caches, so that magnitude and an image accumulator are never
-    # held together.
+    # slab, and the curl, the zero symbol, costs nothing.  They are measured
+    # before the field's own magnitude, so that it and an image accumulator
+    # are never held together.
     div_l1 = _image_l1(divergence(3).operator, u)
     curl_l1 = _image_l1(exterior_d(3, 1).operator, u)
     rhs = div_l1 + curl_l1
-    lhs = lp_norm(u, 1.5)
+    mag = _symmetric_gradient_magnitude(u)
+    lhs = magnitude_norm(spec, mag, 1.5)
     return {"size": size, "eps": eps, "lhs": lhs, "rhs": rhs,
             "ratio": lhs / rhs, "curl_l1": curl_l1,
-            "tail": u.boundary_tail()}
+            "tail": boundary_tail(mag)}
+
+
+# v -> v_2, the last component of a 3-vector field.
+_LAST_OF_3 = SymbolOperator.from_entries(3, 3, 1, 0, {((0, 0, 0), 0, 2): 1})
+
+
+def _symmetric_gradient_magnitude(u: GridField) -> np.ndarray:
+    """|u| for a field u = grad(D) phi on a 3-d grid with phi symmetric
+    under permutations of the axes, as ``newton_gradient_field`` makes it:
+    (d_j phi)^2 is s = (d_2 phi)^2 with axes j and 2 swapped, so |u|^2 is
+    s + s.transpose(2, 1, 0) + s.transpose(0, 2, 1), one transform (of the
+    last component) where the magnitude of u takes three.
+
+    The swap of axes 0 and 2 reads s across its rows; (d_0 phi)^2 is taken
+    instead as q.transpose(1, 0, 2), q = (d_1 phi)^2 = s.transpose(0, 2, 1)
+    copied, which reads whole rows of q: the same by the symmetry, to
+    rounding.  s becomes the result, so s and q are the only grids held."""
+    s = image_squares(_LAST_OF_3, u)
+    q = s.transpose(0, 2, 1).copy()
+    s += q
+    s += q.transpose(1, 0, 2)
+    del q
+    return np.sqrt(s, out=s)
 
 
 def _monomial_operator(n: int, alpha: tuple) -> SymbolOperator:

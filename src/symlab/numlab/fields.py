@@ -95,7 +95,13 @@ def newton_gradient_field(spec: GridSpec, eps: float) -> GridField:
     -moll_hat / (4 pi^2 |xi|^2), a Gaussian mollifier at scale eps over the
     Laplacian's multiplier, with the constant mode removed, and shifted to
     the box center.  The field's divergence is the mollifier minus its box
-    mean, and its curl is the zero symbol."""
+    mean, and its curl is the zero symbol.
+
+    The spectrum of phi is a function of |xi| times the shift
+    (-1)^(m_0 + m_1 + m_2), both unchanged when the integer modes m_i trade
+    places, and the Nyquist mask is the same on every axis; so phi on the
+    grid is symmetric under every permutation of the axes, and d_j phi is
+    d_2 phi with axes j and 2 swapped (up to rounding)."""
     if spec.n != 3:
         raise ValueError("this family lives on a three-dimensional box")
     xi = spec.frequency_grids()
@@ -112,8 +118,9 @@ def newton_gradient_field(spec: GridSpec, eps: float) -> GridField:
     r2[origin] = 1.0
     factor /= r2
     factor[origin] = 0.0
-    spectrum = np.zeros((1,) + factor.shape, dtype=complex)
+    spectrum = np.empty((1,) + factor.shape, dtype=complex)
     np.multiply(factor, -1.0 / (4.0 * pi**2), out=spectrum[0].real)
+    spectrum[0].imag = 0.0
     return apply_symbol(_GRADIENT_3, GridField.from_spectrum(spec, spectrum))
 
 

@@ -9,54 +9,61 @@ multiplies the FFT by h^n (a Riemann sum for the integral transform),
 synthesis divides by T^n, so a derivative of order alpha is the multiplier
 (2 pi i xi)^alpha.
 
+A spectrum may be held to its band: its last axis stops after the last
+column that holds data, the columns above being zero and never stored.  A
+field built from such a spectrum (``from_spectrum``) holds it so, every
+image of that field is built and inverted at the same width, and the
+symbol is evaluated at that width only.
+
 Forward transforms run one component at a time, each into its slice of
 one preallocated array.  ``_invert`` is the one inverse path.  The complex
-pass over axis 0 needs whole columns and runs in place on one work buffer,
-on the leading last-axis columns that hold data only; the rest runs slab by
-slab along axis 0, each slab at most ``SLAB_BYTES`` of spectrum: the
-complex passes over axes 1 .. n - 2, the real pass and the scale.  Each slab
-of values goes into the caller's output or into one reused slab buffer, so
-a caller that only squares and adds the values never holds a second full
-grid of them.
+pass over axis 0 needs whole columns and runs in place on one work buffer
+as wide as the spectrum held; the rest runs slab by slab along axis 0,
+each slab at most ``SLAB_BYTES`` of full half spectrum: the complex passes
+over axes 1 .. n - 2, the real pass, which zero-pads the columns above the
+band (``irfft(..., n=N)``), and the scale.  Each slab of values goes into
+the caller's output or into one reused slab buffer, so a caller that only
+squares and adds the values never holds a second full grid of them.
 
 A ``GridField`` is one of three kinds.  A field built from values
 transforms forward once, when an operator first reads its spectrum.  A
 field from a spectrum (``from_spectrum``) keeps the Nyquist-masked half
-spectrum and a copy of the input's Nyquist hyperplanes, and synthesizes
-nothing: its values are synthesized when first read, and its magnitude,
-when asked for before the values, streams the components through one work
-buffer and adds their squares slab by slab, so a field that is only
-measured is never held as values.  An operator-made field
-(``apply_symbol``) records the operator A and its source v and holds
+spectrum, full width or held to its band, and a copy of the input's Nyquist
+hyperplanes, and synthesizes nothing: its values are synthesized when first
+read, and its magnitude, when asked for before the values, streams the
+components through one work buffer and adds their squares slab by slab, so
+a field that is only measured is never held as values.  An operator-made
+field (``apply_symbol``) records the operator A and its source v and holds
 nothing else until it is read; applying B(D) to it records the exact
-composite symbol B A (``SymbolOperator.compose``) on the same v, so a
-chain of operators is never more than one symbol away from a field that
-holds data.  Its spectrum, when read, is built once from the spectrum of
-v; its magnitude, asked for first, streams A(D)v as ``image_magnitude``
-does.  Every kind caches its magnitude once a norm or the boundary tail
-has asked for it.
+composite symbol B A (``SymbolOperator.compose``) on the same v, so a chain
+of operators is never more than one symbol away from a field that holds
+data.  Its spectrum, when read, is built once from the spectrum of v; its
+magnitude, asked for first, streams A(D)v as ``image_magnitude`` does.
+Every kind caches its magnitude once a norm or the boundary tail has asked
+for it.
 
-``symbol_on_grid`` is the one place that evaluates a symbol
-sum_alpha xi^alpha A_alpha at the grid frequencies, and ``_image_rows``
-the one place that multiplies a spectrum by it, one row of the image at a
-time.  An operator-made field collects the rows into its spectrum;
+``symbol_on_grid`` is the one place that evaluates a symbol sum_alpha
+xi^alpha A_alpha at the grid frequencies, and ``_image_rows`` the one place
+that multiplies a spectrum by it, one row of the image at a time.  An
+operator-made field collects the rows into its spectrum;
 ``image_magnitude`` inverts each row in its work buffer as soon as it is
 built and adds its weighted square to one accumulator slab by slab, so an
-image that is only measured is never materialized and no row of it is
-held in full.  Measured on an operator-made field B(D)v, A(D)B(D)v is one
-image of v through the composite A B: the newton gradient field is
-grad(D) phi, so its divergence is the Laplacian of phi, one transform, and
-its curl is the zero symbol, measured as exact zeros with no transform.
-``derivative_magnitude`` measures the image of the operator stacking all
-partial derivatives of one order, and the blowup direction solve reads its
-per-frequency matrices from ``symbol_on_grid``.
+image that is only measured is never materialized and no row of it is held
+in full.  Measured on an operator-made field B(D)v, A(D)B(D)v is one image
+of v through the composite A B: the newton gradient field is grad(D) phi,
+so its divergence is the Laplacian of phi, one transform, and its curl is
+the zero symbol, for which ``image_squares`` allocates nothing and
+transforms nothing.  ``derivative_magnitude`` measures the image of the
+operator stacking all partial derivatives of one order, and the blowup
+direction solve reads its per-frequency matrices from ``symbol_on_grid``.
 
 Closed-form fields with compact support (the blowup window in frequency,
 the plateau test function in space) are evaluated on the box of indices
 that ``support_indices`` returns and are exact zeros elsewhere, where the
-full-grid formula gives 0 as well.  A band-limited spectrum so built
-costs the complex inverse passes on its band only.  Coordinates are
-broadcast (sparse) grids: one axis each, never a dense copy per axis.
+full-grid formula gives 0 as well.  On the last axis of a half spectrum
+that box is a prefix (``rfftfreq`` rises from 0), so a band-limited
+spectrum so built is held to its band.  Coordinates are broadcast
+(sparse) grids: one axis each, never a dense copy per axis.
 
 Grids larger than ``MAX_GRID_POINTS`` are refused before anything is
 allocated.
@@ -206,21 +213,27 @@ class GridField:
     @classmethod
     def from_spectrum(cls, spec: GridSpec, spectrum: np.ndarray) -> "GridField":
         """A real field held by its continuum-normalized half spectrum, of
-        shape (components, *spec.half_shape); nothing is synthesized here.
+        shape (components, *spec.half_shape) or held to its band: the last
+        axis may stop after any column, from the first on, and the columns
+        above it are then zero.  Nothing is synthesized here.
 
         The field takes the input over as its spectrum, Nyquist-zeroed in
         place, and keeps a copy of the input's Nyquist hyperplanes (index
-        N/2 on each axis, n N^(n-1) bins per component).  Synthesis writes
-        them back, so the values are ``irfftn`` of the input: they keep the
+        N/2 on each axis the input reaches, n N^(n-1) bins per component at
+        full width).  Synthesis writes them back, so the values are
+        ``irfftn`` of the input, zero-padded to full width: they keep the
         Nyquist bins, read at -N/2 on the first n - 1 axes, and a factor odd
         in the frequency of such an axis belongs zeroed on its Nyquist bin.
         The cached spectrum is the values' spectrum when the input is the
         half spectrum of a real field, that is when its zero plane of the
         last axis is Hermitian off the Nyquist bins."""
-        if spectrum.shape[1:] != spec.half_shape:
-            raise ValueError(f"spectrum shape {spectrum.shape} does not end in {spec.half_shape}")
+        width = spectrum.shape[-1]
+        if spectrum.shape[1:-1] != spec.half_shape[:-1] or not 1 <= width <= spec.half_shape[-1]:
+            raise ValueError(
+                f"spectrum shape {spectrum.shape} does not end in {spec.half_shape[:-1]} "
+                f"and 1 to {spec.half_shape[-1]} columns")
         out = cls._empty(spec, spectrum.shape[0])
-        out._planes = [spectrum[index].copy() for index in _nyquist_planes(spec)]
+        out._planes = [spectrum[index].copy() for index in _nyquist_planes(spec, width)]
         zero_nyquist(spec, spectrum)
         spectrum.flags.writeable = False
         out._hat = spectrum
@@ -243,7 +256,7 @@ class GridField:
         then caches them (read-only)."""
         if self._values is None:
             values = np.empty((self.components,) + self.spec.shape)
-            work = np.empty(self.spec.half_shape, dtype=complex)
+            work = np.empty(self._held_spectrum().shape[1:], dtype=complex)
             for c in range(self.components):
                 for _ in self._synthesize(c, work, values[c]):
                     pass
@@ -255,10 +268,11 @@ class GridField:
         self, c: int, work: np.ndarray, out: Optional[np.ndarray] = None
     ) -> Iterator[tuple[slice, np.ndarray]]:
         """Invert component c of the input spectrum slab by slab, as
-        ``_invert`` does, from a copy in ``work``: the in-place passes would
-        scramble the cached spectrum.  Yields each finite slab of values."""
-        np.copyto(work, self.spectrum()[c])
-        for index, plane in zip(_nyquist_planes(self.spec), self._planes):
+        ``_invert`` does, from a copy in ``work`` (as wide as the held
+        spectrum): the in-place passes would scramble the cached spectrum.
+        Yields each finite slab of values."""
+        np.copyto(work, self._held_spectrum()[c])
+        for index, plane in zip(_nyquist_planes(self.spec, work.shape[-1]), self._planes):
             work[index] = plane[c]
         for rows, values in _invert(self.spec, work, out):
             if not np.all(np.isfinite(values)):
@@ -267,19 +281,36 @@ class GridField:
 
     def spectrum(self) -> np.ndarray:
         """The Nyquist-masked, continuum-normalized half spectrum, of shape
-        (components, *spec.half_shape): computed on first use, then cached
-        (read-only).  A field made by A(D) from v multiplies the spectrum of
-        v row by row, whose Nyquist bins are zero already; a field built
-        from values takes one ``rfftn`` per component."""
+        (components, *spec.half_shape), read-only.  A field held to a band
+        (see ``from_spectrum``) returns its band zero-padded to full width,
+        a fresh copy on every read; every other field returns its cached
+        spectrum."""
+        hat = self._held_spectrum()
+        width = self.spec.half_shape[-1]
+        if hat.shape[-1] == width:
+            return hat
+        full = np.zeros(hat.shape[:-1] + (width,), dtype=complex)
+        full[..., : hat.shape[-1]] = hat
+        full.flags.writeable = False
+        return full
+
+    def _held_spectrum(self) -> np.ndarray:
+        """The spectrum as the field holds it: computed on first use, then
+        cached (read-only), and as wide on the last axis as the spectrum of
+        its source, the columns above that width being zero.  A field made
+        by A(D) from v multiplies the spectrum of v row by row, whose
+        Nyquist bins are zero already; a field built from values takes one
+        ``rfftn`` per component."""
         if self._hat is None:
-            hat = np.empty((self.components,) + self.spec.half_shape, dtype=complex)
             if self._made is not None:
                 a, v = self._made
+                hat = np.empty((self.components,) + v._held_spectrum().shape[1:], dtype=complex)
                 written = {r for r, _ in _image_rows(a, v, hat.__getitem__)}
                 for r in range(self.components):
                     if r not in written:
                         hat[r] = 0.0
             else:
+                hat = np.empty((self.components,) + self.spec.half_shape, dtype=complex)
                 for c in range(self.components):
                     np.fft.rfftn(self.values[c], out=hat[c])
                 hat *= self.spec.cell_volume
@@ -299,9 +330,11 @@ class GridField:
         takes ``image_magnitude(A, v)``, equal bit for bit as well."""
         if self._mag is None:
             if self._hat is None and self._made is not None:
-                mag = _image_squares(*self._made)
+                mag = image_squares(*self._made)
+                if mag is None:
+                    mag = np.zeros(self.spec.shape)
             elif self._values is None:
-                work = np.empty(self.spec.half_shape, dtype=complex)
+                work = np.empty(self._held_spectrum().shape[1:], dtype=complex)
                 mag = np.empty(self.spec.shape)
                 for c in range(self.components):
                     _add_squares(self._synthesize(c, work, None if c else mag), mag, c == 0)
@@ -317,36 +350,42 @@ class GridField:
         return self._mag
 
     def boundary_tail(self) -> float:
-        """Largest magnitude on the outermost grid shell relative to the
-        overall maximum; reports how badly the box truncates the field."""
-        mag = self.magnitude()
-        peak = float(mag.max())
-        if peak == 0.0:
-            return 0.0
-        edge = 0.0
-        for ax in range(self.spec.n):
-            sl: list = [slice(None)] * self.spec.n
-            sl[ax] = 0
-            edge = max(edge, float(mag[tuple(sl)].max()))
-        return edge / peak
+        """``boundary_tail`` of the field's magnitude."""
+        return boundary_tail(self.magnitude())
 
 
-def _nyquist_planes(spec: GridSpec) -> list[tuple]:
+def boundary_tail(mag: np.ndarray) -> float:
+    """Largest value of a pointwise magnitude on the outermost grid shell
+    (index 0 on some axis) relative to its overall maximum; reports how
+    badly the box truncates the field."""
+    peak = float(mag.max())
+    if peak == 0.0:
+        return 0.0
+    edge = max(float(mag[(slice(None),) * ax + (0,)].max()) for ax in range(mag.ndim))
+    return edge / peak
+
+
+def _nyquist_planes(spec: GridSpec, width: int) -> list[tuple]:
     """Indices of the Nyquist hyperplanes (index N/2 on axis 0 .. n - 1) of
-    an array of shape (..., *spec.half_shape)."""
-    return [(Ellipsis, spec.size // 2) + (slice(None),) * (spec.n - 1 - ax)
-            for ax in range(spec.n)]
+    an array of shape (..., *spec.half_shape[:-1], width): the last axis
+    has its hyperplane at full width only."""
+    half = spec.size // 2
+    planes = [(Ellipsis, half) + (slice(None),) * (spec.n - 1 - ax) for ax in range(spec.n - 1)]
+    if width > half:
+        planes.append((Ellipsis, half))
+    return planes
 
 
 def zero_nyquist(spec: GridSpec, hat: np.ndarray) -> None:
     """Zero the unpaired Nyquist hyperplanes (index N/2 on every axis) of a
-    half spectrum in place; ``hat`` has shape (..., *spec.half_shape).
+    half spectrum in place; ``hat`` has shape (..., *spec.half_shape), or
+    stops short of N/2 + 1 columns on the last axis, which then has none.
 
     Real fields carry the N/2 frequency without its sign partner, so
     odd-order multipliers on that bin have no Hermitian representation;
     projecting the bin out makes multiplier application commute with
     composition exactly."""
-    for index in _nyquist_planes(spec):
+    for index in _nyquist_planes(spec, hat.shape[-1]):
         hat[index] = 0.0
 
 
@@ -385,8 +424,9 @@ def restrict(a: np.ndarray, indices: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _slab_rows(spec: GridSpec) -> int:
-    """Indices of axis 0 per slab: as many as fit ``SLAB_BYTES`` of half
-    spectrum, and at least one."""
+    """Indices of axis 0 per slab: as many as fit ``SLAB_BYTES`` of full
+    half spectrum, and at least one; a slab of values is then about half
+    that size, however narrow the spectrum held."""
     return max(1, SLAB_BYTES // (16 * prod(spec.half_shape[1:])))
 
 
@@ -401,33 +441,26 @@ def _invert(
     given, and otherwise one reused slab buffer that the next slab
     overwrites.
 
+    ``work`` may stop short of N/2 + 1 columns on the last axis, as a
+    spectrum held to its band does: the complex passes run on the columns
+    it has, and the real pass (``irfft(..., n=N)``) zero-pads the rest.
     The pass over axis 0 needs whole columns and runs first, on the whole
     buffer.  Each slab of axis 0 then runs the passes over axes 1 .. n - 2,
-    the real pass and the scale; for n = 1 the one slab is the whole grid.
-    The complex passes run only on the leading columns of the last axis
-    that hold data.  When the top two columns are zero, as for a
-    band-limited spectrum, one ``any`` reduction finds the last nonzero
-    column; the zero columns above it would transform to zeros."""
-    live = work
+    the real pass and the scale; for n = 1 the one slab is the whole grid."""
     if spec.n == 1:
         step = spec.size
     else:
-        if not (work[..., -1].any() or work[..., -2].any()):
-            nonzero = np.flatnonzero(work.any(axis=tuple(range(spec.n - 1))))
-            live = work[..., : nonzero[-1] + 1 if nonzero.size else 0]
-        if live.size:
-            np.fft.ifft(live, axis=0, out=live)
+        np.fft.ifft(work, axis=0, out=work)
         step = _slab_rows(spec)
     buffer = np.empty((min(step, spec.size),) + spec.shape[1:]) if out is None else None
     for lo in range(0, spec.size, step):
         hi = min(lo + step, spec.size)
         rows = slice(lo, hi)
-        columns = live[rows]
-        if columns.size:
-            for ax in range(1, spec.n - 1):
-                np.fft.ifft(columns, axis=ax, out=columns)
+        columns = work[rows]
+        for ax in range(1, spec.n - 1):
+            np.fft.ifft(columns, axis=ax, out=columns)
         values = buffer[: hi - lo] if out is None else out[rows]
-        np.fft.irfft(work[rows], n=spec.size, axis=spec.n - 1, out=values)
+        np.fft.irfft(columns, n=spec.size, axis=spec.n - 1, out=values)
         values *= spec.synthesis_scale
         yield rows, values
 
@@ -448,14 +481,18 @@ def _add_squares(
             total[rows] += values
 
 
-def symbol_on_grid(a: SymbolOperator, spec: GridSpec) -> Iterator[tuple[int, int, np.ndarray]]:
+def symbol_on_grid(
+    a: SymbolOperator, spec: GridSpec, width: Optional[int] = None
+) -> Iterator[tuple[int, int, np.ndarray]]:
     """The symbol sum_alpha xi^alpha A_alpha at the grid frequencies, one
     nonzero entry at a time: yields (row, column, values) with real values
-    that broadcast to spec.half_shape.  The (2 pi i)^k factor of the Fourier
-    multiplier is left to the caller."""
+    that broadcast to spec.half_shape, or with ``width`` to its first
+    ``width`` columns of the last axis.  The (2 pi i)^k factor of the
+    Fourier multiplier is left to the caller."""
     if a.n != spec.n:
         raise ValueError("operator and grid dimensions differ")
     xi = spec.frequency_grids()
+    xi[-1] = xi[-1][..., :width]
     monomials = []
     # (row, column) -> [(term, numerator)], the terms in graded-lex order.
     entries: dict = {}
@@ -482,25 +519,28 @@ def symbol_on_grid(a: SymbolOperator, spec: GridSpec) -> Iterator[tuple[int, int
 def _image_rows(
     a: SymbolOperator, u: GridField, target: Callable[[int], np.ndarray]
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The half spectrum of A(D)u row by row: for each row with a nonzero
-    symbol entry, in order, writes the row into ``target(row)`` and yields
-    (row, that array).  The multiplier is (2 pi i)^k A(xi), applied to the
-    spectrum of ``u`` (cached by ``u``) one entry at a time; the (2 pi i)^k
-    factor goes into each entry, which broadcasts and is smaller than the
-    grid.  The first entry of a row writes it and the others add one slab
-    of axis 0 at a time, through a temporary the size of that slab."""
-    u_hat = u.spectrum()
+    """The half spectrum of A(D)u row by row, as wide as the spectrum that
+    ``u`` holds: for each row with a nonzero symbol entry, in order, writes
+    the row into ``target(row)`` and yields (row, that array).  The
+    multiplier is (2 pi i)^k A(xi), applied to the spectrum of ``u``
+    (cached by ``u``) one entry at a time and one slab of axis 0 at a time:
+    the (2 pi i)^k factor goes into the entry's slab, and the first entry
+    of a row writes it, the others add to it, through temporaries the size
+    of that slab, even for an entry that sums several monomials over the
+    whole grid."""
+    u_hat = u._held_spectrum()
     unit = (2j * pi) ** a.order
     step = _slab_rows(u.spec)
-    for r, entries in groupby(symbol_on_grid(a, u.spec), key=itemgetter(0)):
+    for r, entries in groupby(symbol_on_grid(a, u.spec, u_hat.shape[-1]), key=itemgetter(0)):
         row = target(r)
-        _, c, values = next(entries)
-        np.multiply(unit * values, u_hat[c], out=row)
-        for _, c, values in entries:
-            factor = unit * values
+        for i, (_, c, values) in enumerate(entries):
             for lo in range(0, len(row), step):
                 rows = slice(lo, lo + step)
-                row[rows] += (factor[rows] if len(factor) > 1 else factor) * u_hat[c, rows]
+                factor = unit * (values[rows] if len(values) > 1 else values)
+                if i:
+                    row[rows] += factor * u_hat[c, rows]
+                else:
+                    np.multiply(factor, u_hat[c, rows], out=row[rows])
         yield r, row
 
 
@@ -536,22 +576,28 @@ def image_magnitude(
     w_r = 1 without ``weights``), equal bit for bit to the magnitude of
     ``apply_symbol(a, u)`` with its spectrum built, for unit weights.  A
     field u made by B(D) from v is measured as (A B)(D)v."""
-    total = _image_squares(a, u, weights)
+    total = image_squares(a, u, weights)
+    if total is None:
+        return np.zeros(u.spec.shape)
     return np.sqrt(total, out=total)
 
 
-def _image_squares(
+def image_squares(
     a: SymbolOperator, u: GridField, weights: Optional[Sequence[int]] = None
-) -> np.ndarray:
-    """sum_r w_r (A(D)u)_r^2, the square of ``image_magnitude``.  Each row
-    spectrum is built in one work buffer and inverted in place: the first
-    row into the accumulator, where it is squared and weighted, every later
-    row slab by slab, each slab's weighted square added to the accumulator.
-    Neither the image nor a full row of its values is ever held, and a
-    symbol with no nonzero entry builds no row and runs no transform."""
+) -> Optional[np.ndarray]:
+    """sum_r w_r (A(D)u)_r^2, the square of ``image_magnitude``, or None
+    when the symbol (the composite, for a field u made by B(D) from v) has
+    no nonzero entry: then nothing is allocated and nothing transformed.
+    Each row spectrum is built in one work buffer, as wide as the spectrum
+    of the source, and inverted in place: the first row into the
+    accumulator, where it is squared and weighted, every later row slab by
+    slab, each slab's weighted square added to the accumulator.  Neither
+    the image nor a full row of its values is ever held."""
     a, u = _source(a, u)
+    if a.is_zero():
+        return None
     spec = u.spec
-    work = np.empty(spec.half_shape, dtype=complex)
+    work = np.empty(u._held_spectrum().shape[1:], dtype=complex)
     total = None
     for r, hat in _image_rows(a, u, lambda r: work):
         first = total is None
@@ -559,8 +605,6 @@ def _image_squares(
             total = np.empty(spec.shape)
         _add_squares(_invert(spec, hat, total if first else None), total, first,
                      None if weights is None else weights[r])
-    if total is None:
-        total = np.zeros(spec.shape)
     return total
 
 

@@ -11,6 +11,9 @@ import numpy as np
 
 from .grid import GridField, GridSpec
 
+# Points per chunk of the p = 3/2 norm: 512 KiB of square roots.
+NORM_CHUNK = 2**16
+
 
 def lp_norm(u: GridField, p: float) -> float:
     """Riemann sum of |u|^p to the power 1/p, over the field's cached
@@ -22,14 +25,22 @@ def magnitude_norm(spec: GridSpec, mag: np.ndarray, p: float) -> float:
     """Riemann sum of mag^p to the power 1/p for a pointwise magnitude of
     shape spec.shape; p = 1, 3/2 and 2 avoid the general power.  The
     products are summed by ``einsum``, whose order of summation does not
-    depend on the number of BLAS threads, as ``np.dot``'s does."""
+    depend on the number of BLAS threads, as ``np.dot``'s does.  For
+    p = 3/2 the square roots are taken ``NORM_CHUNK`` points at a time into
+    one chunk buffer, and the chunk sums added in order, so no second grid
+    is held."""
     if p < 1:
         raise ValueError("p must be at least 1")
     mag = mag.ravel()
     if p == 1:
         total = mag.sum()
     elif p == 1.5:
-        total = np.einsum("i,i->", mag, np.sqrt(mag))
+        roots = np.empty(min(NORM_CHUNK, mag.size))
+        total = 0.0
+        for lo in range(0, mag.size, NORM_CHUNK):
+            chunk = mag[lo: lo + NORM_CHUNK]
+            root = np.sqrt(chunk, out=roots[: chunk.size])
+            total += np.einsum("i,i->", chunk, root)
     elif p == 2:
         total = np.einsum("i,i->", mag, mag)
     else:

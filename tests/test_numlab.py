@@ -49,10 +49,11 @@ from symlab.numlab import (
     symbol_on_grid,
 )
 from symlab.numlab.blowup import blowup_direction, cutoff_l1
-from symlab.numlab.experiments import _newton_point
+from symlab.numlab.experiments import _image_l1, _newton_point, _symmetric_gradient_magnitude
 from symlab.numlab.fields import newton_gradient_field, radial_cutoff_test_function
 from symlab.numlab import grid
 from symlab.numlab.grid import _invert, half_box_shift, zero_nyquist
+from symlab.numlab.norms import NORM_CHUNK, magnitude_norm
 from test_exact_symbol import ref_evaluate
 
 
@@ -382,15 +383,16 @@ def count_transforms(monkeypatch):
 
 
 def test_newton_point_transform_count(monkeypatch):
-    # Backward transforms only, one per component of an image of the
-    # potential: three for the field (the gradient), one for the divergence
-    # (the Laplacian) and none for the curl (the zero symbol).  Each is
-    # n - 1 = 2 complex passes in place on one work buffer and one real
-    # pass; no forward transform, no full complex one and no irfftn.
+    # Backward transforms only, one per image of the potential: one for the
+    # field's magnitude (d_2 phi, the other partials being its transposes),
+    # one for the divergence (the Laplacian) and none for the curl (the
+    # zero symbol).  Each is n - 1 = 2 complex passes in place on one work
+    # buffer and one real pass; no forward transform, no full complex one
+    # and no irfftn.
     calls = count_transforms(monkeypatch)
     row = _newton_point(16, 0.4)
     assert np.isfinite(row["ratio"]) and row["curl_l1"] == 0.0
-    assert calls == {"irfft": 4, "ifft": 8}
+    assert calls == {"irfft": 2, "ifft": 4}
 
 
 def test_operator_made_field_is_lazy_and_composes(monkeypatch):
@@ -424,6 +426,26 @@ def test_zero_composite_measures_as_zero_without_transforms(monkeypatch):
     assert np.array_equal(image_magnitude(exterior_d(3, 1).operator, grad), zero)
     assert lp_norm(curl, 1.0) == 0.0 and curl.boundary_tail() == 0.0
     assert calls == {}
+
+
+def test_zero_composite_l1_allocates_nothing():
+    # The L1 norm of the zero symbol is 0.0 with no grid allocated: a zeroed
+    # accumulator on 64^3 would take 2 MiB.
+    spec = GridSpec(3, 64, 8.0)
+    grad = newton_gradient_field(spec, 0.4)
+    curl = exterior_d(3, 1).operator
+    assert traced_peak(lambda: _image_l1(curl, grad)) < 2**14
+    assert _image_l1(curl, grad) == 0.0
+
+
+@pytest.mark.parametrize("size, box", [(16, 8.0), (32, 8.0), (64, 8.0), (32, 6.0)])
+def test_symmetric_newton_magnitude_is_the_three_row_magnitude(size, box):
+    # |grad phi| from (d_2 phi)^2 and its two transposes is the magnitude of
+    # the gradient field measured row by row, to rounding.
+    u = newton_gradient_field(GridSpec(3, size, box), 0.4)
+    symmetric = _symmetric_gradient_magnitude(u)
+    reference = u.magnitude()  # image_magnitude of the three-row gradient of phi
+    assert np.abs(symmetric - reference).max() <= 1e-12 * reference.max()
 
 
 def test_apply_symbol_checks_dimensions_when_it_records():
@@ -557,10 +579,10 @@ def test_synthesized_values_are_read_only():
 @pytest.mark.parametrize("band", [0, 1, 2, 3, 4, 5])
 def test_invert_of_a_banded_spectrum_is_irfftn(n, size, band, monkeypatch):
     # Spectra whose last-axis columns vanish from ``band`` on (an all-zero
-    # spectrum for band 0, no zero column for the largest band): the complex
-    # passes skip the zero columns and the result is still irfftn, in one
-    # slab and in slabs of three rows, written into ``out`` or yielded from
-    # the slab buffer.
+    # spectrum for band 0, no zero column for the largest band), in a work
+    # buffer of every column and in one held to the band (at least one
+    # column): the result is irfftn, in one slab and in slabs of three rows,
+    # written into ``out`` or yielded from the slab buffer.
     spec = GridSpec(n, size, 3.0)
     hat = random_spectrum(spec, 1, seed=band)[0]
     hat[..., band:] = 0.0
@@ -568,19 +590,20 @@ def test_invert_of_a_banded_spectrum_is_irfftn(n, size, band, monkeypatch):
     for slabs in (1, 3):
         if slabs == 3:
             three_row_slabs(monkeypatch, spec)
-        out = np.empty(spec.shape)
-        yielded = [(rows, values.base is out) for rows, values in _invert(spec, hat.copy(), out)]
-        assert np.array_equal(out, expected)
-        assert all(in_out for _, in_out in yielded)
-        lengths = [rows.stop - rows.start for rows, _ in yielded]
-        if slabs == 3 and n > 1:
-            assert len(lengths) >= 3 and lengths[-1] < max(lengths) == 3
-        else:
-            assert lengths == [size]
-        gathered = np.empty(spec.shape)
-        for rows, values in _invert(spec, hat.copy()):
-            gathered[rows] = values
-        assert np.array_equal(gathered, expected)
+        for work in (hat, hat[..., : max(band, 1)]):
+            out = np.empty(spec.shape)
+            yielded = [(rows, values.base is out) for rows, values in _invert(spec, work.copy(), out)]
+            assert np.array_equal(out, expected)
+            assert all(in_out for _, in_out in yielded)
+            lengths = [rows.stop - rows.start for rows, _ in yielded]
+            if slabs == 3 and n > 1:
+                assert len(lengths) >= 3 and lengths[-1] < max(lengths) == 3
+            else:
+                assert lengths == [size]
+            gathered = np.empty(spec.shape)
+            for rows, values in _invert(spec, work.copy()):
+                gathered[rows] = values
+            assert np.array_equal(gathered, expected)
 
 
 def traced_peak(call):
@@ -717,6 +740,36 @@ def test_from_spectrum_of_band_limited_zero_and_nyquist_inputs(n, size):
         assert np.array_equal(u.values, expected)
 
 
+@pytest.mark.parametrize("n, size", [(1, 16), (2, 16), (3, 8), (4, 8)])
+@pytest.mark.parametrize("cut", [1, 2, -1, 0])
+def test_narrow_spectrum_is_its_zero_padded_input(n, size, cut):
+    # A spectrum held to its first ``band`` columns (band N/2 + 1 for cut 0,
+    # N/2 for cut -1) gives the field of its zero-padded input bit for bit:
+    # values, magnitude, the spectrum read back and an image.
+    spec = GridSpec(n, size, 3.0)
+    band = spec.half_shape[-1] + cut if cut <= 0 else cut
+    hat = banded_spectrum(spec, 2, band, seed=band)
+    narrow = GridField.from_spectrum(spec, hat[..., :band].copy())
+    padded = GridField.from_spectrum(spec, hat.copy())
+    assert narrow._hat.shape[-1] == band
+    assert np.array_equal(narrow.spectrum(), padded.spectrum())
+    assert np.array_equal(narrow.magnitude(), padded.magnitude())
+    # The gradient of the second component.
+    op = gradient(n).operator.compose(SymbolOperator.from_entries(n, 2, 1, 0, {((0,) * n, 0, 1): 1}))
+    assert np.array_equal(image_magnitude(op, narrow), image_magnitude(op, padded))
+    image = apply_symbol(op, narrow)
+    assert np.array_equal(image.spectrum(), apply_symbol(op, padded).spectrum())
+    assert np.array_equal(image.magnitude(), image_magnitude(op, padded))
+    assert np.array_equal(narrow.values, padded.values)
+
+
+def test_from_spectrum_refuses_a_band_outside_the_half_spectrum():
+    spec = GridSpec(2, 8, 3.0)
+    for shape in ((1, 8, 0), (1, 8, 6), (1, 4, 5)):
+        with pytest.raises(ValueError, match="does not end in"):
+            GridField.from_spectrum(spec, np.zeros(shape, dtype=complex))
+
+
 def full_grid_image(op, u):
     # Reference: every row of the image spectrum on the whole half grid.
     rows = np.zeros((op.dim_e,) + u.spec.half_shape, dtype=complex)
@@ -760,6 +813,38 @@ def test_supports_are_evaluated_on_their_box_only(monkeypatch):
     sizes.clear()
     radial_cutoff_test_function(GridSpec(2, 512, 40.0), 1.0)
     assert sizes == [("smoothstep", 2809)]
+
+
+def test_three_halves_norm_in_chunks():
+    # The p = 3/2 norm takes its square roots one chunk at a time: it
+    # agrees with the one-pass sum to rounding and holds no second grid.
+    spec = GridSpec(2, 1024, 4.0)
+    mag = np.abs(np.random.default_rng(3).standard_normal(spec.shape))
+    whole = float((spec.cell_volume * np.einsum("i,i->", mag.ravel(), np.sqrt(mag.ravel()))) ** (2 / 3))
+    assert math.isclose(magnitude_norm(spec, mag, 1.5), whole, rel_tol=1e-13)
+    assert traced_peak(lambda: magnitude_norm(spec, mag, 1.5)) < 8 * NORM_CHUNK + 2**14
+
+
+def test_band_limited_spectra_are_held_to_their_band(monkeypatch):
+    # On 1024^2 (box 4) the blowup window at scale 4 lives on the first 32
+    # of 513 columns and the cutoff on the first 8; the image of u is built
+    # at the width of u.
+    from symlab.numlab import blowup
+
+    op, spec = laplacian(2).operator, GridSpec(2, 1024, 4.0)
+    u = build_blowup_field(op, 4.0, spec, solve_symbol_directions(op, spec, [1.0], 8.0))
+    assert u._held_spectrum().shape == (1, 1024, 32)
+    assert apply_symbol(op, u)._held_spectrum().shape == (1, 1024, 32)
+    shapes = []
+    original = GridField.from_spectrum
+
+    def recorded(spec, hat):
+        shapes.append(hat.shape)
+        return original(spec, hat)
+
+    monkeypatch.setattr(blowup.GridField, "from_spectrum", recorded)
+    cutoff_l1(spec)
+    assert shapes == [(1, 1024, 8)]
 
 
 THREADED_NORM = """

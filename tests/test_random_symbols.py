@@ -3,9 +3,11 @@
 ``random_symbol`` draws n in {2, 3}, dim V <= 3, dim E <= 4, order 1 or 2
 and every coefficient in {-2, ..., 2}.  Each verdict of the corpus must pass
 its verifier, a certified ELLIPTIC must have full rank at random rational
-directions and a NOT_ELLIPTIC kernel vector must be one, both checked on
-A(xi) formed here from ``SymbolOperator.apply`` and not from the integer
-rows the deciders use.
+directions, a NOT_ELLIPTIC kernel vector must be one, and every membership
+witness (u, p) of a certified NOT_CANCELING must give A(xi) u(xi) =
+p(xi) e with p(xi) > 0 at random rational directions, all checked on
+A(xi) formed here from ``SymbolOperator.apply`` and on u and p through
+``Polynomial.evaluate``, not on the integer rows the deciders use.
 """
 
 import random
@@ -13,6 +15,7 @@ from fractions import Fraction as F
 
 from symlab.deciders import (
     ELLIPTIC,
+    NOT_CANCELING,
     NOT_ELLIPTIC,
     check_canceling,
     check_cocanceling,
@@ -48,6 +51,14 @@ def matrix_at(a: SymbolOperator, xi) -> list[list[F]]:
     return [list(row) for row in zip(*cols)]
 
 
+def random_direction(rng: random.Random, n: int) -> list[F]:
+    """A nonzero rational direction with entries p / q, |p| <= 9, 1 <= q <= 9."""
+    while True:
+        xi = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+        if any(xi):
+            return xi
+
+
 def test_random_corpus_verdicts_verify_and_hold():
     rng = random.Random(7)
     counts: dict = {}
@@ -57,19 +68,30 @@ def test_random_corpus_verdicts_verify_and_hold():
         counts[v.status] = counts.get(v.status, 0) + 1
         if v.status == ELLIPTIC:
             for _ in range(5):
-                xi = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(a.n)]
-                if any(xi):
-                    assert kernel_basis(matrix_at(a, xi), a.dim_v).dim == 0, (a, xi)
+                xi = random_direction(rng, a.n)
+                assert kernel_basis(matrix_at(a, xi), a.dim_v).dim == 0, (a, xi)
         elif v.status == NOT_ELLIPTIC:
             assert any(v.witness_xi) and any(v.witness_v)
             rows = matrix_at(a, v.witness_xi)
             assert all(sum(x * y for x, y in zip(r, v.witness_v)) == 0 for r in rows), a
         c = check_canceling(a, seed=0)
         assert verify_canceling(a, c), a
+        counts[c.status] = counts.get(c.status, 0) + 1
+        if c.status == NOT_CANCELING:
+            assert c.memberships, a
+            for _ in range(5):
+                xi = random_direction(rng, a.n)
+                rows = matrix_at(a, xi)
+                for m in c.memberships:
+                    u = [q.evaluate(xi) for q in m.u]
+                    p = m.p.evaluate(xi)
+                    assert p > 0, (a, xi, m)
+                    assert [sum(x * y for x, y in zip(r, u)) for r in rows] == [
+                        p * F(x) for x in m.e], (a, xi, m)
         k = check_cocanceling(a)
         assert verify_cocanceling(a, k), a
-    # Each status of ellipticity occurs, so none of the checks above is idle.
-    assert counts.get(ELLIPTIC, 0) > 0 and counts.get(NOT_ELLIPTIC, 0) > 0, counts
+    # Each status checked above occurs, so none of the checks is idle.
+    assert all(counts.get(s, 0) > 0 for s in (ELLIPTIC, NOT_ELLIPTIC, NOT_CANCELING)), counts
 
 
 def test_the_budget_reaches_the_deepest_cover_of_the_corpus():
