@@ -2,17 +2,18 @@
 
 Every spectral step evaluates the symbol on the grid through
 ``grid.symbol_on_grid``: ``apply_symbol``, ``image_squares`` (and
-``image_magnitude`` and ``derivative_magnitude`` through it) and the
-blowup direction solve.  ``apply_symbol`` makes an operator-made field
+``image_magnitude`` and ``derivative_magnitude`` through it), ``image_l1``
+and the blowup direction solve.  ``apply_symbol`` makes an operator-made field
 that records the operator and its source and transforms nothing; applied
 to an operator-made field B(D)v it records the exact composite symbol
-(``SymbolOperator.compose``) on v.  ``image_squares`` streams an image row
-by row into its pointwise squared magnitude, for every image the
-experiments only measure (the right-hand sides of the inequality
-families, the duality residual, the blowup image A(D)u and the one
-partial derivative of the newton potential), and measures an image of
-B(D)v through the composite: the curl of the newton gradient field and
-the divergence of the planar curl field are the zero symbol, measured as
+(``SymbolOperator.compose``) on v.  Every image the experiments only
+measure is reduced slab by slab from its rows: ``image_l1`` roots and sums
+each slab of the squared magnitude (the right-hand sides of the inequality
+families, the duality residual and the blowup image A(D)u), and
+``image_squares`` gathers the slabs into a grid (the one partial
+derivative of the newton potential).  An image of B(D)v is measured
+through the composite: the curl of the newton gradient field and the
+divergence of the planar curl field are the zero symbol, measured as
 exact zeros with no transform and, for their L1 norms, no grid
 allocated.  A field built from a spectrum (the newton potential, the
 blowup field) or by an operator synthesizes its values only when they are
@@ -24,8 +25,9 @@ their support and are exact zeros elsewhere; every coordinate grid of a
 test field is sparse, one broadcast axis each.  The blowup field and the
 cutoff are held to their band: their half spectra stop after the last
 column of the last axis inside the support, and every transform, image
-and symbol evaluation of them runs at that width, the real inverse pass
-zero-padding the rest.  The newton potential is symmetric under
+and symbol evaluation of them runs at that width; the real inverse pass
+runs on each slab copied into a zeroed full-width slab buffer, not on the
+band zero-padded by ``irfft``.  The newton potential is symmetric under
 permutations of the axes, so the magnitude of its gradient takes one
 inverse transform, of the last partial derivative, and two transposes of
 its square.

@@ -13,8 +13,8 @@ experiments chart that growth.
 One path: ``blowup_direction`` validates e once against both certified
 verdicts, ``solve_symbol_directions`` and ``cutoff_l1`` run once per grid,
 and ``build_blowup_field`` builds only u at each scale.  The image A(D)u
-is never built here: the experiment measures it with
-``grid.image_squares`` like every other image it only measures.
+is never built here: the experiment reduces its L1 norm slab by slab
+(``grid.image_l1``), like every other image it only measures.
 
 Every support here is compact: the cutoff vanishes for |xi| >= 2 and the
 window at scale s for |xi| >= 2 s.  Each is evaluated only on the box of

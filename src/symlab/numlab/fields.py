@@ -109,19 +109,19 @@ def newton_gradient_field(spec: GridSpec, eps: float) -> GridField:
     # constant mode removed.  The shift by half the box, which puts the
     # singular core at the box center rather than the corner, is (-1)^m_i on
     # axis i, and the Gaussian mollifier is a product over the axes too:
-    # both are built from one 1-d factor per axis.
-    factor = 1.0
-    for sign, x in zip(half_box_shift(spec), xi):
-        factor = factor * (sign * np.exp(-pi * eps**2 * x**2))
-    r2 = sum(x**2 for x in xi)
-    origin = tuple(0 for _ in range(spec.n))
-    r2[origin] = 1.0
-    factor /= r2
-    factor[origin] = 0.0
-    spectrum = np.empty((1,) + factor.shape, dtype=complex)
-    np.multiply(factor, -1.0 / (4.0 * pi**2), out=spectrum[0].real)
-    spectrum[0].imag = 0.0
-    return apply_symbol(_GRADIENT_3, GridField.from_spectrum(spec, spectrum))
+    # both are built from one 1-d factor per axis.  The grid-size work is
+    # three passes over one real buffer (|xi|^2, the first two factors over
+    # it, the scale by the last) and its copy into the complex spectrum.
+    f0, f1, f2 = (sign * np.exp(-pi * eps**2 * x**2)
+                  for sign, x in zip(half_box_shift(spec), xi))
+    real = np.empty(spec.half_shape)
+    np.add(xi[0] ** 2 + xi[1] ** 2, xi[2] ** 2, out=real)
+    origin = (0, 0, 0)
+    real[origin] = 1.0
+    np.divide(f0 * f1, real, out=real)
+    real *= f2 * (-1.0 / (4.0 * pi**2))
+    real[origin] = 0.0
+    return apply_symbol(_GRADIENT_3, GridField.from_spectrum(spec, real.astype(complex)[None]))
 
 
 def radial_cutoff_test_function(
@@ -153,14 +153,18 @@ def radial_cutoff_test_function(
     diffs = [restrict(d, box) for d in offsets]
     r = np.sqrt(sum(d**2 for d in diffs))
     r_safe = np.where(r == 0, 1.0, r)
-    s = r_safe**lam
+    with np.errstate(over="ignore"):  # r^lam = inf lies beyond the ramp
+        s = r_safe**lam
     # Profile psi: 1 on [0,1], 0 on [2,inf); phi = psi(r^lam).
     phi = np.zeros(spec.shape)
     phi[inside] = np.where(r == 0, 1.0, smoothstep(2.0 - s))
     # d phi / dr = psi'(s) * lam * r^(lam-1) with psi(s) = smoothstep(2-s).
+    # The power is taken on the ramp only, where psi' != 0 and r^lam < 2:
+    # elsewhere a large lam overflows it, and 0 * inf would be NaN.  r = 0
+    # (r_safe = 1, s = 1) is off the ramp.
     sp = -smoothstep_deriv(2.0 - s)
-    dphi_dr = sp * lam * r_safe ** (lam - 1.0)
-    dphi_dr = np.where(r == 0, 0.0, dphi_dr)
+    dphi_dr = np.power(r_safe, lam - 1.0, where=sp != 0.0, out=np.zeros_like(sp))
+    dphi_dr *= sp * lam
     grads = [dphi_dr * d / r_safe for d in diffs]
     grad_power = np.zeros(spec.shape)
     grad_power[inside] = np.sqrt(sum(g**2 for g in grads)) ** spec.n

@@ -20,10 +20,12 @@ one preallocated array.  ``_invert`` is the one inverse path.  The complex
 pass over axis 0 needs whole columns and runs in place on one work buffer
 as wide as the spectrum held; the rest runs slab by slab along axis 0,
 each slab at most ``SLAB_BYTES`` of full half spectrum: the complex passes
-over axes 1 .. n - 2, the real pass, which zero-pads the columns above the
-band (``irfft(..., n=N)``), and the scale.  Each slab of values goes into
-the caller's output or into one reused slab buffer, so a caller that only
-squares and adds the values never holds a second full grid of them.
+over axes 1 .. n - 2, the real pass and the scale.  A band-held slab is
+copied into one zeroed full-width slab buffer for the real pass, rather
+than zero-padded by ``irfft(..., n=N)``, which runs slower on a narrow
+input.  Each slab of values goes into the caller's output or into one
+reused slab buffer, so a caller that only squares and adds the values
+never holds a second full grid of them.
 
 A ``GridField`` is one of three kinds.  A field built from values
 transforms forward once, when an operator first reads its spectrum.  A
@@ -45,15 +47,20 @@ for it.
 ``symbol_on_grid`` is the one place that evaluates a symbol sum_alpha
 xi^alpha A_alpha at the grid frequencies, and ``_image_rows`` the one place
 that multiplies a spectrum by it, one row of the image at a time.  An
-operator-made field collects the rows into its spectrum;
-``image_magnitude`` inverts each row in its work buffer as soon as it is
-built and adds its weighted square to one accumulator slab by slab, so an
-image that is only measured is never materialized and no row of it is held
-in full.  Measured on an operator-made field B(D)v, A(D)B(D)v is one image
-of v through the composite A B: the newton gradient field is grad(D) phi,
-so its divergence is the Laplacian of phi, one transform, and its curl is
-the zero symbol, for which ``image_squares`` allocates nothing and
-transforms nothing.  ``derivative_magnitude`` measures the image of the
+operator-made field collects the rows into its spectrum; a measured image
+is reduced slab by slab (``_image_slabs``): each row is inverted in its
+work buffer as soon as it is built, every row but the last adds its
+weighted square to one accumulator slab by slab, and the last row's
+squared slabs are added to the accumulator's rows and handed on while
+still in cache.  ``image_squares`` (and ``image_magnitude``) gathers them
+in its result; ``image_l1`` roots and sums each slab, so an image that is
+only measured is never materialized, no row of it is held in full and a
+single-row image holds no grid at all.  Measured on an operator-made field
+B(D)v, A(D)B(D)v is one image of v through the composite A B: the newton
+gradient field is grad(D) phi, so its divergence is the Laplacian of phi,
+one transform, and its curl is the zero symbol, for which
+``image_squares`` and ``image_l1`` allocate nothing and transform
+nothing.  ``derivative_magnitude`` measures the image of the
 operator stacking all partial derivatives of one order, and the blowup
 direction solve reads its per-frequency matrices from ``symbol_on_grid``.
 
@@ -337,7 +344,9 @@ class GridField:
                 work = np.empty(self._held_spectrum().shape[1:], dtype=complex)
                 mag = np.empty(self.spec.shape)
                 for c in range(self.components):
-                    _add_squares(self._synthesize(c, work, None if c else mag), mag, c == 0)
+                    for _ in _squares(self._synthesize(c, work, None if c else mag),
+                                      mag if c else None):
+                        pass
             else:
                 mag = np.square(self._values[0])
                 square = None
@@ -443,42 +452,56 @@ def _invert(
 
     ``work`` may stop short of N/2 + 1 columns on the last axis, as a
     spectrum held to its band does: the complex passes run on the columns
-    it has, and the real pass (``irfft(..., n=N)``) zero-pads the rest.
-    The pass over axis 0 needs whole columns and runs first, on the whole
-    buffer.  Each slab of axis 0 then runs the passes over axes 1 .. n - 2,
-    the real pass and the scale; for n = 1 the one slab is the whole grid."""
+    it has, and each slab's band is then copied into one zeroed full-width
+    slab buffer, whose columns above the band are never written, for the
+    real pass; ``irfft(..., n=N)`` zero-padding a narrow slab itself runs
+    slower.  The pass over axis 0 needs whole columns and runs first, on
+    the whole buffer.  Each slab of axis 0 then runs the passes over axes
+    1 .. n - 2, the real pass and the scale; for n = 1 the one slab is the
+    whole grid."""
     if spec.n == 1:
         step = spec.size
     else:
         np.fft.ifft(work, axis=0, out=work)
         step = _slab_rows(spec)
     buffer = np.empty((min(step, spec.size),) + spec.shape[1:]) if out is None else None
+    band = work.shape[-1]
+    padded = None
+    if band < spec.half_shape[-1]:
+        padded = np.zeros(work[:step].shape[:-1] + spec.half_shape[-1:], dtype=complex)
     for lo in range(0, spec.size, step):
         hi = min(lo + step, spec.size)
         rows = slice(lo, hi)
         columns = work[rows]
         for ax in range(1, spec.n - 1):
             np.fft.ifft(columns, axis=ax, out=columns)
+        if padded is not None:
+            full = padded[: hi - lo]
+            full[..., :band] = columns
+            columns = full
         values = buffer[: hi - lo] if out is None else out[rows]
         np.fft.irfft(columns, n=spec.size, axis=spec.n - 1, out=values)
         values *= spec.synthesis_scale
         yield rows, values
 
 
-def _add_squares(
-    slabs: Iterator[tuple[slice, np.ndarray]], total: np.ndarray, in_total: bool,
+def _squares(
+    slabs: Iterator[tuple[slice, np.ndarray]], total: Optional[np.ndarray] = None,
     weight: Optional[int] = None,
-) -> None:
-    """Square each slab of values in place, times ``weight`` when given, and
-    add it to its rows of ``total``; slabs that were written into ``total``
-    itself (``in_total``) are left there.  The slab views end with the call,
-    so a slab buffer never outlives its transform."""
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Square each slab of values in place, times ``weight`` when given,
+    and add it to its rows of ``total`` when given (slabs written into an
+    accumulator itself come without it).  Yields (rows, the sum so far on
+    those rows): ``total[rows]``, or the squared slab without ``total``,
+    which the transform's next slab may overwrite."""
     for rows, values in slabs:
         np.square(values, out=values)
         if weight is not None:
             values *= weight
-        if not in_total:
+        if total is not None:
             total[rows] += values
+            values = total[rows]
+        yield rows, values
 
 
 def symbol_on_grid(
@@ -588,24 +611,68 @@ def image_squares(
     """sum_r w_r (A(D)u)_r^2, the square of ``image_magnitude``, or None
     when the symbol (the composite, for a field u made by B(D) from v) has
     no nonzero entry: then nothing is allocated and nothing transformed.
-    Each row spectrum is built in one work buffer, as wide as the spectrum
-    of the source, and inverted in place: the first row into the
-    accumulator, where it is squared and weighted, every later row slab by
-    slab, each slab's weighted square added to the accumulator.  Neither
-    the image nor a full row of its values is ever held."""
+    The slabs of ``_image_slabs`` are gathered in the result itself, which
+    is the accumulator of a multi-row image and into which a single-row
+    image is inverted."""
     a, u = _source(a, u)
     if a.is_zero():
         return None
+    total = np.empty(u.spec.shape)
+    for _ in _image_slabs(a, u, weights, total):
+        pass
+    return total
+
+
+def image_l1(
+    a: SymbolOperator, u: GridField, weights: Optional[Sequence[int]] = None
+) -> float:
+    """The sum of ``image_magnitude(a, u, weights)`` over the grid, the L1
+    norm of A(D)u over the cell volume, without a grid of the magnitude:
+    each slab of ``_image_slabs`` is rooted and summed in place, and the
+    slab sums added in slab order.  A single-row image then holds no grid
+    of values at all.  0.0 for a zero symbol, with nothing allocated."""
+    a, u = _source(a, u)
+    total = 0.0
+    if not a.is_zero():
+        for _, slab in _image_slabs(a, u, weights):
+            total += float(np.sqrt(slab, out=slab).sum())
+    return total
+
+
+def _image_slabs(
+    a: SymbolOperator, u: GridField, weights: Optional[Sequence[int]] = None,
+    out: Optional[np.ndarray] = None,
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """sum_r w_r (A(D)u)_r^2 slab by slab along axis 0, for a nonzero A and
+    a u that holds data (as ``_source`` returns them): yields (rows, the
+    squared magnitude on those rows).  Each row spectrum is built in one
+    work buffer, as wide as the spectrum of u, and inverted in place.
+    Every row but the last accumulates in one grid accumulator, ``out``
+    when given: the first is inverted into it and squared there, every
+    later one slab by slab, each slab's weighted square added to it.  The
+    last row's slabs are squared, weighted, added to the accumulator's rows
+    and yielded while they are still in cache.  A single-row image has no
+    accumulator: its slabs are inverted into ``out`` when given, else into
+    one reused slab buffer.  Neither the image nor a full row of its values
+    is ever held."""
     spec = u.spec
+    # The last row that ``symbol_on_grid`` yields: a stored numerator is
+    # never zero.
+    last = max(r for _, rows in a.terms for r, row in enumerate(rows) if row)
     work = np.empty(u._held_spectrum().shape[1:], dtype=complex)
     total = None
     for r, hat in _image_rows(a, u, lambda r: work):
-        first = total is None
-        if first:
-            total = np.empty(spec.shape)
-        _add_squares(_invert(spec, hat, total if first else None), total, first,
-                     None if weights is None else weights[r])
-    return total
+        weight = None if weights is None else weights[r]
+        if total is None and r < last:
+            total = np.empty(spec.shape) if out is None else out
+            slabs = _squares(_invert(spec, hat, total), weight=weight)
+        else:
+            slabs = _squares(_invert(spec, hat, out if total is None else None), total, weight)
+        if r < last:
+            for _ in slabs:
+                pass
+        else:
+            yield from slabs
 
 
 def derivative_magnitude(u: GridField, order: int) -> np.ndarray:

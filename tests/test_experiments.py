@@ -251,6 +251,10 @@ def test_unread_options_refused(tmp_path, capsys, kind, option):
     ["necessity", "--grid", "16,40"],
     ["duality", "--grid", "8,40"],
     ["duality", "--grid", "16,40"],
+    # Exponents so large that r^(lambda - 1) overflows off the ramp (it
+    # used to meet a zero derivative there and give NaN rows).
+    ["necessity", "--lambda", "1e200", "--grid", "64,40"],
+    ["duality", "--lambda", "1e308"],
     # Boxes whose cell volume or synthesis scale under- or overflows.
     ["duality", "--grid", "512,1e-300"],
     ["blowup", "--op", "catalog:laplacian?n=2", "--e", "1", "--ell", "1", "--grid", "8,1e-300"],

@@ -52,7 +52,7 @@ from symlab.numlab.blowup import blowup_direction, cutoff_l1
 from symlab.numlab.experiments import _image_l1, _newton_point, _symmetric_gradient_magnitude
 from symlab.numlab.fields import newton_gradient_field, radial_cutoff_test_function
 from symlab.numlab import grid
-from symlab.numlab.grid import _invert, half_box_shift, zero_nyquist
+from symlab.numlab.grid import _invert, half_box_shift, image_l1, zero_nyquist
 from symlab.numlab.norms import NORM_CHUNK, magnitude_norm
 from test_exact_symbol import ref_evaluate
 
@@ -485,6 +485,28 @@ def test_image_magnitude_in_three_row_slabs(op, spec, monkeypatch):
     assert np.array_equal(apply_symbol(op, u).magnitude(), expected)
 
 
+@pytest.mark.parametrize("n, size", [(1, 16), (2, 16), (3, 8), (4, 8)])
+@pytest.mark.parametrize("slabs", [1, 3])
+def test_image_l1_is_the_l1_norm_of_the_image_magnitude(n, size, slabs, monkeypatch):
+    # Reduced slab by slab, the L1 norm agrees with the one of the gathered
+    # magnitude to rounding: one row and several (one for n = 1), weighted
+    # rows, a source held to a band of two columns and an operator-made
+    # source (the gradient of a divergence, one composite symbol).
+    spec = GridSpec(n, size, 3.0)
+    if slabs == 3:
+        three_row_slabs(monkeypatch, spec)
+    v = random_field(spec, 1, seed=n)
+    held = GridField.from_spectrum(spec, banded_spectrum(spec, 1, 2, seed=n)[..., :2].copy())
+    made = apply_symbol(divergence(n).operator, random_field(spec, n, seed=n + 1))
+    last = SymbolOperator.from_entries(n, 1, 1, 1, {((0,) * (n - 1) + (1,), 0, 0): 1})
+    grad = gradient(n).operator
+    cases = [(last, v, None), (grad, v, None), (grad, v, [1, 2, 3, 4][:n]),
+             (grad, held, None), (grad, made, None)]
+    for op, u, weights in cases:
+        expected = magnitude_norm(spec, image_magnitude(op, u, weights), 1.0)
+        assert math.isclose(spec.cell_volume * image_l1(op, u, weights), expected, rel_tol=1e-12)
+
+
 def test_image_magnitude_of_an_all_zero_symbol_is_zero():
     spec = GridSpec(2, 16, 8.0)
     op = SymbolOperator.zero(2, 1, 2, 1)
@@ -579,18 +601,30 @@ def test_synthesized_values_are_read_only():
 @pytest.mark.parametrize("band", [0, 1, 2, 3, 4, 5])
 def test_invert_of_a_banded_spectrum_is_irfftn(n, size, band, monkeypatch):
     # Spectra whose last-axis columns vanish from ``band`` on (an all-zero
-    # spectrum for band 0, no zero column for the largest band), in a work
-    # buffer of every column and in one held to the band (at least one
-    # column): the result is irfftn, in one slab and in slabs of three rows,
-    # written into ``out`` or yielded from the slab buffer.
+    # spectrum for band 0, no zero column for the largest band), in work
+    # buffers held to 1, 2, N/2 and N/2 + 1 columns and to the band, each
+    # at least as wide as the band: the result is irfftn, in one slab and in
+    # slabs of three rows, written into ``out`` or yielded from the slab
+    # buffer.
     spec = GridSpec(n, size, 3.0)
     hat = random_spectrum(spec, 1, seed=band)[0]
     hat[..., band:] = 0.0
     expected = synthesized(spec, hat[None, ...])[0]
+    # Every real pass runs on N/2 + 1 columns: a narrower work buffer is
+    # padded for it, not zero-padded by irfft.
+    real_pass_widths = set()
+    irfft = np.fft.irfft
+
+    def padded_irfft(a, *args, **kwargs):
+        real_pass_widths.add(a.shape[-1])
+        return irfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", padded_irfft)
+    widths = {w for w in (1, 2, size // 2, size // 2 + 1, band) if w >= max(band, 1)}
     for slabs in (1, 3):
         if slabs == 3:
             three_row_slabs(monkeypatch, spec)
-        for work in (hat, hat[..., : max(band, 1)]):
+        for work in (hat[..., :width] for width in sorted(widths)):
             out = np.empty(spec.shape)
             yielded = [(rows, values.base is out) for rows, values in _invert(spec, work.copy(), out)]
             assert np.array_equal(out, expected)
@@ -604,6 +638,7 @@ def test_invert_of_a_banded_spectrum_is_irfftn(n, size, band, monkeypatch):
             for rows, values in _invert(spec, work.copy()):
                 gathered[rows] = values
             assert np.array_equal(gathered, expected)
+    assert real_pass_widths == {size // 2 + 1}
 
 
 def traced_peak(call):
@@ -616,15 +651,27 @@ def traced_peak(call):
 
 
 def test_newton_point_memory():
-    # The potential's spectrum (1 component), one work buffer, one
-    # accumulator, the Laplacian's symbol on the grid and a slab: on 64^3
-    # one point peaks at about 3.7 real components of the grid.  Holding
+    # The potential's spectrum (1 component), one work buffer, the
+    # Laplacian's symbol on the grid and a slab of its multiplier, while the
+    # divergence row is built: on 64^3 one point peaks at about 3.7 real
+    # components of the grid.  Holding
     # the gradient's spectrum (3 components) instead of the potential's
     # reads about 5.9; synthesizing the field's values and building both
     # images in full, about 16.6.
     size = 64
     peak = traced_peak(lambda: _newton_point(size, 0.4))
     assert peak < 4.25 * 8 * size**3
+
+
+def test_single_row_image_l1_holds_no_grid():
+    # The L1 norm of d_2 phi on 64^3 peaks at its work buffer plus about a
+    # slab of values and NumPy's iteration buffers: the one row is rooted
+    # and summed slab by slab, with no accumulator (2 MiB) to gather it.
+    spec = GridSpec(3, 64, 8.0)
+    u = GridField.from_spectrum(spec, random_spectrum(spec, 1, seed=6))
+    op = SymbolOperator.from_entries(3, 1, 1, 1, {((0, 0, 1), 0, 0): 1})
+    work = 16 * math.prod(spec.half_shape)
+    assert traced_peak(lambda: _image_l1(op, u)) < work + 1.5 * grid.SLAB_BYTES
 
 
 def test_image_magnitude_holds_no_full_row(monkeypatch):
