@@ -1,14 +1,15 @@
 """Floating-point spectral laboratory on periodic boxes.
 
 Every spectral step evaluates the symbol on the grid through
-``grid.symbol_on_grid``: ``apply_symbol``, ``image_squares`` (and
-``image_magnitude`` and ``derivative_magnitude`` through it), ``image_l1``
+``grid.symbol_on_grid``: ``apply_symbol``, ``image_squares``,
+``image_magnitude`` (and ``derivative_magnitude`` through it), ``image_l1``
 and the blowup direction solve.  ``apply_symbol`` makes an operator-made field
 that records the operator and its source and transforms nothing; applied
 to an operator-made field B(D)v it records the exact composite symbol
 (``SymbolOperator.compose``) on v.  Every image the experiments only
 measure is reduced slab by slab from its rows: ``image_l1`` roots and sums
-each slab of the squared magnitude (the right-hand sides of the inequality
+each slab of the squared magnitude, or of a single row's absolute value
+(the right-hand sides of the inequality
 families, the duality residual and the blowup image A(D)u), and
 ``image_squares`` gathers the slabs into a grid (the one partial
 derivative of the newton potential).  An image of B(D)v is measured
@@ -23,14 +24,23 @@ The compactly supported closed forms (the blowup window and cutoff, the
 plateau test functions) are evaluated on the box of indices that holds
 their support and are exact zeros elsewhere; every coordinate grid of a
 test field is sparse, one broadcast axis each.  The blowup field and the
-cutoff are held to their band: their half spectra stop after the last
-column of the last axis inside the support, and every transform, image
-and symbol evaluation of them runs at that width; the real inverse pass
-runs on each slab copied into a zeroed full-width slab buffer, not on the
-band zero-padded by ``irfft``.  The newton potential is symmetric under
-permutations of the axes, so the magnitude of its gradient takes one
-inverse transform, of the last partial derivative, and two transposes of
-its square.
+cutoff are held to their band, and every transform, image and symbol
+evaluation of them runs there.
+
+Fields even or odd in every axis are held, transformed and measured on one
+octant of non-negative frequencies (``grid.GridField.from_octant``): the
+newton potential, the cutoff, and the blowup field and its directions for
+a symbol whose monomials have only even exponents, as the Laplacian's do.
+Only the closed form or the symbol's exponents select it.  Each image of
+such a field through rows of one parity stays on the octant and is
+inverted by one real pass per axis; its magnitude is an octant array,
+whose norms weight each point by its mirror count and whose boundary tail
+reads it as it is.  A row of mixed parity, and every other field, takes
+the half spectrum, where a band-held spectrum's real pass runs on each
+slab copied into a zeroed full-width slab buffer.  The newton potential is
+also symmetric under permutations of the axes, so the magnitude of its
+gradient takes one inverse transform, of the last partial derivative, and
+two transposes of its square.
 """
 
 from .blowup import (

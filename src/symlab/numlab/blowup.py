@@ -22,9 +22,17 @@ frequencies with every |xi_i| below that reach (``grid.support_indices``)
 and is an exact zero elsewhere, as the full-grid formula is there; the
 direction solve runs on the box of the largest scale and carries that
 reach, which ``build_blowup_field`` checks.  The spectra of u and of the
-cutoff are held to their band (``grid.GridField.from_spectrum``): the
-columns of the last axis beyond reach are never stored, and every
-transform and image of u runs on the band only.
+cutoff are held to their band: the frequencies beyond reach are never
+stored, and every transform and image of u runs on the band only.
+
+The cutoff and the window are even in every axis, and so are A(xi) and
+U(xi) when every monomial of A has only even exponents, as the
+Laplacian's do: the symbol's exponents alone decide it (``_even``).  Then
+the direction solve runs on the octant of non-negative frequencies, and u
+is held there (``grid.GridField.from_octant``), as the cutoff always is,
+each held to the band of its support on every axis; every other symbol
+runs on the half spectrum, held to its band on the last axis
+(``grid.GridField.from_spectrum``).
 """
 
 from __future__ import annotations
@@ -79,20 +87,30 @@ def plateau_cutoff(r: np.ndarray) -> np.ndarray:
 def cutoff_l1(spec: GridSpec) -> float:
     """L1 norm of psi, the inverse transform of the plateau cutoff on the
     grid: A(D)u is a difference of two dilates of psi times e, so its L1
-    norm is at most 2 ||psi||_1 |e|.  The cutoff is evaluated where every
-    |xi_i| < 2, its support, and held to that band."""
-    xi = spec.frequency_grids()
+    norm is at most 2 ||psi||_1 |e|.  The cutoff is radial, so even in
+    every axis: it is evaluated on the octant where every |xi_i| < 2, its
+    support, and held to that band."""
+    xi = spec.frequency_grids(octant=True)
     box = support_indices(xi, 2.0)
     r = np.sqrt(sum(restrict(x, box) ** 2 for x in xi))
-    hat = np.zeros((1,) + _band_shape(spec, box), dtype=complex)
-    hat[(0,) + np.ix_(*box)] = plateau_cutoff(r)
-    return lp_norm(GridField.from_spectrum(spec, hat), 1.0)
+    return lp_norm(GridField.from_octant(spec, plateau_cutoff(r)[None, ...]), 1.0)
 
 
-def _band_shape(spec: GridSpec, box: list[np.ndarray]) -> tuple[int, ...]:
-    """The half shape held to the band of ``box`` (from ``support_indices``
-    on ``frequency_grids()``): its last-axis indices are a prefix, as
-    ``rfftfreq`` rises from 0, so the band stops after the last of them."""
+def _even(a: SymbolOperator) -> bool:
+    """Whether every monomial of A has only even exponents: then A(xi) and
+    U(xi) are even in every axis, and the blowup spectra are held on the
+    octant."""
+    return all(e % 2 == 0 for alpha, _ in a.terms for e in alpha)
+
+
+def _band_shape(spec: GridSpec, box: list[np.ndarray], octant: bool) -> tuple[int, ...]:
+    """The shape of a half spectrum or octant held to the band of ``box``
+    (from ``support_indices`` on ``frequency_grids(octant)``): its
+    indices on the last axis, and on every axis of an octant, are a
+    prefix, as ``rfftfreq`` rises from 0, so the band stops after the last
+    of them."""
+    if octant:
+        return tuple(len(index) for index in box)
     return spec.half_shape[:-1] + (len(box[-1]),)
 
 
@@ -101,8 +119,9 @@ class BlowupError(ValueError):
 
 
 class SymbolDirections(NamedTuple):
-    """U(xi) of shape (dimV, *spec.half_shape), solved where every
-    |xi_i| < reach and zero elsewhere."""
+    """U(xi) of shape (dimV, *spec.half_shape), or (dimV,
+    *spec.octant_shape) for a symbol whose monomials have only even
+    exponents, solved where every |xi_i| < reach and zero elsewhere."""
 
     values: np.ndarray
     reach: float
@@ -114,12 +133,14 @@ def solve_symbol_directions(
     """U(xi) with A(xi) U(xi) = e solved through the normal equations at
     every nonzero frequency of the half spectrum with every |xi_i| < reach
     (``math.inf`` for all of them); the zero frequency and the frequencies
-    beyond reach get U = 0."""
-    box = support_indices(spec.frequency_grids(), reach)
+    beyond reach get U = 0.  For a symbol whose monomials have only even
+    exponents the frequencies are those of the octant."""
+    octant = _even(a)
+    box = support_indices(spec.frequency_grids(octant), reach)
     amat = np.zeros(tuple(len(index) for index in box) + (a.dim_e, a.dim_v))
-    for r, c, values in symbol_on_grid(a, spec, len(box[-1])):
+    for r, c, values in symbol_on_grid(a, spec, _band_shape(spec, box, octant), octant):
         amat[..., r, c] = restrict(values, box)
-    u = np.zeros((a.dim_v,) + spec.half_shape)
+    u = np.zeros((a.dim_v,) + (spec.octant_shape if octant else spec.half_shape))
     if amat.size:
         gram = np.einsum("...ev,...ew->...vw", amat, amat)
         rhs = np.einsum("...ev,e->...v", amat, np.asarray(e, dtype=float))
@@ -166,7 +187,8 @@ def build_blowup_field(
     passed ``blowup_direction`` and a reach of at least 2 scale; U(xi) does
     not depend on the scale.  The window is evaluated where every
     |xi_i| < 2 scale, its support, and u is zero outside it: its spectrum
-    is held to the band of that support."""
+    is held to the band of that support, on the octant when every monomial
+    of A has only even exponents."""
     if scale < 2:
         raise BlowupError("scale parameter must be at least 2")
     if spec.nyquist < scale:
@@ -178,16 +200,23 @@ def build_blowup_field(
             f"directions solved within {directions.reach} do not cover the "
             f"window at scale {scale}"
         )
-    xi = spec.frequency_grids()
+    octant = _even(a)
+    xi = spec.frequency_grids(octant)
     box = support_indices(xi, 2.0 * scale)
     r = np.sqrt(sum(restrict(x, box) ** 2 for x in xi))
     window = plateau_cutoff(r / scale) - plateau_cutoff(r * scale)
     # Shift the concentration point to the box center so the boundary shell
     # measures genuine truncation: the shift by half the box is (-1)^m_i on
     # axis i, a real sign applied in place.
-    for sign in half_box_shift(spec):
+    for sign in half_box_shift(spec, octant):
         window *= restrict(sign, box)
     inside = (slice(None),) + np.ix_(*box)
-    u_hat = np.zeros((a.dim_v,) + _band_shape(spec, box), dtype=complex)
-    u_hat[inside] = ((2j * pi) ** (-a.order) * window)[None, ...] * directions.values[inside]
+    unit = (2j * pi) ** (-a.order)
+    if octant:
+        # k is even: (2 pi i)^(-k) is real, and every factor on the octant
+        # is the real part of the full-grid formula's.
+        u_hat = (unit.real * window)[None, ...] * directions.values[inside]
+        return GridField.from_octant(spec, u_hat)
+    u_hat = np.zeros((a.dim_v,) + _band_shape(spec, box, octant), dtype=complex)
+    u_hat[inside] = (unit * window)[None, ...] * directions.values[inside]
     return GridField.from_spectrum(spec, u_hat)

@@ -338,11 +338,12 @@ def _newton_point(size: int, eps: float, box: float = 8.0) -> dict:
 
     spec = GridSpec(3, size, box)
     u = newton_gradient_field(spec, eps)
-    # The images are measured row by row and never built: each row is
-    # inverted in place and its square added into one accumulator slab by
-    # slab, and the curl, the zero symbol, costs nothing.  They are measured
-    # before the field's own magnitude, so that it and an image accumulator
-    # are never held together.
+    # The images are measured on the potential's octant and never built:
+    # the divergence, the Laplacian of phi, is one even row, inverted by one
+    # real pass per axis and summed in absolute value with mirror weights,
+    # and the curl, the zero symbol, costs nothing.  They are measured
+    # before the field's own magnitude, so that it and an image are never
+    # held together.
     div_l1 = _image_l1(divergence(3).operator, u)
     curl_l1 = _image_l1(exterior_d(3, 1).operator, u)
     rhs = div_l1 + curl_l1
@@ -362,12 +363,15 @@ def _symmetric_gradient_magnitude(u: GridField) -> np.ndarray:
     under permutations of the axes, as ``newton_gradient_field`` makes it:
     (d_j phi)^2 is s = (d_2 phi)^2 with axes j and 2 swapped, so |u|^2 is
     s + s.transpose(2, 1, 0) + s.transpose(0, 2, 1), one transform (of the
-    last component) where the magnitude of u takes three.
+    last component) where the magnitude of u takes three.  phi is held on
+    its octant and d_2 phi, odd in the last axis only, stays there: s and
+    the result are octant magnitudes, of spec.octant_shape, a cube that
+    the same swaps map to itself.
 
     The swap of axes 0 and 2 reads s across its rows; (d_0 phi)^2 is taken
     instead as q.transpose(1, 0, 2), q = (d_1 phi)^2 = s.transpose(0, 2, 1)
     copied, which reads whole rows of q: the same by the symmetry, to
-    rounding.  s becomes the result, so s and q are the only grids held."""
+    rounding.  s becomes the result, so s and q are the only arrays held."""
     s = image_squares(_LAST_OF_3, u)
     q = s.transpose(0, 2, 1).copy()
     s += q

@@ -98,30 +98,34 @@ def newton_gradient_field(spec: GridSpec, eps: float) -> GridField:
     mean, and its curl is the zero symbol.
 
     The spectrum of phi is a function of |xi| times the shift
-    (-1)^(m_0 + m_1 + m_2), both unchanged when the integer modes m_i trade
-    places, and the Nyquist mask is the same on every axis; so phi on the
-    grid is symmetric under every permutation of the axes, and d_j phi is
-    d_2 phi with axes j and 2 swapped (up to rounding)."""
+    (-1)^(m_0 + m_1 + m_2): even in every axis, so phi is held on its
+    octant (``GridField.from_octant``), and every image of it through a
+    monomial is even or odd in every axis and measured on the octant too.
+    Both factors are unchanged when the integer modes m_i trade places, and
+    the Nyquist mask is the same on every axis; so phi on the grid is
+    symmetric under every permutation of the axes, and d_j phi is d_2 phi
+    with axes j and 2 swapped (up to rounding)."""
     if spec.n != 3:
         raise ValueError("this family lives on a three-dimensional box")
-    xi = spec.frequency_grids()
-    # The real spectrum of phi, shift moll_hat / (-4 pi^2 |xi|^2), with the
+    xi = spec.frequency_grids(octant=True)
+    # The real octant of phi, shift moll_hat / (-4 pi^2 |xi|^2), with the
     # constant mode removed.  The shift by half the box, which puts the
     # singular core at the box center rather than the corner, is (-1)^m_i on
     # axis i, and the Gaussian mollifier is a product over the axes too:
-    # both are built from one 1-d factor per axis.  The grid-size work is
-    # three passes over one real buffer (|xi|^2, the first two factors over
-    # it, the scale by the last) and its copy into the complex spectrum.
+    # both are built from one 1-d factor per axis.  The work on the octant
+    # is three passes over one real buffer (|xi|^2, the first two factors
+    # over it, the scale by the last), which the field takes over.
     f0, f1, f2 = (sign * np.exp(-pi * eps**2 * x**2)
-                  for sign, x in zip(half_box_shift(spec), xi))
-    real = np.empty(spec.half_shape)
-    np.add(xi[0] ** 2 + xi[1] ** 2, xi[2] ** 2, out=real)
+                  for sign, x in zip(half_box_shift(spec, octant=True), xi))
+    real = np.empty((1,) + spec.octant_shape)
+    phi = real[0]
+    np.add(xi[0] ** 2 + xi[1] ** 2, xi[2] ** 2, out=phi)
     origin = (0, 0, 0)
-    real[origin] = 1.0
-    np.divide(f0 * f1, real, out=real)
-    real *= f2 * (-1.0 / (4.0 * pi**2))
-    real[origin] = 0.0
-    return apply_symbol(_GRADIENT_3, GridField.from_spectrum(spec, real.astype(complex)[None]))
+    phi[origin] = 1.0
+    np.divide(f0 * f1, phi, out=phi)
+    phi *= f2 * (-1.0 / (4.0 * pi**2))
+    phi[origin] = 0.0
+    return apply_symbol(_GRADIENT_3, GridField.from_octant(spec, real))
 
 
 def radial_cutoff_test_function(

@@ -9,30 +9,54 @@ multiplies the FFT by h^n (a Riemann sum for the integral transform),
 synthesis divides by T^n, so a derivative of order alpha is the multiplier
 (2 pi i xi)^alpha.
 
-A spectrum may be held to its band: its last axis stops after the last
-column that holds data, the columns above being zero and never stored.  A
-field built from such a spectrum (``from_spectrum``) holds it so, every
-image of that field is built and inverted at the same width, and the
-symbol is evaluated at that width only.
+A field holds its spectrum in one of three forms:
+
+- the full half spectrum, shape ``spec.half_shape``;
+- the half spectrum held to its band: the last axis stops after the last
+  column that holds data, the columns above being zero and never stored;
+- the octant, for a field even or odd in every axis: a real array on the
+  non-negative frequencies 0 .. N/2 of every axis (``spec.octant_shape``),
+  held to the band of its support on every axis, since in the octant
+  every support is a prefix.  Component c carries its parity p_c (0 even,
+  1 odd, per axis), and its spectrum is i^q_c, q_c the number of odd axes,
+  times the octant mirrored on every axis, with sign -1 on the mirror
+  images of odd axes.  An odd axis holds zero at index 0 and N/2.
+
+A field built from a band-held spectrum (``from_spectrum``) or an octant
+(``from_octant``) holds it so, every image of that field is built and
+inverted in the same form, and the symbol is evaluated there only.  Only a
+closed form or the exponents of a symbol select the octant, never a
+numeric test of symmetry: the builders whose closed form is even in every
+axis (``fields.newton_gradient_field``, ``blowup.cutoff_l1``, and
+``blowup.build_blowup_field`` and ``blowup.solve_symbol_directions`` for a
+symbol whose monomials have only even exponents) build octants, and an
+image of an octant stays one when every row has one parity (monomial
+xi^alpha flips the parity on the axes where alpha is odd).  A row that
+mixes parities expands the source to its half spectrum and takes the half
+path; so does every field built from values or any other spectrum.
 
 Forward transforms run one component at a time, each into its slice of
-one preallocated array.  ``_invert`` is the one inverse path.  The complex
-pass over axis 0 needs whole columns and runs in place on one work buffer
-as wide as the spectrum held; the rest runs slab by slab along axis 0,
-each slab at most ``SLAB_BYTES`` of full half spectrum: the complex passes
-over axes 1 .. n - 2, the real pass and the scale.  A band-held slab is
-copied into one zeroed full-width slab buffer for the real pass, rather
-than zero-padded by ``irfft(..., n=N)``, which runs slower on a narrow
-input.  Each slab of values goes into the caller's output or into one
-reused slab buffer, so a caller that only squares and adds the values
-never holds a second full grid of them.
+one preallocated array.  ``_invert`` is the one inverse path.  On a half
+spectrum, the complex pass over axis 0 needs whole columns and runs in
+place on one work buffer as wide as the spectrum held; the rest runs slab
+by slab along axis 0, each slab at most ``SLAB_BYTES`` of full half
+spectrum: the complex passes over axes 1 .. n - 2, the real pass and the
+scale.  A band-held slab is copied into one zeroed full-width slab buffer
+for the real pass, rather than zero-padded by ``irfft(..., n=N)``, which
+runs slower on a narrow input.  Each slab of values goes into the caller's
+output or into one reused slab buffer, so a caller that only squares and
+adds the values never holds a second full grid of them.  On an octant,
+``_invert`` makes one ``irfft(..., n=N)`` per axis, an odd axis taking the
+array times i, keeps the first N/2 + 1 outputs of each and returns the
+values on the octant of the grid, in one slab: the values of a field even
+or odd in every axis are the same mirror images of them.
 
 A ``GridField`` is one of three kinds.  A field built from values
 transforms forward once, when an operator first reads its spectrum.  A
-field from a spectrum (``from_spectrum``) keeps the Nyquist-masked half
-spectrum, full width or held to its band, and a copy of the input's Nyquist
-hyperplanes, and synthesizes nothing: its values are synthesized when first
-read, and its magnitude, when asked for before the values, streams the
+field from a spectrum or an octant keeps it Nyquist-masked, and a copy of
+the input's Nyquist hyperplanes, and synthesizes nothing: its values are
+synthesized when first read (an octant field mirrors them from its
+octant), and its magnitude, when asked for before the values, streams the
 components through one work buffer and adds their squares slab by slab, so
 a field that is only measured is never held as values.  An operator-made
 field (``apply_symbol``) records the operator A and its source v and holds
@@ -42,7 +66,16 @@ of operators is never more than one symbol away from a field that holds
 data.  Its spectrum, when read, is built once from the spectrum of v; its
 magnitude, asked for first, streams A(D)v as ``image_magnitude`` does.
 Every kind caches its magnitude once a norm or the boundary tail has asked
-for it.
+for it.  ``values`` and ``spectrum()`` of an octant field are the full
+grid and the half spectrum, mirrored.
+
+A pointwise magnitude is a grid array, or an octant array (shape
+``spec.octant_shape``) for a field or image held on the octant: a
+magnitude is even in every axis, so its octant determines it.  Riemann
+sums over an octant weight each point by its mirror count, the product
+over the axes of 1 at index 0 and N/2 and 2 elsewhere (``octant_sum``);
+the maximum and the boundary shell (``boundary_tail``) read the octant as
+they are.
 
 ``symbol_on_grid`` is the one place that evaluates a symbol sum_alpha
 xi^alpha A_alpha at the grid frequencies, and ``_image_rows`` the one place
@@ -52,25 +85,27 @@ is reduced slab by slab (``_image_slabs``): each row is inverted in its
 work buffer as soon as it is built, every row but the last adds its
 weighted square to one accumulator slab by slab, and the last row's
 squared slabs are added to the accumulator's rows and handed on while
-still in cache.  ``image_squares`` (and ``image_magnitude``) gathers them
-in its result; ``image_l1`` roots and sums each slab, so an image that is
-only measured is never materialized, no row of it is held in full and a
-single-row image holds no grid at all.  Measured on an operator-made field
-B(D)v, A(D)B(D)v is one image of v through the composite A B: the newton
-gradient field is grad(D) phi, so its divergence is the Laplacian of phi,
-one transform, and its curl is the zero symbol, for which
-``image_squares`` and ``image_l1`` allocate nothing and transform
-nothing.  ``derivative_magnitude`` measures the image of the
+still in cache.  ``image_squares`` gathers them in its result,
+``image_magnitude`` roots them there, and ``image_l1`` roots and sums each
+slab, so an image that is only measured is never materialized, no row of
+it is held in full and a single-row image holds no grid at all; the
+magnitude of a single unweighted row is its absolute value.  Measured on
+an operator-made field B(D)v, A(D)B(D)v is one image of v through the
+composite A B: the newton gradient field is grad(D) phi, so its
+divergence is the Laplacian of phi, one transform, and its curl is the
+zero symbol, for which ``image_squares`` and ``image_l1`` allocate nothing
+and transform nothing.  ``derivative_magnitude`` measures the image of the
 operator stacking all partial derivatives of one order, and the blowup
 direction solve reads its per-frequency matrices from ``symbol_on_grid``.
 
 Closed-form fields with compact support (the blowup window in frequency,
 the plateau test function in space) are evaluated on the box of indices
 that ``support_indices`` returns and are exact zeros elsewhere, where the
-full-grid formula gives 0 as well.  On the last axis of a half spectrum
-that box is a prefix (``rfftfreq`` rises from 0), so a band-limited
-spectrum so built is held to its band.  Coordinates are broadcast
-(sparse) grids: one axis each, never a dense copy per axis.
+full-grid formula gives 0 as well.  On the last axis of a half spectrum,
+and on every axis of an octant, that box is a prefix (``rfftfreq`` rises
+from 0), so a band-limited spectrum so built is held to its band.
+Coordinates are broadcast (sparse) grids: one axis each, never a dense
+copy per axis.
 
 Grids larger than ``MAX_GRID_POINTS`` are refused before anything is
 allocated.
@@ -101,6 +136,10 @@ MAX_GRID_POINTS = 2**22
 # Largest slab of half spectrum that the inverse transforms finish at once,
 # below a 2 MiB per-core L2 cache; a slab holds at least one index of axis 0.
 SLAB_BYTES = 2**20
+
+# i^q for q mod 4: the factor between an octant component with q odd axes
+# and its spectrum.
+_I_POWERS = (1, 1j, -1, -1j)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -153,6 +192,12 @@ class GridSpec:
         return (self.size,) * (self.n - 1) + (self.size // 2 + 1,)
 
     @property
+    def octant_shape(self) -> tuple[int, ...]:
+        """Shape of an octant, spectral or of values: N/2 + 1 on every
+        axis, indices 0 .. N/2."""
+        return (self.size // 2 + 1,) * self.n
+
+    @property
     def cell_volume(self) -> float:
         return self.spacing**self.n
 
@@ -170,14 +215,16 @@ class GridSpec:
         to spec.shape."""
         return list(np.meshgrid(*self.axes(), indexing="ij", sparse=True))
 
-    def frequency_grids(self) -> list[np.ndarray]:
+    def frequency_grids(self, octant: bool = False) -> list[np.ndarray]:
         """Frequency coordinates of the half spectrum per axis, shaped to
         broadcast against spec.half_shape: ``fftfreq`` on the first n - 1
         axes, ``rfftfreq`` on the last (length N/2 + 1, ending at the
-        positive Nyquist frequency)."""
+        positive Nyquist frequency).  With ``octant``, those of the octant:
+        ``rfftfreq`` on every axis, broadcast against spec.octant_shape."""
         f = np.fft.fftfreq(self.size, d=self.spacing)
         last = np.fft.rfftfreq(self.size, d=self.spacing)
-        return list(np.meshgrid(*[f] * (self.n - 1), last, indexing="ij", sparse=True))
+        first = [last if octant else f] * (self.n - 1)
+        return list(np.meshgrid(*first, last, indexing="ij", sparse=True))
 
     def halved(self) -> "GridSpec":
         if self.size < 4:
@@ -190,13 +237,13 @@ class GridField:
 
     ``GridField(spec, values)`` holds the given values and transforms them
     forward on the first ``spectrum()``; the values must not change after
-    that.  ``from_spectrum`` holds a spectrum and synthesizes values only
-    when they are read.  ``apply_symbol`` makes a field that holds an
-    operator and its source field and builds its spectrum only when it is
-    read.  The spectrum, synthesized values and magnitude are each cached
-    read-only once produced."""
+    that.  ``from_spectrum`` and ``from_octant`` hold a spectrum and
+    synthesize values only when they are read.  ``apply_symbol`` makes a
+    field that holds an operator and its source field and builds its
+    spectrum only when it is read.  The spectrum, synthesized values and
+    magnitude are each cached read-only once produced."""
 
-    __slots__ = ("spec", "components", "_values", "_hat", "_planes", "_mag", "_made")
+    __slots__ = ("spec", "components", "_values", "_hat", "_parity", "_planes", "_mag", "_made")
 
     def __init__(self, spec: GridSpec, values: np.ndarray):
         expected = (values.shape[0],) + spec.shape
@@ -207,10 +254,12 @@ class GridField:
         self.spec = spec
         self.components = values.shape[0]
         self._values: Optional[np.ndarray] = values
-        # The Nyquist-masked, continuum-normalized half spectrum, the input's
-        # Nyquist hyperplanes (a field built from a spectrum only) and the
-        # pointwise magnitude.
+        # The Nyquist-masked, continuum-normalized half spectrum or octant,
+        # the parity of each octant component (None for a half spectrum),
+        # the input's Nyquist hyperplanes (a field built from a spectrum or
+        # an octant only) and the pointwise magnitude.
         self._hat: Optional[np.ndarray] = None
+        self._parity: Optional[tuple[tuple[int, ...], ...]] = None
         self._planes: list[np.ndarray] = []
         self._mag: Optional[np.ndarray] = None
         # (A, v) for the field A(D)v of ``apply_symbol``; v is never itself
@@ -239,11 +288,37 @@ class GridField:
             raise ValueError(
                 f"spectrum shape {spectrum.shape} does not end in {spec.half_shape[:-1]} "
                 f"and 1 to {spec.half_shape[-1]} columns")
-        out = cls._empty(spec, spectrum.shape[0])
-        out._planes = [spectrum[index].copy() for index in _nyquist_planes(spec, width)]
-        zero_nyquist(spec, spectrum)
-        spectrum.flags.writeable = False
-        out._hat = spectrum
+        return cls._holding(spec, spectrum)
+
+    @classmethod
+    def from_octant(cls, spec: GridSpec, octant: np.ndarray) -> "GridField":
+        """A real field even in every axis, held by the real continuum-
+        normalized spectrum on its octant: shape (components, b_0 .. b_n-1),
+        every axis held to a band of 1 to N/2 + 1 indices, the frequencies
+        above it being zero.  Its spectrum is the octant mirrored on every
+        axis but the last.  Nothing is synthesized here.
+
+        As ``from_spectrum`` does, the field takes the input over, Nyquist-
+        zeroed in place, and keeps a copy of its Nyquist hyperplanes (index
+        N/2 on each axis the band reaches), which synthesis writes back."""
+        top = spec.octant_shape[0]
+        if octant.ndim != spec.n + 1 or not all(1 <= b <= top for b in octant.shape[1:]):
+            raise ValueError(
+                f"octant shape {octant.shape} does not hold 1 to {top} indices on each of "
+                f"{spec.n} axes")
+        out = cls._holding(spec, octant)
+        out._parity = ((0,) * spec.n,) * out.components
+        return out
+
+    @classmethod
+    def _holding(cls, spec: GridSpec, hat: np.ndarray) -> "GridField":
+        """A field holding ``hat`` Nyquist-zeroed, with a copy of its
+        Nyquist hyperplanes."""
+        out = cls._empty(spec, hat.shape[0])
+        out._planes = [hat[index].copy() for index in _nyquist_planes(spec, hat.shape[1:])]
+        zero_nyquist(spec, hat)
+        hat.flags.writeable = False
+        out._hat = hat
         return out
 
     @classmethod
@@ -252,7 +327,7 @@ class GridField:
         out = cls.__new__(cls)
         out.spec = spec
         out.components = components
-        out._values = out._hat = out._mag = out._made = None
+        out._values = out._hat = out._parity = out._mag = out._made = None
         out._planes = []
         return out
 
@@ -260,13 +335,18 @@ class GridField:
     def values(self) -> np.ndarray:
         """The grid values, of shape (components, *spec.shape); a field built
         from a spectrum or by an operator synthesizes them on first read,
-        then caches them (read-only)."""
+        then caches them (read-only).  An octant field mirrors each
+        component from its octant of values."""
         if self._values is None:
+            hat = self._held_spectrum()
             values = np.empty((self.components,) + self.spec.shape)
-            work = np.empty(self._held_spectrum().shape[1:], dtype=complex)
+            work = np.empty(hat.shape[1:], dtype=hat.dtype)
+            octant = None if self._parity is None else np.empty(self.spec.octant_shape)
             for c in range(self.components):
-                for _ in self._synthesize(c, work, values[c]):
+                for _ in self._synthesize(c, work, values[c] if octant is None else octant):
                     pass
+                if octant is not None:
+                    values[c] = _unfold(self.spec, octant, self._parity[c])
             values.flags.writeable = False
             self._values = values
         return self._values
@@ -275,13 +355,15 @@ class GridField:
         self, c: int, work: np.ndarray, out: Optional[np.ndarray] = None
     ) -> Iterator[tuple[slice, np.ndarray]]:
         """Invert component c of the input spectrum slab by slab, as
-        ``_invert`` does, from a copy in ``work`` (as wide as the held
-        spectrum): the in-place passes would scramble the cached spectrum.
-        Yields each finite slab of values."""
+        ``_invert`` does, from a copy in ``work`` (shaped as the spectrum
+        held): the in-place passes would scramble the cached spectrum.
+        Yields each finite slab of values, on the octant for an octant
+        field."""
         np.copyto(work, self._held_spectrum()[c])
-        for index, plane in zip(_nyquist_planes(self.spec, work.shape[-1]), self._planes):
+        for index, plane in zip(_nyquist_planes(self.spec, work.shape), self._planes):
             work[index] = plane[c]
-        for rows, values in _invert(self.spec, work, out):
+        parity = None if self._parity is None else self._parity[c]
+        for rows, values in _invert(self.spec, work, out, parity):
             if not np.all(np.isfinite(values)):
                 raise ValueError("field contains non-finite entries")
             yield rows, values
@@ -290,32 +372,52 @@ class GridField:
         """The Nyquist-masked, continuum-normalized half spectrum, of shape
         (components, *spec.half_shape), read-only.  A field held to a band
         (see ``from_spectrum``) returns its band zero-padded to full width,
-        a fresh copy on every read; every other field returns its cached
-        spectrum."""
+        and an octant field its octant mirrored, a fresh copy on every
+        read; every other field returns its cached spectrum."""
         hat = self._held_spectrum()
+        if self._parity is not None:
+            hat = self._unfolded()
         width = self.spec.half_shape[-1]
-        if hat.shape[-1] == width:
-            return hat
-        full = np.zeros(hat.shape[:-1] + (width,), dtype=complex)
-        full[..., : hat.shape[-1]] = hat
-        full.flags.writeable = False
-        return full
+        if hat.shape[-1] < width:
+            full = np.zeros(hat.shape[:-1] + (width,), dtype=complex)
+            full[..., : hat.shape[-1]] = hat
+            hat = full
+        hat.flags.writeable = False
+        return hat
+
+    def _unfolded(self) -> np.ndarray:
+        """The half spectrum of an octant field, held to the band of the
+        octant's last axis: each component's octant mirrored on the first
+        n - 1 axes, times i^q."""
+        hat = self._held_spectrum()
+        out = np.empty(hat.shape[:1] + self.spec.half_shape[:-1] + hat.shape[-1:], dtype=complex)
+        for c, parity in enumerate(self._parity):
+            np.multiply(_unfold(self.spec, hat[c], parity, half=True),
+                        _I_POWERS[sum(parity) % 4], out=out[c])
+        return out
 
     def _held_spectrum(self) -> np.ndarray:
         """The spectrum as the field holds it: computed on first use, then
-        cached (read-only), and as wide on the last axis as the spectrum of
-        its source, the columns above that width being zero.  A field made
-        by A(D) from v multiplies the spectrum of v row by row, whose
-        Nyquist bins are zero already; a field built from values takes one
-        ``rfftn`` per component."""
+        cached (read-only), a half spectrum as wide on the last axis as the
+        spectrum of its source, or an octant held to the bands of its
+        source's.  A field made by A(D) from v multiplies the spectrum of v
+        row by row, whose Nyquist bins are zero already, on the octant when
+        v is held there and every row has one parity (the parities are set
+        then); a field built from values takes one ``rfftn`` per
+        component."""
         if self._hat is None:
             if self._made is not None:
                 a, v = self._made
-                hat = np.empty((self.components,) + v._held_spectrum().shape[1:], dtype=complex)
-                written = {r for r, _ in _image_rows(a, v, hat.__getitem__)}
+                source, parity, parities = _operand(a, v)
+                hat = np.empty((self.components,) + source.shape[1:], dtype=source.dtype)
+                written = {r for r, _ in _image_rows(a, self.spec, source, parity, parities,
+                                                     hat.__getitem__)}
                 for r in range(self.components):
                     if r not in written:
                         hat[r] = 0.0
+                if parities is not None:
+                    even = (0,) * self.spec.n
+                    self._parity = tuple(parities.get(r, even) for r in range(self.components))
             else:
                 hat = np.empty((self.components,) + self.spec.half_shape, dtype=complex)
                 for c in range(self.components):
@@ -328,32 +430,38 @@ class GridField:
 
     def magnitude(self) -> np.ndarray:
         """Pointwise Euclidean norm over the components, of shape
-        spec.shape: computed on first use, then cached (read-only).  A field
-        whose values were never read streams its components through one work
-        buffer: the first is synthesized into the result and squared there,
-        the others are squared and added one slab at a time, so the values
-        are not held; the result is the same bit for bit.  A field made by
-        A(D) from v whose spectrum was never read (nor, then, its values)
-        takes ``image_magnitude(A, v)``, equal bit for bit as well."""
+        spec.shape, or spec.octant_shape for a field held on the octant:
+        computed on first use, then cached (read-only).  A field whose
+        values were never read, and every octant field, streams its
+        components through one work buffer: the first is synthesized into
+        the result and squared there, the others are squared and added one
+        slab at a time, so the values are not held; the result is the same
+        bit for bit.  The magnitude of one component is its absolute value.
+        A field made by A(D) from v whose spectrum was never read (nor,
+        then, its values) takes ``image_magnitude(A, v)``, equal bit for bit
+        as well."""
         if self._mag is None:
+            one = self.components == 1
             if self._hat is None and self._made is not None:
-                mag = image_squares(*self._made)
-                if mag is None:
-                    mag = np.zeros(self.spec.shape)
-            elif self._values is None:
-                work = np.empty(self._held_spectrum().shape[1:], dtype=complex)
-                mag = np.empty(self.spec.shape)
+                mag = image_magnitude(*self._made)
+            elif self._values is None or self._parity is not None:
+                hat = self._held_spectrum()
+                work = np.empty(hat.shape[1:], dtype=hat.dtype)
+                mag = np.empty(self.spec.shape if self._parity is None else self.spec.octant_shape)
                 for c in range(self.components):
-                    for _ in _squares(self._synthesize(c, work, None if c else mag),
-                                      mag if c else None):
+                    slabs = self._synthesize(c, work, None if c else mag)
+                    for _ in slabs if one else _squares(slabs, mag if c else None):
                         pass
+                (np.abs if one else np.sqrt)(mag, out=mag)
+            elif one:
+                mag = np.abs(self._values[0])
             else:
                 mag = np.square(self._values[0])
                 square = None
                 for v in self._values[1:]:
                     square = np.square(v, out=square)
                     mag += square
-            np.sqrt(mag, out=mag)
+                np.sqrt(mag, out=mag)
             mag.flags.writeable = False
             self._mag = mag
         return self._mag
@@ -366,7 +474,8 @@ class GridField:
 def boundary_tail(mag: np.ndarray) -> float:
     """Largest value of a pointwise magnitude on the outermost grid shell
     (index 0 on some axis) relative to its overall maximum; reports how
-    badly the box truncates the field."""
+    badly the box truncates the field.  An octant magnitude holds index 0
+    of every axis and the largest value, so it gives the grid's figure."""
     peak = float(mag.max())
     if peak == 0.0:
         return 0.0
@@ -374,37 +483,57 @@ def boundary_tail(mag: np.ndarray) -> float:
     return edge / peak
 
 
-def _nyquist_planes(spec: GridSpec, width: int) -> list[tuple]:
+def is_octant(spec: GridSpec, a: np.ndarray) -> bool:
+    """Whether ``a``, a grid or octant array of ``spec``, is an octant.
+    For N = 2 the two coincide, and every mirror count is 1."""
+    return spec.size > 2 and a.shape == spec.octant_shape
+
+
+def octant_sum(spec: GridSpec, a: np.ndarray, rows: slice = slice(None)) -> float:
+    """The sum over the grid of the values that the octant array ``a``
+    stands for, each point times its mirror count: the product over the
+    axes of 1 at index 0 and N/2 and 2 elsewhere.  ``a`` may be the slab
+    ``rows`` of axis 0 of an octant.  The axes are reduced from the last by
+    ``einsum``, whose order of summation does not depend on the number of
+    BLAS threads."""
+    weights = np.full(spec.size // 2 + 1, 2.0)
+    weights[0] = weights[-1] = 1.0
+    for _ in range(a.ndim - 1):
+        a = np.einsum("...i,i->...", a, weights)
+    return float(np.einsum("i,i->", a, weights[rows]))
+
+
+def _nyquist_planes(spec: GridSpec, shape: Sequence[int]) -> list[tuple]:
     """Indices of the Nyquist hyperplanes (index N/2 on axis 0 .. n - 1) of
-    an array of shape (..., *spec.half_shape[:-1], width): the last axis
-    has its hyperplane at full width only."""
+    an array whose last n axes have the lengths ``shape``, a half spectrum
+    or an octant, each held to its band or not: an axis has its hyperplane
+    when it reaches index N/2."""
     half = spec.size // 2
-    planes = [(Ellipsis, half) + (slice(None),) * (spec.n - 1 - ax) for ax in range(spec.n - 1)]
-    if width > half:
-        planes.append((Ellipsis, half))
-    return planes
+    return [(Ellipsis, half) + (slice(None),) * (spec.n - 1 - ax)
+            for ax, length in enumerate(shape[-spec.n:]) if length > half]
 
 
 def zero_nyquist(spec: GridSpec, hat: np.ndarray) -> None:
     """Zero the unpaired Nyquist hyperplanes (index N/2 on every axis) of a
-    half spectrum in place; ``hat`` has shape (..., *spec.half_shape), or
-    stops short of N/2 + 1 columns on the last axis, which then has none.
+    half spectrum or octant in place; ``hat`` has shape
+    (..., *spec.half_shape) or (..., *spec.octant_shape), or stops short of
+    N/2 + 1 indices on an axis, which then has none.
 
     Real fields carry the N/2 frequency without its sign partner, so
     odd-order multipliers on that bin have no Hermitian representation;
     projecting the bin out makes multiplier application commute with
     composition exactly."""
-    for index in _nyquist_planes(spec, hat.shape[-1]):
+    for index in _nyquist_planes(spec, hat.shape):
         hat[index] = 0.0
 
 
-def half_box_shift(spec: GridSpec) -> list[np.ndarray]:
+def half_box_shift(spec: GridSpec, octant: bool = False) -> list[np.ndarray]:
     """The shift exp(-2 pi i (T/2) xi) by half the box, one real factor per
-    axis shaped like ``frequency_grids()``.  At the grid frequencies
+    axis shaped like ``frequency_grids(octant)``.  At the grid frequencies
     xi_i = m_i / T the factor of axis i is exactly (-1)^m_i, and m_i has the
     parity of its index on every axis because N is even."""
     factors = []
-    for ax, length in enumerate(spec.half_shape):
+    for ax, length in enumerate(spec.octant_shape if octant else spec.half_shape):
         sign = np.ones(length)
         sign[1::2] = -1.0
         shape = [1] * spec.n
@@ -432,6 +561,25 @@ def restrict(a: np.ndarray, indices: Sequence[np.ndarray]) -> np.ndarray:
     return a
 
 
+def _unfold(spec: GridSpec, octant: np.ndarray, parity: Sequence[int], half: bool = False
+            ) -> np.ndarray:
+    """The real array that the octant array ``octant`` (one component, held
+    to a band on any axis) stands for, with parity ``parity``: on the grid,
+    or with ``half`` on the half spectrum, whose last axis is the octant's
+    own, band and all.  Index m > N/2 of a mirrored axis reads index N - m,
+    times -1 on an odd axis."""
+    top = spec.size // 2
+    mirror = np.r_[0: top + 1, top - 1: 0: -1]
+    axes = spec.n - 1 if half else spec.n
+    padded = np.zeros(spec.octant_shape[:axes] + octant.shape[axes:])
+    padded[tuple(slice(b) for b in octant.shape)] = octant
+    out = padded[np.ix_(*[mirror] * axes, *[np.arange(b) for b in octant.shape[axes:]])]
+    for ax in range(axes):
+        if parity[ax]:
+            out[(slice(None),) * ax + (slice(top + 1, None),)] *= -1.0
+    return out
+
+
 def _slab_rows(spec: GridSpec) -> int:
     """Indices of axis 0 per slab: as many as fit ``SLAB_BYTES`` of full
     half spectrum, and at least one; a slab of values is then about half
@@ -440,7 +588,8 @@ def _slab_rows(spec: GridSpec) -> int:
 
 
 def _invert(
-    spec: GridSpec, work: np.ndarray, out: Optional[np.ndarray] = None
+    spec: GridSpec, work: np.ndarray, out: Optional[np.ndarray] = None,
+    parity: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Synthesize one real component from the continuum-normalized half
     spectrum in ``work``, which the complex passes overwrite in place: the
@@ -458,7 +607,16 @@ def _invert(
     slower.  The pass over axis 0 needs whole columns and runs first, on
     the whole buffer.  Each slab of axis 0 then runs the passes over axes
     1 .. n - 2, the real pass and the scale; for n = 1 the one slab is the
-    whole grid."""
+    whole grid.
+
+    With ``parity``, ``work`` is a real octant of that parity (left as it
+    is), and the one slab yielded is the values on the octant of the grid,
+    shape spec.octant_shape, in ``out`` when given: one
+    ``irfft(..., n=N)`` per axis, of the array times i on an odd axis,
+    each keeping its first N/2 + 1 outputs."""
+    if parity is not None:
+        yield _invert_octant(spec, work, parity, out)
+        return
     if spec.n == 1:
         step = spec.size
     else:
@@ -485,6 +643,26 @@ def _invert(
         yield rows, values
 
 
+def _invert_octant(
+    spec: GridSpec, octant: np.ndarray, parity: Sequence[int], out: Optional[np.ndarray]
+) -> tuple[slice, np.ndarray]:
+    """The octant branch of ``_invert``: (all rows, the values on the
+    octant).  Along an even axis the spectrum is the cosine series of the
+    octant, which ``irfft`` of the real octant sums; along an odd one it is
+    i times the sine series, which ``irfft`` of i times the octant sums
+    (a real pass drops the imaginary part of index 0 and N/2, which an odd
+    axis holds zero)."""
+    top = spec.size // 2 + 1
+    values = octant
+    for ax, odd in enumerate(parity):
+        values = np.fft.irfft(values * 1j if odd else values, n=spec.size, axis=ax)
+        values = values[(slice(None),) * ax + (slice(top),)]
+    if out is None:
+        out = np.empty(spec.octant_shape)
+    np.multiply(values, spec.synthesis_scale, out=out)
+    return slice(0, top), out
+
+
 def _squares(
     slabs: Iterator[tuple[slice, np.ndarray]], total: Optional[np.ndarray] = None,
     weight: Optional[int] = None,
@@ -505,17 +683,21 @@ def _squares(
 
 
 def symbol_on_grid(
-    a: SymbolOperator, spec: GridSpec, width: Optional[int] = None
+    a: SymbolOperator, spec: GridSpec, shape: Optional[Sequence[int]] = None,
+    octant: bool = False,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """The symbol sum_alpha xi^alpha A_alpha at the grid frequencies, one
     nonzero entry at a time: yields (row, column, values) with real values
-    that broadcast to spec.half_shape, or with ``width`` to its first
-    ``width`` columns of the last axis.  The (2 pi i)^k factor of the
-    Fourier multiplier is left to the caller."""
+    that broadcast to spec.half_shape, or with ``octant`` to
+    spec.octant_shape; with ``shape``, to its first shape[i] indices of
+    each axis i, as a spectrum held to a band or an octant held to bands
+    has them.  The (2 pi i)^k factor of the Fourier multiplier is left to
+    the caller."""
     if a.n != spec.n:
         raise ValueError("operator and grid dimensions differ")
-    xi = spec.frequency_grids()
-    xi[-1] = xi[-1][..., :width]
+    xi = spec.frequency_grids(octant)
+    if shape is not None:
+        xi = [x[tuple(slice(b) for b in shape)] for x in xi]
     monomials = []
     # (row, column) -> [(term, numerator)], the terms in graded-lex order.
     entries: dict = {}
@@ -539,31 +721,71 @@ def symbol_on_grid(
             yield r, c, values
 
 
+def _image_parities(
+    a: SymbolOperator, parity: Optional[Sequence[Sequence[int]]]
+) -> Optional[dict[int, tuple[int, ...]]]:
+    """The parity of each nonzero row of A(D)u, for a u held on the octant
+    whose components have the parities ``parity``: the entry of column c
+    and monomial xi^alpha gives parity_c + alpha mod 2 on each axis.  None
+    when u is not held on the octant or some row mixes parities."""
+    if parity is None:
+        return None
+    rows: dict[int, tuple[int, ...]] = {}
+    for alpha, entries in a.terms:
+        for r, row in enumerate(entries):
+            for c, _ in row:
+                p = tuple((s + e) % 2 for s, e in zip(parity[c], alpha))
+                if rows.setdefault(r, p) != p:
+                    return None
+    return rows
+
+
+def _operand(
+    a: SymbolOperator, u: GridField
+) -> tuple[np.ndarray, Optional[tuple], Optional[dict[int, tuple[int, ...]]]]:
+    """(spectrum, component parities, row parities) that the image A(D)u is
+    built from, for a u that holds data: u's octant and the parities when
+    every row of the image has one parity; otherwise u's half spectrum,
+    mirrored from its octant when u holds one, and None twice."""
+    parities = _image_parities(a, u._parity)
+    if parities is None and u._parity is not None:
+        return u._unfolded(), None, None
+    return u._held_spectrum(), u._parity, parities
+
+
 def _image_rows(
-    a: SymbolOperator, u: GridField, target: Callable[[int], np.ndarray]
+    a: SymbolOperator, spec: GridSpec, hat: np.ndarray, parity: Optional[tuple],
+    parities: Optional[dict[int, tuple[int, ...]]], target: Callable[[int], np.ndarray],
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The half spectrum of A(D)u row by row, as wide as the spectrum that
-    ``u`` holds: for each row with a nonzero symbol entry, in order, writes
-    the row into ``target(row)`` and yields (row, that array).  The
-    multiplier is (2 pi i)^k A(xi), applied to the spectrum of ``u``
-    (cached by ``u``) one entry at a time and one slab of axis 0 at a time:
-    the (2 pi i)^k factor goes into the entry's slab, and the first entry
-    of a row writes it, the others add to it, through temporaries the size
-    of that slab, even for an entry that sums several monomials over the
-    whole grid."""
-    u_hat = u._held_spectrum()
+    """The spectrum of A(D)u row by row, held as ``hat`` (from
+    ``_operand``) is: for each row with a nonzero symbol entry, in order,
+    writes the row into ``target(row)`` and yields (row, that array).  The
+    multiplier is (2 pi i)^k A(xi), applied to ``hat`` one entry at a time
+    and one slab of axis 0 at a time: the (2 pi i)^k factor goes into the
+    entry's slab, and the first entry of a row writes it, the others add to
+    it, through temporaries the size of that slab, even for an entry that
+    sums several monomials over the whole grid.
+
+    On an octant (``parities`` given), column c of parity ``parity[c]``
+    and row r of parity ``parities[r]`` take the real factor
+    (2 pi i)^k i^(q_c - q_r), q the number of odd axes: q_r has the parity
+    of k + q_c, so the power of i is even."""
+    octant = parities is not None
     unit = (2j * pi) ** a.order
-    step = _slab_rows(u.spec)
-    for r, entries in groupby(symbol_on_grid(a, u.spec, u_hat.shape[-1]), key=itemgetter(0)):
+    step = _slab_rows(spec)
+    for r, entries in groupby(symbol_on_grid(a, spec, hat.shape[1:], octant), key=itemgetter(0)):
         row = target(r)
         for i, (_, c, values) in enumerate(entries):
+            scale = unit
+            if octant:
+                scale = (unit * _I_POWERS[(sum(parity[c]) - sum(parities[r])) % 4]).real
             for lo in range(0, len(row), step):
-                rows = slice(lo, lo + step)
-                factor = unit * (values[rows] if len(values) > 1 else values)
+                part = slice(lo, lo + step)
+                factor = scale * (values[part] if len(values) > 1 else values)
                 if i:
-                    row[rows] += factor * u_hat[c, rows]
+                    row[part] += factor * hat[c, part]
                 else:
-                    np.multiply(factor, u_hat[c, rows], out=row[rows])
+                    np.multiply(factor, hat[c, part], out=row[part])
         yield r, row
 
 
@@ -583,10 +805,10 @@ def _source(a: SymbolOperator, u: GridField) -> tuple[SymbolOperator, GridField]
 def apply_symbol(a: SymbolOperator, u: GridField) -> GridField:
     """The periodic field A(D)u, whose Fourier multiplier is (2 pi i)^k A(xi),
     made without transforming anything: it records (A, u), or (A B, v) when
-    u is itself B(D)v.  Its spectrum is the multiplier times the half
-    spectrum of the source, built when first read; measuring it or an
-    image of it runs only backward transforms, and a composite that is the
-    zero symbol runs none."""
+    u is itself B(D)v.  Its spectrum is the multiplier times the spectrum
+    of the source, built when first read; measuring it or an image of it
+    runs only backward transforms, and a composite that is the zero symbol
+    runs none."""
     out = GridField._empty(u.spec, a.dim_e)
     out._made = _source(a, u)
     return out
@@ -597,12 +819,13 @@ def image_magnitude(
 ) -> np.ndarray:
     """Pointwise magnitude of A(D)u, sqrt of sum_r w_r (A(D)u)_r^2 (every
     w_r = 1 without ``weights``), equal bit for bit to the magnitude of
-    ``apply_symbol(a, u)`` with its spectrum built, for unit weights.  A
-    field u made by B(D) from v is measured as (A B)(D)v."""
-    total = image_squares(a, u, weights)
-    if total is None:
+    ``apply_symbol(a, u)`` with its spectrum built, for unit weights; on
+    the octant when the image is held there.  A field u made by B(D) from
+    v is measured as (A B)(D)v."""
+    a, u = _source(a, u)
+    if a.is_zero():
         return np.zeros(u.spec.shape)
-    return np.sqrt(total, out=total)
+    return _gathered(a, u, weights, root=True)
 
 
 def image_squares(
@@ -610,15 +833,22 @@ def image_squares(
 ) -> Optional[np.ndarray]:
     """sum_r w_r (A(D)u)_r^2, the square of ``image_magnitude``, or None
     when the symbol (the composite, for a field u made by B(D) from v) has
-    no nonzero entry: then nothing is allocated and nothing transformed.
-    The slabs of ``_image_slabs`` are gathered in the result itself, which
-    is the accumulator of a multi-row image and into which a single-row
-    image is inverted."""
+    no nonzero entry: then nothing is allocated and nothing transformed."""
     a, u = _source(a, u)
     if a.is_zero():
         return None
-    total = np.empty(u.spec.shape)
-    for _ in _image_slabs(a, u, weights, total):
+    return _gathered(a, u, weights)
+
+
+def _gathered(
+    a: SymbolOperator, u: GridField, weights: Optional[Sequence[int]], root: bool = False
+) -> np.ndarray:
+    """The slabs of ``_image_slabs`` gathered in one array, on the octant
+    when the image is held there: the accumulator of a multi-row image,
+    into which a single-row image is inverted."""
+    hat, parity, parities = _operand(a, u)
+    total = np.empty(u.spec.shape if parities is None else u.spec.octant_shape)
+    for _ in _image_slabs(a, u.spec, hat, parity, parities, weights, total, root):
         pass
     return total
 
@@ -628,57 +858,74 @@ def image_l1(
 ) -> float:
     """The sum of ``image_magnitude(a, u, weights)`` over the grid, the L1
     norm of A(D)u over the cell volume, without a grid of the magnitude:
-    each slab of ``_image_slabs`` is rooted and summed in place, and the
-    slab sums added in slab order.  A single-row image then holds no grid
-    of values at all.  0.0 for a zero symbol, with nothing allocated."""
+    each slab of ``_image_slabs`` is rooted (or, for a single unweighted
+    row, taken in absolute value) and summed in place, and the slab sums
+    added in slab order; an octant's one slab is summed by
+    ``octant_sum``.  A single-row image then holds no grid of values at
+    all.  0.0 for a zero symbol, with nothing allocated."""
     a, u = _source(a, u)
     total = 0.0
     if not a.is_zero():
-        for _, slab in _image_slabs(a, u, weights):
-            total += float(np.sqrt(slab, out=slab).sum())
+        hat, parity, parities = _operand(a, u)
+        for _, slab in _image_slabs(a, u.spec, hat, parity, parities, weights, root=True):
+            total += float(slab.sum()) if parities is None else octant_sum(u.spec, slab)
     return total
 
 
 def _image_slabs(
-    a: SymbolOperator, u: GridField, weights: Optional[Sequence[int]] = None,
-    out: Optional[np.ndarray] = None,
+    a: SymbolOperator, spec: GridSpec, hat: np.ndarray, parity: Optional[tuple],
+    parities: Optional[dict[int, tuple[int, ...]]], weights: Optional[Sequence[int]] = None,
+    out: Optional[np.ndarray] = None, root: bool = False,
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """sum_r w_r (A(D)u)_r^2 slab by slab along axis 0, for a nonzero A and
-    a u that holds data (as ``_source`` returns them): yields (rows, the
-    squared magnitude on those rows).  Each row spectrum is built in one
-    work buffer, as wide as the spectrum of u, and inverted in place.
-    Every row but the last accumulates in one grid accumulator, ``out``
-    when given: the first is inverted into it and squared there, every
-    later one slab by slab, each slab's weighted square added to it.  The
-    last row's slabs are squared, weighted, added to the accumulator's rows
-    and yielded while they are still in cache.  A single-row image has no
-    accumulator: its slabs are inverted into ``out`` when given, else into
-    one reused slab buffer.  Neither the image nor a full row of its values
-    is ever held."""
-    spec = u.spec
-    # The last row that ``symbol_on_grid`` yields: a stored numerator is
-    # never zero.
-    last = max(r for _, rows in a.terms for r, row in enumerate(rows) if row)
-    work = np.empty(u._held_spectrum().shape[1:], dtype=complex)
+    the spectrum of a u that holds data (as ``_operand`` returns it):
+    yields (rows, the squared magnitude on those rows), or with ``root``
+    the magnitude.  Each row spectrum is built in one work buffer, shaped
+    as ``hat``, and inverted in place.  Every row but the last accumulates
+    in one grid accumulator, ``out`` when given: the first is inverted into
+    it and squared there, every later one slab by slab, each slab's
+    weighted square added to it.  The last row's slabs are squared,
+    weighted, added to the accumulator's rows and yielded while they are
+    still in cache.  A single-row image has no accumulator: its slabs are
+    inverted into ``out`` when given, else into one reused slab buffer,
+    and with ``root`` and no weight their absolute values are yielded,
+    never squared.  Neither the image nor a full row of its values is ever
+    held.  On an octant every array has the octant's shape and the one
+    slab is the whole octant."""
+    # The first and last rows that ``symbol_on_grid`` yields: a stored
+    # numerator is never zero.
+    nonzero = [r for _, entries in a.terms for r, row in enumerate(entries) if row]
+    first, last = min(nonzero), max(nonzero)
+    work = np.empty(hat.shape[1:], dtype=hat.dtype)
     total = None
-    for r, hat in _image_rows(a, u, lambda r: work):
+    for r, row in _image_rows(a, spec, hat, parity, parities, lambda r: work):
         weight = None if weights is None else weights[r]
+        row_parity = None if parities is None else parities[r]
+        if first == last and root and weight is None:
+            for rows, values in _invert(spec, row, out, row_parity):
+                yield rows, np.abs(values, out=values)
+            return
         if total is None and r < last:
-            total = np.empty(spec.shape) if out is None else out
-            slabs = _squares(_invert(spec, hat, total), weight=weight)
+            if out is None:
+                out = np.empty(spec.shape if parities is None else spec.octant_shape)
+            total = out
+            slabs = _squares(_invert(spec, row, total, row_parity), weight=weight)
         else:
-            slabs = _squares(_invert(spec, hat, out if total is None else None), total, weight)
+            slabs = _squares(_invert(spec, row, out if total is None else None, row_parity),
+                             total, weight)
         if r < last:
             for _ in slabs:
                 pass
         else:
-            yield from slabs
+            for rows, values in slabs:
+                yield rows, np.sqrt(values, out=values) if root else values
 
 
 def derivative_magnitude(u: GridField, order: int) -> np.ndarray:
     """Pointwise Frobenius magnitude of the order-th derivative tensor:
-    sqrt of sum over multi-indices (with multinomial weights) and components.
-    One operator stacks the derivatives: its row i * m + c is d^alpha_i u_c."""
+    sqrt of sum over multi-indices (with multinomial weights) and components,
+    on the octant when the image is held there.  One operator stacks the
+    derivatives: its row i * m + c is d^alpha_i u_c."""
     n, m = u.spec.n, u.components
     alphas = multi_indices(n, order)
     rows = range(len(alphas) * m)

@@ -1,15 +1,17 @@
 """Norms of sampled periodic fields.
 
 The Lebesgue norms and the pairing are plain Riemann sums, of a field or of
-a pointwise magnitude such as ``grid.image_magnitude`` returns; the
-spectral L2 norm is the Parseval counterpart of the L2 norm.
+a pointwise magnitude such as ``grid.image_magnitude`` returns; a magnitude
+held on the octant (``grid.is_octant``) weights each point by its mirror
+count (``grid.octant_sum``).  The spectral L2 norm is the Parseval
+counterpart of the L2 norm.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridField, GridSpec
+from .grid import GridField, GridSpec, is_octant, octant_sum
 
 # Points per chunk of the p = 3/2 norm: 512 KiB of square roots.
 NORM_CHUNK = 2**16
@@ -28,9 +30,17 @@ def magnitude_norm(spec: GridSpec, mag: np.ndarray, p: float) -> float:
     depend on the number of BLAS threads, as ``np.dot``'s does.  For
     p = 3/2 the square roots are taken ``NORM_CHUNK`` points at a time into
     one chunk buffer, and the chunk sums added in order, so no second grid
-    is held."""
+    is held.
+
+    An octant magnitude (shape spec.octant_shape) stands for the grid
+    magnitude that mirrors it: its sum is ``octant_sum``, over the whole
+    octant for p = 1, as ``grid.image_l1`` sums it, and otherwise over
+    chunks of whole rows of axis 0 of about ``NORM_CHUNK`` points, the
+    chunk sums added in order."""
     if p < 1:
         raise ValueError("p must be at least 1")
+    if is_octant(spec, mag):
+        return float((spec.cell_volume * _octant_power_sum(spec, mag, p)) ** (1.0 / p))
     mag = mag.ravel()
     if p == 1:
         total = mag.sum()
@@ -46,6 +56,25 @@ def magnitude_norm(spec: GridSpec, mag: np.ndarray, p: float) -> float:
     else:
         total = (mag**p).sum()
     return float((spec.cell_volume * total) ** (1.0 / p))
+
+
+def _octant_power_sum(spec: GridSpec, mag: np.ndarray, p: float) -> float:
+    """The grid sum of mag^p for an octant magnitude."""
+    if p == 1:
+        return octant_sum(spec, mag)
+    step = max(1, NORM_CHUNK // mag[0].size)
+    total = 0.0
+    for lo in range(0, len(mag), step):
+        chunk = mag[lo: lo + step]
+        if p == 1.5:
+            power = np.sqrt(chunk)
+            power *= chunk
+        elif p == 2:
+            power = np.square(chunk)
+        else:
+            power = chunk**p
+        total += octant_sum(spec, power, slice(lo, lo + len(chunk)))
+    return total
 
 
 def pairing(f: GridField, g: GridField) -> float:

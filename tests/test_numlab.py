@@ -1,5 +1,6 @@
 """Spectral grid machinery, norms and concentration families."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -52,7 +53,7 @@ from symlab.numlab.blowup import blowup_direction, cutoff_l1
 from symlab.numlab.experiments import _image_l1, _newton_point, _symmetric_gradient_magnitude
 from symlab.numlab.fields import newton_gradient_field, radial_cutoff_test_function
 from symlab.numlab import grid
-from symlab.numlab.grid import _invert, half_box_shift, image_l1, zero_nyquist
+from symlab.numlab.grid import _invert, boundary_tail, half_box_shift, image_l1, zero_nyquist
 from symlab.numlab.norms import NORM_CHUNK, magnitude_norm
 from test_exact_symbol import ref_evaluate
 
@@ -386,13 +387,13 @@ def test_newton_point_transform_count(monkeypatch):
     # Backward transforms only, one per image of the potential: one for the
     # field's magnitude (d_2 phi, the other partials being its transposes),
     # one for the divergence (the Laplacian) and none for the curl (the
-    # zero symbol).  Each is n - 1 = 2 complex passes in place on one work
-    # buffer and one real pass; no forward transform, no full complex one
-    # and no irfftn.
+    # zero symbol).  The potential is held on its octant and both images
+    # stay there: each is one real pass per axis, n = 3; no forward
+    # transform, no complex one and no irfftn.
     calls = count_transforms(monkeypatch)
     row = _newton_point(16, 0.4)
     assert np.isfinite(row["ratio"]) and row["curl_l1"] == 0.0
-    assert calls == {"irfft": 2, "ifft": 4}
+    assert calls == {"irfft": 6}
 
 
 def test_operator_made_field_is_lazy_and_composes(monkeypatch):
@@ -651,16 +652,15 @@ def traced_peak(call):
 
 
 def test_newton_point_memory():
-    # The potential's spectrum (1 component), one work buffer, the
-    # Laplacian's symbol on the grid and a slab of its multiplier, while the
-    # divergence row is built: on 64^3 one point peaks at about 3.7 real
-    # components of the grid.  Holding
-    # the gradient's spectrum (3 components) instead of the potential's
-    # reads about 5.9; synthesizing the field's values and building both
-    # images in full, about 16.6.
+    # The potential's octant, a row's work buffer and the octant of its
+    # values (about 0.14 real grids each on 64^3) and, while a row is
+    # inverted, the real passes' temporaries (each pass's output, N long on
+    # its axis): one point peaks at about 1.25 real components of the grid.
+    # Held on the half spectrum it peaked at about 3.7; synthesizing the
+    # field's values and building both images in full, about 16.6.
     size = 64
     peak = traced_peak(lambda: _newton_point(size, 0.4))
-    assert peak < 4.25 * 8 * size**3
+    assert peak < 1.5 * 8 * size**3
 
 
 def test_single_row_image_l1_holds_no_grid():
@@ -704,6 +704,27 @@ def full_grid_window(op, scale, spec, directions):
     return ((2j * np.pi) ** (-op.order) * window)[None, ...] * directions
 
 
+def mirrored(spec, octant, parity=None, half=True):
+    # Reference unfolding of octants of shape (components, b_0 .. b_n-1): on
+    # the half spectrum (every axis but the last mirrored) or, without
+    # ``half``, on the grid.  Index m > N/2 of a mirrored axis reads index
+    # N - m, times -1 on an odd axis of ``parity``; indices beyond a band
+    # read 0.
+    n, size, top = spec.n, spec.size, spec.size // 2
+    parity = parity or (0,) * n
+    axes = n - 1 if half else n
+    pad = [(0, 0)] + [(0, top + 1 - b) for b in octant.shape[1: 1 + axes]] + [(0, 0)] * (n - axes)
+    out = np.pad(octant, pad)
+    m = np.arange(size)
+    for ax in range(axes):
+        out = np.take(out, np.where(m <= top, m, size - m), axis=1 + ax)
+        if parity[ax]:
+            shape = [1] * out.ndim
+            shape[1 + ax] = size
+            out = out * np.where(m > top, -1.0, 1.0).reshape(shape)
+    return out
+
+
 @pytest.mark.parametrize("entry, e, spec, scale", [
     (laplacian(2), [1], GridSpec(2, 256, 4.0), 4.0),
     # The window reaches the top column.
@@ -713,24 +734,39 @@ def full_grid_window(op, scale, spec, directions):
 ])
 def test_blowup_spectrum_is_the_full_grid_formula(entry, e, spec, scale):
     # == counts -0 equal to 0: only signed zeros may differ outside the box.
+    # The Laplacian's directions and u are held on the octant, whose mirror
+    # images are the rest of the half spectrum.  Their values come from the
+    # octant's real passes, the same sums as irfftn's in exact arithmetic:
+    # they agree to a rounding bound of 1e-13 of the largest.
     op = entry.operator
     e_float = admissible(op, e)
     full = solve_symbol_directions(op, spec, e_float, math.inf).values
     boxed = solve_symbol_directions(op, spec, e_float, 2.0 * scale)
-    xi = spec.frequency_grids()
+    octant = full.shape[1:] == spec.octant_shape
+    xi = spec.frequency_grids(octant)
     inside = np.all([np.abs(x) < 2.0 * scale for x in np.broadcast_arrays(*xi)], axis=0)
     assert np.array_equal(boxed.values, np.where(inside, full, 0.0))
+    if octant:
+        full = mirrored(spec, full)
     reference = full_grid_window(op, scale, spec, full)
     u = build_blowup_field(op, scale, spec, boxed)
     assert np.array_equal(u.spectrum(), reference * nyquist_mask(spec))
-    assert np.array_equal(u.values, synthesized(spec, reference))
+    expected = synthesized(spec, reference)
+    if octant:
+        assert np.abs(u.values - expected).max() <= 1e-13 * np.abs(expected).max()
+    else:
+        assert np.array_equal(u.values, expected)
 
 
 @pytest.mark.parametrize("spec", [GridSpec(2, 64, 4.0), GridSpec(2, 256, 8.0), GridSpec(3, 16, 4.0)])
 def test_cutoff_l1_is_the_full_grid_formula(spec):
+    # The cutoff is held on its octant and summed there with mirror
+    # weights: the same sum as the full grid's in exact arithmetic, equal
+    # to a rounding bound of 1e-13.
     xi = spec.frequency_grids()
     hat = plateau_cutoff(np.sqrt(sum(x**2 for x in xi)))[None, ...].astype(complex)
-    assert cutoff_l1(spec) == lp_norm(GridField.from_spectrum(spec, hat), 1.0)
+    full = lp_norm(GridField.from_spectrum(spec, hat), 1.0)
+    assert math.isclose(cutoff_l1(spec), full, rel_tol=1e-13)
 
 
 def full_grid_plateau(spec, lam):
@@ -836,9 +872,9 @@ def test_image_magnitude_of_a_band_limited_field(op, spec):
 
 
 def test_supports_are_evaluated_on_their_box_only(monkeypatch):
-    # The blowup window at scale 4 on 1024^2 (box 4) lives on 63 x 32
-    # frequencies of the 1024 x 513 half spectrum; the plateau at exponent 1
-    # on 512^2 (box 40) on 53 x 53 points.
+    # The blowup window at scale 4 on 1024^2 (box 4) lives on 32 x 32
+    # frequencies of the 513 x 513 octant; the plateau at exponent 1 on
+    # 512^2 (box 40) on 53 x 53 points.
     from symlab.numlab import blowup, fields
 
     sizes = []
@@ -856,7 +892,7 @@ def test_supports_are_evaluated_on_their_box_only(monkeypatch):
     counting("smoothstep", fields)
     op, spec = laplacian(2).operator, GridSpec(2, 1024, 4.0)
     build_blowup_field(op, 4.0, spec, solve_symbol_directions(op, spec, [1.0], 8.0))
-    assert sizes == [("plateau_cutoff", 2016)] * 2
+    assert sizes == [("plateau_cutoff", 1024)] * 2
     sizes.clear()
     radial_cutoff_test_function(GridSpec(2, 512, 40.0), 1.0)
     assert sizes == [("smoothstep", 2809)]
@@ -874,24 +910,169 @@ def test_three_halves_norm_in_chunks():
 
 def test_band_limited_spectra_are_held_to_their_band(monkeypatch):
     # On 1024^2 (box 4) the blowup window at scale 4 lives on the first 32
-    # of 513 columns and the cutoff on the first 8; the image of u is built
-    # at the width of u.
+    # of 513 octant indices of each axis and the cutoff on the first 8; the
+    # image of u is built on the band of u.
     from symlab.numlab import blowup
 
     op, spec = laplacian(2).operator, GridSpec(2, 1024, 4.0)
     u = build_blowup_field(op, 4.0, spec, solve_symbol_directions(op, spec, [1.0], 8.0))
-    assert u._held_spectrum().shape == (1, 1024, 32)
-    assert apply_symbol(op, u)._held_spectrum().shape == (1, 1024, 32)
+    assert u._held_spectrum().shape == (1, 32, 32)
+    assert apply_symbol(op, u)._held_spectrum().shape == (1, 32, 32)
     shapes = []
-    original = GridField.from_spectrum
+    original = GridField.from_octant
 
     def recorded(spec, hat):
         shapes.append(hat.shape)
         return original(spec, hat)
 
-    monkeypatch.setattr(blowup.GridField, "from_spectrum", recorded)
+    monkeypatch.setattr(blowup.GridField, "from_octant", recorded)
     cutoff_l1(spec)
-    assert shapes == [(1, 1024, 8)]
+    assert shapes == [(1, 8, 8)]
+
+
+# ---------------------------------------------------------------------------
+# Fields even or odd in every axis, held on the octant.
+
+
+def random_octant(spec, parity, band, rng):
+    # Noise on an octant held to ``band``, zero where an odd axis of
+    # ``parity`` has no bin (index 0 and N/2); an even axis keeps data on
+    # its Nyquist plane.
+    top = spec.size // 2
+    octant = rng.standard_normal((1,) + tuple(band))
+    for ax, odd in enumerate(parity):
+        if odd:
+            for index in (0, top):
+                if index < band[ax]:
+                    octant[(0,) + (slice(None),) * ax + (index,)] = 0.0
+    return octant
+
+
+@pytest.mark.parametrize("n, size", [(1, 16), (2, 16), (3, 8), (4, 8)])
+def test_octant_invert_is_the_half_path_of_its_mirror_images(n, size):
+    # Every parity pattern, and bands 1, 2, N/2 and N/2 + 1 on each axis:
+    # the octant's real passes give the values that ``_invert`` gives for
+    # the half spectrum the octant stands for, i^q times it mirrored, on the
+    # octant and, mirrored, on the whole grid; within 1e-13 of the largest.
+    spec = GridSpec(n, size, 3.0)
+    top = size // 2
+    rng = np.random.default_rng(n)
+    for parity in itertools.product((0, 1), repeat=n):
+        for band in itertools.product((1, 2, top, top + 1), repeat=n):
+            octant = random_octant(spec, parity, band, rng)
+            rows, values = next(_invert(spec, octant[0].copy(), None, parity))
+            assert rows == slice(0, top + 1) and values.shape == spec.octant_shape
+            half = mirrored(spec, octant, parity) * 1j ** sum(parity)
+            expected = np.empty(spec.shape)
+            for _ in _invert(spec, half[0], expected):
+                pass
+            bound = 1e-13 * np.abs(expected).max()
+            assert np.abs(values - expected[(slice(top + 1),) * n]).max() <= bound
+            grid_values = mirrored(spec, values[None], parity, half=False)[0]
+            assert np.abs(grid_values - expected).max() <= bound
+
+
+def newton_potential_spectrum(spec, eps):
+    # Reference: the potential's spectrum by its full-grid formula, as the
+    # builder evaluated it on the half spectrum, Nyquist-masked.
+    xi = spec.frequency_grids()
+    f0, f1, f2 = (sign * np.exp(-np.pi * eps**2 * x**2)
+                  for sign, x in zip(half_box_shift(spec), xi))
+    r2 = xi[0] ** 2 + xi[1] ** 2 + xi[2] ** 2
+    r2[0, 0, 0] = 1.0
+    phi = f0 * f1 / r2 * (f2 * (-1.0 / (4.0 * np.pi**2)))
+    phi[0, 0, 0] = 0.0
+    return phi * nyquist_mask(spec)
+
+
+@pytest.mark.parametrize("spec", [GridSpec(3, 16, 8.0), GridSpec(3, 32, 6.0)])
+def test_newton_spectrum_is_the_full_grid_formula(spec):
+    # The potential is built on its octant and the gradient's rows, odd in
+    # one axis each, stay there: mirrored, both are the full-grid formula
+    # bit for bit.
+    u = newton_gradient_field(spec, 0.4)
+    phi = newton_potential_spectrum(spec, 0.4)
+    assert u._made[1]._held_spectrum().shape == (1,) + spec.octant_shape
+    assert np.array_equal(u._made[1].spectrum(), phi[None, ...].astype(complex))
+    expected = np.stack([(2j * np.pi) * x * phi for x in spec.frequency_grids()])
+    assert np.array_equal(u.spectrum(), expected)
+    assert u._parity == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def octant_magnitudes():
+    # (spec, field or None, magnitude held on the octant): of the newton
+    # field, and of a blowup field, its first derivatives and its Laplacian.
+    newton = newton_gradient_field(GridSpec(3, 32, 6.0), 0.3)
+    op, spec = laplacian(2).operator, GridSpec(2, 64, 4.0)
+    u = build_blowup_field(op, 4.0, spec, solve_symbol_directions(op, spec, [1.0], 8.0))
+    au = apply_symbol(op, u)
+    return [(newton.spec, newton, newton.magnitude()), (spec, u, u.magnitude()),
+            (spec, None, derivative_magnitude(u, 1)), (spec, au, au.magnitude())]
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_octant_norms_are_those_of_the_mirrored_grid(chunk, monkeypatch):
+    # Riemann sums over the octant with mirror weights, p = 1, 3/2 and 2
+    # (in one chunk, and in chunks of three rows), give the norms of the
+    # mirrored grid magnitude to 1e-13, and the boundary tail is the same;
+    # the mirrored magnitude of a field is the magnitude of its values.
+    from symlab.numlab import norms
+
+    for spec, field, mag in octant_magnitudes():
+        if chunk:
+            monkeypatch.setattr(norms, "NORM_CHUNK", chunk * mag[0].size)
+        assert mag.shape == spec.octant_shape
+        full = mirrored(spec, mag[None], half=False)[0]
+        for p in (1.0, 1.5, 2.0):
+            assert math.isclose(magnitude_norm(spec, mag, p), magnitude_norm(spec, full, p),
+                                rel_tol=1e-13)
+        assert boundary_tail(mag) == boundary_tail(full)
+        if field is not None:
+            expected = GridField(spec, field.values).magnitude()
+            assert np.abs(full - expected).max() <= 1e-13 * expected.max()
+
+
+def test_mixed_parity_row_takes_the_half_path(monkeypatch):
+    # xi_0 + xi_1 on an even field mixes parities: the source is expanded
+    # to its half spectrum and measured as a field held there is, on the
+    # grid and with complex passes, bit for bit.
+    spec = GridSpec(2, 16, 4.0)
+    octant = random_octant(spec, (0, 0), spec.octant_shape, np.random.default_rng(8))
+    even = GridField.from_octant(spec, octant.copy())
+    half = GridField.from_spectrum(spec, mirrored(spec, octant).astype(complex))
+    op = SymbolOperator.from_entries(2, 1, 1, 1, {((1, 0), 0, 0): 1, ((0, 1), 0, 0): 1})
+    calls = count_transforms(monkeypatch)
+    mag = image_magnitude(op, even)
+    assert mag.shape == spec.shape and calls == {"ifft": 1, "irfft": 1}
+    assert np.array_equal(mag, image_magnitude(op, half))
+    assert image_l1(op, even) == image_l1(op, half)
+    image = apply_symbol(op, even)
+    assert np.array_equal(image.spectrum(), apply_symbol(op, half).spectrum())
+    assert image._parity is None
+    # A row of one parity stays on the octant.
+    assert image_magnitude(gradient(2).operator, even).shape == spec.octant_shape
+
+
+@pytest.mark.parametrize("entry, e, ell, spec, scale, octant", [
+    (laplacian(2), [1], 1, GridSpec(2, 128, 4.0), 4.0, True),
+    (hodge_pair(3, 1), [0, 0, 0, 1], 0, GridSpec(3, 32, 4.0), 2.0, False),
+])
+def test_blowup_point_transform_paths(entry, e, ell, spec, scale, octant, monkeypatch):
+    # The Laplacian's exponents are all even: a blowup point runs real
+    # passes only, two per image (the two first derivatives, the field's
+    # own magnitude and A(D)u).  hodge_pair(3, 1) has odd exponents and
+    # keeps the half spectrum's complex passes.
+    from symlab.numlab import experiments
+
+    op = entry.operator
+    directions = solve_symbol_directions(op, spec, admissible(op, e), math.inf)
+    calls = count_transforms(monkeypatch)
+    row = experiments._blowup_point(op, ell, scale, spec, directions, 1.0)
+    assert np.isfinite(row["ratio"])
+    if octant:
+        assert calls == {"irfft": 8}
+    else:
+        assert calls["ifft"] > 0 and "irfftn" not in calls
 
 
 THREADED_NORM = """
