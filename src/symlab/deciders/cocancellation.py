@@ -70,10 +70,6 @@ def _dense(s: list, ncols: int) -> tuple[list[int], list[list[int]]]:
     return nonzero, dense
 
 
-def joint_kernel(l: SymbolOperator) -> Subspace:
-    return int_kernel(_dense(_stacked(l), l.dim_v)[1], l.dim_v)
-
-
 def check_cocanceling(l: SymbolOperator) -> CocancelingVerdict:
     s = _stacked(l)
     nonzero, dense = _dense(s, l.dim_v)

@@ -65,7 +65,6 @@ class EllipticityVerdict:
     witness_xi: Optional[tuple] = None
     witness_v: Optional[tuple] = None
     undecided_box: Optional[FaceBox] = None
-    depth_reached: int = 0
     boxes_examined: int = 0
     axis_depths: tuple = ()  # deepest bisection along each coordinate
     det_terms: int = 0
@@ -75,6 +74,11 @@ class EllipticityVerdict:
     @property
     def certified(self) -> bool:
         return self.status in (ELLIPTIC, NOT_ELLIPTIC)
+
+    @property
+    def depth_reached(self) -> int:
+        """The deepest bisection along any coordinate, 0 without a search."""
+        return max(self.axis_depths, default=0)
 
 
 def _covers(memberships: Sequence[Membership]) -> list[CertifiedBox]:
@@ -134,8 +138,7 @@ def check_ellipticity(a: SymbolOperator) -> EllipticityVerdict:
         return EllipticityVerdict(UNDECIDED, reason=f"det(A^T A): {exc}")
     counters = dict(det_terms=len(det_gram.terms), det_degree=det_gram.degree(),
                     boxes_examined=boxes + positive.boxes_examined,
-                    axis_depths=positive.axis_depths,
-                    depth_reached=max(positive.axis_depths, default=0))
+                    axis_depths=positive.axis_depths)
     if positive.zero is not None:
         # det(A^T A)(xi) = 0 with xi != 0: A(xi) has a kernel.
         return not_elliptic(positive.zero, **counters)

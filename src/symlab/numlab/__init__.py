@@ -7,18 +7,22 @@ and the blowup direction solve.  ``apply_symbol`` makes an operator-made field
 that records the operator and its source and transforms nothing; applied
 to an operator-made field B(D)v it records the exact composite symbol
 (``SymbolOperator.compose``) on v.  Every image the experiments only
-measure is reduced slab by slab from its rows: ``image_l1`` roots and sums
-each slab of the squared magnitude, or of a single row's absolute value
-(the right-hand sides of the inequality
-families, the duality residual and the blowup image A(D)u), and
-``image_squares`` gathers the slabs into a grid (the one partial
-derivative of the newton potential).  An image of B(D)v is measured
-through the composite: the curl of the newton gradient field and the
-divergence of the planar curl field are the zero symbol, measured as
+measure is reduced slab by slab from its rows by one loop
+(``grid._image_slabs``): ``image_l1`` roots and sums each slab of the
+squared magnitude, or of a single row's absolute value (the right-hand
+sides of the inequality families, the duality residual and the blowup
+image A(D)u), and ``image_squares`` gathers the slabs into a grid (the
+one partial derivative of the newton potential).  An image of B(D)v is
+measured through the composite: the curl of the newton gradient field and
+the divergence of the planar curl field are the zero symbol, measured as
 exact zeros with no transform and, for their L1 norms, no grid
 allocated.  A field built from a spectrum (the newton potential, the
-blowup field) or by an operator synthesizes its values only when they are
-read; its norms stream the magnitude without them.
+blowup field) holds it exactly as given, Nyquist bins and all, and only
+the images and ``spectrum()`` are Nyquist-projected.  Such a field, or
+one built by an operator, synthesizes its values only when they are read;
+its magnitude reduces its components as the rows of an image, through the
+same loop, without them.  Every norm and L1 sum is the one Riemann sum
+``grid.grid_sum``, over a grid or, with mirror weights, an octant.
 
 The compactly supported closed forms (the blowup window and cutoff, the
 plateau test functions) are evaluated on the box of indices that holds

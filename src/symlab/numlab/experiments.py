@@ -134,7 +134,6 @@ def blowup_experiment(
     scales: Sequence[float],
     spec: GridSpec,
     seed: int = 0,
-    check_convergence: bool = True,
     digest: Optional[str] = None,
 ) -> tuple[list[dict], dict]:
     """Ratio of the order-ell derivative norm to the image L1 norm across a
@@ -145,20 +144,20 @@ def blowup_experiment(
         raise ValueError("derivative gap k - ell must stay below the dimension")
     e_float = blowup_direction(a, e, check_ellipticity(a), image_intersection(a, seed))
     e_norm = float(np.sqrt((e_float**2).sum()))
-    half = spec.halved() if check_convergence else None
+    half = spec.halved()
     # U(xi) and the image bound 2 ||psi||_1 |e| do not depend on the scale:
     # one solve and one cutoff mass per grid.  The windows of every scale
     # live where each |xi_i| < 2 max(scales), so U is solved there only.
     reach = 2.0 * max(scales, default=0.0)
     per_grid = {
         g: (solve_symbol_directions(a, g, e_float, reach), 2.0 * cutoff_l1(g) * e_norm)
-        for g in (spec, half) if g is not None
+        for g in (spec, half)
     }
     rows = []
     for scale in scales:
         row = _blowup_point(a, ell, scale, spec, *per_grid[spec])
         ref = None
-        if half is not None and half.nyquist >= scale:
+        if half.nyquist >= scale:
             # The reference needs only the ratio: no control columns, no tail.
             num, den, _ = _blowup_ratio_terms(
                 a, ell, build_blowup_field(a, scale, half, per_grid[half][0]))

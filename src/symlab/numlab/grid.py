@@ -53,50 +53,57 @@ or odd in every axis are the same mirror images of them.
 
 A ``GridField`` is one of three kinds.  A field built from values
 transforms forward once, when an operator first reads its spectrum.  A
-field from a spectrum or an octant keeps it Nyquist-masked, and a copy of
-the input's Nyquist hyperplanes, and synthesizes nothing: its values are
-synthesized when first read (an octant field mirrors them from its
-octant), and its magnitude, when asked for before the values, streams the
-components through one work buffer and adds their squares slab by slab, so
-a field that is only measured is never held as values.  An operator-made
-field (``apply_symbol``) records the operator A and its source v and holds
-nothing else until it is read; applying B(D) to it records the exact
-composite symbol B A (``SymbolOperator.compose``) on the same v, so a chain
-of operators is never more than one symbol away from a field that holds
-data.  Its spectrum, when read, is built once from the spectrum of v; its
-magnitude, asked for first, streams A(D)v as ``image_magnitude`` does.
-Every kind caches its magnitude once a norm or the boundary tail has asked
-for it.  ``values`` and ``spectrum()`` of an octant field are the full
-grid and the half spectrum, mirrored.
+field from a spectrum or an octant holds it exactly as given, read-only,
+Nyquist hyperplanes and all, and synthesizes nothing until it is read.  An
+operator-made field (``apply_symbol``) records the operator A and its
+source v and holds nothing else until it is read; applying B(D) to it
+records the exact composite symbol B A (``SymbolOperator.compose``) on the
+same v, so a chain of operators is never more than one symbol away from a
+field that holds data.  Its spectrum, when read, is built once from the
+spectrum of v; its magnitude, asked for first, is that of the image
+A(D)v, measured as ``image_magnitude`` measures it.  Every kind caches its
+magnitude once a norm or the boundary tail has asked for it.
+
+The Nyquist projection belongs to the multiplier: ``_image_rows`` zeroes
+the Nyquist hyperplanes of every image row it builds, and ``spectrum()``
+those of the copy it returns, so the spectrum held is never changed.  The
+values of a field held by a spectrum keep its Nyquist bins.  ``values``
+and ``spectrum()`` of an octant field are the full grid and the half
+spectrum, mirrored.
 
 A pointwise magnitude is a grid array, or an octant array (shape
 ``spec.octant_shape``) for a field or image held on the octant: a
-magnitude is even in every axis, so its octant determines it.  Riemann
-sums over an octant weight each point by its mirror count, the product
-over the axes of 1 at index 0 and N/2 and 2 elsewhere (``octant_sum``);
-the maximum and the boundary shell (``boundary_tail``) read the octant as
-they are.
+magnitude is even in every axis, so its octant determines it.
+``grid_sum`` is the one Riemann sum: a grid slab is summed as it is, and
+an octant slab weights each point by its mirror count, the product over
+the axes of 1 at index 0 and N/2 and 2 elsewhere.  The maximum and the
+boundary shell (``boundary_tail``) read the octant as they are.
 
 ``symbol_on_grid`` is the one place that evaluates a symbol sum_alpha
 xi^alpha A_alpha at the grid frequencies, and ``_image_rows`` the one place
 that multiplies a spectrum by it, one row of the image at a time.  An
-operator-made field collects the rows into its spectrum; a measured image
-is reduced slab by slab (``_image_slabs``): each row is inverted in its
-work buffer as soon as it is built, every row but the last adds its
-weighted square to one accumulator slab by slab, and the last row's
-squared slabs are added to the accumulator's rows and handed on while
-still in cache.  ``image_squares`` gathers them in its result,
-``image_magnitude`` roots them there, and ``image_l1`` roots and sums each
-slab, so an image that is only measured is never materialized, no row of
-it is held in full and a single-row image holds no grid at all; the
-magnitude of a single unweighted row is its absolute value.  Measured on
-an operator-made field B(D)v, A(D)B(D)v is one image of v through the
-composite A B: the newton gradient field is grad(D) phi, so its
-divergence is the Laplacian of phi, one transform, and its curl is the
-zero symbol, for which ``image_squares`` and ``image_l1`` allocate nothing
-and transform nothing.  ``derivative_magnitude`` measures the image of the
-operator stacking all partial derivatives of one order, and the blowup
-direction solve reads its per-frequency matrices from ``symbol_on_grid``.
+operator-made field collects the rows into its spectrum.  ``_image_slabs``
+is the one reduction: it takes rows, the rows of an image or the
+components of a held field (``GridField._rows``, each copied into a work
+buffer), and reduces them slab by slab.  Each row is inverted in its work
+buffer as soon as it is built, every row but the last adds its weighted
+square to one accumulator slab by slab, and the last row's squared slabs
+are added to the accumulator's rows and handed on while still in cache.
+``image_squares`` gathers them in its result, ``image_magnitude`` and the
+magnitude of a held field whose values were never read root them there,
+and ``image_l1`` roots and sums each slab, so an image that is only
+measured is never materialized, no row of it is held in full and a
+single-row image holds no grid at all; the magnitude of a single
+unweighted row is its absolute value.  A held field's values are its rows
+inverted into place, and they, and the rows of its magnitude, are checked
+finite slab by slab.  Measured on an operator-made field B(D)v, A(D)B(D)v
+is one image of v through the composite A B: the newton gradient field is
+grad(D) phi, so its divergence is the Laplacian of phi, one transform, and
+its curl is the zero symbol, for which ``image_squares`` and ``image_l1``
+allocate nothing and transform nothing.  ``derivative_magnitude``
+measures the image of the operator stacking all partial derivatives of
+one order, and the blowup direction solve reads its per-frequency
+matrices from ``symbol_on_grid``.
 
 Closed-form fields with compact support (the blowup window in frequency,
 the plateau test function in space) are evaluated on the box of indices
@@ -243,7 +250,7 @@ class GridField:
     spectrum only when it is read.  The spectrum, synthesized values and
     magnitude are each cached read-only once produced."""
 
-    __slots__ = ("spec", "components", "_values", "_hat", "_parity", "_planes", "_mag", "_made")
+    __slots__ = ("spec", "components", "_values", "_hat", "_parity", "_mag", "_made")
 
     def __init__(self, spec: GridSpec, values: np.ndarray):
         expected = (values.shape[0],) + spec.shape
@@ -254,13 +261,11 @@ class GridField:
         self.spec = spec
         self.components = values.shape[0]
         self._values: Optional[np.ndarray] = values
-        # The Nyquist-masked, continuum-normalized half spectrum or octant,
-        # the parity of each octant component (None for a half spectrum),
-        # the input's Nyquist hyperplanes (a field built from a spectrum or
-        # an octant only) and the pointwise magnitude.
+        # The continuum-normalized half spectrum or octant as held, Nyquist
+        # hyperplanes and all, the parity of each octant component (None
+        # for a half spectrum) and the pointwise magnitude.
         self._hat: Optional[np.ndarray] = None
         self._parity: Optional[tuple[tuple[int, ...], ...]] = None
-        self._planes: list[np.ndarray] = []
         self._mag: Optional[np.ndarray] = None
         # (A, v) for the field A(D)v of ``apply_symbol``; v is never itself
         # operator-made.
@@ -273,16 +278,15 @@ class GridField:
         axis may stop after any column, from the first on, and the columns
         above it are then zero.  Nothing is synthesized here.
 
-        The field takes the input over as its spectrum, Nyquist-zeroed in
-        place, and keeps a copy of the input's Nyquist hyperplanes (index
-        N/2 on each axis the input reaches, n N^(n-1) bins per component at
-        full width).  Synthesis writes them back, so the values are
-        ``irfftn`` of the input, zero-padded to full width: they keep the
-        Nyquist bins, read at -N/2 on the first n - 1 axes, and a factor odd
-        in the frequency of such an axis belongs zeroed on its Nyquist bin.
-        The cached spectrum is the values' spectrum when the input is the
-        half spectrum of a real field, that is when its zero plane of the
-        last axis is Hermitian off the Nyquist bins."""
+        The field takes the input over as its spectrum, exactly as given,
+        and makes it read-only.  The values are ``irfftn`` of the input,
+        zero-padded to full width: they keep the Nyquist bins (index N/2 on
+        each axis), read at -N/2 on the first n - 1 axes.  A factor odd in
+        the frequency of such an axis belongs zeroed on its Nyquist bin, so
+        ``spectrum()`` and every image of the field are Nyquist-projected.
+        ``spectrum()`` is the values' spectrum when the input is the half
+        spectrum of a real field, that is when its zero plane of the last
+        axis is Hermitian off the Nyquist bins."""
         width = spectrum.shape[-1]
         if spectrum.shape[1:-1] != spec.half_shape[:-1] or not 1 <= width <= spec.half_shape[-1]:
             raise ValueError(
@@ -296,11 +300,9 @@ class GridField:
         normalized spectrum on its octant: shape (components, b_0 .. b_n-1),
         every axis held to a band of 1 to N/2 + 1 indices, the frequencies
         above it being zero.  Its spectrum is the octant mirrored on every
-        axis but the last.  Nothing is synthesized here.
-
-        As ``from_spectrum`` does, the field takes the input over, Nyquist-
-        zeroed in place, and keeps a copy of its Nyquist hyperplanes (index
-        N/2 on each axis the band reaches), which synthesis writes back."""
+        axis but the last.  Nothing is synthesized here; as
+        ``from_spectrum`` does, the field takes the input over, read-only
+        and exactly as given, Nyquist hyperplanes and all."""
         top = spec.octant_shape[0]
         if octant.ndim != spec.n + 1 or not all(1 <= b <= top for b in octant.shape[1:]):
             raise ValueError(
@@ -312,11 +314,8 @@ class GridField:
 
     @classmethod
     def _holding(cls, spec: GridSpec, hat: np.ndarray) -> "GridField":
-        """A field holding ``hat`` Nyquist-zeroed, with a copy of its
-        Nyquist hyperplanes."""
+        """A field holding ``hat``, made read-only."""
         out = cls._empty(spec, hat.shape[0])
-        out._planes = [hat[index].copy() for index in _nyquist_planes(spec, hat.shape[1:])]
-        zero_nyquist(spec, hat)
         hat.flags.writeable = False
         out._hat = hat
         return out
@@ -328,62 +327,56 @@ class GridField:
         out.spec = spec
         out.components = components
         out._values = out._hat = out._parity = out._mag = out._made = None
-        out._planes = []
         return out
 
     @property
     def values(self) -> np.ndarray:
         """The grid values, of shape (components, *spec.shape); a field built
         from a spectrum or by an operator synthesizes them on first read,
-        then caches them (read-only).  An octant field mirrors each
-        component from its octant of values."""
+        each component a row of ``_rows``, then caches them (read-only).  An
+        octant field mirrors each component from its octant of values."""
         if self._values is None:
-            hat = self._held_spectrum()
+            rows, _, held_on_octant = self._rows()
             values = np.empty((self.components,) + self.spec.shape)
-            work = np.empty(hat.shape[1:], dtype=hat.dtype)
-            octant = None if self._parity is None else np.empty(self.spec.octant_shape)
-            for c in range(self.components):
-                for _ in self._synthesize(c, work, values[c] if octant is None else octant):
+            octant = np.empty(self.spec.octant_shape) if held_on_octant else None
+            for c, row, parity in rows:
+                for _ in _finite(_invert(self.spec, row, values[c] if octant is None else octant,
+                                         parity)):
                     pass
                 if octant is not None:
-                    values[c] = _unfold(self.spec, octant, self._parity[c])
+                    values[c] = _unfold(self.spec, octant, parity)
             values.flags.writeable = False
             self._values = values
         return self._values
 
-    def _synthesize(
-        self, c: int, work: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> Iterator[tuple[slice, np.ndarray]]:
-        """Invert component c of the input spectrum slab by slab, as
-        ``_invert`` does, from a copy in ``work`` (shaped as the spectrum
-        held): the in-place passes would scramble the cached spectrum.
-        Yields each finite slab of values, on the octant for an octant
-        field."""
-        np.copyto(work, self._held_spectrum()[c])
-        for index, plane in zip(_nyquist_planes(self.spec, work.shape), self._planes):
-            work[index] = plane[c]
-        parity = None if self._parity is None else self._parity[c]
-        for rows, values in _invert(self.spec, work, out, parity):
-            if not np.all(np.isfinite(values)):
-                raise ValueError("field contains non-finite entries")
-            yield rows, values
+    def _rows(self) -> tuple[Iterator[tuple[int, np.ndarray, Optional[tuple]]], int, bool]:
+        """The held spectrum as an image's rows (see ``_image``): each
+        component copied in turn into one work buffer, which the in-place
+        passes of ``_invert`` may scramble, with its parity."""
+        hat = self._held_spectrum()
+
+        def rows() -> Iterator[tuple[int, np.ndarray, Optional[tuple]]]:
+            work = np.empty(hat.shape[1:], dtype=hat.dtype)
+            for c in range(self.components):
+                np.copyto(work, hat[c])
+                yield c, work, None if self._parity is None else self._parity[c]
+
+        return rows(), self.components - 1, self._parity is not None
 
     def spectrum(self) -> np.ndarray:
         """The Nyquist-masked, continuum-normalized half spectrum, of shape
-        (components, *spec.half_shape), read-only.  A field held to a band
-        (see ``from_spectrum``) returns its band zero-padded to full width,
-        and an octant field its octant mirrored, a fresh copy on every
-        read; every other field returns its cached spectrum."""
+        (components, *spec.half_shape), read-only: a fresh copy on every
+        read of the spectrum held, zero-padded to full width when it is
+        held to a band (see ``from_spectrum``) and mirrored when it is an
+        octant."""
         hat = self._held_spectrum()
         if self._parity is not None:
             hat = self._unfolded()
-        width = self.spec.half_shape[-1]
-        if hat.shape[-1] < width:
-            full = np.zeros(hat.shape[:-1] + (width,), dtype=complex)
-            full[..., : hat.shape[-1]] = hat
-            hat = full
-        hat.flags.writeable = False
-        return hat
+        full = np.zeros(hat.shape[:-1] + self.spec.half_shape[-1:], dtype=complex)
+        full[..., : hat.shape[-1]] = hat
+        zero_nyquist(self.spec, full)
+        full.flags.writeable = False
+        return full
 
     def _unfolded(self) -> np.ndarray:
         """The half spectrum of an octant field, held to the band of the
@@ -400,9 +393,9 @@ class GridField:
         """The spectrum as the field holds it: computed on first use, then
         cached (read-only), a half spectrum as wide on the last axis as the
         spectrum of its source, or an octant held to the bands of its
-        source's.  A field made by A(D) from v multiplies the spectrum of v
-        row by row, whose Nyquist bins are zero already, on the octant when
-        v is held there and every row has one parity (the parities are set
+        source's.  A field made by A(D) from v collects the rows of the
+        image (``_image_rows``), Nyquist-projected, on the octant when v is
+        held there and every row has one parity (the parities are set
         then); a field built from values takes one ``rfftn`` per
         component."""
         if self._hat is None:
@@ -410,8 +403,8 @@ class GridField:
                 a, v = self._made
                 source, parity, parities = _operand(a, v)
                 hat = np.empty((self.components,) + source.shape[1:], dtype=source.dtype)
-                written = {r for r, _ in _image_rows(a, self.spec, source, parity, parities,
-                                                     hat.__getitem__)}
+                written = {r for r, _, _ in _image_rows(a, self.spec, source, parity, parities,
+                                                        hat.__getitem__)}
                 for r in range(self.components):
                     if r not in written:
                         hat[r] = 0.0
@@ -423,7 +416,6 @@ class GridField:
                 for c in range(self.components):
                     np.fft.rfftn(self.values[c], out=hat[c])
                 hat *= self.spec.cell_volume
-                zero_nyquist(self.spec, hat)
             hat.flags.writeable = False
             self._hat = hat
         return self._hat
@@ -432,28 +424,19 @@ class GridField:
         """Pointwise Euclidean norm over the components, of shape
         spec.shape, or spec.octant_shape for a field held on the octant:
         computed on first use, then cached (read-only).  A field whose
-        values were never read, and every octant field, streams its
-        components through one work buffer: the first is synthesized into
-        the result and squared there, the others are squared and added one
-        slab at a time, so the values are not held; the result is the same
-        bit for bit.  The magnitude of one component is its absolute value.
-        A field made by A(D) from v whose spectrum was never read (nor,
-        then, its values) takes ``image_magnitude(A, v)``, equal bit for bit
-        as well."""
+        values were never read, and every octant field, reduces the rows of
+        its held spectrum (``_rows``) as ``image_magnitude`` reduces an
+        image's, so the values are not held; the result is the same bit for
+        bit.  The magnitude of one component is its absolute value.  A field
+        made by A(D) from v whose spectrum was never read (nor, then, its
+        values) takes ``image_magnitude(A, v)``, equal bit for bit as
+        well."""
         if self._mag is None:
-            one = self.components == 1
             if self._hat is None and self._made is not None:
                 mag = image_magnitude(*self._made)
             elif self._values is None or self._parity is not None:
-                hat = self._held_spectrum()
-                work = np.empty(hat.shape[1:], dtype=hat.dtype)
-                mag = np.empty(self.spec.shape if self._parity is None else self.spec.octant_shape)
-                for c in range(self.components):
-                    slabs = self._synthesize(c, work, None if c else mag)
-                    for _ in slabs if one else _squares(slabs, mag if c else None):
-                        pass
-                (np.abs if one else np.sqrt)(mag, out=mag)
-            elif one:
+                mag = _gathered(self.spec, self._rows(), root=True, finite=True)
+            elif self.components == 1:
                 mag = np.abs(self._values[0])
             else:
                 mag = np.square(self._values[0])
@@ -489,28 +472,22 @@ def is_octant(spec: GridSpec, a: np.ndarray) -> bool:
     return spec.size > 2 and a.shape == spec.octant_shape
 
 
-def octant_sum(spec: GridSpec, a: np.ndarray, rows: slice = slice(None)) -> float:
-    """The sum over the grid of the values that the octant array ``a``
-    stands for, each point times its mirror count: the product over the
-    axes of 1 at index 0 and N/2 and 2 elsewhere.  ``a`` may be the slab
-    ``rows`` of axis 0 of an octant.  The axes are reduced from the last by
-    ``einsum``, whose order of summation does not depend on the number of
-    BLAS threads."""
+def grid_sum(spec: GridSpec, a: np.ndarray, rows: slice, octant: bool) -> float:
+    """The sum over the grid of the values that ``a``, the slab ``rows`` of
+    axis 0 of a grid or, with ``octant``, of an octant array, stands for.
+    A grid slab is summed as it is.  An octant slab stands for its mirror
+    images: each point counts its mirror count, the product over the axes
+    of 1 at index 0 and N/2 and 2 elsewhere, and the axes are reduced from
+    the last by ``einsum``, whose order of summation does not depend on the
+    number of BLAS threads.  The caller says which it is: for n = 1 a grid
+    slab may have an octant's shape."""
+    if not octant:
+        return float(a.sum())
     weights = np.full(spec.size // 2 + 1, 2.0)
     weights[0] = weights[-1] = 1.0
     for _ in range(a.ndim - 1):
         a = np.einsum("...i,i->...", a, weights)
     return float(np.einsum("i,i->", a, weights[rows]))
-
-
-def _nyquist_planes(spec: GridSpec, shape: Sequence[int]) -> list[tuple]:
-    """Indices of the Nyquist hyperplanes (index N/2 on axis 0 .. n - 1) of
-    an array whose last n axes have the lengths ``shape``, a half spectrum
-    or an octant, each held to its band or not: an axis has its hyperplane
-    when it reaches index N/2."""
-    half = spec.size // 2
-    return [(Ellipsis, half) + (slice(None),) * (spec.n - 1 - ax)
-            for ax, length in enumerate(shape[-spec.n:]) if length > half]
 
 
 def zero_nyquist(spec: GridSpec, hat: np.ndarray) -> None:
@@ -521,10 +498,12 @@ def zero_nyquist(spec: GridSpec, hat: np.ndarray) -> None:
 
     Real fields carry the N/2 frequency without its sign partner, so
     odd-order multipliers on that bin have no Hermitian representation;
-    projecting the bin out makes multiplier application commute with
-    composition exactly."""
-    for index in _nyquist_planes(spec, hat.shape):
-        hat[index] = 0.0
+    projecting the bin out of every image (``_image_rows``) makes
+    multiplier application commute with composition exactly."""
+    half = spec.size // 2
+    for ax, length in enumerate(hat.shape[-spec.n:]):
+        if length > half:
+            hat[(Ellipsis, half) + (slice(None),) * (spec.n - 1 - ax)] = 0.0
 
 
 def half_box_shift(spec: GridSpec, octant: bool = False) -> list[np.ndarray]:
@@ -663,6 +642,14 @@ def _invert_octant(
     return slice(0, top), out
 
 
+def _finite(slabs: Iterator[tuple[slice, np.ndarray]]) -> Iterator[tuple[slice, np.ndarray]]:
+    """The slabs of synthesized values, each checked finite."""
+    for rows, values in slabs:
+        if not np.all(np.isfinite(values)):
+            raise ValueError("field contains non-finite entries")
+        yield rows, values
+
+
 def _squares(
     slabs: Iterator[tuple[slice, np.ndarray]], total: Optional[np.ndarray] = None,
     weight: Optional[int] = None,
@@ -756,15 +743,17 @@ def _operand(
 def _image_rows(
     a: SymbolOperator, spec: GridSpec, hat: np.ndarray, parity: Optional[tuple],
     parities: Optional[dict[int, tuple[int, ...]]], target: Callable[[int], np.ndarray],
-) -> Iterator[tuple[int, np.ndarray]]:
+) -> Iterator[tuple[int, np.ndarray, Optional[tuple[int, ...]]]]:
     """The spectrum of A(D)u row by row, held as ``hat`` (from
     ``_operand``) is: for each row with a nonzero symbol entry, in order,
-    writes the row into ``target(row)`` and yields (row, that array).  The
-    multiplier is (2 pi i)^k A(xi), applied to ``hat`` one entry at a time
-    and one slab of axis 0 at a time: the (2 pi i)^k factor goes into the
-    entry's slab, and the first entry of a row writes it, the others add to
-    it, through temporaries the size of that slab, even for an entry that
-    sums several monomials over the whole grid.
+    writes the row into ``target(row)`` and yields (row, that array, its
+    parity on the octant or None).  The multiplier is (2 pi i)^k A(xi),
+    applied to ``hat`` one entry at a time and one slab of axis 0 at a
+    time: the (2 pi i)^k factor goes into the entry's slab, and the first
+    entry of a row writes it, the others add to it, through temporaries
+    the size of that slab, even for an entry that sums several monomials
+    over the whole grid.  The row's Nyquist hyperplanes are then zeroed
+    (``zero_nyquist``), whatever ``hat`` holds there.
 
     On an octant (``parities`` given), column c of parity ``parity[c]``
     and row r of parity ``parities[r]`` take the real factor
@@ -786,7 +775,8 @@ def _image_rows(
                     row[part] += factor * hat[c, part]
                 else:
                     np.multiply(factor, hat[c, part], out=row[part])
-        yield r, row
+        zero_nyquist(spec, row)
+        yield r, row, parities[r] if octant else None
 
 
 def _source(a: SymbolOperator, u: GridField) -> tuple[SymbolOperator, GridField]:
@@ -825,7 +815,7 @@ def image_magnitude(
     a, u = _source(a, u)
     if a.is_zero():
         return np.zeros(u.spec.shape)
-    return _gathered(a, u, weights, root=True)
+    return _gathered(u.spec, _image(a, u), weights, root=True)
 
 
 def image_squares(
@@ -837,18 +827,34 @@ def image_squares(
     a, u = _source(a, u)
     if a.is_zero():
         return None
-    return _gathered(a, u, weights)
+    return _gathered(u.spec, _image(a, u), weights)
+
+
+def _image(
+    a: SymbolOperator, u: GridField
+) -> tuple[Iterator[tuple[int, np.ndarray, Optional[tuple]]], int, bool]:
+    """(rows, last, octant) of A(D)u, for a nonzero A and a u that holds
+    data: the rows of ``_image_rows``, each built in one work buffer, the
+    index of the last of them, and whether they are held on the octant."""
+    hat, parity, parities = _operand(a, u)
+    work = np.empty(hat.shape[1:], dtype=hat.dtype)
+    # The last row that ``symbol_on_grid`` yields: a stored numerator is
+    # never zero.
+    last = max(r for _, entries in a.terms for r, row in enumerate(entries) if row)
+    return (_image_rows(a, u.spec, hat, parity, parities, lambda r: work), last,
+            parities is not None)
 
 
 def _gathered(
-    a: SymbolOperator, u: GridField, weights: Optional[Sequence[int]], root: bool = False
+    spec: GridSpec, image: tuple, weights: Optional[Sequence[int]] = None,
+    root: bool = False, finite: bool = False,
 ) -> np.ndarray:
-    """The slabs of ``_image_slabs`` gathered in one array, on the octant
-    when the image is held there: the accumulator of a multi-row image,
-    into which a single-row image is inverted."""
-    hat, parity, parities = _operand(a, u)
-    total = np.empty(u.spec.shape if parities is None else u.spec.octant_shape)
-    for _ in _image_slabs(a, u.spec, hat, parity, parities, weights, total, root):
+    """The slabs of ``_image_slabs`` of ``image`` (rows, last, octant, as
+    ``_image`` or ``GridField._rows`` give them) gathered in one array, on
+    the octant when the rows are held there: the accumulator of several
+    rows, into which a single row is inverted."""
+    total = np.empty(spec.octant_shape if image[2] else spec.shape)
+    for _ in _image_slabs(spec, image, weights, total, root, finite):
         pass
     return total
 
@@ -859,66 +865,63 @@ def image_l1(
     """The sum of ``image_magnitude(a, u, weights)`` over the grid, the L1
     norm of A(D)u over the cell volume, without a grid of the magnitude:
     each slab of ``_image_slabs`` is rooted (or, for a single unweighted
-    row, taken in absolute value) and summed in place, and the slab sums
-    added in slab order; an octant's one slab is summed by
-    ``octant_sum``.  A single-row image then holds no grid of values at
-    all.  0.0 for a zero symbol, with nothing allocated."""
+    row, taken in absolute value) and summed in place by ``grid_sum``, and
+    the slab sums added in slab order.  A single-row image then holds no
+    grid of values at all.  0.0 for a zero symbol, with nothing
+    allocated."""
     a, u = _source(a, u)
     total = 0.0
     if not a.is_zero():
-        hat, parity, parities = _operand(a, u)
-        for _, slab in _image_slabs(a, u.spec, hat, parity, parities, weights, root=True):
-            total += float(slab.sum()) if parities is None else octant_sum(u.spec, slab)
+        image = _image(a, u)
+        for rows, slab in _image_slabs(u.spec, image, weights, root=True):
+            total += grid_sum(u.spec, slab, rows, image[2])
     return total
 
 
 def _image_slabs(
-    a: SymbolOperator, spec: GridSpec, hat: np.ndarray, parity: Optional[tuple],
-    parities: Optional[dict[int, tuple[int, ...]]], weights: Optional[Sequence[int]] = None,
-    out: Optional[np.ndarray] = None, root: bool = False,
+    spec: GridSpec, image: tuple, weights: Optional[Sequence[int]] = None,
+    out: Optional[np.ndarray] = None, root: bool = False, finite: bool = False,
 ) -> Iterator[tuple[slice, np.ndarray]]:
-    """sum_r w_r (A(D)u)_r^2 slab by slab along axis 0, for a nonzero A and
-    the spectrum of a u that holds data (as ``_operand`` returns it):
-    yields (rows, the squared magnitude on those rows), or with ``root``
-    the magnitude.  Each row spectrum is built in one work buffer, shaped
-    as ``hat``, and inverted in place.  Every row but the last accumulates
-    in one grid accumulator, ``out`` when given: the first is inverted into
-    it and squared there, every later one slab by slab, each slab's
-    weighted square added to it.  The last row's slabs are squared,
-    weighted, added to the accumulator's rows and yielded while they are
-    still in cache.  A single-row image has no accumulator: its slabs are
-    inverted into ``out`` when given, else into one reused slab buffer,
-    and with ``root`` and no weight their absolute values are yielded,
-    never squared.  Neither the image nor a full row of its values is ever
-    held.  On an octant every array has the octant's shape and the one
-    slab is the whole octant."""
-    # The first and last rows that ``symbol_on_grid`` yields: a stored
-    # numerator is never zero.
-    nonzero = [r for _, entries in a.terms for r, row in enumerate(entries) if row]
-    first, last = min(nonzero), max(nonzero)
-    work = np.empty(hat.shape[1:], dtype=hat.dtype)
+    """sum_r w_r row_r^2 slab by slab along axis 0, for the rows of
+    ``image``: (rows, last, octant) as ``_image`` gives them for an image
+    and ``GridField._rows`` for the components of a held field, rows
+    yielding (r, the spectrum of row r in a work buffer, its parity or
+    None) up to row ``last``.  Yields (rows, the squared magnitude on those
+    rows), or with ``root`` the magnitude.  Each row is inverted in place
+    in its work buffer; with ``finite`` each slab of its values is checked
+    finite first.  Every row but the last accumulates in
+    one grid accumulator, ``out`` when given: the first is inverted into it
+    and squared there, every later one slab by slab, each slab's weighted
+    square added to it.  The last row's slabs are squared, weighted, added
+    to the accumulator's rows and yielded while they are still in cache.
+    A single row has no accumulator: its slabs are inverted into ``out``
+    when given, else into one reused slab buffer, and with ``root`` and no
+    weight their absolute values are yielded, never squared.  Neither the
+    image nor a full row of its values is ever held.  On an octant every
+    array has the octant's shape and the one slab is the whole octant."""
+    rows, last, octant = image
     total = None
-    for r, row in _image_rows(a, spec, hat, parity, parities, lambda r: work):
+    for r, row, parity in rows:
         weight = None if weights is None else weights[r]
-        row_parity = None if parities is None else parities[r]
-        if first == last and root and weight is None:
-            for rows, values in _invert(spec, row, out, row_parity):
-                yield rows, np.abs(values, out=values)
-            return
-        if total is None and r < last:
+        first = total is None
+        if first and r < last:
             if out is None:
-                out = np.empty(spec.shape if parities is None else spec.octant_shape)
+                out = np.empty(spec.octant_shape if octant else spec.shape)
             total = out
-            slabs = _squares(_invert(spec, row, total, row_parity), weight=weight)
-        else:
-            slabs = _squares(_invert(spec, row, out if total is None else None, row_parity),
-                             total, weight)
+        values = _invert(spec, row, out if first else None, parity)
+        if finite:
+            values = _finite(values)
+        if first and r == last and root and weight is None:
+            for slab_rows, slab in values:
+                yield slab_rows, np.abs(slab, out=slab)
+            return
+        slabs = _squares(values, None if first else total, weight)
         if r < last:
             for _ in slabs:
                 pass
         else:
-            for rows, values in slabs:
-                yield rows, np.sqrt(values, out=values) if root else values
+            for slab_rows, slab in slabs:
+                yield slab_rows, np.sqrt(slab, out=slab) if root else slab
 
 
 def derivative_magnitude(u: GridField, order: int) -> np.ndarray:

@@ -3,17 +3,17 @@
 The Lebesgue norms and the pairing are plain Riemann sums, of a field or of
 a pointwise magnitude such as ``grid.image_magnitude`` returns; a magnitude
 held on the octant (``grid.is_octant``) weights each point by its mirror
-count (``grid.octant_sum``).  The spectral L2 norm is the Parseval
-counterpart of the L2 norm.
+count (``grid.grid_sum``, which sums ``grid.image_l1``'s slabs as well).
+The spectral L2 norm is the Parseval counterpart of the L2 norm.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridField, GridSpec, is_octant, octant_sum
+from .grid import GridField, GridSpec, grid_sum, is_octant
 
-# Points per chunk of the p = 3/2 norm: 512 KiB of square roots.
+# Points per chunk of a norm's powers: 512 KiB of them.
 NORM_CHUNK = 2**16
 
 
@@ -25,56 +25,31 @@ def lp_norm(u: GridField, p: float) -> float:
 
 def magnitude_norm(spec: GridSpec, mag: np.ndarray, p: float) -> float:
     """Riemann sum of mag^p to the power 1/p for a pointwise magnitude of
-    shape spec.shape; p = 1, 3/2 and 2 avoid the general power.  The
-    products are summed by ``einsum``, whose order of summation does not
-    depend on the number of BLAS threads, as ``np.dot``'s does.  For
-    p = 3/2 the square roots are taken ``NORM_CHUNK`` points at a time into
-    one chunk buffer, and the chunk sums added in order, so no second grid
-    is held.
-
-    An octant magnitude (shape spec.octant_shape) stands for the grid
-    magnitude that mirrors it: its sum is ``octant_sum``, over the whole
-    octant for p = 1, as ``grid.image_l1`` sums it, and otherwise over
-    chunks of whole rows of axis 0 of about ``NORM_CHUNK`` points, the
-    chunk sums added in order."""
+    shape spec.shape, or of spec.octant_shape for the grid magnitude that
+    mirrors it.  The magnitude is taken in chunks of whole rows of axis 0,
+    about ``NORM_CHUNK`` points each: each chunk's powers go into one chunk
+    buffer (p = 1, 3/2 and 2 avoid the general power), ``grid.grid_sum``
+    sums them, with mirror weights on an octant, and the chunk sums are
+    added in order, so no second grid is held.  No sum depends on the
+    number of BLAS threads."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    if is_octant(spec, mag):
-        return float((spec.cell_volume * _octant_power_sum(spec, mag, p)) ** (1.0 / p))
-    mag = mag.ravel()
-    if p == 1:
-        total = mag.sum()
-    elif p == 1.5:
-        roots = np.empty(min(NORM_CHUNK, mag.size))
-        total = 0.0
-        for lo in range(0, mag.size, NORM_CHUNK):
-            chunk = mag[lo: lo + NORM_CHUNK]
-            root = np.sqrt(chunk, out=roots[: chunk.size])
-            total += np.einsum("i,i->", chunk, root)
-    elif p == 2:
-        total = np.einsum("i,i->", mag, mag)
-    else:
-        total = (mag**p).sum()
-    return float((spec.cell_volume * total) ** (1.0 / p))
-
-
-def _octant_power_sum(spec: GridSpec, mag: np.ndarray, p: float) -> float:
-    """The grid sum of mag^p for an octant magnitude."""
-    if p == 1:
-        return octant_sum(spec, mag)
+    octant = is_octant(spec, mag)
     step = max(1, NORM_CHUNK // mag[0].size)
+    buffer = None if p == 1 else np.empty((min(step, len(mag)),) + mag.shape[1:])
     total = 0.0
     for lo in range(0, len(mag), step):
         chunk = mag[lo: lo + step]
+        power = chunk if p == 1 else buffer[: len(chunk)]
         if p == 1.5:
-            power = np.sqrt(chunk)
+            np.sqrt(chunk, out=power)
             power *= chunk
         elif p == 2:
-            power = np.square(chunk)
-        else:
-            power = chunk**p
-        total += octant_sum(spec, power, slice(lo, lo + len(chunk)))
-    return total
+            np.square(chunk, out=power)
+        elif p != 1:
+            np.power(chunk, p, out=power)
+        total += grid_sum(spec, power, slice(lo, lo + len(chunk)), octant)
+    return float((spec.cell_volume * total) ** (1.0 / p))
 
 
 def pairing(f: GridField, g: GridField) -> float:

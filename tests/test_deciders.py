@@ -42,7 +42,6 @@ from symlab.deciders import (
     check_ellipticity,
     check_partial_canceling,
     image_intersection,
-    joint_kernel,
     verify_canceling,
     verify_cocanceling,
     verify_ellipticity,
@@ -801,7 +800,7 @@ def test_partial_shape_mismatch():
 
 def test_joint_kernel_of_nonzero_term_free_symbol():
     z = SymbolOperator.zero(2, 2, 1, 1)
-    assert joint_kernel(z).dim == 2
+    assert check_cocanceling(z).joint_kernel.dim == 2
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ def test_sobolev_exponent_values():
 def test_blowup_schedule_monotone_small():
     spec = GridSpec(2, 256, 4.0)
     rows, manifest = blowup_experiment(
-        laplacian(2).operator, [1], 1, [4, 8], spec, check_convergence=True
+        laplacian(2).operator, [1], 1, [4, 8], spec
     )
     assert rows[0]["ratio"] < rows[1]["ratio"]
     for r in rows:
@@ -57,7 +57,7 @@ def test_blowup_solves_directions_once_per_grid(monkeypatch):
     monkeypatch.setattr(experiments, "solve_symbol_directions", counted)
     spec = GridSpec(2, 128, 4.0)
     op = laplacian(2).operator
-    rows, _ = blowup_experiment(op, [1], 1, [4, 8, 16], spec, check_convergence=True)
+    rows, _ = blowup_experiment(op, [1], 1, [4, 8, 16], spec)
     assert sorted(calls) == [64, 128]
     fresh = experiments._blowup_point(op, 1, 8, spec, solve(op, spec, np.array([1.0]), math.inf),
                                       2.0 * blowup.cutoff_l1(spec))
@@ -115,8 +115,7 @@ def test_blowup_refuses_gap_equal_dimension():
 def test_hodge_blowup_direction_grows():
     spec = GridSpec(3, 64, 4.0)
     rows, _ = blowup_experiment(
-        hodge_pair(3, 1).operator, [0, 0, 0, 1], 0, [2, 4], spec,
-        check_convergence=False,
+        hodge_pair(3, 1).operator, [0, 0, 0, 1], 0, [2, 4], spec
     )
     assert rows[0]["ratio"] < rows[1]["ratio"]
 

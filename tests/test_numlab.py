@@ -598,6 +598,49 @@ def test_synthesized_values_are_read_only():
         u.values[0, 0, 0] = 0.0
 
 
+@pytest.mark.parametrize("components", [1, 2])
+def test_synthesized_values_that_overflow_are_refused(components):
+    # A spectrum of 1e308 entries synthesizes values that overflow, held on
+    # the half spectrum or on the octant: reading the values and measuring
+    # the magnitude, each on a fresh field, raise.
+    spec = GridSpec(2, 8, 3.0)
+    half = np.full((components,) + spec.half_shape, 1e308, dtype=complex)
+    octant = np.full((components,) + spec.octant_shape, 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for make in (lambda: GridField.from_spectrum(spec, half.copy()),
+                     lambda: GridField.from_octant(spec, octant.copy())):
+            with pytest.raises(ValueError, match="non-finite"):
+                make().values
+            with pytest.raises(ValueError, match="non-finite"):
+                make().magnitude()
+
+
+def test_held_spectra_leave_their_input_as_given():
+    # The field holds its input as given, Nyquist hyperplanes included:
+    # synthesis, measurement, the spectrum and images (one row of mixed
+    # parity, two of one parity each) read it and write nothing back.  The
+    # values keep the Nyquist bins; the spectrum does not.
+    spec = GridSpec(3, 8, 3.0)
+    half = random_spectrum(spec, 2, seed=9)
+    octant = np.random.default_rng(9).standard_normal((2,) + spec.octant_shape)
+    ops = [SymbolOperator.from_entries(3, 2, 1, 1, {((1, 0, 0), 0, 0): 1, ((0, 1, 0), 0, 1): 1}),
+           SymbolOperator.from_entries(3, 2, 2, 1, {((1, 0, 0), 0, 0): 1, ((0, 0, 1), 1, 1): 1})]
+    for make, given in ((GridField.from_spectrum, half), (GridField.from_octant, octant)):
+        held = given.copy()
+        u = make(spec, held)
+        u.magnitude()
+        if make is GridField.from_spectrum:
+            assert np.array_equal(u.values, synthesized(spec, given))
+        for ax in range(spec.n):
+            assert not u.spectrum()[(Ellipsis, spec.size // 2) + (slice(None),) * ax].any()
+        for op in ops:
+            image_magnitude(op, u)
+            image_l1(op, u)
+            apply_symbol(op, u).spectrum()
+        assert np.array_equal(held, given)
+        assert not held.flags.writeable
+
+
 @pytest.mark.parametrize("n, size", [(1, 16), (2, 16), (3, 8), (4, 8)])
 @pytest.mark.parametrize("band", [0, 1, 2, 3, 4, 5])
 def test_invert_of_a_banded_spectrum_is_irfftn(n, size, band, monkeypatch):
