@@ -35,12 +35,20 @@ Fields even or odd in every axis are held, transformed and measured on one
 octant of non-negative frequencies (``grid.GridField.from_octant``): the
 newton potential, the cutoff, and the blowup field and its directions for
 a symbol whose monomials have only even exponents, as the Laplacian's do.
-Only the closed form or the symbol's exponents select it.  Each image of
-such a field through rows of one parity stays on the octant and is
-inverted by one real pass per axis; its magnitude is an octant array,
-whose norms weight each point by its mirror count and whose boundary tail
-reads it as it is.  A row of mixed parity, and every other field, takes
-the half spectrum, where a band-held spectrum's real pass runs on each
+The centred radial fields sampled in space (the Gaussian bump, the
+mollified disc and the plateau test functions) are even about the box
+centre, so even about index 0 of the periodic grid: each is sampled on the
+octant of grid points only and held by those values
+(``grid.GridField.from_octant_values``), its spectrum being their cosine
+transform, taken by the same real passes scaled by T^n.  Only the closed
+form or the symbol's exponents select the octant.  Each image of such a
+field through rows of one parity stays on the octant and is inverted by
+one real pass per axis; its magnitude is an octant array, whose norms
+weight each point by its mirror count and whose boundary tail reads it as
+it is, and two fields held by octant values pair by one mirror-weighted
+sum.  The duality experiment folds the component of its field that it
+pairs onto the octant once (``grid.even_part``).  A row of mixed parity,
+and every other field, takes the half spectrum, where a band-held spectrum's real pass runs on each
 slab copied into a zeroed full-width slab buffer.  The newton potential is
 also symmetric under permutations of the axes, so the magnitude of its
 gradient takes one inverse transform, of the last partial derivative, and

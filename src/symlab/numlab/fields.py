@@ -4,7 +4,18 @@ The fields built from an operator are operator-made (``grid.apply_symbol``):
 the curl-potential field is the planar curl of a Gaussian, and the newton
 field is the gradient of a scalar potential held by its spectrum, so every
 image the experiments measure on them is one composite symbol applied to
-the potential."""
+the potential.
+
+The centred radial fields sampled in space, the Gaussian bump, the
+mollified disc and the plateau test functions, are even about the box
+centre by their closed form: each is evaluated on the octant of grid
+points only (indices 0 .. N/2 of every axis, the centre being index N/2)
+and held there (``grid.GridField.from_octant_values``), so its spectrum,
+images, norms and pairings run on the octant.  Every sum over one of them
+(the Gaussian's mass, the plateau's gradient norm) weights each point of
+the octant by its mirror count (``grid.grid_sum``).  The offset fields,
+``dx_bump`` and the potential of ``curl_potential_field``, stay on the
+grid."""
 
 from __future__ import annotations
 
@@ -20,6 +31,7 @@ from .grid import (
     GridField,
     GridSpec,
     apply_symbol,
+    grid_sum,
     half_box_shift,
     restrict,
     support_indices,
@@ -31,10 +43,18 @@ _PERP_GRADIENT = SymbolOperator.from_entries(2, 1, 2, 1, {((1, 0), 1, 0): -1, ((
 _GRADIENT_3 = gradient(3).operator
 
 
-def _centered_radius(spec: GridSpec) -> np.ndarray:
-    coords = spec.coordinate_grids()
+def _octant_offsets(spec: GridSpec) -> list[np.ndarray]:
+    """x_i - c per axis, c the box centre, on the octant of grid points
+    (indices 0 .. N/2 of every axis, the centre being index N/2): one axis
+    each, broadcast to spec.octant_shape.  Each offset is the negative of
+    the full grid's at the mirror index N - m."""
+    top = (slice(spec.size // 2 + 1),) * spec.n
     c = spec.box / 2.0
-    return np.sqrt(sum((x - c) ** 2 for x in coords))
+    return [x[top] - c for x in spec.coordinate_grids()]
+
+
+def _octant_radius(spec: GridSpec) -> np.ndarray:
+    return np.sqrt(sum(d**2 for d in _octant_offsets(spec)))
 
 
 def gaussian_bump(
@@ -44,22 +64,23 @@ def gaussian_bump(
     normalize_l1: bool = False,
 ) -> GridField:
     """Gaussian exp(-r^2 / (2 sigma^2)) centered in the box, optionally
-    scaled to unit mass, broadcast onto a component direction."""
-    r = _centered_radius(spec)
-    g = np.exp(-(r**2) / (2.0 * sigma**2))
+    scaled to unit mass, broadcast onto a component direction.  Radial
+    about the centre, so held on its octant of grid points
+    (``GridField.from_octant_values``), where its mass is the mirror-
+    weighted sum."""
+    g = np.exp(-(_octant_radius(spec) ** 2) / (2.0 * sigma**2))
     if normalize_l1:
-        g = g / (g.sum() * spec.cell_volume)
+        g = g / (grid_sum(spec, g, slice(None), True) * spec.cell_volume)
     comps = components if components is not None else [1.0]
-    vals = np.stack([c * g for c in comps])
-    return GridField(spec, vals)
+    return GridField.from_octant_values(spec, np.stack([c * g for c in comps]))
 
 
 def mollified_disc(spec: GridSpec, radius: float = 1.0, width: float = 0.2) -> GridField:
     """Smoothed indicator of the centered disc; the transition band has the
-    given width."""
-    r = _centered_radius(spec)
-    vals = smoothstep((radius + width / 2.0 - r) / width)
-    return GridField(spec, vals[None, ...])
+    given width.  Radial about the centre, so held on its octant of grid
+    points."""
+    vals = smoothstep((radius + width / 2.0 - _octant_radius(spec)) / width)
+    return GridField.from_octant_values(spec, vals[None, ...])
 
 
 def dx_bump(spec: GridSpec, sigma: float = 1.0) -> GridField:
@@ -140,16 +161,17 @@ def radial_cutoff_test_function(
     which scales like exponent^(1 - 1/n).  A grid too coarse to sample the
     ramp, where that gradient sums to zero, is refused.
 
-    Both are evaluated where every |x_i - c| is within one cell beyond
-    2^(1/exponent) of the centre c, a box that holds their support, and are
-    exact zeros elsewhere.  The Riemann sum runs over the whole grid, so it
-    adds in the order a full-grid evaluation would.
+    The field is radial about the centre c, so both are evaluated on the
+    octant of grid points only (the field is held there,
+    ``GridField.from_octant_values``), where every |x_i - c| is within one
+    cell beyond 2^(1/exponent), a box that holds their support, and are
+    exact zeros elsewhere.  The Riemann sum weights each point of the
+    octant by its mirror count (``grid.grid_sum``).
     """
     lam = float(exponent)
     if lam <= 0:
         raise ValueError("exponent must be positive")
-    c = spec.box / 2.0
-    offsets = [x - c for x in spec.coordinate_grids()]
+    offsets = _octant_offsets(spec)
     with np.errstate(over="ignore"):  # an infinite reach keeps every point
         reach = np.exp2(1.0 / lam) + spec.spacing
     box = support_indices(offsets, reach)
@@ -160,7 +182,7 @@ def radial_cutoff_test_function(
     with np.errstate(over="ignore"):  # r^lam = inf lies beyond the ramp
         s = r_safe**lam
     # Profile psi: 1 on [0,1], 0 on [2,inf); phi = psi(r^lam).
-    phi = np.zeros(spec.shape)
+    phi = np.zeros(spec.octant_shape)
     phi[inside] = np.where(r == 0, 1.0, smoothstep(2.0 - s))
     # d phi / dr = psi'(s) * lam * r^(lam-1) with psi(s) = smoothstep(2-s).
     # The power is taken on the ramp only, where psi' != 0 and r^lam < 2:
@@ -170,12 +192,12 @@ def radial_cutoff_test_function(
     dphi_dr = np.power(r_safe, lam - 1.0, where=sp != 0.0, out=np.zeros_like(sp))
     dphi_dr *= sp * lam
     grads = [dphi_dr * d / r_safe for d in diffs]
-    grad_power = np.zeros(spec.shape)
+    grad_power = np.zeros(spec.octant_shape)
     grad_power[inside] = np.sqrt(sum(g**2 for g in grads)) ** spec.n
-    ln_riemann = float(grad_power.sum() * spec.cell_volume) ** (1.0 / spec.n)
+    ln_riemann = (spec.cell_volume * grid_sum(spec, grad_power, slice(None), True)) ** (1 / spec.n)
     if ln_riemann == 0.0:
         raise ValueError(
             f"the plateau test function of exponent {lam} has no gradient on the grid "
             f"(spacing {spec.spacing}); refine the grid"
         )
-    return GridField(spec, phi[None, ...]), ln_riemann
+    return GridField.from_octant_values(spec, phi[None, ...]), ln_riemann

@@ -24,16 +24,25 @@ A field holds its spectrum in one of three forms:
 
 A field built from a band-held spectrum (``from_spectrum``) or an octant
 (``from_octant``) holds it so, every image of that field is built and
-inverted in the same form, and the symbol is evaluated there only.  Only a
+inverted in the same form, and the symbol is evaluated there only.  A
+field sampled in space is held on the octant too when its closed form is
+even about the box centre (``from_octant_values``): N is even, so a field
+even about index N/2 is even about index 0 of the periodic grid, its
+values on the octant of grid points (indices 0 .. N/2 of every axis)
+determine it, and its spectrum is the octant's cosine transform.  Only a
 closed form or the exponents of a symbol select the octant, never a
 numeric test of symmetry: the builders whose closed form is even in every
 axis (``fields.newton_gradient_field``, ``blowup.cutoff_l1``, and
 ``blowup.build_blowup_field`` and ``blowup.solve_symbol_directions`` for a
-symbol whose monomials have only even exponents) build octants, and an
-image of an octant stays one when every row has one parity (monomial
-xi^alpha flips the parity on the axes where alpha is odd).  A row that
-mixes parities expands the source to its half spectrum and takes the half
-path; so does every field built from values or any other spectrum.
+symbol whose monomials have only even exponents) build octants, the
+centred radial fields sampled in space (``fields.gaussian_bump``,
+``fields.mollified_disc`` and ``fields.radial_cutoff_test_function``)
+sample their octant of grid points, and an image of an octant stays one
+when every row has one parity (monomial xi^alpha flips the parity on the
+axes where alpha is odd).  A row that mixes parities expands the source to
+its half spectrum and takes the half path; so does every field built from
+grid values (the offset ``fields.dx_bump`` and the potential of
+``fields.curl_potential_field``) or any other spectrum.
 
 Forward transforms run one component at a time, each into its slice of
 one preallocated array.  ``_invert`` is the one inverse path.  On a half
@@ -46,20 +55,24 @@ for the real pass, rather than zero-padded by ``irfft(..., n=N)``, which
 runs slower on a narrow input.  Each slab of values goes into the caller's
 output or into one reused slab buffer, so a caller that only squares and
 adds the values never holds a second full grid of them.  On an octant,
-``_invert`` makes one ``irfft(..., n=N)`` per axis, an odd axis taking the
-array times i, keeps the first N/2 + 1 outputs of each and returns the
-values on the octant of the grid, in one slab: the values of a field even
-or odd in every axis are the same mirror images of them.
+``_invert`` takes ``_octant_transform``: one ``irfft(..., n=N)`` per axis,
+an odd axis taking the array times i, run in slabs of another axis that
+keep the first N/2 + 1 outputs of each, and returns the values on the
+octant of the grid, in one slab: the values of a field even or odd in
+every axis are the same mirror images of them.  The cosine transform is
+its own inverse up to scale, so the same passes, scaled by T^n in place of
+(N/T)^n, are the forward transform of values on the octant.
 
-A ``GridField`` is one of three kinds.  A field built from values
-transforms forward once, when an operator first reads its spectrum.  A
-field from a spectrum or an octant holds it exactly as given, read-only,
-Nyquist hyperplanes and all, and synthesizes nothing until it is read.  An
-operator-made field (``apply_symbol``) records the operator A and its
-source v and holds nothing else until it is read; applying B(D) to it
-records the exact composite symbol B A (``SymbolOperator.compose``) on the
-same v, so a chain of operators is never more than one symbol away from a
-field that holds data.  Its spectrum, when read, is built once from the
+A ``GridField`` is one of three kinds.  A field built from values, on the
+grid or on the octant of grid points, transforms forward once, when an
+operator first reads its spectrum.  A field from a spectrum or an octant
+holds it exactly as given, read-only, Nyquist hyperplanes and all, and
+synthesizes nothing until it is read.  An operator-made field
+(``apply_symbol``) records the operator A and its source v and holds
+nothing else until it is read; applying B(D) to it records the exact
+composite symbol B A (``SymbolOperator.compose``) on the same v, so a
+chain of operators is never more than one symbol away from a field that
+holds data.  Its spectrum, when read, is built once from the
 spectrum of v; its magnitude, asked for first, is that of the image
 A(D)v, measured as ``image_magnitude`` measures it.  Every kind caches its
 magnitude once a norm or the boundary tail has asked for it.
@@ -77,7 +90,11 @@ magnitude is even in every axis, so its octant determines it.
 ``grid_sum`` is the one Riemann sum: a grid slab is summed as it is, and
 an octant slab weights each point by its mirror count, the product over
 the axes of 1 at index 0 and N/2 and 2 elsewhere.  The maximum and the
-boundary shell (``boundary_tail``) read the octant as they are.
+boundary shell (``boundary_tail``) read the octant as they are.  The
+magnitude of a field held by octant values is taken from them, and two
+such fields pair (``norms.pairing``) by one mirror-weighted sum; a field
+on the grid pairs with an even one through its even part on the octant
+(``even_part``).
 
 ``symbol_on_grid`` is the one place that evaluates a symbol sum_alpha
 xi^alpha A_alpha at the grid frequencies, and ``_image_rows`` the one place
@@ -110,7 +127,9 @@ the plateau test function in space) are evaluated on the box of indices
 that ``support_indices`` returns and are exact zeros elsewhere, where the
 full-grid formula gives 0 as well.  On the last axis of a half spectrum,
 and on every axis of an octant, that box is a prefix (``rfftfreq`` rises
-from 0), so a band-limited spectrum so built is held to its band.
+from 0), so a band-limited spectrum so built is held to its band.  On the
+octant of grid points the plateau's box ends at the centre, index N/2,
+and the plateau is held on the whole octant.
 Coordinates are broadcast (sparse) grids: one axis each, never a dense
 copy per axis.
 
@@ -244,13 +263,19 @@ class GridField:
 
     ``GridField(spec, values)`` holds the given values and transforms them
     forward on the first ``spectrum()``; the values must not change after
-    that.  ``from_spectrum`` and ``from_octant`` hold a spectrum and
-    synthesize values only when they are read.  ``apply_symbol`` makes a
-    field that holds an operator and its source field and builds its
-    spectrum only when it is read.  The spectrum, synthesized values and
-    magnitude are each cached read-only once produced."""
+    that.  ``from_octant_values`` holds the values of a field even about
+    the box centre on the octant of grid points; on the first read of the
+    spectrum it transforms them forward into an octant spectrum, imaged as
+    one from ``from_octant`` is, and its magnitude and pairings are taken
+    from the octant values themselves.  ``from_spectrum`` and
+    ``from_octant`` hold a spectrum and synthesize values only when they
+    are read.  ``apply_symbol`` makes a field that holds an operator and
+    its source field and builds its spectrum only when it is read.  The
+    spectrum, synthesized or mirrored values and magnitude are each cached
+    read-only once produced."""
 
-    __slots__ = ("spec", "components", "_values", "_hat", "_parity", "_mag", "_made")
+    __slots__ = ("spec", "components", "_values", "_octant_values", "_hat", "_parity", "_mag",
+                 "_made")
 
     def __init__(self, spec: GridSpec, values: np.ndarray):
         expected = (values.shape[0],) + spec.shape
@@ -261,6 +286,8 @@ class GridField:
         self.spec = spec
         self.components = values.shape[0]
         self._values: Optional[np.ndarray] = values
+        # The values on the octant of grid points, for a field sampled there.
+        self._octant_values: Optional[np.ndarray] = None
         # The continuum-normalized half spectrum or octant as held, Nyquist
         # hyperplanes and all, the parity of each octant component (None
         # for a half spectrum) and the pointwise magnitude.
@@ -313,6 +340,28 @@ class GridField:
         return out
 
     @classmethod
+    def from_octant_values(cls, spec: GridSpec, values: np.ndarray) -> "GridField":
+        """A real field even about the box centre, held by its values on the
+        octant of grid points, indices 0 .. N/2 of every axis: shape
+        (components, *spec.octant_shape).  N is even, so such a field is
+        also even about index 0 of the periodic grid, and index m > N/2 of
+        an axis holds the value at index N - m.  Its spectrum is the
+        octant's cosine transform, taken on the first read of it and held
+        as ``from_octant`` holds an octant.  Only the caller's closed form
+        says the field is even; the values are not tested for it.  As
+        ``from_octant`` does, the field takes the input over, read-only."""
+        if values.ndim != spec.n + 1 or values.shape[1:] != spec.octant_shape:
+            raise ValueError(
+                f"octant values shape {values.shape} != (components, *{spec.octant_shape})")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("field contains non-finite entries")
+        out = cls._empty(spec, values.shape[0])
+        values.flags.writeable = False
+        out._octant_values = values
+        out._parity = ((0,) * spec.n,) * out.components
+        return out
+
+    @classmethod
     def _holding(cls, spec: GridSpec, hat: np.ndarray) -> "GridField":
         """A field holding ``hat``, made read-only."""
         out = cls._empty(spec, hat.shape[0])
@@ -326,25 +375,37 @@ class GridField:
         out = cls.__new__(cls)
         out.spec = spec
         out.components = components
-        out._values = out._hat = out._parity = out._mag = out._made = None
+        out._values = out._octant_values = out._hat = out._parity = out._mag = out._made = None
         return out
+
+    @property
+    def octant_values(self) -> Optional[np.ndarray]:
+        """The values on the octant of grid points, of shape (components,
+        *spec.octant_shape), read-only, for a field built by
+        ``from_octant_values``; None for every other field."""
+        return self._octant_values
 
     @property
     def values(self) -> np.ndarray:
         """The grid values, of shape (components, *spec.shape); a field built
         from a spectrum or by an operator synthesizes them on first read,
         each component a row of ``_rows``, then caches them (read-only).  An
-        octant field mirrors each component from its octant of values."""
+        octant field mirrors each component from its octant of values,
+        sampled or synthesized."""
         if self._values is None:
-            rows, _, held_on_octant = self._rows()
             values = np.empty((self.components,) + self.spec.shape)
-            octant = np.empty(self.spec.octant_shape) if held_on_octant else None
-            for c, row, parity in rows:
-                for _ in _finite(_invert(self.spec, row, values[c] if octant is None else octant,
-                                         parity)):
-                    pass
-                if octant is not None:
-                    values[c] = _unfold(self.spec, octant, parity)
+            if self._octant_values is not None:
+                for c, part in enumerate(self._octant_values):
+                    values[c] = _unfold(self.spec, part, self._parity[c])
+            else:
+                rows, _, held_on_octant = self._rows()
+                octant = np.empty(self.spec.octant_shape) if held_on_octant else None
+                for c, row, parity in rows:
+                    for _ in _finite(_invert(self.spec, row,
+                                             values[c] if octant is None else octant, parity)):
+                        pass
+                    if octant is not None:
+                        values[c] = _unfold(self.spec, octant, parity)
             values.flags.writeable = False
             self._values = values
         return self._values
@@ -397,7 +458,8 @@ class GridField:
         image (``_image_rows``), Nyquist-projected, on the octant when v is
         held there and every row has one parity (the parities are set
         then); a field built from values takes one ``rfftn`` per
-        component."""
+        component, and one from octant values the octant passes of
+        ``_octant_transform`` per component, scaled by T^n."""
         if self._hat is None:
             if self._made is not None:
                 a, v = self._made
@@ -411,6 +473,11 @@ class GridField:
                 if parities is not None:
                     even = (0,) * self.spec.n
                     self._parity = tuple(parities.get(r, even) for r in range(self.components))
+            elif self._octant_values is not None:
+                hat = np.empty((self.components,) + self.spec.octant_shape)
+                for c, part in enumerate(self._octant_values):
+                    _octant_transform(self.spec, part, self._parity[c],
+                                      self.spec.box**self.spec.n, hat[c])
             else:
                 hat = np.empty((self.components,) + self.spec.half_shape, dtype=complex)
                 for c in range(self.components):
@@ -423,25 +490,28 @@ class GridField:
     def magnitude(self) -> np.ndarray:
         """Pointwise Euclidean norm over the components, of shape
         spec.shape, or spec.octant_shape for a field held on the octant:
-        computed on first use, then cached (read-only).  A field whose
-        values were never read, and every octant field, reduces the rows of
-        its held spectrum (``_rows``) as ``image_magnitude`` reduces an
+        computed on first use, then cached (read-only).  A field that holds
+        its values, on the grid or, from ``from_octant_values``, on the
+        octant, measures them.  Every other field (one whose values were
+        never read, and every other octant field) reduces the rows of its
+        held spectrum (``_rows``) as ``image_magnitude`` reduces an
         image's, so the values are not held; the result is the same bit for
-        bit.  The magnitude of one component is its absolute value.  A field
-        made by A(D) from v whose spectrum was never read (nor, then, its
-        values) takes ``image_magnitude(A, v)``, equal bit for bit as
+        bit.  The magnitude of one component is its absolute value.  A
+        field made by A(D) from v whose spectrum was never read (nor, then,
+        its values) takes ``image_magnitude(A, v)``, equal bit for bit as
         well."""
         if self._mag is None:
+            held = self._values if self._parity is None else self._octant_values
             if self._hat is None and self._made is not None:
                 mag = image_magnitude(*self._made)
-            elif self._values is None or self._parity is not None:
+            elif held is None:
                 mag = _gathered(self.spec, self._rows(), root=True, finite=True)
             elif self.components == 1:
-                mag = np.abs(self._values[0])
+                mag = np.abs(held[0])
             else:
-                mag = np.square(self._values[0])
+                mag = np.square(held[0])
                 square = None
-                for v in self._values[1:]:
+                for v in held[1:]:
                     square = np.square(v, out=square)
                     mag += square
                 np.sqrt(mag, out=mag)
@@ -488,6 +558,20 @@ def grid_sum(spec: GridSpec, a: np.ndarray, rows: slice, octant: bool) -> float:
     for _ in range(a.ndim - 1):
         a = np.einsum("...i,i->...", a, weights)
     return float(np.einsum("i,i->", a, weights[rows]))
+
+
+def even_part(spec: GridSpec, a: np.ndarray) -> np.ndarray:
+    """The even part of ``a``, an array on the grid, about the box centre
+    (and so about index 0), on the octant of grid points: at each point of
+    the octant the mean of ``a`` over its mirror images, index m and N - m
+    of every axis, one axis at a time.  Summed against a field even about
+    the centre, ``a`` and its even part give the same sum, the latter as
+    an octant (``grid_sum``)."""
+    top = spec.size // 2 + 1
+    mirror = -np.arange(top) % spec.size
+    for ax in range(spec.n):
+        a = 0.5 * (a[(slice(None),) * ax + (slice(top),)] + np.take(a, mirror, axis=ax))
+    return a
 
 
 def zero_nyquist(spec: GridSpec, hat: np.ndarray) -> None:
@@ -594,7 +678,8 @@ def _invert(
     ``irfft(..., n=N)`` per axis, of the array times i on an odd axis,
     each keeping its first N/2 + 1 outputs."""
     if parity is not None:
-        yield _invert_octant(spec, work, parity, out)
+        yield slice(0, spec.size // 2 + 1), _octant_transform(spec, work, parity,
+                                                              spec.synthesis_scale, out)
         return
     if spec.n == 1:
         step = spec.size
@@ -622,24 +707,56 @@ def _invert(
         yield rows, values
 
 
-def _invert_octant(
-    spec: GridSpec, octant: np.ndarray, parity: Sequence[int], out: Optional[np.ndarray]
-) -> tuple[slice, np.ndarray]:
-    """The octant branch of ``_invert``: (all rows, the values on the
-    octant).  Along an even axis the spectrum is the cosine series of the
-    octant, which ``irfft`` of the real octant sums; along an odd one it is
-    i times the sine series, which ``irfft`` of i times the octant sums
-    (a real pass drops the imaginary part of index 0 and N/2, which an odd
-    axis holds zero)."""
+def _octant_transform(
+    spec: GridSpec, octant: np.ndarray, parity: Sequence[int], scale: float,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The real octant ``octant`` (held to a band on any axis, left as it
+    is) transformed by one ``irfft(..., n=N)`` per axis, each keeping its
+    first N/2 + 1 outputs, times ``scale``: the result, of
+    spec.octant_shape, is ``out`` when given.  Along an even axis the pass
+    sums the cosine series of the octant; along an odd one it takes i times
+    the octant and sums the sine series (a real pass drops the imaginary
+    part of index 0 and N/2, which an odd axis holds zero).
+
+    The same passes run both ways, as the cosine transform (DCT-I) is its
+    own inverse up to scale: with the synthesis scale (N/T)^n they invert
+    an octant spectrum into the values on the octant of the grid
+    (``_invert``), and with T^n they transform the values on the octant of
+    a field even or odd in every axis into its octant spectrum.
+
+    Each pass runs in slabs of another axis, each of about an eighth of
+    ``SLAB_BYTES`` of N-long real outputs, and keeps the first N/2 + 1
+    outputs of each slab in its result: in place when the pass leaves the
+    shape as it is (the axis is held whole), otherwise in a fresh array,
+    or in ``out`` once the shape is the octant's.  No pass holds its
+    N-long output or a complex copy of its input whole: on 64^3 a full
+    octant so inverted takes a few slabs of temporaries besides the octant
+    it fills, where whole passes took about 0.8 real grids."""
     top = spec.size // 2 + 1
     values = octant
     for ax, odd in enumerate(parity):
-        values = np.fft.irfft(values * 1j if odd else values, n=spec.size, axis=ax)
-        values = values[(slice(None),) * ax + (slice(top),)]
-    if out is None:
-        out = np.empty(spec.octant_shape)
-    np.multiply(values, spec.synthesis_scale, out=out)
-    return slice(0, top), out
+        shape = values.shape[:ax] + (top,) + values.shape[ax + 1:]
+        if values is not octant and values.shape == shape:
+            result = values
+        elif out is not None and shape == spec.octant_shape:
+            result = out
+        else:
+            result = np.empty(shape)
+        if spec.n == 1:
+            parts = [()]
+        else:
+            other = 1 if ax == 0 else 0
+            count = prod(values.shape) // (values.shape[ax] * values.shape[other])
+            step = max(1, SLAB_BYTES // 8 // (8 * spec.size * count))
+            parts = [(slice(None),) * other + (slice(lo, lo + step),)
+                     for lo in range(0, values.shape[other], step)]
+        factor = scale if ax == spec.n - 1 else 1.0
+        for part in parts:
+            lines = np.fft.irfft(values[part] * 1j if odd else values[part], n=spec.size, axis=ax)
+            np.multiply(lines[(slice(None),) * ax + (slice(top),)], factor, out=result[part])
+        values = result
+    return values
 
 
 def _finite(slabs: Iterator[tuple[slice, np.ndarray]]) -> Iterator[tuple[slice, np.ndarray]]:
@@ -776,6 +893,9 @@ def _image_rows(
                 else:
                     np.multiply(factor, hat[c, part], out=row[part])
         zero_nyquist(spec, row)
+        # The last factor and symbol entry are not held while the caller
+        # inverts the row.
+        del factor, values
         yield r, row, parities[r] if octant else None
 
 

@@ -2,8 +2,10 @@
 
 The Lebesgue norms and the pairing are plain Riemann sums, of a field or of
 a pointwise magnitude such as ``grid.image_magnitude`` returns; a magnitude
-held on the octant (``grid.is_octant``) weights each point by its mirror
-count (``grid.grid_sum``, which sums ``grid.image_l1``'s slabs as well).
+held on the octant (``grid.is_octant``), and the product of two fields held
+by their values on the octant of grid points, weight each point by its
+mirror count (``grid.grid_sum``, which sums ``grid.image_l1``'s slabs as
+well).
 The spectral L2 norm is the Parseval counterpart of the L2 norm.
 """
 
@@ -53,10 +55,16 @@ def magnitude_norm(spec: GridSpec, mag: np.ndarray, p: float) -> float:
 
 
 def pairing(f: GridField, g: GridField) -> float:
-    """Riemann sum of the pointwise scalar product of two fields."""
+    """Riemann sum of the pointwise scalar product of two fields: for two
+    fields held by their values on the octant of grid points
+    (``GridField.octant_values``), one mirror-weighted ``grid.grid_sum``
+    of the product there, otherwise the plain sum over the grid values."""
     if f.spec != g.spec or f.components != g.components:
         raise ValueError("pairing needs matching grids and component counts")
-    return float((f.values * g.values).sum() * f.spec.cell_volume)
+    a, b = f.octant_values, g.octant_values
+    if a is None or b is None:
+        return float((f.values * g.values).sum() * f.spec.cell_volume)
+    return grid_sum(f.spec, (a * b).sum(axis=0), slice(None), True) * f.spec.cell_volume
 
 
 def l2_norm_spectral(u: GridField) -> float:

@@ -51,10 +51,15 @@ from symlab.numlab import (
 )
 from symlab.numlab.blowup import blowup_direction, cutoff_l1
 from symlab.numlab.experiments import _image_l1, _newton_point, _symmetric_gradient_magnitude
-from symlab.numlab.fields import newton_gradient_field, radial_cutoff_test_function
+from symlab.numlab.fields import (
+    gaussian_bump,
+    mollified_disc,
+    newton_gradient_field,
+    radial_cutoff_test_function,
+)
 from symlab.numlab import grid
 from symlab.numlab.grid import _invert, boundary_tail, half_box_shift, image_l1, zero_nyquist
-from symlab.numlab.norms import NORM_CHUNK, magnitude_norm
+from symlab.numlab.norms import NORM_CHUNK, magnitude_norm, pairing
 from test_exact_symbol import ref_evaluate
 
 
@@ -697,13 +702,14 @@ def traced_peak(call):
 def test_newton_point_memory():
     # The potential's octant, a row's work buffer and the octant of its
     # values (about 0.14 real grids each on 64^3) and, while a row is
-    # inverted, the real passes' temporaries (each pass's output, N long on
-    # its axis): one point peaks at about 1.25 real components of the grid.
-    # Held on the half spectrum it peaked at about 3.7; synthesizing the
+    # inverted in place in that octant, a few slabs of the real passes'
+    # temporaries: one point peaks at about 0.6 real components of the
+    # grid.  With each pass's N-long output held whole it peaked at about
+    # 1.23; held on the half spectrum, at about 3.7; synthesizing the
     # field's values and building both images in full, about 16.6.
     size = 64
     peak = traced_peak(lambda: _newton_point(size, 0.4))
-    assert peak < 1.5 * 8 * size**3
+    assert peak < 0.75 * 8 * size**3
 
 
 def test_single_row_image_l1_holds_no_grid():
@@ -828,10 +834,13 @@ def full_grid_plateau(spec, lam):
 @pytest.mark.parametrize("spec", [GridSpec(2, 512, 40.0), GridSpec(3, 64, 12.0)])
 @pytest.mark.parametrize("lam", [1.0, 0.5, 1.0 / 3.0, 0.25, 0.1])
 def test_plateau_test_function_is_the_full_grid_formula(spec, lam):
+    # The plateau is evaluated on its octant of grid points, mirrored
+    # exactly onto the grid; its gradient sum weights the octant by mirror
+    # counts, the full grid's sum in another order: equal to 1e-13.
     phi, grad_ln = radial_cutoff_test_function(spec, lam)
     phi_ref, grad_ln_ref = full_grid_plateau(spec, lam)
     assert np.array_equal(phi.values[0], phi_ref)
-    assert grad_ln == grad_ln_ref
+    assert math.isclose(grad_ln, grad_ln_ref, rel_tol=1e-13)
 
 
 def banded_spectrum(spec, components, band, seed):
@@ -917,7 +926,8 @@ def test_image_magnitude_of_a_band_limited_field(op, spec):
 def test_supports_are_evaluated_on_their_box_only(monkeypatch):
     # The blowup window at scale 4 on 1024^2 (box 4) lives on 32 x 32
     # frequencies of the 513 x 513 octant; the plateau at exponent 1 on
-    # 512^2 (box 40) on 53 x 53 points.
+    # 512^2 (box 40) on 53 x 53 points of the grid, 27 x 27 of them on its
+    # octant of grid points.
     from symlab.numlab import blowup, fields
 
     sizes = []
@@ -938,7 +948,7 @@ def test_supports_are_evaluated_on_their_box_only(monkeypatch):
     assert sizes == [("plateau_cutoff", 1024)] * 2
     sizes.clear()
     radial_cutoff_test_function(GridSpec(2, 512, 40.0), 1.0)
-    assert sizes == [("smoothstep", 2809)]
+    assert sizes == [("smoothstep", 729)]
 
 
 def test_three_halves_norm_in_chunks():
@@ -1140,3 +1150,108 @@ def test_magnitude_norm_does_not_depend_on_thread_count():
                              capture_output=True, text=True, timeout=120, check=True)
         outputs.append(run.stdout)
     assert outputs[0] == outputs[1]
+
+
+# ---------------------------------------------------------------------------
+# Fields even about the box centre, sampled on the octant of grid points.
+
+
+# n = 1 .. 4 at N = 2 (where the octant is the grid), 4 and 64; 64^4 points
+# exceed the grid budget, so n = 4 takes 16.
+EVEN_SPECS = [GridSpec(n, size, 3.0) for n in (1, 2, 3, 4) for size in (2, 4, 64 if n < 4 else 16)]
+
+
+def on_grid(spec, mag):
+    # A magnitude on the octant mirrored onto the grid; a grid one as it is.
+    return mag if mag.shape == spec.shape else mirrored(spec, mag[None], half=False)[0]
+
+
+def assert_close(got, expected):
+    # Within 1e-13 of the largest entry, exactly when the reference is zero.
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("spec", EVEN_SPECS, ids=lambda s: f"{s.n}d{s.size}")
+def test_octant_sampled_field_is_the_grid_field_of_its_mirror_images(spec):
+    # A field held by its values on the octant of grid points against the
+    # grid field of those values mirrored: the same values and magnitude,
+    # and within 1e-13 the same spectrum, images (of one parity per row,
+    # held on the octant, and of mixed parity, on the half spectrum) and
+    # pairings.
+    n = spec.n
+    rng = np.random.default_rng(10 * n + spec.size)
+    octant, other = (rng.standard_normal((2,) + spec.octant_shape) for _ in range(2))
+    u = GridField.from_octant_values(spec, octant.copy())
+    v = GridField.from_octant_values(spec, other.copy())
+    full = GridField(spec, mirrored(spec, octant, half=False))
+    full_v = GridField(spec, mirrored(spec, other, half=False))
+    assert np.array_equal(u.values, full.values)
+    assert u.magnitude().shape == spec.octant_shape
+    assert np.array_equal(on_grid(spec, u.magnitude()), full.magnitude())
+    assert u.boundary_tail() == full.boundary_tail()
+    assert_close(u.spectrum(), full.spectrum())
+    first = SymbolOperator.from_entries(n, 2, 1, 0, {((0,) * n, 0, 0): 1})
+    ops = [gradient(n).operator.compose(first)]
+    if n > 1:
+        # xi_0 u_0 + xi_1 u_1: a row of two parities.
+        e0, e1 = (tuple(int(i == ax) for i in range(n)) for ax in (0, 1))
+        ops.append(SymbolOperator.from_entries(n, 2, 1, 1, {(e0, 0, 0): 1, (e1, 0, 1): 1}))
+    for op in ops:
+        assert_close(on_grid(spec, image_magnitude(op, u)), image_magnitude(op, full))
+        assert_close(apply_symbol(op, u).spectrum(), apply_symbol(op, full).spectrum())
+        assert math.isclose(image_l1(op, u), image_l1(op, full), rel_tol=1e-13, abs_tol=1e-300)
+    # Two octants pair by one mirror-weighted sum; an octant and a grid
+    # field on the grid.
+    expected = pairing(full, full_v)
+    for f, g in ((u, v), (u, full_v), (full, v)):
+        assert math.isclose(pairing(f, g), expected, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("n, size", [(1, 16), (2, 16), (3, 8), (4, 8)])
+def test_forward_octant_transform_is_rfftn_of_the_mirrored_field(n, size):
+    # The octant passes scaled by T^n transform the values on the octant of
+    # a field even or odd in every axis into its octant spectrum: i^q times
+    # it is rfftn of the mirrored values times h^n, Nyquist planes and all,
+    # within 1e-13 of the largest.  The input is left as it is.
+    spec = GridSpec(n, size, 3.0)
+    top = size // 2 + 1
+    rng = np.random.default_rng(n)
+    for parity in itertools.product((0, 1), repeat=n):
+        octant = random_octant(spec, parity, spec.octant_shape, rng)
+        held = octant[0].copy()
+        got = grid._octant_transform(spec, held, parity, spec.box**n)
+        full = mirrored(spec, octant, parity, half=False)[0]
+        expected = np.fft.rfftn(full)[(slice(top),) * n] * spec.cell_volume
+        assert_close(got * 1j ** sum(parity), expected)
+        assert np.array_equal(held, octant[0])
+
+
+def test_octant_values_must_be_finite_and_octant_shaped():
+    spec = GridSpec(2, 8, 3.0)
+    for shape in ((1, 8, 8), (1, 5, 4), (5, 5), (1, 5, 5, 1)):
+        with pytest.raises(ValueError, match="octant values shape"):
+            GridField.from_octant_values(spec, np.zeros(shape))
+    for bad in (np.nan, np.inf):
+        values = np.zeros((2,) + spec.octant_shape)
+        values[1, 4, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            GridField.from_octant_values(spec, values)
+
+
+@pytest.mark.parametrize("spec", [GridSpec(2, 64, 8.0), GridSpec(3, 32, 6.0)])
+def test_radial_builders_are_sampled_on_their_octant(spec):
+    # The centred Gaussian and mollified disc are evaluated on the octant of
+    # grid points: mirrored, they are the full-grid formulas bit for bit on
+    # these boxes, whose coordinates are exact; the Gaussian's unit mass is
+    # a mirror-weighted sum, the full grid's within 1e-13.
+    c = spec.box / 2.0
+    r = np.sqrt(sum((x - c) ** 2 for x in spec.coordinate_grids()))
+    g = np.exp(-(r**2) / (2.0 * 0.8**2))
+    bump = gaussian_bump(spec, sigma=0.8, components=[1.0, -0.5])
+    assert bump.octant_values.shape == (2,) + spec.octant_shape
+    assert np.array_equal(bump.values, np.stack([g, -0.5 * g]))
+    unit = gaussian_bump(spec, sigma=0.8, normalize_l1=True)
+    assert_close(unit.values[0], g / (g.sum() * spec.cell_volume))
+    disc = mollified_disc(spec, radius=1.0, width=0.4)
+    assert disc.octant_values is not None
+    assert np.array_equal(disc.values[0], smoothstep((1.0 + 0.2 - r) / 0.4))
