@@ -45,11 +45,11 @@ form or the symbol's exponents select the octant.  Each image of such a
 field through rows of one parity stays on the octant and is inverted by
 one real pass per axis; its magnitude is an octant array, whose norms
 weight each point by its mirror count and whose boundary tail reads it as
-it is, and two fields held by octant values pair by one mirror-weighted
-sum.  The duality experiment folds the component of its field that it
-pairs onto the octant once (``grid.even_part``).  A row of mixed parity,
-and every other field, takes the half spectrum, where a band-held spectrum's real pass runs on each
-slab copied into a zeroed full-width slab buffer.  The newton potential is
+it is, and a field held by octant values pairs by one mirror-weighted
+sum, with another such field or with the even part of a field on the grid
+(``grid.even_part``), folded onto the octant.  A row of mixed parity, and
+every other field, takes the half spectrum, where a band-held spectrum's
+real pass runs on each slab copied into a zeroed full-width slab buffer.  The newton potential is
 also symmetric under permutations of the axes, so the magnitude of its
 gradient takes one inverse transform, of the last partial derivative, and
 two transposes of its square.

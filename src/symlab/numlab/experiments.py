@@ -39,8 +39,6 @@ from .grid import (
     GridSpec,
     boundary_tail,
     derivative_magnitude,
-    even_part,
-    grid_sum,
     image_l1,
     image_squares,
 )
@@ -232,14 +230,8 @@ MEAN_TOL = 1e-9
 def mean_component(f: GridField, f_l1: float) -> int:
     """The component with the largest integral, the direction the duality
     experiment pairs against; component 0 when every integral is round-off
-    (at most ``MEAN_TOL`` times the L1 norm), as for a mean-free field.  A
-    field held by its octant values sums them with mirror weights."""
-    held = f.octant_values
-    if held is None:
-        sums = f.values.reshape(f.components, -1).sum(axis=1)
-    else:
-        sums = np.array([grid_sum(f.spec, part, slice(None), True) for part in held])
-    means = np.abs(sums) * f.spec.cell_volume
+    (at most ``MEAN_TOL`` times the L1 norm), as for a mean-free field."""
+    means = np.abs(f.values.reshape(f.components, -1).sum(axis=1)) * f.spec.cell_volume
     k = int(np.argmax(means))
     return k if means[k] > MEAN_TOL * f_l1 else 0
 
@@ -255,13 +247,7 @@ def duality_experiment(
 
     A field annihilated by the divergence constraint keeps the pairing
     ratio bounded along the plateau family; a generic field with nonzero
-    mean drives it up.
-
-    Each test function pairs the direction of one component k of f with a
-    plateau, which is even about the box centre: the pairing reads the even
-    part of component k only, held on the octant of grid points, folded
-    there once (``grid.even_part``) for a field held on the grid.  Each
-    exponent then pairs two octants (``pairing``)."""
+    mean drives it up."""
     if spec.n != 2:
         raise ValueError("duality experiment runs on a two-dimensional box")
     if field_kind == "curl-potential":
@@ -272,19 +258,18 @@ def duality_experiment(
         raise ValueError(f"unknown duality field {field_kind!r}")
     div = divergence(spec.n).operator
     residual = _image_l1(div, f)
-    held = f.octant_values
-    if held is None:
-        # The direction and the fold read the values: synthesize them once,
-        # before the L1 norm, which then takes the magnitude from them.
-        f.values
+    # The pairings read the values: synthesize them once, before the L1
+    # norm, which then takes the magnitude from them.
+    f.values
     f_l1 = lp_norm(f, 1.0)
+    # The test function is the plateau in the direction of component k: it
+    # pairs with that component alone.
     k = mean_component(f, f_l1)
-    part = held[k] if held is not None else even_part(spec, f.values[k])
-    paired = GridField.from_octant_values(spec, part[None, ...])
+    f_k = GridField(spec, f.values[k: k + 1])
     rows = []
     for lam in exponents:
         phi, grad_ln = radial_cutoff_test_function(spec, lam)
-        pair = pairing(paired, phi)
+        pair = pairing(f_k, phi)
         rows.append(
             {
                 "exponent": lam,

@@ -91,10 +91,10 @@ magnitude is even in every axis, so its octant determines it.
 an octant slab weights each point by its mirror count, the product over
 the axes of 1 at index 0 and N/2 and 2 elsewhere.  The maximum and the
 boundary shell (``boundary_tail``) read the octant as they are.  The
-magnitude of a field held by octant values is taken from them, and two
-such fields pair (``norms.pairing``) by one mirror-weighted sum; a field
-on the grid pairs with an even one through its even part on the octant
-(``even_part``).
+magnitude of a field held by octant values is taken from them, and such
+a field pairs (``norms.pairing``) by one mirror-weighted sum, with another
+one or with the even part on the octant (``even_part``) of a field on the
+grid.
 
 ``symbol_on_grid`` is the one place that evaluates a symbol sum_alpha
 xi^alpha A_alpha at the grid frequencies, and ``_image_rows`` the one place
@@ -561,16 +561,17 @@ def grid_sum(spec: GridSpec, a: np.ndarray, rows: slice, octant: bool) -> float:
 
 
 def even_part(spec: GridSpec, a: np.ndarray) -> np.ndarray:
-    """The even part of ``a``, an array on the grid, about the box centre
-    (and so about index 0), on the octant of grid points: at each point of
-    the octant the mean of ``a`` over its mirror images, index m and N - m
-    of every axis, one axis at a time.  Summed against a field even about
-    the centre, ``a`` and its even part give the same sum, the latter as
-    an octant (``grid_sum``)."""
+    """The even part of ``a``, an array on the grid on its last n axes,
+    about the box centre (and so about index 0), on the octant of grid
+    points: at each point of the octant the mean of ``a`` over its mirror
+    images, index m and N - m of every axis, one axis at a time.  Summed
+    against a field even about the centre, ``a`` and its even part give the
+    same sum, the latter as an octant (``grid_sum``)."""
     top = spec.size // 2 + 1
     mirror = -np.arange(top) % spec.size
-    for ax in range(spec.n):
-        a = 0.5 * (a[(slice(None),) * ax + (slice(top),)] + np.take(a, mirror, axis=ax))
+    for ax in range(-spec.n, 0):
+        a = 0.5 * (a[(Ellipsis, slice(top)) + (slice(None),) * (-1 - ax)]
+                   + np.take(a, mirror, axis=ax))
     return a
 
 

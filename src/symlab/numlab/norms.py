@@ -2,8 +2,8 @@
 
 The Lebesgue norms and the pairing are plain Riemann sums, of a field or of
 a pointwise magnitude such as ``grid.image_magnitude`` returns; a magnitude
-held on the octant (``grid.is_octant``), and the product of two fields held
-by their values on the octant of grid points, weight each point by its
+held on the octant (``grid.is_octant``), and a pairing with a field held
+by its values on the octant of grid points, weight each point by its
 mirror count (``grid.grid_sum``, which sums ``grid.image_l1``'s slabs as
 well).
 The spectral L2 norm is the Parseval counterpart of the L2 norm.
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridField, GridSpec, grid_sum, is_octant
+from .grid import GridField, GridSpec, even_part, grid_sum, is_octant
 
 # Points per chunk of a norm's powers: 512 KiB of them.
 NORM_CHUNK = 2**16
@@ -55,15 +55,21 @@ def magnitude_norm(spec: GridSpec, mag: np.ndarray, p: float) -> float:
 
 
 def pairing(f: GridField, g: GridField) -> float:
-    """Riemann sum of the pointwise scalar product of two fields: for two
-    fields held by their values on the octant of grid points
-    (``GridField.octant_values``), one mirror-weighted ``grid.grid_sum``
-    of the product there, otherwise the plain sum over the grid values."""
+    """Riemann sum of the pointwise scalar product of two fields: the plain
+    sum over the grid values of two fields held on the grid; otherwise one
+    mirror-weighted ``grid.grid_sum`` on the octant of grid points, where a
+    field held by its values there (``GridField.octant_values``) is even
+    about the box centre and so pairs with the even part
+    (``grid.even_part``) of a field held on the grid."""
     if f.spec != g.spec or f.components != g.components:
         raise ValueError("pairing needs matching grids and component counts")
     a, b = f.octant_values, g.octant_values
-    if a is None or b is None:
+    if a is None and b is None:
         return float((f.values * g.values).sum() * f.spec.cell_volume)
+    if a is None:
+        a = even_part(f.spec, f.values)
+    elif b is None:
+        b = even_part(g.spec, g.values)
     return grid_sum(f.spec, (a * b).sum(axis=0), slice(None), True) * f.spec.cell_volume
 
 

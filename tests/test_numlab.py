@@ -1200,11 +1200,16 @@ def test_octant_sampled_field_is_the_grid_field_of_its_mirror_images(spec):
         assert_close(on_grid(spec, image_magnitude(op, u)), image_magnitude(op, full))
         assert_close(apply_symbol(op, u).spectrum(), apply_symbol(op, full).spectrum())
         assert math.isclose(image_l1(op, u), image_l1(op, full), rel_tol=1e-13, abs_tol=1e-300)
-    # Two octants pair by one mirror-weighted sum; an octant and a grid
-    # field on the grid.
+    # Two octants pair by one mirror-weighted sum, and an octant and a grid
+    # field by the grid field's even part, folded onto the octant: the
+    # product of one odd part with an even field sums to zero on the grid.
     expected = pairing(full, full_v)
     for f, g in ((u, v), (u, full_v), (full, v)):
         assert math.isclose(pairing(f, g), expected, rel_tol=1e-13)
+    noise = GridField(spec, rng.standard_normal((2,) + spec.shape))
+    scale = np.abs(full.values * noise.values).sum() * spec.cell_volume
+    for f, g in ((u, noise), (noise, u)):
+        assert abs(pairing(f, g) - pairing(full, noise)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n, size", [(1, 16), (2, 16), (3, 8), (4, 8)])
