@@ -3,10 +3,12 @@
 Every spectral step evaluates the symbol on the grid through
 ``grid.symbol_on_grid``: ``apply_symbol``, ``image_squares``,
 ``image_magnitude`` (and ``derivative_magnitude`` through it), ``image_l1``
-and the blowup direction solve.  ``apply_symbol`` makes an operator-made field
-that records the operator and its source and transforms nothing; applied
-to an operator-made field B(D)v it records the exact composite symbol
-(``SymbolOperator.compose``) on v.  Every image the experiments only
+and the blowup field, which divides by its witness's p(xi).
+``apply_symbol`` makes an operator-made field that records the operator
+and its source and transforms nothing; applied to an operator-made field
+B(D)v it records the exact composite symbol (``SymbolOperator.compose``)
+on v: the blowup field is u(D) phi, and its image A(D)u is measured as
+(A u)(D) phi = p(D) e phi.  Every image the experiments only
 measure is reduced slab by slab from its rows by one loop
 (``grid._image_slabs``): ``image_l1`` roots and sums each slab of the
 squared magnitude, or of a single row's absolute value (the right-hand
@@ -17,7 +19,7 @@ measured through the composite: the curl of the newton gradient field and
 the divergence of the planar curl field are the zero symbol, measured as
 exact zeros with no transform and, for their L1 norms, no grid
 allocated.  A field built from a spectrum (the newton potential, the
-blowup field) holds it exactly as given, Nyquist bins and all, and only
+blowup field's phi) holds it exactly as given, Nyquist bins and all, and only
 the images and ``spectrum()`` are Nyquist-projected.  Such a field, or
 one built by an operator, synthesizes its values only when they are read;
 its magnitude reduces its components as the rows of an image, through the
@@ -27,15 +29,15 @@ same loop, without them.  Every norm and L1 sum is the one Riemann sum
 The compactly supported closed forms (the blowup window and cutoff, the
 plateau test functions) are evaluated on the box of indices that holds
 their support and are exact zeros elsewhere; every coordinate grid of a
-test field is sparse, one broadcast axis each.  The blowup field and the
-cutoff are held to their band, and every transform, image and symbol
-evaluation of them runs there.
+test field is sparse, one broadcast axis each.  The blowup field's scalar
+phi and the cutoff are held to their band, and every transform, image and
+symbol evaluation of them runs there.
 
 Fields even or odd in every axis are held, transformed and measured on one
 octant of non-negative frequencies (``grid.GridField.from_octant``): the
-newton potential, the cutoff, and the blowup field and its directions for
-a symbol whose monomials have only even exponents, as the Laplacian's do.
-The centred radial fields sampled in space (the Gaussian bump, the
+newton potential, the cutoff, and the blowup field's scalar phi when every
+exponent of its witness's p is even, as those of |x|^(2m) are.  The
+centred radial fields sampled in space (the Gaussian bump, the
 mollified disc and the plateau test functions) are even about the box
 centre, so even about index 0 of the periodic grid: each is sampled on the
 octant of grid points only and held by those values
@@ -57,12 +59,10 @@ two transposes of its square.
 
 from .blowup import (
     BlowupError,
-    SymbolDirections,
     build_blowup_field,
     plateau_cutoff,
     smoothstep,
     smoothstep_deriv,
-    solve_symbol_directions,
 )
 from .experiments import (
     INEQUALITY_FAMILIES,
@@ -96,12 +96,10 @@ from .norms import (
 
 __all__ = [
     "BlowupError",
-    "SymbolDirections",
     "build_blowup_field",
     "plateau_cutoff",
     "smoothstep",
     "smoothstep_deriv",
-    "solve_symbol_directions",
     "INEQUALITY_FAMILIES",
     "blowup_experiment",
     "duality_experiment",

@@ -1,54 +1,64 @@
 """Frequency-localized concentration families for injective symbols.
 
-For an injective symbol A and a codomain vector e lying in every image
-A(xi)[V], that is in the common image W of a certified cancellation
+For an injective symbol A of order k and a codomain vector e lying in every
+image A(xi)[V], that is in the common image W of a certified cancellation
 verdict, the field with spectrum (2 pi i)^(-k) (c(xi/s) - c(s xi)) U(xi),
 where c is a radial plateau cutoff (1 inside radius 1/2, 0 outside radius
-2) and U(xi) solves A(xi) U(xi) = e through the normal equations, maps
-under A(D) exactly to the difference of two dilated copies of the cutoff's
-inverse transform times e.  Its L1 image norm stays bounded by twice the
-cutoff mass while derivative norms grow with the scale parameter; the
-experiments chart that growth.
+2) and A(xi) U(xi) = e, maps under A(D) exactly to the difference of two
+dilated copies of the cutoff's inverse transform times e.  Its L1 image
+norm stays bounded by twice the cutoff mass while derivative norms grow
+with the scale parameter; the experiments chart that growth.
 
-One path: ``blowup_direction`` validates e once against both certified
-verdicts, ``solve_symbol_directions`` and ``cutoff_l1`` run once per grid,
-and ``build_blowup_field`` builds only u at each scale.  The image A(D)u
-is never built here: the experiment reduces its L1 norm slab by slab
-(``grid.image_l1``), like every other image it only measures.
+U comes in closed form from the certificate, as in the paper's necessity
+argument.  The NOT_CANCELING verdict holds a membership witness
+A(x) u_j(x) = p_j(x) e_j, p_j > 0 away from 0, for each vector e_j of the
+echelon basis of W; for e = sum_j c_j e_j, ``blowup_direction`` builds
+exactly u = sum_j c_j u_j p / p_j with p the product of the distinct p_j,
+so that A(x) u(x) = p(x) e, and U = u / p.  A is injective, so this U is
+the only one.
+
+``build_blowup_field`` makes one scalar field phi with spectrum
+(2 pi i)^(-(s+k)) (c(xi/s) - c(s xi)) / p(xi), 0 at xi = 0, s the degree
+of u, and returns u(D) phi (``grid.apply_symbol``): a field made by an
+operator, which transforms nothing until it is measured.  Its image A(D)u
+is the composite A u = p e applied to phi, a window times e, reduced slab
+by slab (``grid.image_l1``) and never built.  p is evaluated on the grid
+by ``grid.symbol_on_grid``, as every symbol is.
 
 Every support here is compact: the cutoff vanishes for |xi| >= 2 and the
 window at scale s for |xi| >= 2 s.  Each is evaluated only on the box of
 frequencies with every |xi_i| below that reach (``grid.support_indices``)
-and is an exact zero elsewhere, as the full-grid formula is there; the
-direction solve runs on the box of the largest scale and carries that
-reach, which ``build_blowup_field`` checks.  The spectra of u and of the
-cutoff are held to their band: the frequencies beyond reach are never
-stored, and every transform and image of u runs on the band only.
+and is an exact zero elsewhere, as the full-grid formula is there.  The
+spectra of phi and of the cutoff are held to their band: the frequencies
+beyond reach are never stored, and every transform and image of u runs on
+the band only.
 
-The cutoff and the window are even in every axis, and so are A(xi) and
-U(xi) when every monomial of A has only even exponents, as the
-Laplacian's do: the symbol's exponents alone decide it (``_even``).  Then
-the direction solve runs on the octant of non-negative frequencies, and u
-is held there (``grid.GridField.from_octant``), as the cutoff always is,
-each held to the band of its support on every axis; every other symbol
-runs on the half spectrum, held to its band on the last axis
+The cutoff and the window are even in every axis, and so is p when every
+exponent of p is even, as |x|^(2m) is: then phi is held on the octant of
+non-negative frequencies (``grid.GridField.from_octant``), as the cutoff
+always is, each held to the band of its support on every axis.  Each
+component of u keeps the octant when its monomials share one parity on
+every axis, and otherwise expands phi to its half spectrum; a p with an odd
+exponent holds phi on the half spectrum, held to its band on the last axis
 (``grid.GridField.from_spectrum``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import pi
+from math import pi, prod
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ..deciders.cancellation import CancelingVerdict
 from ..deciders.ellipticity import ELLIPTIC, EllipticityVerdict
+from ..exact.poly import Polynomial
 from ..exact.symbol import SymbolOperator
 from .grid import (
     GridField,
     GridSpec,
+    apply_symbol,
     half_box_shift,
     restrict,
     support_indices,
@@ -96,75 +106,31 @@ def cutoff_l1(spec: GridSpec) -> float:
     return lp_norm(GridField.from_octant(spec, plateau_cutoff(r)[None, ...]), 1.0)
 
 
-def _even(a: SymbolOperator) -> bool:
-    """Whether every monomial of A has only even exponents: then A(xi) and
-    U(xi) are even in every axis, and the blowup spectra are held on the
-    octant."""
-    return all(e % 2 == 0 for alpha, _ in a.terms for e in alpha)
-
-
-def _band_shape(spec: GridSpec, box: list[np.ndarray], octant: bool) -> tuple[int, ...]:
-    """The shape of a half spectrum or octant held to the band of ``box``
-    (from ``support_indices`` on ``frequency_grids(octant)``): its
-    indices on the last axis, and on every axis of an octant, are a
-    prefix, as ``rfftfreq`` rises from 0, so the band stops after the last
-    of them."""
-    if octant:
-        return tuple(len(index) for index in box)
-    return spec.half_shape[:-1] + (len(box[-1]),)
-
-
 class BlowupError(ValueError):
     pass
 
 
-class SymbolDirections(NamedTuple):
-    """U(xi) of shape (dimV, *spec.half_shape), or (dimV,
-    *spec.octant_shape) for a symbol whose monomials have only even
-    exponents, solved where every |xi_i| < reach and zero elsewhere."""
+class BlowupDirection(NamedTuple):
+    """e, as a float vector, and one witness of it: u, a polynomial vector
+    on V homogeneous of degree s, and p > 0 away from 0, homogeneous of
+    degree s + k, with A(x) u(x) == p(x) e exactly."""
 
-    values: np.ndarray
-    reach: float
-
-
-def solve_symbol_directions(
-    a: SymbolOperator, spec: GridSpec, e: Sequence[float], reach: float
-) -> SymbolDirections:
-    """U(xi) with A(xi) U(xi) = e solved through the normal equations at
-    every nonzero frequency of the half spectrum with every |xi_i| < reach
-    (``math.inf`` for all of them); the zero frequency and the frequencies
-    beyond reach get U = 0.  For a symbol whose monomials have only even
-    exponents the frequencies are those of the octant."""
-    octant = _even(a)
-    box = support_indices(spec.frequency_grids(octant), reach)
-    amat = np.zeros(tuple(len(index) for index in box) + (a.dim_e, a.dim_v))
-    for r, c, values in symbol_on_grid(a, spec, _band_shape(spec, box, octant), octant):
-        amat[..., r, c] = restrict(values, box)
-    u = np.zeros((a.dim_v,) + (spec.octant_shape if octant else spec.half_shape))
-    if amat.size:
-        gram = np.einsum("...ev,...ew->...vw", amat, amat)
-        rhs = np.einsum("...ev,e->...v", amat, np.asarray(e, dtype=float))
-        # A nonempty box holds the zero frequency at its first index.
-        origin = tuple(0 for _ in range(spec.n))
-        gram[origin] = np.eye(a.dim_v)
-        if a.dim_v == 1:
-            # A scalar unknown: one division per frequency, not a batch of
-            # 1 x 1 solves.
-            solved = rhs / gram[..., 0]
-        else:
-            solved = np.linalg.solve(gram, rhs[..., None])[..., 0]
-        solved[origin] = 0.0
-        u[(slice(None),) + np.ix_(*box)] = np.moveaxis(solved, -1, 0)
-    return SymbolDirections(u, reach)
+    e: np.ndarray
+    u: tuple
+    p: Polynomial
 
 
 def blowup_direction(
     a: SymbolOperator, e: Sequence, ellipticity: EllipticityVerdict, canceling: CancelingVerdict
-) -> np.ndarray:
-    """e as a float vector, once A is certified injective and e is a
-    nonzero vector of the common image intersection of a certified
-    cancellation verdict: only then does A(D)u collapse to the two-cutoff
-    difference whose L1 norm the experiments rely on."""
+) -> BlowupDirection:
+    """e with its witness, once A is certified injective and e is a nonzero
+    vector of the common image intersection of a certified cancellation
+    verdict: only then does A(D)u collapse to the two-cutoff difference
+    whose L1 norm the experiments rely on.  The witness combines those of
+    the verdict's memberships, one for each vector e_j of the echelon basis
+    of W (``Subspace.columns``): c_j is the entry of e at the leading
+    position of e_j, p the product of the distinct p_j with c_j != 0, and
+    u = sum_j c_j u_j p / p_j."""
     if ellipticity.status != ELLIPTIC:
         raise BlowupError("symbol is not certified injective")
     if not canceling.certified:
@@ -176,33 +142,45 @@ def blowup_direction(
         )
     if all(x == 0 for x in e_exact):
         raise BlowupError("direction must be nonzero")
-    return np.array([float(x) for x in e_exact])
+    terms = [(e_exact[next(i for i, x in enumerate(m.e) if x)], m) for m in canceling.memberships]
+    terms = [(c, m) for c, m in terms if c]
+    factors = list(dict.fromkeys(m.p for _, m in terms))
+    one = Polynomial.constant(a.n, 1)
+    u = [Polynomial.zero(a.n)] * a.dim_v
+    for c, m in terms:
+        cofactor = prod((q for q in factors if q != m.p), start=one).scale(c)
+        u = [acc + q * cofactor for acc, q in zip(u, m.u)]
+    return BlowupDirection(np.array([float(x) for x in e_exact]), tuple(u),
+                           prod(factors, start=one))
 
 
-def build_blowup_field(
-    a: SymbolOperator, scale: float, spec: GridSpec, directions: SymbolDirections
-) -> GridField:
-    """The field u at one scale, from ``directions`` =
-    ``solve_symbol_directions(a, spec, e, reach)`` for a direction e that
-    passed ``blowup_direction`` and a reach of at least 2 scale; U(xi) does
-    not depend on the scale.  The window is evaluated where every
-    |xi_i| < 2 scale, its support, and u is zero outside it: its spectrum
-    is held to the band of that support, on the octant when every monomial
-    of A has only even exponents."""
+def _column(polys: Sequence[Polynomial], order: int) -> SymbolOperator:
+    """The len(polys) x 1 symbol of order ``order`` whose row c is polys[c]."""
+    return SymbolOperator.from_entries(
+        polys[0].n, 1, len(polys), order,
+        {(alpha, c, 0): x for c, q in enumerate(polys) for alpha, x in q.terms})
+
+
+def build_blowup_field(direction: BlowupDirection, scale: float, spec: GridSpec) -> GridField:
+    """The field u at one scale, for a ``direction`` from
+    ``blowup_direction``: u(D) phi, phi the scalar field with spectrum
+    (2 pi i)^(-(s+k)) window / p, 0 at xi = 0.  The window is evaluated
+    where every |xi_i| < 2 scale, its support, and phi is zero outside it:
+    its spectrum is held to the band of that support, on the octant when
+    every exponent of p is even."""
     if scale < 2:
         raise BlowupError("scale parameter must be at least 2")
     if spec.nyquist < scale:
         raise BlowupError(
             f"grid Nyquist {spec.nyquist} cannot hold content at scale {scale}"
         )
-    if directions.reach < 2.0 * scale:
-        raise BlowupError(
-            f"directions solved within {directions.reach} do not cover the "
-            f"window at scale {scale}"
-        )
-    octant = _even(a)
+    p = direction.p
+    degree = p.degree()
+    octant = all(x % 2 == 0 for alpha, _ in p.terms for x in alpha)
     xi = spec.frequency_grids(octant)
     box = support_indices(xi, 2.0 * scale)
+    band = (tuple(len(index) for index in box) if octant
+            else spec.half_shape[:-1] + (len(box[-1]),))
     r = np.sqrt(sum(restrict(x, box) ** 2 for x in xi))
     window = plateau_cutoff(r / scale) - plateau_cutoff(r * scale)
     # Shift the concentration point to the box center so the boundary shell
@@ -210,13 +188,17 @@ def build_blowup_field(
     # axis i, a real sign applied in place.
     for sign in half_box_shift(spec, octant):
         window *= restrict(sign, box)
-    inside = (slice(None),) + np.ix_(*box)
-    unit = (2j * pi) ** (-a.order)
+    (_, _, p_values), = symbol_on_grid(_column([p], degree), spec, band, octant)
+    p_values = restrict(p_values, box)
+    # s + k is even: (2 pi i)^(-(s+k)) is real.  The window is 0 at xi = 0,
+    # the one zero of p.
+    unit = ((2j * pi) ** -degree).real
+    hat = np.divide(unit * window, p_values, out=np.zeros_like(window),
+                    where=p_values != 0.0)[None, ...]
     if octant:
-        # k is even: (2 pi i)^(-k) is real, and every factor on the octant
-        # is the real part of the full-grid formula's.
-        u_hat = (unit.real * window)[None, ...] * directions.values[inside]
-        return GridField.from_octant(spec, u_hat)
-    u_hat = np.zeros((a.dim_v,) + _band_shape(spec, box, octant), dtype=complex)
-    u_hat[inside] = (unit * window)[None, ...] * directions.values[inside]
-    return GridField.from_spectrum(spec, u_hat)
+        phi = GridField.from_octant(spec, hat)
+    else:
+        held = np.zeros((1,) + band, dtype=complex)
+        held[(slice(None),) + np.ix_(*box)] = hat
+        phi = GridField.from_spectrum(spec, held)
+    return apply_symbol(_column(direction.u, max(q.degree() for q in direction.u)), phi)

@@ -19,13 +19,8 @@ from ..catalog import divergence, gradient, sym_gradient
 from ..deciders.cancellation import image_intersection
 from ..deciders.ellipticity import check_ellipticity
 from ..exact.symbol import SymbolOperator
-from .blowup import (
-    SymbolDirections,
-    blowup_direction,
-    build_blowup_field,
-    cutoff_l1,
-    solve_symbol_directions,
-)
+from ..io import polynomial_to_json
+from .blowup import BlowupDirection, blowup_direction, build_blowup_field, cutoff_l1
 from .fields import (
     curl_potential_field,
     dx_bump,
@@ -103,9 +98,9 @@ def _blowup_ratio_terms(
 
 def _blowup_point(
     a: SymbolOperator, ell: int, scale: float, spec: GridSpec,
-    directions: SymbolDirections, bound: float,
+    direction: BlowupDirection, bound: float,
 ) -> dict:
-    u = build_blowup_field(a, scale, spec, directions)
+    u = build_blowup_field(direction, scale, spec)
     num, den, dmag = _blowup_ratio_terms(a, ell, u)
     # Gradient-control companion on the same field: the order-zero Sobolev
     # ratio against the full first derivative.
@@ -142,25 +137,18 @@ def blowup_experiment(
         raise ValueError("derivative order must satisfy 0 <= ell < operator order")
     if a.order - ell >= spec.n:
         raise ValueError("derivative gap k - ell must stay below the dimension")
-    e_float = blowup_direction(a, e, check_ellipticity(a), image_intersection(a, seed))
-    e_norm = float(np.sqrt((e_float**2).sum()))
+    direction = blowup_direction(a, e, check_ellipticity(a), image_intersection(a, seed))
+    # The image bound 2 ||psi||_1 |e| does not depend on the scale.
+    bound = 2.0 * cutoff_l1(spec) * float(np.sqrt((direction.e**2).sum()))
     half = spec.halved()
-    # U(xi) and the image bound 2 ||psi||_1 |e| do not depend on the scale:
-    # one solve and one cutoff mass per grid.  The windows of every scale
-    # live where each |xi_i| < 2 max(scales), so U is solved there only.
-    reach = 2.0 * max(scales, default=0.0)
-    per_grid = {
-        g: (solve_symbol_directions(a, g, e_float, reach), 2.0 * cutoff_l1(g) * e_norm)
-        for g in (spec, half)
-    }
     rows = []
     for scale in scales:
-        row = _blowup_point(a, ell, scale, spec, *per_grid[spec])
+        row = _blowup_point(a, ell, scale, spec, direction, bound)
         ref = None
         if half.nyquist >= scale:
             # The reference needs only the ratio: no control columns, no tail.
             num, den, _ = _blowup_ratio_terms(
-                a, ell, build_blowup_field(a, scale, half, per_grid[half][0]))
+                a, ell, build_blowup_field(direction, scale, half))
             ref = num / den
         row["converged"] = _converged(row["ratio"], ref)
         rows.append(row)
@@ -169,6 +157,9 @@ def blowup_experiment(
         {"e": [str(x) for x in e], "ell": ell, "scales": list(scales)},
         digest,
     )
+    # The membership witness A(x) u(x) = p(x) e that built U = u / p.
+    manifest["witness"] = {"s": direction.p.degree() - a.order,
+                           "p": polynomial_to_json(direction.p)}
     return rows, manifest
 
 

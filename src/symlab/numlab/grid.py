@@ -32,9 +32,9 @@ values on the octant of grid points (indices 0 .. N/2 of every axis)
 determine it, and its spectrum is the octant's cosine transform.  Only a
 closed form or the exponents of a symbol select the octant, never a
 numeric test of symmetry: the builders whose closed form is even in every
-axis (``fields.newton_gradient_field``, ``blowup.cutoff_l1``, and
-``blowup.build_blowup_field`` and ``blowup.solve_symbol_directions`` for a
-symbol whose monomials have only even exponents) build octants, the
+axis (``fields.newton_gradient_field``, ``blowup.cutoff_l1``, and the
+scalar field of ``blowup.build_blowup_field`` when every exponent of its
+witness's p is even) build octants, the
 centred radial fields sampled in space (``fields.gaussian_bump``,
 ``fields.mollified_disc`` and ``fields.radial_cutoff_test_function``)
 sample their octant of grid points, and an image of an octant stays one
@@ -119,8 +119,8 @@ grad(D) phi, so its divergence is the Laplacian of phi, one transform, and
 its curl is the zero symbol, for which ``image_squares`` and ``image_l1``
 allocate nothing and transform nothing.  ``derivative_magnitude``
 measures the image of the operator stacking all partial derivatives of
-one order, and the blowup direction solve reads its per-frequency
-matrices from ``symbol_on_grid``.
+one order, and the blowup field evaluates its witness's p through
+``symbol_on_grid``.
 
 Closed-form fields with compact support (the blowup window in frequency,
 the plateau test function in space) are evaluated on the box of indices

@@ -1,6 +1,5 @@
 """Experiment drivers at reduced desk scale (full runs live in acceptance)."""
 
-import math
 
 import numpy as np
 import pytest
@@ -41,27 +40,8 @@ def test_blowup_schedule_monotone_small():
         assert r["image_l1"] <= r["image_l1_bound"] * 1.05
     assert manifest["kind"] == "blowup"
     assert manifest["grid"]["size"] == 256
-
-
-def test_blowup_solves_directions_once_per_grid(monkeypatch):
-    # U(xi) does not depend on the scale: one solve on the grid and one on
-    # the halved grid, and the fields match a per-scale solve.
-    calls = []
-    solve = blowup.solve_symbol_directions
-
-    def counted(a, spec, e, reach):
-        calls.append(spec.size)
-        return solve(a, spec, e, reach)
-
-    monkeypatch.setattr(blowup, "solve_symbol_directions", counted)
-    monkeypatch.setattr(experiments, "solve_symbol_directions", counted)
-    spec = GridSpec(2, 128, 4.0)
-    op = laplacian(2).operator
-    rows, _ = blowup_experiment(op, [1], 1, [4, 8, 16], spec)
-    assert sorted(calls) == [64, 128]
-    fresh = experiments._blowup_point(op, 1, 8, spec, solve(op, spec, np.array([1.0]), math.inf),
-                                      2.0 * blowup.cutoff_l1(spec))
-    assert rows[1] == dict(fresh, converged=rows[1]["converged"])
+    # The witness that built U: u = 1 of degree 0, p = |x|^2.
+    assert manifest["witness"] == {"s": 0, "p": [[[0, 2], "1"], [[2, 0], "1"]]}
 
 
 @pytest.mark.parametrize("entry, e, ell, spec, scale", [
@@ -73,11 +53,10 @@ def test_blowup_point_matches_the_built_image_recipe(entry, e, ell, spec, scale)
     # summing inline gave, bit for bit.  The Laplacian's u is held on the
     # octant, whose magnitudes are summed with mirror weights.
     op = entry.operator
-    e_float = blowup.blowup_direction(op, e, check_ellipticity(op), image_intersection(op, 0))
-    directions = blowup.solve_symbol_directions(op, spec, e_float, math.inf)
-    bound = 2.0 * blowup.cutoff_l1(spec) * float(np.sqrt((e_float**2).sum()))
-    row = experiments._blowup_point(op, ell, scale, spec, directions, bound)
-    u = blowup.build_blowup_field(op, scale, spec, directions)
+    direction = blowup.blowup_direction(op, e, check_ellipticity(op), image_intersection(op, 0))
+    bound = 2.0 * blowup.cutoff_l1(spec) * float(np.sqrt((direction.e**2).sum()))
+    row = experiments._blowup_point(op, ell, scale, spec, direction, bound)
+    u = blowup.build_blowup_field(direction, scale, spec)
     au = apply_symbol(op, u)
     q = sobolev_exponent(spec.n, op.order, ell)
     if ell == 0:

@@ -46,7 +46,6 @@ from symlab.numlab import (
     plateau_cutoff,
     smoothstep,
     smoothstep_deriv,
-    solve_symbol_directions,
     symbol_on_grid,
 )
 from symlab.numlab.blowup import blowup_direction, cutoff_l1
@@ -167,51 +166,47 @@ def test_smoothstep_properties():
 
 
 def test_direction_solver_solves_symbol_everywhere():
-    # A(xi) U(xi) = e at every nonzero frequency, with A(xi) evaluated exactly.
+    # U = u / p from the witness A(x) u(x) = p(x) e solves A(xi) U(xi) = e at
+    # every nonzero frequency, with A(xi), u(xi) and p(xi) evaluated exactly.
     spec = GridSpec(3, 16, 16.0)
     op = hodge_pair(3, 1).operator
-    e = np.array([0.0, 0.0, 0.0, 1.0])
-    u = solve_symbol_directions(op, spec, e, math.inf).values
-    assert u.shape == (op.dim_v,) + spec.half_shape
+    e = [0, 0, 0, 1]
+    direction = admissible(op, e)
     last = np.fft.rfftfreq(spec.size, d=1.0 / spec.size)  # integer modes 0 .. N/2
     worst = 0.0
     for m in np.ndindex(*spec.half_shape):
         if not any(m):
-            assert np.all(u[(slice(None),) + m] == 0.0)
             continue
         modes = [int(k) - spec.size * (k >= spec.size // 2) for k in m[:-1]]
         modes.append(int(last[m[-1]]))
         xi = [F(k, int(spec.box)) for k in modes]
         a = np.array([[float(x) for x in row] for row in ref_evaluate(op, xi)])
-        worst = max(worst, np.abs(a @ u[(slice(None),) + m] - e).max())
+        u = np.array([float(q.evaluate(xi) / direction.p.evaluate(xi)) for q in direction.u])
+        worst = max(worst, np.abs(a @ u - e).max())
     assert worst <= 1e-12
 
 
-def test_direction_solver_divides_for_one_unknown(monkeypatch):
-    # dim V = 1: U = <A(xi), e> / |A(xi)|^2, one division per frequency and
-    # no batched 1 x 1 solve.
-    def no_solve(*args, **kwargs):
-        raise AssertionError("np.linalg.solve called for one unknown")
-
-    monkeypatch.setattr(np.linalg, "solve", no_solve)
-    spec = GridSpec(2, 64, 8.0)
-    u = solve_symbol_directions(gradient(2).operator, spec, [1.0, 0.5], math.inf).values[0]
-    x, y = spec.frequency_grids()
-    r2 = x**2 + y**2
-    r2[0, 0] = 1.0
-    expected = (x + 0.5 * y) / r2
-    assert u[0, 0] == 0.0
-    assert np.allclose(u, expected, rtol=1e-14, atol=0.0)
+# The catalog's blowup candidates (certified ELLIPTIC and NOT_CANCELING) and
+# the skewed scalar symbol xi_0^2 + xi_0 xi_1 + xi_1^2, whose witness is the
+# cofactor one, p = (xi_0^2 + xi_0 xi_1 + xi_1^2)^2, with odd exponents.
+SKEWED = SymbolOperator.from_entries(
+    2, 1, 1, 2, {((2, 0), 0, 0): 1, ((1, 1), 0, 0): 1, ((0, 2), 0, 0): 1})
+BLOWUP_CANDIDATES = {
+    "laplacian2": laplacian(2).operator, "laplacian3": laplacian(3).operator,
+    "hodge21": hodge_pair(2, 1).operator, "hodge31": hodge_pair(3, 1).operator,
+    "hodge32": hodge_pair(3, 2).operator, "skewed": SKEWED,
+}
 
 
-def test_direction_solver_homogeneity():
-    spec = GridSpec(2, 128, 8.0)
-    u = solve_symbol_directions(laplacian(2).operator, spec, [1.0], math.inf).values
-    # U(2 xi) = 2^(-k) U(xi) at representable mode pairs.
-    for m in [(1, 2), (3, 1), (5, 4)]:
-        m2 = (2 * m[0], 2 * m[1])
-        a, b = u[0][m], u[0][m2]
-        assert abs(b - a / 4.0) <= 1e-10 * abs(a)
+@pytest.mark.parametrize("op", BLOWUP_CANDIDATES.values(), ids=BLOWUP_CANDIDATES.keys())
+def test_blowup_witness_is_exact(op):
+    # A(x) u(x) == p(x) e as polynomials, for each basis vector of W and
+    # for their sum, which mixes them when W has more than one.
+    basis = image_intersection(op, 0).intersection.columns()
+    for e in basis + [tuple(map(sum, zip(*basis)))]:
+        direction = admissible(op, e)
+        assert op.apply(direction.u) == [direction.p.scale(x) for x in e]
+        assert direction.e.tolist() == [float(x) for x in e]
 
 
 def admissible(op, e):
@@ -226,14 +221,10 @@ def test_blowup_requires_admissible_direction():
     with pytest.raises(BlowupError):
         admissible(hyperbolic_example().operator, [1, 0])
     op = laplacian(2).operator
-    directions = solve_symbol_directions(op, spec, admissible(op, [1]), math.inf)
+    direction = admissible(op, [1])
     for scale in (512.0, 1.5):
         with pytest.raises(BlowupError):
-            build_blowup_field(op, scale, spec, directions)
-    # Directions solved short of the window's support are refused.
-    short = solve_symbol_directions(op, spec, admissible(op, [1]), 7.9)
-    with pytest.raises(BlowupError, match="do not cover"):
-        build_blowup_field(op, 4.0, spec, short)
+            build_blowup_field(direction, scale, spec)
 
 
 def test_blowup_refuses_uncertified_intersection():
@@ -246,24 +237,35 @@ def test_blowup_refuses_uncertified_intersection():
         blowup_direction(op, [1], elliptic, sampled)
     certified = check_canceling(op, seed=0)
     assert certified.status == NOT_CANCELING
-    assert blowup_direction(op, [1], elliptic, certified).tolist() == [1.0]
+    assert blowup_direction(op, [1], elliptic, certified).e.tolist() == [1.0]
 
 
-def test_blowup_image_identity_and_bound():
+@pytest.mark.parametrize("op, e, spec, scale", [
+    (laplacian(2).operator, [1], GridSpec(2, 256, 4.0), 4.0),
+    # e = (1, 0) keeps u on the octant; e = (1, 1) mixes the parities of
+    # u's components and takes the half spectrum.
+    (hodge_pair(2, 1).operator, [1, 0], GridSpec(2, 256, 4.0), 4.0),
+    (hodge_pair(2, 1).operator, [1, 1], GridSpec(2, 256, 4.0), 4.0),
+    (hodge_pair(3, 1).operator, [0, 0, 0, 1], GridSpec(3, 32, 4.0), 2.0),
+    # p has odd exponents: phi is held on the half spectrum.
+    (SKEWED, [1], GridSpec(2, 256, 4.0), 4.0),
+], ids=["laplacian2", "hodge21-e10", "hodge21-e11", "hodge31", "skewed"])
+def test_blowup_image_identity_and_bound(op, e, spec, scale):
     # A(D)u must equal the two-cutoff difference times e; checked against a
-    # direct synthesis of that difference.
-    spec = GridSpec(2, 256, 4.0)
-    op = laplacian(2).operator
-    u = build_blowup_field(op, 4.0, spec, solve_symbol_directions(op, spec, [1.0], math.inf))
+    # direct synthesis of that difference.  Its L1 norm stays below twice
+    # the cutoff's times |e|.
+    u = build_blowup_field(admissible(op, e), scale, spec)
     au = apply_symbol(op, u)
     xi = spec.frequency_grids()
-    r = np.sqrt(xi[0] ** 2 + xi[1] ** 2)
-    window = plateau_cutoff(r / 4.0) - plateau_cutoff(r * 4.0)
-    shift = np.exp(-2j * np.pi * (spec.box / 2.0) * (xi[0] + xi[1]))
-    direct = GridField.from_spectrum(spec, (window * shift)[None, ...])
-    scale = np.abs(direct.values).max()
-    assert np.abs(au.values - direct.values).max() <= 1e-9 * scale
-    assert lp_norm(au, 1.0) <= 2.0 * cutoff_l1(spec) * 1.05
+    r = np.sqrt(sum(x**2 for x in xi))
+    window = plateau_cutoff(r / scale) - plateau_cutoff(r * scale)
+    shift = np.exp(-2j * np.pi * (spec.box / 2.0) * sum(xi))
+    direct = GridField.from_spectrum(spec, np.multiply.outer(np.array(e, dtype=float),
+                                                             window * shift))
+    peak = np.abs(direct.values).max()
+    assert np.abs(au.values - direct.values).max() <= 1e-9 * peak
+    bound = 2.0 * cutoff_l1(spec) * math.hypot(*e)
+    assert _image_l1(op, u) <= bound
 
 
 def test_quaternion_blowup_disallowed_everywhere():
@@ -311,7 +313,7 @@ def test_cached_spectrum_is_the_spectrum_of_the_values():
     # curl of the newton field is the zero symbol: its spectrum is zero.
     newton = newton_gradient_field(GridSpec(3, 32, 8.0), 0.4)
     op, spec = laplacian(2).operator, GridSpec(2, 128, 4.0)
-    u = build_blowup_field(op, 4.0, spec, solve_symbol_directions(op, spec, [1.0], math.inf))
+    u = build_blowup_field(admissible(op, [1]), 4.0, spec)
     au = apply_symbol(op, u)
     fields = [newton, u, au, apply_symbol(divergence(3).operator, newton),
               apply_symbol(gradient(2).operator, random_field(GridSpec(2, 32, 8.0), 1)),
@@ -774,6 +776,15 @@ def mirrored(spec, octant, parity=None, half=True):
     return out
 
 
+def solved_directions(op, spec, e):
+    # Reference: U(xi) with A(xi) U(xi) = e at every nonzero frequency of
+    # the half spectrum, by a pseudo-inverse per frequency; U(0) = 0.
+    amat = np.zeros(spec.half_shape + (op.dim_e, op.dim_v))
+    for r, c, values in symbol_on_grid(op, spec):
+        amat[..., r, c] = values
+    return np.moveaxis(np.linalg.pinv(amat) @ np.asarray(e, dtype=float), -1, 0)
+
+
 @pytest.mark.parametrize("entry, e, spec, scale", [
     (laplacian(2), [1], GridSpec(2, 256, 4.0), 4.0),
     # The window reaches the top column.
@@ -782,29 +793,17 @@ def mirrored(spec, octant, parity=None, half=True):
     (hodge_pair(3, 1), [0, 0, 0, 1], GridSpec(3, 32, 4.0), 2.0),
 ])
 def test_blowup_spectrum_is_the_full_grid_formula(entry, e, spec, scale):
-    # == counts -0 equal to 0: only signed zeros may differ outside the box.
-    # The Laplacian's directions and u are held on the octant, whose mirror
-    # images are the rest of the half spectrum.  Their values come from the
-    # octant's real passes, the same sums as irfftn's in exact arithmetic:
-    # they agree to a rounding bound of 1e-13 of the largest.
+    # u = u(D) phi, with U = u / p from the witness, against U solved at
+    # every frequency: equal to a rounding bound of 1e-13 of the largest.
+    # phi is held on the octant, and u is built from its mirror images;
+    # its rows are Nyquist-projected images, and so are its values.
     op = entry.operator
-    e_float = admissible(op, e)
-    full = solve_symbol_directions(op, spec, e_float, math.inf).values
-    boxed = solve_symbol_directions(op, spec, e_float, 2.0 * scale)
-    octant = full.shape[1:] == spec.octant_shape
-    xi = spec.frequency_grids(octant)
-    inside = np.all([np.abs(x) < 2.0 * scale for x in np.broadcast_arrays(*xi)], axis=0)
-    assert np.array_equal(boxed.values, np.where(inside, full, 0.0))
-    if octant:
-        full = mirrored(spec, full)
-    reference = full_grid_window(op, scale, spec, full)
-    u = build_blowup_field(op, scale, spec, boxed)
-    assert np.array_equal(u.spectrum(), reference * nyquist_mask(spec))
+    reference = full_grid_window(op, scale, spec, solved_directions(op, spec, e))
+    reference *= nyquist_mask(spec)
+    u = build_blowup_field(admissible(op, e), scale, spec)
+    assert np.abs(u.spectrum() - reference).max() <= 1e-13 * np.abs(reference).max()
     expected = synthesized(spec, reference)
-    if octant:
-        assert np.abs(u.values - expected).max() <= 1e-13 * np.abs(expected).max()
-    else:
-        assert np.array_equal(u.values, expected)
+    assert np.abs(u.values - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("spec", [GridSpec(2, 64, 4.0), GridSpec(2, 256, 8.0), GridSpec(3, 16, 4.0)])
@@ -944,7 +943,7 @@ def test_supports_are_evaluated_on_their_box_only(monkeypatch):
     counting("plateau_cutoff", blowup)
     counting("smoothstep", fields)
     op, spec = laplacian(2).operator, GridSpec(2, 1024, 4.0)
-    build_blowup_field(op, 4.0, spec, solve_symbol_directions(op, spec, [1.0], 8.0))
+    build_blowup_field(admissible(op, [1]), 4.0, spec)
     assert sizes == [("plateau_cutoff", 1024)] * 2
     sizes.clear()
     radial_cutoff_test_function(GridSpec(2, 512, 40.0), 1.0)
@@ -968,7 +967,7 @@ def test_band_limited_spectra_are_held_to_their_band(monkeypatch):
     from symlab.numlab import blowup
 
     op, spec = laplacian(2).operator, GridSpec(2, 1024, 4.0)
-    u = build_blowup_field(op, 4.0, spec, solve_symbol_directions(op, spec, [1.0], 8.0))
+    u = build_blowup_field(admissible(op, [1]), 4.0, spec)
     assert u._held_spectrum().shape == (1, 32, 32)
     assert apply_symbol(op, u)._held_spectrum().shape == (1, 32, 32)
     shapes = []
@@ -1057,7 +1056,7 @@ def octant_magnitudes():
     # field, and of a blowup field, its first derivatives and its Laplacian.
     newton = newton_gradient_field(GridSpec(3, 32, 6.0), 0.3)
     op, spec = laplacian(2).operator, GridSpec(2, 64, 4.0)
-    u = build_blowup_field(op, 4.0, spec, solve_symbol_directions(op, spec, [1.0], 8.0))
+    u = build_blowup_field(admissible(op, [1]), 4.0, spec)
     au = apply_symbol(op, u)
     return [(newton.spec, newton, newton.magnitude()), (spec, u, u.magnitude()),
             (spec, None, derivative_magnitude(u, 1)), (spec, au, au.magnitude())]
@@ -1106,26 +1105,25 @@ def test_mixed_parity_row_takes_the_half_path(monkeypatch):
     assert image_magnitude(gradient(2).operator, even).shape == spec.octant_shape
 
 
-@pytest.mark.parametrize("entry, e, ell, spec, scale, octant", [
-    (laplacian(2), [1], 1, GridSpec(2, 128, 4.0), 4.0, True),
-    (hodge_pair(3, 1), [0, 0, 0, 1], 0, GridSpec(3, 32, 4.0), 2.0, False),
+@pytest.mark.parametrize("entry, e, ell, spec, scale, passes", [
+    (laplacian(2), [1], 1, GridSpec(2, 128, 4.0), 4.0, 8),
+    (hodge_pair(3, 1), [0, 0, 0, 1], 0, GridSpec(3, 32, 4.0), 2.0, 39),
 ])
-def test_blowup_point_transform_paths(entry, e, ell, spec, scale, octant, monkeypatch):
-    # The Laplacian's exponents are all even: a blowup point runs real
-    # passes only, two per image (the two first derivatives, the field's
-    # own magnitude and A(D)u).  hodge_pair(3, 1) has odd exponents and
-    # keeps the half spectrum's complex passes.
+def test_blowup_point_transform_paths(entry, e, ell, spec, scale, passes, monkeypatch):
+    # p = |x|^2 has even exponents and every component of u one parity, so
+    # a blowup point runs real passes only, n per row of each image: for
+    # the Laplacian the two first derivatives, the field's own magnitude
+    # and A(D)u; for hodge_pair(3, 1), whose exponents are odd, the field's
+    # three components, their nine first derivatives and the one nonzero
+    # row of A(D)u = p e.
     from symlab.numlab import experiments
 
     op = entry.operator
-    directions = solve_symbol_directions(op, spec, admissible(op, e), math.inf)
+    direction = admissible(op, e)
     calls = count_transforms(monkeypatch)
-    row = experiments._blowup_point(op, ell, scale, spec, directions, 1.0)
+    row = experiments._blowup_point(op, ell, scale, spec, direction, 1.0)
     assert np.isfinite(row["ratio"])
-    if octant:
-        assert calls == {"irfft": 8}
-    else:
-        assert calls["ifft"] > 0 and "irfftn" not in calls
+    assert calls == {"irfft": passes}
 
 
 THREADED_NORM = """
