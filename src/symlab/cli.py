@@ -490,14 +490,14 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_rationals(text: Optional[str], expected: int):
-    from fractions import Fraction
+    from .io import rat_from_str
 
     if not text:
         raise CliError("--e is required (comma-separated rationals)")
     try:
-        vals = [Fraction(x) for x in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad rational list {text!r}: {exc}")
+        vals = [rat_from_str(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise CliError(f"bad --e: {exc}")
     if len(vals) != expected:
         raise CliError(f"direction needs {expected} entries, got {len(vals)}")
     return vals

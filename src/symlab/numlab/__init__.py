@@ -23,8 +23,10 @@ blowup field's phi) holds it exactly as given, Nyquist bins and all, and only
 the images and ``spectrum()`` are Nyquist-projected.  Such a field, or
 one built by an operator, synthesizes its values only when they are read;
 its magnitude reduces its components as the rows of an image, through the
-same loop, without them.  Every norm and L1 sum is the one Riemann sum
-``grid.grid_sum``, over a grid or, with mirror weights, an octant.
+same loop, without them.  Every norm and L1 norm is the one Riemann sum
+``grid.grid_sum``, over a grid or, with mirror weights, an octant, as the
+summed array's shape says; ``image_l1``, like ``lp_norm``, includes the
+cell volume h^n.  Grids have dimension 2, 3 or 4.
 
 The compactly supported closed forms (the blowup window and cutoff, the
 plateau test functions) are evaluated on the box of indices that holds

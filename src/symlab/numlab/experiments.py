@@ -10,6 +10,7 @@ unconverged rather than silently reported.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -75,14 +76,6 @@ def sobolev_exponent(n: int, k: int, ell: int) -> float:
     return n / (n - gap)
 
 
-def _image_l1(a: SymbolOperator, u: GridField) -> float:
-    """L1 norm of A(D)u, reduced slab by slab (``image_l1``) without
-    building the image or a grid of its magnitude; 0.0 for a symbol that is
-    zero (the composite, on an operator-made u), with nothing allocated or
-    summed."""
-    return u.spec.cell_volume * image_l1(a, u)
-
-
 def _blowup_ratio_terms(
     a: SymbolOperator, ell: int, u: GridField
 ) -> tuple[float, float, Optional[np.ndarray]]:
@@ -93,7 +86,7 @@ def _blowup_ratio_terms(
     q = sobolev_exponent(u.spec.n, a.order, ell)
     dmag = derivative_magnitude(u, ell) if ell else None
     num = lp_norm(u, q) if dmag is None else magnitude_norm(u.spec, dmag, q)
-    return num, _image_l1(a, u), dmag
+    return num, image_l1(a, u), dmag
 
 
 def _blowup_point(
@@ -132,12 +125,18 @@ def blowup_experiment(
     digest: Optional[str] = None,
 ) -> tuple[list[dict], dict]:
     """Ratio of the order-ell derivative norm to the image L1 norm across a
-    schedule of concentration scales."""
+    schedule of concentration scales.  The ratios and tails of e and c e
+    agree, so e is measured scaled exactly to a largest |entry| of 1,
+    where no entry of it or of the field overflows or underflows a float;
+    the manifest keeps e as given."""
     if ell < 0 or ell >= a.order:
         raise ValueError("derivative order must satisfy 0 <= ell < operator order")
     if a.order - ell >= spec.n:
         raise ValueError("derivative gap k - ell must stay below the dimension")
-    direction = blowup_direction(a, e, check_ellipticity(a), image_intersection(a, seed))
+    exact = [Fraction(x) for x in e]
+    top = max(map(abs, exact))
+    direction = blowup_direction(a, [x / top for x in exact] if top else exact,
+                                 check_ellipticity(a), image_intersection(a, seed))
     # The image bound 2 ||psi||_1 |e| does not depend on the scale.
     bound = 2.0 * cutoff_l1(spec) * float(np.sqrt((direction.e**2).sum()))
     half = spec.halved()
@@ -248,7 +247,7 @@ def duality_experiment(
     else:
         raise ValueError(f"unknown duality field {field_kind!r}")
     div = divergence(spec.n).operator
-    residual = _image_l1(div, f)
+    residual = image_l1(div, f)
     # The pairings read the values: synthesize them once, before the L1
     # norm, which then takes the magnitude from them.
     f.values
@@ -282,51 +281,46 @@ def duality_experiment(
 # Inequality ratio families
 
 
-def _gns_disc_point(size: int, width: float, box: float = 4.0) -> dict:
-    spec = GridSpec(2, size, box)
+def _gns_disc_point(spec: GridSpec, width: float) -> dict:
     u = mollified_disc(spec, radius=1.0, width=width)
     grad = gradient(2).operator
     lhs = lp_norm(u, 2.0)
-    rhs = _image_l1(grad, u)
+    rhs = image_l1(grad, u)
     return {
-        "size": size, "width": width, "lhs": lhs, "rhs": rhs,
+        "size": spec.size, "width": width, "lhs": lhs, "rhs": rhs,
         "ratio": lhs / rhs, "tail": u.boundary_tail(),
     }
 
 
-def _korn_point(size: int, box: float = 8.0, sigma: float = 0.8) -> dict:
-    spec = GridSpec(2, size, box)
-    g = gaussian_bump(spec, sigma=sigma, components=[1.0, -0.5])
+def _korn_point(spec: GridSpec) -> dict:
+    g = gaussian_bump(spec, sigma=0.8, components=[1.0, -0.5])
     lhs = lp_norm(g, 2.0)
-    rhs = _image_l1(sym_gradient(2).operator, g)
-    return {"size": size, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
+    rhs = image_l1(sym_gradient(2).operator, g)
+    return {"size": spec.size, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
             "tail": g.boundary_tail()}
 
 
-def _solonnikov_point(size: int, box: float = 8.0, sigma: float = 0.8) -> dict:
-    spec = GridSpec(2, size, box)
-    g = gaussian_bump(spec, sigma=sigma)
+def _solonnikov_point(spec: GridSpec) -> dict:
+    g = gaussian_bump(spec, sigma=0.8)
     lhs = magnitude_norm(spec, derivative_magnitude(g, 1), 2.0)
-    rhs = (_image_l1(_monomial_operator(2, (2, 0)), g)
-           + _image_l1(_monomial_operator(2, (0, 2)), g))
-    return {"size": size, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
+    rhs = (image_l1(_monomial_operator(2, (2, 0)), g)
+           + image_l1(_monomial_operator(2, (0, 2)), g))
+    return {"size": spec.size, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
             "tail": g.boundary_tail()}
 
 
-def _strange_point(size: int, box: float = 8.0, sigma: float = 0.9) -> dict:
-    spec = GridSpec(4, size, box)
-    g = gaussian_bump(spec, sigma=sigma)
+def _strange_point(spec: GridSpec) -> dict:
+    g = gaussian_bump(spec, sigma=0.9)
     lhs = lp_norm(g, 2.0)
-    rhs = (_image_l1(_monomial_operator(4, (1, 1, 0, 0)), g)
-           + _image_l1(_monomial_operator(4, (0, 0, 1, 1)), g))
-    return {"size": size, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
+    rhs = (image_l1(_monomial_operator(4, (1, 1, 0, 0)), g)
+           + image_l1(_monomial_operator(4, (0, 0, 1, 1)), g))
+    return {"size": spec.size, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
             "tail": g.boundary_tail()}
 
 
-def _newton_point(size: int, eps: float, box: float = 8.0) -> dict:
+def _newton_point(spec: GridSpec, eps: float) -> dict:
     from ..catalog import exterior_d
 
-    spec = GridSpec(3, size, box)
     u = newton_gradient_field(spec, eps)
     # The images are measured on the potential's octant and never built:
     # the divergence, the Laplacian of phi, is one even row, inverted by one
@@ -334,12 +328,12 @@ def _newton_point(size: int, eps: float, box: float = 8.0) -> dict:
     # and the curl, the zero symbol, costs nothing.  They are measured
     # before the field's own magnitude, so that it and an image are never
     # held together.
-    div_l1 = _image_l1(divergence(3).operator, u)
-    curl_l1 = _image_l1(exterior_d(3, 1).operator, u)
+    div_l1 = image_l1(divergence(3).operator, u)
+    curl_l1 = image_l1(exterior_d(3, 1).operator, u)
     rhs = div_l1 + curl_l1
     mag = _symmetric_gradient_magnitude(u)
     lhs = magnitude_norm(spec, mag, 1.5)
-    return {"size": size, "eps": eps, "lhs": lhs, "rhs": rhs,
+    return {"size": spec.size, "eps": eps, "lhs": lhs, "rhs": rhs,
             "ratio": lhs / rhs, "curl_l1": curl_l1,
             "tail": boundary_tail(mag)}
 
@@ -375,9 +369,10 @@ def _monomial_operator(n: int, alpha: tuple) -> SymbolOperator:
     return SymbolOperator.from_entries(n, 1, 1, sum(alpha), {(alpha, 0, 0): 1})
 
 
-# family -> (point, default levels, dimension and box of the manifest grid,
-# smallest size that is re-measured at half resolution).  A level is a grid
-# size or a tuple whose first entry is the grid size.
+# family -> (point, default levels, dimension and box of every grid of the
+# family, smallest size that is re-measured at half resolution).  A level is
+# a grid size or a tuple whose first entry is the grid size; the point takes
+# the level's grid and the rest of the level.
 _INEQUALITIES = {
     "gns_disc": (_gns_disc_point, [(128, 0.4), (256, 0.2), (512, 0.1)], 2, 4.0, 64),
     "korn": (_korn_point, [64, 128, 256], 2, 8.0, 0),
@@ -403,7 +398,8 @@ def inequality_experiment(
     # the points are pure, so each distinct input is measured once.
     measured: dict[tuple, dict] = {}
 
-    def measure(*args) -> dict:
+    def measure(size: int, *rest) -> dict:
+        args = (GridSpec(n, size, box), *rest)
         if args not in measured:
             measured[args] = point(*args)
         return measured[args]

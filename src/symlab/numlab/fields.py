@@ -70,7 +70,7 @@ def gaussian_bump(
     weighted sum."""
     g = np.exp(-(_octant_radius(spec) ** 2) / (2.0 * sigma**2))
     if normalize_l1:
-        g = g / (grid_sum(spec, g, slice(None), True) * spec.cell_volume)
+        g = g / (grid_sum(spec, g, slice(None)) * spec.cell_volume)
     comps = components if components is not None else [1.0]
     return GridField.from_octant_values(spec, np.stack([c * g for c in comps]))
 
@@ -194,7 +194,7 @@ def radial_cutoff_test_function(
     grads = [dphi_dr * d / r_safe for d in diffs]
     grad_power = np.zeros(spec.octant_shape)
     grad_power[inside] = np.sqrt(sum(g**2 for g in grads)) ** spec.n
-    ln_riemann = (spec.cell_volume * grid_sum(spec, grad_power, slice(None), True)) ** (1 / spec.n)
+    ln_riemann = (spec.cell_volume * grid_sum(spec, grad_power, slice(None))) ** (1 / spec.n)
     if ln_riemann == 0.0:
         raise ValueError(
             f"the plateau test function of exponent {lam} has no gradient on the grid "

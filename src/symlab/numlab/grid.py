@@ -1,7 +1,8 @@
 """Periodic sampling grids and spectral application of symbols.
 
-Conventions: the box is [0, T)^n sampled at N points per axis (N a power
-of two), frequencies are m/T with integer m.  Every field is real, so every
+Conventions: the box is [0, T)^n, n = 2, 3 or 4 (the limiting estimates
+need n >= 2), sampled at N points per axis (N a power of two),
+frequencies are m/T with integer m.  Every field is real, so every
 spectrum is the real half spectrum of ``rfftn``: shape ``spec.half_shape``,
 frequencies in fft order on the first n - 1 axes and 0 .. N/2 on the last.
 The spectral representation follows the continuum transform: analysis
@@ -87,14 +88,15 @@ spectrum, mirrored.
 A pointwise magnitude is a grid array, or an octant array (shape
 ``spec.octant_shape``) for a field or image held on the octant: a
 magnitude is even in every axis, so its octant determines it.
-``grid_sum`` is the one Riemann sum: a grid slab is summed as it is, and
-an octant slab weights each point by its mirror count, the product over
-the axes of 1 at index 0 and N/2 and 2 elsewhere.  The maximum and the
-boundary shell (``boundary_tail``) read the octant as they are.  The
-magnitude of a field held by octant values is taken from them, and such
-a field pairs (``norms.pairing``) by one mirror-weighted sum, with another
-one or with the even part on the octant (``even_part``) of a field on the
-grid.
+``grid_sum`` is the one Riemann sum, and a slab's trailing shape says
+whether it is of the grid or of an octant: a grid slab is summed as it
+is, and an octant slab weights each point by its mirror count, the
+product over the axes of 1 at index 0 and N/2 and 2 elsewhere.  The
+maximum and the boundary shell (``boundary_tail``) read the octant as they
+are.  The magnitude of a field held by octant values is taken from them,
+and such a field pairs (``norms.pairing``) by one mirror-weighted sum,
+with another one or with the even part on the octant (``even_part``) of a
+field on the grid.
 
 ``symbol_on_grid`` is the one place that evaluates a symbol sum_alpha
 xi^alpha A_alpha at the grid frequencies, and ``_image_rows`` the one place
@@ -108,9 +110,9 @@ square to one accumulator slab by slab, and the last row's squared slabs
 are added to the accumulator's rows and handed on while still in cache.
 ``image_squares`` gathers them in its result, ``image_magnitude`` and the
 magnitude of a held field whose values were never read root them there,
-and ``image_l1`` roots and sums each slab, so an image that is only
-measured is never materialized, no row of it is held in full and a
-single-row image holds no grid at all; the magnitude of a single
+and ``image_l1`` roots and sums each slab, times the cell volume, so an
+image that is only measured is never materialized, no row of it is held in
+full and a single-row image holds no grid at all; the magnitude of a single
 unweighted row is its absolute value.  A held field's values are its rows
 inverted into place, and they, and the rows of its magnitude, are checked
 finite slab by slab.  Measured on an operator-made field B(D)v, A(D)B(D)v
@@ -179,8 +181,8 @@ class GridSpec:
     box: float      # physical side length T
 
     def __post_init__(self):
-        if self.n not in (1, 2, 3, 4):
-            raise ValueError("grid dimension must be between 1 and 4")
+        if self.n not in (2, 3, 4):
+            raise ValueError(f"grid dimension {self.n} is not between 2 and 4")
         if not _is_power_of_two(self.size):
             raise ValueError("points per axis must be a power of two")
         if not (isfinite(self.box) and self.box > 0):
@@ -536,22 +538,16 @@ def boundary_tail(mag: np.ndarray) -> float:
     return edge / peak
 
 
-def is_octant(spec: GridSpec, a: np.ndarray) -> bool:
-    """Whether ``a``, a grid or octant array of ``spec``, is an octant.
-    For N = 2 the two coincide, and every mirror count is 1."""
-    return spec.size > 2 and a.shape == spec.octant_shape
-
-
-def grid_sum(spec: GridSpec, a: np.ndarray, rows: slice, octant: bool) -> float:
+def grid_sum(spec: GridSpec, a: np.ndarray, rows: slice) -> float:
     """The sum over the grid of the values that ``a``, the slab ``rows`` of
-    axis 0 of a grid or, with ``octant``, of an octant array, stands for.
-    A grid slab is summed as it is.  An octant slab stands for its mirror
-    images: each point counts its mirror count, the product over the axes
-    of 1 at index 0 and N/2 and 2 elsewhere, and the axes are reduced from
-    the last by ``einsum``, whose order of summation does not depend on the
-    number of BLAS threads.  The caller says which it is: for n = 1 a grid
-    slab may have an octant's shape."""
-    if not octant:
+    axis 0 of a grid or of an octant array, stands for; its trailing shape
+    says which.  A grid slab is summed as it is.  An octant slab stands for
+    its mirror images: each point counts its mirror count, the product over
+    the axes of 1 at index 0 and N/2 and 2 elsewhere, and the axes are
+    reduced from the last by ``einsum``, whose order of summation does not
+    depend on the number of BLAS threads.  For N = 2 the octant is the
+    grid, every mirror count is 1, and the slab is summed as a grid's."""
+    if spec.size == 2 or a.shape[1:] != spec.octant_shape[1:]:
         return float(a.sum())
     weights = np.full(spec.size // 2 + 1, 2.0)
     weights[0] = weights[-1] = 1.0
@@ -670,8 +666,7 @@ def _invert(
     real pass; ``irfft(..., n=N)`` zero-padding a narrow slab itself runs
     slower.  The pass over axis 0 needs whole columns and runs first, on
     the whole buffer.  Each slab of axis 0 then runs the passes over axes
-    1 .. n - 2, the real pass and the scale; for n = 1 the one slab is the
-    whole grid.
+    1 .. n - 2, the real pass and the scale.
 
     With ``parity``, ``work`` is a real octant of that parity (left as it
     is), and the one slab yielded is the values on the octant of the grid,
@@ -682,11 +677,8 @@ def _invert(
         yield slice(0, spec.size // 2 + 1), _octant_transform(spec, work, parity,
                                                               spec.synthesis_scale, out)
         return
-    if spec.n == 1:
-        step = spec.size
-    else:
-        np.fft.ifft(work, axis=0, out=work)
-        step = _slab_rows(spec)
+    np.fft.ifft(work, axis=0, out=work)
+    step = _slab_rows(spec)
     buffer = np.empty((min(step, spec.size),) + spec.shape[1:]) if out is None else None
     band = work.shape[-1]
     padded = None
@@ -744,14 +736,11 @@ def _octant_transform(
             result = out
         else:
             result = np.empty(shape)
-        if spec.n == 1:
-            parts = [()]
-        else:
-            other = 1 if ax == 0 else 0
-            count = prod(values.shape) // (values.shape[ax] * values.shape[other])
-            step = max(1, SLAB_BYTES // 8 // (8 * spec.size * count))
-            parts = [(slice(None),) * other + (slice(lo, lo + step),)
-                     for lo in range(0, values.shape[other], step)]
+        other = 1 if ax == 0 else 0
+        count = prod(values.shape) // (values.shape[ax] * values.shape[other])
+        step = max(1, SLAB_BYTES // 8 // (8 * spec.size * count))
+        parts = [(slice(None),) * other + (slice(lo, lo + step),)
+                 for lo in range(0, values.shape[other], step)]
         factor = scale if ax == spec.n - 1 else 1.0
         for part in parts:
             lines = np.fft.irfft(values[part] * 1j if odd else values[part], n=spec.size, axis=ax)
@@ -939,16 +928,14 @@ def image_magnitude(
     return _gathered(u.spec, _image(a, u), weights, root=True)
 
 
-def image_squares(
-    a: SymbolOperator, u: GridField, weights: Optional[Sequence[int]] = None
-) -> Optional[np.ndarray]:
-    """sum_r w_r (A(D)u)_r^2, the square of ``image_magnitude``, or None
-    when the symbol (the composite, for a field u made by B(D) from v) has
-    no nonzero entry: then nothing is allocated and nothing transformed."""
+def image_squares(a: SymbolOperator, u: GridField) -> Optional[np.ndarray]:
+    """sum_r (A(D)u)_r^2, the square of ``image_magnitude``, or None when
+    the symbol (the composite, for a field u made by B(D) from v) has no
+    nonzero entry: then nothing is allocated and nothing transformed."""
     a, u = _source(a, u)
     if a.is_zero():
         return None
-    return _gathered(u.spec, _image(a, u), weights)
+    return _gathered(u.spec, _image(a, u))
 
 
 def _image(
@@ -980,23 +967,20 @@ def _gathered(
     return total
 
 
-def image_l1(
-    a: SymbolOperator, u: GridField, weights: Optional[Sequence[int]] = None
-) -> float:
-    """The sum of ``image_magnitude(a, u, weights)`` over the grid, the L1
-    norm of A(D)u over the cell volume, without a grid of the magnitude:
-    each slab of ``_image_slabs`` is rooted (or, for a single unweighted
-    row, taken in absolute value) and summed in place by ``grid_sum``, and
-    the slab sums added in slab order.  A single-row image then holds no
-    grid of values at all.  0.0 for a zero symbol, with nothing
+def image_l1(a: SymbolOperator, u: GridField) -> float:
+    """The L1 norm of A(D)u, the Riemann sum of ``image_magnitude(a, u)``,
+    without a grid of the magnitude: each slab of ``_image_slabs`` is
+    rooted (or, for a single row, taken in absolute value) and summed in
+    place by ``grid_sum``, the slab sums are added in slab order, and the
+    total is multiplied by the cell volume h^n.  A single-row image then
+    holds no grid of values at all.  0.0 for a zero symbol, with nothing
     allocated."""
     a, u = _source(a, u)
     total = 0.0
     if not a.is_zero():
-        image = _image(a, u)
-        for rows, slab in _image_slabs(u.spec, image, weights, root=True):
-            total += grid_sum(u.spec, slab, rows, image[2])
-    return total
+        for rows, slab in _image_slabs(u.spec, _image(a, u), root=True):
+            total += grid_sum(u.spec, slab, rows)
+    return total * u.spec.cell_volume
 
 
 def _image_slabs(

@@ -1,11 +1,11 @@
 """Norms of sampled periodic fields.
 
 The Lebesgue norms and the pairing are plain Riemann sums, of a field or of
-a pointwise magnitude such as ``grid.image_magnitude`` returns; a magnitude
-held on the octant (``grid.is_octant``), and a pairing with a field held
-by its values on the octant of grid points, weight each point by its
-mirror count (``grid.grid_sum``, which sums ``grid.image_l1``'s slabs as
-well).
+a pointwise magnitude such as ``grid.image_magnitude`` returns, all taken
+by ``grid.grid_sum`` (which sums ``grid.image_l1``'s slabs as well): a
+magnitude held on the octant, which its shape shows, and a pairing with a
+field held by its values on the octant of grid points weight each point by
+its mirror count.
 The spectral L2 norm is the Parseval counterpart of the L2 norm.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridField, GridSpec, even_part, grid_sum, is_octant
+from .grid import GridField, GridSpec, even_part, grid_sum
 
 # Points per chunk of a norm's powers: 512 KiB of them.
 NORM_CHUNK = 2**16
@@ -36,7 +36,6 @@ def magnitude_norm(spec: GridSpec, mag: np.ndarray, p: float) -> float:
     number of BLAS threads."""
     if p < 1:
         raise ValueError("p must be at least 1")
-    octant = is_octant(spec, mag)
     step = max(1, NORM_CHUNK // mag[0].size)
     buffer = None if p == 1 else np.empty((min(step, len(mag)),) + mag.shape[1:])
     total = 0.0
@@ -50,7 +49,7 @@ def magnitude_norm(spec: GridSpec, mag: np.ndarray, p: float) -> float:
             np.square(chunk, out=power)
         elif p != 1:
             np.power(chunk, p, out=power)
-        total += grid_sum(spec, power, slice(lo, lo + len(chunk)), octant)
+        total += grid_sum(spec, power, slice(lo, lo + len(chunk)))
     return float((spec.cell_volume * total) ** (1.0 / p))
 
 
@@ -70,7 +69,7 @@ def pairing(f: GridField, g: GridField) -> float:
         a = even_part(f.spec, f.values)
     elif b is None:
         b = even_part(g.spec, g.values)
-    return grid_sum(f.spec, (a * b).sum(axis=0), slice(None), True) * f.spec.cell_volume
+    return grid_sum(f.spec, (a * b).sum(axis=0), slice(None)) * f.spec.cell_volume
 
 
 def l2_norm_spectral(u: GridField) -> float:

@@ -1,6 +1,9 @@
 """Experiment drivers at reduced desk scale (full runs live in acceptance)."""
 
 
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -83,11 +86,11 @@ def test_blowup_rejects_bad_derivative_order():
 
 
 def test_blowup_refuses_gap_equal_dimension():
-    # One-dimensional fields with a second-order operator: measuring the
-    # zeroth derivative hits the refused borderline gap.
-    spec = GridSpec(1, 64, 4.0)
-    op = laplacian(1).operator
-    with pytest.raises(ValueError):
+    # The Laplacian on a plane, measured at its zeroth derivative: the gap
+    # k - ell = 2 equals n, the refused borderline.
+    spec = GridSpec(2, 64, 4.0)
+    op = laplacian(2).operator
+    with pytest.raises(ValueError, match="gap"):
         blowup_experiment(op, [1], 0, [4], spec)
 
 
@@ -131,17 +134,18 @@ def test_inequality_family_validation():
 ])
 def test_inequality_measures_each_input_once(monkeypatch, family, distinct):
     # The half-resolution references of these schedules are levels of the
-    # schedule themselves; each distinct size is measured once.
+    # schedule themselves; each distinct size is measured once, on a grid of
+    # the dimension and box that the table states.
     calls = []
 
-    def point(size, *rest):
-        calls.append(size)
-        return {"size": size, "ratio": 1.0 + 1.0 / size}
+    def point(spec, *rest):
+        calls.append(spec)
+        return {"size": spec.size, "ratio": 1.0 + 1.0 / spec.size}
 
-    _, *spec = experiments._INEQUALITIES[family]
-    monkeypatch.setitem(experiments._INEQUALITIES, family, (point, *spec))
+    _, default, n, box, min_ref = experiments._INEQUALITIES[family]
+    monkeypatch.setitem(experiments._INEQUALITIES, family, (point, default, n, box, min_ref))
     rows, _ = inequality_experiment(family)
-    assert calls == distinct
+    assert calls == [GridSpec(n, size, box) for size in distinct]
     assert [r["size"] for r in rows] == sorted(distinct)[-len(rows):]
 
 
@@ -249,6 +253,10 @@ def test_unread_options_refused(tmp_path, capsys, kind, option):
     ["necessity", "--lambda", ","],
     ["duality", "--lambda", ","],
     ["blowup", "--op", "catalog:laplacian?n=2", "--e", "1", "--ell", "1", "--lambda", ","],
+    # An exponent that would build 10^(10^7) in full.
+    ["blowup", "--op", "catalog:laplacian?n=2", "--e", "1e10000000", "--ell", "1"],
+    # No grid of dimension 1: the lab's estimates need n >= 2.
+    ["blowup", "--op", "catalog:gradient?n=1", "--e", "1", "--ell", "0"],
 ])
 def test_bad_experiment_input_exits_2(tmp_path, capsys, argv):
     # A box or schedule that is not finite or that the grid cannot resolve,
@@ -261,3 +269,33 @@ def test_bad_experiment_input_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_blowup_in_dimension_one_names_the_dimension(tmp_path, capsys):
+    from symlab.cli import main
+
+    code = main(["experiment", "blowup", "--op", "catalog:gradient?n=1", "--e", "1",
+                 "--ell", "0", "--no-figure", "--csv", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "dimension 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("e", ["2", "1e300", "1e400", "1e-400"])
+def test_blowup_direction_scale_leaves_the_rows(tmp_path, capsys, e):
+    # The ratios and tails of e and c e agree; e is measured scaled to a
+    # largest |entry| of 1, so an e beyond the float range, or one that
+    # underflows it, gives the rows of e = 1 with no traceback.  The
+    # manifest keeps e as given.
+    from symlab.cli import main
+
+    def run(direction, tag):
+        csv_path, json_path = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+        code = main(["experiment", "blowup", "--op", "catalog:laplacian?n=2", "--ell", "1",
+                     "--grid", "64,4", "--lambda", "4", "--e", direction, "--no-figure",
+                     "--csv", str(csv_path), "--json", str(json_path)])
+        return code, csv_path.read_text(), json.loads(json_path.read_text())
+
+    code, rows, manifest = run(e, "scaled")
+    assert (code, rows) == run("1", "unit")[:2]
+    assert [Fraction(x) for x in manifest["params"]["e"]] == [Fraction(e)]
+    assert capsys.readouterr().err == ""
