@@ -117,7 +117,16 @@ def _parse_grid(text: Optional[str], n: int, default: tuple[int, float]):
     try:
         return GridSpec(n, int(parts[0]), float(parts[1]))
     except ValueError as exc:
-        raise CliError(f"bad --grid {parts[0]},{parts[1]} in dimension {n}: {exc}")
+        if text:
+            raise CliError(f"bad --grid {parts[0]},{parts[1]} in dimension {n}: {exc}")
+        try:
+            # The smallest grid of dimension n: refused only for n itself,
+            # which no --grid can mend.
+            GridSpec(n, 2, 1.0)
+        except ValueError:
+            raise CliError(f"operator of dimension {n}: {exc}")
+        raise CliError(f"the default grid {parts[0]},{parts[1]} in dimension {n}: {exc}; "
+                       f"give a smaller --grid")
 
 
 def _write_file(path: str, text: str) -> None:

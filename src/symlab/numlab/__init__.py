@@ -9,12 +9,12 @@ and its source and transforms nothing; applied to an operator-made field
 B(D)v it records the exact composite symbol (``SymbolOperator.compose``)
 on v: the blowup field is u(D) phi, and its image A(D)u is measured as
 (A u)(D) phi = p(D) e phi.  Every image the experiments only
-measure is reduced slab by slab from its rows by one loop
-(``grid._image_slabs``): ``image_l1`` roots and sums each slab of the
-squared magnitude, or of a single row's absolute value (the right-hand
-sides of the inequality families, the duality residual and the blowup
-image A(D)u), and ``image_squares`` gathers the slabs into a grid (the
-one partial derivative of the newton potential).  An image of B(D)v is
+measure is reduced from its rows by one loop (``grid._reduce``), which
+inverts each row as it is built and adds its square to the first row's
+values: ``image_l1`` sums the root of that, or a single row's absolute
+value (the right-hand sides of the inequality families, the duality
+residual and the blowup image A(D)u), and ``image_squares`` returns the
+sum (the one partial derivative of the newton potential).  An image of B(D)v is
 measured through the composite: the curl of the newton gradient field and
 the divergence of the planar curl field are the zero symbol, measured as
 exact zeros with no transform and, for their L1 norms, no grid
@@ -52,8 +52,8 @@ weight each point by its mirror count and whose boundary tail reads it as
 it is, and a field held by octant values pairs by one mirror-weighted
 sum, with another such field or with the even part of a field on the grid
 (``grid.even_part``), folded onto the octant.  A row of mixed parity, and
-every other field, takes the half spectrum, where a band-held spectrum's
-real pass runs on each slab copied into a zeroed full-width slab buffer.  The newton potential is
+every other field, takes the half spectrum, where the real pass of a
+band-held spectrum zero-pads it.  The newton potential is
 also symmetric under permutations of the axes, so the magnitude of its
 gradient takes one inverse transform, of the last partial derivative, and
 two transposes of its square.

@@ -21,8 +21,8 @@ the only one.
 (2 pi i)^(-(s+k)) (c(xi/s) - c(s xi)) / p(xi), 0 at xi = 0, s the degree
 of u, and returns u(D) phi (``grid.apply_symbol``): a field made by an
 operator, which transforms nothing until it is measured.  Its image A(D)u
-is the composite A u = p e applied to phi, a window times e, reduced slab
-by slab (``grid.image_l1``) and never built.  p is evaluated on the grid
+is the composite A u = p e applied to phi, a window times e, measured
+(``grid.image_l1``) and never built.  p is evaluated on the grid
 by ``grid.symbol_on_grid``, as every symbol is.
 
 Every support here is compact: the cutoff vanishes for |xi| >= 2 and the

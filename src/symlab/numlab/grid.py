@@ -46,23 +46,18 @@ grid values (the offset ``fields.dx_bump`` and the potential of
 ``fields.curl_potential_field``) or any other spectrum.
 
 Forward transforms run one component at a time, each into its slice of
-one preallocated array.  ``_invert`` is the one inverse path.  On a half
-spectrum, the complex pass over axis 0 needs whole columns and runs in
-place on one work buffer as wide as the spectrum held; the rest runs slab
-by slab along axis 0, each slab at most ``SLAB_BYTES`` of full half
-spectrum: the complex passes over axes 1 .. n - 2, the real pass and the
-scale.  A band-held slab is copied into one zeroed full-width slab buffer
-for the real pass, rather than zero-padded by ``irfft(..., n=N)``, which
-runs slower on a narrow input.  Each slab of values goes into the caller's
-output or into one reused slab buffer, so a caller that only squares and
-adds the values never holds a second full grid of them.  On an octant,
-``_invert`` takes ``_octant_transform``: one ``irfft(..., n=N)`` per axis,
-an odd axis taking the array times i, run in slabs of another axis that
-keep the first N/2 + 1 outputs of each, and returns the values on the
-octant of the grid, in one slab: the values of a field even or odd in
-every axis are the same mirror images of them.  The cosine transform is
-its own inverse up to scale, so the same passes, scaled by T^n in place of
-(N/T)^n, are the forward transform of values on the octant.
+one preallocated array.  ``_invert`` is the one inverse path, and returns
+one array.  On a half spectrum, the complex passes over axes 0 .. n - 2 run
+in place on one work buffer as wide as the spectrum held, and one
+``irfft(..., n=N)`` over the last axis, which zero-pads a band-held buffer
+itself, gives the values on the grid.  On an octant, ``_invert`` takes
+``_octant_transform``: one ``irfft(..., n=N)`` per axis, an odd axis
+taking the array times i, run in slabs of another axis that keep the
+first N/2 + 1 outputs of each, and returns the values on the octant of the
+grid: the values of a field even or odd in every axis are the same mirror
+images of them.  The cosine transform is its own inverse up to scale, so
+the same passes, scaled by T^n in place of (N/T)^n, are the forward
+transform of values on the octant.
 
 A ``GridField`` is one of three kinds.  A field built from values, on the
 grid or on the octant of grid points, transforms forward once, when an
@@ -100,29 +95,27 @@ field on the grid.
 
 ``symbol_on_grid`` is the one place that evaluates a symbol sum_alpha
 xi^alpha A_alpha at the grid frequencies, and ``_image_rows`` the one place
-that multiplies a spectrum by it, one row of the image at a time.  An
-operator-made field collects the rows into its spectrum.  ``_image_slabs``
-is the one reduction: it takes rows, the rows of an image or the
-components of a held field (``GridField._rows``, each copied into a work
-buffer), and reduces them slab by slab.  Each row is inverted in its work
-buffer as soon as it is built, every row but the last adds its weighted
-square to one accumulator slab by slab, and the last row's squared slabs
-are added to the accumulator's rows and handed on while still in cache.
-``image_squares`` gathers them in its result, ``image_magnitude`` and the
-magnitude of a held field whose values were never read root them there,
-and ``image_l1`` roots and sums each slab, times the cell volume, so an
-image that is only measured is never materialized, no row of it is held in
-full and a single-row image holds no grid at all; the magnitude of a single
-unweighted row is its absolute value.  A held field's values are its rows
-inverted into place, and they, and the rows of its magnitude, are checked
-finite slab by slab.  Measured on an operator-made field B(D)v, A(D)B(D)v
-is one image of v through the composite A B: the newton gradient field is
-grad(D) phi, so its divergence is the Laplacian of phi, one transform, and
-its curl is the zero symbol, for which ``image_squares`` and ``image_l1``
-allocate nothing and transform nothing.  ``derivative_magnitude``
-measures the image of the operator stacking all partial derivatives of
-one order, and the blowup field evaluates its witness's p through
-``symbol_on_grid``.
+that multiplies a spectrum by it, one row of the image at a time and one
+slab of axis 0 at a time, so no temporary of a multiply is a full row.  An
+operator-made field collects the rows into its spectrum.  ``_reduce`` is
+the one reduction: it takes rows, the rows of an image or the components
+of a held field (``GridField._rows``, each copied into a work buffer), and
+inverts each as soon as it is built.  The first row's values become the
+accumulator; every later row is inverted into one reused buffer, and its
+weighted square is added.  ``image_squares`` returns the sum,
+``image_magnitude`` and the magnitude of a held field whose values were
+never read root it, and ``image_l1`` sums the root by one ``grid_sum``,
+times the cell volume, so an image that is only measured is never held,
+only the magnitude of its values; the magnitude of a single unweighted row
+is its absolute value.  A held field's values are its rows inverted into
+place, and they, and the rows of its magnitude, are checked finite.
+Measured on an operator-made field B(D)v, A(D)B(D)v is one image of v
+through the composite A B: the newton gradient field is grad(D) phi, so
+its divergence is the Laplacian of phi, one transform, and its curl is the
+zero symbol, for which ``image_squares`` and ``image_l1`` allocate nothing
+and transform nothing.  ``derivative_magnitude`` measures the image of the
+operator stacking all partial derivatives of one order, and the blowup
+field evaluates its witness's p through ``symbol_on_grid``.
 
 Closed-form fields with compact support (the blowup window in frequency,
 the plateau test function in space) are evaluated on the box of indices
@@ -161,8 +154,9 @@ from ..exact.symbol import SymbolOperator
 # component of a 2^22-point grid takes about 32 MiB.
 MAX_GRID_POINTS = 2**22
 
-# Largest slab of half spectrum that the inverse transforms finish at once,
-# below a 2 MiB per-core L2 cache; a slab holds at least one index of axis 0.
+# Largest slab of half spectrum that ``_image_rows`` multiplies at once, and
+# eight times the largest slab of an octant pass, below a 2 MiB per-core L2
+# cache; a slab holds at least one index of axis 0.
 SLAB_BYTES = 2**20
 
 # i^q for q mod 4: the factor between an octant component with q odd axes
@@ -315,7 +309,11 @@ class GridField:
         ``spectrum()`` and every image of the field are Nyquist-projected.
         ``spectrum()`` is the values' spectrum when the input is the half
         spectrum of a real field, that is when its zero plane of the last
-        axis is Hermitian off the Nyquist bins."""
+        axis is Hermitian off the Nyquist bins.  The input must be complex:
+        the inverse transform's complex passes run in place on a copy of
+        it."""
+        if not np.issubdtype(spectrum.dtype, np.complexfloating):
+            raise ValueError(f"spectrum dtype {spectrum.dtype} is not complex")
         width = spectrum.shape[-1]
         if spectrum.shape[1:-1] != spec.half_shape[:-1] or not 1 <= width <= spec.half_shape[-1]:
             raise ValueError(
@@ -331,7 +329,10 @@ class GridField:
         above it being zero.  Its spectrum is the octant mirrored on every
         axis but the last.  Nothing is synthesized here; as
         ``from_spectrum`` does, the field takes the input over, read-only
-        and exactly as given, Nyquist hyperplanes and all."""
+        and exactly as given, Nyquist hyperplanes and all.  The input must be
+        real floating: its passes are the cosine series of a real array."""
+        if not np.issubdtype(octant.dtype, np.floating):
+            raise ValueError(f"octant dtype {octant.dtype} is not real floating")
         top = spec.octant_shape[0]
         if octant.ndim != spec.n + 1 or not all(1 <= b <= top for b in octant.shape[1:]):
             raise ValueError(
@@ -400,19 +401,18 @@ class GridField:
                 for c, part in enumerate(self._octant_values):
                     values[c] = _unfold(self.spec, part, self._parity[c])
             else:
-                rows, _, held_on_octant = self._rows()
-                octant = np.empty(self.spec.octant_shape) if held_on_octant else None
+                rows, _ = self._rows()
                 for c, row, parity in rows:
-                    for _ in _finite(_invert(self.spec, row,
-                                             values[c] if octant is None else octant, parity)):
-                        pass
-                    if octant is not None:
-                        values[c] = _unfold(self.spec, octant, parity)
+                    if parity is None:
+                        _finite(_invert(self.spec, row, values[c]))
+                    else:
+                        values[c] = _unfold(self.spec, _finite(_invert(self.spec, row, None, parity)),
+                                            parity)
             values.flags.writeable = False
             self._values = values
         return self._values
 
-    def _rows(self) -> tuple[Iterator[tuple[int, np.ndarray, Optional[tuple]]], int, bool]:
+    def _rows(self) -> tuple[Iterator[tuple[int, np.ndarray, Optional[tuple]]], int]:
         """The held spectrum as an image's rows (see ``_image``): each
         component copied in turn into one work buffer, which the in-place
         passes of ``_invert`` may scramble, with its parity."""
@@ -424,7 +424,7 @@ class GridField:
                 np.copyto(work, hat[c])
                 yield c, work, None if self._parity is None else self._parity[c]
 
-        return rows(), self.components - 1, self._parity is not None
+        return rows(), self.components - 1
 
     def spectrum(self) -> np.ndarray:
         """The Nyquist-masked, continuum-normalized half spectrum, of shape
@@ -507,7 +507,7 @@ class GridField:
             if self._hat is None and self._made is not None:
                 mag = image_magnitude(*self._made)
             elif held is None:
-                mag = _gathered(self.spec, self._rows(), root=True, finite=True)
+                mag = _reduce(self.spec, self._rows(), root=True, finite=True)
             elif self.components == 1:
                 mag = np.abs(held[0])
             else:
@@ -642,62 +642,34 @@ def _unfold(spec: GridSpec, octant: np.ndarray, parity: Sequence[int], half: boo
 
 def _slab_rows(spec: GridSpec) -> int:
     """Indices of axis 0 per slab: as many as fit ``SLAB_BYTES`` of full
-    half spectrum, and at least one; a slab of values is then about half
-    that size, however narrow the spectrum held."""
+    half spectrum, and at least one, however narrow the spectrum held."""
     return max(1, SLAB_BYTES // (16 * prod(spec.half_shape[1:])))
 
 
 def _invert(
     spec: GridSpec, work: np.ndarray, out: Optional[np.ndarray] = None,
     parity: Optional[Sequence[int]] = None,
-) -> Iterator[tuple[slice, np.ndarray]]:
+) -> np.ndarray:
     """Synthesize one real component from the continuum-normalized half
-    spectrum in ``work``, which the complex passes overwrite in place: the
-    same passes as ``irfftn``, on the same lines, without its fresh array
-    per pass.  Yields (rows, values): the values of the slab ``rows`` of
-    axis 0, which are ``out[rows]`` when ``out`` (shape spec.shape) is
-    given, and otherwise one reused slab buffer that the next slab
-    overwrites.
-
-    ``work`` may stop short of N/2 + 1 columns on the last axis, as a
-    spectrum held to its band does: the complex passes run on the columns
-    it has, and each slab's band is then copied into one zeroed full-width
-    slab buffer, whose columns above the band are never written, for the
-    real pass; ``irfft(..., n=N)`` zero-padding a narrow slab itself runs
-    slower.  The pass over axis 0 needs whole columns and runs first, on
-    the whole buffer.  Each slab of axis 0 then runs the passes over axes
-    1 .. n - 2, the real pass and the scale.
+    spectrum in ``work``, which the complex passes over axes 0 .. n - 2
+    overwrite in place: the same passes as ``irfftn``, on the same lines,
+    without its fresh array per pass.  One ``irfft(..., n=N)`` over the
+    last axis, scaled by (N/T)^n, then gives the values, of spec.shape, in
+    ``out`` when given and otherwise in a fresh array.  ``work`` may stop
+    short of N/2 + 1 columns on the last axis, as a spectrum held to its
+    band does: the complex passes run on the columns it has, and the real
+    pass zero-pads them.
 
     With ``parity``, ``work`` is a real octant of that parity (left as it
-    is), and the one slab yielded is the values on the octant of the grid,
-    shape spec.octant_shape, in ``out`` when given: one
-    ``irfft(..., n=N)`` per axis, of the array times i on an odd axis,
-    each keeping its first N/2 + 1 outputs."""
+    is), and the values are those on the octant of the grid, of
+    spec.octant_shape (``_octant_transform``)."""
     if parity is not None:
-        yield slice(0, spec.size // 2 + 1), _octant_transform(spec, work, parity,
-                                                              spec.synthesis_scale, out)
-        return
-    np.fft.ifft(work, axis=0, out=work)
-    step = _slab_rows(spec)
-    buffer = np.empty((min(step, spec.size),) + spec.shape[1:]) if out is None else None
-    band = work.shape[-1]
-    padded = None
-    if band < spec.half_shape[-1]:
-        padded = np.zeros(work[:step].shape[:-1] + spec.half_shape[-1:], dtype=complex)
-    for lo in range(0, spec.size, step):
-        hi = min(lo + step, spec.size)
-        rows = slice(lo, hi)
-        columns = work[rows]
-        for ax in range(1, spec.n - 1):
-            np.fft.ifft(columns, axis=ax, out=columns)
-        if padded is not None:
-            full = padded[: hi - lo]
-            full[..., :band] = columns
-            columns = full
-        values = buffer[: hi - lo] if out is None else out[rows]
-        np.fft.irfft(columns, n=spec.size, axis=spec.n - 1, out=values)
-        values *= spec.synthesis_scale
-        yield rows, values
+        return _octant_transform(spec, work, parity, spec.synthesis_scale, out)
+    for ax in range(spec.n - 1):
+        np.fft.ifft(work, axis=ax, out=work)
+    values = np.fft.irfft(work, n=spec.size, axis=spec.n - 1, out=out)
+    values *= spec.synthesis_scale
+    return values
 
 
 def _octant_transform(
@@ -749,31 +721,11 @@ def _octant_transform(
     return values
 
 
-def _finite(slabs: Iterator[tuple[slice, np.ndarray]]) -> Iterator[tuple[slice, np.ndarray]]:
-    """The slabs of synthesized values, each checked finite."""
-    for rows, values in slabs:
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field contains non-finite entries")
-        yield rows, values
-
-
-def _squares(
-    slabs: Iterator[tuple[slice, np.ndarray]], total: Optional[np.ndarray] = None,
-    weight: Optional[int] = None,
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Square each slab of values in place, times ``weight`` when given,
-    and add it to its rows of ``total`` when given (slabs written into an
-    accumulator itself come without it).  Yields (rows, the sum so far on
-    those rows): ``total[rows]``, or the squared slab without ``total``,
-    which the transform's next slab may overwrite."""
-    for rows, values in slabs:
-        np.square(values, out=values)
-        if weight is not None:
-            values *= weight
-        if total is not None:
-            total[rows] += values
-            values = total[rows]
-        yield rows, values
+def _finite(values: np.ndarray) -> np.ndarray:
+    """``values``, checked finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field contains non-finite entries")
+    return values
 
 
 def symbol_on_grid(
@@ -925,7 +877,7 @@ def image_magnitude(
     a, u = _source(a, u)
     if a.is_zero():
         return np.zeros(u.spec.shape)
-    return _gathered(u.spec, _image(a, u), weights, root=True)
+    return _reduce(u.spec, _image(a, u), weights, root=True)
 
 
 def image_squares(a: SymbolOperator, u: GridField) -> Optional[np.ndarray]:
@@ -935,98 +887,68 @@ def image_squares(a: SymbolOperator, u: GridField) -> Optional[np.ndarray]:
     a, u = _source(a, u)
     if a.is_zero():
         return None
-    return _gathered(u.spec, _image(a, u))
+    return _reduce(u.spec, _image(a, u))
 
 
 def _image(
     a: SymbolOperator, u: GridField
-) -> tuple[Iterator[tuple[int, np.ndarray, Optional[tuple]]], int, bool]:
-    """(rows, last, octant) of A(D)u, for a nonzero A and a u that holds
-    data: the rows of ``_image_rows``, each built in one work buffer, the
-    index of the last of them, and whether they are held on the octant."""
+) -> tuple[Iterator[tuple[int, np.ndarray, Optional[tuple]]], int]:
+    """(rows, last) of A(D)u, for a nonzero A and a u that holds data: the
+    rows of ``_image_rows``, each built in one work buffer, and the index
+    of the last of them."""
     hat, parity, parities = _operand(a, u)
     work = np.empty(hat.shape[1:], dtype=hat.dtype)
     # The last row that ``symbol_on_grid`` yields: a stored numerator is
     # never zero.
     last = max(r for _, entries in a.terms for r, row in enumerate(entries) if row)
-    return (_image_rows(a, u.spec, hat, parity, parities, lambda r: work), last,
-            parities is not None)
-
-
-def _gathered(
-    spec: GridSpec, image: tuple, weights: Optional[Sequence[int]] = None,
-    root: bool = False, finite: bool = False,
-) -> np.ndarray:
-    """The slabs of ``_image_slabs`` of ``image`` (rows, last, octant, as
-    ``_image`` or ``GridField._rows`` give them) gathered in one array, on
-    the octant when the rows are held there: the accumulator of several
-    rows, into which a single row is inverted."""
-    total = np.empty(spec.octant_shape if image[2] else spec.shape)
-    for _ in _image_slabs(spec, image, weights, total, root, finite):
-        pass
-    return total
+    return _image_rows(a, u.spec, hat, parity, parities, lambda r: work), last
 
 
 def image_l1(a: SymbolOperator, u: GridField) -> float:
-    """The L1 norm of A(D)u, the Riemann sum of ``image_magnitude(a, u)``,
-    without a grid of the magnitude: each slab of ``_image_slabs`` is
-    rooted (or, for a single row, taken in absolute value) and summed in
-    place by ``grid_sum``, the slab sums are added in slab order, and the
-    total is multiplied by the cell volume h^n.  A single-row image then
-    holds no grid of values at all.  0.0 for a zero symbol, with nothing
+    """The L1 norm of A(D)u: one ``grid_sum`` of ``image_magnitude(a, u)``
+    times the cell volume h^n.  0.0 for a zero symbol, with nothing
     allocated."""
     a, u = _source(a, u)
-    total = 0.0
-    if not a.is_zero():
-        for rows, slab in _image_slabs(u.spec, _image(a, u), root=True):
-            total += grid_sum(u.spec, slab, rows)
-    return total * u.spec.cell_volume
+    if a.is_zero():
+        return 0.0
+    mag = _reduce(u.spec, _image(a, u), root=True)
+    return grid_sum(u.spec, mag, slice(None)) * u.spec.cell_volume
 
 
-def _image_slabs(
+def _reduce(
     spec: GridSpec, image: tuple, weights: Optional[Sequence[int]] = None,
-    out: Optional[np.ndarray] = None, root: bool = False, finite: bool = False,
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """sum_r w_r row_r^2 slab by slab along axis 0, for the rows of
-    ``image``: (rows, last, octant) as ``_image`` gives them for an image
-    and ``GridField._rows`` for the components of a held field, rows
-    yielding (r, the spectrum of row r in a work buffer, its parity or
-    None) up to row ``last``.  Yields (rows, the squared magnitude on those
-    rows), or with ``root`` the magnitude.  Each row is inverted in place
-    in its work buffer; with ``finite`` each slab of its values is checked
-    finite first.  Every row but the last accumulates in
-    one grid accumulator, ``out`` when given: the first is inverted into it
-    and squared there, every later one slab by slab, each slab's weighted
-    square added to it.  The last row's slabs are squared, weighted, added
-    to the accumulator's rows and yielded while they are still in cache.
-    A single row has no accumulator: its slabs are inverted into ``out``
-    when given, else into one reused slab buffer, and with ``root`` and no
-    weight their absolute values are yielded, never squared.  Neither the
-    image nor a full row of its values is ever held.  On an octant every
-    array has the octant's shape and the one slab is the whole octant."""
-    rows, last, octant = image
-    total = None
+    root: bool = False, finite: bool = False,
+) -> np.ndarray:
+    """sum_r w_r row_r^2 (every w_r = 1 without ``weights``), or with
+    ``root`` its square root, for the rows of ``image``: (rows, last) as
+    ``_image`` gives them for an image and ``GridField._rows`` for the
+    components of a held field, rows yielding (r, the spectrum of row r in
+    a work buffer, its parity or None) up to row ``last``.  Each row is
+    inverted (``_invert``), and with ``finite`` its values are checked
+    finite.  The first row's values become the accumulator, squared and
+    weighted in place; every later row is inverted into one reused buffer,
+    squared, weighted and added.  A single unweighted row taken with
+    ``root`` is its absolute value, never squared.  The result is of
+    spec.shape, or of spec.octant_shape when the rows are held on the
+    octant."""
+    rows, last = image
+    total = buffer = None
     for r, row, parity in rows:
-        weight = None if weights is None else weights[r]
-        first = total is None
-        if first and r < last:
-            if out is None:
-                out = np.empty(spec.octant_shape if octant else spec.shape)
-            total = out
-        values = _invert(spec, row, out if first else None, parity)
+        values = _invert(spec, row, buffer, parity)
         if finite:
-            values = _finite(values)
-        if first and r == last and root and weight is None:
-            for slab_rows, slab in values:
-                yield slab_rows, np.abs(slab, out=slab)
-            return
-        slabs = _squares(values, None if first else total, weight)
-        if r < last:
-            for _ in slabs:
-                pass
+            _finite(values)
+        weight = None if weights is None else weights[r]
+        if total is None and r == last and root and weight is None:
+            return np.abs(values, out=values)
+        np.square(values, out=values)
+        if weight is not None:
+            values *= weight
+        if total is None:
+            total = values
         else:
-            for slab_rows, slab in slabs:
-                yield slab_rows, np.sqrt(slab, out=slab) if root else slab
+            total += values
+            buffer = values
+    return np.sqrt(total, out=total) if root else total
 
 
 def derivative_magnitude(u: GridField, order: int) -> np.ndarray:

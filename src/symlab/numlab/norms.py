@@ -2,7 +2,7 @@
 
 The Lebesgue norms and the pairing are plain Riemann sums, of a field or of
 a pointwise magnitude such as ``grid.image_magnitude`` returns, all taken
-by ``grid.grid_sum`` (which sums ``grid.image_l1``'s slabs as well): a
+by ``grid.grid_sum`` (which ``grid.image_l1`` takes as well): a
 magnitude held on the octant, which its shape shows, and a pairing with a
 field held by its values on the octant of grid points weight each point by
 its mirror count.

@@ -2,6 +2,8 @@
 
 
 import json
+import sys
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -272,12 +274,89 @@ def test_bad_experiment_input_exits_2(tmp_path, capsys, argv):
 
 
 def test_blowup_in_dimension_one_names_the_dimension(tmp_path, capsys):
+    # Without --grid the refusal names the operator's dimension, which no
+    # --grid can mend, and no grid; a given --grid is named as given.
     from symlab.cli import main
 
-    code = main(["experiment", "blowup", "--op", "catalog:gradient?n=1", "--e", "1",
-                 "--ell", "0", "--no-figure", "--csv", str(tmp_path / "x.csv")])
-    assert code == 2
-    assert "dimension 1" in capsys.readouterr().err
+    argv = ["experiment", "blowup", "--op", "catalog:gradient?n=1", "--e", "1", "--ell", "0",
+            "--no-figure", "--csv", str(tmp_path / "x.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "operator of dimension 1" in err and "--grid" not in err and "1024" not in err
+    assert main(argv + ["--grid", "64,4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad --grid 64,4 in dimension 1: grid dimension 1 is not between 2 and 4\n")
+
+
+class Recorder:
+    """Stands in for a matplotlib figure or axes: records each method call
+    as (name, args, kwargs) and returns None."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: self.calls.append((name, args, kwargs))
+
+
+def stub_matplotlib(monkeypatch):
+    """Install a stub ``matplotlib`` whose ``pyplot.subplots`` hands out one
+    recorded figure and axes; returns them."""
+    fig, ax = Recorder(), Recorder()
+    pyplot = types.ModuleType("matplotlib.pyplot")
+    pyplot.subplots = lambda **kwargs: (fig, ax)
+    pyplot.close = lambda figure: None
+    matplotlib = types.ModuleType("matplotlib")
+    matplotlib.use = lambda backend: None
+    matplotlib.pyplot = pyplot
+    monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+    monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+    return fig, ax
+
+
+def plotted(ax):
+    [(xs, ys, _)] = [args for name, args, _ in ax.calls if name == "plot"]
+    return xs, ys
+
+
+def test_experiment_figure_is_drawn_beside_its_csv(tmp_path, monkeypatch):
+    # With matplotlib, an experiment without --no-figure saves its ratio
+    # plot as the CSV's path with .png and names it in the manifest: a
+    # blowup against its scales on a log-2 axis, an inequality against the
+    # grid sizes.
+    from symlab.cli import main
+
+    fig, ax = stub_matplotlib(monkeypatch)
+    csv_path = tmp_path / "b.csv"
+    main(["experiment", "blowup", "--op", "catalog:laplacian?n=2", "--e", "1", "--ell", "1",
+          "--grid", "64,4", "--lambda", "4,8", "--csv", str(csv_path)])
+    png = str(tmp_path / "b.png")
+    assert json.loads((tmp_path / "b.json").read_text())["figure"] == png
+    assert ("savefig", (png,), {"dpi": 130}) in fig.calls
+    assert ("set_xscale", ("log",), {"base": 2}) in ax.calls
+    assert ("set_xlabel", ("scale",), {}) in ax.calls
+    assert plotted(ax)[0] == [4.0, 8.0]
+
+    fig, ax = stub_matplotlib(monkeypatch)
+    assert main(["experiment", "inequality", "--family", "korn",
+                 "--csv", str(tmp_path / "k.csv")]) == 0
+    rows = (tmp_path / "k.csv").read_text().splitlines()
+    sizes = [int(line.split(",")[0]) for line in rows[1:]]
+    assert rows[0].startswith("size,") and len(sizes) > 1
+    assert json.loads((tmp_path / "k.json").read_text())["figure"] == str(tmp_path / "k.png")
+    assert plotted(ax)[0] == sizes
+    assert ("set_xlabel", ("size",), {}) in ax.calls
+    assert not any(name == "set_xscale" for name, _, _ in ax.calls)
+
+
+def test_experiment_without_matplotlib_names_no_figure(tmp_path, monkeypatch):
+    from symlab.cli import main
+
+    monkeypatch.setitem(sys.modules, "matplotlib", None)
+    assert main(["experiment", "inequality", "--family", "korn",
+                 "--csv", str(tmp_path / "k.csv")]) == 0
+    assert "figure" not in json.loads((tmp_path / "k.json").read_text())
+    assert not (tmp_path / "k.png").exists()
 
 
 @pytest.mark.parametrize("e", ["2", "1e300", "1e400", "1e-400"])
