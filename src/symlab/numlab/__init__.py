@@ -19,11 +19,16 @@ measured through the composite: the curl of the newton gradient field and
 the divergence of the planar curl field are the zero symbol, measured as
 exact zeros with no transform and, for their L1 norms, no grid
 allocated.  A field built from a spectrum (the newton potential, the
-blowup field's phi) holds it exactly as given, Nyquist bins and all, and only
+blowup field's phi, the planar curl field's potential, transformed from
+its samples) holds it exactly as given, Nyquist bins and all, and only
 the images and ``spectrum()`` are Nyquist-projected.  Such a field, or
 one built by an operator, synthesizes its values only when they are read;
 its magnitude reduces its components as the rows of an image, through the
-same loop, without them.  Every norm and L1 norm is the one Riemann sum
+same loop, without them.  The duality experiment reads each component of
+its field once through that loop (``grid.read_components``): one
+inversion per row gives the row's even part on the octant, which the
+pairings read, and its square, which the L1 norm sums.  Every norm and
+L1 norm is the one Riemann sum
 ``grid.grid_sum``, over a grid or, with mirror weights, an octant, as the
 summed array's shape says; ``image_l1``, like ``lp_norm``, includes the
 cell volume h^n.  Grids have dimension 2, 3 or 4.

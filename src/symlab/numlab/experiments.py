@@ -35,8 +35,11 @@ from .grid import (
     GridSpec,
     boundary_tail,
     derivative_magnitude,
+    even_part,
+    grid_sum,
     image_l1,
     image_squares,
+    read_components,
 )
 # No caller here: the benchmark's trace (bench/spans.py) wraps this name in
 # this module with the other numlab entry points.
@@ -220,8 +223,12 @@ MEAN_TOL = 1e-9
 def mean_component(f: GridField, f_l1: float) -> int:
     """The component with the largest integral, the direction the duality
     experiment pairs against; component 0 when every integral is round-off
-    (at most ``MEAN_TOL`` times the L1 norm), as for a mean-free field."""
-    means = np.abs(f.values.reshape(f.components, -1).sum(axis=1)) * f.spec.cell_volume
+    (at most ``MEAN_TOL`` times the L1 norm), as for a mean-free field.  A
+    field held by its values on the octant of grid points is summed there,
+    with mirror weights (``grid.grid_sum``)."""
+    held = f.octant_values
+    parts = f.values if held is None else held
+    means = np.abs([grid_sum(f.spec, v, slice(None)) for v in parts]) * f.spec.cell_volume
     k = int(np.argmax(means))
     return k if means[k] > MEAN_TOL * f_l1 else 0
 
@@ -248,14 +255,25 @@ def duality_experiment(
         raise ValueError(f"unknown duality field {field_kind!r}")
     div = divergence(spec.n).operator
     residual = image_l1(div, f)
-    # The pairings read the values: synthesize them once, before the L1
-    # norm, which then takes the magnitude from them.
-    f.values
+    # Each component of f is read once: the generic field's octant values
+    # as held, each row of the curl-potential field as it is inverted from
+    # the potential's spectrum.  Its even part on the octant is kept (octant
+    # values are their own), its square goes into the magnitude that the L1
+    # norm sums, and the row is dropped: neither the values on the grid nor
+    # the field's spectrum is held.  A zero row would not be read.
+    even = f.octant_values
+    if even is None:
+        parts: dict[int, np.ndarray] = {}
+        read_components(f, lambda c, values: parts.__setitem__(c, even_part(spec, values)))
+        zero = np.zeros(spec.octant_shape)
+        even = np.stack([parts.pop(c, zero) for c in range(f.components)])
     f_l1 = lp_norm(f, 1.0)
+    del f
     # The test function is the plateau in the direction of component k: it
-    # pairs with that component alone.
-    k = mean_component(f, f_l1)
-    f_k = GridField(spec, f.values[k: k + 1])
+    # pairs with that component alone, through its even part, whose
+    # mirror-weighted sum is the component's integral.
+    k = mean_component(GridField.from_octant_values(spec, even), f_l1)
+    f_k = GridField.from_octant_values(spec, even[k: k + 1])
     rows = []
     for lam in exponents:
         phi, grad_ln = radial_cutoff_test_function(spec, lam)

@@ -13,9 +13,11 @@ points only (indices 0 .. N/2 of every axis, the centre being index N/2)
 and held there (``grid.GridField.from_octant_values``), so its spectrum,
 images, norms and pairings run on the octant.  Every sum over one of them
 (the Gaussian's mass, the plateau's gradient norm) weights each point of
-the octant by its mirror count (``grid.grid_sum``).  The offset fields,
-``dx_bump`` and the potential of ``curl_potential_field``, stay on the
-grid."""
+the octant by its mirror count (``grid.grid_sum``).  The offset fields
+are sampled on the grid: ``dx_bump`` holds its values, and the potential
+of ``curl_potential_field`` is held by its spectrum only, its values being
+dropped once transformed, so that the field's values are synthesized one
+component at a time, and only when read."""
 
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .blowup import smoothstep, smoothstep_deriv
 from .grid import (
     GridField,
     GridSpec,
+    analysis,
     apply_symbol,
     grid_sum,
     half_box_shift,
@@ -98,7 +101,10 @@ def dx_bump(spec: GridSpec, sigma: float = 1.0) -> GridField:
 def curl_potential_field(spec: GridSpec, sigma: float = 1.0) -> GridField:
     """Divergence-free planar field (d2 g, -d1 g) from a skewed Gaussian
     potential; the skew and offset avoid exact discrete cancellations in
-    pairings against radial test functions."""
+    pairings against radial test functions.  The potential is sampled on
+    the grid, checked finite and held by its spectrum only
+    (``grid.analysis``, then ``GridField.from_spectrum``): its values are
+    dropped here."""
     if spec.n != 2:
         raise ValueError("curl potential field is two-dimensional")
     x, y = spec.coordinate_grids()
@@ -107,7 +113,8 @@ def curl_potential_field(spec: GridSpec, sigma: float = 1.0) -> GridField:
     g = np.exp(
         -((x - cx) ** 2) / (2.0 * sigma**2) - ((y - cy) ** 2) / (0.8 * sigma**2)
     )
-    return apply_symbol(_PERP_GRADIENT, GridField(spec, g[None, ...]))
+    potential = GridField.from_spectrum(spec, analysis(spec, g[None, ...]))
+    return apply_symbol(_PERP_GRADIENT, potential)
 
 
 def newton_gradient_field(spec: GridSpec, eps: float) -> GridField:

@@ -277,8 +277,8 @@ class GridField:
         expected = (values.shape[0],) + spec.shape
         if values.shape != expected:
             raise ValueError(f"values shape {values.shape} != {expected}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field contains non-finite entries")
+        _real_floating("values", values)
+        _finite(values)
         self.spec = spec
         self.components = values.shape[0]
         self._values: Optional[np.ndarray] = values
@@ -331,8 +331,7 @@ class GridField:
         ``from_spectrum`` does, the field takes the input over, read-only
         and exactly as given, Nyquist hyperplanes and all.  The input must be
         real floating: its passes are the cosine series of a real array."""
-        if not np.issubdtype(octant.dtype, np.floating):
-            raise ValueError(f"octant dtype {octant.dtype} is not real floating")
+        _real_floating("octant", octant)
         top = spec.octant_shape[0]
         if octant.ndim != spec.n + 1 or not all(1 <= b <= top for b in octant.shape[1:]):
             raise ValueError(
@@ -356,8 +355,8 @@ class GridField:
         if values.ndim != spec.n + 1 or values.shape[1:] != spec.octant_shape:
             raise ValueError(
                 f"octant values shape {values.shape} != (components, *{spec.octant_shape})")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field contains non-finite entries")
+        _real_floating("octant values", values)
+        _finite(values)
         out = cls._empty(spec, values.shape[0])
         values.flags.writeable = False
         out._octant_values = values
@@ -413,16 +412,22 @@ class GridField:
         return self._values
 
     def _rows(self) -> tuple[Iterator[tuple[int, np.ndarray, Optional[tuple]]], int]:
-        """The held spectrum as an image's rows (see ``_image``): each
-        component copied in turn into one work buffer, which the in-place
-        passes of ``_invert`` may scramble, with its parity."""
+        """The held spectrum as an image's rows (see ``_image``), each
+        component with its parity: a half-spectrum component copied in turn
+        into one work buffer, which the in-place passes of ``_invert``
+        scramble, and an octant component as it is held, which the octant
+        passes leave as it is."""
         hat = self._held_spectrum()
 
         def rows() -> Iterator[tuple[int, np.ndarray, Optional[tuple]]]:
+            if self._parity is not None:
+                for c, parity in enumerate(self._parity):
+                    yield c, hat[c], parity
+                return
             work = np.empty(hat.shape[1:], dtype=hat.dtype)
             for c in range(self.components):
                 np.copyto(work, hat[c])
-                yield c, work, None if self._parity is None else self._parity[c]
+                yield c, work, None
 
         return rows(), self.components - 1
 
@@ -444,12 +449,17 @@ class GridField:
     def _unfolded(self) -> np.ndarray:
         """The half spectrum of an octant field, held to the band of the
         octant's last axis: each component's octant mirrored on the first
-        n - 1 axes, times i^q."""
+        n - 1 axes, times i^q.  Real when every q is even (i^q = +-1), as
+        for every field even in every axis, so that half the memory holds
+        it; a multiplier casts it to complex as it reads it."""
         hat = self._held_spectrum()
-        out = np.empty(hat.shape[:1] + self.spec.half_shape[:-1] + hat.shape[-1:], dtype=complex)
+        real = all(sum(parity) % 2 == 0 for parity in self._parity)
+        out = np.empty(hat.shape[:1] + self.spec.half_shape[:-1] + hat.shape[-1:],
+                       dtype=float if real else complex)
         for c, parity in enumerate(self._parity):
+            power = _I_POWERS[sum(parity) % 4]
             np.multiply(_unfold(self.spec, hat[c], parity, half=True),
-                        _I_POWERS[sum(parity) % 4], out=out[c])
+                        power.real if real else power, out=out[c])
         return out
 
     def _held_spectrum(self) -> np.ndarray:
@@ -466,7 +476,8 @@ class GridField:
             if self._made is not None:
                 a, v = self._made
                 source, parity, parities = _operand(a, v)
-                hat = np.empty((self.components,) + source.shape[1:], dtype=source.dtype)
+                hat = np.empty((self.components,) + source.shape[1:],
+                               dtype=_row_dtype(source, parities))
                 written = {r for r, _, _ in _image_rows(a, self.spec, source, parity, parities,
                                                         hat.__getitem__)}
                 for r in range(self.components):
@@ -481,10 +492,7 @@ class GridField:
                     _octant_transform(self.spec, part, self._parity[c],
                                       self.spec.box**self.spec.n, hat[c])
             else:
-                hat = np.empty((self.components,) + self.spec.half_shape, dtype=complex)
-                for c in range(self.components):
-                    np.fft.rfftn(self.values[c], out=hat[c])
-                hat *= self.spec.cell_volume
+                hat = analysis(self.spec, self.values)
             hat.flags.writeable = False
             self._hat = hat
         return self._hat
@@ -507,7 +515,8 @@ class GridField:
             if self._hat is None and self._made is not None:
                 mag = image_magnitude(*self._made)
             elif held is None:
-                mag = _reduce(self.spec, self._rows(), root=True, finite=True)
+                mag = _reduce(self.spec, self._rows(), root=True,
+                              read=lambda r, values: _finite(values))
             elif self.components == 1:
                 mag = np.abs(held[0])
             else:
@@ -562,13 +571,24 @@ def even_part(spec: GridSpec, a: np.ndarray) -> np.ndarray:
     points: at each point of the octant the mean of ``a`` over its mirror
     images, index m and N - m of every axis, one axis at a time.  Summed
     against a field even about the centre, ``a`` and its even part give the
-    same sum, the latter as an octant (``grid_sum``)."""
+    same sum, the latter as an octant (``grid_sum``).  The first of those
+    axes is folded in slabs of about an eighth of ``SLAB_BYTES`` of ``a``,
+    and each slab is folded on the others and written into the result, so
+    no temporary is larger than a slab."""
     top = spec.size // 2 + 1
     mirror = -np.arange(top) % spec.size
-    for ax in range(-spec.n, 0):
-        a = 0.5 * (a[(Ellipsis, slice(top)) + (slice(None),) * (-1 - ax)]
-                   + np.take(a, mirror, axis=ax))
-    return a
+    first = a.ndim - spec.n
+    out = np.empty(a.shape[:first] + spec.octant_shape)
+    step = max(1, SLAB_BYTES // 8 // (8 * prod(a.shape) // a.shape[first]))
+    for lo in range(0, top, step):
+        rows = slice(lo, min(lo + step, top))
+        index = (slice(None),) * first + (rows,)
+        part = 0.5 * (a[index] + np.take(a, mirror[rows], axis=first))
+        for ax in range(first + 1, a.ndim):
+            part = 0.5 * (part[(slice(None),) * ax + (slice(top),)]
+                          + np.take(part, mirror, axis=ax))
+        out[index] = part
+    return out
 
 
 def zero_nyquist(spec: GridSpec, hat: np.ndarray) -> None:
@@ -728,6 +748,28 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _real_floating(name: str, a: np.ndarray) -> None:
+    """Refuse ``a`` unless its dtype is real floating: grid values and
+    octants are real, and the transforms of a complex or integer array
+    would fail or drop its imaginary part."""
+    if not np.issubdtype(a.dtype, np.floating):
+        raise ValueError(f"{name} dtype {a.dtype} is not real floating")
+
+
+def analysis(spec: GridSpec, values: np.ndarray) -> np.ndarray:
+    """The continuum-normalized half spectrum of real grid values of shape
+    (components, *spec.shape), checked finite: one ``rfftn`` per
+    component, into its slice of one array, times h^n.  A field built from
+    values takes it on the first read of its spectrum; held by
+    ``GridField.from_spectrum``, it makes a field that never holds the
+    values (the potential of ``fields.curl_potential_field``)."""
+    hat = np.empty(values.shape[:1] + spec.half_shape, dtype=complex)
+    for c, part in enumerate(_finite(values)):
+        np.fft.rfftn(part, out=hat[c])
+    hat *= spec.cell_volume
+    return hat
+
+
 def symbol_on_grid(
     a: SymbolOperator, spec: GridSpec, shape: Optional[Sequence[int]] = None,
     octant: bool = False,
@@ -797,6 +839,13 @@ def _operand(
     if parities is None and u._parity is not None:
         return u._unfolded(), None, None
     return u._held_spectrum(), u._parity, parities
+
+
+def _row_dtype(hat: np.ndarray, parities: Optional[dict]) -> np.dtype:
+    """The dtype of the image rows built from ``hat`` (from ``_operand``):
+    its own on the octant, and complex on the half spectrum, which a real
+    unfolded octant (``GridField._unfolded``) is not."""
+    return hat.dtype if parities is not None else np.result_type(hat.dtype, 1j)
 
 
 def _image_rows(
@@ -880,6 +929,34 @@ def image_magnitude(
     return _reduce(u.spec, _image(a, u), weights, root=True)
 
 
+def read_components(u: GridField, read: Callable[[int, np.ndarray], None]) -> np.ndarray:
+    """Pass the values of each component c of u to ``read(c, values)``, on
+    the grid or, for a field held on the octant, on the octant of grid
+    points, and return u's magnitude, cached as ``u.magnitude()`` caches it
+    and equal to it bit for bit.  A field that holds its values reads them
+    as held.  Every other field is reduced as its magnitude is
+    (``_reduce``): each component is inverted when its row is built,
+    checked finite, read and then squared into the accumulator, so no
+    values are held past their row.  A field made by A(D) from v whose
+    spectrum was never read takes the rows of the image from v, one work
+    buffer at a time, and never holds its own spectrum; a component whose
+    row of A is zero is not read, its values being zero."""
+    held = u._values if u._parity is None else u._octant_values
+    if held is not None:
+        for c, values in enumerate(held):
+            read(c, values)
+        return u.magnitude()
+    if u._made is not None and u._hat is None and not u._made[0].is_zero():
+        rows = _image(*u._made)
+    else:
+        rows = u._rows()
+    mag = _reduce(u.spec, rows, root=True, read=lambda r, values: read(r, _finite(values)))
+    if u._mag is None:
+        mag.flags.writeable = False
+        u._mag = mag
+    return u._mag
+
+
 def image_squares(a: SymbolOperator, u: GridField) -> Optional[np.ndarray]:
     """sum_r (A(D)u)_r^2, the square of ``image_magnitude``, or None when
     the symbol (the composite, for a field u made by B(D) from v) has no
@@ -897,7 +974,7 @@ def _image(
     rows of ``_image_rows``, each built in one work buffer, and the index
     of the last of them."""
     hat, parity, parities = _operand(a, u)
-    work = np.empty(hat.shape[1:], dtype=hat.dtype)
+    work = np.empty(hat.shape[1:], dtype=_row_dtype(hat, parities))
     # The last row that ``symbol_on_grid`` yields: a stored numerator is
     # never zero.
     last = max(r for _, entries in a.terms for r, row in enumerate(entries) if row)
@@ -917,15 +994,17 @@ def image_l1(a: SymbolOperator, u: GridField) -> float:
 
 def _reduce(
     spec: GridSpec, image: tuple, weights: Optional[Sequence[int]] = None,
-    root: bool = False, finite: bool = False,
+    root: bool = False, read: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> np.ndarray:
     """sum_r w_r row_r^2 (every w_r = 1 without ``weights``), or with
     ``root`` its square root, for the rows of ``image``: (rows, last) as
     ``_image`` gives them for an image and ``GridField._rows`` for the
     components of a held field, rows yielding (r, the spectrum of row r in
-    a work buffer, its parity or None) up to row ``last``.  Each row is
-    inverted (``_invert``), and with ``finite`` its values are checked
-    finite.  The first row's values become the accumulator, squared and
+    a work buffer, or an octant as held, its parity or None) up to row
+    ``last``.  Each row is inverted (``_invert``), and with ``read`` its
+    values are passed to ``read(r, values)`` before they are squared (a
+    held field's magnitude checks them finite there).  The first row's
+    values become the accumulator, squared and
     weighted in place; every later row is inverted into one reused buffer,
     squared, weighted and added.  A single unweighted row taken with
     ``root`` is its absolute value, never squared.  The result is of
@@ -935,8 +1014,8 @@ def _reduce(
     total = buffer = None
     for r, row, parity in rows:
         values = _invert(spec, row, buffer, parity)
-        if finite:
-            _finite(values)
+        if read is not None:
+            read(r, values)
         weight = None if weights is None else weights[r]
         if total is None and r == last and root and weight is None:
             return np.abs(values, out=values)

@@ -26,6 +26,7 @@ from symlab.numlab import blowup, experiments
 from symlab.numlab.experiments import mean_component
 from symlab.numlab.fields import curl_potential_field, gaussian_bump
 from symlab.numlab.norms import lp_norm, magnitude_norm
+from test_numlab import traced_peak
 
 
 def test_sobolev_exponent_values():
@@ -122,6 +123,39 @@ def test_duality_contrast_small():
     f = [abs(r["ratio"]) for r in free]
     assert g == sorted(g) and g[-1] > 5 * max(f)
     assert free[0]["constraint_residual_l1"] < 1e-10
+
+
+@pytest.mark.parametrize("kind, size", [("curl-potential", 512), ("generic", 256)])
+def test_duality_holds_five_real_grids(kind, size):
+    # Each component is read once, as it is inverted from the potential's
+    # spectrum or as its octant holds it: the potential's spectrum, one
+    # row's work buffer, its values and the magnitude's accumulator, about
+    # 4.7 real grids on the default 512^2 grid, where reading the field's
+    # values and magnitude peaked at 9.2.  The generic field's peak (4.6
+    # on 256^2) is its divergence, a row of mixed parities built from its
+    # real half spectrum.
+    spec = GridSpec(2, size, 40.0)
+    peak = traced_peak(lambda: duality_experiment(kind, [1.0, 0.5, 0.25], spec, sigma=1.5))
+    assert peak <= 5 * 8 * size**2
+
+
+@pytest.mark.parametrize("kind, inversions", [("curl-potential", 2), ("generic", 1)])
+def test_duality_inverts_each_row_once(monkeypatch, kind, inversions):
+    # One inversion per component of the curl-potential field, none for the
+    # generic field's octant values, and one for its divergence: as many
+    # as when the values were read whole.
+    from symlab.numlab import grid
+
+    calls = []
+    original = grid._invert
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(grid, "_invert", counted)
+    duality_experiment(kind, [1.0, 0.5], GridSpec(2, 64, 40.0), sigma=1.5)
+    assert len(calls) == inversions
 
 
 def test_inequality_family_validation():
