@@ -29,11 +29,14 @@ given to verify, a file that is not UTF-8 JSON or is nested too deeply,
 and an output path that cannot be written, 3
 at least one verdict or experiment row is undecided/sampled/unconverged
 (verify: at least one verdict is rejected; compat: L A = 0 or a sampled
-kernel check fails).
+kernel check fails).  An experiment's manifest lists under "flags" each
+flagged row, ``{"row": i, "failed": [column, ...]}``, and stderr gets one
+line per flagged row.
 
 Operators come from JSON files or from catalog URIs such as
 ``catalog:gradient?n=2``.  Reports are byte-reproducible for a fixed seed
-apart from the "timings" member; "input.digest" covers T when given.
+apart from the "timings" member; "input.digest", the first 16 hex digits of
+the SHA-256 of the sorted-key operator JSON, covers T when given.
 Next to it, "stats" holds the deciders' counters: boxes examined, cover
 size, per-axis cover depth, size and degree of det(A^T A) when it was
 formed, cancellation iterations, samples and the degree s of each
@@ -443,7 +446,7 @@ def cmd_experiment(args) -> int:
         e = _parse_rationals(args.direction, op.dim_e)
         run = functools.partial(blowup_experiment, op, e, args.ell or 0, scales, spec,
                                 seed=seed, digest=operator_digest(operator_to_json(op)))
-        flag = lambda r: not r["converged"] or not r["nyquist_margin_ok"]
+        flag = lambda r: [k for k in ("nyquist_margin_ok", "converged") if not r[k]]
     elif kind == "necessity":
         from .numlab import necessity_experiment
 
@@ -451,7 +454,7 @@ def cmd_experiment(args) -> int:
         exps = _parse_floats(args.scales or "1,0.5,0.3333333333333333,0.25")
         run = functools.partial(necessity_experiment, args.field or "gaussian", exps, spec,
                                 seed=seed)
-        flag = lambda r: r["scale_err"] > 0.02
+        flag = lambda r: ["scale_err"] if r["scale_err"] > 0.02 else []
     elif kind == "duality":
         from .numlab import duality_experiment
 
@@ -459,7 +462,7 @@ def cmd_experiment(args) -> int:
         exps = _parse_floats(args.scales or "1,0.5,0.3333333333333333,0.25")
         run = functools.partial(duality_experiment, args.field or "curl-potential", exps,
                                 spec, sigma=1.5, seed=seed)
-        flag = lambda r: False
+        flag = lambda r: []
     else:
         from .numlab import INEQUALITY_FAMILIES, inequality_experiment
 
@@ -468,22 +471,25 @@ def cmd_experiment(args) -> int:
                 f"--family must be one of {', '.join(INEQUALITY_FAMILIES)}"
             )
         run = functools.partial(inequality_experiment, args.family, seed=seed)
-        flag = lambda r: not r.get("converged", True)
+        flag = lambda r: [] if r.get("converged", True) else ["converged"]
     try:
         rows, manifest = run()
     except ValueError as exc:
         raise CliError(str(exc))
-    flagged = any(flag(r) for r in rows)
+    flags = [{"row": i, "failed": failed} for i, r in enumerate(rows) if (failed := flag(r))]
 
     csv_path = args.csv_out or f"{kind}.csv"
     _write_csv(rows, csv_path)
     manifest["csv"] = csv_path
+    manifest["flags"] = flags
     if not args.no_figure:
         fig = _render_figure(rows, csv_path, manifest.get("kind", kind))
         if fig:
             manifest["figure"] = fig
     _write_json(manifest, args.json_out or os.path.splitext(csv_path)[0] + ".json")
-    return EXIT_UNDECIDED if flagged else EXIT_OK
+    for f in flags:
+        sys.stderr.write(f"{kind}: row {f['row']} flagged: {', '.join(f['failed'])}\n")
+    return EXIT_UNDECIDED if flags else EXIT_OK
 
 
 def _parse_floats(text: str) -> list[float]:

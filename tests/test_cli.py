@@ -1,6 +1,8 @@
 """End-to-end runs of `symlab analyze` and `symlab verify`, forged and
 malformed reports, and a mutation test of every certificate kind."""
 
+import hashlib
+import importlib
 import json
 import os
 import random
@@ -119,6 +121,16 @@ def test_analyze_reports_stats(tmp_path):
     assert code == 0 and checked["all_ok"]
 
 
+def fresh_interpreter(code: str, *argv: str) -> str:
+    """The stdout of ``code`` run in a new interpreter that imports symlab
+    from this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return run.stdout.strip()
+
+
 NO_NUMPY = """
 import sys
 from symlab.cli import build_parser, main
@@ -132,13 +144,9 @@ print(codes, "numpy" in sys.modules)
 
 def test_exact_verbs_do_not_import_numpy(tmp_path):
     # pytest has numpy loaded already, so the verbs run in a fresh interpreter.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     files = [str(tmp_path / name) for name in ("report.json", "verified.json", "compat.json")]
-    run = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY, "catalog:defigueiredo?n=2&m=2", *files],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert run.stdout.strip() == "[0, 0, 0] False"
+    assert (fresh_interpreter(NO_NUMPY, "catalog:defigueiredo?n=2&m=2", *files)
+            == "[0, 0, 0] False")
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +411,86 @@ def test_input_digest_covers_t(tmp_path):
         digests.append(report["input"]["digest"])
     assert digests[0] != digests[1]
     assert operator_digest(report["operator"]) not in digests
+
+
+def sha256_digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def test_every_writer_digests_by_sha256(tmp_path):
+    # analyze without T digests the operator document alone.
+    _code, report = analyze(tmp_path, "catalog:gradient?n=2")
+    gradient_doc = report["operator"]
+    assert report["input"]["digest"] == sha256_digest(gradient_doc)
+    # analyze with T digests the operator and T together.
+    source = tmp_path / "hodge_pair.json"
+    assert main(["catalog", "emit", "hodge_pair?n=3&ell=1", "--json", str(source)]) == 0
+    _code, report = analyze(tmp_path, str(source))
+    assert report["T"] == [["0", "0", "0", "1"]]
+    assert report["input"]["digest"] == sha256_digest(
+        {"operator": report["operator"], "T": report["T"]})
+    # The annihilator names the operator it annihilates.
+    out = tmp_path / "compat.json"
+    assert main(["compat", "catalog:gradient?n=2", "--json", str(out)]) == 0
+    compat = json.loads(out.read_text())
+    assert compat["annihilator"]["metadata"]["annihilates"] == sha256_digest(gradient_doc)
+    assert compat["input"]["digest"] == sha256_digest(gradient_doc)
+    # The blowup manifest names its operator.
+    _code, report = analyze(tmp_path, "catalog:laplacian?n=2")
+    csv_path = tmp_path / "blowup.csv"
+    assert main(["experiment", "blowup", "--op", "catalog:laplacian?n=2", "--e", "1", "--ell",
+                 "1", "--grid", "64,4.0", "--lambda", "2", "--no-figure",
+                 "--csv", str(csv_path)]) == 0
+    manifest = json.loads(csv_path.with_suffix(".json").read_text())
+    assert manifest["operator_digest"] == sha256_digest(report["operator"])
+
+
+SHA256_FALLBACK = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import hashlib
+from symlab import io
+from symlab.catalog import gradient
+print(io.sha256 is hashlib.sha256, io.operator_digest(io.operator_to_json(gradient(2).operator)))
+"""
+
+
+def test_digest_without_builtin_sha256_falls_back_to_hashlib():
+    # An interpreter without CPython's built-in SHA-256 module takes
+    # hashlib's, and every digest stays as pinned.
+    assert fresh_interpreter(SHA256_FALLBACK) == "True 3f4c4082129da5a6"
+
+
+NO_OPENSSL = """
+import sys
+before = set(sys.modules)
+from symlab.cli import main
+out = sys.argv[1]
+codes = [main(["analyze", "catalog:gradient?n=2", "--json", out + "/report.json"]),
+         main(["verify", out + "/report.json", "--json", out + "/verified.json"]),
+         main(["compat", "catalog:gradient?n=2", "--json", out + "/compat.json"]),
+         main(["experiment", "blowup", "--op", "catalog:laplacian?n=2", "--e", "1",
+               "--ell", "1", "--grid", "64,4.0", "--lambda", "2", "--no-figure",
+               "--csv", out + "/blowup.csv"])]
+print(codes, "_hashlib" in set(sys.modules) - before)
+"""
+
+
+def _builtin_sha256() -> bool:
+    for name in ("_sha2", "_sha256"):
+        try:
+            importlib.import_module(name)
+            return True
+        except ImportError:
+            pass
+    return False
+
+
+@pytest.mark.skipif(not _builtin_sha256(), reason="no built-in SHA-256 module")
+def test_no_verb_loads_openssl(tmp_path):
+    # Snapshot the modules before symlab is imported, so that whatever the
+    # interpreter's site hooks load is left out.
+    assert fresh_interpreter(NO_OPENSSL, str(tmp_path)) == "[0, 0, 0, 0] False"
 
 
 def test_depth_option_is_gone(capsys):

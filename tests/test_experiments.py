@@ -115,6 +115,29 @@ def test_necessity_scale_and_direction_small():
     assert max(abs(r["ratio"]) for r in rows2) < 0.5 * min(ratios)
 
 
+def test_necessity_folds_a_grid_field_once(monkeypatch):
+    # dx_bump is held on the grid; it is folded onto the octant once, not
+    # once per plateau, and every pairing stays the one of the grid field.
+    from symlab.numlab import norms
+    from symlab.numlab.fields import dx_bump, radial_cutoff_test_function
+
+    spec = GridSpec(2, 512, 40.0)
+    exponents = [1.0, 0.5, 0.3333333333333333, 0.25]
+    f = dx_bump(spec, sigma=1.0)
+    unfolded = [norms.pairing(f, radial_cutoff_test_function(spec, lam)[0]) for lam in exponents]
+    folds, fold = [], experiments.even_part
+
+    def counted(spec, a):
+        folds.append(a.shape)
+        return fold(spec, a)
+
+    monkeypatch.setattr(experiments, "even_part", counted)
+    monkeypatch.setattr(norms, "even_part", counted)
+    rows, _ = necessity_experiment("dx_bump", exponents, spec)
+    assert folds == [(1, 512, 512)]
+    assert [r["pairing"] for r in rows] == unfolded
+
+
 def test_duality_contrast_small():
     spec = GridSpec(2, 256, 40.0)
     free, _ = duality_experiment("curl-potential", [1.0, 0.5, 0.25], spec, sigma=1.5)
@@ -201,6 +224,33 @@ def test_blowup_default_grid_over_budget_exits_2(tmp_path, capsys):
                  "--ell", "1", "--no-figure", "--csv", str(tmp_path / "b.csv")])
     assert code == 2
     assert "--grid" in capsys.readouterr().err
+
+
+def test_flagged_rows_explain_exit_3(tmp_path, capsys):
+    # At scales 4 and 8 the 64-point grid misses the Nyquist margin, and at
+    # scale 4 the ratio also moves more than ten percent from its value on
+    # the half-resolution grid: the manifest and stderr name every failed flag.
+    from symlab.cli import main
+
+    csv_path = tmp_path / "b.csv"
+    code = main(["experiment", "blowup", "--op", "catalog:laplacian?n=3", "--e", "1",
+                 "--ell", "1", "--grid", "64,4.0", "--lambda", "2,4,8", "--no-figure",
+                 "--csv", str(csv_path)])
+    assert code == 3
+    manifest = json.loads(csv_path.with_suffix(".json").read_text())
+    assert manifest["flags"] == [{"row": 1, "failed": ["nyquist_margin_ok", "converged"]},
+                                 {"row": 2, "failed": ["nyquist_margin_ok"]}]
+    assert capsys.readouterr().err.splitlines() == [
+        "blowup: row 1 flagged: nyquist_margin_ok, converged",
+        "blowup: row 2 flagged: nyquist_margin_ok",
+    ]
+    # A run with no flagged row exits 0 with an empty list and says nothing.
+    code = main(["experiment", "blowup", "--op", "catalog:laplacian?n=3", "--e", "1",
+                 "--ell", "1", "--grid", "64,4.0", "--lambda", "2", "--no-figure",
+                 "--csv", str(csv_path)])
+    assert code == 0
+    assert json.loads(csv_path.with_suffix(".json").read_text())["flags"] == []
+    assert capsys.readouterr().err == ""
 
 
 def test_duality_direction_ignores_round_off():
@@ -411,4 +461,7 @@ def test_blowup_direction_scale_leaves_the_rows(tmp_path, capsys, e):
     code, rows, manifest = run(e, "scaled")
     assert (code, rows) == run("1", "unit")[:2]
     assert [Fraction(x) for x in manifest["params"]["e"]] == [Fraction(e)]
-    assert capsys.readouterr().err == ""
+    # stderr holds the flagged-row lines of the two runs and nothing else.
+    flagged = [f"blowup: row {f['row']} flagged: {', '.join(f['failed'])}"
+               for f in manifest["flags"]]
+    assert flagged and capsys.readouterr().err.splitlines() == flagged * 2
