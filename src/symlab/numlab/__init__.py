@@ -58,10 +58,15 @@ it is, and a field held by octant values pairs by one mirror-weighted
 sum, with another such field or with the even part of a field on the grid
 (``grid.even_part``), folded onto the octant.  A row of mixed parity, and
 every other field, takes the half spectrum, where the real pass of a
-band-held spectrum zero-pads it.  The newton potential is
-also symmetric under permutations of the axes, so the magnitude of its
-gradient takes one inverse transform, of the last partial derivative, and
-two transposes of its square.
+band-held spectrum zero-pads it.  The newton potential, the radial
+fields of gns_disc and solonnikov, and the blowup field of a witness whose
+p and u are unchanged by every swap of two axes are symmetric under
+permutations of the axes, so each gradient magnitude takes one inverse
+transform per component, of the derivative along the last axis, and the
+sum of its square over the swaps of each axis with the last
+(``grid.axis_swap_sum``).  A blowup row that keeps the Nyquist margin reads
+its half-resolution reference from its own magnitudes at every other grid
+point, where the halved grid's field takes the same values.
 """
 
 from .blowup import (

@@ -46,6 +46,7 @@ exponent holds phi on the half spectrum, held to its band on the last axis
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import pi, prod
 from typing import NamedTuple, Sequence
 
@@ -152,6 +153,23 @@ def blowup_direction(
         u = [acc + q * cofactor for acc, q in zip(u, m.u)]
     return BlowupDirection(np.array([float(x) for x in e_exact]), tuple(u),
                            prod(factors, start=one))
+
+
+def swap_symmetric(direction: BlowupDirection) -> bool:
+    """Whether p and every entry of u are unchanged by each transposition
+    of two axes, checked exactly on their terms.  Then so are phi, whose
+    window and half-box shift are radial and the same on every axis, and
+    every component u_c(D) phi of the blowup field: its gradient takes one
+    derivative per component (``grid.derivative_magnitude`` with
+    ``symmetric``)."""
+    def swapped(alpha: tuple, i: int, j: int) -> tuple:
+        out = list(alpha)
+        out[i], out[j] = alpha[j], alpha[i]
+        return tuple(out)
+
+    polys = [q.as_dict() for q in (direction.p, *direction.u)]
+    return all({swapped(alpha, i, j): x for alpha, x in terms.items()} == terms
+               for i, j in combinations(range(direction.p.n), 2) for terms in polys)
 
 
 def _column(polys: Sequence[Polynomial], order: int) -> SymbolOperator:

@@ -5,7 +5,9 @@ floats and flags (one per schedule point), the manifest records grid,
 operator digest, seed and parameters so a run can be reproduced exactly.
 Reported ratios are re-measured on a half-resolution grid whenever that is
 affordable; a point whose ratio moves more than ten percent is flagged
-unconverged rather than silently reported.
+unconverged rather than silently reported.  A blowup row whose band the
+halved grid holds whole reads that ratio from its own magnitudes at every
+other grid point (``blowup_experiment``).
 """
 
 from __future__ import annotations
@@ -16,12 +18,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .. import __version__
-from ..catalog import divergence, gradient, sym_gradient
+from ..catalog import divergence, sym_gradient
 from ..deciders.cancellation import image_intersection
 from ..deciders.ellipticity import check_ellipticity
 from ..exact.symbol import SymbolOperator
 from ..io import polynomial_to_json
-from .blowup import BlowupDirection, blowup_direction, build_blowup_field, cutoff_l1
+from .blowup import (
+    BlowupDirection,
+    blowup_direction,
+    build_blowup_field,
+    cutoff_l1,
+    swap_symmetric,
+)
 from .fields import (
     curl_potential_field,
     dx_bump,
@@ -33,11 +41,13 @@ from .fields import (
 from .grid import (
     GridField,
     GridSpec,
+    axis_swap_sum,
     boundary_tail,
     derivative_magnitude,
     even_part,
     grid_sum,
     image_l1,
+    image_magnitude,
     image_squares,
     read_components,
 )
@@ -80,30 +90,55 @@ def sobolev_exponent(n: int, k: int, ell: int) -> float:
 
 
 def _blowup_ratio_terms(
-    a: SymbolOperator, ell: int, u: GridField
-) -> tuple[float, float, Optional[np.ndarray]]:
+    a: SymbolOperator, ell: int, u: GridField, symmetric: bool,
+    half: Optional[GridSpec] = None,
+) -> tuple[float, float, Optional[np.ndarray], Optional[float]]:
     """The numerator and denominator of the blowup ratio of u, the L^q norm
-    of its order-ell derivative and the L1 norm of A(D)u, and the magnitude
-    of that derivative (None for ell = 0, where the numerator is the norm
-    of u itself)."""
-    q = sobolev_exponent(u.spec.n, a.order, ell)
-    dmag = derivative_magnitude(u, ell) if ell else None
-    num = lp_norm(u, q) if dmag is None else magnitude_norm(u.spec, dmag, q)
-    return num, image_l1(a, u), dmag
+    of its order-ell derivative and the L1 norm of A(D)u; the magnitude of
+    that derivative (None for ell = 0, where the numerator is the norm of
+    u itself), a first-order one taken by the axis-swap sum when
+    ``symmetric`` (see ``blowup.swap_symmetric``); and with ``half``, the
+    halved grid, the ratio read from the same magnitudes at every other
+    grid point, which is the ratio on that grid when it holds u's whole
+    band (see ``blowup_experiment``), else None.
+
+    The image magnitude is taken once: its sum on the grid is the one
+    ``image_l1`` takes, bit for bit, its sum on the halved grid follows,
+    and it is dropped before anything else is measured."""
+    spec = u.spec
+    q = sobolev_exponent(spec.n, a.order, ell)
+    dmag = derivative_magnitude(u, ell, symmetric and ell == 1) if ell else None
+    mag = u.magnitude() if dmag is None else dmag
+    num = magnitude_norm(spec, mag, q)
+    image = image_magnitude(a, u)
+    den = grid_sum(spec, image, slice(None)) * spec.cell_volume
+    ref = None
+    if half is not None:
+        even = (slice(None, None, 2),) * spec.n
+        half_den = grid_sum(half, image[even], slice(None)) * half.cell_volume
+        del image
+        ref = magnitude_norm(half, mag[even], q) / half_den
+    return num, den, dmag, ref
 
 
 def _blowup_point(
     a: SymbolOperator, ell: int, scale: float, spec: GridSpec,
     direction: BlowupDirection, bound: float,
-) -> dict:
+) -> tuple[dict, Optional[float]]:
+    """The row of one scale, and the ratio on the halved grid read from
+    the row's own magnitudes when the row keeps the Nyquist margin (None
+    otherwise)."""
     u = build_blowup_field(direction, scale, spec)
-    num, den, dmag = _blowup_ratio_terms(a, ell, u)
+    symmetric = swap_symmetric(direction)
+    margin_ok = spec.nyquist >= 4 * scale
+    num, den, dmag, ref = _blowup_ratio_terms(a, ell, u, symmetric,
+                                              spec.halved() if margin_ok else None)
     # Gradient-control companion on the same field: the order-zero Sobolev
     # ratio against the full first derivative.
     ctrl_num = lp_norm(u, spec.n / (spec.n - 1.0))
-    dmag1 = dmag if ell == 1 else derivative_magnitude(u, 1)
+    dmag1 = dmag if ell == 1 else derivative_magnitude(u, 1, symmetric)
     ctrl_den = magnitude_norm(spec, dmag1, 1.0)
-    return {
+    row = {
         "scale": scale,
         "numerator": num,
         "denominator": den,
@@ -114,8 +149,9 @@ def _blowup_point(
         "image_l1": den,
         "image_l1_bound": bound,
         "tail": u.boundary_tail(),
-        "nyquist_margin_ok": bool(spec.nyquist >= 4 * scale),
+        "nyquist_margin_ok": margin_ok,
     }
+    return row, ref
 
 
 def blowup_experiment(
@@ -131,7 +167,21 @@ def blowup_experiment(
     schedule of concentration scales.  The ratios and tails of e and c e
     agree, so e is measured scaled exactly to a largest |entry| of 1,
     where no entry of it or of the field overflows or underflows a float;
-    the manifest keeps e as given."""
+    the manifest keeps e as given.
+
+    Each row's convergence reference is the ratio on the halved grid, N/2
+    points per axis, read or built.  A row that keeps the Nyquist margin,
+    N/(2T) >= 4 scale, reads it: that is N/(4T) >= 2 scale, the halved
+    grid's Nyquist frequency lies beyond the window's support, every
+    |xi_i| < 2 scale, so both grids hold the same band-limited field, its
+    Nyquist bins being zero on both, and the halved grid's values of u, of its
+    derivatives and of A(D)u are the fine values at even indices: on the
+    octant (index k of N/4 + 1 is index 2k of N/2 + 1), on the grid and in
+    every dimension.  The reference is then the ratio of those magnitudes'
+    Riemann sums on the halved grid, equal to the built one to rounding,
+    with no transform.  A row with scale <= N/(4T) < 2 scale builds the
+    field on the halved grid, as the halved grid truncates its band; a row
+    with N/(4T) < scale has no reference."""
     if ell < 0 or ell >= a.order:
         raise ValueError("derivative order must satisfy 0 <= ell < operator order")
     if a.order - ell >= spec.n:
@@ -145,12 +195,11 @@ def blowup_experiment(
     half = spec.halved()
     rows = []
     for scale in scales:
-        row = _blowup_point(a, ell, scale, spec, direction, bound)
-        ref = None
-        if half.nyquist >= scale:
+        row, ref = _blowup_point(a, ell, scale, spec, direction, bound)
+        if ref is None and half.nyquist >= scale:
             # The reference needs only the ratio: no control columns, no tail.
-            num, den, _ = _blowup_ratio_terms(
-                a, ell, build_blowup_field(direction, scale, half))
+            num, den, _, _ = _blowup_ratio_terms(
+                a, ell, build_blowup_field(direction, scale, half), swap_symmetric(direction))
             ref = num / den
         row["converged"] = _converged(row["ratio"], ref)
         rows.append(row)
@@ -305,9 +354,10 @@ def duality_experiment(
 
 def _gns_disc_point(spec: GridSpec, width: float) -> dict:
     u = mollified_disc(spec, radius=1.0, width=width)
-    grad = gradient(2).operator
     lhs = lp_norm(u, 2.0)
-    rhs = image_l1(grad, u)
+    # The disc is radial: |grad u| takes the one derivative along the last
+    # axis and the axis-swap sum.
+    rhs = magnitude_norm(spec, derivative_magnitude(u, 1, symmetric=True), 1.0)
     return {
         "size": spec.size, "width": width, "lhs": lhs, "rhs": rhs,
         "ratio": lhs / rhs, "tail": u.boundary_tail(),
@@ -324,7 +374,8 @@ def _korn_point(spec: GridSpec) -> dict:
 
 def _solonnikov_point(spec: GridSpec) -> dict:
     g = gaussian_bump(spec, sigma=0.8)
-    lhs = magnitude_norm(spec, derivative_magnitude(g, 1), 2.0)
+    # The bump is radial: |grad g| takes one derivative, as gns_disc's does.
+    lhs = magnitude_norm(spec, derivative_magnitude(g, 1, symmetric=True), 2.0)
     rhs = (image_l1(_monomial_operator(2, (2, 0)), g)
            + image_l1(_monomial_operator(2, (0, 2)), g))
     return {"size": spec.size, "lhs": lhs, "rhs": rhs, "ratio": lhs / rhs,
@@ -365,24 +416,14 @@ _LAST_OF_3 = SymbolOperator.from_entries(3, 3, 1, 0, {((0, 0, 0), 0, 2): 1})
 
 
 def _symmetric_gradient_magnitude(u: GridField) -> np.ndarray:
-    """|u| for a field u = grad(D) phi on a 3-d grid with phi symmetric
-    under permutations of the axes, as ``newton_gradient_field`` makes it:
-    (d_j phi)^2 is s = (d_2 phi)^2 with axes j and 2 swapped, so |u|^2 is
-    s + s.transpose(2, 1, 0) + s.transpose(0, 2, 1), one transform (of the
-    last component) where the magnitude of u takes three.  phi is held on
-    its octant and d_2 phi, odd in the last axis only, stays there: s and
-    the result are octant magnitudes, of spec.octant_shape, a cube that
-    the same swaps map to itself.
-
-    The swap of axes 0 and 2 reads s across its rows; (d_0 phi)^2 is taken
-    instead as q.transpose(1, 0, 2), q = (d_1 phi)^2 = s.transpose(0, 2, 1)
-    copied, which reads whole rows of q: the same by the symmetry, to
-    rounding.  s becomes the result, so s and q are the only arrays held."""
-    s = image_squares(_LAST_OF_3, u)
-    q = s.transpose(0, 2, 1).copy()
-    s += q
-    s += q.transpose(1, 0, 2)
-    del q
+    """|u| for the newton field u = grad(D) phi, phi symmetric under
+    permutations of the axes, as ``newton_gradient_field`` makes it: the
+    square of its last component, d_2 phi, one transform where the
+    magnitude of u takes three, summed over the swaps of axis j with axis 2
+    (``grid.axis_swap_sum``).  phi is held on its octant and d_2 phi, odd
+    in the last axis only, stays there: the result is an octant magnitude,
+    of spec.octant_shape, a cube that the swaps map to itself."""
+    s = axis_swap_sum(image_squares(_LAST_OF_3, u))
     return np.sqrt(s, out=s)
 
 

@@ -132,7 +132,8 @@ def newton_gradient_field(spec: GridSpec, eps: float) -> GridField:
     Both factors are unchanged when the integer modes m_i trade places, and
     the Nyquist mask is the same on every axis; so phi on the grid is
     symmetric under every permutation of the axes, and d_j phi is d_2 phi
-    with axes j and 2 swapped (up to rounding)."""
+    with axes j and 2 swapped (up to rounding): the field's magnitude is
+    the axis-swap sum of (d_2 phi)^2 (``grid.axis_swap_sum``)."""
     if spec.n != 3:
         raise ValueError("this family lives on a three-dimensional box")
     xi = spec.frequency_grids(octant=True)

@@ -115,7 +115,10 @@ its divergence is the Laplacian of phi, one transform, and its curl is the
 zero symbol, for which ``image_squares`` and ``image_l1`` allocate nothing
 and transform nothing.  ``derivative_magnitude`` measures the image of the
 operator stacking all partial derivatives of one order, and the blowup
-field evaluates its witness's p through ``symbol_on_grid``.
+field evaluates its witness's p through ``symbol_on_grid``.  The gradient
+of a field whose closed form is unchanged by every transposition of two
+axes takes one derivative, along the last axis: ``axis_swap_sum`` adds its
+square with the axes swapped for the others.
 
 Closed-form fields with compact support (the blowup window in frequency,
 the plateau test function in space) are evaluated on the box of indices
@@ -1030,12 +1033,49 @@ def _reduce(
     return np.sqrt(total, out=total) if root else total
 
 
-def derivative_magnitude(u: GridField, order: int) -> np.ndarray:
+def axis_swap_sum(s: np.ndarray) -> np.ndarray:
+    """s plus, for each axis j < n - 1, s with axes j and n - 1 swapped, in
+    place, for s = sum_c (d_{n-1} w_c)^2 on a grid or an octant (a cube),
+    every w_c unchanged by each transposition of two axes: then
+    (d_j w_c)^2 is (d_{n-1} w_c)^2 with axes j and n - 1 swapped, and the
+    result is sum_c |grad w_c|^2, from the one derivative along the last
+    axis where the gradient takes n.
+
+    Only the swap of axes n - 2 and n - 1 reads s across its rows, into
+    q = (d_{n-2} w)^2, copied; the swap of a lower axis j with the last is
+    taken instead as q with axes j and n - 2 swapped, which reads whole
+    rows of q: the same by the symmetry, to rounding.  s and q are the
+    only arrays held."""
+    n = s.ndim
+    q = s.swapaxes(n - 2, n - 1).copy()
+    s += q
+    for j in range(n - 2):
+        s += q.swapaxes(j, n - 2)
+    return s
+
+
+def derivative_magnitude(u: GridField, order: int, symmetric: bool = False) -> np.ndarray:
     """Pointwise Frobenius magnitude of the order-th derivative tensor:
     sqrt of sum over multi-indices (with multinomial weights) and components,
     on the octant when the image is held there.  One operator stacks the
-    derivatives: its row i * m + c is d^alpha_i u_c."""
+    derivatives: its row i * m + c is d^alpha_i u_c.
+
+    With ``symmetric``, for order 1 and a u whose every component is
+    unchanged by each transposition of two axes (which only the caller's
+    closed form says, never a numeric test), the operator is the one
+    derivative along the last axis of each component, and
+    ``axis_swap_sum`` of its squares gives the gradient's: one inverse
+    transform per component where the gradient takes n."""
     n, m = u.spec.n, u.components
+    if symmetric:
+        if order != 1:
+            raise ValueError("the axis-swap sum gives first derivatives only")
+        last = (0,) * (n - 1) + (1,)
+        rows = SymbolOperator.from_entries(n, m, m, 1, {(last, c, c): 1 for c in range(m)})
+        s = image_squares(rows, u)
+        if s is None:
+            return np.zeros(u.spec.shape)
+        return np.sqrt(axis_swap_sum(s), out=s)
     alphas = multi_indices(n, order)
     rows = range(len(alphas) * m)
     entries = {(alpha, i * m + c, c): 1 for i, alpha in enumerate(alphas) for c in range(m)}

@@ -2,15 +2,19 @@
 
 
 import json
+import math
 import sys
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from symlab.catalog import hodge_pair, laplacian
+from symlab.cli import load_operator
 from symlab.deciders import check_ellipticity, image_intersection
+from symlab.exact.symbol import SymbolOperator
 from symlab.numlab import (
     GridField,
     GridSpec,
@@ -25,6 +29,7 @@ from symlab.numlab import (
 from symlab.numlab import blowup, experiments
 from symlab.numlab.experiments import mean_component
 from symlab.numlab.fields import curl_potential_field, gaussian_bump
+from symlab.numlab.grid import axis_swap_sum, image_squares
 from symlab.numlab.norms import lp_norm, magnitude_norm
 from test_numlab import traced_peak
 
@@ -50,6 +55,15 @@ def test_blowup_schedule_monotone_small():
     assert manifest["witness"] == {"s": 0, "p": [[[0, 2], "1"], [[2, 0], "1"]]}
 
 
+def swap_sum_gradient(u):
+    # |grad u| of a field unchanged by every swap of two axes: the square of
+    # its derivative along the last axis plus that square with the axes
+    # swapped.
+    n = u.spec.n
+    last = SymbolOperator.from_entries(n, 1, 1, 1, {((0,) * (n - 1) + (1,), 0, 0): 1})
+    return np.sqrt(axis_swap_sum(image_squares(last, u)))
+
+
 @pytest.mark.parametrize("entry, e, ell, spec, scale", [
     (laplacian(2), [1], 1, GridSpec(2, 128, 4.0), 4.0),
     (hodge_pair(3, 1), [0, 0, 0, 1], 0, GridSpec(3, 32, 4.0), 2.0),
@@ -57,27 +71,124 @@ def test_blowup_schedule_monotone_small():
 def test_blowup_point_matches_the_built_image_recipe(entry, e, ell, spec, scale):
     # Measuring A(D)u row by row gives the row that building the image and
     # summing inline gave, bit for bit.  The Laplacian's u is held on the
-    # octant, whose magnitudes are summed with mirror weights.
+    # octant, whose magnitudes are summed with mirror weights, and is
+    # unchanged by the swap of the two axes: its gradient is the axis-swap
+    # sum of one derivative.  The reference is read exactly when the row
+    # keeps the Nyquist margin.
     op = entry.operator
     direction = blowup.blowup_direction(op, e, check_ellipticity(op), image_intersection(op, 0))
     bound = 2.0 * blowup.cutoff_l1(spec) * float(np.sqrt((direction.e**2).sum()))
-    row = experiments._blowup_point(op, ell, scale, spec, direction, bound)
+    row, ref = experiments._blowup_point(op, ell, scale, spec, direction, bound)
     u = blowup.build_blowup_field(direction, scale, spec)
     au = apply_symbol(op, u)
     q = sobolev_exponent(spec.n, op.order, ell)
     if ell == 0:
         num = lp_norm(u, q)
     else:
-        num = magnitude_norm(spec, derivative_magnitude(u, ell), q)
+        num = magnitude_norm(spec, swap_sum_gradient(u), q)
     den = lp_norm(au, 1.0)
     ctrl_num = lp_norm(u, spec.n / (spec.n - 1.0))
-    ctrl_den = magnitude_norm(spec, derivative_magnitude(u, 1), 1.0)
+    if ell == 1:
+        ctrl_den = magnitude_norm(spec, swap_sum_gradient(u), 1.0)
+    else:
+        ctrl_den = magnitude_norm(spec, derivative_magnitude(u, 1), 1.0)
+    assert (ref is None) == (spec.nyquist < 4 * scale)
     assert row == {
         "scale": scale, "numerator": num, "denominator": den, "ratio": num / den,
         "control_numerator": ctrl_num, "control_denominator": ctrl_den,
         "control_ratio": ctrl_num / ctrl_den, "image_l1": den, "image_l1_bound": bound,
         "tail": u.boundary_tail(), "nyquist_margin_ok": spec.nyquist >= 4 * scale,
     }
+
+
+SKEWED_SCALAR = Path(__file__).parent / "data" / "skewed_scalar.json"
+
+
+@pytest.mark.parametrize("op, e, ell, spec, scales", [
+    # On the octant, with the axis-swap gradient.
+    (laplacian(2).operator, [1], 1, GridSpec(2, 1024, 4.0), [4, 8, 16, 32]),
+    # Mixed parities: the band-held half spectrum; scale 32 misses the margin.
+    (hodge_pair(2, 1).operator, [1, 1], 0, GridSpec(2, 512, 4.0), [4, 8, 16, 32]),
+    (laplacian(3).operator, [1], 1, GridSpec(3, 64, 4.0), [2]),
+    # p with odd exponents: the band-held half spectrum, with the swap sum.
+    (load_operator(str(SKEWED_SCALAR))[0], [1], 1, GridSpec(2, 512, 4.0), [4, 8, 16, 32]),
+], ids=["laplacian2", "hodge21", "laplacian3", "skewed"])
+def test_read_reference_is_the_halved_grid_build(op, e, ell, spec, scales):
+    # On a row that keeps the Nyquist margin, the reference read from the
+    # fine magnitudes at even indices is the ratio built on the halved grid,
+    # its gradient taken row by row, to 1e-12; a row that misses the margin
+    # reads none.
+    direction = blowup.blowup_direction(op, e, check_ellipticity(op), image_intersection(op, 0))
+    half = spec.halved()
+    read = 0
+    for scale in scales:
+        row, ref = experiments._blowup_point(op, ell, scale, spec, direction, 1.0)
+        if not row["nyquist_margin_ok"]:
+            assert ref is None
+            continue
+        num, den, _, _ = experiments._blowup_ratio_terms(
+            op, ell, blowup.build_blowup_field(direction, scale, half), False)
+        assert math.isclose(ref, num / den, rel_tol=1e-12)
+        read += 1
+    assert read == sum(spec.nyquist >= 4 * scale for scale in scales) > 0
+
+
+# Inverse transforms per benchmark spectral call at seed 1: the blowup's
+# four scales take three each (the derivative along the last axis, u and
+# A(D)u) and read their references, and the cutoff one more; gns_disc's
+# and solonnikov's radial fields take one derivative for their gradients.
+INVERSIONS = {"inequality_gns_disc": 6, "inequality_korn": 12, "inequality_solonnikov": 12,
+              "inequality_strange_r4": 4, "inequality_newton_r3": 12, "blowup": 13,
+              "necessity": 0, "duality": 2}
+
+
+@pytest.mark.parametrize("name", list(INVERSIONS))
+def test_inverse_transforms_per_spectral_call(name, tmp_path, monkeypatch):
+    from symlab.cli import main
+    from symlab.numlab import grid
+    from test_spectral_golden import CALLS
+
+    calls = []
+    original = grid._invert
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(grid, "_invert", counted)
+    assert main(["experiment", *CALLS[name], "--seed", "1", "--no-figure",
+                 "--csv", str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == INVERSIONS[name]
+
+
+@pytest.mark.parametrize("op, e, ell, rows", [
+    # u = (-x_1, x_0) for e = (1, 0): no swap symmetry, n rows per component.
+    (hodge_pair(2, 1).operator, [1, 0], 0, [(1, False, 4)]),
+    (laplacian(2).operator, [1], 1, [(1, True, 1)]),
+])
+def test_gradient_rows_follow_the_witness_symmetry(op, e, ell, rows, monkeypatch):
+    # Each gradient of a blowup point: its order, whether it takes the
+    # axis-swap sum and how many rows it inverts.
+    from symlab.numlab import grid
+
+    inversions, seen = [], []
+    invert, measure = grid._invert, experiments.derivative_magnitude
+
+    def counted(*args):
+        inversions.append(args[0])
+        return invert(*args)
+
+    def derivative(u, order, symmetric=False):
+        before = len(inversions)
+        mag = measure(u, order, symmetric)
+        seen.append((order, symmetric, len(inversions) - before))
+        return mag
+
+    monkeypatch.setattr(grid, "_invert", counted)
+    monkeypatch.setattr(experiments, "derivative_magnitude", derivative)
+    direction = blowup.blowup_direction(op, e, check_ellipticity(op), image_intersection(op, 0))
+    experiments._blowup_point(op, ell, 4.0, GridSpec(2, 128, 4.0), direction, 1.0)
+    assert seen == rows
 
 
 def test_blowup_rejects_bad_derivative_order():
