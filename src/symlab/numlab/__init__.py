@@ -24,9 +24,12 @@ its samples) holds it exactly as given, Nyquist bins and all, and only
 the images and ``spectrum()`` are Nyquist-projected.  Such a field, or
 one built by an operator, synthesizes its values only when they are read;
 its magnitude reduces its components as the rows of an image, through the
-same loop, without them.  The duality experiment reads each component of
-its field once through that loop (``grid.read_components``): one
-inversion per row gives the row's even part on the octant, which the
+same loop, without them.  The plateau experiments, necessity and
+duality, take the even part of every component of their field on the
+octant of grid points by one call (``grid.even_components``) and pair it
+with the plateaus in one loop (``experiments._plateau_rows``): octant
+values as held, grid values folded once, and any other field through
+that loop, one inversion per row giving the row's even part, which the
 pairings read, and its square, which the L1 norm sums.  Every norm and
 L1 norm is the one Riemann sum
 ``grid.grid_sum``, over a grid or, with mirror weights, an octant, as the
@@ -64,9 +67,10 @@ p and u are unchanged by every swap of two axes are symmetric under
 permutations of the axes, so each gradient magnitude takes one inverse
 transform per component, of the derivative along the last axis, and the
 sum of its square over the swaps of each axis with the last
-(``grid.axis_swap_sum``).  A blowup row that keeps the Nyquist margin reads
-its half-resolution reference from its own magnitudes at every other grid
-point, where the halved grid's field takes the same values.
+(``grid.axis_swap_magnitude``).  A blowup row that keeps the Nyquist
+margin reads its half-resolution reference from its own magnitudes at
+every other grid point, where the halved grid's field takes the same
+values.
 """
 
 from .blowup import (

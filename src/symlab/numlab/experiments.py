@@ -7,7 +7,11 @@ Reported ratios are re-measured on a half-resolution grid whenever that is
 affordable; a point whose ratio moves more than ten percent is flagged
 unconverged rather than silently reported.  A blowup row whose band the
 halved grid holds whole reads that ratio from its own magnitudes at every
-other grid point (``blowup_experiment``).
+other grid point (``blowup_experiment``).  The plateau experiments,
+``necessity_experiment`` and ``duality_experiment``, choose a field and
+their own columns only: both take its components' even parts on the
+octant (``grid.even_components``), drop the field, and pair the parts with
+the plateaus in one loop (``_plateau_rows``), for any field in any n.
 """
 
 from __future__ import annotations
@@ -41,15 +45,13 @@ from .fields import (
 from .grid import (
     GridField,
     GridSpec,
-    axis_swap_sum,
+    axis_swap_magnitude,
     boundary_tail,
     derivative_magnitude,
-    even_part,
+    even_components,
     grid_sum,
     image_l1,
     image_magnitude,
-    image_squares,
-    read_components,
 )
 # No caller here: the benchmark's trace (bench/spans.py) wraps this name in
 # this module with the other numlab entry points.
@@ -214,6 +216,39 @@ def blowup_experiment(
     return rows, manifest
 
 
+# Component integrals at most this fraction of the L1 norm are round-off.
+MEAN_TOL = 1e-9
+
+
+def mean_component(spec: GridSpec, even: np.ndarray, f_l1: float) -> int:
+    """The component with the largest integral, summed with mirror weights
+    (``grid.grid_sum``) over ``even``, the components' even parts on the
+    octant of grid points: the direction the plateau pairs against.
+    Component 0 when every integral is round-off (at most ``MEAN_TOL``
+    times the L1 norm), as for a mean-free field."""
+    means = np.abs([grid_sum(spec, v, slice(None)) for v in even]) * spec.cell_volume
+    k = int(np.argmax(means))
+    return k if means[k] > MEAN_TOL * f_l1 else 0
+
+
+def _plateau_rows(spec: GridSpec, even: np.ndarray, f_l1: float,
+                  exponents: Sequence[float]) -> list[dict]:
+    """One row per opening exponent of the plateau family: the plateau is
+    the test function in the direction of component k of f, the one that
+    ``mean_component`` picks, and pairs with that component alone, through
+    its even part on the octant (``even``, from ``grid.even_components``),
+    whose mirror-weighted sum is the component's integral."""
+    k = mean_component(spec, even, f_l1)
+    f_k = GridField.from_octant_values(spec, even[k: k + 1])
+    rows = []
+    for lam in exponents:
+        phi, grad_ln = radial_cutoff_test_function(spec, lam)
+        pair = pairing(f_k, phi)
+        rows.append({"exponent": lam, "pairing": pair, "f_l1": f_l1, "grad_ln": grad_ln,
+                     "ratio": pair / (f_l1 * grad_ln)})
+    return rows
+
+
 def necessity_experiment(
     field_kind: str,
     exponents: Sequence[float],
@@ -234,56 +269,22 @@ def necessity_experiment(
     else:
         raise ValueError(f"unknown necessity field {field_kind!r}")
     tail = f.boundary_tail()
+    even = even_components(f)
     f_l1 = lp_norm(f, 1.0)
-    # A field held on the grid is folded onto the octant once, where the
-    # plateaus are held and every pairing is taken.
-    f_even = f if f.octant_values is not None else GridField.from_octant_values(
-        spec, even_part(spec, f.values))
-    rows = []
-    base_ln = None
-    for lam in exponents:
-        phi, grad_ln = radial_cutoff_test_function(spec, lam)
-        if lam == 1.0:
-            base_ln = grad_ln
-        elif base_ln is None:
-            # Reference for the scale check: measure the exponent-1 member once.
-            _, base_ln = radial_cutoff_test_function(spec, 1.0)
-        pair = pairing(f_even, phi)
-        expected = base_ln * lam ** (1.0 - 1.0 / spec.n)
-        scale_err = abs(grad_ln - expected) / expected
-        rows.append(
-            {
-                "exponent": lam,
-                "pairing": pair,
-                "f_l1": f_l1,
-                "grad_ln": grad_ln,
-                "ratio": pair / (f_l1 * grad_ln),
-                "scale_err": scale_err,
-                "tail": tail,
-            }
-        )
+    del f
+    rows = _plateau_rows(spec, even, f_l1, exponents)
+    base_ln = next((r["grad_ln"] for r in rows if r["exponent"] == 1.0), None)
+    if base_ln is None:
+        # Reference for the scale check: measure the exponent-1 member once.
+        _, base_ln = radial_cutoff_test_function(spec, 1.0)
+    for row in rows:
+        expected = base_ln * row["exponent"] ** (1.0 - 1.0 / spec.n)
+        row.update(scale_err=abs(row["grad_ln"] - expected) / expected, tail=tail)
     manifest = _manifest(
         "necessity", spec, seed,
         {"field": field_kind, "sigma": sigma, "exponents": list(exponents)},
     )
     return rows, manifest
-
-
-# Component integrals at most this fraction of the L1 norm are round-off.
-MEAN_TOL = 1e-9
-
-
-def mean_component(f: GridField, f_l1: float) -> int:
-    """The component with the largest integral, the direction the duality
-    experiment pairs against; component 0 when every integral is round-off
-    (at most ``MEAN_TOL`` times the L1 norm), as for a mean-free field.  A
-    field held by its values on the octant of grid points is summed there,
-    with mirror weights (``grid.grid_sum``)."""
-    held = f.octant_values
-    parts = f.values if held is None else held
-    means = np.abs([grid_sum(f.spec, v, slice(None)) for v in parts]) * f.spec.cell_volume
-    k = int(np.argmax(means))
-    return k if means[k] > MEAN_TOL * f_l1 else 0
 
 
 def duality_experiment(
@@ -306,41 +307,13 @@ def duality_experiment(
         f = gaussian_bump(spec, sigma=sigma, components=[1.0, 0.0], normalize_l1=True)
     else:
         raise ValueError(f"unknown duality field {field_kind!r}")
-    div = divergence(spec.n).operator
-    residual = image_l1(div, f)
-    # Each component of f is read once: the generic field's octant values
-    # as held, each row of the curl-potential field as it is inverted from
-    # the potential's spectrum.  Its even part on the octant is kept (octant
-    # values are their own), its square goes into the magnitude that the L1
-    # norm sums, and the row is dropped: neither the values on the grid nor
-    # the field's spectrum is held.  A zero row would not be read.
-    even = f.octant_values
-    if even is None:
-        parts: dict[int, np.ndarray] = {}
-        read_components(f, lambda c, values: parts.__setitem__(c, even_part(spec, values)))
-        zero = np.zeros(spec.octant_shape)
-        even = np.stack([parts.pop(c, zero) for c in range(f.components)])
+    residual = image_l1(divergence(spec.n).operator, f)
+    even = even_components(f)
     f_l1 = lp_norm(f, 1.0)
     del f
-    # The test function is the plateau in the direction of component k: it
-    # pairs with that component alone, through its even part, whose
-    # mirror-weighted sum is the component's integral.
-    k = mean_component(GridField.from_octant_values(spec, even), f_l1)
-    f_k = GridField.from_octant_values(spec, even[k: k + 1])
-    rows = []
-    for lam in exponents:
-        phi, grad_ln = radial_cutoff_test_function(spec, lam)
-        pair = pairing(f_k, phi)
-        rows.append(
-            {
-                "exponent": lam,
-                "pairing": pair,
-                "f_l1": f_l1,
-                "grad_ln": grad_ln,
-                "ratio": pair / (f_l1 * grad_ln),
-                "constraint_residual_l1": residual,
-            }
-        )
+    rows = _plateau_rows(spec, even, f_l1, exponents)
+    for row in rows:
+        row["constraint_residual_l1"] = residual
     manifest = _manifest(
         "duality", spec, seed,
         {"field": field_kind, "sigma": sigma, "exponents": list(exponents)},
@@ -404,27 +377,21 @@ def _newton_point(spec: GridSpec, eps: float) -> dict:
     div_l1 = image_l1(divergence(3).operator, u)
     curl_l1 = image_l1(exterior_d(3, 1).operator, u)
     rhs = div_l1 + curl_l1
-    mag = _symmetric_gradient_magnitude(u)
+    mag = axis_swap_magnitude(_LAST_OF_3, u)
     lhs = magnitude_norm(spec, mag, 1.5)
     return {"size": spec.size, "eps": eps, "lhs": lhs, "rhs": rhs,
             "ratio": lhs / rhs, "curl_l1": curl_l1,
             "tail": boundary_tail(mag)}
 
 
-# v -> v_2, the last component of a 3-vector field.
+# v -> v_2, the last component of a 3-vector field.  Of the newton field
+# u = grad(D) phi, phi symmetric under permutations of the axes, as
+# ``newton_gradient_field`` makes it, it is d_2 phi, so |u| is the gradient
+# magnitude of phi that ``grid.axis_swap_magnitude`` takes from it: one
+# transform where the magnitude of u takes three.  phi is held on its octant
+# and d_2 phi, odd in the last axis only, stays there: |u| is an octant
+# magnitude, of spec.octant_shape, a cube that the swaps map to itself.
 _LAST_OF_3 = SymbolOperator.from_entries(3, 3, 1, 0, {((0, 0, 0), 0, 2): 1})
-
-
-def _symmetric_gradient_magnitude(u: GridField) -> np.ndarray:
-    """|u| for the newton field u = grad(D) phi, phi symmetric under
-    permutations of the axes, as ``newton_gradient_field`` makes it: the
-    square of its last component, d_2 phi, one transform where the
-    magnitude of u takes three, summed over the swaps of axis j with axis 2
-    (``grid.axis_swap_sum``).  phi is held on its octant and d_2 phi, odd
-    in the last axis only, stays there: the result is an octant magnitude,
-    of spec.octant_shape, a cube that the swaps map to itself."""
-    s = axis_swap_sum(image_squares(_LAST_OF_3, u))
-    return np.sqrt(s, out=s)
 
 
 def _monomial_operator(n: int, alpha: tuple) -> SymbolOperator:

@@ -91,7 +91,11 @@ maximum and the boundary shell (``boundary_tail``) read the octant as they
 are.  The magnitude of a field held by octant values is taken from them,
 and such a field pairs (``norms.pairing``) by one mirror-weighted sum,
 with another one or with the even part on the octant (``even_part``) of a
-field on the grid.
+field on the grid.  ``even_components`` is the one way to the even parts
+of every component of a field, which the plateau experiments pair: octant
+values as held, grid values folded once by ``even_part``, and any other
+field by one pass of ``_reduce``, which keeps each row's even part and
+caches the field's magnitude.
 
 ``symbol_on_grid`` is the one place that evaluates a symbol sum_alpha
 xi^alpha A_alpha at the grid frequencies, and ``_image_rows`` the one place
@@ -118,7 +122,8 @@ operator stacking all partial derivatives of one order, and the blowup
 field evaluates its witness's p through ``symbol_on_grid``.  The gradient
 of a field whose closed form is unchanged by every transposition of two
 axes takes one derivative, along the last axis: ``axis_swap_sum`` adds its
-square with the axes swapped for the others.
+square with the axes swapped for the others, and ``axis_swap_magnitude``
+roots that sum for ``derivative_magnitude`` and for the newton field.
 
 Closed-form fields with compact support (the blowup window in frequency,
 the plateau test function in space) are evaluated on the box of indices
@@ -157,9 +162,9 @@ from ..exact.symbol import SymbolOperator
 # component of a 2^22-point grid takes about 32 MiB.
 MAX_GRID_POINTS = 2**22
 
-# Largest slab of half spectrum that ``_image_rows`` multiplies at once, and
-# eight times the largest slab of an octant pass, below a 2 MiB per-core L2
-# cache; a slab holds at least one index of axis 0.
+# Eight times the largest slab of a row that ``_image_rows`` multiplies at
+# once, of an array that ``even_part`` folds and of an octant pass, below a
+# 2 MiB per-core L2 cache; a slab holds at least one index of axis 0.
 SLAB_BYTES = 2**20
 
 # i^q for q mod 4: the factor between an octant component with q odd axes
@@ -519,7 +524,7 @@ class GridField:
                 mag = image_magnitude(*self._made)
             elif held is None:
                 mag = _reduce(self.spec, self._rows(), root=True,
-                              read=lambda r, values: _finite(values))
+                              read=lambda r, values, parity: _finite(values))
             elif self.components == 1:
                 mag = np.abs(held[0])
             else:
@@ -661,12 +666,6 @@ def _unfold(spec: GridSpec, octant: np.ndarray, parity: Sequence[int], half: boo
         if parity[ax]:
             out[(slice(None),) * ax + (slice(top + 1, None),)] *= -1.0
     return out
-
-
-def _slab_rows(spec: GridSpec) -> int:
-    """Indices of axis 0 per slab: as many as fit ``SLAB_BYTES`` of full
-    half spectrum, and at least one, however narrow the spectrum held."""
-    return max(1, SLAB_BYTES // (16 * prod(spec.half_shape[1:])))
 
 
 def _invert(
@@ -860,11 +859,13 @@ def _image_rows(
     writes the row into ``target(row)`` and yields (row, that array, its
     parity on the octant or None).  The multiplier is (2 pi i)^k A(xi),
     applied to ``hat`` one entry at a time and one slab of axis 0 at a
-    time: the (2 pi i)^k factor goes into the entry's slab, and the first
-    entry of a row writes it, the others add to it, through temporaries
-    the size of that slab, even for an entry that sums several monomials
-    over the whole grid.  The row's Nyquist hyperplanes are then zeroed
-    (``zero_nyquist``), whatever ``hat`` holds there.
+    time, each of about an eighth of ``SLAB_BYTES`` of the row as it is
+    held (band, octant and dtype): the (2 pi i)^k factor goes into the
+    entry's slab, and the first entry of a row writes it, the others add
+    to it, through temporaries the size of that slab, even for an entry
+    that sums several monomials over the whole grid.  The row's Nyquist
+    hyperplanes are then zeroed (``zero_nyquist``), whatever ``hat`` holds
+    there.
 
     On an octant (``parities`` given), column c of parity ``parity[c]``
     and row r of parity ``parities[r]`` take the real factor
@@ -872,9 +873,9 @@ def _image_rows(
     of k + q_c, so the power of i is even."""
     octant = parities is not None
     unit = (2j * pi) ** a.order
-    step = _slab_rows(spec)
     for r, entries in groupby(symbol_on_grid(a, spec, hat.shape[1:], octant), key=itemgetter(0)):
         row = target(r)
+        step = max(1, SLAB_BYTES // 8 // row[0].nbytes)
         for i, (_, c, values) in enumerate(entries):
             scale = unit
             if octant:
@@ -932,32 +933,43 @@ def image_magnitude(
     return _reduce(u.spec, _image(a, u), weights, root=True)
 
 
-def read_components(u: GridField, read: Callable[[int, np.ndarray], None]) -> np.ndarray:
-    """Pass the values of each component c of u to ``read(c, values)``, on
-    the grid or, for a field held on the octant, on the octant of grid
-    points, and return u's magnitude, cached as ``u.magnitude()`` caches it
-    and equal to it bit for bit.  A field that holds its values reads them
-    as held.  Every other field is reduced as its magnitude is
-    (``_reduce``): each component is inverted when its row is built,
-    checked finite, read and then squared into the accumulator, so no
-    values are held past their row.  A field made by A(D) from v whose
-    spectrum was never read takes the rows of the image from v, one work
-    buffer at a time, and never holds its own spectrum; a component whose
-    row of A is zero is not read, its values being zero."""
-    held = u._values if u._parity is None else u._octant_values
-    if held is not None:
-        for c, values in enumerate(held):
-            read(c, values)
-        return u.magnitude()
-    if u._made is not None and u._hat is None and not u._made[0].is_zero():
-        rows = _image(*u._made)
-    else:
-        rows = u._rows()
-    mag = _reduce(u.spec, rows, root=True, read=lambda r, values: read(r, _finite(values)))
+def even_components(u: GridField) -> np.ndarray:
+    """The even part about the box centre of every component of u on the
+    octant of grid points, of shape (components, *spec.octant_shape), with
+    u's magnitude cached in the same pass, as ``u.magnitude()`` caches it
+    and equal to it bit for bit.  Values on the octant of grid points come
+    back as held, and values held on the grid are folded once
+    (``even_part``).  Every other field is reduced as its magnitude is
+    (``_reduce``): each row is inverted once, checked finite, its even part
+    kept and its square added to the magnitude, so no values are held past
+    their row.  A row held on the octant is its own even part, but for the
+    interior of an odd axis, where its mirror images cancel.  A field made
+    by A(D) from v whose spectrum was never read takes the rows of the
+    image from v, one work buffer at a time, and never holds its own
+    spectrum; a zero row of A reads as zeros."""
+    spec = u.spec
+    if u._octant_values is not None or (u._parity is None and u._values is not None):
+        u.magnitude()
+        held = u._octant_values
+        return held if held is not None else even_part(spec, u._values)
+    parts: dict[int, np.ndarray] = {}
+
+    def keep(r: int, values: np.ndarray, parity: Optional[tuple]) -> None:
+        if parity is None:
+            parts[r] = even_part(spec, _finite(values))
+            return
+        parts[r] = even = _finite(values).copy()
+        for ax, odd in enumerate(parity):
+            if odd:
+                even[(slice(None),) * ax + (slice(1, -1),)] = 0.0
+
+    unbuilt = u._made is not None and u._hat is None and not u._made[0].is_zero()
+    mag = _reduce(spec, _image(*u._made) if unbuilt else u._rows(), root=True, read=keep)
     if u._mag is None:
         mag.flags.writeable = False
         u._mag = mag
-    return u._mag
+    zero = np.zeros(spec.octant_shape)
+    return np.stack([parts.pop(c, zero) for c in range(u.components)])
 
 
 def image_squares(a: SymbolOperator, u: GridField) -> Optional[np.ndarray]:
@@ -997,7 +1009,8 @@ def image_l1(a: SymbolOperator, u: GridField) -> float:
 
 def _reduce(
     spec: GridSpec, image: tuple, weights: Optional[Sequence[int]] = None,
-    root: bool = False, read: Optional[Callable[[int, np.ndarray], None]] = None,
+    root: bool = False,
+    read: Optional[Callable[[int, np.ndarray, Optional[tuple]], None]] = None,
 ) -> np.ndarray:
     """sum_r w_r row_r^2 (every w_r = 1 without ``weights``), or with
     ``root`` its square root, for the rows of ``image``: (rows, last) as
@@ -1005,20 +1018,20 @@ def _reduce(
     components of a held field, rows yielding (r, the spectrum of row r in
     a work buffer, or an octant as held, its parity or None) up to row
     ``last``.  Each row is inverted (``_invert``), and with ``read`` its
-    values are passed to ``read(r, values)`` before they are squared (a
-    held field's magnitude checks them finite there).  The first row's
-    values become the accumulator, squared and
-    weighted in place; every later row is inverted into one reused buffer,
-    squared, weighted and added.  A single unweighted row taken with
-    ``root`` is its absolute value, never squared.  The result is of
-    spec.shape, or of spec.octant_shape when the rows are held on the
-    octant."""
+    values are passed to ``read(r, values, parity)`` before they are
+    squared (a held field's magnitude checks them finite there, and
+    ``even_components`` keeps their even part).  The first row's values
+    become the accumulator, squared and weighted in place; every later row
+    is inverted into one reused buffer, squared, weighted and added.  A
+    single unweighted row taken with ``root`` is its absolute value, never
+    squared.  The result is of spec.shape, or of spec.octant_shape when the
+    rows are held on the octant."""
     rows, last = image
     total = buffer = None
     for r, row, parity in rows:
         values = _invert(spec, row, buffer, parity)
         if read is not None:
-            read(r, values)
+            read(r, values, parity)
         weight = None if weights is None else weights[r]
         if total is None and r == last and root and weight is None:
             return np.abs(values, out=values)
@@ -1054,6 +1067,18 @@ def axis_swap_sum(s: np.ndarray) -> np.ndarray:
     return s
 
 
+def axis_swap_magnitude(a: SymbolOperator, u: GridField) -> np.ndarray:
+    """The root of ``axis_swap_sum`` of ``image_squares(a, u)``, for rows
+    of A(D)u that are the derivatives along the last axis of fields
+    unchanged by each transposition of two axes (the same caveat as
+    ``axis_swap_sum``): the gradient magnitude of those fields, from one
+    inverse transform per row.  Zeros on the grid for a zero symbol."""
+    s = image_squares(a, u)
+    if s is None:
+        return np.zeros(u.spec.shape)
+    return np.sqrt(axis_swap_sum(s), out=s)
+
+
 def derivative_magnitude(u: GridField, order: int, symmetric: bool = False) -> np.ndarray:
     """Pointwise Frobenius magnitude of the order-th derivative tensor:
     sqrt of sum over multi-indices (with multinomial weights) and components,
@@ -1064,21 +1089,19 @@ def derivative_magnitude(u: GridField, order: int, symmetric: bool = False) -> n
     unchanged by each transposition of two axes (which only the caller's
     closed form says, never a numeric test), the operator is the one
     derivative along the last axis of each component, and
-    ``axis_swap_sum`` of its squares gives the gradient's: one inverse
+    ``axis_swap_magnitude`` of it gives the gradient's: one inverse
     transform per component where the gradient takes n."""
     n, m = u.spec.n, u.components
     if symmetric:
         if order != 1:
             raise ValueError("the axis-swap sum gives first derivatives only")
         last = (0,) * (n - 1) + (1,)
-        rows = SymbolOperator.from_entries(n, m, m, 1, {(last, c, c): 1 for c in range(m)})
-        s = image_squares(rows, u)
-        if s is None:
-            return np.zeros(u.spec.shape)
-        return np.sqrt(axis_swap_sum(s), out=s)
+        return axis_swap_magnitude(
+            SymbolOperator.from_entries(n, m, m, 1, {(last, c, c): 1 for c in range(m)}), u)
     alphas = multi_indices(n, order)
     rows = range(len(alphas) * m)
     entries = {(alpha, i * m + c, c): 1 for i, alpha in enumerate(alphas) for c in range(m)}
     weights = [factorial(order) // prod(factorial(e) for e in alphas[r // m]) for r in rows]
+    # Every weight of order 1 is 1: no weights, no pass that multiplies by 1.
     return image_magnitude(SymbolOperator.from_entries(n, m, len(rows), order, entries),
-                           u, weights)
+                           u, weights if max(weights) > 1 else None)

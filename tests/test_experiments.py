@@ -29,7 +29,7 @@ from symlab.numlab import (
 from symlab.numlab import blowup, experiments
 from symlab.numlab.experiments import mean_component
 from symlab.numlab.fields import curl_potential_field, gaussian_bump
-from symlab.numlab.grid import axis_swap_sum, image_squares
+from symlab.numlab.grid import axis_swap_sum, even_components, image_squares
 from symlab.numlab.norms import lp_norm, magnitude_norm
 from test_numlab import traced_peak
 
@@ -227,22 +227,23 @@ def test_necessity_scale_and_direction_small():
 
 
 def test_necessity_folds_a_grid_field_once(monkeypatch):
-    # dx_bump is held on the grid; it is folded onto the octant once, not
-    # once per plateau, and every pairing stays the one of the grid field.
-    from symlab.numlab import norms
+    # dx_bump is held on the grid; it is folded onto the octant once, by
+    # ``grid.even_components``, not once per plateau, and every pairing
+    # stays the one of the grid field.
+    from symlab.numlab import grid, norms
     from symlab.numlab.fields import dx_bump, radial_cutoff_test_function
 
     spec = GridSpec(2, 512, 40.0)
     exponents = [1.0, 0.5, 0.3333333333333333, 0.25]
     f = dx_bump(spec, sigma=1.0)
     unfolded = [norms.pairing(f, radial_cutoff_test_function(spec, lam)[0]) for lam in exponents]
-    folds, fold = [], experiments.even_part
+    folds, fold = [], grid.even_part
 
     def counted(spec, a):
         folds.append(a.shape)
         return fold(spec, a)
 
-    monkeypatch.setattr(experiments, "even_part", counted)
+    monkeypatch.setattr(grid, "even_part", counted)
     monkeypatch.setattr(norms, "even_part", counted)
     rows, _ = necessity_experiment("dx_bump", exponents, spec)
     assert folds == [(1, 512, 512)]
@@ -367,24 +368,27 @@ def test_flagged_rows_explain_exit_3(tmp_path, capsys):
 def test_duality_direction_ignores_round_off():
     # The curl-potential field has round-off component means; perturbing it
     # at that level must not move the pairing direction off component 0.
+    # ``mean_component`` sums the even parts on the octant that
+    # ``grid.even_components`` gives.
     spec = GridSpec(2, 128, 40.0)
     f = curl_potential_field(spec, sigma=1.5)
     f_l1 = lp_norm(f, 1.0)
-    assert mean_component(f, f_l1) == 0
+    assert mean_component(spec, even_components(f), f_l1) == 0
     rng = np.random.default_rng(0)
     for _ in range(5):
         noise = 1e-14 * np.abs(f.values).max() * rng.standard_normal(f.values.shape)
         noise[1] += 1e-14 * np.abs(f.values).max()  # a round-off mean on component 1
-        assert mean_component(GridField(spec, f.values + noise), f_l1) == 0
+        noisy = even_components(GridField(spec, f.values + noise))
+        assert mean_component(spec, noisy, f_l1) == 0
     # A generic field pairs against the component that carries its mass.
     for comps, k in (([1.0, 0.0], 0), ([0.0, 1.0], 1), ([0.1, -1.0], 1)):
         g = gaussian_bump(spec, sigma=1.5, components=comps, normalize_l1=True)
-        assert mean_component(g, lp_norm(g, 1.0)) == k
-    # Values held on the octant are summed mirrored onto the grid: component
-    # 0 sums to 0.75 on the octant but integrates to zero, component 1 to 0.5.
+        assert mean_component(spec, even_components(g), lp_norm(g, 1.0)) == k
+    # The octant is summed mirrored onto the grid: component 0 sums to 0.75
+    # on the octant but integrates to zero, component 1 to 0.5.
     values = np.zeros((2,) + spec.octant_shape)
     values[0, 0, 0], values[0, 1, 1], values[1, 0, 0] = 1.0, -0.25, 0.5
-    assert mean_component(GridField.from_octant_values(spec, values), 1.0) == 1
+    assert mean_component(spec, values, 1.0) == 1
 
 
 def test_duality_refuses_op(tmp_path, capsys):

@@ -49,7 +49,7 @@ from symlab.numlab import (
     symbol_on_grid,
 )
 from symlab.numlab.blowup import blowup_direction, cutoff_l1
-from symlab.numlab.experiments import _newton_point, _symmetric_gradient_magnitude
+from symlab.numlab.experiments import _LAST_OF_3, _newton_point
 from symlab.numlab.fields import (
     gaussian_bump,
     mollified_disc,
@@ -73,9 +73,11 @@ def nyquist_mask(spec):
 
 
 def three_row_slabs(monkeypatch, spec):
-    # Slabs of three indices of axis 0: the 8 or 16 indices of the test
-    # grids split into at least three slabs, the last one shorter.
-    monkeypatch.setattr(grid, "SLAB_BYTES", 3 * 16 * math.prod(spec.half_shape[1:]))
+    # Slabs of three indices of axis 0 of a full-width complex row, which
+    # ``_image_rows`` multiplies in slabs of an eighth of SLAB_BYTES: the 8
+    # or 16 indices of the test grids split into at least three slabs, the
+    # last one shorter.  A row held to a narrower band takes wider slabs.
+    monkeypatch.setattr(grid, "SLAB_BYTES", 8 * 3 * 16 * math.prod(spec.half_shape[1:]))
 
 
 def random_field(spec, components, seed=0):
@@ -452,10 +454,12 @@ def test_zero_composite_l1_allocates_nothing():
 
 @pytest.mark.parametrize("size, box", [(16, 8.0), (32, 8.0), (64, 8.0), (32, 6.0)])
 def test_symmetric_newton_magnitude_is_the_three_row_magnitude(size, box):
-    # |grad phi| from (d_2 phi)^2 and its two transposes is the magnitude of
-    # the gradient field measured row by row, to rounding.
+    # |grad phi| from (d_2 phi)^2 and its two transposes, taken as the
+    # newton point takes it, by the axis-swap magnitude that symmetric
+    # gradients share, is the magnitude of the gradient field measured row
+    # by row, to rounding.
     u = newton_gradient_field(GridSpec(3, size, box), 0.4)
-    symmetric = _symmetric_gradient_magnitude(u)
+    symmetric = grid.axis_swap_magnitude(_LAST_OF_3, u)
     reference = u.magnitude()  # image_magnitude of the three-row gradient of phi
     assert np.abs(symmetric - reference).max() <= 1e-12 * reference.max()
 
@@ -580,6 +584,47 @@ def test_derivative_magnitude_is_the_weighted_sum_of_squares(order):
         weight = math.factorial(order) // math.prod(math.factorial(e) for e in alphas[r // m])
         total += weight * d[r] ** 2
     assert np.array_equal(derivative_magnitude(u, order), np.sqrt(total))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_first_derivatives_reduce_without_weights(order, monkeypatch):
+    # Every multinomial weight of order 1 is 1: the gradient's rows reach
+    # ``_reduce`` with no weights, which squares them without multiplying
+    # by 1, and the magnitude is the unit-weighted one bit for bit.  Order
+    # 2 keeps its weights, 2 on the mixed derivative.
+    spec = GridSpec(2, 32, 8.0)
+    u = random_field(spec, 2, seed=order)
+    seen, reduce = [], grid._reduce
+
+    def wrapped(spec, image, weights=None, **kwargs):
+        seen.append(weights)
+        return reduce(spec, image, weights, **kwargs)
+
+    monkeypatch.setattr(grid, "_reduce", wrapped)
+    mag = derivative_magnitude(u, order)
+    if order == 1:
+        assert seen == [None]
+        alphas = multi_indices(2, 1)
+        stacked = SymbolOperator.from_entries(2, 2, 4, 1, {
+            (alpha, i * 2 + c, c): 1 for i, alpha in enumerate(alphas) for c in range(2)})
+        assert np.array_equal(mag, image_magnitude(stacked, u, [1] * 4))
+    else:
+        assert len(seen) == 1 and max(seen[0]) == 2
+
+
+@pytest.mark.parametrize("size, bound", [(256, 3.1), (512, 3.05), (1024, 3.05)])
+def test_image_l1_multiplies_in_slabs_of_the_row(size, bound):
+    # Each slab of a multiply is about an eighth of SLAB_BYTES of the row it
+    # multiplies, so no temporary is a whole row: the L1 norm of the
+    # divergence of the generic [1, 0] Gaussian, a row of mixed parities
+    # built on the real half spectrum, peaks at its row, the row's values
+    # and the magnitude, about 3 real grids.  Slabs sized by the full half
+    # spectrum, a whole row up to 256^2, peaked at 3.55 there.
+    spec = GridSpec(2, size, 40.0)
+    f = gaussian_bump(spec, sigma=1.5, components=[1.0, 0.0], normalize_l1=True)
+    f.spectrum()  # the spectrum is read before tracing
+    div = divergence(2).operator
+    assert traced_peak(lambda: image_l1(div, f)) <= bound * 8 * size**2
 
 
 @pytest.mark.parametrize("n, size", [(2, 8), (3, 8), (4, 4)])
@@ -948,13 +993,14 @@ def test_octant_magnitude_inverts_the_held_octant_in_place():
     assert np.array_equal(u._held_spectrum(), held)
 
 
-def test_read_components_reads_each_component_once():
+def test_even_components_reads_each_component_once():
     # Values on the grid and on the octant, a half spectrum, an octant, and
     # fields made from them by the gradient (on the half spectrum and on
-    # the octant) and by a zero symbol: each component is read once, as the
-    # same field built anew gives its values (on the octant of grid points
-    # for a field held on the octant), and the magnitude returned is that
-    # field's, bit for bit.
+    # the octant) and by a zero symbol: the even parts are, bit for bit,
+    # the fold of the values of the same field built anew (octant values
+    # come back as held), the held values are not inverted and every other
+    # row is inverted once, and the magnitude is cached in the same pass,
+    # equal to that field's bit for bit.
     spec = GridSpec(2, 16, 3.0)
     rng = np.random.default_rng(11)
     grid_values = rng.standard_normal((2,) + spec.shape)
@@ -963,7 +1009,6 @@ def test_read_components_reads_each_component_once():
     octant = rng.standard_normal((1,) + spec.octant_shape)
     grad = gradient(2).operator
     zero = SymbolOperator.from_entries(2, 1, 1, 1, {}, allow_zero=True)
-    top = (slice(spec.size // 2 + 1),) * spec.n
     makers = [
         lambda: GridField(spec, grid_values.copy()),
         lambda: GridField.from_octant_values(spec, octant_values.copy()),
@@ -973,16 +1018,25 @@ def test_read_components_reads_each_component_once():
         lambda: apply_symbol(grad, GridField.from_octant(spec, octant.copy())),
         lambda: apply_symbol(zero, GridField.from_spectrum(spec, half.copy())),
     ]
-    for make in makers:
+    inversions, invert = [], grid._invert
+
+    def counted(*args):
+        inversions.append(args[0])
+        return invert(*args)
+
+    for i, make in enumerate(makers):
         u, reference = make(), make()
-        read = {}
-        mag = grid.read_components(u, lambda c, values: read.setdefault(c, values.copy()))
-        assert sorted(read) == list(range(u.components))
-        on_octant = mag.shape == spec.octant_shape
-        for c, values in read.items():
-            assert np.array_equal(values, reference.values[c][top] if on_octant else reference.values[c])
+        inversions.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grid, "_invert", counted)
+            even = grid.even_components(u)
+            mag = u.magnitude()
+        assert len(inversions) == (0 if i < 2 else u.components)
+        assert even.shape == (u.components,) + spec.octant_shape
+        assert np.array_equal(even, grid.even_part(spec, reference.values))
+        if i == 1:
+            assert even is u.octant_values
         assert np.array_equal(mag, reference.magnitude())
-        assert u.magnitude() is mag
 
 
 def full_grid_image(op, u):
